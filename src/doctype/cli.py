@@ -18,7 +18,7 @@ from .config import load_config
 from .errors import ConfigError, DocTypeError
 from .evaluation import ablation, cross_validate, report_from_confusion, sweep
 from .ingest import DocType, extract_features, parse_records
-from .ioutils import atomic_write_text, canonical_json
+from .ioutils import atomic_write_text, canonical_json, read_json_lines
 from .labeling import (
     LabeledExample,
     balanced_sample,
@@ -391,17 +391,12 @@ def cmd_predict(args) -> int:
         for line in handle:
             if not line.strip():
                 continue
+            row = None
             try:
                 row = json.loads(line)
-                fv = row_to_features(row)
-                label, scores = predict(model, fv)
+                label, scores = predict(model, row_to_features(row))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                doc_id = None
-                if isinstance(line, str):
-                    try:
-                        doc_id = json.loads(line).get("id")
-                    except (json.JSONDecodeError, AttributeError):
-                        doc_id = None
+                doc_id = row.get("id") if isinstance(row, dict) else None
                 rows_out.append(json.dumps({"doc_id": doc_id, "error": str(exc)}, sort_keys=True))
                 n_err += 1
                 continue
@@ -430,15 +425,8 @@ def cmd_predict(args) -> int:
 def cmd_engagement(args) -> int:
     predictions = None
     if args.predictions:
-        predictions = {}
         with open(args.predictions, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                if "error" in row or "doc_type" not in row:
-                    continue
-                predictions[row["doc_id"]] = DocType.from_label(row["doc_type"])
+            predictions = dict(p for p in read_json_lines(handle, _prediction) if p)
     with open(args.log, "r", encoding="utf-8") as handle:
         parsed = read_log_events(handle, predictions)
     report = engagement_report(parsed.events)
@@ -457,6 +445,13 @@ def cmd_engagement(args) -> int:
         print("error: no valid events", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
+
+
+def _prediction(row) -> tuple[str, DocType] | None:
+    """(doc_id, type) of a predictions row; None for an error row."""
+    if "error" in row or "doc_type" not in row:
+        return None
+    return row["doc_id"], DocType.from_label(row["doc_type"])
 
 
 def cmd_synth(args) -> int:

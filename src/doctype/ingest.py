@@ -47,6 +47,7 @@ _LABELS = {
 _BY_LABEL = {label: doc_type for doc_type, label in _LABELS.items()}
 
 DOC_TYPES: tuple[DocType, ...] = tuple(DocType)
+N_CLASSES = len(DOC_TYPES)
 
 #: Identifiers of the four features, in canonical order.
 FEATURE_IDS: tuple[str, ...] = ("f1", "f2", "f3", "f4")

@@ -1,4 +1,4 @@
-"""Small file helpers: canonical JSON and atomic writes."""
+"""Small file helpers: canonical JSON, line-delimited JSON and atomic writes."""
 
 from __future__ import annotations
 
@@ -6,6 +6,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Callable, Iterable
+
+from .errors import IngestError
 
 
 def canonical_json(obj) -> str:
@@ -26,3 +29,17 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json_lines(source: Iterable[str], parse: Callable) -> list:
+    """``parse`` each non-blank JSON line; a line that fails raises IngestError naming it."""
+    where = getattr(source, "name", "input")
+    out = []
+    for number, line in enumerate(source, 1):
+        if line.strip():
+            try:
+                out.append(parse(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise IngestError(f"{where} line {number}: {reason}") from exc
+    return out

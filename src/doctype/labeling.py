@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import ShortageError, SplitError
 from .ingest import DOC_TYPES, DocType, DocumentRecord, FeatureVector
+from .ioutils import read_json_lines
 
 THESIS_KEYWORDS = ("thesis", "dissertation")
 SLIDES_KEYWORDS = ("slides", "presentation")
@@ -198,4 +199,5 @@ def write_examples(sink: IO[str], examples: Iterable[LabeledExample]) -> None:
 
 
 def read_examples(source: IO[str] | Iterable[str]) -> list[LabeledExample]:
-    return [row_to_example(json.loads(line)) for line in source if line.strip()]
+    """Read labeled rows; a malformed line raises IngestError naming it."""
+    return read_json_lines(source, row_to_example)

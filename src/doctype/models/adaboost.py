@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from ..errors import TrainingError
-from .tree import N_CLASSES, grow_tree, tree_apply, tree_apply_row
+from ..ingest import N_CLASSES
+from .tree import CompiledTrees, ForestPredictor, grow_tree
 
 _ERR_FLOOR = 1e-10
 
@@ -25,7 +26,7 @@ def fit_adaboost(X, y, seed, hyperparameters) -> dict:
         nodes = grow_tree(
             X, y, sample_weight=weights, max_depth=max_depth, min_leaf_size=min_leaf
         )
-        predicted = tree_apply(nodes, X).argmax(axis=1)
+        predicted = ForestPredictor([nodes], max_depth).scores_matrix(X).argmax(axis=1)
         miss = predicted != y
         err = float(weights[miss].sum())
         if err >= 1.0 - 1.0 / N_CLASSES:
@@ -45,27 +46,18 @@ def fit_adaboost(X, y, seed, hyperparameters) -> dict:
 
 
 class AdaboostPredictor:
-    """Weighted vote of round predictions; scores normalized by total weight."""
+    """Weighted vote of round predictions; scores normalized by total weight.
 
-    def __init__(self, parameters: dict):
-        self.trees = parameters["trees"]
-        self.alphas = parameters["alphas"]
-        self._total = sum(self.alphas)
+    Each leaf carries its tree's weight at the leaf's argmax class, so the
+    votes add up over trees in tree order, as the rounds were fitted.
+    """
+
+    def __init__(self, parameters: dict, depth: int):
+        self.compiled = CompiledTrees(parameters["trees"], depth)
+        alphas = np.repeat(np.asarray(parameters["alphas"], dtype=float), self.compiled.sizes)
+        picks = self.compiled.dist.argmax(axis=1)
+        self.votes = np.where(np.arange(N_CLASSES) == picks[:, None], alphas[:, None], 0.0)
+        self._total = sum(parameters["alphas"])
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        acc = np.zeros((X.shape[0], N_CLASSES))
-        for nodes, alpha in zip(self.trees, self.alphas):
-            picks = tree_apply(nodes, X).argmax(axis=1)
-            acc[np.arange(X.shape[0]), picks] += alpha
-        return acc / self._total
-
-    def scores_row(self, row: list[float]) -> list[float]:
-        acc = [0.0] * N_CLASSES
-        for nodes, alpha in zip(self.trees, self.alphas):
-            dist = tree_apply_row(nodes, row)
-            pick = 0
-            for i in range(1, N_CLASSES):
-                if dist[i] > dist[pick]:
-                    pick = i
-            acc[pick] += alpha
-        return [v / self._total for v in acc]
+        return self.votes[self.compiled.leaves(X)].sum(axis=0) / self._total

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import IO, Mapping
 
 from ..errors import ModelFormatError, UnsupportedVersionError
-from ..ingest import FEATURE_IDS
+from ..ingest import FEATURE_IDS, N_CLASSES
 from ..stats import TransformSpec
 
 MODEL_FORMAT_VERSION = 1
@@ -76,8 +76,11 @@ class ModelArtifact:
         return artifact
 
 
-def validate_artifact(model: ModelArtifact) -> None:
-    """Structural checks: known kind, sane trees, finite ensemble weights."""
+def validate_artifact(model: ModelArtifact) -> int:
+    """Structural checks: known kind, sane trees, finite ensemble weights.
+
+    Returns the depth of the deepest tree, 0 for kinds without trees.
+    """
     if model.kind not in KINDS:
         raise ModelFormatError(f"unknown model kind: {model.kind!r}")
     if not model.features or any(fid not in FEATURE_IDS for fid in model.features):
@@ -86,15 +89,15 @@ def validate_artifact(model: ModelArtifact) -> None:
     if not isinstance(params, Mapping):
         raise ModelFormatError("model parameters must be an object")
     n_features = len(model.features)
+    depth = 0
     try:
         if model.kind == "decision-tree":
-            _validate_tree(params["nodes"], n_features)
-        elif model.kind == "random-forest":
-            for nodes in params["trees"]:
-                _validate_tree(nodes, n_features)
-        elif model.kind == "adaboost":
-            for nodes in params["trees"]:
-                _validate_tree(nodes, n_features)
+            depth = _validate_tree(params["nodes"], n_features)
+        elif model.kind in ("random-forest", "adaboost"):
+            if not params["trees"]:
+                raise ModelFormatError(f"{model.kind} has no trees")
+            depth = max(_validate_tree(nodes, n_features) for nodes in params["trees"])
+        if model.kind == "adaboost":
             if len(params["alphas"]) != len(params["trees"]):
                 raise ModelFormatError("adaboost weight/tree count mismatch")
             for alpha in params["alphas"]:
@@ -106,23 +109,44 @@ def validate_artifact(model: ModelArtifact) -> None:
                 raise ModelFormatError(f"baseline weights must sum to 1: {weights!r}")
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"malformed {model.kind} parameters: {exc}") from exc
+    return depth
 
 
-def _validate_tree(nodes, n_features: int) -> None:
+def _validate_tree(nodes, n_features: int) -> int:
+    """Check one tree's nodes and shape; return its depth.
+
+    The walk from node 0 must reach every node exactly once, so routing a
+    row cannot loop or merge (a node that is its own child, a shared child)
+    and the file holds one tree (no unreachable node).
+    """
     if not nodes:
         raise ModelFormatError("tree has no nodes")
-    for node in nodes:
-        feature = node["feature"]
-        if feature >= 0:
-            if feature >= n_features:
-                raise ModelFormatError(f"split references feature {feature}")
+    reached = [True] + [False] * (len(nodes) - 1)
+    level, depth = [0], -1
+    while level:
+        depth, below = depth + 1, []
+        for parent in level:
+            node = nodes[parent]
+            if node["feature"] < 0:
+                dist = node["dist"]
+                if len(dist) != N_CLASSES or abs(sum(dist) - 1.0) > 1e-9 or min(dist) < 0:
+                    raise ModelFormatError(f"leaf is not {N_CLASSES} probabilities: {dist!r}")
+                continue
+            if not isinstance(node["feature"], int) or node["feature"] >= n_features:
+                raise ModelFormatError(f"split references feature {node['feature']}")
             for child in (node["left"], node["right"]):
                 if not 0 <= child < len(nodes):
                     raise ModelFormatError(f"split references node {child}")
-        else:
-            dist = node["dist"]
-            if abs(sum(dist) - 1.0) > 1e-9 or any(p < 0 for p in dist):
-                raise ModelFormatError(f"leaf distribution must sum to 1: {dist!r}")
+                if child == parent:
+                    raise ModelFormatError(f"node {child} is its own child")
+                if reached[child]:
+                    raise ModelFormatError(f"node {child} has more than one parent")
+                reached[child] = True
+                below.append(child)
+        level = below
+    if not all(reached):
+        raise ModelFormatError(f"node {reached.index(False)} is unreachable from node 0")
+    return depth
 
 
 def _finite(value) -> bool:

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ingest import DocType, FeatureVector
+from ..ingest import FEATURE_IDS, N_CLASSES, DocType, FeatureVector
 from ..stats import ThresholdTable, derive_thresholds
-
-N_CLASSES = 3
 
 #: Classes are tested most-restrictive-first; unmatched vectors fall back
 #: to the majority class.
@@ -57,36 +55,29 @@ class RandomBaselinePredictor:
     baseline_random_predict with an explicit seed."""
 
     def __init__(self, parameters: dict, seed: int):
-        self.weights = [float(w) for w in parameters["weights"]]
-        self._seed = seed
-        first = np.random.default_rng(seed).choice(N_CLASSES, p=self.weights)
-        self._first_draw = int(first)
+        weights = [float(w) for w in parameters["weights"]]
+        self._first_draw = int(np.random.default_rng(seed).choice(N_CLASSES, p=weights))
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
         scores = np.zeros((X.shape[0], N_CLASSES))
         scores[:, self._first_draw] = 1.0
         return scores
 
-    def scores_row(self, row) -> list[float]:
-        scores = [0.0] * N_CLASSES
-        scores[self._first_draw] = 1.0
-        return scores
-
 
 class ThresholdBaselinePredictor:
+    """baseline_threshold_predict for a matrix: the first class in
+    THRESHOLD_TEST_ORDER whose bounds contain the row wins; the fallback
+    is tested last, as a box without bounds."""
+
     def __init__(self, parameters: dict):
-        self.table = ThresholdTable.from_dict(parameters["table"])
-        self.fallback = DocType.from_label(parameters["fallback"])
+        table = ThresholdTable.from_dict(parameters["table"])
+        fallback = DocType.from_label(parameters["fallback"])
+        bounds = [[table.bounds[(t, fid)] for fid in FEATURE_IDS] for t in THRESHOLD_TEST_ORDER]
+        bounds.append([(-np.inf, np.inf)] * len(FEATURE_IDS))
+        self.lower, self.upper = np.array(bounds).transpose(2, 0, 1)
+        self.scores = np.eye(N_CLASSES)[[*THRESHOLD_TEST_ORDER, fallback]]
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros((X.shape[0], N_CLASSES))
-        for i, row in enumerate(X):
-            out[i] = self.scores_row(row)
-        return out
-
-    def scores_row(self, row) -> list[float]:
-        fv = FeatureVector(*[float(v) for v in row])
-        picked = baseline_threshold_predict(self.table, fv)
-        scores = [0.0] * N_CLASSES
-        scores[int(picked)] = 1.0
-        return scores
+        rows = X[:, None, :]
+        inside = ((self.lower <= rows) & (rows <= self.upper)).all(axis=2)
+        return self.scores[inside.argmax(axis=1)]

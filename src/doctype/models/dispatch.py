@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ from .baselines import (
 from .gnb import GnbPredictor, fit_gnb
 from .knn import KnnPredictor, fit_knn
 from .svm import SvmPredictor, fit_linear_svm
-from .tree import ForestPredictor, TreePredictor, fit_decision_tree, fit_random_forest
+from .tree import ForestPredictor, fit_decision_tree, fit_random_forest
 
 #: Production profile: a small forest kept within the deployment budget of
 #: at most 10 trees and 5 leaf nodes per tree.
@@ -118,9 +119,6 @@ _FITTERS = {
 _PREDICTORS = {
     "gnb": GnbPredictor,
     "knn": KnnPredictor,
-    "decision-tree": TreePredictor,
-    "random-forest": ForestPredictor,
-    "adaboost": AdaboostPredictor,
     "baseline-threshold": ThresholdBaselinePredictor,
     "linear-svm": SvmPredictor,
 }
@@ -128,24 +126,26 @@ _PREDICTORS = {
 
 def _predictor(model: ModelArtifact):
     if model._predictor is None:
-        validate_artifact(model)
+        depth = validate_artifact(model)
+        params = model.parameters
         if model.kind == "baseline-random":
-            model._predictor = RandomBaselinePredictor(model.parameters, model.seed)
+            model._predictor = RandomBaselinePredictor(params, model.seed)
+        elif model.kind in ("decision-tree", "random-forest"):
+            trees = [params["nodes"]] if model.kind == "decision-tree" else params["trees"]
+            model._predictor = ForestPredictor(trees, depth)
+        elif model.kind == "adaboost":
+            model._predictor = AdaboostPredictor(params, depth)
         else:
-            model._predictor = _PREDICTORS[model.kind](model.parameters)
+            model._predictor = _PREDICTORS[model.kind](params)
     return model._predictor
 
 
 def predict(model: ModelArtifact, fv: FeatureVector) -> tuple[DocType, dict[DocType, float]]:
-    """Transform the vector, apply the model, break score ties by class order."""
+    """Classify one vector: row 0 of predict_batch, ties to the lowest class."""
     raw = [_require_value(fv, fid) for fid in model.features]
-    row = model.transform.apply_row(raw)
-    scores = _predictor(model).scores_row(row)
-    pick = 0
-    for i in range(1, len(scores)):
-        if scores[i] > scores[pick]:
-            pick = i
-    return DocType(pick), {t: float(scores[int(t)]) for t in DOC_TYPES}
+    labels, scores = predict_batch(model, np.array([raw]))
+    row = scores[0].tolist()
+    return DocType(int(labels[0])), {t: row[t] for t in DOC_TYPES}
 
 
 def _require_value(fv: FeatureVector, feature_id: str) -> float:
@@ -158,7 +158,18 @@ def _require_value(fv: FeatureVector, feature_id: str) -> float:
 def predict_batch(
     model: ModelArtifact, X_raw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized path for evaluation: returns (labels, score matrix)."""
-    Xt = model.transform.apply(X_raw)
+    """Transform and score a matrix: returns (labels, score matrix).
+
+    Labels are each row's argmax, so ties go to the lowest class. A value
+    that is not finite, raw or transformed, raises ValueError naming it.
+    """
+    X = np.asarray(X_raw, dtype=float)
+    Xt = model.transform.apply(X)
+    if not np.isfinite(Xt).all():
+        row, col = np.argwhere(~np.isfinite(Xt))[0]
+        value = float(X[row, col])
+        where = f"row {row}: feature {model.features[col]} = {value!r}"
+        after = f" after the {model.transform.kind} transform" if math.isfinite(value) else ""
+        raise ValueError(f"{where} is not finite{after}")
     scores = _predictor(model).scores_matrix(Xt)
     return scores.argmax(axis=1), scores

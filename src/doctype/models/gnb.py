@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-N_CLASSES = 3
+from ..ingest import N_CLASSES
+
 VARIANCE_FLOOR = 1e-9
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -35,24 +36,16 @@ class GnbPredictor:
         self.means = parameters["means"]
         self.variances = parameters["variances"]
 
-    def _log_joint(self, X: np.ndarray) -> np.ndarray:
-        out = np.full((X.shape[0], N_CLASSES), -np.inf)
+    def scores_matrix(self, X: np.ndarray) -> np.ndarray:
+        log_joint = np.full((X.shape[0], N_CLASSES), -np.inf)
         for c in range(N_CLASSES):
             if self.priors[c] <= 0.0 or self.means[c] is None:
                 continue
             mean = np.asarray(self.means[c])
             var = np.asarray(self.variances[c])
             log_pdf = -0.5 * (_LOG_2PI + np.log(var) + (X - mean) ** 2 / var)
-            out[:, c] = math.log(self.priors[c]) + log_pdf.sum(axis=1)
-        return out
-
-    def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        log_joint = self._log_joint(X)
+            log_joint[:, c] = math.log(self.priors[c]) + log_pdf.sum(axis=1)
         shifted = log_joint - log_joint.max(axis=1, keepdims=True)
         weights = np.exp(shifted)
         weights[np.isneginf(log_joint)] = 0.0
         return weights / weights.sum(axis=1, keepdims=True)
-
-    def scores_row(self, row: list[float]) -> list[float]:
-        scores = self.scores_matrix(np.asarray([row], dtype=float))[0]
-        return [float(v) for v in scores]

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-N_CLASSES = 3
+from ..ingest import N_CLASSES
+
 # exact pairwise differences, chunked to bound the (rows, train, d) temporary
 _CHUNK_ROWS = 128
 
@@ -30,7 +31,7 @@ class KnnPredictor:
         self.train_y = np.asarray(parameters["train_y"], dtype=int)
         self.k = min(int(parameters["k"]), len(self.train_y))
 
-    def _votes(self, X: np.ndarray) -> np.ndarray:
+    def scores_matrix(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros((X.shape[0], N_CLASSES))
         for start in range(0, X.shape[0], _CHUNK_ROWS):
             chunk = X[start : start + _CHUNK_ROWS]
@@ -40,14 +41,4 @@ class KnnPredictor:
                 votes[start + offset] = np.bincount(
                     self.train_y[row], minlength=N_CLASSES
                 )
-        return votes
-
-    def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        votes = self._votes(X)
         return votes / votes.sum(axis=1, keepdims=True)
-
-    def scores_row(self, row: list[float]) -> list[float]:
-        d2 = ((self.train_x - np.asarray(row, dtype=float)) ** 2).sum(axis=1)
-        nearest = np.argsort(d2, kind="stable")[: self.k]
-        votes = np.bincount(self.train_y[nearest], minlength=N_CLASSES)
-        return [float(v) for v in votes / votes.sum()]

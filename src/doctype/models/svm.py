@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-N_CLASSES = 3
+from ..ingest import N_CLASSES
 
 
 def fit_linear_svm(X, y, seed, hyperparameters) -> dict:
@@ -43,14 +43,9 @@ class SvmPredictor:
         self.weights = np.asarray(parameters["weights"], dtype=float)
         self.biases = np.asarray(parameters["biases"], dtype=float)
 
-    def _margins(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights.T + self.biases
-
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        margins = self._margins(X)
+        # a per-row sum, not a matrix product: BLAS may round a row
+        # differently depending on how many rows share the call
+        margins = (X[:, None, :] * self.weights).sum(axis=2) + self.biases
         shifted = np.exp(margins - margins.max(axis=1, keepdims=True))
         return shifted / shifted.sum(axis=1, keepdims=True)
-
-    def scores_row(self, row: list[float]) -> list[float]:
-        scores = self.scores_matrix(np.asarray([row], dtype=float))[0]
-        return [float(v) for v in scores]

@@ -5,6 +5,14 @@ strictly increasing per-feature remapping of train and test data leaves
 predictions unchanged. Growth is best-first by impurity decrease, which
 lets a ``max_leaf_nodes`` budget pick the most valuable splits first;
 without a budget the result is identical to exhaustive recursive growth.
+
+Trees are stored as dict nodes and compiled for prediction into flat
+arrays (feature, threshold, left, right, dist), the trees of an ensemble
+stacked end to end, after scikit-learn's array trees and QuickScorer
+(Lucchese et al., SIGIR 2015). All rows of all trees move down together,
+one level per step, for the deepest tree's depth. A leaf compiles to a
+split at threshold ``+inf`` whose children are the leaf itself, so a row
+that reaches a shallow leaf stays there without a per-row or per-tree test.
 """
 
 from __future__ import annotations
@@ -13,7 +21,9 @@ import heapq
 
 import numpy as np
 
-N_CLASSES = 3
+from ..ingest import N_CLASSES
+
+_NO_DIST = (0.0,) * N_CLASSES
 
 
 def grow_tree(
@@ -156,36 +166,36 @@ def _best_split(X, y, sample_weight, indices, features, min_leaf_size):
     return best
 
 
-def tree_apply(nodes: list[dict], X: np.ndarray) -> np.ndarray:
-    """Route a matrix of rows to leaf distributions, vectorized per node."""
-    n = X.shape[0]
-    out = np.empty((n, N_CLASSES))
-    stack = [(0, np.arange(n))]
-    while stack:
-        node_id, rows = stack.pop()
-        node = nodes[node_id]
-        if node["feature"] < 0:
-            out[rows] = node["dist"]
-            continue
-        mask = X[rows, node["feature"]] <= node["threshold"]
-        left_rows = rows[mask]
-        right_rows = rows[~mask]
-        if left_rows.size:
-            stack.append((node["left"], left_rows))
-        if right_rows.size:
-            stack.append((node["right"], right_rows))
-    return out
+class CompiledTrees:
+    """Flat node arrays for a sequence of trees, with global node ids.
 
+    ``depth`` must be at least the deepest tree's depth. Split nodes get a
+    zero distribution: routing for ``depth`` steps always ends on a leaf.
+    """
 
-def tree_apply_row(nodes: list[dict], row: list[float]) -> list[float]:
-    """Scalar walk for single predictions; avoids array overhead."""
-    node = nodes[0]
-    while node["feature"] >= 0:
-        if row[node["feature"]] <= node["threshold"]:
-            node = nodes[node["left"]]
-        else:
-            node = nodes[node["right"]]
-    return node["dist"]
+    def __init__(self, trees, depth: int):
+        self.depth = depth
+        self.sizes = [len(nodes) for nodes in trees]
+        self.roots = np.cumsum([0] + self.sizes[:-1])
+        columns = []
+        for base, nodes in zip(self.roots.tolist(), trees):
+            for i, node in enumerate(nodes, base):
+                if node["feature"] < 0:
+                    columns.append((0, np.inf, i, i, node["dist"]))
+                else:
+                    left, right = base + node["left"], base + node["right"]
+                    columns.append((node["feature"], node["threshold"], left, right, _NO_DIST))
+        self.feature, self.threshold, self.left, self.right, dist = map(np.array, zip(*columns))
+        self.dist = dist.astype(float)
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Leaf id each row reaches in each tree, shape (trees, rows)."""
+        rows = np.arange(X.shape[0])
+        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
+        for _ in range(self.depth):
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return node
 
 
 def balanced_weights(y: np.ndarray) -> np.ndarray:
@@ -245,34 +255,16 @@ def fit_random_forest(X, y, seed, hyperparameters) -> dict:
     return {"trees": trees}
 
 
-class TreePredictor:
-    def __init__(self, parameters: dict):
-        self.nodes = parameters["nodes"]
-
-    def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        return tree_apply(self.nodes, X)
-
-    def scores_row(self, row: list[float]) -> list[float]:
-        return tree_apply_row(self.nodes, row)
-
-
 class ForestPredictor:
-    """Soft-voting ensemble: scores are the mean of per-tree leaf distributions."""
+    """Soft-voting ensemble: scores are the mean of per-tree leaf distributions.
 
-    def __init__(self, parameters: dict):
-        self.trees = parameters["trees"]
+    A decision tree is the one-tree case. Distributions are summed in tree
+    order and then divided by the tree count.
+    """
+
+    def __init__(self, trees, depth: int):
+        self.compiled = CompiledTrees(trees, depth)
+        self.n_trees = len(trees)
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        acc = np.zeros((X.shape[0], N_CLASSES))
-        for nodes in self.trees:
-            acc += tree_apply(nodes, X)
-        return acc / len(self.trees)
-
-    def scores_row(self, row: list[float]) -> list[float]:
-        acc = [0.0] * N_CLASSES
-        for nodes in self.trees:
-            dist = tree_apply_row(nodes, row)
-            for i in range(N_CLASSES):
-                acc[i] += dist[i]
-        n = len(self.trees)
-        return [v / n for v in acc]
+        return self.compiled.dist[self.compiled.leaves(X)].sum(axis=0) / self.n_trees

@@ -167,17 +167,10 @@ class TransformSpec:
         if self.kind == "identity":
             return np.asarray(matrix, dtype=float)
         if self.kind == "log-scale":
-            return np.log1p(np.asarray(matrix, dtype=float))
+            # values below -1 map to NaN or -inf; predict_batch reports them
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return np.log1p(np.asarray(matrix, dtype=float))
         return (np.asarray(matrix, dtype=float) - np.asarray(self.mean)) / np.asarray(self.scale)
-
-    def apply_row(self, row: Sequence[float]) -> list[float]:
-        if self.kind == "identity":
-            return [float(v) for v in row]
-        if self.kind == "log-scale":
-            return [math.log1p(float(v)) for v in row]
-        return [
-            (float(v) - m) / s for v, m, s in zip(row, self.mean, self.scale)
-        ]
 
     def to_dict(self) -> dict:
         return {

@@ -145,6 +145,39 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert "1 errors" in err and "ms/row" in err
 
+    def test_non_finite_features_give_error_rows(self, labeled_file, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        args = ["train", str(labeled_file), "--kind", "gnb", "--transform", "log-scale"]
+        assert main(args + ["--out", str(model_path)]) == 0
+        features = tmp_path / "features.jsonl"
+        rows = [
+            {"id": "ok", "f1": 1, "f2": 5000, "f3": 10, "f4": 500.0},
+            {"id": "nan", "f1": 1, "f2": float("nan"), "f3": 10, "f4": 500.0},
+            {"id": "inf", "f1": 1, "f2": 5000, "f3": float("inf"), "f4": 500.0},
+            {"id": "negative", "f1": 1, "f2": -5, "f3": 10, "f4": 500.0},
+        ]
+        features.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "predictions.jsonl"
+        assert main(["predict", str(model_path), str(features), "--out", str(out)]) == 0
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert "doc_type" in lines[0]
+        assert [set(line) for line in lines[1:]] == [{"doc_id", "error"}] * 3
+        assert [line["doc_id"] for line in lines[1:]] == ["nan", "inf", "negative"]
+        assert "feature f2 = nan is not finite" in lines[1]["error"]
+        assert "feature f3 = inf is not finite" in lines[2]["error"]
+        assert "f2 = -5.0 is not finite after the log-scale transform" in lines[3]["error"]
+        assert "1 rows, 3 errors" in capsys.readouterr().err
+
+    def test_malformed_labeled_line_exit_two(self, labeled_file, tmp_path, capsys):
+        lines = labeled_file.read_text().splitlines(keepends=True)
+        lines.insert(4, '{"id": "broken", "f1": 1,\n')
+        labeled_file.write_text("".join(lines))
+        code = main(["train", str(labeled_file), "--kind", "gnb", "--out", str(tmp_path / "m")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {labeled_file} line 5: ")
+        assert "Traceback" not in err
+
     def test_malformed_model_exit_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
@@ -257,6 +290,18 @@ class TestEngagementCommand:
         code = main(["engagement", str(log), "--predictions", str(predictions)])
         assert code == 2  # the only event is unresolvable
         assert "1 rejected" in capsys.readouterr().err
+
+
+    def test_malformed_predictions_line_exit_two(self, tmp_path, capsys):
+        log = self._log(tmp_path, with_types=False)
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text(
+            json.dumps({"doc_id": "a", "doc_type": "Thesis", "scores": {}})
+            + "\n\n{not json\n"
+        )
+        code = main(["engagement", str(log), "--predictions", str(predictions)])
+        assert code == 2
+        assert f"error: {predictions} line 3: " in capsys.readouterr().err
 
 
 class TestUsage:

@@ -1,16 +1,21 @@
 """Baselines, the six classifiers, and the model file format."""
 
 import io
+import json
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doctype.errors import ModelFormatError, TrainingError, UnsupportedVersionError
 from doctype.ingest import DocType, FeatureVector
 from doctype.labeling import LabeledExample
 from doctype.models import (
     DEPLOYED_FOREST_PROFILE,
+    THRESHOLD_TEST_ORDER,
     baseline_random_predict,
     baseline_threshold_predict,
     load_model,
@@ -19,6 +24,7 @@ from doctype.models import (
     save_model,
     train,
 )
+from doctype.stats import ThresholdTable
 from conftest import REFERENCE_CELLS, make_example, toy_dataset
 
 
@@ -37,6 +43,57 @@ def random_vectors(n: int, seed: int) -> list[FeatureVector]:
         )
         for _ in range(n)
     ]
+
+
+feature_rows = st.tuples(
+    st.integers(1, 20),
+    st.floats(0, 3e5),
+    st.integers(1, 600),
+    st.floats(0, 2e4),
+)
+
+#: Every kind, over all three transforms.
+EVERY_KIND = [
+    ("baseline-random", {}, "identity"),
+    ("baseline-threshold", {}, "identity"),
+    ("gnb", {}, "log-scale"),
+    ("knn", {"k": 5}, "z-score"),
+    ("decision-tree", {"max_depth": 3}, "log-scale"),
+    ("random-forest", {"n_trees": 6, "max_depth": 3}, "z-score"),
+    ("adaboost", {"rounds": 8, "max_depth": 1}, "log-scale"),
+    ("linear-svm", {"epochs": 50}, "z-score"),
+]
+
+
+@lru_cache(maxsize=1)
+def every_kind_models() -> dict:
+    data = toy_dataset(30, seed=16)
+    return {kind: train(kind, data, hp, seed=3, transform=tr) for kind, hp, tr in EVERY_KIND}
+
+
+def walk_tree(nodes: list[dict], row) -> list[float]:
+    """Reference dict-node walk: the leaf distribution one row reaches."""
+    node = nodes[0]
+    while node["feature"] >= 0:
+        go_left = row[node["feature"]] <= node["threshold"]
+        node = nodes[node["left"] if go_left else node["right"]]
+    return node["dist"]
+
+
+def forest_oracle(trees: list[list[dict]], row) -> list[float]:
+    acc = [0.0, 0.0, 0.0]
+    for nodes in trees:
+        for c, p in enumerate(walk_tree(nodes, row)):
+            acc[c] += p
+    return [v / len(trees) for v in acc]
+
+
+def adaboost_oracle(trees: list[list[dict]], alphas: list[float], row) -> list[float]:
+    acc = [0.0, 0.0, 0.0]
+    for nodes, alpha in zip(trees, alphas):
+        dist = walk_tree(nodes, row)
+        acc[max(range(3), key=lambda c: (dist[c], -c))] += alpha
+    return [v / sum(alphas) for v in acc]
 
 
 class TestBaselineRandom:
@@ -364,27 +421,34 @@ class TestPredictContract:
         with pytest.raises(ValueError):
             predict(model, FeatureVector(None, 10.0, 2, 5.0))
 
-    def test_batch_matches_single(self):
-        data = toy_dataset(30, seed=16)
-        queries = random_vectors(50, seed=17)
-        matrix = np.array([[float(v) for v in fv.values()] for fv in queries])
-        for kind, hp in [
-            ("gnb", {}),
-            ("knn", {"k": 5}),
-            ("decision-tree", {"max_depth": 3}),
-            ("random-forest", {"n_trees": 6, "max_depth": 3}),
-            ("adaboost", {"rounds": 8, "max_depth": 1}),
-            ("linear-svm", {"epochs": 50}),
-        ]:
-            model = train(kind, data, hp, seed=3, transform="log-scale")
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(feature_rows, min_size=1, max_size=12))
+    def test_batch_matches_single(self, rows):
+        matrix = np.array(rows, dtype=float)
+        for kind, model in every_kind_models().items():
             labels, scores = predict_batch(model, matrix)
-            for i, fv in enumerate(queries):
-                single_label, single_scores = predict(model, fv)
-                assert DocType(int(labels[i])) is single_label, kind
-                for t in DocType:
-                    assert scores[i][int(t)] == pytest.approx(
-                        single_scores[t], abs=1e-9
-                    ), kind
+            for i, row in enumerate(rows):
+                label, row_scores = predict(model, FeatureVector(*row))
+                assert label is DocType(int(labels[i])), kind
+                assert [row_scores[t] for t in DocType] == scores[i].tolist(), kind
+
+    def test_non_finite_feature_rejected(self):
+        models = every_kind_models()
+        for kind, model in models.items():
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="row 0: feature f2 .* not finite"):
+                    predict(model, FeatureVector(3, value, 10, 50.0))
+            matrix = np.array([[3, 5000, 10, 500.0], [3, 5000, math.nan, 500.0]])
+            with pytest.raises(ValueError, match="row 1: feature f3 = nan is not finite$"):
+                predict_batch(model, matrix)
+
+    def test_negative_value_under_log_scale_rejected(self):
+        model = every_kind_models()["gnb"]
+        assert model.transform.kind == "log-scale"
+        with pytest.raises(ValueError, match="feature f2 = -5.0 is not finite after the log-scale"):
+            predict(model, FeatureVector(3, -5, 10, 50.0))
+        with pytest.raises(ValueError, match="row 0: feature f2 = -5.0"):
+            predict_batch(model, np.array([[3, -5, 10, 50.0]]))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
@@ -394,6 +458,67 @@ class TestPredictContract:
         data = [make_example(DocType.RESEARCH, f1=None, doc_id="bad")]
         with pytest.raises(TrainingError):
             train("gnb", data)
+
+
+class TestScoringOracles:
+    """predict_batch against loop references, bit for bit."""
+
+    def queries(self, model, n=400, seed=40):
+        raw = np.array([fv.values() for fv in random_vectors(n, seed)], dtype=float)
+        return raw, model.transform.apply(raw)
+
+    def test_tree_kinds_match_dict_walk(self):
+        data = toy_dataset(60, seed=41)
+        for kind, hp, transform in [
+            ("decision-tree", {"max_depth": 4}, "identity"),
+            ("decision-tree", {}, "log-scale"),
+            ("random-forest", DEPLOYED_FOREST_PROFILE, "identity"),
+            ("random-forest", {"n_trees": 25}, "z-score"),
+            (
+                "random-forest",
+                {"n_trees": 9, "max_depth": 5, "class_weight": "balanced"},
+                "z-score",
+            ),
+            ("adaboost", {"rounds": 25, "max_depth": 2}, "identity"),
+            ("adaboost", {"rounds": 40, "max_depth": 3}, "log-scale"),
+        ]:
+            model = train(kind, data, hp, seed=5, transform=transform)
+            params = model.parameters
+            raw, rows = self.queries(model)
+            _, scores = predict_batch(model, raw)
+            for row, got in zip(rows, scores.tolist()):
+                if kind == "decision-tree":
+                    expected = walk_tree(params["nodes"], row)
+                elif kind == "random-forest":
+                    expected = forest_oracle(params["trees"], row)
+                else:
+                    expected = adaboost_oracle(params["trees"], params["alphas"], row)
+                assert got == expected, (kind, hp, transform)
+
+    def test_threshold_matrix_matches_rule(self):
+        model = train("baseline-threshold", toy_dataset(40, seed=42))
+        table = ThresholdTable.from_dict(model.parameters["table"])
+        raw, _ = self.queries(model, n=300, seed=43)
+        # rows on every bound of every class, where <= must be inclusive
+        edges = [
+            [table.bounds[(t, fid)][side] for fid in ("f1", "f2", "f3", "f4")]
+            for t in THRESHOLD_TEST_ORDER
+            for side in (0, 1)
+        ]
+        raw = np.vstack([raw, edges])
+        labels, scores = predict_batch(model, raw)
+        for row, label, row_scores in zip(raw, labels, scores):
+            expected = baseline_threshold_predict(table, FeatureVector(*row.tolist()))
+            assert label == expected
+            assert row_scores.tolist() == [float(t == expected) for t in DocType]
+        assert set(labels.tolist()) == {0, 1, 2}
+
+
+LEAF = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "dist": [1.0, 0.0, 0.0]}
+
+
+def split(feature: int, left: int, right: int) -> dict:
+    return {**LEAF, "feature": feature, "threshold": 2.0, "left": left, "right": right}
 
 
 class TestSerialization:
@@ -441,3 +566,34 @@ class TestSerialization:
         bad = model.to_json().replace('"feature": 0', '"feature": 99')
         with pytest.raises(ModelFormatError):
             load_model(io.StringIO(bad))
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([split(0, 1, 2), split(1, 1, 3), LEAF, LEAF], "node 1 is its own child"),
+            ([split(0, 1, 2), split(1, 0, 3), LEAF, LEAF], "node 0 has more than one parent"),
+            ([split(0, 1, 2), split(1, 2, 3), LEAF, LEAF], "node 2 has more than one parent"),
+            ([split(0, 1, 1), LEAF], "node 1 has more than one parent"),
+            ([split(0, 1, 2), LEAF, LEAF, LEAF], "node 3 is unreachable"),
+            ([split(0, 1, 2), LEAF, {**LEAF, "dist": [0.5, 0.5]}], "not 3 probabilities"),
+        ],
+    )
+    def test_malformed_tree_shape_rejected(self, nodes, message):
+        model = train("decision-tree", toy_dataset(10, seed=24), {"max_depth": 2})
+        payload = json.loads(model.to_json())
+        payload["parameters"]["nodes"] = nodes
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(io.StringIO(json.dumps(payload)))
+
+    def test_forest_depth_is_deepest_tree(self):
+        model = train("random-forest", toy_dataset(10, seed=25), {"n_trees": 2, "max_depth": 1})
+        payload = json.loads(model.to_json())
+        thesis = {**LEAF, "dist": [0.0, 0.0, 1.0]}
+        payload["parameters"]["trees"] = [
+            [thesis],
+            [split(0, 1, 2), LEAF, split(1, 3, 4), LEAF, thesis],
+        ]
+        loaded = load_model(io.StringIO(json.dumps(payload)))
+        label, scores = predict(loaded, FeatureVector(5, 5.0, 9, 1.0))
+        assert label is DocType.THESIS
+        assert scores == {DocType.RESEARCH: 0.0, DocType.SLIDES: 0.0, DocType.THESIS: 1.0}

@@ -258,15 +258,6 @@ class TestFitTransform:
             again, np.array([ex.features.values() for ex in out]), atol=0
         )
 
-    def test_row_and_matrix_agree(self):
-        data = self._data()
-        for kind in ("identity", "z-score", "log-scale"):
-            spec, _ = fit_transform(data, kind)
-            row = data[0].features.values()
-            via_matrix = spec.apply(np.array([row], dtype=float))[0]
-            via_row = spec.apply_row(row)
-            assert np.allclose(via_matrix, via_row, atol=0)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             fit_transform(self._data(), "box-cox")
