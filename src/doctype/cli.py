@@ -1,6 +1,7 @@
 """Command-line surface wiring the pipeline end to end.
 
-Exit codes: 0 success, 1 usage/config problems, 2 data-fatal errors.
+Exit codes: 0 success, 1 usage, config or bad flag value, 2 data-fatal
+errors. ``main`` is the only place an error becomes an exit code.
 Per-record problems never abort a batch command; they are counted and
 reported on stderr.
 """
@@ -14,11 +15,11 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import load_config
+from .config import RunConfig, load_config
 from .errors import ConfigError, DocTypeError
 from .evaluation import ablation, cross_validate, report_from_confusion, sweep
 from .ingest import DocType, extract_features, parse_records
-from .ioutils import atomic_write_text, canonical_json, read_json_lines
+from .ioutils import atomic_write_text, canonical_json, read_json_lines_strict
 from .labeling import (
     LabeledExample,
     balanced_sample,
@@ -40,37 +41,36 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
+#: The commands that take the shared --seed and --format flags; every
+#: command takes --config and --out.
+SEEDED_COMMANDS = ("sample", "split", "train", "sweep", "evaluate", "ablation", "synth")
+FORMATTED_COMMANDS = ("samplesize", "sweep", "evaluate", "ablation", "engagement")
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help/--version, 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
     try:
         _resolve_config_defaults(args)
         return args.handler(args)
-    except ConfigError as exc:
+    except (DocTypeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DocTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        # A ValueError reaching here comes from a flag value; bad data raises DocTypeError.
+        return EXIT_USAGE if isinstance(exc, (ConfigError, ValueError)) else EXIT_DATA
 
 
 def _resolve_config_defaults(args) -> None:
-    """Fill unset flags from --config; the flag always wins when given."""
-    cfg = None
-    if getattr(args, "config", None) and args.handler is not cmd_pipeline:
-        cfg = load_config(args.config)
-        args.run_config = cfg
-    else:
-        args.run_config = None
-    if getattr(args, "seed", None) is None:
-        args.seed = cfg.seed if cfg else 0
+    """Fill unset flags from --config, else RunConfig's defaults; a given flag wins."""
+    use_config = getattr(args, "config", None) and args.handler is not cmd_pipeline
+    args.run_config = load_config(args.config) if use_config else RunConfig()
+    if "seed" in vars(args) and args.seed is None:
+        args.seed = args.run_config.seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,9 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(handler=handler)
         cmd.add_argument("--config", type=str, default=None,
                          help="run config supplying seed and path defaults")
-        cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--out", type=str, default=None)
-        cmd.add_argument("--format", choices=("machine", "human"), default="human")
+        if name in SEEDED_COMMANDS:
+            cmd.add_argument("--seed", type=int, default=None)
+        if name in FORMATTED_COMMANDS:
+            cmd.add_argument("--format", choices=("machine", "human"), default="human")
         return cmd
 
     cmd = add("extract", cmd_extract, "compute features from a records file")
@@ -176,11 +178,9 @@ def _read_labeled(path: str) -> list[LabeledExample]:
         return read_examples(handle)
 
 
-def _parse_proportions(raw: str | None, run_config=None) -> dict[DocType, float]:
+def _parse_proportions(raw: str | None, run_config: RunConfig) -> dict[DocType, float]:
     if raw is None:
-        if run_config is not None:
-            return dict(run_config.proportions)
-        return {DocType.RESEARCH: 0.55, DocType.SLIDES: 0.10, DocType.THESIS: 0.35}
+        return dict(run_config.proportions)
     try:
         payload = json.loads(raw)
         return {DocType.from_label(name): float(v) for name, v in payload.items()}
@@ -188,23 +188,22 @@ def _parse_proportions(raw: str | None, run_config=None) -> dict[DocType, float]
         raise ConfigError(f"bad proportions: {exc}") from exc
 
 
-def _parse_json_flag(raw: str, name: str = "hyperparameters") -> dict:
+def _parse_json_flag(raw: str, name: str = "hyperparameters", shape: type = dict):
+    """A JSON object flag, or with ``shape=list`` a JSON list of objects."""
     try:
         payload = json.loads(raw)
-        if not isinstance(payload, dict):
-            raise ValueError("must be a JSON object")
-        return payload
-    except (json.JSONDecodeError, ValueError) as exc:
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"bad {name}: {exc}") from exc
+    objects = payload if isinstance(payload, list) else [payload]
+    if not isinstance(payload, shape) or not all(isinstance(obj, dict) for obj in objects):
+        what = "list of JSON objects" if shape is list else "object"
+        raise ConfigError(f"bad {name}: must be a JSON {what}")
+    return payload
 
 
 def cmd_extract(args) -> int:
-    try:
-        with open(args.records, "rb") as handle:
-            parsed = parse_records(handle)
-    except OSError as exc:
-        print(f"error: cannot read {args.records}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    with open(args.records, "rb") as handle:
+        parsed = parse_records(handle)
     lines = []
     for rec in parsed.records:
         lines.append(json.dumps(feature_row(rec.id, extract_features(rec)), sort_keys=True))
@@ -219,12 +218,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_label(args) -> int:
-    try:
-        with open(args.records, "rb") as handle:
-            parsed = parse_records(handle)
-    except OSError as exc:
-        print(f"error: cannot read {args.records}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    with open(args.records, "rb") as handle:
+        parsed = parse_records(handle)
     examples = [
         LabeledExample(extract_features(rec), rule_label(rec), rec.id)
         for rec in parsed.records
@@ -238,11 +233,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_samplesize(args) -> int:
-    try:
-        n = sample_size(args.z, args.p, args.c)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    n = sample_size(args.z, args.p, args.c)
     if args.format == "machine":
         _write_or_print(args, canonical_json({"sample_size": n, "z": args.z, "p": args.p, "c": args.c}))
     else:
@@ -253,9 +244,6 @@ def cmd_samplesize(args) -> int:
 def cmd_sample(args) -> int:
     examples = _read_labeled(args.labeled)
     proportions = _parse_proportions(args.proportions, args.run_config)
-    total = sum(proportions.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"proportions must sum to 1, got {total}")
     picked = balanced_sample(examples, args.total, proportions, args.seed)
     text_out = "".join(
         json.dumps(example_to_row(ex), sort_keys=True) + "\n" for ex in picked
@@ -279,7 +267,7 @@ def cmd_split(args) -> int:
 
 def cmd_impute(args) -> int:
     examples = _read_labeled(args.labeled)
-    completed = impute_f1(examples, args.seed)
+    completed = impute_f1(examples)
     out = "".join(
         json.dumps(example_to_row(ex), sort_keys=True) + "\n" for ex in completed
     )
@@ -290,8 +278,8 @@ def cmd_impute(args) -> int:
 def cmd_thresholds(args) -> int:
     examples = _read_labeled(args.labeled)
     cfg = args.run_config
-    lo = args.quantile_lo if args.quantile_lo is not None else (cfg.quantile_lo if cfg else 0.025)
-    hi = args.quantile_hi if args.quantile_hi is not None else (cfg.quantile_hi if cfg else 0.975)
+    lo = cfg.quantile_lo if args.quantile_lo is None else args.quantile_lo
+    hi = cfg.quantile_hi if args.quantile_hi is None else args.quantile_hi
     table = derive_thresholds(examples, lo, hi)
     _write_or_print(args, canonical_json(table.to_dict()))
     return EXIT_OK
@@ -310,12 +298,7 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     examples = _read_labeled(args.labeled)
-    grid = None
-    if args.grid is not None:
-        try:
-            grid = json.loads(args.grid)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad grid: {exc}") from exc
+    grid = None if args.grid is None else _parse_json_flag(args.grid, "grid", list)
     result = sweep(args.kind, examples, grid=grid, k=args.k, seed=args.seed)
     if args.format == "machine":
         _write_or_print(args, canonical_json({"format_version": 1, **result.to_dict()}))
@@ -387,7 +370,7 @@ def cmd_predict(args) -> int:
     n_ok = 0
     n_err = 0
     started = time.perf_counter()
-    with open(args.features, "r", encoding="utf-8") as handle:
+    with open(args.features, "rb") as handle:
         for line in handle:
             if not line.strip():
                 continue
@@ -426,7 +409,7 @@ def cmd_engagement(args) -> int:
     predictions = None
     if args.predictions:
         with open(args.predictions, "r", encoding="utf-8") as handle:
-            predictions = dict(p for p in read_json_lines(handle, _prediction) if p)
+            predictions = dict(p for p in read_json_lines_strict(handle, _prediction) if p)
     with open(args.log, "r", encoding="utf-8") as handle:
         parsed = read_log_events(handle, predictions)
     report = engagement_report(parsed.events)

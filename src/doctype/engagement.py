@@ -9,12 +9,13 @@ rqtctr = qtctr * impression-share holds exactly by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import IO, Iterable, Mapping
 
 from .errors import EventValidationError, UndefinedRateError
 from .ingest import DOC_TYPES, DocType
+from .ioutils import read_json_lines
 
 ENGINES = ("search", "recommender")
 VARIANTS = ("any", "top")
@@ -326,22 +327,11 @@ def read_log_events(
     predictions: Mapping[str, DocType] | None = None,
 ) -> LogParseResult:
     """Parse a log stream; lines that cannot be resolved are counted."""
-    events: list[LogEvent] = []
-    rejected = 0
-    errors: list[str] = []
-    for lineno, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
-        try:
-            events.append(_parse_event(line, predictions))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            rejected += 1
-            errors.append(f"line {lineno}: {exc}")
-    return LogParseResult(events, rejected, errors)
+    events, errors = read_json_lines(source, partial(_parse_event, predictions))
+    return LogParseResult(events, len(errors), errors)
 
 
-def _parse_event(line: str, predictions: Mapping[str, DocType] | None) -> LogEvent:
-    obj = json.loads(line)
+def _parse_event(predictions: Mapping[str, DocType] | None, obj) -> LogEvent:
     impressions = []
     for imp in obj["impressions"]:
         doc_id = imp["doc_id"]

@@ -12,12 +12,11 @@ text). From each record we compute:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
-from .errors import IngestError
+from .ioutils import read_json_lines
 
 
 class DocType(IntEnum):
@@ -134,61 +133,36 @@ def extract_features(record: DocumentRecord) -> FeatureVector:
     return FeatureVector(f1, f2, f3, f4)
 
 
-def parse_records(source: IO[bytes] | IO[str] | Iterable[str], fmt: str = "jsonl") -> ParseResult:
-    """Parse line-delimited records; malformed lines are counted, not raised.
+def parse_records(source: IO[bytes] | IO[str] | Iterable[str]) -> ParseResult:
+    """Parse line-delimited records; malformed and duplicate-id lines are counted, not raised.
 
-    Raises IngestError when the stream itself cannot be read or the
-    format tag is unknown.
+    The first line with a given id wins. Raises IngestError when the
+    stream itself cannot be read or decoded.
     """
-    if fmt != "jsonl":
-        raise IngestError(f"unknown record format: {fmt!r}")
-    records: list[DocumentRecord] = []
-    seen_ids: set[str] = set()
-    skipped = 0
-    for line in _iter_lines(source):
-        if not line.strip():
-            continue
-        record = _parse_line(line)
-        if record is None or record.id in seen_ids:
-            skipped += 1
-            continue
-        seen_ids.add(record.id)
-        records.append(record)
-    return ParseResult(records, skipped)
+    parsed, rejects = read_json_lines(source, _parse_record)
+    first_by_id: dict[str, DocumentRecord] = {}
+    for record in parsed:
+        first_by_id.setdefault(record.id, record)
+    return ParseResult(list(first_by_id.values()), len(rejects) + len(parsed) - len(first_by_id))
 
 
-def _iter_lines(source) -> Iterator[str]:
-    try:
-        for line in source:
-            yield line.decode("utf-8", errors="strict") if isinstance(line, bytes) else line
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(f"unreadable record stream: {exc}") from exc
-
-
-def _parse_line(line: str) -> DocumentRecord | None:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
-        return None
+def _parse_record(obj) -> DocumentRecord:
     if not isinstance(obj, dict):
-        return None
+        raise ValueError("a record must be a JSON object")
     doc_id = obj.get("id")
-    authors = obj.get("authors")
-    title = obj.get("title")
-    subjects = obj.get("subjects")
-    pages = obj.get("pages")
     if not isinstance(doc_id, str) or not doc_id:
-        return None
-    if not _is_str_list(authors) or not _is_str_list(subjects) or not _is_str_list(pages):
-        return None
-    if not isinstance(title, str):
-        return None
+        raise ValueError("id must be a non-empty string")
+    for key in ("authors", "subjects", "pages"):
+        if not _is_str_list(obj.get(key)):
+            raise ValueError(f"{key} must be a list of strings")
+    if not isinstance(obj.get("title"), str):
+        raise ValueError("title must be a string")
     return DocumentRecord(
         id=doc_id,
-        authors=tuple(authors),
-        title=title,
-        subjects=tuple(subjects),
-        pages=tuple(pages),
+        authors=tuple(obj["authors"]),
+        title=obj["title"],
+        subjects=tuple(obj["subjects"]),
+        pages=tuple(obj["pages"]),
     )
 
 

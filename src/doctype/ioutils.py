@@ -31,15 +31,34 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def read_json_lines(source: Iterable[str], parse: Callable) -> list:
-    """``parse`` each non-blank JSON line; a line that fails raises IngestError naming it."""
-    where = getattr(source, "name", "input")
-    out = []
-    for number, line in enumerate(source, 1):
-        if line.strip():
-            try:
-                out.append(parse(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise IngestError(f"{where} line {number}: {reason}") from exc
-    return out
+def read_json_lines(
+    source: Iterable[str] | Iterable[bytes], parse: Callable
+) -> tuple[list, list[str]]:
+    """``parse`` each non-blank JSON line of a ``str`` or UTF-8 ``bytes`` stream.
+
+    Returns the parsed values and one ``"line N: reason"`` per line that
+    the JSON decoder or ``parse`` rejected. A stream that cannot be read
+    or decoded raises IngestError.
+    """
+    values, rejects = [], []
+    try:
+        for number, line in enumerate(source, 1):
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if line.strip():
+                try:
+                    values.append(parse(json.loads(line)))
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                    reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                    rejects.append(f"line {number}: {reason}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read {getattr(source, 'name', 'input')}: {exc}") from exc
+    return values, rejects
+
+
+def read_json_lines_strict(source: Iterable[str] | Iterable[bytes], parse: Callable) -> list:
+    """``read_json_lines`` where the first rejected line raises IngestError naming it."""
+    values, rejects = read_json_lines(source, parse)
+    if rejects:
+        raise IngestError(f"{getattr(source, 'name', 'input')} {rejects[0]}")
+    return values

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
 import numpy as np
 
 from .errors import ShortageError, SplitError
-from .ingest import DOC_TYPES, DocType, DocumentRecord, FeatureVector
-from .ioutils import read_json_lines
+from .ingest import DOC_TYPES, FEATURE_IDS, DocType, DocumentRecord, FeatureVector
+from .ioutils import read_json_lines_strict
 
 THESIS_KEYWORDS = ("thesis", "dissertation")
 SLIDES_KEYWORDS = ("slides", "presentation")
@@ -180,8 +181,17 @@ def feature_row(doc_id: str, fv: FeatureVector) -> dict:
 
 
 def row_to_example(row: Mapping) -> LabeledExample:
-    fv = row_to_features(row)
-    return LabeledExample(fv, DocType.from_label(row["label"]), row["id"])
+    """Check and convert a labeled row: a string id, a known label, and finite
+    numbers for f1-f4 (f1 may be null); anything else raises ValueError."""
+    if not isinstance(row["id"], str):
+        raise ValueError(f"id must be a string, got {row['id']!r}")
+    for fid in FEATURE_IDS:
+        value = row[fid]
+        # json.loads yields exactly int or float for a number, never bool.
+        finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        if not finite and not (fid == "f1" and value is None):
+            raise ValueError(f"{fid} must be a finite number, got {value!r}")
+    return LabeledExample(row_to_features(row), DocType.from_label(row["label"]), row["id"])
 
 
 def row_to_features(row: Mapping) -> FeatureVector:
@@ -200,4 +210,4 @@ def write_examples(sink: IO[str], examples: Iterable[LabeledExample]) -> None:
 
 def read_examples(source: IO[str] | Iterable[str]) -> list[LabeledExample]:
     """Read labeled rows; a malformed line raises IngestError naming it."""
-    return read_json_lines(source, row_to_example)
+    return read_json_lines_strict(source, row_to_example)

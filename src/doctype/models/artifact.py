@@ -167,7 +167,7 @@ def load_model(source: IO[str] | str | Path) -> ModelArtifact:
         text = source.read()
     else:
         try:
-            text = Path(source).read_text()
-        except OSError as exc:
+            text = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ModelFormatError(f"cannot read model file: {exc}") from exc
     return ModelArtifact.from_json(text)

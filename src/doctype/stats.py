@@ -125,6 +125,10 @@ def derive_thresholds(
     quantile_hi: float = 0.975,
 ) -> ThresholdTable:
     """Tukey-filter each (class, feature) sample, then take the outer quantiles."""
+    if not 0.0 <= quantile_lo < quantile_hi <= 1.0:
+        raise ValueError(
+            f"quantile levels must satisfy 0 <= lo < hi <= 1, got ({quantile_lo}, {quantile_hi})"
+        )
     examples = list(dataset)
     bounds: dict[tuple[DocType, str], tuple[float, float]] = {}
     for t in DOC_TYPES:

@@ -178,12 +178,43 @@ class TestTrainPredict:
         assert err.startswith(f"error: {labeled_file} line 5: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["random-forest", "gnb"])
+    @pytest.mark.parametrize("value", ['"abc"', "NaN", "true"])
+    def test_bad_feature_value_exit_two_without_model(self, kind, value, tmp_path, capsys):
+        src = tmp_path / "synth.jsonl"
+        assert main(["synth", "--n", "60", "--seed", "2", "--out", str(src)]) == 0
+        lines = src.read_text().splitlines(keepends=True)
+        row = json.loads(lines[3])
+        lines[3] = lines[3].replace(f'"f2": {json.dumps(row["f2"])}', f'"f2": {value}')
+        src.write_text("".join(lines))
+        model_path = tmp_path / "model.json"
+        code = main(["train", str(src), "--kind", kind, "--out", str(model_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src} line 4: f2 must be a finite number, got ")
+        assert "Traceback" not in err
+        assert not model_path.exists()
+
+    def test_undecodable_features_line_gives_error_row(self, labeled_file, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(labeled_file), "--kind", "gnb", "--out", str(model_path)]) == 0
+        features = tmp_path / "features.jsonl"
+        good = json.dumps({"id": "ok", "f1": 1, "f2": 5000, "f3": 10, "f4": 500.0})
+        features.write_bytes(good.encode() + b'\n{"id": "\xff"}\n')
+        out = tmp_path / "predictions.jsonl"
+        assert main(["predict", str(model_path), str(features), "--out", str(out)]) == 0
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert "doc_type" in lines[0]
+        assert lines[1]["doc_id"] is None and "utf-8" in lines[1]["error"]
+
     def test_malformed_model_exit_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{oops")
         features = tmp_path / "f.jsonl"
         features.write_text("")
-        assert main(["predict", str(bad), str(features)]) == 2
+        for payload in (b"{oops", b"\xff\xfe{"):
+            bad.write_bytes(payload)
+            assert main(["predict", str(bad), str(features)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestOtherCommands:
@@ -307,6 +338,47 @@ class TestEngagementCommand:
 class TestUsage:
     def test_no_command_exits_one(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["split", "LABELED", "--k", "1"],
+            ["train", "LABELED", "--kind", "knn", "--hyperparameters", '{"k":"x"}'],
+            ["train", "LABELED", "--kind", "gnb", "--transform", "bogus"],
+            ["evaluate", "LABELED", "--kind", "gnb", "--k", "3", "--transform", "bogus"],
+            ["sweep", "LABELED", "--kind", "knn", "--k", "3", "--grid", "5"],
+            ["sweep", "LABELED", "--kind", "knn", "--k", "3", "--grid", "[]"],
+            ["sweep", "LABELED", "--kind", "knn", "--k", "3", "--grid", "[5]"],
+            ["thresholds", "LABELED", "--quantile-lo", "0.9", "--quantile-hi", "0.1"],
+            ["synth", "--n", "5"],
+        ],
+    )
+    def test_bad_flag_value_exits_one(self, argv, labeled_file, tmp_path, capsys):
+        argv = [str(labeled_file) if a == "LABELED" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "LABELED"],  # missing required flag
+            ["train", "LABELED", "--kind", "gnb", "--bogus"],  # unknown flag
+            ["sweep", "LABELED", "--kind", "gnb", "--format", "xml"],  # bad choice
+            ["impute", "LABELED", "--seed", "3"],  # impute reads no seed
+            ["extract", "LABELED", "--format", "machine"],  # extract has one format
+        ],
+    )
+    def test_usage_error_exits_one(self, argv, labeled_file, capsys):
+        argv = [str(labeled_file) if a == "LABELED" else a for a in argv]
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["train", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
 
     def test_unknown_kind_is_data_error(self, labeled_file):
         assert main(["train", str(labeled_file), "--kind", "perceptron"]) == 2

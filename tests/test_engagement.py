@@ -269,5 +269,10 @@ class TestLogParsing:
         assert parsed.n_rejected == 1
 
     def test_malformed_line_counted(self):
-        parsed = read_log_events(io.StringIO("{broken\n"))
-        assert parsed.n_rejected == 1
+        for text, error in [
+            ("{broken\n", "line 1: Expecting property name enclosed in double quotes"),
+            ('\n{"engine": "search", "query_id": "q1"}\n', "line 2: missing field 'impressions'"),
+        ]:
+            parsed = read_log_events(io.StringIO(text))
+            assert parsed.n_rejected == 1
+            assert parsed.events == [] and parsed.errors[0].startswith(error)

@@ -14,6 +14,7 @@ from doctype.ingest import (
     parse_records,
     tokenize,
 )
+from doctype.ioutils import read_json_lines, read_json_lines_strict
 
 
 def record_line(doc_id="d1", authors=("a",), title="t", subjects=(), pages=("one two",)):
@@ -147,10 +148,6 @@ class TestParseRecords:
         result = parse_records(io.StringIO(json.dumps(obj)))
         assert len(result.records) == 1
 
-    def test_unknown_format_tag(self):
-        with pytest.raises(IngestError):
-            parse_records(io.StringIO(""), fmt="csv")
-
     def test_unreadable_stream_fatal(self):
         class Broken:
             def __iter__(self):
@@ -164,3 +161,53 @@ class TestParseRecords:
         text = "\n".join(record_line(doc_id=i) for i in ids)
         result = parse_records(io.StringIO(text))
         assert [r.id for r in result.records] == ids
+
+
+def _positive(obj):
+    if obj["n"] <= 0:
+        raise ValueError(f"n must be positive, got {obj['n']}")
+    return obj["n"]
+
+
+class TestReadJsonLines:
+    def test_str_and_bytes_lines_with_blanks_skipped(self):
+        text = '{"n": 1}\n\n   \n{"n": 2}\n'
+        assert read_json_lines(io.StringIO(text), _positive) == ([1, 2], [])
+        assert read_json_lines(io.BytesIO(text.encode("utf-8")), _positive) == ([1, 2], [])
+
+    def test_rejects_name_the_line_and_reason(self):
+        lines = ['{"n": 1}', "", "{oops", '{"n": -3}', '{"m": 4}', "[]", '{"n": 5}']
+        values, rejects = read_json_lines(lines, _positive)
+        assert values == [1, 5]
+        assert rejects[0].startswith("line 3: Expecting property name")
+        assert rejects[1:] == [
+            "line 4: n must be positive, got -3",
+            "line 5: missing field 'n'",
+            "line 6: list indices must be integers or slices, not str",
+        ]
+
+    def test_deep_nesting_is_a_reject(self):
+        values, rejects = read_json_lines(["[" * 100_000, '{"n": 1}'], _positive)
+        assert values == [1] and rejects[0].startswith("line 1: maximum recursion depth")
+
+    def test_undecodable_bytes_fatal(self):
+        stream = io.BytesIO(b'{"n": 1}\n{"n": "\xff"}\n')
+        with pytest.raises(IngestError, match="cannot read input: 'utf-8' codec"):
+            read_json_lines(stream, _positive)
+
+    def test_os_error_mid_stream_fatal(self):
+        def lines():
+            yield '{"n": 1}'
+            raise OSError("disk gone")
+
+        with pytest.raises(IngestError, match="cannot read input: disk gone"):
+            read_json_lines(lines(), _positive)
+
+    def test_strict_raises_on_first_reject_naming_the_source(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"n": 1}\n{"n": 0}\n{oops\n')
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(IngestError) as raised:
+                read_json_lines_strict(handle, _positive)
+        assert str(raised.value) == f"{path} line 2: n must be positive, got 0"
+        assert read_json_lines_strict(['{"n": 7}', ""], _positive) == [7]
