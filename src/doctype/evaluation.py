@@ -10,9 +10,15 @@ import numpy as np
 
 from .ingest import DOC_TYPES, FEATURE_IDS, DocType
 from .labeling import LabeledExample, stratified_split
-from .models import baseline_random_predict, dataset_matrix, predict_batch, train
+from .models import (
+    baseline_random_predict,
+    check_hyperparameters,
+    dataset_matrix,
+    predict_batch,
+    train,
+)
 from .seeding import derive_seed
-from .stats import Imputer
+from .stats import Imputer, preserves_order
 
 
 @dataclass
@@ -127,21 +133,22 @@ class CVResult:
         }
 
 
-def cross_validate(
-    kind: str,
-    dataset: Sequence[LabeledExample],
-    k: int,
-    hyperparameters: dict | None = None,
-    seed: int = 0,
-    transform: str = "identity",
-    features: Sequence[str] = FEATURE_IDS,
-    folds: Sequence[Sequence[LabeledExample]] | None = None,
-) -> CVResult:
-    """k-fold CV; imputation and transform fitting see training folds only."""
-    if folds is None:
-        split = stratified_split(list(dataset), k, 0.0, derive_seed(seed, "cv-folds"))
-        folds = split.test_folds
-    reports = []
+@dataclass
+class PreparedFold:
+    """One CV fold after imputation, with its train and test matrices."""
+
+    train: list[LabeledExample]
+    test: list[LabeledExample]
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_test: np.ndarray
+
+
+def prepare_folds(
+    folds: Sequence[Sequence[LabeledExample]], features: Sequence[str] = FEATURE_IDS
+) -> list[PreparedFold]:
+    """Impute each fold from its training rows and build its matrices once."""
+    prepared = []
     for i, test_fold in enumerate(folds):
         train_set = [ex for j, fold in enumerate(folds) if j != i for ex in fold]
         test_set = list(test_fold)
@@ -151,16 +158,48 @@ def cross_validate(
             imputer = Imputer().fit(train_set)
             train_set = imputer.transform(train_set)
             test_set = imputer.transform(test_set)
+        X_train, y_train = dataset_matrix(train_set, features)
+        X_test, _ = dataset_matrix(test_set, features)
+        prepared.append(PreparedFold(train_set, test_set, X_train, y_train, X_test))
+    return prepared
+
+
+def _cv_folds(dataset: Sequence[LabeledExample], k: int, seed: int):
+    """The seeded stratified k-way split used when no folds are given."""
+    return stratified_split(list(dataset), k, 0.0, derive_seed(seed, "cv-folds")).test_folds
+
+
+def cross_validate(
+    kind: str,
+    dataset: Sequence[LabeledExample],
+    k: int,
+    hyperparameters: dict | None = None,
+    seed: int = 0,
+    transform: str = "identity",
+    features: Sequence[str] = FEATURE_IDS,
+    prepared: Sequence[PreparedFold] | None = None,
+) -> CVResult:
+    """k-fold CV; imputation and transform fitting see training folds only.
+
+    ``prepared`` is ``prepare_folds(folds, features)`` for given folds;
+    ``dataset`` and ``k`` are then not read.
+    """
+    if prepared is None:
+        prepared = prepare_folds(_cv_folds(dataset, k, seed), features)
+    reports = []
+    for i, fold in enumerate(prepared):
         fold_seed = derive_seed(seed, f"fold-{i}")
-        model = train(kind, train_set, hyperparameters, fold_seed, transform, features)
-        truths = [ex.label for ex in test_set]
+        model = train(
+            kind, fold.train, hyperparameters, fold_seed, transform, features,
+            matrix=(fold.X_train, fold.y_train),
+        )
+        truths = [ex.label for ex in fold.test]
         if kind == "baseline-random":
             predictions = baseline_random_predict(
-                model, len(test_set), derive_seed(seed, f"fold-{i}-draw")
+                model, len(fold.test), derive_seed(seed, f"fold-{i}-draw")
             )
         else:
-            X, _ = dataset_matrix(test_set, model.features)
-            labels, _ = predict_batch(model, X)
+            labels, _ = predict_batch(model, fold.X_test)
             predictions = [DocType(int(v)) for v in labels]
         reports.append(evaluate(predictions, truths))
     pooled = [
@@ -177,6 +216,10 @@ def cross_validate(
 
 
 DEFAULT_TRANSFORMS = ("identity", "z-score", "log-scale")
+
+#: Kinds whose fit and predictions depend on each feature's value order
+#: only (see ``models.tree``), so ``sweep`` can share their CV results.
+ORDER_INVARIANT_KINDS = ("decision-tree", "random-forest", "adaboost")
 
 _DEFAULT_GRIDS: dict[str, list[dict]] = {
     "random-forest": [
@@ -255,17 +298,42 @@ def sweep(
     features: Sequence[str] = FEATURE_IDS,
     folds: Sequence[Sequence[LabeledExample]] | None = None,
 ) -> SweepResult:
-    """Cross-validate the full grid x transforms product; pick the best mean F1."""
+    """Cross-validate the full grid x transforms product; pick the best mean F1.
+
+    For a tree kind, every transform that ``preserves_order`` on every
+    fold gives the CV result of raw values, so each grid point is
+    cross-validated once for all of them; a transform that fails the
+    check on any fold is cross-validated on its own.
+    """
     if grid is None:
         grid = default_grid(kind)
     if not grid:
         raise ValueError("sweep grid must be non-empty")
+    for point in grid:
+        check_hyperparameters(kind, point)
+    if folds is None:
+        folds = _cv_folds(dataset, k, seed)
+    prepared = prepare_folds(folds, features)
+    shareable = set()
+    if kind in ORDER_INVARIANT_KINDS:
+        shareable = {
+            t
+            for t in transforms
+            if all(preserves_order(t, f.X_train, f.X_test) for f in prepared)
+        }
     entries = []
-    for point, transform in itertools.product(grid, transforms):
-        result = cross_validate(
-            kind, dataset, k, point, seed, transform, features, folds=folds
-        )
-        entries.append(SweepEntry(dict(point), transform, result))
+    for point in grid:
+        shared = None
+        for transform in transforms:
+            if transform in shareable and shared is not None:
+                result = shared
+            else:
+                result = cross_validate(
+                    kind, dataset, k, point, seed, transform, features, prepared
+                )
+                if transform in shareable:
+                    shared = result
+            entries.append(SweepEntry(dict(point), transform, result))
     size_key = _SIZE_KEYS.get(kind)
     best_index = 0
     for i in range(1, len(entries)):

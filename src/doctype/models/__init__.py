@@ -16,6 +16,7 @@ from .baselines import (
 )
 from .dispatch import (
     DEPLOYED_FOREST_PROFILE,
+    check_hyperparameters,
     dataset_matrix,
     predict,
     predict_batch,
@@ -34,6 +35,7 @@ __all__ = [
     "baseline_random_predict",
     "baseline_threshold_predict",
     "DEPLOYED_FOREST_PROFILE",
+    "check_hyperparameters",
     "dataset_matrix",
     "predict",
     "predict_batch",

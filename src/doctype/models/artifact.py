@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping
@@ -103,6 +104,10 @@ def validate_artifact(model: ModelArtifact) -> int:
             for alpha in params["alphas"]:
                 if not _finite(alpha):
                     raise ModelFormatError(f"non-finite boosting weight: {alpha!r}")
+        elif model.kind == "knn":
+            k = params["k"]
+            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+                raise ModelFormatError(f"knn k must be an integer >= 1, got {k!r}")
         elif model.kind == "baseline-random":
             weights = params["weights"]
             if abs(sum(weights) - 1.0) > 1e-9 or any(w < 0 for w in weights):
@@ -150,7 +155,12 @@ def _validate_tree(nodes, n_features: int) -> int:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and value == value and abs(value) != float("inf")
+    """An int or float, not a bool, within float range (so not NaN)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def save_model(model: ModelArtifact, sink: IO[str] | str | Path) -> None:

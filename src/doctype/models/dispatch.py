@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Sequence
 
@@ -12,7 +13,7 @@ from ..ingest import DOC_TYPES, FEATURE_IDS, DocType, FeatureVector
 from ..labeling import LabeledExample
 from ..stats import TransformSpec
 from .adaboost import AdaboostPredictor, fit_adaboost
-from .artifact import KINDS, ModelArtifact, validate_artifact
+from .artifact import KINDS, ModelArtifact, _finite, validate_artifact
 from .baselines import (
     RandomBaselinePredictor,
     ThresholdBaselinePredictor,
@@ -37,6 +38,48 @@ DEPLOYED_FOREST_PROFILE = {
 # Kinds whose per-class decision structure needs every class observed.
 _REQUIRE_ALL_CLASSES = ("adaboost", "linear-svm")
 _REQUIRE_TWO_EXAMPLES = ("adaboost", "linear-svm")
+
+
+def _integer(least: int, nullable: bool = False):
+    def accepts(value) -> bool:
+        if value is None:
+            return nullable
+        return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+    return accepts, f"an integer >= {least}" + (" or null" if nullable else "")
+
+
+_FINITE = (_finite, "a finite number")
+_TREE_HYPERPARAMETERS = {
+    "max_depth": _integer(0, nullable=True),
+    "min_leaf_size": _integer(1),
+    "max_leaf_nodes": _integer(1, nullable=True),
+    "class_weight": (lambda v: v is None or v == "balanced", 'null or "balanced"'),
+}
+
+#: Per kind, each hyperparameter's (accepts, expected) value check. A kind
+#: ignores keys it does not list.
+_HYPERPARAMETER_TYPES = {
+    "knn": {"k": _integer(1)},
+    "decision-tree": _TREE_HYPERPARAMETERS,
+    "random-forest": {
+        **_TREE_HYPERPARAMETERS,
+        "n_trees": _integer(1),
+        "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
+        "feature_subset": _integer(1),
+    },
+    "adaboost": {"rounds": _integer(1), "max_depth": _integer(0), "min_leaf_size": _integer(1)},
+    "linear-svm": {"epochs": _integer(0), "step": _FINITE, "reg": _FINITE},
+    "baseline-threshold": {"quantile_lo": _FINITE, "quantile_hi": _FINITE},
+}
+
+
+def check_hyperparameters(kind: str, hyperparameters: dict) -> None:
+    """Raise ValueError for the first listed hyperparameter of a wrong type."""
+    for key, (accepts, expected) in _HYPERPARAMETER_TYPES.get(kind, {}).items():
+        if key in hyperparameters and not accepts(value := hyperparameters[key]):
+            shown = json.dumps(value, default=repr)
+            raise ValueError(f"{kind} hyperparameter {key} must be {expected}, got {shown}")
 
 
 def dataset_matrix(
@@ -64,13 +107,20 @@ def train(
     seed: int = 0,
     transform: str = "identity",
     features: Sequence[str] = FEATURE_IDS,
+    *,
+    matrix: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ModelArtifact:
-    """Fit one model kind on the dataset and wrap it in a ModelArtifact."""
+    """Fit one model kind on the dataset and wrap it in a ModelArtifact.
+
+    ``matrix`` is ``dataset_matrix(dataset, features)`` when the caller
+    has already built it; it is read, never written.
+    """
     if kind not in KINDS:
         raise TrainingError(f"unknown model kind: {kind!r}")
     if not dataset:
         raise TrainingError("cannot train on an empty dataset")
     hyperparameters = dict(hyperparameters or {})
+    check_hyperparameters(kind, hyperparameters)
     features = tuple(features)
     if kind == "baseline-threshold" and features != FEATURE_IDS:
         raise TrainingError("baseline-threshold requires the full feature set")
@@ -82,7 +132,7 @@ def train(
         missing = [t.label for t in DOC_TYPES if t not in present]
         raise TrainingError(f"{kind} needs every class present; missing {missing}")
 
-    X, y = dataset_matrix(dataset, features)
+    X, y = dataset_matrix(dataset, features) if matrix is None else matrix
     spec = TransformSpec.fit(X, transform)
     Xt = spec.apply(X)
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..ingest import N_CLASSES
 
-# exact pairwise differences, chunked to bound the (rows, train, d) temporary
+# query rows per step, to bound the (rows, train) distance matrix
 _CHUNK_ROWS = 128
 
 
@@ -30,15 +30,22 @@ class KnnPredictor:
         self.train_x = np.asarray(parameters["train_x"], dtype=float)
         self.train_y = np.asarray(parameters["train_y"], dtype=int)
         self.k = min(int(parameters["k"]), len(self.train_y))
+        self._is_class = self.train_y == np.arange(N_CLASSES)[:, None]
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros((X.shape[0], N_CLASSES))
         for start in range(0, X.shape[0], _CHUNK_ROWS):
             chunk = X[start : start + _CHUNK_ROWS]
-            d2 = ((chunk[:, None, :] - self.train_x[None, :, :]) ** 2).sum(axis=2)
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-            for offset, row in enumerate(nearest):
-                votes[start + offset] = np.bincount(
-                    self.train_y[row], minlength=N_CLASSES
-                )
+            # squared distances added in feature order, the same rounding for any chunk
+            d2 = (chunk[:, :1] - self.train_x[:, 0]) ** 2
+            for j in range(1, X.shape[1]):
+                d2 += (chunk[:, j : j + 1] - self.train_x[:, j]) ** 2
+            kth = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1 : self.k]
+            # every row nearer than the k-th distance, then the earliest rows at it
+            nearer = d2 < kth
+            at_kth = d2 == kth
+            room = self.k - nearer.sum(axis=1, keepdims=True)
+            chosen = nearer | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
+            for c in range(N_CLASSES):
+                votes[start : start + len(chunk), c] = (chosen & self._is_class[c]).sum(axis=1)
         return votes / votes.sum(axis=1, keepdims=True)

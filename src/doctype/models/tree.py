@@ -2,9 +2,12 @@
 
 Trees split on ``x <= v`` where v is an observed training value, so any
 strictly increasing per-feature remapping of train and test data leaves
-predictions unchanged. Growth is best-first by impurity decrease, which
-lets a ``max_leaf_nodes`` budget pick the most valuable splits first;
-without a budget the result is identical to exhaustive recursive growth.
+predictions unchanged. ``stats.preserves_order`` checks that a fitted
+transform is such a remapping on given data, and ``evaluation.sweep``
+shares one CV result across the transforms that pass it. Growth is
+best-first by impurity decrease, which lets a ``max_leaf_nodes`` budget
+pick the most valuable splits first; without a budget the result is
+identical to exhaustive recursive growth.
 
 Trees are stored as dict nodes and compiled for prediction into flat
 arrays (feature, threshold, left, right, dist), the trees of an ensemble

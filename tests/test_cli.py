@@ -351,6 +351,12 @@ class TestUsage:
             ["sweep", "LABELED", "--kind", "knn", "--k", "3", "--grid", "[5]"],
             ["thresholds", "LABELED", "--quantile-lo", "0.9", "--quantile-hi", "0.1"],
             ["synth", "--n", "5"],
+            ["train", "LABELED", "--kind", "knn", "--hyperparameters", '{"k": [1]}'],
+            ["train", "LABELED", "--kind", "knn", "--hyperparameters", '{"k": null}'],
+            ["train", "LABELED", "--kind", "random-forest", "--hyperparameters", '{"n_trees": 2.5}'],
+            ["train", "LABELED", "--kind", "random-forest", "--hyperparameters", '{"max_depth": "3"}'],
+            ["train", "LABELED", "--kind", "random-forest", "--hyperparameters", '{"n_trees": [2]}'],
+            ["sweep", "LABELED", "--kind", "knn", "--k", "3", "--grid", '[{"k": 1}, {"k": true}]'],
         ],
     )
     def test_bad_flag_value_exits_one(self, argv, labeled_file, tmp_path, capsys):

@@ -5,19 +5,24 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from doctype import evaluation
 from doctype.evaluation import (
     FEATURE_SUBSETS,
     ablation,
     cross_validate,
     default_grid,
     evaluate,
+    prepare_folds,
     report_from_confusion,
     sweep,
 )
-from doctype.ingest import DocType, FeatureVector
+from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
 from doctype.labeling import LabeledExample, stratified_split
-from doctype.stats import derive_thresholds
+from doctype.models import predict_batch, train
+from doctype.stats import TRANSFORM_KINDS, TransformSpec, derive_thresholds, preserves_order
 from doctype.synthetic import (
     PARAMETERIZED_FEATURES,
     REFERENCE_BOUNDS,
@@ -191,6 +196,183 @@ class TestSweep:
         assert len(default_grid("knn")) == 4
         assert len(default_grid("adaboost")) == 6
         assert len(default_grid("linear-svm")) == 4
+
+
+def count_cross_validate(monkeypatch) -> list:
+    """Record the kind of every cross_validate call made through the module."""
+    calls = []
+    real = evaluation.cross_validate
+
+    def counted(kind, *args, **kwargs):
+        calls.append(kind)
+        return real(kind, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "cross_validate", counted)
+    return calls
+
+
+def brute_force_sweep(kind, data, grid, transforms, k, seed, folds):
+    """One cross_validate per (point, transform) and the documented tie-break."""
+    size_key = {"random-forest": "n_trees", "adaboost": "rounds", "decision-tree": "max_depth"}[kind]
+    cells = [
+        (point, transform, cross_validate(kind, data, k, point, seed, transform,
+                                          prepared=prepare_folds(folds)))
+        for point in grid
+        for transform in transforms
+    ]
+    best = 0
+    for i, (point, _, result) in enumerate(cells):
+        top = cells[best][2].mean_weighted_f1
+        if result.mean_weighted_f1 > top or (
+            result.mean_weighted_f1 == top
+            and (point.get(size_key) or 0) < (cells[best][0].get(size_key) or 0)
+        ):
+            best = i
+    return cells, best
+
+
+SHARING_GRIDS = {
+    "decision-tree": [{"max_depth": 2}, {"max_depth": None}, {"max_depth": 1}],
+    "random-forest": [{"n_trees": 3, "max_depth": 2}, {"n_trees": 2, "max_depth": None}],
+    "adaboost": [{"rounds": 4, "max_depth": 1}, {"rounds": 2, "max_depth": 2}],
+}
+
+
+def noisy_dataset(seed: int, blank_f1: bool) -> list[LabeledExample]:
+    """Overlapping classes, repeated values, and optionally missing author counts."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(60):
+        label = DocType(int(rng.integers(0, 3)))
+        f1 = None if blank_f1 and i % 5 == 2 else int(rng.integers(1, 4) + int(label))
+        f2 = float(np.rint(np.exp(rng.normal(6 + int(label), 1.2))))
+        f3 = float(rng.integers(1, 30))
+        out.append(LabeledExample(FeatureVector(f1, f2, f3, f2 / f3), label, f"n{i}"))
+    return out
+
+
+class TestSweepSharing:
+    @pytest.mark.parametrize("kind", sorted(SHARING_GRIDS))
+    @pytest.mark.parametrize("seed, blank_f1", [(1, False), (2, True), (3, False)])
+    def test_matches_one_cross_validate_per_cell(self, kind, seed, blank_f1, monkeypatch):
+        data = noisy_dataset(seed, blank_f1)
+        folds = stratified_split(data, 4, 0.0, seed).test_folds
+        grid = SHARING_GRIDS[kind]
+        cells, best = brute_force_sweep(kind, data, grid, TRANSFORM_KINDS, 4, seed, folds)
+        calls = count_cross_validate(monkeypatch)
+        result = sweep(kind, data, grid=grid, transforms=TRANSFORM_KINDS, k=4, seed=seed, folds=folds)
+        assert len(calls) == len(grid)
+        assert result.best_index == best
+        assert len(result.entries) == len(cells)
+        for entry, (point, transform, expected) in zip(result.entries, cells):
+            assert (entry.hyperparameters, entry.transform) == (point, transform)
+            assert entry.result.to_dict() == expected.to_dict()
+
+    def test_log1p_merge_refuses_sharing(self, monkeypatch):
+        # 1e17 and 1e17 + 16 are adjacent doubles; log1p maps both to one value
+        data = [
+            LabeledExample(FeatureVector(1, f2, 10, 100.0), label, f"{label.label}{i}")
+            for label, f2 in ((R, 1e17), (S, 1e17 + 16))
+            for i in range(6)
+        ]
+        folds = stratified_split(data, 3, 0.0, 0).test_folds
+        X = np.array([[1, 1e17, 10, 100.0], [1, 1e17 + 16, 10, 100.0]])
+        assert not preserves_order("log-scale", X, X)
+        assert preserves_order("z-score", X, X)
+        calls = count_cross_validate(monkeypatch)
+        result = sweep(
+            "decision-tree", data, grid=[{"max_depth": 2}], transforms=TRANSFORM_KINDS,
+            k=3, folds=folds,
+        )
+        assert len(calls) == 2
+        by_transform = {e.transform: e.result.to_dict() for e in result.entries}
+        direct = evaluation.cross_validate(
+            "decision-tree", data, 3, {"max_depth": 2}, transform="log-scale",
+            prepared=prepare_folds(folds),
+        )
+        assert by_transform["log-scale"] == direct.to_dict()
+        assert by_transform["log-scale"] != by_transform["identity"]
+        assert by_transform["z-score"] == by_transform["identity"]
+
+    def test_default_pipeline_sweep_calls_cross_validate_once_per_point(self, tmp_path, monkeypatch):
+        from doctype.config import RunConfig
+        from doctype.labeling import write_examples
+        from doctype.pipeline import run_pipeline
+
+        labeled = tmp_path / "labeled.jsonl"
+        with open(labeled, "w") as handle:
+            write_examples(handle, noisy_dataset(4, blank_f1=False))
+        cfg = RunConfig(labeled_path=str(labeled), output_dir=str(tmp_path / "out"), k_folds=3)
+        calls = count_cross_validate(monkeypatch)
+        run_pipeline(cfg)
+        assert collections.Counter(calls) == {"random-forest": 9, "adaboost": 6}
+
+    @pytest.mark.parametrize("kind, grid", [("knn", [{"k": 1}, {"k": 3}]), ("gnb", [{}])])
+    def test_other_kinds_cross_validate_every_cell(self, kind, grid, monkeypatch):
+        calls = count_cross_validate(monkeypatch)
+        sweep(kind, toy_dataset(10, seed=3), grid=grid, k=3)
+        assert len(calls) == len(grid) * len(TRANSFORM_KINDS)
+
+    def test_bad_point_fails_before_any_cross_validation(self, monkeypatch):
+        calls = count_cross_validate(monkeypatch)
+        with pytest.raises(ValueError, match="n_trees must be an integer >= 1"):
+            sweep("random-forest", toy_dataset(10, seed=3), grid=[{"n_trees": 2}, {"n_trees": 2.5}], k=3)
+        assert calls == []
+
+
+# Repeated values, adjacent large doubles that log1p merges, values below -1
+# that log1p maps to NaN, and ordinary counts.
+guard_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e17, 1e17 + 16, 5e-324, -0.5, -2.0, 1e300]),
+    st.floats(-1e3, 1e18, allow_nan=False),
+)
+guard_matrix = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(guard_values, min_size=4, max_size=4), min_size=n, max_size=n)
+)
+
+
+def pairwise_order_kept(kind, train_rows, test_rows) -> bool:
+    spec = TransformSpec.fit(np.array(train_rows), kind)
+    raw = np.vstack([train_rows, test_rows])
+    mapped = np.vstack([spec.apply(np.array(train_rows)), spec.apply(np.array(test_rows))])
+    for col in range(raw.shape[1]):
+        for a in range(len(raw)):
+            if not np.isfinite(mapped[a, col]):
+                return False
+            for b in range(len(raw)):
+                if np.sign(raw[a, col] - raw[b, col]) != np.sign(mapped[a, col] - mapped[b, col]):
+                    return False
+    return True
+
+
+class TestOrderGuard:
+    @settings(max_examples=150, deadline=None)
+    @given(train_rows=guard_matrix, test_rows=guard_matrix, kind=st.sampled_from(TRANSFORM_KINDS))
+    def test_matches_pairwise_check(self, train_rows, test_rows, kind):
+        with np.errstate(all="ignore"):
+            expected = pairwise_order_kept(kind, train_rows, test_rows)
+            assert preserves_order(kind, np.array(train_rows), np.array(test_rows)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        train_rows=guard_matrix.filter(lambda rows: len(rows) >= 2),
+        test_rows=guard_matrix,
+        labels=st.lists(st.integers(0, 2), min_size=8, max_size=8),
+        kind=st.sampled_from(TRANSFORM_KINDS),
+    )
+    def test_passing_transform_keeps_tree_predictions(self, train_rows, test_rows, labels, kind):
+        X, X_test = np.array(train_rows), np.array(test_rows)
+        with np.errstate(all="ignore"):
+            if not preserves_order(kind, X, X_test) or not np.isfinite(X_test).all():
+                return
+        data = [
+            LabeledExample(FeatureVector(*row), DocType(label), f"g{i}")
+            for i, (row, label) in enumerate(zip(train_rows, labels))
+        ]
+        y = np.array(labels[: len(data)])
+        plain = train("decision-tree", data, {}, matrix=(X, y))
+        mapped = train("decision-tree", data, {}, transform=kind, matrix=(X, y))
+        assert predict_batch(plain, X_test)[0].tolist() == predict_batch(mapped, X_test)[0].tolist()
 
 
 def f2_signal_dataset(n_per_class: int = 200, seed: int = 0) -> list[LabeledExample]:

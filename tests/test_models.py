@@ -24,6 +24,8 @@ from doctype.models import (
     save_model,
     train,
 )
+from doctype.models import knn as knn_module
+from doctype.models.knn import KnnPredictor
 from doctype.stats import ThresholdTable
 from conftest import REFERENCE_CELLS, make_example, toy_dataset
 
@@ -220,6 +222,19 @@ class TestGnb:
                 assert scores[t] == pytest.approx(joint[int(t)] / total, abs=1e-9)
 
 
+def knn_argsort_scores(train_x, train_y, k, X) -> np.ndarray:
+    """Reference kNN: stable argsort of all summed squared distances."""
+    k = min(k, len(train_y))
+    d2 = ((X[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    votes = np.array([np.bincount(train_y[row], minlength=3) for row in nearest], dtype=float)
+    return votes / votes.sum(axis=1, keepdims=True)
+
+
+# few distinct coordinates, so rows repeat and distances tie
+knn_coordinate = st.one_of(st.sampled_from([0.0, 1.0, 2.0, -1.0]), st.floats(-50, 50))
+
+
 class TestKnn:
     def test_nearest_neighbor(self):
         data = [
@@ -267,6 +282,27 @@ class TestKnn:
             assert got is expected, (trial, votes)
             for t in DocType:
                 assert scores[t] == pytest.approx(votes[int(t)] / k, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        train_rows=st.lists(st.lists(knn_coordinate, min_size=3, max_size=3), min_size=1, max_size=25),
+        labels=st.lists(st.integers(0, 2), min_size=25, max_size=25),
+        queries=st.lists(st.lists(knn_coordinate, min_size=3, max_size=3), min_size=1, max_size=9),
+        k_extra=st.integers(0, 30),
+        chunk=st.integers(1, 4),
+    )
+    def test_partition_matches_argsort_oracle(self, train_rows, labels, queries, k_extra, chunk):
+        train_x, X = np.array(train_rows), np.array(queries)
+        train_y = np.array(labels[: len(train_rows)])
+        k = 1 + k_extra  # reaches past the training size
+        predictor = KnnPredictor({"k": k, "train_x": train_rows, "train_y": train_y.tolist()})
+        original = knn_module._CHUNK_ROWS
+        knn_module._CHUNK_ROWS = chunk
+        try:
+            got = predictor.scores_matrix(X)
+        finally:
+            knn_module._CHUNK_ROWS = original
+        assert np.array_equal(got, knn_argsort_scores(train_x, train_y, k, X))
 
 
 class TestDecisionTree:
@@ -583,6 +619,13 @@ class TestSerialization:
         payload = json.loads(model.to_json())
         payload["parameters"]["nodes"] = nodes
         with pytest.raises(ModelFormatError, match=message):
+            load_model(io.StringIO(json.dumps(payload)))
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, None])
+    def test_knn_k_below_one_rejected(self, k):
+        payload = json.loads(train("knn", toy_dataset(5, seed=26), {"k": 3}).to_json())
+        payload["parameters"]["k"] = k
+        with pytest.raises(ModelFormatError, match="knn k must be an integer >= 1"):
             load_model(io.StringIO(json.dumps(payload)))
 
     def test_forest_depth_is_deepest_tree(self):
