@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .ingest import DocType
-from .models import KINDS
+from .models import KINDS, check_hyperparameters
 from .stats import TRANSFORM_KINDS
 
 DEFAULT_PROPORTIONS = {
@@ -106,10 +106,7 @@ def config_from_dict(payload: dict) -> RunConfig:
         sweep = payload.get("sweep", {})
         cfg.sweep_kinds = tuple(sweep.get("kinds", cfg.sweep_kinds))
         cfg.sweep_transforms = tuple(sweep.get("transforms", cfg.sweep_transforms))
-        cfg.sweep_grids = {
-            kind: [dict(point) for point in points]
-            for kind, points in sweep.get("grids", {}).items()
-        }
+        cfg.sweep_grids = sweep.get("grids", {})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     validate_config(cfg)
@@ -139,6 +136,18 @@ def validate_config(cfg: RunConfig) -> None:
     for transform in cfg.sweep_transforms:
         if transform not in TRANSFORM_KINDS:
             raise ConfigError(f"unknown transform kind: {transform!r}")
+    if not isinstance(cfg.sweep_grids, dict):
+        raise ConfigError("sweep.grids must be an object of kind -> list of points")
+    for kind, grid in cfg.sweep_grids.items():
+        if kind not in KINDS:
+            raise ConfigError(f"unknown sweep grid kind: {kind!r}")
+        if not isinstance(grid, list) or not all(isinstance(p, dict) for p in grid):
+            raise ConfigError(f"sweep grid for {kind} must be a list of objects")
+        for point in grid:
+            try:
+                check_hyperparameters(kind, point)
+            except ValueError as exc:
+                raise ConfigError(f"sweep grid for {kind}: {exc}") from exc
     for path_label, path in (
         ("records", cfg.records_path),
         ("labeled", cfg.labeled_path),

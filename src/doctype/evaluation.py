@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -11,11 +13,15 @@ import numpy as np
 from .ingest import DOC_TYPES, FEATURE_IDS, DocType
 from .labeling import LabeledExample, stratified_split
 from .models import (
+    ENSEMBLE_KINDS,
+    SIZE_HYPERPARAMETERS,
     baseline_random_predict,
     check_hyperparameters,
     dataset_matrix,
+    model_size,
     predict_batch,
     train,
+    truncate,
 )
 from .seeding import derive_seed
 from .stats import Imputer, preserves_order
@@ -184,24 +190,57 @@ def cross_validate(
     ``prepared`` is ``prepare_folds(folds, features)`` for given folds;
     ``dataset`` and ``k`` are then not read.
     """
+    return cross_validate_sizes(
+        kind, dataset, k, hyperparameters, None, seed, transform, features, prepared
+    )[0]
+
+
+def cross_validate_sizes(
+    kind: str,
+    dataset: Sequence[LabeledExample],
+    k: int,
+    hyperparameters: dict | None,
+    sizes: Sequence[int] | None,
+    seed: int = 0,
+    transform: str = "identity",
+    features: Sequence[str] = FEATURE_IDS,
+    prepared: Sequence[PreparedFold] | None = None,
+) -> list[CVResult]:
+    """``cross_validate`` at each ensemble size in ``sizes``, one result each.
+
+    Each fold fits ``kind`` (one of ``models.ENSEMBLE_KINDS``) once at the
+    largest size and scores every size on that fit's first members
+    (``models.truncate``), which is the fit at that size. ``sizes`` replaces
+    the size in ``hyperparameters``; ``None`` gives the one result of
+    ``hyperparameters`` as they are, for any kind.
+    """
     if prepared is None:
         prepared = prepare_folds(_cv_folds(dataset, k, seed), features)
-    reports = []
+    fit_hyperparameters = dict(hyperparameters or {})
+    if sizes is not None:
+        fit_hyperparameters[SIZE_HYPERPARAMETERS[kind][0]] = max(sizes)
+    reports: list[list[EvalReport]] = [[] for _ in sizes or [None]]
     for i, fold in enumerate(prepared):
         fold_seed = derive_seed(seed, f"fold-{i}")
         model = train(
-            kind, fold.train, hyperparameters, fold_seed, transform, features,
+            kind, fold.train, fit_hyperparameters, fold_seed, transform, features,
             matrix=(fold.X_train, fold.y_train),
         )
         truths = [ex.label for ex in fold.test]
-        if kind == "baseline-random":
-            predictions = baseline_random_predict(
-                model, len(fold.test), derive_seed(seed, f"fold-{i}-draw")
-            )
-        else:
-            labels, _ = predict_batch(model, fold.X_test)
-            predictions = [DocType(int(v)) for v in labels]
-        reports.append(evaluate(predictions, truths))
+        members = [model] if sizes is None else [truncate(model, size) for size in sizes]
+        for size_reports, member in zip(reports, members):
+            if kind == "baseline-random":
+                predictions = baseline_random_predict(
+                    member, len(fold.test), derive_seed(seed, f"fold-{i}-draw")
+                )
+            else:
+                labels, _ = predict_batch(member, fold.X_test)
+                predictions = [DocType(int(v)) for v in labels]
+            size_reports.append(evaluate(predictions, truths))
+    return [_cv_result(size_reports) for size_reports in reports]
+
+
+def _cv_result(reports: list[EvalReport]) -> CVResult:
     pooled = [
         [sum(r.confusion[i][j] for r in reports) for j in range(len(DOC_TYPES))]
         for i in range(len(DOC_TYPES))
@@ -244,16 +283,6 @@ _DEFAULT_GRIDS: dict[str, list[dict]] = {
 
 def default_grid(kind: str) -> list[dict]:
     return [dict(point) for point in _DEFAULT_GRIDS[kind]]
-
-
-#: Tie-break key: among equal mean F1, prefer the smaller model.
-_SIZE_KEYS = {
-    "random-forest": "n_trees",
-    "knn": "k",
-    "adaboost": "rounds",
-    "decision-tree": "max_depth",
-    "linear-svm": "epochs",
-}
 
 
 @dataclass
@@ -300,10 +329,16 @@ def sweep(
 ) -> SweepResult:
     """Cross-validate the full grid x transforms product; pick the best mean F1.
 
+    For an ensemble kind, grid points that differ only in the size
+    hyperparameter form a family, cross-validated by one
+    ``cross_validate_sizes`` call; every other point is its own family.
     For a tree kind, every transform that ``preserves_order`` on every
-    fold gives the CV result of raw values, so each grid point is
+    fold gives the CV result of raw values, so each family is
     cross-validated once for all of them; a transform that fails the
     check on any fold is cross-validated on its own.
+
+    Among equal mean F1 the smaller model wins (``_rank``), then the
+    earlier entry.
     """
     if grid is None:
         grid = default_grid(kind)
@@ -321,31 +356,60 @@ def sweep(
             for t in transforms
             if all(preserves_order(t, f.X_train, f.X_test) for f in prepared)
         }
-    entries = []
+    families: dict[str, tuple[dict, set]] = {}
+    cells = []
     for point in grid:
+        rest, size = _split_size(kind, point)
+        name = json.dumps(rest, sort_keys=True)
+        families.setdefault(name, (rest, set()))[1].add(size)
+        cells.append((name, size))
+    results = {}
+    for name, (rest, sizes) in families.items():
+        sizes = sorted(sizes) if kind in ENSEMBLE_KINDS else None
         shared = None
         for transform in transforms:
             if transform in shareable and shared is not None:
-                result = shared
+                family_results = shared
             else:
-                result = cross_validate(
-                    kind, dataset, k, point, seed, transform, features, prepared
+                family_results = cross_validate_sizes(
+                    kind, dataset, k, rest, sizes, seed, transform, features, prepared
                 )
                 if transform in shareable:
-                    shared = result
-            entries.append(SweepEntry(dict(point), transform, result))
-    size_key = _SIZE_KEYS.get(kind)
+                    shared = family_results
+            for size, result in zip(sizes or [None], family_results):
+                results[name, size, transform] = result
+    entries = [
+        SweepEntry(dict(point), transform, results[name, size, transform])
+        for (name, size), point in zip(cells, grid)
+        for transform in transforms
+    ]
     best_index = 0
     for i in range(1, len(entries)):
         best, cand = entries[best_index], entries[i]
         if cand.result.mean_weighted_f1 > best.result.mean_weighted_f1:
             best_index = i
-        elif cand.result.mean_weighted_f1 == best.result.mean_weighted_f1 and size_key:
-            if (cand.hyperparameters.get(size_key) or 0) < (
-                best.hyperparameters.get(size_key) or 0
-            ):
+        elif cand.result.mean_weighted_f1 == best.result.mean_weighted_f1:
+            if _rank(kind, cand.hyperparameters) < _rank(kind, best.hyperparameters):
                 best_index = i
     return SweepResult(entries, best_index)
+
+
+def _split_size(kind: str, point: dict) -> tuple[dict, int | None]:
+    """An ensemble grid point without its size key, and its size; other
+    kinds' points whole, with size None."""
+    if kind not in ENSEMBLE_KINDS:
+        return point, None
+    key = SIZE_HYPERPARAMETERS[kind][0]
+    return {k: v for k, v in point.items() if k != key}, model_size(kind, point)
+
+
+def _rank(kind: str, hyperparameters: dict) -> float:
+    """Tie-break size: the size hyperparameter, its default when omitted,
+    ``inf`` when null (an unbounded depth); 0 for kinds without a size."""
+    if kind not in SIZE_HYPERPARAMETERS:
+        return 0
+    size = model_size(kind, hyperparameters)
+    return math.inf if size is None else size
 
 
 FEATURE_SUBSETS: tuple[tuple[str, ...], ...] = (

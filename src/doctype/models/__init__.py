@@ -1,10 +1,13 @@
 """Baselines and trainable classifiers over feature vectors."""
 
 from .artifact import (
+    ENSEMBLE_KINDS,
     KINDS,
     MODEL_FORMAT_VERSION,
+    SIZE_HYPERPARAMETERS,
     ModelArtifact,
     load_model,
+    model_size,
     save_model,
     validate_artifact,
 )
@@ -21,13 +24,17 @@ from .dispatch import (
     predict,
     predict_batch,
     train,
+    truncate,
 )
 
 __all__ = [
+    "ENSEMBLE_KINDS",
     "KINDS",
     "MODEL_FORMAT_VERSION",
+    "SIZE_HYPERPARAMETERS",
     "ModelArtifact",
     "load_model",
+    "model_size",
     "save_model",
     "validate_artifact",
     "FALLBACK_CLASS",
@@ -40,4 +47,5 @@ __all__ = [
     "predict",
     "predict_batch",
     "train",
+    "truncate",
 ]

@@ -1,4 +1,10 @@
-"""Multi-class boosting (SAMME) over depth-limited Gini trees."""
+"""Multi-class boosting (SAMME) over depth-limited Gini trees.
+
+The fit ignores its seed, and a round depends only on the rounds before
+it. So an r-round model is the first r rounds of any longer run on the same
+data and other hyperparameters, an early stop included, and
+``models.truncate`` cuts one from the other.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +14,7 @@ import numpy as np
 
 from ..errors import TrainingError
 from ..ingest import N_CLASSES
+from .artifact import model_size
 from .tree import CompiledTrees, ForestPredictor, grow_tree
 
 _ERR_FLOOR = 1e-10
@@ -15,7 +22,7 @@ _ERR_FLOOR = 1e-10
 
 def fit_adaboost(X, y, seed, hyperparameters) -> dict:
     del seed
-    rounds = int(hyperparameters.get("rounds", 25))
+    rounds = model_size("adaboost", hyperparameters)
     max_depth = int(hyperparameters.get("max_depth", 2))
     min_leaf = int(hyperparameters.get("min_leaf_size", 1))
     n = len(y)

@@ -25,6 +25,28 @@ KINDS = (
     "linear-svm",
 )
 
+#: Per kind, the hyperparameter that sets the model's size and the value a
+#: fit uses when it is omitted (None: unbounded). The ensemble, kNN and SVM
+#: fitters read their defaults here; ``evaluation.sweep`` ranks ties and
+#: groups ensembles by it.
+SIZE_HYPERPARAMETERS = {
+    "knn": ("k", 5),
+    "decision-tree": ("max_depth", None),
+    "random-forest": ("n_trees", 10),
+    "adaboost": ("rounds", 25),
+    "linear-svm": ("epochs", 200),
+}
+
+#: Kinds whose model of size s is the first s members of any larger fit on
+#: the same data and seed (``models.truncate``).
+ENSEMBLE_KINDS = ("random-forest", "adaboost")
+
+
+def model_size(kind: str, hyperparameters: Mapping):
+    """The value of ``kind``'s size hyperparameter, its default when omitted."""
+    key, default = SIZE_HYPERPARAMETERS[kind]
+    return hyperparameters.get(key, default)
+
 
 @dataclass
 class ModelArtifact:

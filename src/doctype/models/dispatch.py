@@ -13,7 +13,7 @@ from ..ingest import DOC_TYPES, FEATURE_IDS, DocType, FeatureVector
 from ..labeling import LabeledExample
 from ..stats import TransformSpec
 from .adaboost import AdaboostPredictor, fit_adaboost
-from .artifact import KINDS, ModelArtifact, _finite, validate_artifact
+from .artifact import ENSEMBLE_KINDS, KINDS, ModelArtifact, _finite, validate_artifact
 from .baselines import (
     RandomBaselinePredictor,
     ThresholdBaselinePredictor,
@@ -58,7 +58,7 @@ _TREE_HYPERPARAMETERS = {
 }
 
 #: Per kind, each hyperparameter's (accepts, expected) value check. A kind
-#: ignores keys it does not list.
+#: takes no key it does not list.
 _HYPERPARAMETER_TYPES = {
     "knn": {"k": _integer(1)},
     "decision-tree": _TREE_HYPERPARAMETERS,
@@ -75,8 +75,14 @@ _HYPERPARAMETER_TYPES = {
 
 
 def check_hyperparameters(kind: str, hyperparameters: dict) -> None:
-    """Raise ValueError for the first listed hyperparameter of a wrong type."""
-    for key, (accepts, expected) in _HYPERPARAMETER_TYPES.get(kind, {}).items():
+    """Raise ValueError for the first key ``kind`` does not list, or else the
+    first listed hyperparameter of a wrong type."""
+    listed = _HYPERPARAMETER_TYPES.get(kind, {})
+    for key in hyperparameters:
+        if key not in listed:
+            known = ", ".join(sorted(listed)) or "none"
+            raise ValueError(f"{kind} has no hyperparameter {key!r} (known: {known})")
+    for key, (accepts, expected) in listed.items():
         if key in hyperparameters and not accepts(value := hyperparameters[key]):
             shown = json.dumps(value, default=repr)
             raise ValueError(f"{kind} hyperparameter {key} must be {expected}, got {shown}")
@@ -154,6 +160,19 @@ def train(
     )
     validate_artifact(artifact)
     return artifact
+
+
+def truncate(model: ModelArtifact, size: int) -> ModelArtifact:
+    """The ensemble made of ``model``'s first ``size`` members.
+
+    For a model that ``train`` fitted at a size of at least ``size``, this
+    equals, to the JSON byte, what ``train`` returns at ``size`` with the
+    same seed, transform, data and other hyperparameters.
+    """
+    if model.kind not in ENSEMBLE_KINDS:
+        raise ValueError(f"{model.kind} is not an ensemble; cannot truncate it")
+    parameters = {name: members[:size] for name, members in model.parameters.items()}
+    return ModelArtifact(model.kind, model.transform, parameters, model.seed, model.features)
 
 
 _FITTERS = {

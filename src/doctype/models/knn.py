@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ingest import N_CLASSES
+from .artifact import model_size
 
 # query rows per step, to bound the (rows, train) distance matrix
 _CHUNK_ROWS = 128
@@ -13,7 +14,7 @@ _CHUNK_ROWS = 128
 def fit_knn(X, y, seed, hyperparameters) -> dict:
     del seed
     return {
-        "k": int(hyperparameters.get("k", 5)),
+        "k": model_size("knn", hyperparameters),
         "train_x": [[float(v) for v in row] for row in X],
         "train_y": [int(v) for v in y],
     }

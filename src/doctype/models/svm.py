@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ingest import N_CLASSES
+from .artifact import model_size
 
 
 def fit_linear_svm(X, y, seed, hyperparameters) -> dict:
@@ -14,7 +15,7 @@ def fit_linear_svm(X, y, seed, hyperparameters) -> dict:
     the seed is recorded on the artifact but does not affect training.
     """
     del seed
-    epochs = int(hyperparameters.get("epochs", 200))
+    epochs = model_size("linear-svm", hyperparameters)
     step = float(hyperparameters.get("step", 1e-2))
     reg = float(hyperparameters.get("reg", 1e-4))
     n, d = X.shape

@@ -9,6 +9,11 @@ best-first by impurity decrease, which lets a ``max_leaf_nodes`` budget
 pick the most valuable splits first; without a budget the result is
 identical to exhaustive recursive growth.
 
+A random forest grows tree i from ``SeedSequence(seed).spawn(n_trees)[i]``,
+which does not depend on ``n_trees``. So an n-tree forest is the first n
+trees of any larger forest fitted with the same seed, data and other
+hyperparameters, and ``models.truncate`` cuts one from the other.
+
 Trees are stored as dict nodes and compiled for prediction into flat
 arrays (feature, threshold, left, right, dist), the trees of an ensemble
 stacked end to end, after scikit-learn's array trees and QuickScorer
@@ -25,6 +30,7 @@ import heapq
 import numpy as np
 
 from ..ingest import N_CLASSES
+from .artifact import model_size
 
 _NO_DIST = (0.0,) * N_CLASSES
 
@@ -230,7 +236,7 @@ def fit_decision_tree(X, y, seed, hyperparameters) -> dict:
 
 
 def fit_random_forest(X, y, seed, hyperparameters) -> dict:
-    n_trees = hyperparameters.get("n_trees", 10)
+    n_trees = model_size("random-forest", hyperparameters)
     bootstrap = hyperparameters.get("bootstrap", True)
     subset = hyperparameters.get("feature_subset", 2)
     subset = min(subset, X.shape[1])

@@ -1,14 +1,21 @@
-"""Shared fixtures: reference bounds, toy datasets, event builders."""
+"""Shared fixtures: reference bounds, toy datasets, event builders, and the
+hypothesis profile."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from doctype.engagement import Click, Impression, LogEvent
 from doctype.ingest import DocType, FeatureVector
 from doctype.labeling import LabeledExample
 from doctype.stats import ThresholdTable
+
+# Every run draws the same examples and keeps no example database, so a
+# tier-1 run tests the same cases on every tree and machine.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # Published per-class feature bounds (2.5th / 97.5th percentiles after
 # outlier removal), frozen here independently of the library copy.

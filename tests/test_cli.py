@@ -357,6 +357,9 @@ class TestUsage:
             ["train", "LABELED", "--kind", "random-forest", "--hyperparameters", '{"max_depth": "3"}'],
             ["train", "LABELED", "--kind", "random-forest", "--hyperparameters", '{"n_trees": [2]}'],
             ["sweep", "LABELED", "--kind", "knn", "--k", "3", "--grid", '[{"k": 1}, {"k": true}]'],
+            ["train", "LABELED", "--kind", "random-forest", "--hyperparameters", '{"ntrees": 3}'],
+            ["train", "LABELED", "--kind", "gnb", "--hyperparameters", '{"k": 1}'],
+            ["sweep", "LABELED", "--kind", "adaboost", "--k", "3", "--grid", '[{"rounds": 2}, {"round": 3}]'],
         ],
     )
     def test_bad_flag_value_exits_one(self, argv, labeled_file, tmp_path, capsys):
@@ -365,6 +368,13 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_unknown_hyperparameter_named(self, labeled_file, tmp_path, capsys):
+        argv = ["train", str(labeled_file), "--kind", "random-forest",
+                "--hyperparameters", '{"ntrees": 3}', "--out", str(tmp_path / "model.json")]
+        assert main(argv) == 1
+        assert "ntrees" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize(
         "argv",

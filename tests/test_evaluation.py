@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -187,6 +188,23 @@ class TestSweep:
         if f1s[0] == f1s[1]:
             assert result.best.hyperparameters == {"k": 1}
 
+    @pytest.mark.parametrize(
+        "kind, grid, best",
+        [
+            # an unbounded depth, null or omitted, is the largest tree
+            ("decision-tree", [{"max_depth": 2}, {"max_depth": None}], {"max_depth": 2}),
+            ("decision-tree", [{}, {"max_depth": 2}], {"max_depth": 2}),
+            # an omitted size ranks at the kind's default, 25 rounds
+            ("adaboost", [{"max_depth": 2}, {"rounds": 10, "max_depth": 2}], {"rounds": 10, "max_depth": 2}),
+            ("adaboost", [{"rounds": 30, "max_depth": 2}, {"max_depth": 2}], {"max_depth": 2}),
+        ],
+    )
+    def test_tie_ranks_unset_sizes(self, kind, grid, best):
+        result = sweep(kind, toy_dataset(20, seed=1), grid=grid, transforms=("identity",), k=3)
+        f1s = [e.result.mean_weighted_f1 for e in result.entries]
+        assert f1s[0] == f1s[1]
+        assert result.best.hyperparameters == best
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep("gnb", toy_dataset(10, seed=9), grid=[], k=3)
@@ -198,22 +216,34 @@ class TestSweep:
         assert len(default_grid("linear-svm")) == 4
 
 
-def count_cross_validate(monkeypatch) -> list:
-    """Record the kind of every cross_validate call made through the module."""
+def count_fold_loops(monkeypatch) -> list:
+    """Record the kind of every cross_validate_sizes call made through the
+    module: the one fold loop, which cross_validate also runs."""
     calls = []
-    real = evaluation.cross_validate
+    real = evaluation.cross_validate_sizes
 
     def counted(kind, *args, **kwargs):
         calls.append(kind)
         return real(kind, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "cross_validate", counted)
+    monkeypatch.setattr(evaluation, "cross_validate_sizes", counted)
     return calls
+
+
+#: The documented tie-break size per kind: (size key, default when omitted).
+TIE_SIZES = {"random-forest": ("n_trees", 10), "adaboost": ("rounds", 25), "decision-tree": ("max_depth", None)}
+
+
+def tie_size(kind, point) -> float:
+    """The size key's value, the kind's default when omitted, and infinite
+    when null (an unbounded depth is the largest tree)."""
+    key, default = TIE_SIZES[kind]
+    value = point.get(key, default)
+    return math.inf if value is None else value
 
 
 def brute_force_sweep(kind, data, grid, transforms, k, seed, folds):
     """One cross_validate per (point, transform) and the documented tie-break."""
-    size_key = {"random-forest": "n_trees", "adaboost": "rounds", "decision-tree": "max_depth"}[kind]
     cells = [
         (point, transform, cross_validate(kind, data, k, point, seed, transform,
                                           prepared=prepare_folds(folds)))
@@ -225,16 +255,39 @@ def brute_force_sweep(kind, data, grid, transforms, k, seed, folds):
         top = cells[best][2].mean_weighted_f1
         if result.mean_weighted_f1 > top or (
             result.mean_weighted_f1 == top
-            and (point.get(size_key) or 0) < (cells[best][0].get(size_key) or 0)
+            and tie_size(kind, point) < tie_size(kind, cells[best][0])
         ):
             best = i
     return cells, best
 
 
+#: Per kind, a grid and its family count. Ensemble families of three sizes
+#: are listed out of order, with an omitted size (the default) and a point
+#: that differs in another key.
 SHARING_GRIDS = {
-    "decision-tree": [{"max_depth": 2}, {"max_depth": None}, {"max_depth": 1}],
-    "random-forest": [{"n_trees": 3, "max_depth": 2}, {"n_trees": 2, "max_depth": None}],
-    "adaboost": [{"rounds": 4, "max_depth": 1}, {"rounds": 2, "max_depth": 2}],
+    "decision-tree": ([{"max_depth": 2}, {"max_depth": None}, {"max_depth": 1}, {}], 4),
+    "random-forest": (
+        [
+            {"n_trees": 3, "max_depth": 2},
+            {"n_trees": 2, "max_depth": None},
+            {"n_trees": 1, "max_depth": 2},
+            {"max_depth": None},
+            {"n_trees": 5, "max_depth": 2},
+            {"n_trees": 2, "max_depth": 2, "bootstrap": False},
+        ],
+        3,
+    ),
+    "adaboost": (
+        [
+            {"rounds": 4, "max_depth": 1},
+            {"rounds": 2, "max_depth": 2},
+            {"rounds": 1, "max_depth": 1},
+            {"max_depth": 2},
+            {"rounds": 7, "max_depth": 1},
+            {"rounds": 2, "max_depth": 2},
+        ],
+        2,
+    ),
 }
 
 
@@ -257,11 +310,11 @@ class TestSweepSharing:
     def test_matches_one_cross_validate_per_cell(self, kind, seed, blank_f1, monkeypatch):
         data = noisy_dataset(seed, blank_f1)
         folds = stratified_split(data, 4, 0.0, seed).test_folds
-        grid = SHARING_GRIDS[kind]
+        grid, n_families = SHARING_GRIDS[kind]
         cells, best = brute_force_sweep(kind, data, grid, TRANSFORM_KINDS, 4, seed, folds)
-        calls = count_cross_validate(monkeypatch)
+        calls = count_fold_loops(monkeypatch)
         result = sweep(kind, data, grid=grid, transforms=TRANSFORM_KINDS, k=4, seed=seed, folds=folds)
-        assert len(calls) == len(grid)
+        assert len(calls) == n_families
         assert result.best_index == best
         assert len(result.entries) == len(cells)
         for entry, (point, transform, expected) in zip(result.entries, cells):
@@ -279,7 +332,7 @@ class TestSweepSharing:
         X = np.array([[1, 1e17, 10, 100.0], [1, 1e17 + 16, 10, 100.0]])
         assert not preserves_order("log-scale", X, X)
         assert preserves_order("z-score", X, X)
-        calls = count_cross_validate(monkeypatch)
+        calls = count_fold_loops(monkeypatch)
         result = sweep(
             "decision-tree", data, grid=[{"max_depth": 2}], transforms=TRANSFORM_KINDS,
             k=3, folds=folds,
@@ -294,7 +347,7 @@ class TestSweepSharing:
         assert by_transform["log-scale"] != by_transform["identity"]
         assert by_transform["z-score"] == by_transform["identity"]
 
-    def test_default_pipeline_sweep_calls_cross_validate_once_per_point(self, tmp_path, monkeypatch):
+    def test_default_pipeline_sweep_runs_one_fold_loop_per_family(self, tmp_path, monkeypatch):
         from doctype.config import RunConfig
         from doctype.labeling import write_examples
         from doctype.pipeline import run_pipeline
@@ -303,20 +356,27 @@ class TestSweepSharing:
         with open(labeled, "w") as handle:
             write_examples(handle, noisy_dataset(4, blank_f1=False))
         cfg = RunConfig(labeled_path=str(labeled), output_dir=str(tmp_path / "out"), k_folds=3)
-        calls = count_cross_validate(monkeypatch)
+        calls = count_fold_loops(monkeypatch)
         run_pipeline(cfg)
-        assert collections.Counter(calls) == {"random-forest": 9, "adaboost": 6}
+        # one per max_depth: three random-forest and two adaboost families
+        assert collections.Counter(calls) == {"random-forest": 3, "adaboost": 2}
 
     @pytest.mark.parametrize("kind, grid", [("knn", [{"k": 1}, {"k": 3}]), ("gnb", [{}])])
     def test_other_kinds_cross_validate_every_cell(self, kind, grid, monkeypatch):
-        calls = count_cross_validate(monkeypatch)
+        calls = count_fold_loops(monkeypatch)
         sweep(kind, toy_dataset(10, seed=3), grid=grid, k=3)
         assert len(calls) == len(grid) * len(TRANSFORM_KINDS)
 
     def test_bad_point_fails_before_any_cross_validation(self, monkeypatch):
-        calls = count_cross_validate(monkeypatch)
+        calls = count_fold_loops(monkeypatch)
         with pytest.raises(ValueError, match="n_trees must be an integer >= 1"):
             sweep("random-forest", toy_dataset(10, seed=3), grid=[{"n_trees": 2}, {"n_trees": 2.5}], k=3)
+        assert calls == []
+
+    def test_unknown_key_fails_before_any_cross_validation(self, monkeypatch):
+        calls = count_fold_loops(monkeypatch)
+        with pytest.raises(ValueError, match="random-forest has no hyperparameter 'ntrees'"):
+            sweep("random-forest", toy_dataset(10, seed=3), grid=[{"n_trees": 2}, {"ntrees": 3}], k=3)
         assert calls == []
 
 

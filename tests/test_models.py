@@ -16,6 +16,7 @@ from doctype.labeling import LabeledExample
 from doctype.models import (
     DEPLOYED_FOREST_PROFILE,
     THRESHOLD_TEST_ORDER,
+    ModelArtifact,
     baseline_random_predict,
     baseline_threshold_predict,
     load_model,
@@ -23,10 +24,11 @@ from doctype.models import (
     predict_batch,
     save_model,
     train,
+    truncate,
 )
 from doctype.models import knn as knn_module
 from doctype.models.knn import KnnPredictor
-from doctype.stats import ThresholdTable
+from doctype.stats import TRANSFORM_KINDS, ThresholdTable
 from conftest import REFERENCE_CELLS, make_example, toy_dataset
 
 
@@ -402,6 +404,108 @@ class TestAdaboost:
     def test_single_example_rejected(self):
         with pytest.raises(TrainingError):
             train("adaboost", [make_example(DocType.RESEARCH, doc_id="x")])
+
+
+def noisy_examples(seed: int, n: int = 30) -> list[LabeledExample]:
+    """Few distinct values, repeated rows with clashing labels, every class."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        f2, f3 = float(rng.integers(1, 6)), float(rng.integers(1, 4))
+        fv = FeatureVector(int(rng.integers(1, 3)), f2, f3, f2 / f3)
+        out.append(LabeledExample(fv, DocType(i % 3), f"n{i}"))
+    return out
+
+
+def fit_or_error(kind, data, hp, seed, transform):
+    try:
+        return train(kind, data, hp, seed, transform).to_json()
+    except TrainingError as exc:
+        return str(exc)
+
+
+sizes_pair = st.lists(st.integers(1, 8), min_size=2, max_size=2).map(sorted)
+oracle_data = st.one_of(
+    st.integers(0, 5).map(noisy_examples),
+    st.integers(0, 5).map(lambda seed: toy_dataset(6, seed)),
+)
+
+
+class TestTruncate:
+    """``truncate(train(kind, S), s)`` is ``train(kind, s)`` byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=oracle_data,
+        sizes=sizes_pair,
+        hp=st.fixed_dictionaries({
+            "bootstrap": st.booleans(),
+            "feature_subset": st.integers(1, 4),
+            "class_weight": st.sampled_from([None, "balanced"]),
+            "max_depth": st.one_of(st.none(), st.integers(0, 4)),
+            "max_leaf_nodes": st.one_of(st.none(), st.integers(1, 6)),
+        }),
+        seed=st.integers(0, 2**32 - 1),
+        transform=st.sampled_from(TRANSFORM_KINDS),
+    )
+    def test_forest_prefix(self, data, sizes, hp, seed, transform):
+        small, large = sizes
+        full = train("random-forest", data, {**hp, "n_trees": large}, seed, transform)
+        direct = train("random-forest", data, {**hp, "n_trees": small}, seed, transform)
+        assert truncate(full, small).to_json() == direct.to_json()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=oracle_data,
+        sizes=sizes_pair,
+        max_depth=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        transform=st.sampled_from(TRANSFORM_KINDS),
+    )
+    def test_adaboost_prefix(self, data, sizes, max_depth, seed, transform):
+        small, large = sizes
+        full = fit_or_error("adaboost", data, {"rounds": large, "max_depth": max_depth}, seed, transform)
+        direct = fit_or_error("adaboost", data, {"rounds": small, "max_depth": max_depth}, seed, transform)
+        if full.startswith("{"):
+            full = truncate(ModelArtifact.from_json(full), small).to_json()
+        assert full == direct
+
+    @pytest.mark.parametrize(
+        "data, max_depth",
+        [
+            (toy_dataset(10, seed=1), 2),  # separable: round 1 hits the error floor
+            (noisy_examples(0), 0),  # round 2 is no better than random guessing
+        ],
+    )
+    def test_adaboost_prefix_through_early_stop(self, data, max_depth):
+        full = train("adaboost", data, {"rounds": 6, "max_depth": max_depth})
+        assert len(full.parameters["trees"]) == 1
+        for rounds in range(1, 7):
+            direct = train("adaboost", data, {"rounds": rounds, "max_depth": max_depth})
+            assert truncate(full, rounds).to_json() == direct.to_json()
+
+    def test_other_kinds_rejected(self):
+        model = train("decision-tree", toy_dataset(5, seed=1), {"max_depth": 1})
+        with pytest.raises(ValueError, match="not an ensemble"):
+            truncate(model, 1)
+
+
+class TestHyperparameterKeys:
+    @pytest.mark.parametrize(
+        "kind, hp",
+        [
+            ("random-forest", {"ntrees": 3}),
+            ("adaboost", {"n_trees": 3}),
+            ("decision-tree", {"bootstrap": False}),
+            ("knn", {"K": 3}),
+            ("gnb", {"k": 1}),
+            ("baseline-random", {"seed": 1}),
+        ],
+    )
+    def test_unknown_key_rejected(self, kind, hp):
+        (key,) = hp
+        with pytest.raises(ValueError, match=f"{kind} has no hyperparameter '{key}'"):
+            train(kind, toy_dataset(5, seed=1), hp)
 
 
 class TestLinearSvm:

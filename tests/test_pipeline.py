@@ -83,6 +83,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"sweep": {"kinds": ["perceptron"]}})
 
+    @pytest.mark.parametrize(
+        "grids, message",
+        [
+            ({"knn": [{"k": "x"}]}, "knn hyperparameter k must be an integer >= 1"),
+            ({"random-forest": [{"ntrees": 3}]}, "random-forest has no hyperparameter 'ntrees'"),
+            ({"gnb": [{"k": 1}]}, "gnb has no hyperparameter 'k'"),
+            ({"perceptron": [{}]}, "unknown sweep grid kind"),
+            ({"knn": {"k": 1}}, "must be a list of objects"),
+            ({"knn": [5]}, "must be a list of objects"),
+            ({"knn": [["k", 1]]}, "must be a list of objects"),
+            ([{"k": 1}], "sweep.grids must be an object"),
+        ],
+    )
+    def test_bad_sweep_grid(self, grids, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"sweep": {"grids": grids}})
+
     def test_round_trip_hash_stable(self, tmp_path):
         records = build_records(tmp_path)
         cfg_path = build_config(tmp_path, records)
@@ -130,6 +147,16 @@ class TestPipeline:
         payload["proportions"] = {"Research": 0.5, "Slides": 0.2, "Thesis": 0.2}
         cfg_path.write_text(json.dumps(payload))
         assert main(["pipeline", "--config", str(cfg_path)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_grid_point_fails_before_work(self, tmp_path, capsys):
+        records = build_records(tmp_path)
+        cfg_path = build_config(tmp_path, records)
+        payload = json.loads(cfg_path.read_text())
+        payload["sweep"]["grids"] = {"knn": [{"k": "x"}]}
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["pipeline", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: sweep grid for knn: ")
         assert not (tmp_path / "out").exists()
 
     def test_stage_error_names_stage(self, tmp_path):
