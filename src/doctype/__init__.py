@@ -30,7 +30,6 @@ from .stats import (
     ThresholdTable,
     TransformSpec,
     derive_thresholds,
-    fit_transform,
     impute_f1,
     quantile,
     tukey_filter,

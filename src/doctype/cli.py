@@ -9,6 +9,7 @@ reported on stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -30,8 +31,9 @@ from .labeling import (
     rule_label,
     sample_size,
     stratified_split,
+    write_examples,
 )
-from .models import load_model, predict, train
+from .models import dataset_matrix, load_model, predict, train
 from .engagement import engagement_report, read_log_events
 from .pipeline import run_pipeline
 from .stats import derive_thresholds, impute_f1
@@ -173,6 +175,12 @@ def _write_or_print(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_examples(args, examples: list[LabeledExample]) -> None:
+    text = io.StringIO()
+    write_examples(text, examples)
+    _write_or_print(args, text.getvalue())
+
+
 def _read_labeled(path: str) -> list[LabeledExample]:
     with open(path, "r", encoding="utf-8") as handle:
         return read_examples(handle)
@@ -224,8 +232,7 @@ def cmd_label(args) -> int:
         LabeledExample(extract_features(rec), rule_label(rec), rec.id)
         for rec in parsed.records
     ]
-    out = "".join(json.dumps(example_to_row(ex), sort_keys=True) + "\n" for ex in examples)
-    _write_or_print(args, out)
+    _write_examples(args, examples)
     print(
         f"label: {len(examples)} examples, {parsed.skipped} skipped", file=sys.stderr
     )
@@ -245,10 +252,7 @@ def cmd_sample(args) -> int:
     examples = _read_labeled(args.labeled)
     proportions = _parse_proportions(args.proportions, args.run_config)
     picked = balanced_sample(examples, args.total, proportions, args.seed)
-    text_out = "".join(
-        json.dumps(example_to_row(ex), sort_keys=True) + "\n" for ex in picked
-    )
-    _write_or_print(args, text_out)
+    _write_examples(args, picked)
     return EXIT_OK
 
 
@@ -267,11 +271,7 @@ def cmd_split(args) -> int:
 
 def cmd_impute(args) -> int:
     examples = _read_labeled(args.labeled)
-    completed = impute_f1(examples)
-    out = "".join(
-        json.dumps(example_to_row(ex), sort_keys=True) + "\n" for ex in completed
-    )
-    _write_or_print(args, out)
+    _write_examples(args, impute_f1(examples))
     return EXIT_OK
 
 
@@ -280,7 +280,7 @@ def cmd_thresholds(args) -> int:
     cfg = args.run_config
     lo = cfg.quantile_lo if args.quantile_lo is None else args.quantile_lo
     hi = cfg.quantile_hi if args.quantile_hi is None else args.quantile_hi
-    table = derive_thresholds(examples, lo, hi)
+    table = derive_thresholds(*dataset_matrix(examples), lo, hi)
     _write_or_print(args, canonical_json(table.to_dict()))
     return EXIT_OK
 
@@ -288,11 +288,7 @@ def cmd_thresholds(args) -> int:
 def cmd_train(args) -> int:
     examples = _read_labeled(args.labeled)
     hp = _parse_json_flag(args.hyperparameters)
-    model = train(args.kind, examples, hp, args.seed, args.transform)
-    if args.out:
-        atomic_write_text(args.out, model.to_json())
-    else:
-        sys.stdout.write(model.to_json())
+    _write_or_print(args, train(args.kind, examples, hp, args.seed, args.transform).to_json())
     return EXIT_OK
 
 
@@ -439,11 +435,7 @@ def _prediction(row) -> tuple[str, DocType] | None:
 
 def cmd_synth(args) -> int:
     proportions = _parse_proportions(args.proportions, args.run_config)
-    examples = generate_synthetic(args.n, proportions, args.seed)
-    out = "".join(
-        json.dumps(example_to_row(ex), sort_keys=True) + "\n" for ex in examples
-    )
-    _write_or_print(args, out)
+    _write_examples(args, generate_synthetic(args.n, proportions, args.seed))
     return EXIT_OK
 
 

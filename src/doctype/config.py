@@ -78,35 +78,55 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(payload)
 
 
+_EXPECTED = {dict: "an object", int: "an integer", str: "a string", list: "a list of strings"}
+
+
+def _field(section: dict, key: str, default, kind: type, where: str = "", nullable=False):
+    """``section[key]``, or ``default`` when absent. A given value must be a
+    JSON ``kind`` (a boolean is no integer; a list holds strings), or null
+    when ``nullable``; anything else raises ConfigError."""
+    if key not in section:
+        return default
+    value = section[key]
+    if not (value is None and nullable) and not (
+        isinstance(value, kind)
+        and not isinstance(value, bool)
+        and (kind is not list or all(isinstance(item, str) for item in value))
+    ):
+        expected = _EXPECTED[kind] + (" or null" if nullable else "")
+        raise ConfigError(f"{where}{key} must be {expected}, got {json.dumps(value, default=repr)}")
+    return value
+
+
 def config_from_dict(payload: dict) -> RunConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
     cfg = RunConfig()
+    cfg.seed = _field(payload, "seed", cfg.seed, int)
+    paths = _field(payload, "paths", {}, dict)
+    cfg.records_path, cfg.labeled_path, cfg.model_path, cfg.log_path = (
+        _field(paths, key, None, str, "paths.", nullable=True)
+        for key in ("records", "labeled", "model", "log")
+    )
+    cfg.output_dir = _field(paths, "output_dir", cfg.output_dir, str, "paths.")
+    proportions = _field(payload, "proportions", None, dict)
+    cfg.sample_total = _field(payload, "sample_total", cfg.sample_total, int, nullable=True)
+    cfg.k_folds = _field(payload, "k_folds", cfg.k_folds, int)
+    quantiles = _field(payload, "quantiles", {}, dict)
+    sweep = _field(payload, "sweep", {}, dict)
+    cfg.sweep_kinds = tuple(_field(sweep, "kinds", cfg.sweep_kinds, list, "sweep."))
+    cfg.sweep_transforms = tuple(_field(sweep, "transforms", cfg.sweep_transforms, list, "sweep."))
+    cfg.sweep_grids = sweep.get("grids", {})
     try:
-        cfg.seed = int(payload.get("seed", cfg.seed))
-        paths = payload.get("paths", {})
-        cfg.records_path = paths.get("records")
-        cfg.labeled_path = paths.get("labeled")
-        cfg.model_path = paths.get("model")
-        cfg.log_path = paths.get("log")
-        cfg.output_dir = paths.get("output_dir", cfg.output_dir)
-        if "proportions" in payload:
+        if proportions is not None:
             cfg.proportions = {
-                DocType.from_label(name): float(v)
-                for name, v in payload["proportions"].items()
+                DocType.from_label(name): float(v) for name, v in proportions.items()
             }
-        cfg.sample_total = payload.get("sample_total", cfg.sample_total)
-        cfg.k_folds = int(payload.get("k_folds", cfg.k_folds))
         cfg.validation_fraction = float(
             payload.get("validation_fraction", cfg.validation_fraction)
         )
-        quantiles = payload.get("quantiles", {})
         cfg.quantile_lo = float(quantiles.get("lo", cfg.quantile_lo))
         cfg.quantile_hi = float(quantiles.get("hi", cfg.quantile_hi))
-        sweep = payload.get("sweep", {})
-        cfg.sweep_kinds = tuple(sweep.get("kinds", cfg.sweep_kinds))
-        cfg.sweep_transforms = tuple(sweep.get("transforms", cfg.sweep_transforms))
-        cfg.sweep_grids = sweep.get("grids", {})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     validate_config(cfg)

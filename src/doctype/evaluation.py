@@ -141,32 +141,35 @@ class CVResult:
 
 @dataclass
 class PreparedFold:
-    """One CV fold after imputation, with its train and test matrices."""
+    """One CV fold: its training rows and its imputed train and test matrices."""
 
     train: list[LabeledExample]
-    test: list[LabeledExample]
     X_train: np.ndarray
     y_train: np.ndarray
     X_test: np.ndarray
+    y_test: np.ndarray
 
 
 def prepare_folds(
     folds: Sequence[Sequence[LabeledExample]], features: Sequence[str] = FEATURE_IDS
 ) -> list[PreparedFold]:
-    """Impute each fold from its training rows and build its matrices once."""
+    """Build the folds' matrix once; impute each fold from its training rows."""
+    X, y = dataset_matrix([ex for fold in folds for ex in fold])
+    fold_of = np.repeat(np.arange(len(folds)), [len(fold) for fold in folds])
+    columns = [FEATURE_IDS.index(fid) for fid in features]
+    impute = np.isnan(X[:, 0]).any()
     prepared = []
-    for i, test_fold in enumerate(folds):
+    for i in range(len(folds)):
+        test = fold_of == i
+        X_train, y_train, X_test, y_test = X[~test], y[~test], X[test], y[test]
+        if impute:
+            imputer = Imputer().fit(X_train, y_train)
+            X_train = imputer.transform(X_train, y_train)
+            X_test = imputer.transform(X_test, y_test)
         train_set = [ex for j, fold in enumerate(folds) if j != i for ex in fold]
-        test_set = list(test_fold)
-        if any(ex.features.f1_authors is None for ex in train_set) or any(
-            ex.features.f1_authors is None for ex in test_set
-        ):
-            imputer = Imputer().fit(train_set)
-            train_set = imputer.transform(train_set)
-            test_set = imputer.transform(test_set)
-        X_train, y_train = dataset_matrix(train_set, features)
-        X_test, _ = dataset_matrix(test_set, features)
-        prepared.append(PreparedFold(train_set, test_set, X_train, y_train, X_test))
+        prepared.append(
+            PreparedFold(train_set, X_train[:, columns], y_train, X_test[:, columns], y_test)
+        )
     return prepared
 
 
@@ -226,12 +229,12 @@ def cross_validate_sizes(
             kind, fold.train, fit_hyperparameters, fold_seed, transform, features,
             matrix=(fold.X_train, fold.y_train),
         )
-        truths = [ex.label for ex in fold.test]
+        truths = [DocType(int(v)) for v in fold.y_test]
         members = [model] if sizes is None else [truncate(model, size) for size in sizes]
         for size_reports, member in zip(reports, members):
             if kind == "baseline-random":
                 predictions = baseline_random_predict(
-                    member, len(fold.test), derive_seed(seed, f"fold-{i}-draw")
+                    member, len(truths), derive_seed(seed, f"fold-{i}-draw")
                 )
             else:
                 labels, _ = predict_batch(member, fold.X_test)

@@ -12,7 +12,7 @@ text). From each record we compute:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import IO, Iterable
 
@@ -85,9 +85,6 @@ class FeatureVector:
 
     def values(self, feature_ids: Iterable[str] = FEATURE_IDS) -> list[float | None]:
         return [self.get(fid) for fid in feature_ids]
-
-    def with_f1(self, value: float) -> "FeatureVector":
-        return replace(self, f1_authors=value)
 
 
 _FIELD_BY_ID = {

@@ -19,9 +19,11 @@ def fit_baseline_random(X, y, seed, hyperparameters) -> dict:
     return {"weights": [float(v) for v in counts / counts.sum()]}
 
 
-def fit_baseline_threshold(dataset, hyperparameters) -> dict:
+def fit_baseline_threshold(X, y, seed, hyperparameters) -> dict:
+    del seed
     table = derive_thresholds(
-        dataset,
+        X,
+        y,
         quantile_lo=hyperparameters.get("quantile_lo", 0.025),
         quantile_hi=hyperparameters.get("quantile_hi", 0.975),
     )

@@ -91,19 +91,11 @@ def check_hyperparameters(kind: str, hyperparameters: dict) -> None:
 def dataset_matrix(
     dataset: Sequence[LabeledExample], features: Sequence[str] = FEATURE_IDS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Project a dataset onto (X, y) arrays for the selected features."""
-    X = np.array(
-        [[_require(ex, fid) for fid in features] for ex in dataset], dtype=float
-    )
+    """Project labeled rows onto (X, y) arrays for the selected features,
+    with NaN for a missing f1: the one place labeled rows become arrays."""
+    X = np.array([ex.features.values(features) for ex in dataset], dtype=float)
     y = np.array([int(ex.label) for ex in dataset], dtype=int)
-    return X, y
-
-
-def _require(ex: LabeledExample, feature_id: str) -> float:
-    value = ex.features.get(feature_id)
-    if value is None:
-        raise TrainingError(f"example {ex.id} has missing {feature_id}; impute first")
-    return float(value)
+    return X.reshape(len(y), len(features)), y
 
 
 def train(
@@ -119,7 +111,8 @@ def train(
     """Fit one model kind on the dataset and wrap it in a ModelArtifact.
 
     ``matrix`` is ``dataset_matrix(dataset, features)`` when the caller
-    has already built it; it is read, never written.
+    has already built it; it is read, never written. A NaN in it (a
+    missing f1) raises TrainingError naming the example.
     """
     if kind not in KINDS:
         raise TrainingError(f"unknown model kind: {kind!r}")
@@ -139,17 +132,12 @@ def train(
         raise TrainingError(f"{kind} needs every class present; missing {missing}")
 
     X, y = dataset_matrix(dataset, features) if matrix is None else matrix
+    nan_cells = np.argwhere(np.isnan(X))
+    if len(nan_cells):
+        row, col = nan_cells[0]
+        raise TrainingError(f"example {dataset[row].id} has missing {features[col]}; impute first")
     spec = TransformSpec.fit(X, transform)
-    Xt = spec.apply(X)
-
-    if kind == "baseline-threshold":
-        transformed = [
-            LabeledExample(FeatureVector(*(float(v) for v in row)), ex.label, ex.id)
-            for row, ex in zip(Xt, dataset)
-        ]
-        parameters = fit_baseline_threshold(transformed, hyperparameters)
-    else:
-        parameters = _FITTERS[kind](Xt, y, seed, hyperparameters)
+    parameters = _FITTERS[kind](spec.apply(X), y, seed, hyperparameters)
 
     artifact = ModelArtifact(
         kind=kind,
@@ -177,6 +165,7 @@ def truncate(model: ModelArtifact, size: int) -> ModelArtifact:
 
 _FITTERS = {
     "baseline-random": fit_baseline_random,
+    "baseline-threshold": fit_baseline_threshold,
     "gnb": fit_gnb,
     "knn": fit_knn,
     "decision-tree": fit_decision_tree,

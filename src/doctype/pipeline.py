@@ -63,7 +63,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         sampled = labeled
     counts["sampled"] = len(sampled)
 
-    imputed = _stage("impute", lambda: impute_f1(sampled, derive_seed(cfg.seed, "impute")))
+    imputed = _stage("impute", lambda: impute_f1(sampled))
     split = _stage(
         "split",
         lambda: stratified_split(
@@ -75,7 +75,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     thresholds = _stage(
         "thresholds",
-        lambda: derive_thresholds(split.train, cfg.quantile_lo, cfg.quantile_hi),
+        lambda: derive_thresholds(
+            *dataset_matrix(split.train), cfg.quantile_lo, cfg.quantile_hi
+        ),
     )
 
     best = None
@@ -171,9 +173,9 @@ def _stage(name: str, thunk):
 
 
 def _evaluate_validation(model: ModelArtifact, validation: list[LabeledExample]) -> EvalReport:
-    X, _ = dataset_matrix(validation, model.features)
+    X, y = dataset_matrix(validation, model.features)
     labels, _ = predict_batch(model, X)
-    return evaluate([DocType(int(v)) for v in labels], [ex.label for ex in validation])
+    return evaluate([DocType(int(v)) for v in labels], [DocType(int(v)) for v in y])
 
 
 def _write_outputs(cfg, model, thresholds, sweep_payload, cv_result, validation_report, manifest):

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -120,21 +120,25 @@ class ThresholdTable:
 
 
 def derive_thresholds(
-    dataset: Iterable[LabeledExample],
+    X: np.ndarray,
+    y: np.ndarray,
     quantile_lo: float = 0.025,
     quantile_hi: float = 0.975,
 ) -> ThresholdTable:
-    """Tukey-filter each (class, feature) sample, then take the outer quantiles."""
+    """Tukey-filter each (class, feature) sample, then take the outer quantiles.
+
+    ``X`` and ``y`` are as ``models.dataset_matrix`` builds them; a NaN
+    (a missing f1) is left out of its cell.
+    """
     if not 0.0 <= quantile_lo < quantile_hi <= 1.0:
         raise ValueError(
             f"quantile levels must satisfy 0 <= lo < hi <= 1, got ({quantile_lo}, {quantile_hi})"
         )
-    examples = list(dataset)
     bounds: dict[tuple[DocType, str], tuple[float, float]] = {}
     for t in DOC_TYPES:
-        members = [ex for ex in examples if ex.label == t]
-        for fid in FEATURE_IDS:
-            values = [v for ex in members if (v := ex.features.get(fid)) is not None]
+        members = X[y == t]
+        for column, fid in zip(members.T, FEATURE_IDS):
+            values = column[~np.isnan(column)].tolist()
             if not values:
                 raise ThresholdError(f"no usable values for cell ({t.label}, {fid})")
             kept = tukey_filter(values)
@@ -219,81 +223,59 @@ def preserves_order(kind: str, train: np.ndarray, test: np.ndarray) -> bool:
     return bool((mapped[1:] > mapped[:-1])[raw[1:] > raw[:-1]].all())
 
 
-def fit_transform(
-    dataset: Sequence[LabeledExample], kind: str
-) -> tuple[TransformSpec, list[LabeledExample]]:
-    """Fit a transform on the dataset and return it with transformed copies."""
-    if not dataset:
-        raise ValueError("cannot fit a transform on an empty dataset")
-    matrix = np.array([ex.features.values() for ex in dataset], dtype=float)
-    if np.isnan(matrix).any():
-        raise ValueError("dataset has missing f1 values; impute before transforming")
-    spec = TransformSpec.fit(matrix, kind)
-    transformed = spec.apply(matrix)
-    out = [
-        LabeledExample(
-            FeatureVector(*(float(v) for v in row)), ex.label, ex.id
-        )
-        for row, ex in zip(transformed, dataset)
-    ]
-    return spec, out
-
-
 class Imputer:
     """Per-class least-squares fill-in for missing author counts.
 
-    One chained-regression pass: within each class, regress f1 on
-    (f2, f3, f4) over the observed rows, predict the missing ones, round,
-    and clamp into the observed per-class [min, max]. Observed values are
-    never modified.
+    One chained-regression pass on ``(X, y)`` as ``models.dataset_matrix``
+    builds them, where a missing f1 is NaN: within each class, regress f1
+    on (f2, f3, f4) over the observed rows, predict the missing ones,
+    round, and clamp into the observed per-class [min, max]. Observed
+    values are never modified.
     """
 
     def __init__(self) -> None:
         self._by_class: dict[DocType, tuple[np.ndarray, float, float]] = {}
 
-    def fit(self, dataset: Sequence[LabeledExample]) -> "Imputer":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "Imputer":
+        observed = ~np.isnan(X[:, 0])
         for t in DOC_TYPES:
-            rows = [ex.features for ex in dataset if ex.label == t]
-            observed = [fv for fv in rows if fv.f1_authors is not None]
-            if rows and not observed:
-                raise ImputationError(f"class {t.label} has no observed f1 values")
-            if not rows:
+            in_class = y == t
+            if not in_class.any():
                 continue
-            design = np.array(
-                [[1.0, fv.f2_total_words, fv.f3_pages, fv.f4_words_per_page] for fv in observed],
-                dtype=float,
-            )
-            target = np.array([fv.f1_authors for fv in observed], dtype=float)
-            coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-            self._by_class[t] = (coef, float(target.min()), float(target.max()))
+            rows = X[in_class & observed]
+            if not len(rows):
+                raise ImputationError(f"class {t.label} has no observed f1 values")
+            design = np.column_stack([np.ones(len(rows)), rows[:, 1:]])
+            coef, *_ = np.linalg.lstsq(design, rows[:, 0], rcond=None)
+            self._by_class[t] = (coef, float(rows[:, 0].min()), float(rows[:, 0].max()))
         return self
 
-    def transform(self, dataset: Sequence[LabeledExample]) -> list[LabeledExample]:
-        out: list[LabeledExample] = []
-        for ex in dataset:
-            if ex.features.f1_authors is not None:
-                out.append(ex)
-                continue
-            if ex.label not in self._by_class:
+    def transform(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """A copy of ``X`` with every missing f1 filled from its class's fit."""
+        out = np.array(X, dtype=float)
+        for i in np.flatnonzero(np.isnan(out[:, 0])):
+            label = DocType(int(y[i]))
+            if label not in self._by_class:
                 raise ImputationError(
-                    f"class {ex.label.label} was not fitted; cannot impute {ex.id}"
+                    f"class {label.label} was not fitted; cannot impute row {i}"
                 )
-            coef, lo, hi = self._by_class[ex.label]
-            fv = ex.features
-            raw = float(
-                coef @ np.array([1.0, fv.f2_total_words, fv.f3_pages, fv.f4_words_per_page])
-            )
-            value = int(np.rint(raw))
-            value = max(int(lo), min(int(hi), value))
-            out.append(LabeledExample(fv.with_f1(value), ex.label, ex.id))
+            coef, lo, hi = self._by_class[label]
+            # one dot per row: a matrix product may round the sum differently
+            raw = float(coef @ np.concatenate(([1.0], out[i, 1:])))
+            out[i, 0] = max(int(lo), min(int(hi), int(np.rint(raw))))
         return out
 
 
-def impute_f1(dataset: Sequence[LabeledExample], seed: int = 0) -> list[LabeledExample]:
-    """Fill missing f1 values in place of MISSING; observed rows pass through.
+def impute_f1(dataset: Sequence[LabeledExample]) -> list[LabeledExample]:
+    """``Imputer`` fitted and applied on the dataset's own rows, as objects:
+    each missing f1 becomes an int, and observed rows pass through."""
+    from .models import dataset_matrix
 
-    The pass is a deterministic single round, so ``seed`` is accepted for
-    interface uniformity but unused.
-    """
-    del seed
-    return Imputer().fit(dataset).transform(dataset)
+    X, y = dataset_matrix(dataset)
+    filled = Imputer().fit(X, y).transform(X, y)[:, 0]
+    return [
+        ex
+        if ex.features.f1_authors is not None
+        else LabeledExample(replace(ex.features, f1_authors=int(f1)), ex.label, ex.id)
+        for ex, f1 in zip(dataset, filled.tolist())
+    ]

@@ -18,6 +18,7 @@ from doctype.models import (
     DEPLOYED_FOREST_PROFILE,
     baseline_random_predict,
     baseline_threshold_predict,
+    dataset_matrix,
     predict,
     train,
 )
@@ -189,7 +190,7 @@ class TestCriterion6TukeyQuantileSuite:
         assert tukey_filter([1, 2, 3, 4, 100]) == [1, 2, 3, 4]
         assert tukey_filter([5, 5, 5]) == [5, 5, 5]
         assert quantile([1, 2, 3, 4, 5], 0.5) == 3
-        table = derive_thresholds(fixture_dataset())
+        table = derive_thresholds(*dataset_matrix(fixture_dataset()))
         for label, cells in EXPECTED_CELLS.items():
             t = DocType.from_label(label)
             for fid, (lo, hi) in cells.items():

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from doctype.evaluation import (
 )
 from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
 from doctype.labeling import LabeledExample, stratified_split
-from doctype.models import predict_batch, train
+from doctype.models import dataset_matrix, predict_batch, train
 from doctype.stats import TRANSFORM_KINDS, TransformSpec, derive_thresholds, preserves_order
 from doctype.synthetic import (
     PARAMETERIZED_FEATURES,
@@ -133,7 +134,7 @@ class TestCrossValidate:
         # knock out some author counts; CV must still run and stay accurate
         incomplete = [
             LabeledExample(
-                ex.features.with_f1(None) if i % 7 == 0 else ex.features, ex.label, ex.id
+                replace(ex.features, f1_authors=None) if i % 7 == 0 else ex.features, ex.label, ex.id
             )
             for i, ex in enumerate(data)
         ]
@@ -500,7 +501,7 @@ class TestGenerateSynthetic:
 
     def test_thresholds_reproduce_targets_within_ten_percent(self):
         data = generate_synthetic(40000, PROPS, seed=4)
-        table = derive_thresholds(data)
+        table = derive_thresholds(*dataset_matrix(data))
         for t in DocType:
             for fid in PARAMETERIZED_FEATURES:
                 target_lo, target_hi = REFERENCE_BOUNDS[t][fid]

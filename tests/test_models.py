@@ -15,10 +15,12 @@ from doctype.ingest import DocType, FeatureVector
 from doctype.labeling import LabeledExample
 from doctype.models import (
     DEPLOYED_FOREST_PROFILE,
+    KINDS,
     THRESHOLD_TEST_ORDER,
     ModelArtifact,
     baseline_random_predict,
     baseline_threshold_predict,
+    dataset_matrix,
     load_model,
     predict,
     predict_batch,
@@ -530,6 +532,28 @@ class TestLinearSvm:
         a = train("linear-svm", data, {"epochs": 50}, seed=4)
         b = train("linear-svm", data, {"epochs": 50}, seed=4)
         assert a.to_json() == b.to_json()
+
+
+class TestMissingF1:
+    def data(self):
+        rows = toy_dataset(6, seed=3)
+        rows[4] = LabeledExample(FeatureVector(None, 1000, 10, 100.0), rows[4].label, "gap")
+        return rows
+
+    def test_dataset_matrix_marks_missing_f1_nan(self):
+        X, y = dataset_matrix(self.data())
+        assert X.shape == (18, 4) and y.shape == (18,)
+        assert np.isnan(X[4, 0]) and np.isnan(X).sum() == 1
+        assert dataset_matrix([])[0].shape == (0, 4)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train_names_the_row_to_impute(self, kind):
+        with pytest.raises(TrainingError, match="^example gap has missing f1; impute first$"):
+            train(kind, self.data())
+
+    def test_train_without_f1_ignores_it(self):
+        model = train("gnb", self.data(), features=("f2", "f3"))
+        assert model.features == ("f2", "f3")
 
 
 class TestPredictContract:

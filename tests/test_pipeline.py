@@ -100,6 +100,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             config_from_dict({"sweep": {"grids": grids}})
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"sweep": []}, "sweep must be an object, got []"),
+            ({"paths": "x"}, 'paths must be an object, got "x"'),
+            ({"quantiles": [0.1]}, "quantiles must be an object"),
+            ({"proportions": [1]}, "proportions must be an object"),
+            ({"sweep": {"kinds": "random-forest"}}, "sweep.kinds must be a list of strings"),
+            ({"sweep": {"transforms": "identity"}}, "sweep.transforms must be a list of strings"),
+            ({"sample_total": "5"}, "sample_total must be an integer or null"),
+            ({"sample_total": 2.5}, "sample_total must be an integer or null"),
+            ({"sample_total": True}, "sample_total must be an integer or null, got true"),
+            ({"seed": True}, "seed must be an integer, got true"),
+            ({"seed": "5"}, "seed must be an integer"),
+            ({"k_folds": 3.0}, "k_folds must be an integer"),
+            ({"paths": {"records": 5}}, "paths.records must be a string or null"),
+        ],
+    )
+    def test_bad_config_value_exits_one(self, payload, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(payload)
+        assert message in str(err.value)
+        assert main(["pipeline", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
     def test_round_trip_hash_stable(self, tmp_path):
         records = build_records(tmp_path)
         cfg_path = build_config(tmp_path, records)

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doctype.errors import ImputationError, ModelFormatError, ThresholdError
 from doctype.ingest import DocType, FeatureVector
 from doctype.labeling import LabeledExample
+from doctype.models import dataset_matrix
 from doctype.stats import (
     Imputer,
     ThresholdTable,
+    TransformSpec,
     derive_thresholds,
-    fit_transform,
     impute_f1,
     quantile,
     tukey_filter,
@@ -135,7 +138,7 @@ class TestTukeyFilter:
 
 class TestDeriveThresholds:
     def test_frozen_fixture(self):
-        table = derive_thresholds(fixture_dataset())
+        table = derive_thresholds(*dataset_matrix(fixture_dataset()))
         for label, cells in EXPECTED_CELLS.items():
             t = DocType.from_label(label)
             for fid, (lo, hi) in cells.items():
@@ -145,7 +148,7 @@ class TestDeriveThresholds:
 
     def test_constant_feature_collapses(self):
         data = [make_example(t, f1=7, doc_id=f"{t}-{i}") for t in DocType for i in range(5)]
-        table = derive_thresholds(data)
+        table = derive_thresholds(*dataset_matrix(data))
         for t in DocType:
             assert table.bounds[(t, "f1")] == (7.0, 7.0)
 
@@ -156,7 +159,7 @@ class TestDeriveThresholds:
             make_example(DocType.RESEARCH, f2=v, doc_id=f"r{i}")
             for i, v in enumerate(values)
         ] + [make_example(t, doc_id=f"{t}-pad-{i}") for t in (DocType.SLIDES, DocType.THESIS) for i in range(3)]
-        table = derive_thresholds(data)
+        table = derive_thresholds(*dataset_matrix(data))
         lo, hi = table.bounds[(DocType.RESEARCH, "f2")]
         assert hi < 10**6
         assert lo >= 4800
@@ -169,7 +172,7 @@ class TestDeriveThresholds:
                 data.append(
                     make_example(t, f2=float(rng.lognormal(8, 1)), doc_id=f"{t}-{i}")
                 )
-        table = derive_thresholds(data)
+        table = derive_thresholds(*dataset_matrix(data))
         for t in DocType:
             values = [ex.features.f2_total_words for ex in data if ex.label == t]
             kept = tukey_filter(values)
@@ -182,17 +185,17 @@ class TestDeriveThresholds:
     def test_missing_f1_excluded_from_cell(self):
         data = [make_example(t, doc_id=f"{t}-{i}") for t in DocType for i in range(4)]
         data.append(make_example(DocType.RESEARCH, f1=None, doc_id="nof1"))
-        table = derive_thresholds(data)
+        table = derive_thresholds(*dataset_matrix(data))
         assert table.bounds[(DocType.RESEARCH, "f1")] == (1.0, 1.0)
 
     def test_empty_cell_error_names_cell(self):
         data = [make_example(DocType.RESEARCH, doc_id="r0")]
         with pytest.raises(ThresholdError) as err:
-            derive_thresholds(data)
+            derive_thresholds(*dataset_matrix(data))
         assert "Slides" in str(err.value)
 
     def test_table_round_trip(self, tmp_path):
-        table = derive_thresholds(fixture_dataset())
+        table = derive_thresholds(*dataset_matrix(fixture_dataset()))
         path = tmp_path / "thresholds.json"
         table.save(path)
         loaded = ThresholdTable.load(path)
@@ -200,7 +203,7 @@ class TestDeriveThresholds:
         assert loaded.quantile_lo == table.quantile_lo
 
     def test_table_rejects_future_version(self, tmp_path):
-        table = derive_thresholds(fixture_dataset())
+        table = derive_thresholds(*dataset_matrix(fixture_dataset()))
         payload = table.to_dict()
         payload["format_version"] = 99
         with pytest.raises(ModelFormatError):
@@ -222,23 +225,22 @@ class TestFitTransform:
         ]
 
     def test_identity_round_trip(self):
-        data = self._data()
-        spec, out = fit_transform(data, "identity")
+        X, _ = dataset_matrix(self._data())
+        spec = TransformSpec.fit(X, "identity")
         assert spec.kind == "identity"
-        for a, b in zip(data, out):
-            assert a.features.values() == b.features.values()
+        assert np.array_equal(spec.apply(X), X)
 
     def test_zscore_moments(self):
-        data = self._data()
-        _, out = fit_transform(data, "z-score")
-        matrix = np.array([ex.features.values() for ex in out], dtype=float)
+        X, _ = dataset_matrix(self._data())
+        matrix = TransformSpec.fit(X, "z-score").apply(X)
         assert np.allclose(matrix.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(matrix.std(axis=0), 1.0, atol=1e-9)
 
     def test_zscore_constant_feature_falls_back(self):
         data = [make_example(DocType.RESEARCH, f1=4, doc_id=f"d{i}") for i in range(10)]
-        spec, out = fit_transform(data, "z-score")
-        assert out[0].features.f1_authors == 4.0
+        X, _ = dataset_matrix(data)
+        spec = TransformSpec.fit(X, "z-score")
+        assert spec.apply(X)[0, 0] == 4.0
         assert spec.scale[0] == 1.0 and spec.mean[0] == 0.0
 
     def test_log_scale_zero(self):
@@ -246,21 +248,18 @@ class TestFitTransform:
             LabeledExample(FeatureVector(1, 0, 0, 0.0), DocType.RESEARCH, "z"),
             make_example(DocType.RESEARCH, doc_id="other"),
         ]
-        _, out = fit_transform(data, "log-scale")
-        assert out[0].features.f2_total_words == 0.0
+        X, _ = dataset_matrix(data)
+        assert TransformSpec.fit(X, "log-scale").apply(X)[0, 1] == 0.0
 
     def test_spec_reapplication_matches(self):
-        data = self._data()
-        spec, out = fit_transform(data, "z-score")
-        matrix = np.array([ex.features.values() for ex in data], dtype=float)
-        again = spec.apply(matrix)
-        assert np.allclose(
-            again, np.array([ex.features.values() for ex in out]), atol=0
-        )
+        X, _ = dataset_matrix(self._data())
+        spec = TransformSpec.fit(X, "z-score")
+        restored = TransformSpec.from_dict(spec.to_dict())
+        assert np.allclose(restored.apply(X.copy()), spec.apply(X), atol=0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            fit_transform(self._data(), "box-cox")
+            TransformSpec.fit(dataset_matrix(self._data())[0], "box-cox")
 
 
 class TestImputeF1:
@@ -323,6 +322,132 @@ class TestImputeF1:
             LabeledExample(FeatureVector(4, 0, 40, 0.0), DocType.RESEARCH, "b"),
         ]
         test = [LabeledExample(FeatureVector(None, 0, 20, 0.0), DocType.RESEARCH, "c")]
-        imputer = Imputer().fit(train)
-        out = imputer.transform(test)
-        assert out[0].features.f1_authors == 2
+        imputer = Imputer().fit(*dataset_matrix(train))
+        out = imputer.transform(*dataset_matrix(test))
+        assert out[0, 0] == 2
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the array forms: the per-row object formulas they replaced.
+# ---------------------------------------------------------------------------
+
+
+def object_imputation(train, test):
+    """Per-row imputation over LabeledExample lists: each test row's f1,
+    observed or filled; errors as (type, text before '; ')."""
+    by_class = {}
+    for t in DocType:
+        rows = [ex.features for ex in train if ex.label == t]
+        observed = [fv for fv in rows if fv.f1_authors is not None]
+        if rows and not observed:
+            return ImputationError, f"class {t.label} has no observed f1 values"
+        if not rows:
+            continue
+        design = np.array(
+            [[1.0, fv.f2_total_words, fv.f3_pages, fv.f4_words_per_page] for fv in observed],
+            dtype=float,
+        )
+        target = np.array([fv.f1_authors for fv in observed], dtype=float)
+        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+        by_class[t] = (coef, float(target.min()), float(target.max()))
+    out = []
+    for ex in test:
+        fv = ex.features
+        if fv.f1_authors is not None:
+            out.append(fv.f1_authors)
+            continue
+        if ex.label not in by_class:
+            return ImputationError, f"class {ex.label.label} was not fitted"
+        coef, lo, hi = by_class[ex.label]
+        raw = float(
+            coef @ np.array([1.0, fv.f2_total_words, fv.f3_pages, fv.f4_words_per_page])
+        )
+        out.append(max(int(lo), min(int(hi), int(np.rint(raw)))))
+    return out
+
+
+def array_imputation(train, test):
+    try:
+        imputer = Imputer().fit(*dataset_matrix(train))
+        return imputer.transform(*dataset_matrix(test))[:, 0].tolist()
+    except ImputationError as exc:
+        return ImputationError, str(exc).split("; ")[0]
+
+
+@st.composite
+def spread_rows(draw, max_size=30):
+    """Rows with realistic counts, about a third missing f1."""
+    rows = []
+    for i in range(draw(st.integers(0, max_size))):
+        f2 = draw(st.integers(0, 10**7))
+        f3 = draw(st.integers(0, 600))
+        f1 = draw(st.one_of(st.none(), st.integers(1, 12), st.sampled_from([1.5, 2.0, 7.25])))
+        rows.append(make_example(DocType(draw(st.integers(0, 2))), f1, f2, f3, f"s{i}"))
+    return rows
+
+
+@st.composite
+def tie_rows(draw):
+    """Per class f1 = a + f3 / 2 exactly on even f3, missing on odd f3, so
+    every fill lands within rounding error of a half integer."""
+    rows = []
+    for t in DocType:
+        a = draw(st.integers(0, 5))
+        for i in range(draw(st.integers(2, 12))):
+            f3 = draw(st.integers(1, 300))
+            f2 = draw(st.integers(1, 10**6))
+            f1 = None if f3 % 2 else a + f3 // 2
+            rows.append(make_example(t, f1, f2, f3, f"{t.label}{i}"))
+    if all(ex.features.f1_authors is None for ex in rows):
+        rows.append(make_example(DocType.RESEARCH, 1, 10, 2, "even"))
+    return rows
+
+
+class TestArrayOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(train=spread_rows(), test=spread_rows(max_size=15))
+    def test_imputer_matches_object_formula(self, train, test):
+        assert array_imputation(train, test) == object_imputation(train, test)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=tie_rows())
+    def test_imputer_matches_object_formula_near_ties(self, rows):
+        assert array_imputation(rows, rows) == object_imputation(rows, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=spread_rows())
+    def test_impute_f1_fills_ints_and_keeps_observed_rows(self, rows):
+        expected = object_imputation(rows, rows)
+        if isinstance(expected, tuple):
+            with pytest.raises(ImputationError):
+                impute_f1(rows)
+            return
+        out = impute_f1(rows)
+        for before, after, f1 in zip(rows, out, expected):
+            if before.features.f1_authors is not None:
+                assert after is before
+            else:
+                assert type(after.features.f1_authors) is int
+                assert after.features.f1_authors == f1
+                assert (after.id, after.label) == (before.id, before.label)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=spread_rows(max_size=40),
+        levels=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda q: q[0] < q[1]),
+    )
+    def test_derive_thresholds_matches_per_cell_lists(self, rows, levels):
+        lo, hi = levels
+        expected = {}
+        for t in DocType:
+            for fid in ("f1", "f2", "f3", "f4"):
+                values = [
+                    v for ex in rows if ex.label == t if (v := ex.features.get(fid)) is not None
+                ]
+                if not values:
+                    with pytest.raises(ThresholdError):
+                        derive_thresholds(*dataset_matrix(rows), lo, hi)
+                    return
+                kept = tukey_filter(values)
+                expected[(t, fid)] = (quantile(kept, lo), quantile(kept, hi))
+        assert derive_thresholds(*dataset_matrix(rows), lo, hi).bounds == expected
