@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_proportions
 from .errors import ConfigError, DocTypeError
 from .evaluation import ablation, cross_validate, report_from_confusion, sweep
 from .ingest import DocType, extract_features, parse_records
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
         cmd.add_argument("--config", type=str, default=None,
-                         help="run config supplying seed and path defaults")
+                         help="run config supplying seed, proportion and quantile defaults")
         cmd.add_argument("--out", type=str, default=None)
         if name in SEEDED_COMMANDS:
             cmd.add_argument("--seed", type=int, default=None)
@@ -189,11 +189,7 @@ def _read_labeled(path: str) -> list[LabeledExample]:
 def _parse_proportions(raw: str | None, run_config: RunConfig) -> dict[DocType, float]:
     if raw is None:
         return dict(run_config.proportions)
-    try:
-        payload = json.loads(raw)
-        return {DocType.from_label(name): float(v) for name, v in payload.items()}
-    except (json.JSONDecodeError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"bad proportions: {exc}") from exc
+    return read_proportions(_parse_json_flag(raw, "proportions"))
 
 
 def _parse_json_flag(raw: str, name: str = "hyperparameters", shape: type = dict):

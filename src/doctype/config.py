@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .ingest import DocType
+from .ioutils import finite_number
 from .models import KINDS, check_hyperparameters
 from .stats import TRANSFORM_KINDS
 
@@ -78,24 +79,41 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(payload)
 
 
-_EXPECTED = {dict: "an object", int: "an integer", str: "a string", list: "a list of strings"}
+_EXPECTED = {dict: "an object", int: "an integer", float: "a finite number", str: "a string",
+             list: "a list of strings"}
 
 
 def _field(section: dict, key: str, default, kind: type, where: str = "", nullable=False):
     """``section[key]``, or ``default`` when absent. A given value must be a
-    JSON ``kind`` (a boolean is no integer; a list holds strings), or null
-    when ``nullable``; anything else raises ConfigError."""
+    JSON ``kind`` (a boolean is no integer; a list holds strings; ``float``
+    takes any finite number and returns it as a float), or null when
+    ``nullable``; anything else raises ConfigError."""
     if key not in section:
         return default
     value = section[key]
     if not (value is None and nullable) and not (
-        isinstance(value, kind)
+        finite_number(value)
+        if kind is float
+        else isinstance(value, kind)
         and not isinstance(value, bool)
         and (kind is not list or all(isinstance(item, str) for item in value))
     ):
         expected = _EXPECTED[kind] + (" or null" if nullable else "")
         raise ConfigError(f"{where}{key} must be {expected}, got {json.dumps(value, default=repr)}")
-    return value
+    return float(value) if kind is float else value
+
+
+def read_proportions(payload: dict) -> dict[DocType, float]:
+    """Class proportions from a JSON object of label -> finite number: the
+    one reader for a config's ``proportions`` and the ``--proportions`` flag."""
+    proportions = {}
+    for name in payload:
+        try:
+            doc_type = DocType.from_label(name)
+        except ValueError as exc:
+            raise ConfigError(f"proportions: {exc}") from exc
+        proportions[doc_type] = _field(payload, name, None, float, "proportions.")
+    return proportions
 
 
 def config_from_dict(payload: dict) -> RunConfig:
@@ -110,25 +128,18 @@ def config_from_dict(payload: dict) -> RunConfig:
     )
     cfg.output_dir = _field(paths, "output_dir", cfg.output_dir, str, "paths.")
     proportions = _field(payload, "proportions", None, dict)
+    if proportions is not None:
+        cfg.proportions = read_proportions(proportions)
     cfg.sample_total = _field(payload, "sample_total", cfg.sample_total, int, nullable=True)
     cfg.k_folds = _field(payload, "k_folds", cfg.k_folds, int)
+    cfg.validation_fraction = _field(payload, "validation_fraction", cfg.validation_fraction, float)
     quantiles = _field(payload, "quantiles", {}, dict)
+    cfg.quantile_lo = _field(quantiles, "lo", cfg.quantile_lo, float, "quantiles.")
+    cfg.quantile_hi = _field(quantiles, "hi", cfg.quantile_hi, float, "quantiles.")
     sweep = _field(payload, "sweep", {}, dict)
     cfg.sweep_kinds = tuple(_field(sweep, "kinds", cfg.sweep_kinds, list, "sweep."))
     cfg.sweep_transforms = tuple(_field(sweep, "transforms", cfg.sweep_transforms, list, "sweep."))
     cfg.sweep_grids = sweep.get("grids", {})
-    try:
-        if proportions is not None:
-            cfg.proportions = {
-                DocType.from_label(name): float(v) for name, v in proportions.items()
-            }
-        cfg.validation_fraction = float(
-            payload.get("validation_fraction", cfg.validation_fraction)
-        )
-        cfg.quantile_lo = float(quantiles.get("lo", cfg.quantile_lo))
-        cfg.quantile_hi = float(quantiles.get("hi", cfg.quantile_hi))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
     validate_config(cfg)
     return cfg
 

@@ -9,6 +9,7 @@ rqtctr = qtctr * impression-share holds exactly by construction.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import partial
 from typing import IO, Iterable, Mapping
@@ -227,7 +228,6 @@ class EngineReport:
 class EngagementReport:
     engines: dict[str, EngineReport]
     n_rejected_unknown_engine: int = 0
-    format_version: int = REPORT_FORMAT_VERSION
 
     @property
     def n_rejected(self) -> int:
@@ -237,7 +237,7 @@ class EngagementReport:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
+            "format_version": REPORT_FORMAT_VERSION,
             "engines": {
                 name: report.to_dict()
                 for name, report in sorted(self.engines.items())
@@ -334,13 +334,24 @@ def read_log_events(
 def _parse_event(predictions: Mapping[str, DocType] | None, obj) -> LogEvent:
     impressions = []
     for imp in obj["impressions"]:
-        doc_id = imp["doc_id"]
+        doc_id, position = _reference(imp)
         if "doc_type" in imp:
             doc_type = DocType.from_label(imp["doc_type"])
         elif predictions is not None and doc_id in predictions:
             doc_type = predictions[doc_id]
         else:
             raise ValueError(f"impression {doc_id!r} has no resolvable doc_type")
-        impressions.append(Impression(doc_id, int(imp["position"]), doc_type))
-    clicks = [Click(c["doc_id"], int(c["position"])) for c in obj.get("clicks", [])]
+        impressions.append(Impression(doc_id, position, doc_type))
+    clicks = [Click(*_reference(c)) for c in obj.get("clicks", [])]
     return LogEvent(str(obj["engine"]), str(obj["query_id"]), impressions, clicks)
+
+
+def _reference(item) -> tuple[str, int]:
+    """An impression's or click's (doc_id, position): a string and a JSON
+    integer; anything else raises ValueError."""
+    doc_id, position = item["doc_id"], item["position"]
+    if not isinstance(doc_id, str):
+        raise ValueError(f"doc_id must be a string, got {json.dumps(doc_id)}")
+    if not isinstance(position, int) or isinstance(position, bool):
+        raise ValueError(f"position must be an integer, got {json.dumps(position)}")
+    return doc_id, position

@@ -1,12 +1,17 @@
-"""Small file helpers: canonical JSON, line-delimited JSON and atomic writes."""
+"""Small file helpers: canonical JSON, JSON number checks, line-delimited
+JSON and atomic writes."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import IngestError
 
@@ -14,6 +19,33 @@ from .errors import IngestError
 def canonical_json(obj) -> str:
     """Stable, byte-reproducible JSON encoding (sorted keys, no NaN)."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def finite_number(value) -> bool:
+    """An int or float, not a bool, within float range (so not NaN)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def number_array(values, shape: tuple, name: str) -> np.ndarray:
+    """Nested lists of finite numbers as a float array of ``shape``, where
+    None matches any length of at least 1. Anything else (a boolean, a
+    string, a null, a ragged list) raises ValueError naming ``name``."""
+    array = np.array(values, dtype=object)
+    if (
+        array.ndim == len(shape)
+        and all(got == want or (want is None and got >= 1) for got, want in zip(array.shape, shape))
+        and all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, array.flat)))
+    ):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            numbers = array.astype(float)
+            if np.isfinite(numbers).all():
+                return numbers
+    wanted = " x ".join("n" if want is None else str(want) for want in shape)
+    raise ValueError(f"{name} must be {wanted} finite numbers")
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

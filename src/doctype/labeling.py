@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from .errors import ShortageError, SplitError
 from .ingest import DOC_TYPES, FEATURE_IDS, DocType, DocumentRecord, FeatureVector
-from .ioutils import read_json_lines_strict
+from .ioutils import finite_number, read_json_lines_strict
 
 THESIS_KEYWORDS = ("thesis", "dissertation")
 SLIDES_KEYWORDS = ("slides", "presentation")
@@ -187,9 +186,7 @@ def row_to_example(row: Mapping) -> LabeledExample:
         raise ValueError(f"id must be a string, got {row['id']!r}")
     for fid in FEATURE_IDS:
         value = row[fid]
-        # json.loads yields exactly int or float for a number, never bool.
-        finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
-        if not finite and not (fid == "f1" and value is None):
+        if not finite_number(value) and not (fid == "f1" and value is None):
             raise ValueError(f"{fid} must be a finite number, got {value!r}")
     return LabeledExample(row_to_features(row), DocType.from_label(row["label"]), row["id"])
 

@@ -6,10 +6,7 @@ from .artifact import (
     MODEL_FORMAT_VERSION,
     SIZE_HYPERPARAMETERS,
     ModelArtifact,
-    load_model,
     model_size,
-    save_model,
-    validate_artifact,
 )
 from .baselines import (
     FALLBACK_CLASS,
@@ -21,8 +18,10 @@ from .dispatch import (
     DEPLOYED_FOREST_PROFILE,
     check_hyperparameters,
     dataset_matrix,
+    load_model,
     predict,
     predict_batch,
+    save_model,
     train,
     truncate,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "load_model",
     "model_size",
     "save_model",
-    "validate_artifact",
     "FALLBACK_CLASS",
     "THRESHOLD_TEST_ORDER",
     "baseline_random_predict",

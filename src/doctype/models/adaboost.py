@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import ModelFormatError, TrainingError
 from ..ingest import N_CLASSES
+from ..ioutils import finite_number
 from .artifact import model_size
 from .tree import CompiledTrees, ForestPredictor, grow_tree
 
@@ -33,7 +34,7 @@ def fit_adaboost(X, y, seed, hyperparameters) -> dict:
         nodes = grow_tree(
             X, y, sample_weight=weights, max_depth=max_depth, min_leaf_size=min_leaf
         )
-        predicted = ForestPredictor([nodes], max_depth).scores_matrix(X).argmax(axis=1)
+        predicted = ForestPredictor([nodes], X.shape[1]).scores_matrix(X).argmax(axis=1)
         miss = predicted != y
         err = float(weights[miss].sum())
         if err >= 1.0 - 1.0 / N_CLASSES:
@@ -59,12 +60,22 @@ class AdaboostPredictor:
     votes add up over trees in tree order, as the rounds were fitted.
     """
 
-    def __init__(self, parameters: dict, depth: int):
-        self.compiled = CompiledTrees(parameters["trees"], depth)
-        alphas = np.repeat(np.asarray(parameters["alphas"], dtype=float), self.compiled.sizes)
+    def __init__(self, parameters: dict, n_features: int):
+        trees, alphas = parameters["trees"], parameters["alphas"]
+        if not trees:
+            raise ModelFormatError("adaboost has no trees")
+        if len(alphas) != len(trees):
+            raise ModelFormatError("adaboost weight/tree count mismatch")
+        for alpha in alphas:
+            if not finite_number(alpha):
+                raise ModelFormatError(f"non-finite boosting weight: {alpha!r}")
+            if alpha <= 0:
+                raise ModelFormatError(f"boosting weight is not positive: {alpha!r}")
+        self.compiled = CompiledTrees(trees, n_features)
+        per_node = np.repeat(np.asarray(alphas, dtype=float), self.compiled.sizes)
         picks = self.compiled.dist.argmax(axis=1)
-        self.votes = np.where(np.arange(N_CLASSES) == picks[:, None], alphas[:, None], 0.0)
-        self._total = sum(parameters["alphas"])
+        self.votes = np.where(np.arange(N_CLASSES) == picks[:, None], per_node[:, None], 0.0)
+        self._total = sum(alphas)
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
         return self.votes[self.compiled.leaves(X)].sum(axis=0) / self._total

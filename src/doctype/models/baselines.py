@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ModelFormatError
 from ..ingest import FEATURE_IDS, N_CLASSES, DocType, FeatureVector
+from ..ioutils import number_array
 from ..stats import ThresholdTable, derive_thresholds
 
 #: Classes are tested most-restrictive-first; unmatched vectors fall back
@@ -37,7 +39,7 @@ def baseline_random_predict(model, n: int, seed: int) -> list[DocType]:
     """Draw n class labels from the stored categorical distribution."""
     if model.kind != "baseline-random":
         raise ValueError(f"expected a baseline-random model, got {model.kind!r}")
-    weights = model.parameters["weights"]
+    weights = RandomBaselinePredictor(model.parameters, model.seed).weights
     rng = np.random.default_rng(seed)
     draws = rng.choice(N_CLASSES, size=n, p=weights)
     return [DocType(int(v)) for v in draws]
@@ -57,8 +59,10 @@ class RandomBaselinePredictor:
     baseline_random_predict with an explicit seed."""
 
     def __init__(self, parameters: dict, seed: int):
-        weights = [float(w) for w in parameters["weights"]]
-        self._first_draw = int(np.random.default_rng(seed).choice(N_CLASSES, p=weights))
+        self.weights = number_array(parameters["weights"], (N_CLASSES,), "weights")
+        if abs(self.weights.sum() - 1.0) > 1e-9 or (self.weights < 0).any():
+            raise ModelFormatError(f"baseline weights must sum to 1: {parameters['weights']!r}")
+        self._first_draw = int(np.random.default_rng(seed).choice(N_CLASSES, p=self.weights))
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
         scores = np.zeros((X.shape[0], N_CLASSES))
@@ -71,7 +75,9 @@ class ThresholdBaselinePredictor:
     THRESHOLD_TEST_ORDER whose bounds contain the row wins; the fallback
     is tested last, as a box without bounds."""
 
-    def __init__(self, parameters: dict):
+    def __init__(self, parameters: dict, features: tuple[str, ...]):
+        if features != FEATURE_IDS:
+            raise ModelFormatError("baseline-threshold requires the full feature set")
         table = ThresholdTable.from_dict(parameters["table"])
         fallback = DocType.from_label(parameters["fallback"])
         bounds = [[table.bounds[(t, fid)] for fid in FEATURE_IDS] for t in THRESHOLD_TEST_ORDER]

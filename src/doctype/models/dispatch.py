@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
+from pathlib import Path
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import ModelFormatError, TrainingError
 from ..ingest import DOC_TYPES, FEATURE_IDS, DocType, FeatureVector
+from ..ioutils import finite_number
 from ..labeling import LabeledExample
 from ..stats import TransformSpec
 from .adaboost import AdaboostPredictor, fit_adaboost
-from .artifact import ENSEMBLE_KINDS, KINDS, ModelArtifact, _finite, validate_artifact
+from .artifact import ENSEMBLE_KINDS, KINDS, ModelArtifact
 from .baselines import (
     RandomBaselinePredictor,
     ThresholdBaselinePredictor,
@@ -49,7 +51,7 @@ def _integer(least: int, nullable: bool = False):
     return accepts, f"an integer >= {least}" + (" or null" if nullable else "")
 
 
-_FINITE = (_finite, "a finite number")
+_FINITE = (finite_number, "a finite number")
 _TREE_HYPERPARAMETERS = {
     "max_depth": _integer(0, nullable=True),
     "min_leaf_size": _integer(1),
@@ -139,15 +141,13 @@ def train(
     spec = TransformSpec.fit(X, transform)
     parameters = _FITTERS[kind](spec.apply(X), y, seed, hyperparameters)
 
-    artifact = ModelArtifact(
+    return ModelArtifact(
         kind=kind,
         transform=spec,
         parameters=parameters,
         seed=seed,
         features=features,
     )
-    validate_artifact(artifact)
-    return artifact
 
 
 def truncate(model: ModelArtifact, size: int) -> ModelArtifact:
@@ -174,28 +174,60 @@ _FITTERS = {
     "linear-svm": fit_linear_svm,
 }
 
+#: Per kind, the one reader of its stored parameters: the predictor's
+#: constructor, which raises on any value it cannot score with.
 _PREDICTORS = {
-    "gnb": GnbPredictor,
-    "knn": KnnPredictor,
-    "baseline-threshold": ThresholdBaselinePredictor,
-    "linear-svm": SvmPredictor,
+    "baseline-random": lambda m: RandomBaselinePredictor(m.parameters, m.seed),
+    "baseline-threshold": lambda m: ThresholdBaselinePredictor(m.parameters, m.features),
+    "gnb": lambda m: GnbPredictor(m.parameters, len(m.features)),
+    "knn": lambda m: KnnPredictor(m.parameters, len(m.features)),
+    "decision-tree": lambda m: ForestPredictor([m.parameters["nodes"]], len(m.features)),
+    "random-forest": lambda m: ForestPredictor(m.parameters["trees"], len(m.features)),
+    "adaboost": lambda m: AdaboostPredictor(m.parameters, len(m.features)),
+    "linear-svm": lambda m: SvmPredictor(m.parameters, len(m.features)),
 }
 
 
 def _predictor(model: ModelArtifact):
+    """The model's predictor, built once. Building it is the check of the
+    model's kind, features and parameters: ModelFormatError if it fails."""
     if model._predictor is None:
-        depth = validate_artifact(model)
-        params = model.parameters
-        if model.kind == "baseline-random":
-            model._predictor = RandomBaselinePredictor(params, model.seed)
-        elif model.kind in ("decision-tree", "random-forest"):
-            trees = [params["nodes"]] if model.kind == "decision-tree" else params["trees"]
-            model._predictor = ForestPredictor(trees, depth)
-        elif model.kind == "adaboost":
-            model._predictor = AdaboostPredictor(params, depth)
-        else:
-            model._predictor = _PREDICTORS[model.kind](params)
+        if model.kind not in KINDS:
+            raise ModelFormatError(f"unknown model kind: {model.kind!r}")
+        if not model.features or any(fid not in FEATURE_IDS for fid in model.features):
+            raise ModelFormatError(f"invalid feature list: {model.features!r}")
+        if not isinstance(model.parameters, Mapping):
+            raise ModelFormatError("model parameters must be an object")
+        try:
+            model._predictor = _PREDICTORS[model.kind](model)
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise ModelFormatError(f"malformed {model.kind} parameters: {exc}") from exc
     return model._predictor
+
+
+def save_model(model: ModelArtifact, sink: IO[str] | str | Path) -> None:
+    """Write the model's JSON after building its predictor."""
+    _predictor(model)
+    text = model.to_json()
+    if hasattr(sink, "write"):
+        sink.write(text)
+    else:
+        Path(sink).write_text(text)
+
+
+def load_model(source: IO[str] | str | Path) -> ModelArtifact:
+    """Read a model file and build its predictor; a corrupted file raises
+    ModelFormatError."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ModelFormatError(f"cannot read model file: {exc}") from exc
+    model = ModelArtifact.from_json(text)
+    _predictor(model)
+    return model
 
 
 def predict(model: ModelArtifact, fv: FeatureVector) -> tuple[DocType, dict[DocType, float]]:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ModelFormatError
 from ..ingest import N_CLASSES
+from ..ioutils import number_array
 from .artifact import model_size
 
 # query rows per step, to bound the (rows, train) distance matrix
@@ -27,10 +29,17 @@ class KnnPredictor:
     size when the stored set is smaller.
     """
 
-    def __init__(self, parameters: dict):
-        self.train_x = np.asarray(parameters["train_x"], dtype=float)
-        self.train_y = np.asarray(parameters["train_y"], dtype=int)
-        self.k = min(int(parameters["k"]), len(self.train_y))
+    def __init__(self, parameters: dict, n_features: int):
+        k, train_y = parameters["k"], parameters["train_y"]
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ModelFormatError(f"knn k must be an integer >= 1, got {k!r}")
+        self.train_x = number_array(parameters["train_x"], (None, n_features), "train_x")
+        if len(train_y) != len(self.train_x) or not all(
+            type(v) is int and 0 <= v < N_CLASSES for v in train_y
+        ):
+            raise ValueError(f"train_y must be {len(self.train_x)} class codes")
+        self.train_y = np.asarray(train_y, dtype=int)
+        self.k = min(k, len(self.train_y))
         self._is_class = self.train_y == np.arange(N_CLASSES)[:, None]
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:

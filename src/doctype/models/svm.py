@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ingest import N_CLASSES
+from ..ioutils import number_array
 from .artifact import model_size
 
 
@@ -40,9 +41,9 @@ def fit_linear_svm(X, y, seed, hyperparameters) -> dict:
 class SvmPredictor:
     """Argmax of per-class margins; scores are a softmax for reporting only."""
 
-    def __init__(self, parameters: dict):
-        self.weights = np.asarray(parameters["weights"], dtype=float)
-        self.biases = np.asarray(parameters["biases"], dtype=float)
+    def __init__(self, parameters: dict, n_features: int):
+        self.weights = number_array(parameters["weights"], (N_CLASSES, n_features), "weights")
+        self.biases = number_array(parameters["biases"], (N_CLASSES,), "biases")
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
         # a per-row sum, not a matrix product: BLAS may round a row

@@ -29,7 +29,9 @@ import heapq
 
 import numpy as np
 
+from ..errors import ModelFormatError
 from ..ingest import N_CLASSES
+from ..ioutils import finite_number
 from .artifact import model_size
 
 _NO_DIST = (0.0,) * N_CLASSES
@@ -178,12 +180,13 @@ def _best_split(X, y, sample_weight, indices, features, min_leaf_size):
 class CompiledTrees:
     """Flat node arrays for a sequence of trees, with global node ids.
 
-    ``depth`` must be at least the deepest tree's depth. Split nodes get a
-    zero distribution: routing for ``depth`` steps always ends on a leaf.
+    Compiling checks each tree (``_tree_depth``). ``depth`` is the deepest
+    tree's depth. Split nodes get a zero distribution: routing for
+    ``depth`` steps always ends on a leaf.
     """
 
-    def __init__(self, trees, depth: int):
-        self.depth = depth
+    def __init__(self, trees, n_features: int):
+        self.depth = max(_tree_depth(nodes, n_features) for nodes in trees)
         self.sizes = [len(nodes) for nodes in trees]
         self.roots = np.cumsum([0] + self.sizes[:-1])
         columns = []
@@ -205,6 +208,48 @@ class CompiledTrees:
             go_left = X[rows, self.feature[node]] <= self.threshold[node]
             node = np.where(go_left, self.left[node], self.right[node])
         return node
+
+
+def _tree_depth(nodes, n_features: int) -> int:
+    """Check one tree's nodes and shape; return its depth.
+
+    The walk from node 0 must reach every node exactly once, so routing a
+    row cannot loop or merge (a node that is its own child, a shared child)
+    and the file holds one tree (no unreachable node). A split tests one of
+    ``n_features`` columns against a finite threshold; a leaf holds class
+    probabilities.
+    """
+    if not nodes:
+        raise ModelFormatError("tree has no nodes")
+    reached = [True] + [False] * (len(nodes) - 1)
+    level, depth = [0], -1
+    while level:
+        depth, below = depth + 1, []
+        for parent in level:
+            node = nodes[parent]
+            if node["feature"] < 0:
+                dist = node["dist"]
+                shaped = len(dist) == N_CLASSES and all(finite_number(p) and p >= 0 for p in dist)
+                if not shaped or abs(sum(dist) - 1.0) > 1e-9:
+                    raise ModelFormatError(f"leaf is not {N_CLASSES} probabilities: {dist!r}")
+                continue
+            if not isinstance(node["feature"], int) or node["feature"] >= n_features:
+                raise ModelFormatError(f"split references feature {node['feature']}")
+            if not finite_number(node["threshold"]):
+                raise ModelFormatError(f"split threshold is not a number: {node['threshold']!r}")
+            for child in (node["left"], node["right"]):
+                if not 0 <= child < len(nodes):
+                    raise ModelFormatError(f"split references node {child}")
+                if child == parent:
+                    raise ModelFormatError(f"node {child} is its own child")
+                if reached[child]:
+                    raise ModelFormatError(f"node {child} has more than one parent")
+                reached[child] = True
+                below.append(child)
+        level = below
+    if not all(reached):
+        raise ModelFormatError(f"node {reached.index(False)} is unreachable from node 0")
+    return depth
 
 
 def balanced_weights(y: np.ndarray) -> np.ndarray:
@@ -271,8 +316,10 @@ class ForestPredictor:
     order and then divided by the tree count.
     """
 
-    def __init__(self, trees, depth: int):
-        self.compiled = CompiledTrees(trees, depth)
+    def __init__(self, trees, n_features: int):
+        if not trees:
+            raise ModelFormatError("random-forest has no trees")
+        self.compiled = CompiledTrees(trees, n_features)
         self.n_trees = len(trees)
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:

@@ -123,7 +123,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         "config_hash": cfg.hash(),
         "stage_seeds": {
             name: derive_seed(cfg.seed, name)
-            for name in ("sample", "impute", "split", "train")
+            for name in ("sample", "split", "train")
         },
         "counts": counts,
         "best": {

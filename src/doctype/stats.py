@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import ImputationError, ModelFormatError, ThresholdError
 from .ingest import DOC_TYPES, FEATURE_IDS, DocType, FeatureVector
+from .ioutils import number_array
 from .labeling import LabeledExample
 
 THRESHOLD_FORMAT_VERSION = 1
@@ -100,7 +101,7 @@ class ThresholdTable:
                 for fid, cell in cells.items()
             }
             return cls(bounds, float(payload["quantile_lo"]), float(payload["quantile_hi"]))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
             if isinstance(exc, ModelFormatError):
                 raise
             raise ModelFormatError(f"malformed threshold table: {exc}") from exc
@@ -188,12 +189,18 @@ class TransformSpec:
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping) -> "TransformSpec":
+    def from_dict(cls, payload: Mapping, n_features: int) -> "TransformSpec":
+        """Read a stored transform. A z-score needs ``n_features`` finite
+        means and positive scales, or else ValueError."""
         kind = payload["kind"]
         if kind not in TRANSFORM_KINDS:
             raise ModelFormatError(f"unknown transform kind: {kind!r}")
         mean = payload.get("mean")
         scale = payload.get("scale")
+        if kind == "z-score":
+            number_array(mean, (n_features,), "z-score mean")
+            if (number_array(scale, (n_features,), "z-score scale") <= 0.0).any():
+                raise ValueError(f"z-score scale must be positive, got {scale!r}")
         return cls(
             kind,
             tuple(mean) if mean is not None else None,

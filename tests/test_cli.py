@@ -6,6 +6,7 @@ import pytest
 
 from doctype.cli import main
 from doctype.labeling import read_examples
+from doctype.models import train
 
 from conftest import toy_dataset
 
@@ -40,6 +41,20 @@ def labeled_file(tmp_path):
     with open(path, "w") as handle:
         write_examples(handle, toy_dataset(30, seed=1))
     return path
+
+
+#: (kind, transform, corrupt(parameters, transform)): model files that parse
+#: but hold parameters no predictor can score with.
+CORRUPTED_MODELS = [
+    ("gnb", "identity", lambda p, t: p.pop("means")),
+    ("gnb", "identity", lambda p, t: p.update(variances=[[-1.0] * 4, *p["variances"][1:]])),
+    ("linear-svm", "identity", lambda p, t: p.update(weights=[[1.0], [2.0]])),
+    ("linear-svm", "identity", lambda p, t: p.update(biases=[None, *p["biases"][1:]])),
+    ("random-forest", "z-score", lambda p, t: t.update(mean=t["mean"][:2])),
+    ("baseline-random", "identity", lambda p, t: p.update(weights=[0.5, 0.5])),
+    ("decision-tree", "identity", lambda p, t: p["nodes"][0].update(threshold=None)),
+    ("adaboost", "identity", lambda p, t: p.update(alphas=[0.0] * len(p["alphas"]))),
+]
 
 
 class TestExtract:
@@ -211,10 +226,21 @@ class TestTrainPredict:
         bad = tmp_path / "bad.json"
         features = tmp_path / "f.jsonl"
         features.write_text("")
-        for payload in (b"{oops", b"\xff\xfe{"):
+        for payload in (b"{oops", b"\xff\xfe{", b"[" * 100000):
             bad.write_bytes(payload)
             assert main(["predict", str(bad), str(features)]) == 2
             assert capsys.readouterr().err.startswith("error: ")
+        # parsed files whose stored parameters cannot be scored with
+        features.write_text(json.dumps({"id": "a", "f1": 2, "f2": 5000, "f3": 10, "f4": 500.0}) + "\n")
+        out = tmp_path / "predictions.jsonl"
+        for kind, transform, corrupt in CORRUPTED_MODELS:
+            payload = json.loads(train(kind, toy_dataset(10, seed=2), transform=transform).to_json())
+            corrupt(payload["parameters"], payload["transform"])
+            bad.write_text(json.dumps(payload))
+            assert main(["predict", str(bad), str(features), "--out", str(out)]) == 2, kind
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not out.exists()
 
 
 class TestOtherCommands:
@@ -312,6 +338,16 @@ class TestEngagementCommand:
         payload = json.loads(out.read_text())
         assert payload["engines"]["search"]["types"]["Thesis"]["qtctr_any"] == 1.0
 
+    def test_mistyped_reference_rejected(self, tmp_path, capsys):
+        log = self._log(tmp_path)
+        good = log.read_text()
+        bad = json.loads(good)
+        bad["clicks"][0]["doc_id"] = {"x": 1}
+        log.write_text(good + json.dumps(bad) + "\n" + good)
+        assert main(["engagement", str(log), "--format", "machine"]) == 0
+        err = capsys.readouterr().err
+        assert err == "engagement: 2 events, 1 rejected\n"
+
     def test_missing_doc_id_rejected(self, tmp_path, capsys):
         log = self._log(tmp_path, with_types=False)
         predictions = tmp_path / "predictions.jsonl"
@@ -360,6 +396,10 @@ class TestUsage:
             ["train", "LABELED", "--kind", "random-forest", "--hyperparameters", '{"ntrees": 3}'],
             ["train", "LABELED", "--kind", "gnb", "--hyperparameters", '{"k": 1}'],
             ["sweep", "LABELED", "--kind", "adaboost", "--k", "3", "--grid", '[{"rounds": 2}, {"round": 3}]'],
+            ["sample", "LABELED", "--total", "6", "--proportions", '{"Research": true, "Slides": 0, "Thesis": 0}'],
+            ["sample", "LABELED", "--total", "6", "--proportions", '{"Research": "1", "Slides": 0, "Thesis": 0}'],
+            ["sample", "LABELED", "--total", "6", "--proportions", "[1]"],
+            ["synth", "--n", "6", "--proportions", '{"Research": 1, "Slides": null, "Thesis": 0}'],
         ],
     )
     def test_bad_flag_value_exits_one(self, argv, labeled_file, tmp_path, capsys):

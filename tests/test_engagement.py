@@ -26,6 +26,12 @@ from conftest import make_event, random_events
 R, S, T = DocType.RESEARCH, DocType.SLIDES, DocType.THESIS
 
 
+def event_line(impression: dict, *clicks: dict) -> str:
+    """One search log line with one impression and the given clicks."""
+    event = {"engine": "search", "query_id": "q1", "impressions": [impression], "clicks": list(clicks)}
+    return json.dumps(event) + "\n"
+
+
 class TestBuildImpressionSets:
     def test_multi_type_clicks_derive_multiple_sets(self):
         event = make_event("search", "q1", [R, R, T, S], clicked_positions=[3, 4])
@@ -272,6 +278,18 @@ class TestLogParsing:
         for text, error in [
             ("{broken\n", "line 1: Expecting property name enclosed in double quotes"),
             ('\n{"engine": "search", "query_id": "q1"}\n', "line 2: missing field 'impressions'"),
+            (event_line({"doc_id": ["a"], "position": 1, "doc_type": "Research"}),
+             'line 1: doc_id must be a string, got ["a"]'),
+            (event_line({"doc_id": "a", "position": 1, "doc_type": "Research"},
+                        {"doc_id": {"x": 1}, "position": 1}),
+             'line 1: doc_id must be a string, got {"x": 1}'),
+            (event_line({"doc_id": "a", "position": "2", "doc_type": "Research"}),
+             'line 1: position must be an integer, got "2"'),
+            (event_line({"doc_id": "a", "position": 1.7, "doc_type": "Research"}),
+             "line 1: position must be an integer, got 1.7"),
+            (event_line({"doc_id": "a", "position": 1, "doc_type": "Research"},
+                        {"doc_id": "a", "position": True}),
+             "line 1: position must be an integer, got true"),
         ]:
             parsed = read_log_events(io.StringIO(text))
             assert parsed.n_rejected == 1

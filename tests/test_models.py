@@ -299,7 +299,7 @@ class TestKnn:
         train_x, X = np.array(train_rows), np.array(queries)
         train_y = np.array(labels[: len(train_rows)])
         k = 1 + k_extra  # reaches past the training size
-        predictor = KnnPredictor({"k": k, "train_x": train_rows, "train_y": train_y.tolist()})
+        predictor = KnnPredictor({"k": k, "train_x": train_rows, "train_y": train_y.tolist()}, 3)
         original = knn_module._CHUNK_ROWS
         knn_module._CHUNK_ROWS = chunk
         try:
@@ -768,3 +768,61 @@ class TestSerialization:
         label, scores = predict(loaded, FeatureVector(5, 5.0, 9, 1.0))
         assert label is DocType.THESIS
         assert scores == {DocType.RESEARCH: 0.0, DocType.SLIDES: 0.0, DocType.THESIS: 1.0}
+
+
+@lru_cache(maxsize=1)
+def model_payloads() -> list[dict]:
+    """One trained model per kind and transform, as parsed JSON."""
+    data = toy_dataset(10, seed=27)
+    return [
+        json.loads(train(kind, data, hp, seed=4, transform=transform).to_json())
+        for kind, hp, _ in EVERY_KIND
+        for transform in TRANSFORM_KINDS
+    ]
+
+
+def value_sites(node, path=()):
+    """The path of every value nested in ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from value_sites(child, path + (key,))
+
+
+#: The replacement values a corrupted file may hold instead of a stored one.
+CORRUPT_VALUES = [None, True, "x", [], math.nan, 0, -1]
+
+
+class TestCorruptedModels:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_rejected_or_scored(self, data):
+        """Deleting one key or replacing one stored value under parameters or
+        transform either fails to load or leaves every score a probability."""
+        payload = json.loads(json.dumps(data.draw(st.sampled_from(model_payloads()))))
+        sites = [
+            (section,) + path
+            for section in ("parameters", "transform")
+            for path in value_sites(payload[section])
+        ]
+        *parents, key = data.draw(st.sampled_from(sites))
+        container = payload
+        for step in parents:
+            container = container[step]
+        old = container[key]
+        options = ["delete"] if isinstance(container, dict) else []
+        options += CORRUPT_VALUES + (["short"] if isinstance(old, list) and old else [])
+        choice = data.draw(st.sampled_from(options))
+        if choice == "delete":
+            del container[key]
+        else:
+            container[key] = old[:-1] if choice == "short" else choice
+        try:
+            model = load_model(io.StringIO(json.dumps(payload)))
+        except ModelFormatError:
+            return
+        rows = np.array([fv.values() for fv in random_vectors(20, seed=28)], dtype=float)
+        _, scores = predict_batch(model, rows)
+        assert np.isfinite(scores).all()
+        assert ((scores >= 0) & (scores <= 1)).all()
+        assert np.abs(scores.sum(axis=1) - 1.0).max() <= 1e-9

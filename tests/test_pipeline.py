@@ -116,6 +116,17 @@ class TestConfig:
             ({"seed": "5"}, "seed must be an integer"),
             ({"k_folds": 3.0}, "k_folds must be an integer"),
             ({"paths": {"records": 5}}, "paths.records must be a string or null"),
+            ({"validation_fraction": "0.1"}, 'validation_fraction must be a finite number, got "0.1"'),
+            ({"validation_fraction": True}, "validation_fraction must be a finite number, got true"),
+            ({"quantiles": {"lo": "0.1"}}, 'quantiles.lo must be a finite number, got "0.1"'),
+            ({"quantiles": {"hi": False}}, "quantiles.hi must be a finite number, got false"),
+            ({"proportions": {"Research": True, "Slides": 0, "Thesis": 0}},
+             "proportions.Research must be a finite number, got true"),
+            ({"proportions": {"Research": 1, "Slides": "0", "Thesis": 0}},
+             'proportions.Slides must be a finite number, got "0"'),
+            ({"proportions": {"Research": 1, "Slides": 0, "Thesis": None}},
+             "proportions.Thesis must be a finite number, got null"),
+            ({"proportions": {"Paper": 1}}, "proportions: unknown document type: 'Paper'"),
         ],
     )
     def test_bad_config_value_exits_one(self, payload, message, tmp_path, capsys):

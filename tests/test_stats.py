@@ -254,7 +254,7 @@ class TestFitTransform:
     def test_spec_reapplication_matches(self):
         X, _ = dataset_matrix(self._data())
         spec = TransformSpec.fit(X, "z-score")
-        restored = TransformSpec.from_dict(spec.to_dict())
+        restored = TransformSpec.from_dict(spec.to_dict(), X.shape[1])
         assert np.allclose(restored.apply(X.copy()), spec.apply(X), atol=0)
 
     def test_unknown_kind(self):
