@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -10,14 +9,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import DOC_TYPES, FEATURE_IDS, DocType
+from .ingest import DOC_TYPES, FEATURE_IDS, N_CLASSES, DocType
 from .labeling import LabeledExample, stratified_split
 from .models import (
-    ENSEMBLE_KINDS,
-    SIZE_HYPERPARAMETERS,
     baseline_random_predict,
     check_hyperparameters,
     dataset_matrix,
+    kind_spec,
     model_size,
     predict_batch,
     train,
@@ -87,8 +85,7 @@ def evaluate(predictions: Sequence[DocType], truths: Sequence[DocType]) -> EvalR
         )
     if not truths:
         raise ValueError("cannot evaluate an empty prediction list")
-    k = len(DOC_TYPES)
-    confusion = [[0] * k for _ in range(k)]
+    confusion = [[0] * N_CLASSES for _ in range(N_CLASSES)]
     for pred, truth in zip(predictions, truths):
         confusion[int(truth)][int(pred)] += 1
     return report_from_confusion(confusion)
@@ -100,7 +97,7 @@ def report_from_confusion(confusion: Sequence[Sequence[int]]) -> EvalReport:
     for t in DOC_TYPES:
         i = int(t)
         tp = confusion[i][i]
-        predicted = sum(confusion[r][i] for r in range(len(DOC_TYPES)))
+        predicted = sum(confusion[r][i] for r in range(N_CLASSES))
         actual = sum(confusion[i])
         precision[t] = tp / predicted if predicted else 0.0
         recall[t] = tp / actual if actual else 0.0
@@ -211,17 +208,18 @@ def cross_validate_sizes(
 ) -> list[CVResult]:
     """``cross_validate`` at each ensemble size in ``sizes``, one result each.
 
-    Each fold fits ``kind`` (one of ``models.ENSEMBLE_KINDS``) once at the
+    Each fold fits ``kind`` (an ``ensemble`` kind) once at the
     largest size and scores every size on that fit's first members
     (``models.truncate``), which is the fit at that size. ``sizes`` replaces
     the size in ``hyperparameters``; ``None`` gives the one result of
     ``hyperparameters`` as they are, for any kind.
     """
+    size_key = kind_spec(kind).size_key
     if prepared is None:
         prepared = prepare_folds(_cv_folds(dataset, k, seed), features)
     fit_hyperparameters = dict(hyperparameters or {})
     if sizes is not None:
-        fit_hyperparameters[SIZE_HYPERPARAMETERS[kind][0]] = max(sizes)
+        fit_hyperparameters[size_key] = max(sizes)
     reports: list[list[EvalReport]] = [[] for _ in sizes or [None]]
     for i, fold in enumerate(prepared):
         fold_seed = derive_seed(seed, f"fold-{i}")
@@ -245,8 +243,8 @@ def cross_validate_sizes(
 
 def _cv_result(reports: list[EvalReport]) -> CVResult:
     pooled = [
-        [sum(r.confusion[i][j] for r in reports) for j in range(len(DOC_TYPES))]
-        for i in range(len(DOC_TYPES))
+        [sum(r.confusion[i][j] for r in reports) for j in range(N_CLASSES)]
+        for i in range(N_CLASSES)
     ]
     return CVResult(
         fold_reports=reports,
@@ -259,33 +257,9 @@ def _cv_result(reports: list[EvalReport]) -> CVResult:
 
 DEFAULT_TRANSFORMS = ("identity", "z-score", "log-scale")
 
-#: Kinds whose fit and predictions depend on each feature's value order
-#: only (see ``models.tree``), so ``sweep`` can share their CV results.
-ORDER_INVARIANT_KINDS = ("decision-tree", "random-forest", "adaboost")
-
-_DEFAULT_GRIDS: dict[str, list[dict]] = {
-    "random-forest": [
-        {"n_trees": t, "max_depth": d}
-        for t, d in itertools.product((5, 10, 20), (2, 3, 4))
-    ],
-    "knn": [{"k": k} for k in (1, 3, 5, 7)],
-    "adaboost": [
-        {"rounds": r, "max_depth": d}
-        for r, d in itertools.product((10, 25, 50), (1, 2))
-    ],
-    "linear-svm": [
-        {"epochs": e, "step": s}
-        for e, s in itertools.product((50, 200), (1e-2, 1e-3))
-    ],
-    "decision-tree": [{"max_depth": d} for d in (2, 3, 4)],
-    "gnb": [{}],
-    "baseline-random": [{}],
-    "baseline-threshold": [{}],
-}
-
 
 def default_grid(kind: str) -> list[dict]:
-    return [dict(point) for point in _DEFAULT_GRIDS[kind]]
+    return [dict(point) for point in kind_spec(kind).grid]
 
 
 @dataclass
@@ -335,14 +309,15 @@ def sweep(
     For an ensemble kind, grid points that differ only in the size
     hyperparameter form a family, cross-validated by one
     ``cross_validate_sizes`` call; every other point is its own family.
-    For a tree kind, every transform that ``preserves_order`` on every
-    fold gives the CV result of raw values, so each family is
+    For an order-invariant kind, every transform that ``preserves_order``
+    on every fold gives the CV result of raw values, so each family is
     cross-validated once for all of them; a transform that fails the
     check on any fold is cross-validated on its own.
 
     Among equal mean F1 the smaller model wins (``_rank``), then the
     earlier entry.
     """
+    spec = kind_spec(kind)
     if grid is None:
         grid = default_grid(kind)
     if not grid:
@@ -353,7 +328,7 @@ def sweep(
         folds = _cv_folds(dataset, k, seed)
     prepared = prepare_folds(folds, features)
     shareable = set()
-    if kind in ORDER_INVARIANT_KINDS:
+    if spec.order_invariant:
         shareable = {
             t
             for t in transforms
@@ -368,7 +343,7 @@ def sweep(
         cells.append((name, size))
     results = {}
     for name, (rest, sizes) in families.items():
-        sizes = sorted(sizes) if kind in ENSEMBLE_KINDS else None
+        sizes = sorted(sizes) if spec.ensemble else None
         shared = None
         for transform in transforms:
             if transform in shareable and shared is not None:
@@ -400,18 +375,16 @@ def sweep(
 def _split_size(kind: str, point: dict) -> tuple[dict, int | None]:
     """An ensemble grid point without its size key, and its size; other
     kinds' points whole, with size None."""
-    if kind not in ENSEMBLE_KINDS:
+    spec = kind_spec(kind)
+    if not spec.ensemble:
         return point, None
-    key = SIZE_HYPERPARAMETERS[kind][0]
-    return {k: v for k, v in point.items() if k != key}, model_size(kind, point)
+    return {k: v for k, v in point.items() if k != spec.size_key}, model_size(kind, point)
 
 
 def _rank(kind: str, hyperparameters: dict) -> float:
     """Tie-break size: the size hyperparameter, its default when omitted,
     ``inf`` when null (an unbounded depth); 0 for kinds without a size."""
-    if kind not in SIZE_HYPERPARAMETERS:
-        return 0
-    size = model_size(kind, hyperparameters)
+    size = model_size(kind, hyperparameters) if kind_spec(kind).size_key else 0
     return math.inf if size is None else size
 
 

@@ -1,13 +1,6 @@
 """Baselines and trainable classifiers over feature vectors."""
 
-from .artifact import (
-    ENSEMBLE_KINDS,
-    KINDS,
-    MODEL_FORMAT_VERSION,
-    SIZE_HYPERPARAMETERS,
-    ModelArtifact,
-    model_size,
-)
+from .artifact import MODEL_FORMAT_VERSION, ModelArtifact
 from .baselines import (
     FALLBACK_CLASS,
     THRESHOLD_TEST_ORDER,
@@ -16,9 +9,13 @@ from .baselines import (
 )
 from .dispatch import (
     DEPLOYED_FOREST_PROFILE,
+    KINDS,
+    SPECS,
     check_hyperparameters,
     dataset_matrix,
+    kind_spec,
     load_model,
+    model_size,
     predict,
     predict_batch,
     save_model,
@@ -27,11 +24,11 @@ from .dispatch import (
 )
 
 __all__ = [
-    "ENSEMBLE_KINDS",
     "KINDS",
     "MODEL_FORMAT_VERSION",
-    "SIZE_HYPERPARAMETERS",
+    "SPECS",
     "ModelArtifact",
+    "kind_spec",
     "load_model",
     "model_size",
     "save_model",

@@ -15,7 +15,6 @@ import numpy as np
 from ..errors import ModelFormatError, TrainingError
 from ..ingest import N_CLASSES
 from ..ioutils import finite_number
-from .artifact import model_size
 from .tree import CompiledTrees, ForestPredictor, grow_tree
 
 _ERR_FLOOR = 1e-10
@@ -23,9 +22,9 @@ _ERR_FLOOR = 1e-10
 
 def fit_adaboost(X, y, seed, hyperparameters) -> dict:
     del seed
-    rounds = model_size("adaboost", hyperparameters)
-    max_depth = int(hyperparameters.get("max_depth", 2))
-    min_leaf = int(hyperparameters.get("min_leaf_size", 1))
+    rounds = hyperparameters["rounds"]
+    max_depth = hyperparameters["max_depth"]
+    min_leaf = hyperparameters["min_leaf_size"]
     n = len(y)
     weights = np.full(n, 1.0 / n)
     trees: list[list[dict]] = []

@@ -12,39 +12,6 @@ from ..stats import TransformSpec
 
 MODEL_FORMAT_VERSION = 1
 
-KINDS = (
-    "baseline-random",
-    "baseline-threshold",
-    "gnb",
-    "knn",
-    "decision-tree",
-    "random-forest",
-    "adaboost",
-    "linear-svm",
-)
-
-#: Per kind, the hyperparameter that sets the model's size and the value a
-#: fit uses when it is omitted (None: unbounded). The ensemble, kNN and SVM
-#: fitters read their defaults here; ``evaluation.sweep`` ranks ties and
-#: groups ensembles by it.
-SIZE_HYPERPARAMETERS = {
-    "knn": ("k", 5),
-    "decision-tree": ("max_depth", None),
-    "random-forest": ("n_trees", 10),
-    "adaboost": ("rounds", 25),
-    "linear-svm": ("epochs", 200),
-}
-
-#: Kinds whose model of size s is the first s members of any larger fit on
-#: the same data and seed (``models.truncate``).
-ENSEMBLE_KINDS = ("random-forest", "adaboost")
-
-
-def model_size(kind: str, hyperparameters: Mapping):
-    """The value of ``kind``'s size hyperparameter, its default when omitted."""
-    key, default = SIZE_HYPERPARAMETERS[kind]
-    return hyperparameters.get(key, default)
-
 
 @dataclass
 class ModelArtifact:
@@ -86,12 +53,15 @@ class ModelArtifact:
             )
         try:
             features = tuple(payload["features"])
+            seed = payload["seed"]
+            if not isinstance(seed, int) or isinstance(seed, bool):
+                raise ValueError(f"seed must be an integer, got {seed!r}")
             return cls(
                 kind=payload["kind"],
                 transform=TransformSpec.from_dict(payload["transform"], len(features)),
                 parameters=payload["parameters"],
-                seed=int(payload["seed"]),
+                seed=seed,
                 features=features,
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"malformed model payload: {exc}") from exc

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ModelFormatError
+from ..errors import ModelFormatError, TrainingError
 from ..ingest import FEATURE_IDS, N_CLASSES, DocType, FeatureVector
 from ..ioutils import number_array
 from ..stats import ThresholdTable, derive_thresholds
@@ -23,11 +23,13 @@ def fit_baseline_random(X, y, seed, hyperparameters) -> dict:
 
 def fit_baseline_threshold(X, y, seed, hyperparameters) -> dict:
     del seed
+    if X.shape[1] != len(FEATURE_IDS):
+        raise TrainingError("baseline-threshold requires the full feature set")
     table = derive_thresholds(
         X,
         y,
-        quantile_lo=hyperparameters.get("quantile_lo", 0.025),
-        quantile_hi=hyperparameters.get("quantile_hi", 0.975),
+        quantile_lo=hyperparameters["quantile_lo"],
+        quantile_hi=hyperparameters["quantile_hi"],
     )
     return {
         "table": table.to_dict(),

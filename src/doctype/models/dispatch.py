@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -15,7 +17,7 @@ from ..ioutils import finite_number
 from ..labeling import LabeledExample
 from ..stats import TransformSpec
 from .adaboost import AdaboostPredictor, fit_adaboost
-from .artifact import ENSEMBLE_KINDS, KINDS, ModelArtifact
+from .artifact import ModelArtifact
 from .baselines import (
     RandomBaselinePredictor,
     ThresholdBaselinePredictor,
@@ -37,54 +39,124 @@ DEPLOYED_FOREST_PROFILE = {
     "feature_subset": 2,
 }
 
-# Kinds whose per-class decision structure needs every class observed.
-_REQUIRE_ALL_CLASSES = ("adaboost", "linear-svm")
-_REQUIRE_TWO_EXAMPLES = ("adaboost", "linear-svm")
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything the toolkit knows about one model kind.
+
+    ``fit(X, y, seed, hyperparameters)`` returns the stored parameters; it
+    gets every hyperparameter, with the defaults filled in. ``predictor``
+    builds a model's predictor and is the one reader of its stored
+    parameters: it raises on any value it cannot score with.
+    ``hyperparameters`` maps each key the kind takes to ``(accepts,
+    expected, default)``. ``size_key`` names the hyperparameter that sets
+    the model's size. An ``ensemble`` model of size s is the first s
+    members of any larger fit on the same data and seed (``truncate``).
+    An ``order_invariant`` kind's fit and predictions depend on each
+    feature's value order only (see ``models.tree``), so ``sweep`` can
+    share its CV results across transforms. An ``every_class`` kind needs
+    every class in its training rows. ``grid`` is the default sweep grid.
+    """
+
+    fit: Callable
+    predictor: Callable
+    hyperparameters: Mapping[str, tuple]
+    size_key: str | None = None
+    ensemble: bool = False
+    order_invariant: bool = False
+    every_class: bool = False
+    grid: tuple[dict, ...] = ({},)
 
 
-def _integer(least: int, nullable: bool = False):
+def _integer(least: int, default, nullable: bool = False):
     def accepts(value) -> bool:
         if value is None:
             return nullable
         return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
-    return accepts, f"an integer >= {least}" + (" or null" if nullable else "")
+    return accepts, f"an integer >= {least}" + (" or null" if nullable else ""), default
 
 
-_FINITE = (finite_number, "a finite number")
+def _finite(default: float):
+    return finite_number, "a finite number", default
+
+
 _TREE_HYPERPARAMETERS = {
-    "max_depth": _integer(0, nullable=True),
-    "min_leaf_size": _integer(1),
-    "max_leaf_nodes": _integer(1, nullable=True),
-    "class_weight": (lambda v: v is None or v == "balanced", 'null or "balanced"'),
+    "max_depth": _integer(0, None, nullable=True),
+    "min_leaf_size": _integer(1, 1),
+    "max_leaf_nodes": _integer(1, None, nullable=True),
+    "class_weight": (lambda v: v is None or v == "balanced", 'null or "balanced"', None),
 }
 
-#: Per kind, each hyperparameter's (accepts, expected) value check. A kind
-#: takes no key it does not list.
-_HYPERPARAMETER_TYPES = {
-    "knn": {"k": _integer(1)},
-    "decision-tree": _TREE_HYPERPARAMETERS,
-    "random-forest": {
-        **_TREE_HYPERPARAMETERS,
-        "n_trees": _integer(1),
-        "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
-        "feature_subset": _integer(1),
-    },
-    "adaboost": {"rounds": _integer(1), "max_depth": _integer(0), "min_leaf_size": _integer(1)},
-    "linear-svm": {"epochs": _integer(0), "step": _FINITE, "reg": _FINITE},
-    "baseline-threshold": {"quantile_lo": _FINITE, "quantile_hi": _FINITE},
+#: The one definition of each model kind, in the order the toolkit lists them.
+SPECS = {
+    "baseline-random": Kind(
+        fit_baseline_random, lambda m: RandomBaselinePredictor(m.parameters, m.seed), {}
+    ),
+    "baseline-threshold": Kind(
+        fit_baseline_threshold, lambda m: ThresholdBaselinePredictor(m.parameters, m.features),
+        {"quantile_lo": _finite(0.025), "quantile_hi": _finite(0.975)},
+    ),
+    "gnb": Kind(fit_gnb, lambda m: GnbPredictor(m.parameters, len(m.features)), {}),
+    "knn": Kind(
+        fit_knn, lambda m: KnnPredictor(m.parameters, len(m.features)),
+        {"k": _integer(1, 5)}, "k",
+        grid=tuple({"k": k} for k in (1, 3, 5, 7)),
+    ),
+    "decision-tree": Kind(
+        fit_decision_tree, lambda m: ForestPredictor([m.parameters["nodes"]], len(m.features)),
+        _TREE_HYPERPARAMETERS, "max_depth", order_invariant=True,
+        grid=tuple({"max_depth": d} for d in (2, 3, 4)),
+    ),
+    "random-forest": Kind(
+        fit_random_forest, lambda m: ForestPredictor(m.parameters["trees"], len(m.features)),
+        {
+            **_TREE_HYPERPARAMETERS,
+            "n_trees": _integer(1, 10),
+            "bootstrap": (lambda v: isinstance(v, bool), "true or false", True),
+            "feature_subset": _integer(1, 2),
+        },
+        "n_trees", ensemble=True, order_invariant=True,
+        grid=tuple({"n_trees": t, "max_depth": d} for t, d in product((5, 10, 20), (2, 3, 4))),
+    ),
+    "adaboost": Kind(
+        fit_adaboost, lambda m: AdaboostPredictor(m.parameters, len(m.features)),
+        {"rounds": _integer(1, 25), "max_depth": _integer(0, 2), "min_leaf_size": _integer(1, 1)},
+        "rounds", ensemble=True, order_invariant=True, every_class=True,
+        grid=tuple({"rounds": r, "max_depth": d} for r, d in product((10, 25, 50), (1, 2))),
+    ),
+    "linear-svm": Kind(
+        fit_linear_svm, lambda m: SvmPredictor(m.parameters, len(m.features)),
+        {"epochs": _integer(0, 200), "step": _finite(1e-2), "reg": _finite(1e-4)},
+        "epochs", every_class=True,
+        grid=tuple({"epochs": e, "step": s} for e, s in product((50, 200), (1e-2, 1e-3))),
+    ),
 }
+KINDS = tuple(SPECS)
+
+
+def kind_spec(kind: str) -> Kind:
+    """The kind's entry in SPECS; ValueError for a kind it does not list."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind: {kind!r}")
+    return SPECS[kind]
+
+
+def model_size(kind: str, hyperparameters: Mapping):
+    """The value of ``kind``'s size hyperparameter, its default when omitted."""
+    spec = kind_spec(kind)
+    return hyperparameters.get(spec.size_key, spec.hyperparameters[spec.size_key][2])
 
 
 def check_hyperparameters(kind: str, hyperparameters: dict) -> None:
-    """Raise ValueError for the first key ``kind`` does not list, or else the
-    first listed hyperparameter of a wrong type."""
-    listed = _HYPERPARAMETER_TYPES.get(kind, {})
+    """Raise ValueError for an unknown kind, the first key ``kind`` does
+    not take, or else the first hyperparameter of a wrong type."""
+    listed = kind_spec(kind).hyperparameters
     for key in hyperparameters:
         if key not in listed:
             known = ", ".join(sorted(listed)) or "none"
             raise ValueError(f"{kind} has no hyperparameter {key!r} (known: {known})")
-    for key, (accepts, expected) in listed.items():
+    for key, (accepts, expected, _) in listed.items():
         if key in hyperparameters and not accepts(value := hyperparameters[key]):
             shown = json.dumps(value, default=repr)
             raise ValueError(f"{kind} hyperparameter {key} must be {expected}, got {shown}")
@@ -114,22 +186,18 @@ def train(
 
     ``matrix`` is ``dataset_matrix(dataset, features)`` when the caller
     has already built it; it is read, never written. A NaN in it (a
-    missing f1) raises TrainingError naming the example.
+    missing f1), or a value the transform makes not finite, raises
+    TrainingError naming the example.
     """
-    if kind not in KINDS:
-        raise TrainingError(f"unknown model kind: {kind!r}")
+    spec = kind_spec(kind)
     if not dataset:
         raise TrainingError("cannot train on an empty dataset")
-    hyperparameters = dict(hyperparameters or {})
+    hyperparameters = hyperparameters or {}
     check_hyperparameters(kind, hyperparameters)
     features = tuple(features)
-    if kind == "baseline-threshold" and features != FEATURE_IDS:
-        raise TrainingError("baseline-threshold requires the full feature set")
 
-    if kind in _REQUIRE_TWO_EXAMPLES and len(dataset) < 2:
-        raise TrainingError(f"{kind} needs at least 2 examples")
     present = {ex.label for ex in dataset}
-    if kind in _REQUIRE_ALL_CLASSES and present != set(DOC_TYPES):
+    if spec.every_class and present != set(DOC_TYPES):
         missing = [t.label for t in DOC_TYPES if t not in present]
         raise TrainingError(f"{kind} needs every class present; missing {missing}")
 
@@ -138,12 +206,17 @@ def train(
     if len(nan_cells):
         row, col = nan_cells[0]
         raise TrainingError(f"example {dataset[row].id} has missing {features[col]}; impute first")
-    spec = TransformSpec.fit(X, transform)
-    parameters = _FITTERS[kind](spec.apply(X), y, seed, hyperparameters)
+    transform_spec = TransformSpec.fit(X, transform)
+    Xt = transform_spec.apply(X)
+    if bad := _first_non_finite(X, Xt, transform_spec.kind, features):
+        row, what = bad
+        raise TrainingError(f"example {dataset[row].id}: {what}")
+    defaults = {key: default for key, (_, _, default) in spec.hyperparameters.items()}
+    parameters = spec.fit(Xt, y, seed, {**defaults, **hyperparameters})
 
     return ModelArtifact(
         kind=kind,
-        transform=spec,
+        transform=transform_spec,
         parameters=parameters,
         seed=seed,
         features=features,
@@ -157,49 +230,26 @@ def truncate(model: ModelArtifact, size: int) -> ModelArtifact:
     equals, to the JSON byte, what ``train`` returns at ``size`` with the
     same seed, transform, data and other hyperparameters.
     """
-    if model.kind not in ENSEMBLE_KINDS:
+    if not kind_spec(model.kind).ensemble:
         raise ValueError(f"{model.kind} is not an ensemble; cannot truncate it")
     parameters = {name: members[:size] for name, members in model.parameters.items()}
     return ModelArtifact(model.kind, model.transform, parameters, model.seed, model.features)
-
-
-_FITTERS = {
-    "baseline-random": fit_baseline_random,
-    "baseline-threshold": fit_baseline_threshold,
-    "gnb": fit_gnb,
-    "knn": fit_knn,
-    "decision-tree": fit_decision_tree,
-    "random-forest": fit_random_forest,
-    "adaboost": fit_adaboost,
-    "linear-svm": fit_linear_svm,
-}
-
-#: Per kind, the one reader of its stored parameters: the predictor's
-#: constructor, which raises on any value it cannot score with.
-_PREDICTORS = {
-    "baseline-random": lambda m: RandomBaselinePredictor(m.parameters, m.seed),
-    "baseline-threshold": lambda m: ThresholdBaselinePredictor(m.parameters, m.features),
-    "gnb": lambda m: GnbPredictor(m.parameters, len(m.features)),
-    "knn": lambda m: KnnPredictor(m.parameters, len(m.features)),
-    "decision-tree": lambda m: ForestPredictor([m.parameters["nodes"]], len(m.features)),
-    "random-forest": lambda m: ForestPredictor(m.parameters["trees"], len(m.features)),
-    "adaboost": lambda m: AdaboostPredictor(m.parameters, len(m.features)),
-    "linear-svm": lambda m: SvmPredictor(m.parameters, len(m.features)),
-}
 
 
 def _predictor(model: ModelArtifact):
     """The model's predictor, built once. Building it is the check of the
     model's kind, features and parameters: ModelFormatError if it fails."""
     if model._predictor is None:
-        if model.kind not in KINDS:
-            raise ModelFormatError(f"unknown model kind: {model.kind!r}")
+        try:
+            spec = kind_spec(model.kind)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from exc
         if not model.features or any(fid not in FEATURE_IDS for fid in model.features):
             raise ModelFormatError(f"invalid feature list: {model.features!r}")
         if not isinstance(model.parameters, Mapping):
             raise ModelFormatError("model parameters must be an object")
         try:
-            model._predictor = _PREDICTORS[model.kind](model)
+            model._predictor = spec.predictor(model)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ModelFormatError(f"malformed {model.kind} parameters: {exc}") from exc
     return model._predictor
@@ -255,11 +305,19 @@ def predict_batch(
     """
     X = np.asarray(X_raw, dtype=float)
     Xt = model.transform.apply(X)
-    if not np.isfinite(Xt).all():
-        row, col = np.argwhere(~np.isfinite(Xt))[0]
-        value = float(X[row, col])
-        where = f"row {row}: feature {model.features[col]} = {value!r}"
-        after = f" after the {model.transform.kind} transform" if math.isfinite(value) else ""
-        raise ValueError(f"{where} is not finite{after}")
+    if bad := _first_non_finite(X, Xt, model.transform.kind, model.features):
+        row, what = bad
+        raise ValueError(f"row {row}: {what}")
     scores = _predictor(model).scores_matrix(Xt)
     return scores.argmax(axis=1), scores
+
+
+def _first_non_finite(X: np.ndarray, Xt: np.ndarray, transform: str, features):
+    """The row of ``Xt``'s first value that is not finite and what is wrong
+    with it, naming the raw value ``X`` holds there; None when all are."""
+    if np.isfinite(Xt).all():
+        return None
+    row, col = np.argwhere(~np.isfinite(Xt))[0]
+    value = float(X[row, col])
+    after = f" after the {transform} transform" if math.isfinite(value) else ""
+    return row, f"feature {features[col]} = {value!r} is not finite{after}"

@@ -7,7 +7,6 @@ import numpy as np
 from ..errors import ModelFormatError
 from ..ingest import N_CLASSES
 from ..ioutils import number_array
-from .artifact import model_size
 
 # query rows per step, to bound the (rows, train) distance matrix
 _CHUNK_ROWS = 128
@@ -16,7 +15,7 @@ _CHUNK_ROWS = 128
 def fit_knn(X, y, seed, hyperparameters) -> dict:
     del seed
     return {
-        "k": model_size("knn", hyperparameters),
+        "k": hyperparameters["k"],
         "train_x": [[float(v) for v in row] for row in X],
         "train_y": [int(v) for v in y],
     }

@@ -6,7 +6,6 @@ import numpy as np
 
 from ..ingest import N_CLASSES
 from ..ioutils import number_array
-from .artifact import model_size
 
 
 def fit_linear_svm(X, y, seed, hyperparameters) -> dict:
@@ -16,9 +15,9 @@ def fit_linear_svm(X, y, seed, hyperparameters) -> dict:
     the seed is recorded on the artifact but does not affect training.
     """
     del seed
-    epochs = model_size("linear-svm", hyperparameters)
-    step = float(hyperparameters.get("step", 1e-2))
-    reg = float(hyperparameters.get("reg", 1e-4))
+    epochs = hyperparameters["epochs"]
+    step = float(hyperparameters["step"])
+    reg = float(hyperparameters["reg"])
     n, d = X.shape
     weights = []
     biases = []

@@ -32,7 +32,6 @@ import numpy as np
 from ..errors import ModelFormatError
 from ..ingest import N_CLASSES
 from ..ioutils import finite_number
-from .artifact import model_size
 
 _NO_DIST = (0.0,) * N_CLASSES
 
@@ -262,7 +261,7 @@ def balanced_weights(y: np.ndarray) -> np.ndarray:
 
 
 def _sample_weights(y: np.ndarray, hyperparameters: dict) -> np.ndarray | None:
-    if hyperparameters.get("class_weight") == "balanced":
+    if hyperparameters["class_weight"] == "balanced":
         return balanced_weights(y)
     return None
 
@@ -273,23 +272,20 @@ def fit_decision_tree(X, y, seed, hyperparameters) -> dict:
         X,
         y,
         sample_weight=_sample_weights(y, hyperparameters),
-        max_depth=hyperparameters.get("max_depth"),
-        min_leaf_size=hyperparameters.get("min_leaf_size", 1),
-        max_leaf_nodes=hyperparameters.get("max_leaf_nodes"),
+        max_depth=hyperparameters["max_depth"],
+        min_leaf_size=hyperparameters["min_leaf_size"],
+        max_leaf_nodes=hyperparameters["max_leaf_nodes"],
     )
     return {"nodes": nodes}
 
 
 def fit_random_forest(X, y, seed, hyperparameters) -> dict:
-    n_trees = model_size("random-forest", hyperparameters)
-    bootstrap = hyperparameters.get("bootstrap", True)
-    subset = hyperparameters.get("feature_subset", 2)
-    subset = min(subset, X.shape[1])
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
+    subset = min(hyperparameters["feature_subset"], X.shape[1])
+    seeds = np.random.SeedSequence(seed).spawn(hyperparameters["n_trees"])
     trees = []
     for tree_seed in seeds:
         rng = np.random.default_rng(tree_seed)
-        if bootstrap:
+        if hyperparameters["bootstrap"]:
             sample = rng.integers(0, len(y), len(y))
             Xb, yb = X[sample], y[sample]
         else:
@@ -299,9 +295,9 @@ def fit_random_forest(X, y, seed, hyperparameters) -> dict:
                 Xb,
                 yb,
                 sample_weight=_sample_weights(yb, hyperparameters),
-                max_depth=hyperparameters.get("max_depth"),
-                min_leaf_size=hyperparameters.get("min_leaf_size", 1),
-                max_leaf_nodes=hyperparameters.get("max_leaf_nodes"),
+                max_depth=hyperparameters["max_depth"],
+                min_leaf_size=hyperparameters["min_leaf_size"],
+                max_leaf_nodes=hyperparameters["max_leaf_nodes"],
                 feature_subset=subset,
                 rng=rng,
             )

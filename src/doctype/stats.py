@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -105,19 +103,6 @@ class ThresholdTable:
             if isinstance(exc, ModelFormatError):
                 raise
             raise ModelFormatError(f"malformed threshold table: {exc}") from exc
-
-    def save(self, path: str | Path) -> None:
-        from .ioutils import atomic_write_text
-
-        atomic_write_text(path, json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ThresholdTable":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ModelFormatError(f"cannot read threshold table: {exc}") from exc
-        return cls.from_dict(payload)
 
 
 def derive_thresholds(

@@ -210,6 +210,23 @@ class TestTrainPredict:
         assert "Traceback" not in err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("kind", ["knn", "gnb", "random-forest"])
+    def test_value_not_finite_after_transform_exit_two_without_model(self, kind, tmp_path, capsys):
+        src = tmp_path / "synth.jsonl"
+        assert main(["synth", "--n", "60", "--seed", "2", "--out", str(src)]) == 0
+        rows = [json.loads(line) for line in src.read_text().splitlines()]
+        rows[3]["f2"] = -5
+        src.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        model_path = tmp_path / "model.json"
+        argv = ["train", str(src), "--kind", kind, "--transform", "log-scale", "--out", str(model_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: example {rows[3]['id']}: feature f2 = -5.0 "
+            "is not finite after the log-scale transform\n"
+        )
+        assert not model_path.exists()
+
     def test_undecodable_features_line_gives_error_row(self, labeled_file, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(["train", str(labeled_file), "--kind", "gnb", "--out", str(model_path)]) == 0
@@ -233,9 +250,15 @@ class TestTrainPredict:
         # parsed files whose stored parameters cannot be scored with
         features.write_text(json.dumps({"id": "a", "f1": 2, "f2": 5000, "f3": 10, "f4": 500.0}) + "\n")
         out = tmp_path / "predictions.jsonl"
+        payloads = []
         for kind, transform, corrupt in CORRUPTED_MODELS:
             payload = json.loads(train(kind, toy_dataset(10, seed=2), transform=transform).to_json())
             corrupt(payload["parameters"], payload["transform"])
+            payloads.append((kind, payload))
+        # a seed that is not a JSON integer
+        payload = json.loads(train("baseline-random", toy_dataset(10, seed=2), seed=7).to_json())
+        payloads += [(f"seed {seed!r}", {**payload, "seed": seed}) for seed in ("7", True)]
+        for kind, payload in payloads:
             bad.write_text(json.dumps(payload))
             assert main(["predict", str(bad), str(features), "--out", str(out)]) == 2, kind
             err = capsys.readouterr().err
@@ -400,6 +423,11 @@ class TestUsage:
             ["sample", "LABELED", "--total", "6", "--proportions", '{"Research": "1", "Slides": 0, "Thesis": 0}'],
             ["sample", "LABELED", "--total", "6", "--proportions", "[1]"],
             ["synth", "--n", "6", "--proportions", '{"Research": 1, "Slides": null, "Thesis": 0}'],
+            ["sweep", "LABELED", "--kind", "bogus", "--k", "3"],
+            ["train", "LABELED", "--kind", "bogus"],
+            ["evaluate", "LABELED", "--kind", "bogus", "--k", "3"],
+            ["sweep", "LABELED", "--kind", "bogus", "--k", "3", "--grid", "[{}]"],
+            ["ablation", "LABELED", "--kinds", "bogus", "--k", "3"],
         ],
     )
     def test_bad_flag_value_exits_one(self, argv, labeled_file, tmp_path, capsys):
@@ -435,9 +463,6 @@ class TestUsage:
     def test_help_and_version_exit_zero(self, argv, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out
-
-    def test_unknown_kind_is_data_error(self, labeled_file):
-        assert main(["train", str(labeled_file), "--kind", "perceptron"]) == 2
 
     def test_config_supplies_seed_and_proportions(self, tmp_path):
         cfg = tmp_path / "config.json"

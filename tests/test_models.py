@@ -16,10 +16,12 @@ from doctype.labeling import LabeledExample
 from doctype.models import (
     DEPLOYED_FOREST_PROFILE,
     KINDS,
+    SPECS,
     THRESHOLD_TEST_ORDER,
     ModelArtifact,
     baseline_random_predict,
     baseline_threshold_predict,
+    check_hyperparameters,
     dataset_matrix,
     load_model,
     predict,
@@ -508,6 +510,23 @@ class TestHyperparameterKeys:
         (key,) = hp
         with pytest.raises(ValueError, match=f"{kind} has no hyperparameter '{key}'"):
             train(kind, toy_dataset(5, seed=1), hp)
+
+
+class TestSpecs:
+    def test_kinds_keep_their_order(self):
+        assert KINDS == tuple(SPECS) == (
+            "baseline-random", "baseline-threshold", "gnb", "knn",
+            "decision-tree", "random-forest", "adaboost", "linear-svm",
+        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_spec_is_consistent(self, kind):
+        spec = SPECS[kind]
+        check_hyperparameters(kind, {key: hp[2] for key, hp in spec.hyperparameters.items()})
+        for point in spec.grid:
+            check_hyperparameters(kind, point)
+        assert spec.size_key is None or spec.size_key in spec.hyperparameters
+        assert spec.size_key is not None or not spec.ensemble
 
 
 class TestLinearSvm:

@@ -1,5 +1,7 @@
 """Quantiles, Tukey fences, thresholds, transforms, imputation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from doctype.errors import ImputationError, ModelFormatError, ThresholdError
 from doctype.ingest import DocType, FeatureVector
+from doctype.ioutils import canonical_json
 from doctype.labeling import LabeledExample
 from doctype.models import dataset_matrix
 from doctype.stats import (
@@ -194,11 +197,9 @@ class TestDeriveThresholds:
             derive_thresholds(*dataset_matrix(data))
         assert "Slides" in str(err.value)
 
-    def test_table_round_trip(self, tmp_path):
+    def test_table_round_trip(self):
         table = derive_thresholds(*dataset_matrix(fixture_dataset()))
-        path = tmp_path / "thresholds.json"
-        table.save(path)
-        loaded = ThresholdTable.load(path)
+        loaded = ThresholdTable.from_dict(json.loads(canonical_json(table.to_dict())))
         assert loaded.bounds == table.bounds
         assert loaded.quantile_lo == table.quantile_lo
 
