@@ -423,9 +423,15 @@ def cmd_engagement(args) -> int:
 
 
 def _prediction(row) -> tuple[str, DocType] | None:
-    """(doc_id, type) of a predictions row; None for an error row."""
-    if "error" in row or "doc_type" not in row:
+    """(doc_id, type) of a predictions row; None for an error row, whose
+    doc_id may be null. Any other row needs a string doc_id and a known
+    doc_type, or it raises."""
+    if not isinstance(row, dict):
+        raise ValueError(f"a prediction must be a JSON object, got {json.dumps(row)}")
+    if "error" in row:
         return None
+    if not isinstance(row["doc_id"], str):
+        raise ValueError(f"doc_id must be a string, got {json.dumps(row['doc_id'])}")
     return row["doc_id"], DocType.from_label(row["doc_type"])
 
 

@@ -54,45 +54,42 @@ class ImpressionSet:
     clicked_top: bool
 
 
-def validate_event(event: LogEvent) -> None:
-    """Enforce unique 1-based positions and click->impression references."""
+def event_sets(event: LogEvent) -> list[ImpressionSet]:
+    """The event's impression sets, in one walk of its impressions: one set
+    per clicked type in type order, or one untyped set without clicks.
+    Every set shares the event's impression list.
+
+    Raises EventValidationError for an unknown engine, a position that is
+    repeated or below 1, or a click whose position holds no impression of
+    its doc_id.
+    """
     if event.engine not in ENGINES:
         raise EventValidationError(
             f"event {event.query_id}: unknown engine {event.engine!r}"
         )
-    seen_positions = set()
-    impressed = set()
+    by_position: dict[int, Impression] = {}
     for imp in event.impressions:
         if imp.position < 1:
             raise EventValidationError(
                 f"event {event.query_id}: position {imp.position} is not 1-based"
             )
-        if imp.position in seen_positions:
+        if imp.position in by_position:
             raise EventValidationError(
                 f"event {event.query_id}: duplicate position {imp.position}"
             )
-        seen_positions.add(imp.position)
-        impressed.add((imp.doc_id, imp.position))
+        by_position[imp.position] = imp
+    clicked: dict[DocType, bool] = {}
     for click in event.clicks:
-        if (click.doc_id, click.position) not in impressed:
+        imp = by_position.get(click.position)
+        if imp is None or imp.doc_id != click.doc_id:
             raise EventValidationError(
                 f"event {event.query_id}: click on unimpressed "
                 f"({click.doc_id!r}, {click.position})"
             )
-
-
-def _sets_for_event(event: LogEvent) -> list[ImpressionSet]:
-    type_by_ref = {(i.doc_id, i.position): i.doc_type for i in event.impressions}
-    clicked: dict[DocType, bool] = {}
-    for click in event.clicks:
-        doc_type = type_by_ref[(click.doc_id, click.position)]
-        top = clicked.get(doc_type, False) or click.position == 1
-        clicked[doc_type] = top
-    if not clicked:
-        return [ImpressionSet(event.query_id, list(event.impressions), None, False)]
+        clicked[imp.doc_type] = clicked.get(imp.doc_type, False) or click.position == 1
     return [
-        ImpressionSet(event.query_id, list(event.impressions), doc_type, top)
-        for doc_type, top in sorted(clicked.items())
+        ImpressionSet(event.query_id, event.impressions, doc_type, top)
+        for doc_type, top in sorted(clicked.items()) or [(None, False)]
     ]
 
 
@@ -110,12 +107,10 @@ def build_impression_sets(events: Iterable[LogEvent]) -> BuildResult:
     errors: list[str] = []
     for event in events:
         try:
-            validate_event(event)
+            sets.extend(event_sets(event))
         except EventValidationError as exc:
             rejected += 1
             errors.append(str(exc))
-            continue
-        sets.extend(_sets_for_event(event))
     return BuildResult(sets, rejected, errors)
 
 
@@ -156,6 +151,10 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
+def _per_type() -> dict[DocType, int]:
+    return dict.fromkeys(DOC_TYPES, 0)
+
+
 @dataclass
 class EngineReport:
     """Counts and rates for one engine; rates are None when undefined."""
@@ -164,21 +163,28 @@ class EngineReport:
     n_rejected: int = 0
     n_sets: int = 0
     set_impressions_total: int = 0
-    set_impressions: dict[DocType, int] = field(
-        default_factory=lambda: {t: 0 for t in DOC_TYPES}
-    )
-    sets_any: dict[DocType, int] = field(
-        default_factory=lambda: {t: 0 for t in DOC_TYPES}
-    )
-    sets_top: dict[DocType, int] = field(
-        default_factory=lambda: {t: 0 for t in DOC_TYPES}
-    )
-    event_impressions: dict[DocType, int] = field(
-        default_factory=lambda: {t: 0 for t in DOC_TYPES}
-    )
-    event_clicks: dict[DocType, int] = field(
-        default_factory=lambda: {t: 0 for t in DOC_TYPES}
-    )
+    set_impressions: dict[DocType, int] = field(default_factory=_per_type)
+    sets_any: dict[DocType, int] = field(default_factory=_per_type)
+    sets_top: dict[DocType, int] = field(default_factory=_per_type)
+    event_impressions: dict[DocType, int] = field(default_factory=_per_type)
+    event_clicks: dict[DocType, int] = field(default_factory=_per_type)
+
+    def add(self, event: LogEvent, sets: list[ImpressionSet]) -> None:
+        """Count one valid event and its ``event_sets``: each set holds all
+        of the event's impressions, so set impressions are the event's
+        per-type counts times the number of sets."""
+        self.n_events += 1
+        self.n_sets += len(sets)
+        self.set_impressions_total += len(event.impressions) * len(sets)
+        click_positions = [click.position for click in event.clicks]
+        for imp in event.impressions:
+            self.event_impressions[imp.doc_type] += 1
+            self.set_impressions[imp.doc_type] += len(sets)
+            self.event_clicks[imp.doc_type] += click_positions.count(imp.position)
+        for derived in sets:
+            if derived.assigned_type is not None:
+                self.sets_any[derived.assigned_type] += 1
+                self.sets_top[derived.assigned_type] += derived.clicked_top
 
     def qtctr(self, t: DocType, variant: str = "any") -> float:
         _check_variant(variant)
@@ -287,25 +293,9 @@ def engagement_report(events: Iterable[LogEvent]) -> EngagementReport:
             continue
         report = engines.setdefault(event.engine, EngineReport())
         try:
-            validate_event(event)
+            report.add(event, event_sets(event))
         except EventValidationError:
             report.n_rejected += 1
-            continue
-        report.n_events += 1
-        for imp in event.impressions:
-            report.event_impressions[imp.doc_type] += 1
-        type_by_ref = {(i.doc_id, i.position): i.doc_type for i in event.impressions}
-        for click in event.clicks:
-            report.event_clicks[type_by_ref[(click.doc_id, click.position)]] += 1
-        for derived in _sets_for_event(event):
-            report.n_sets += 1
-            report.set_impressions_total += len(derived.impressions)
-            for imp in derived.impressions:
-                report.set_impressions[imp.doc_type] += 1
-            if derived.assigned_type is not None:
-                report.sets_any[derived.assigned_type] += 1
-                if derived.clicked_top:
-                    report.sets_top[derived.assigned_type] += 1
     return EngagementReport(engines, n_rejected_unknown_engine=unknown_engine)
 
 

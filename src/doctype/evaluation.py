@@ -301,7 +301,6 @@ def sweep(
     transforms: Sequence[str] = DEFAULT_TRANSFORMS,
     k: int = 10,
     seed: int = 0,
-    features: Sequence[str] = FEATURE_IDS,
     folds: Sequence[Sequence[LabeledExample]] | None = None,
 ) -> SweepResult:
     """Cross-validate the full grid x transforms product; pick the best mean F1.
@@ -326,7 +325,7 @@ def sweep(
         check_hyperparameters(kind, point)
     if folds is None:
         folds = _cv_folds(dataset, k, seed)
-    prepared = prepare_folds(folds, features)
+    prepared = prepare_folds(folds)
     shareable = set()
     if spec.order_invariant:
         shareable = {
@@ -350,7 +349,7 @@ def sweep(
                 family_results = shared
             else:
                 family_results = cross_validate_sizes(
-                    kind, dataset, k, rest, sizes, seed, transform, features, prepared
+                    kind, dataset, k, rest, sizes, seed, transform, prepared=prepared
                 )
                 if transform in shareable:
                     shared = family_results
@@ -361,14 +360,12 @@ def sweep(
         for (name, size), point in zip(cells, grid)
         for transform in transforms
     ]
-    best_index = 0
-    for i in range(1, len(entries)):
-        best, cand = entries[best_index], entries[i]
-        if cand.result.mean_weighted_f1 > best.result.mean_weighted_f1:
-            best_index = i
-        elif cand.result.mean_weighted_f1 == best.result.mean_weighted_f1:
-            if _rank(kind, cand.hyperparameters) < _rank(kind, best.hyperparameters):
-                best_index = i
+    best_index = min(
+        range(len(entries)),
+        key=lambda i: (
+            -entries[i].result.mean_weighted_f1, _rank(kind, entries[i].hyperparameters), i
+        ),
+    )
     return SweepResult(entries, best_index)
 
 

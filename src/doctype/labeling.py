@@ -107,7 +107,8 @@ def stratified_split(
     validation_fraction: float,
     seed: int,
 ) -> DatasetSplit:
-    """Draw a stratified validation set, then deal the rest into k folds."""
+    """Draw a stratified validation set, then deal the rest into k folds.
+    Rows are drawn by position, so repeated ids or objects stay apart."""
     if k_folds < 2:
         raise ValueError(f"k_folds must be at least 2, got {k_folds}")
     if not 0.0 <= validation_fraction < 1.0:
@@ -115,7 +116,7 @@ def stratified_split(
             f"validation_fraction must be in [0, 1), got {validation_fraction}"
         )
     rng = np.random.default_rng(seed)
-    by_class = {t: [ex for ex in examples if ex.label == t] for t in DOC_TYPES}
+    by_class = {t: [i for i, ex in enumerate(examples) if ex.label == t] for t in DOC_TYPES}
     permuted = {
         t: [members[i] for i in rng.permutation(len(members))]
         for t, members in by_class.items()
@@ -134,10 +135,10 @@ def stratified_split(
                 f"{len(permuted[t])} members"
             )
 
-    validation: list[LabeledExample] = []
-    pools: dict[DocType, list[LabeledExample]] = {}
+    validation_rows: list[int] = []
+    pools: dict[DocType, list[int]] = {}
     for t in DOC_TYPES:
-        validation.extend(permuted[t][: val_counts[t]])
+        validation_rows.extend(permuted[t][: val_counts[t]])
         pools[t] = permuted[t][val_counts[t] :]
 
     for t in DOC_TYPES:
@@ -149,11 +150,12 @@ def stratified_split(
 
     folds: list[list[LabeledExample]] = [[] for _ in range(k_folds)]
     for t in DOC_TYPES:
-        for i, ex in enumerate(pools[t]):
-            folds[i % k_folds].append(ex)
+        for i, row in enumerate(pools[t]):
+            folds[i % k_folds].append(examples[row])
 
-    held_out = {ex.id for ex in validation}
-    train = [ex for ex in examples if ex.id not in held_out]
+    validation = [examples[row] for row in validation_rows]
+    held_out = set(validation_rows)
+    train = [ex for row, ex in enumerate(examples) if row not in held_out]
     return DatasetSplit(train=train, test_folds=folds, validation=validation, seed=seed)
 
 

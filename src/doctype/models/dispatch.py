@@ -162,6 +162,15 @@ def check_hyperparameters(kind: str, hyperparameters: dict) -> None:
             raise ValueError(f"{kind} hyperparameter {key} must be {expected}, got {shown}")
 
 
+def check_features(features: Sequence[str]) -> tuple[str, ...]:
+    """``features`` as a tuple; ValueError unless it is non-empty and made
+    of distinct ids from FEATURE_IDS, in that order."""
+    features = tuple(features)
+    if not features or features != tuple(fid for fid in FEATURE_IDS if fid in features):
+        raise ValueError(f"invalid feature list: {features!r}; need distinct ids of f1-f4 in order")
+    return features
+
+
 def dataset_matrix(
     dataset: Sequence[LabeledExample], features: Sequence[str] = FEATURE_IDS
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +203,7 @@ def train(
         raise TrainingError("cannot train on an empty dataset")
     hyperparameters = hyperparameters or {}
     check_hyperparameters(kind, hyperparameters)
-    features = tuple(features)
+    features = check_features(features)
 
     present = {ex.label for ex in dataset}
     if spec.every_class and present != set(DOC_TYPES):
@@ -242,10 +251,9 @@ def _predictor(model: ModelArtifact):
     if model._predictor is None:
         try:
             spec = kind_spec(model.kind)
+            check_features(model.features)
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from exc
-        if not model.features or any(fid not in FEATURE_IDS for fid in model.features):
-            raise ModelFormatError(f"invalid feature list: {model.features!r}")
         if not isinstance(model.parameters, Mapping):
             raise ModelFormatError("model parameters must be an object")
         try:

@@ -265,6 +265,15 @@ class TestTrainPredict:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not out.exists()
 
+    def test_repeated_feature_model_exit_two(self, tmp_path, capsys):
+        payload = json.loads(train("gnb", toy_dataset(10, seed=2), features=("f2", "f3")).to_json())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**payload, "features": ["f2", "f2"]}))
+        features = tmp_path / "f.jsonl"
+        features.write_text(json.dumps({"id": "a", "f1": 2, "f2": 5000, "f3": 10, "f4": 500.0}) + "\n")
+        assert main(["predict", str(bad), str(features)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid feature list: ('f2', 'f2');")
+
 
 class TestOtherCommands:
     def test_split_counts(self, labeled_file, tmp_path):
@@ -392,6 +401,29 @@ class TestEngagementCommand:
         code = main(["engagement", str(log), "--predictions", str(predictions)])
         assert code == 2
         assert f"error: {predictions} line 3: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ([1, 2], "a prediction must be a JSON object, got [1, 2]"),
+            ("an error", 'a prediction must be a JSON object, got "an error"'),
+            (7, "a prediction must be a JSON object, got 7"),
+            ({"doc_id": "a"}, "missing field 'doc_type'"),
+            ({"doc_id": 5, "doc_type": "Research"}, "doc_id must be a string, got 5"),
+        ],
+    )
+    def test_bad_predictions_row_exit_two(self, tmp_path, capsys, row, reason):
+        log = self._log(tmp_path, with_types=False)
+        predictions = tmp_path / "predictions.jsonl"
+        rows = [
+            {"doc_id": None, "error": "feature f2 is missing"},
+            {"doc_id": "a", "doc_type": "Thesis", "scores": {}},
+            row,
+        ]
+        predictions.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code = main(["engagement", str(log), "--predictions", str(predictions)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {predictions} line 3: {reason}\n"
 
 
 class TestUsage:

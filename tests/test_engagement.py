@@ -5,18 +5,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doctype.engagement import (
+    ENGINES,
     Click,
     Impression,
     LogEvent,
     build_impression_sets,
     ctr,
     engagement_report,
+    event_sets,
     qtctr,
     read_log_events,
     rqtctr,
-    validate_event,
 )
 from doctype.errors import EventValidationError, UndefinedRateError
 from doctype.ingest import DocType
@@ -74,7 +77,7 @@ class TestBuildImpressionSets:
             "search", "q1", [Impression("a", 1, R), Impression("b", 1, S)], []
         )
         with pytest.raises(EventValidationError):
-            validate_event(bad)
+            event_sets(bad)
 
     def test_output_size_formula(self):
         events = random_events(300, seed=5)
@@ -294,3 +297,159 @@ class TestLogParsing:
             parsed = read_log_events(io.StringIO(text))
             assert parsed.n_rejected == 1
             assert parsed.events == [] and parsed.errors[0].startswith(error)
+
+
+# ---------------------------------------------------------------------------
+# Fault-injection oracle: events with injected faults, checked against the
+# documented rules computed by brute force.
+# ---------------------------------------------------------------------------
+
+FAULTS = (
+    "duplicate position",
+    "position below 1",
+    "click on no impression",
+    "click on another doc_id",
+    "unknown engine",
+)
+DOC_IDS = ("d0", "d1", "d2", "d3")  # few ids, so a wrong doc_id is often another impression's
+COUNTS = ("sets_any", "sets_top", "set_impressions", "event_impressions", "event_clicks")
+
+
+@st.composite
+def faulty_events(draw) -> list[LogEvent]:
+    """Events of both engines, each with up to two injected faults."""
+    events = []
+    for i in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 6))
+        positions = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n, unique=True))
+        impressions = [
+            Impression(draw(st.sampled_from(DOC_IDS)), p, DocType(draw(st.integers(0, 2))))
+            for p in positions
+        ]
+        clicked = draw(st.lists(st.sampled_from(impressions), max_size=4))
+        clicks = [Click(imp.doc_id, imp.position) for imp in clicked]
+        engine = draw(st.sampled_from(ENGINES))
+        for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+            target = draw(st.sampled_from(impressions))
+            if fault == "duplicate position":
+                copy = Impression(draw(st.sampled_from(DOC_IDS)), target.position, target.doc_type)
+                impressions.insert(draw(st.integers(0, len(impressions))), copy)
+            elif fault == "position below 1":
+                low = Impression(target.doc_id, draw(st.integers(-2, 0)), target.doc_type)
+                impressions[impressions.index(target)] = low
+            elif fault == "unknown engine":
+                engine = "email"
+            else:
+                if fault == "click on no impression":
+                    taken = {imp.position for imp in impressions}
+                    click = Click(
+                        draw(st.sampled_from(DOC_IDS)),
+                        draw(st.integers(-1, 10).filter(lambda p: p not in taken)),
+                    )
+                else:
+                    other = st.sampled_from(DOC_IDS).filter(lambda d: d != target.doc_id)
+                    click = Click(draw(other), target.position)
+                clicks.insert(draw(st.integers(0, len(clicks))), click)
+        events.append(LogEvent(engine, f"q{i}", impressions, clicks))
+    return events
+
+
+def first_error(event: LogEvent) -> str | None:
+    """The message of the first rule the event breaks, in the documented order."""
+    name = f"event {event.query_id}"
+    if event.engine not in ENGINES:
+        return f"{name}: unknown engine {event.engine!r}"
+    seen = []
+    for imp in event.impressions:
+        if imp.position < 1:
+            return f"{name}: position {imp.position} is not 1-based"
+        if imp.position in seen:
+            return f"{name}: duplicate position {imp.position}"
+        seen.append(imp.position)
+    refs = [(imp.doc_id, imp.position) for imp in event.impressions]
+    for click in event.clicks:
+        if (click.doc_id, click.position) not in refs:
+            return f"{name}: click on unimpressed ({click.doc_id!r}, {click.position})"
+    return None
+
+
+def click_types(event: LogEvent) -> list[DocType]:
+    """The type of the impression each click of a valid event names."""
+    return [
+        next(
+            imp.doc_type
+            for imp in event.impressions
+            if (imp.doc_id, imp.position) == (click.doc_id, click.position)
+        )
+        for click in event.clicks
+    ]
+
+
+def expected_sets(event: LogEvent) -> list[tuple[DocType | None, bool]]:
+    """(assigned type, clicked top) of each set of a valid event."""
+    top = {}
+    for click, doc_type in zip(event.clicks, click_types(event)):
+        top[doc_type] = top.get(doc_type, False) or click.position == 1
+    return sorted(top.items()) or [(None, False)]
+
+
+def expected_counts(events: list[LogEvent]) -> tuple[dict, int]:
+    """Per-engine counts as the report's JSON lays them out, and the
+    number of events with an unknown engine."""
+    engines, unknown = {}, 0
+    for event in events:
+        if event.engine not in ENGINES:
+            unknown += 1
+            continue
+        counts = engines.setdefault(event.engine, {
+            "n_events": 0, "n_rejected": 0, "n_sets": 0, "set_impressions_total": 0,
+            "types": {t.label: dict.fromkeys(COUNTS, 0) for t in DocType},
+        })
+        if first_error(event):
+            counts["n_rejected"] += 1
+            continue
+        sets = expected_sets(event)
+        counts["n_events"] += 1
+        counts["n_sets"] += len(sets)
+        for doc_type, top in sets:
+            if doc_type is not None:
+                counts["types"][doc_type.label]["sets_any"] += 1
+                counts["types"][doc_type.label]["sets_top"] += top
+        for imp in event.impressions:  # every set holds every impression of its event
+            counts["set_impressions_total"] += len(sets)
+            counts["types"][imp.doc_type.label]["set_impressions"] += len(sets)
+            counts["types"][imp.doc_type.label]["event_impressions"] += 1
+        for doc_type in click_types(event):
+            counts["types"][doc_type.label]["event_clicks"] += 1
+    return engines, unknown
+
+
+class TestFaultInjection:
+    @settings(max_examples=150, deadline=None)
+    @given(events=faulty_events())
+    def test_sets_and_errors_match_rules(self, events):
+        result = build_impression_sets(events)
+        errors = [e for e in map(first_error, events) if e]
+        assert result.errors == errors and result.n_rejected == len(errors)
+        valid = [event for event in events if not first_error(event)]
+        assert [(s.query_id, s.assigned_type, s.clicked_top) for s in result.sets] == [
+            (event.query_id, doc_type, top) for event in valid for doc_type, top in expected_sets(event)
+        ]
+        impressions = {event.query_id: event.impressions for event in valid}
+        assert all(s.impressions is impressions[s.query_id] for s in result.sets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(events=faulty_events())
+    def test_report_counts_match_rules(self, events):
+        got = engagement_report(events).to_dict()
+        engines, unknown = expected_counts(events)
+        assert got["rejected_unknown_engine"] == unknown
+        assert got["rejected"] == {name: c["n_rejected"] for name, c in sorted(engines.items())}
+        assert set(got["engines"]) == {name for name, c in engines.items() if c["n_sets"]}
+        for name, payload in got["engines"].items():
+            want = engines[name]
+            assert {key: payload[key] for key in want if key != "types"} == {
+                key: value for key, value in want.items() if key != "types"
+            }
+            for label, row in payload["types"].items():
+                assert {key: row[key] for key in COUNTS} == want["types"][label]

@@ -1,10 +1,12 @@
 """Rule labels, the sample-size formula, and stratified machinery."""
 
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
 
+from doctype.config import DEFAULT_PROPORTIONS
 from doctype.errors import ShortageError, SplitError
 from doctype.ingest import DocType, DocumentRecord
 from doctype.labeling import (
@@ -14,6 +16,7 @@ from doctype.labeling import (
     sample_size,
     stratified_split,
 )
+from doctype.synthetic import generate_synthetic
 
 from conftest import make_example
 
@@ -174,6 +177,16 @@ class TestStratifiedSplit:
         train_ids = sorted(ex.id for ex in split.train)
         fold_ids = sorted(ex.id for fold in split.test_folds for ex in fold)
         assert train_ids == fold_ids
+
+    def test_train_is_fold_rows_when_rows_repeat(self):
+        rows = generate_synthetic(60, DEFAULT_PROPORTIONS, seed=1)
+        rows[:2] = [dataclasses.replace(ex, id="dup") for ex in rows[:2]]
+        rows.append(rows[2])  # the same object twice
+        for seed in range(5):
+            split = stratified_split(rows, 3, 0.2, seed)
+            fold_rows = [ex for fold in split.test_folds for ex in fold]
+            assert collections.Counter(map(id, split.train)) == collections.Counter(map(id, fold_rows))
+            assert len(split.validation) + len(split.train) == len(rows)
 
     def test_fold_proportions_within_one(self):
         pool = self._pool(549, 99, 349)  # 997 examples, imbalanced

@@ -575,6 +575,20 @@ class TestMissingF1:
         assert model.features == ("f2", "f3")
 
 
+class TestFeatureList:
+    @pytest.mark.parametrize("features", [("f2", "f1", "f3", "f4"), ("f9",), (), ("f2", "f2")])
+    def test_train_rejects_bad_feature_list(self, features):
+        with pytest.raises(ValueError, match=r"^invalid feature list: "):
+            train("baseline-threshold", toy_dataset(20, seed=1), features=features)
+
+    @pytest.mark.parametrize("features", [["f2", "f2"], ["f3", "f2"]])
+    def test_model_file_with_bad_feature_list_rejected(self, features):
+        payload = json.loads(train("gnb", toy_dataset(10, seed=2), features=("f2", "f3")).to_json())
+        payload["features"] = features
+        with pytest.raises(ModelFormatError, match=r"^invalid feature list: "):
+            load_model(io.StringIO(json.dumps(payload)))
+
+
 class TestPredictContract:
     def test_scores_normalized_for_probabilistic_kinds(self):
         data = toy_dataset(30, seed=13)
