@@ -43,9 +43,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-#: The commands that take the shared --seed and --format flags; every
-#: command takes --config and --out.
+#: The commands that take the shared --seed, --config and --format flags;
+#: every command but pipeline takes --out. --config supplies the seed, and
+#: the proportions (sample, synth) or quantiles (thresholds).
 SEEDED_COMMANDS = ("sample", "split", "train", "sweep", "evaluate", "ablation", "synth")
+CONFIGURED_COMMANDS = SEEDED_COMMANDS + ("thresholds",)
 FORMATTED_COMMANDS = ("samplesize", "sweep", "evaluate", "ablation", "engagement")
 
 
@@ -69,8 +71,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _resolve_config_defaults(args) -> None:
     """Fill unset flags from --config, else RunConfig's defaults; a given flag wins."""
-    use_config = getattr(args, "config", None) and args.handler is not cmd_pipeline
-    args.run_config = load_config(args.config) if use_config else RunConfig()
+    config = getattr(args, "config", None)
+    args.run_config = load_config(config) if config else RunConfig()
     if "seed" in vars(args) and args.seed is None:
         args.seed = args.run_config.seed
 
@@ -86,8 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, handler, help_text):
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
-        cmd.add_argument("--config", type=str, default=None,
-                         help="run config supplying seed, proportion and quantile defaults")
+        if name in CONFIGURED_COMMANDS:
+            cmd.add_argument("--config", type=str, default=None,
+                             help="run config supplying seed, proportion and quantile defaults")
         cmd.add_argument("--out", type=str, default=None)
         if name in SEEDED_COMMANDS:
             cmd.add_argument("--seed", type=int, default=None)
@@ -442,8 +445,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg = load_config(args.config)
-    result = run_pipeline(cfg)
+    result = run_pipeline(args.run_config)
     print(
         f"pipeline: best={result.best_kind} "
         f"cv_f1={result.cv_result.mean_weighted_f1:.4f} "

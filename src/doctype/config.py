@@ -10,6 +10,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .ingest import DocType
 from .ioutils import finite_number
+from .labeling import check_proportions
 from .models import KINDS, check_hyperparameters
 from .stats import TRANSFORM_KINDS
 
@@ -27,8 +28,6 @@ class RunConfig:
     seed: int = 0
     records_path: str | None = None
     labeled_path: str | None = None
-    model_path: str | None = None
-    log_path: str | None = None
     output_dir: str = "out"
     proportions: dict[DocType, float] = field(
         default_factory=lambda: dict(DEFAULT_PROPORTIONS)
@@ -39,7 +38,7 @@ class RunConfig:
     quantile_lo: float = 0.025
     quantile_hi: float = 0.975
     sweep_kinds: tuple[str, ...] = ("random-forest", "adaboost")
-    sweep_transforms: tuple[str, ...] = ("identity", "z-score", "log-scale")
+    sweep_transforms: tuple[str, ...] = TRANSFORM_KINDS
     sweep_grids: dict[str, list[dict]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -48,8 +47,6 @@ class RunConfig:
             "paths": {
                 "records": self.records_path,
                 "labeled": self.labeled_path,
-                "model": self.model_path,
-                "log": self.log_path,
                 "output_dir": self.output_dir,
             },
             "proportions": {t.label: p for t, p in self.proportions.items()},
@@ -122,9 +119,8 @@ def config_from_dict(payload: dict) -> RunConfig:
     cfg = RunConfig()
     cfg.seed = _field(payload, "seed", cfg.seed, int)
     paths = _field(payload, "paths", {}, dict)
-    cfg.records_path, cfg.labeled_path, cfg.model_path, cfg.log_path = (
-        _field(paths, key, None, str, "paths.", nullable=True)
-        for key in ("records", "labeled", "model", "log")
+    cfg.records_path, cfg.labeled_path = (
+        _field(paths, key, None, str, "paths.", nullable=True) for key in ("records", "labeled")
     )
     cfg.output_dir = _field(paths, "output_dir", cfg.output_dir, str, "paths.")
     proportions = _field(payload, "proportions", None, dict)
@@ -145,9 +141,10 @@ def config_from_dict(payload: dict) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    total = sum(cfg.proportions.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"class proportions must sum to 1, got {total}")
+    try:
+        check_proportions(cfg.proportions)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.k_folds < 2:
         raise ConfigError(f"k_folds must be at least 2, got {cfg.k_folds}")
     if not 0.0 <= cfg.validation_fraction < 1.0:
@@ -179,10 +176,6 @@ def validate_config(cfg: RunConfig) -> None:
                 check_hyperparameters(kind, point)
             except ValueError as exc:
                 raise ConfigError(f"sweep grid for {kind}: {exc}") from exc
-    for path_label, path in (
-        ("records", cfg.records_path),
-        ("labeled", cfg.labeled_path),
-        ("log", cfg.log_path),
-    ):
+    for path_label, path in (("records", cfg.records_path), ("labeled", cfg.labeled_path)):
         if path is not None and not Path(path).exists():
             raise ConfigError(f"{path_label} path does not exist: {path}")

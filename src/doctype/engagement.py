@@ -206,6 +206,18 @@ class EngineReport:
             return None
         return self.event_clicks[t] / self.event_impressions[t]
 
+    def rates(self, t: DocType) -> dict[str, float | None]:
+        """The rates of one type for a report with sets; None where undefined:
+        CTR without impressions of the type, RQTCTR without any impressions."""
+        shown = self.set_impressions_total > 0
+        return {
+            "ctr": self.ctr(t),
+            "qtctr_any": self.qtctr(t, "any"),
+            "qtctr_top": self.qtctr(t, "top"),
+            "rqtctr_any": self.rqtctr(t, "any") if shown else None,
+            "rqtctr_top": self.rqtctr(t, "top") if shown else None,
+        }
+
     def to_dict(self) -> dict:
         by_type = {}
         for t in DOC_TYPES:
@@ -215,11 +227,7 @@ class EngineReport:
                 "set_impressions": self.set_impressions[t],
                 "event_impressions": self.event_impressions[t],
                 "event_clicks": self.event_clicks[t],
-                "ctr": self.ctr(t),
-                "qtctr_any": self.qtctr(t, "any"),
-                "qtctr_top": self.qtctr(t, "top"),
-                "rqtctr_any": self.rqtctr(t, "any"),
-                "rqtctr_top": self.rqtctr(t, "top"),
+                **self.rates(t),
             }
         return {
             "n_events": self.n_events,
@@ -272,12 +280,11 @@ class EngagementReport:
             )
             lines.append(header)
             for t in DOC_TYPES:
-                type_ctr = report.ctr(t)
+                r = {k: float("nan") if v is None else v for k, v in report.rates(t).items()}
                 lines.append(
-                    f"{'':<12}{t.label:<10}"
-                    f"{type_ctr if type_ctr is not None else float('nan'):>10.5f}"
-                    f"{report.qtctr(t, 'any'):>12.5f}{report.qtctr(t, 'top'):>12.5f}"
-                    f"{report.rqtctr(t, 'any'):>13.6f}{report.rqtctr(t, 'top'):>13.6f}"
+                    f"{'':<12}{t.label:<10}{r['ctr']:>10.5f}"
+                    f"{r['qtctr_any']:>12.5f}{r['qtctr_top']:>12.5f}"
+                    f"{r['rqtctr_any']:>13.6f}{r['rqtctr_top']:>13.6f}"
                 )
             lines.append("")
         return "\n".join(lines).rstrip() + "\n"

@@ -13,6 +13,7 @@ from .ingest import DOC_TYPES, FEATURE_IDS, N_CLASSES, DocType
 from .labeling import LabeledExample, stratified_split
 from .models import (
     baseline_random_predict,
+    check_features,
     check_hyperparameters,
     dataset_matrix,
     kind_spec,
@@ -22,7 +23,7 @@ from .models import (
     truncate,
 )
 from .seeding import derive_seed
-from .stats import Imputer, preserves_order
+from .stats import TRANSFORM_KINDS, Imputer, preserves_order
 
 
 @dataclass
@@ -77,18 +78,19 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def evaluate(predictions: Sequence[DocType], truths: Sequence[DocType]) -> EvalReport:
-    """Standard multi-class metrics; empty denominators score 0."""
+def evaluate(predictions: Sequence[int], truths: Sequence[int]) -> EvalReport:
+    """Standard multi-class metrics from class codes (DocTypes or ints);
+    empty denominators score 0."""
+    predictions = np.asarray(predictions, dtype=int)
+    truths = np.asarray(truths, dtype=int)
     if len(predictions) != len(truths):
         raise ValueError(
             f"length mismatch: {len(predictions)} predictions vs {len(truths)} truths"
         )
-    if not truths:
+    if not len(truths):
         raise ValueError("cannot evaluate an empty prediction list")
-    confusion = [[0] * N_CLASSES for _ in range(N_CLASSES)]
-    for pred, truth in zip(predictions, truths):
-        confusion[int(truth)][int(pred)] += 1
-    return report_from_confusion(confusion)
+    cells = np.bincount(truths * N_CLASSES + predictions, minlength=N_CLASSES * N_CLASSES)
+    return report_from_confusion(cells.reshape(N_CLASSES, N_CLASSES).tolist())
 
 
 def report_from_confusion(confusion: Sequence[Sequence[int]]) -> EvalReport:
@@ -138,8 +140,9 @@ class CVResult:
 
 @dataclass
 class PreparedFold:
-    """One CV fold: its training rows and its imputed train and test matrices."""
+    """One CV fold: its training rows and its imputed train and test matrices over ``features``."""
 
+    features: tuple[str, ...]
     train: list[LabeledExample]
     X_train: np.ndarray
     y_train: np.ndarray
@@ -151,6 +154,7 @@ def prepare_folds(
     folds: Sequence[Sequence[LabeledExample]], features: Sequence[str] = FEATURE_IDS
 ) -> list[PreparedFold]:
     """Build the folds' matrix once; impute each fold from its training rows."""
+    features = check_features(features)
     X, y = dataset_matrix([ex for fold in folds for ex in fold])
     fold_of = np.repeat(np.arange(len(folds)), [len(fold) for fold in folds])
     columns = [FEATURE_IDS.index(fid) for fid in features]
@@ -164,9 +168,9 @@ def prepare_folds(
             X_train = imputer.transform(X_train, y_train)
             X_test = imputer.transform(X_test, y_test)
         train_set = [ex for j, fold in enumerate(folds) if j != i for ex in fold]
-        prepared.append(
-            PreparedFold(train_set, X_train[:, columns], y_train, X_test[:, columns], y_test)
-        )
+        prepared.append(PreparedFold(
+            features, train_set, X_train[:, columns], y_train, X_test[:, columns], y_test
+        ))
     return prepared
 
 
@@ -183,30 +187,21 @@ def cross_validate(
     seed: int = 0,
     transform: str = "identity",
     features: Sequence[str] = FEATURE_IDS,
-    prepared: Sequence[PreparedFold] | None = None,
 ) -> CVResult:
-    """k-fold CV; imputation and transform fitting see training folds only.
-
-    ``prepared`` is ``prepare_folds(folds, features)`` for given folds;
-    ``dataset`` and ``k`` are then not read.
-    """
-    return cross_validate_sizes(
-        kind, dataset, k, hyperparameters, None, seed, transform, features, prepared
-    )[0]
+    """k-fold CV; imputation and transform fitting see training folds only."""
+    prepared = prepare_folds(_cv_folds(dataset, k, seed), features)
+    return cross_validate_sizes(kind, prepared, hyperparameters, None, seed, transform)[0]
 
 
 def cross_validate_sizes(
     kind: str,
-    dataset: Sequence[LabeledExample],
-    k: int,
+    prepared: Sequence[PreparedFold],
     hyperparameters: dict | None,
     sizes: Sequence[int] | None,
     seed: int = 0,
     transform: str = "identity",
-    features: Sequence[str] = FEATURE_IDS,
-    prepared: Sequence[PreparedFold] | None = None,
 ) -> list[CVResult]:
-    """``cross_validate`` at each ensemble size in ``sizes``, one result each.
+    """Cross-validate on ``prepared`` folds: one result per size in ``sizes``.
 
     Each fold fits ``kind`` (an ``ensemble`` kind) once at the
     largest size and scores every size on that fit's first members
@@ -215,8 +210,6 @@ def cross_validate_sizes(
     ``hyperparameters`` as they are, for any kind.
     """
     size_key = kind_spec(kind).size_key
-    if prepared is None:
-        prepared = prepare_folds(_cv_folds(dataset, k, seed), features)
     fit_hyperparameters = dict(hyperparameters or {})
     if sizes is not None:
         fit_hyperparameters[size_key] = max(sizes)
@@ -224,20 +217,18 @@ def cross_validate_sizes(
     for i, fold in enumerate(prepared):
         fold_seed = derive_seed(seed, f"fold-{i}")
         model = train(
-            kind, fold.train, fit_hyperparameters, fold_seed, transform, features,
+            kind, fold.train, fit_hyperparameters, fold_seed, transform, fold.features,
             matrix=(fold.X_train, fold.y_train),
         )
-        truths = [DocType(int(v)) for v in fold.y_test]
         members = [model] if sizes is None else [truncate(model, size) for size in sizes]
         for size_reports, member in zip(reports, members):
             if kind == "baseline-random":
                 predictions = baseline_random_predict(
-                    member, len(truths), derive_seed(seed, f"fold-{i}-draw")
+                    member, len(fold.y_test), derive_seed(seed, f"fold-{i}-draw")
                 )
             else:
-                labels, _ = predict_batch(member, fold.X_test)
-                predictions = [DocType(int(v)) for v in labels]
-            size_reports.append(evaluate(predictions, truths))
+                predictions, _ = predict_batch(member, fold.X_test)
+            size_reports.append(evaluate(predictions, fold.y_test))
     return [_cv_result(size_reports) for size_reports in reports]
 
 
@@ -253,9 +244,6 @@ def _cv_result(reports: list[EvalReport]) -> CVResult:
         mean_weighted_f1=float(np.mean([r.weighted_f1 for r in reports])),
         pooled_confusion=pooled,
     )
-
-
-DEFAULT_TRANSFORMS = ("identity", "z-score", "log-scale")
 
 
 def default_grid(kind: str) -> list[dict]:
@@ -298,7 +286,7 @@ def sweep(
     kind: str,
     dataset: Sequence[LabeledExample],
     grid: Sequence[dict] | None = None,
-    transforms: Sequence[str] = DEFAULT_TRANSFORMS,
+    transforms: Sequence[str] = TRANSFORM_KINDS,
     k: int = 10,
     seed: int = 0,
     folds: Sequence[Sequence[LabeledExample]] | None = None,
@@ -348,9 +336,7 @@ def sweep(
             if transform in shareable and shared is not None:
                 family_results = shared
             else:
-                family_results = cross_validate_sizes(
-                    kind, dataset, k, rest, sizes, seed, transform, prepared=prepared
-                )
+                family_results = cross_validate_sizes(kind, prepared, rest, sizes, seed, transform)
                 if transform in shareable:
                     shared = family_results
             for size, result in zip(sizes or [None], family_results):

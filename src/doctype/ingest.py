@@ -34,7 +34,7 @@ class DocType(IntEnum):
     def from_label(cls, label: str) -> "DocType":
         try:
             return _BY_LABEL[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label, such as a list
             raise ValueError(f"unknown document type: {label!r}") from None
 
 

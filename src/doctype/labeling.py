@@ -60,6 +60,16 @@ def sample_size(z: float, p_hat: float, c: float) -> int:
     return math.ceil(z * z * p_hat * (1.0 - p_hat) / (c * c))
 
 
+def check_proportions(proportions: Mapping[DocType, float]) -> None:
+    """Class proportions must be non-negative and sum to 1; else ValueError."""
+    negative = {t.label: p for t, p in proportions.items() if p < 0}
+    if negative:
+        raise ValueError(f"proportions must be non-negative, got {negative}")
+    total = sum(proportions.values())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"proportions must sum to 1, got {total}")
+
+
 def largest_remainder_counts(total: int, proportions: Mapping[DocType, float]) -> dict[DocType, int]:
     """Apportion ``total`` across classes, hitting it exactly.
 
@@ -84,9 +94,7 @@ def balanced_sample(
     """Seeded per-class subsample with largest-remainder class counts."""
     if target_total < 0:
         raise ValueError(f"target_total must be nonnegative, got {target_total}")
-    total_p = sum(proportions.values())
-    if abs(total_p - 1.0) > 1e-9:
-        raise ValueError(f"proportions must sum to 1, got {total_p}")
+    check_proportions(proportions)
     counts = largest_remainder_counts(target_total, proportions)
     by_class = {t: [ex for ex in examples if ex.label == t] for t in DOC_TYPES}
     for t in DOC_TYPES:
@@ -181,25 +189,26 @@ def feature_row(doc_id: str, fv: FeatureVector) -> dict:
     }
 
 
-def row_to_example(row: Mapping) -> LabeledExample:
-    """Check and convert a labeled row: a string id, a known label, and finite
-    numbers for f1-f4 (f1 may be null); anything else raises ValueError."""
+def row_to_features(row: Mapping) -> FeatureVector:
+    """Check and convert a feature row: a string id and finite numbers for
+    f1-f4 (f1 may be null); anything else raises ValueError."""
     if not isinstance(row["id"], str):
         raise ValueError(f"id must be a string, got {row['id']!r}")
     for fid in FEATURE_IDS:
         value = row[fid]
         if not finite_number(value) and not (fid == "f1" and value is None):
             raise ValueError(f"{fid} must be a finite number, got {value!r}")
-    return LabeledExample(row_to_features(row), DocType.from_label(row["label"]), row["id"])
-
-
-def row_to_features(row: Mapping) -> FeatureVector:
     return FeatureVector(
         f1_authors=row["f1"],
         f2_total_words=row["f2"],
         f3_pages=row["f3"],
         f4_words_per_page=row["f4"],
     )
+
+
+def row_to_example(row: Mapping) -> LabeledExample:
+    """A checked feature row (``row_to_features``) with its known label."""
+    return LabeledExample(row_to_features(row), DocType.from_label(row["label"]), row["id"])
 
 
 def write_examples(sink: IO[str], examples: Iterable[LabeledExample]) -> None:

@@ -11,6 +11,7 @@ from .dispatch import (
     DEPLOYED_FOREST_PROFILE,
     KINDS,
     SPECS,
+    check_features,
     check_hyperparameters,
     dataset_matrix,
     kind_spec,
@@ -37,6 +38,7 @@ __all__ = [
     "baseline_random_predict",
     "baseline_threshold_predict",
     "DEPLOYED_FOREST_PROFILE",
+    "check_features",
     "check_hyperparameters",
     "dataset_matrix",
     "predict",

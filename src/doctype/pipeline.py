@@ -14,7 +14,7 @@ from . import __version__
 from .config import RunConfig
 from .errors import ConfigError, DocTypeError
 from .evaluation import CVResult, EvalReport, evaluate, sweep
-from .ingest import DocType, parse_records, extract_features
+from .ingest import parse_records, extract_features
 from .ioutils import atomic_write_text, canonical_json
 from .labeling import (
     LabeledExample,
@@ -174,8 +174,7 @@ def _stage(name: str, thunk):
 
 def _evaluate_validation(model: ModelArtifact, validation: list[LabeledExample]) -> EvalReport:
     X, y = dataset_matrix(validation, model.features)
-    labels, _ = predict_batch(model, X)
-    return evaluate([DocType(int(v)) for v in labels], [DocType(int(v)) for v in y])
+    return evaluate(predict_batch(model, X)[0], y)
 
 
 def _write_outputs(cfg, model, thresholds, sweep_payload, cv_result, validation_report, manifest):

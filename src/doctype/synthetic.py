@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .ingest import DocType, FeatureVector
-from .labeling import LabeledExample, largest_remainder_counts
+from .labeling import LabeledExample, check_proportions, largest_remainder_counts
 
 _STD_NORMAL = NormalDist()
 _QUARTILE_Z = _STD_NORMAL.inv_cdf(0.75)
@@ -119,6 +119,7 @@ def generate_synthetic(
     """Generate n labeled examples with largest-remainder class counts."""
     if n < 30:
         raise ValueError(f"need n >= 30 for a meaningful sample, got {n}")
+    check_proportions(proportions)
     counts = largest_remainder_counts(n, proportions)
     rng = np.random.default_rng(seed)
     examples: list[LabeledExample] = []

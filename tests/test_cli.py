@@ -1,10 +1,13 @@
 """Command-line surface: subcommands, exit codes, and output formats."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from doctype.cli import main
+from doctype.cli import _build_parser, main
+from doctype.config import RunConfig
 from doctype.labeling import read_examples
 from doctype.models import train
 
@@ -54,6 +57,36 @@ CORRUPTED_MODELS = [
     ("baseline-random", "identity", lambda p, t: p.update(weights=[0.5, 0.5])),
     ("decision-tree", "identity", lambda p, t: p["nodes"][0].update(threshold=None)),
     ("adaboost", "identity", lambda p, t: p.update(alphas=[0.0] * len(p["alphas"]))),
+]
+
+
+#: Every (command, option) pair the parser accepts, and every RunConfig
+#: field: a new setting changes these on purpose.
+OPTIONS = {
+    (command, option)
+    for command, options in {
+        "extract": "--out",
+        "label": "--out",
+        "samplesize": "--out --format --z --p --c",
+        "sample": "--config --out --seed --total --proportions",
+        "split": "--config --out --seed --k --validation-fraction",
+        "impute": "--out",
+        "thresholds": "--config --out --quantile-lo --quantile-hi",
+        "train": "--config --out --seed --kind --hyperparameters --transform",
+        "sweep": "--config --out --seed --format --kind --k --grid",
+        "evaluate": "--config --out --seed --format --kind --k --hyperparameters --transform",
+        "ablation": "--config --out --seed --format --kinds --k",
+        "predict": "--out",
+        "engagement": "--out --format --predictions",
+        "synth": "--config --out --seed --n --proportions",
+        "pipeline": "--config",
+    }.items()
+    for option in options.split()
+}
+RUN_CONFIG_FIELDS = [
+    "seed", "records_path", "labeled_path", "output_dir", "proportions", "sample_total",
+    "k_folds", "validation_fraction", "quantile_lo", "quantile_hi", "sweep_kinds",
+    "sweep_transforms", "sweep_grids",
 ]
 
 
@@ -178,10 +211,37 @@ class TestTrainPredict:
         assert "doc_type" in lines[0]
         assert [set(line) for line in lines[1:]] == [{"doc_id", "error"}] * 3
         assert [line["doc_id"] for line in lines[1:]] == ["nan", "inf", "negative"]
-        assert "feature f2 = nan is not finite" in lines[1]["error"]
-        assert "feature f3 = inf is not finite" in lines[2]["error"]
+        assert "f2 must be a finite number, got nan" in lines[1]["error"]
+        assert "f3 must be a finite number, got inf" in lines[2]["error"]
         assert "f2 = -5.0 is not finite after the log-scale transform" in lines[3]["error"]
         assert "1 rows, 3 errors" in capsys.readouterr().err
+
+    def test_mistyped_feature_rows_give_error_rows(self, labeled_file, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(labeled_file), "--kind", "gnb", "--out", str(model_path)]) == 0
+        features = tmp_path / "features.jsonl"
+        rows = [
+            {"id": "ok", "f1": 1, "f2": 5000, "f3": 10, "f4": 500.0},
+            {"id": "a", "f1": "3", "f2": "1200", "f3": True, "f4": 400},
+            {"id": "b", "f1": 1, "f2": 5000, "f3": True, "f4": 500.0},
+            {"id": 7, "f1": 1, "f2": 5000, "f3": 10, "f4": 500.0},
+        ]
+        features.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "predictions.jsonl"
+        assert main(["predict", str(model_path), str(features), "--out", str(out)]) == 0
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert lines[0]["doc_id"] == "ok" and "doc_type" in lines[0]
+        assert lines[1:] == [
+            {"doc_id": "a", "error": "f1 must be a finite number, got '3'"},
+            {"doc_id": "b", "error": "f3 must be a finite number, got True"},
+            {"doc_id": 7, "error": "id must be a string, got 7"},
+        ]
+        assert "1 rows, 3 errors" in capsys.readouterr().err
+        # Error rows are skipped when the predictions file types a log.
+        log = tmp_path / "log.jsonl"
+        event = {"engine": "search", "query_id": "q", "impressions": [{"doc_id": "ok", "position": 1}]}
+        log.write_text(json.dumps(event) + "\n")
+        assert main(["engagement", str(log), "--predictions", str(out)]) == 0
 
     def test_malformed_labeled_line_exit_two(self, labeled_file, tmp_path, capsys):
         lines = labeled_file.read_text().splitlines(keepends=True)
@@ -370,6 +430,24 @@ class TestEngagementCommand:
         payload = json.loads(out.read_text())
         assert payload["engines"]["search"]["types"]["Thesis"]["qtctr_any"] == 1.0
 
+    def test_engine_without_impressions_reports_null_rqtctr(self, tmp_path, capsys):
+        search = {"engine": "search", "query_id": "q0", "impressions": [], "clicks": []}
+        recommender = dict(json.loads(self._log(tmp_path).read_text()), engine="recommender")
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(search) + "\n" + json.dumps(recommender) + "\n")
+        out = tmp_path / "report.json"
+        assert main(["engagement", str(log), "--out", str(out)]) == 0
+        engines = json.loads(out.read_text())["engines"]
+        for t in ("Research", "Slides", "Thesis"):
+            cell = engines["search"]["types"][t]
+            assert cell["rqtctr_any"] is None and cell["rqtctr_top"] is None
+            assert cell["ctr"] is None and cell["qtctr_any"] == 0.0
+        assert engines["recommender"]["types"]["Research"]["rqtctr_any"] == 1.0
+        human = (tmp_path / "report.txt").read_text().splitlines()
+        search_research = human[human.index("search: 1 events, 1 sets, 0 impressions, 0 rejected") + 2]
+        assert search_research.split() == ["Research", "nan", "0.00000", "0.00000", "nan", "nan"]
+        assert capsys.readouterr().err == "engagement: 2 events, 0 rejected\n"
+
     def test_mistyped_reference_rejected(self, tmp_path, capsys):
         log = self._log(tmp_path)
         good = log.read_text()
@@ -410,6 +488,7 @@ class TestEngagementCommand:
             (7, "a prediction must be a JSON object, got 7"),
             ({"doc_id": "a"}, "missing field 'doc_type'"),
             ({"doc_id": 5, "doc_type": "Research"}, "doc_id must be a string, got 5"),
+            ({"doc_id": "a", "doc_type": ["x"]}, "unknown document type: ['x']"),
         ],
     )
     def test_bad_predictions_row_exit_two(self, tmp_path, capsys, row, reason):
@@ -460,6 +539,10 @@ class TestUsage:
             ["evaluate", "LABELED", "--kind", "bogus", "--k", "3"],
             ["sweep", "LABELED", "--kind", "bogus", "--k", "3", "--grid", "[{}]"],
             ["ablation", "LABELED", "--kinds", "bogus", "--k", "3"],
+            ["sample", "LABELED", "--total", "20", "--proportions",
+             '{"Research": -0.5, "Slides": 1.0, "Thesis": 0.5}'],
+            ["synth", "--n", "100", "--proportions", '{"Research": 0.5}'],
+            ["synth", "--n", "100", "--proportions", '{"Research": 0.9, "Slides": 0.9}'],
         ],
     )
     def test_bad_flag_value_exits_one(self, argv, labeled_file, tmp_path, capsys):
@@ -484,12 +567,33 @@ class TestUsage:
             ["sweep", "LABELED", "--kind", "gnb", "--format", "xml"],  # bad choice
             ["impute", "LABELED", "--seed", "3"],  # impute reads no seed
             ["extract", "LABELED", "--format", "machine"],  # extract has one format
+            # only the commands that read a run config take --config
+            ["extract", "LABELED", "--config", "CONFIG"],
+            ["label", "LABELED", "--config", "CONFIG"],
+            ["samplesize", "--config", "CONFIG"],
+            ["impute", "LABELED", "--config", "CONFIG"],
+            ["predict", "LABELED", "LABELED", "--config", "CONFIG"],
+            ["engagement", "LABELED", "--config", "CONFIG"],
         ],
     )
-    def test_usage_error_exits_one(self, argv, labeled_file, capsys):
-        argv = [str(labeled_file) if a == "LABELED" else a for a in argv]
+    def test_usage_error_exits_one(self, argv, labeled_file, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        argv = [{"LABELED": str(labeled_file), "CONFIG": str(config)}.get(a, a) for a in argv]
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_option_inventory(self):
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            (name, option)
+            for name, cmd in sub.choices.items()
+            for action in cmd._actions
+            if action.dest != "help"
+            for option in action.option_strings
+        }
+        assert got == OPTIONS and len(got) == 59
+        assert [f.name for f in dataclasses.fields(RunConfig)] == RUN_CONFIG_FIELDS
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["train", "--help"]])
     def test_help_and_version_exit_zero(self, argv, capsys):

@@ -15,6 +15,7 @@ from doctype.evaluation import (
     FEATURE_SUBSETS,
     ablation,
     cross_validate,
+    cross_validate_sizes,
     default_grid,
     evaluate,
     prepare_folds,
@@ -98,6 +99,16 @@ class TestEvaluate:
         shuffled = evaluate([preds[i] for i in order], [truths[i] for i in order])
         assert shuffled == base
 
+    def test_class_code_arrays_match_a_counting_loop(self):
+        rng = np.random.default_rng(4)
+        preds, truths = rng.integers(0, 3, 50), rng.integers(0, 3, 50)
+        confusion = [[0] * 3 for _ in range(3)]
+        for pred, truth in zip(preds, truths):
+            confusion[truth][pred] += 1
+        report = evaluate(preds, truths)
+        assert report.confusion == confusion
+        assert evaluate([DocType(int(v)) for v in preds], [DocType(int(v)) for v in truths]) == report
+
     def test_errors(self):
         with pytest.raises(ValueError):
             evaluate([R], [R, S])
@@ -140,6 +151,16 @@ class TestCrossValidate:
         ]
         result = cross_validate("decision-tree", incomplete, 5, {"max_depth": 3}, seed=2)
         assert result.mean_weighted_f1 > 0.8
+
+    def test_bad_feature_list_named(self):
+        with pytest.raises(ValueError, match=r"^invalid feature list: \('f9',\)"):
+            cross_validate("gnb", toy_dataset(10, seed=4), 3, features=("f9",))
+
+    def test_prepared_folds_carry_their_features(self):
+        folds = stratified_split(toy_dataset(10, seed=4), 3, 0.0, 0).test_folds
+        for fold in prepare_folds(folds, ["f2", "f4"]):
+            assert fold.features == ("f2", "f4")
+            assert fold.X_train.shape[1] == fold.X_test.shape[1] == 2
 
     def test_pooled_confusion_counts_everything(self):
         data = toy_dataset(30, seed=4)
@@ -246,8 +267,8 @@ def tie_size(kind, point) -> float:
 def brute_force_sweep(kind, data, grid, transforms, k, seed, folds):
     """One cross_validate per (point, transform) and the documented tie-break."""
     cells = [
-        (point, transform, cross_validate(kind, data, k, point, seed, transform,
-                                          prepared=prepare_folds(folds)))
+        (point, transform,
+         cross_validate_sizes(kind, prepare_folds(folds), point, None, seed, transform)[0])
         for point in grid
         for transform in transforms
     ]
@@ -340,10 +361,9 @@ class TestSweepSharing:
         )
         assert len(calls) == 2
         by_transform = {e.transform: e.result.to_dict() for e in result.entries}
-        direct = evaluation.cross_validate(
-            "decision-tree", data, 3, {"max_depth": 2}, transform="log-scale",
-            prepared=prepare_folds(folds),
-        )
+        direct = evaluation.cross_validate_sizes(
+            "decision-tree", prepare_folds(folds), {"max_depth": 2}, None, transform="log-scale",
+        )[0]
         assert by_transform["log-scale"] == direct.to_dict()
         assert by_transform["log-scale"] != by_transform["identity"]
         assert by_transform["z-score"] == by_transform["identity"]
@@ -476,6 +496,18 @@ class TestGenerateSynthetic:
         assert counts[R] == 6325
         assert counts[S] == 1150
         assert counts[T] == 4025
+
+    @pytest.mark.parametrize(
+        "proportions, message",
+        [
+            ({R: 0.5}, "proportions must sum to 1, got 0.5"),
+            ({R: 0.9, S: 0.9}, "proportions must sum to 1, got 1.8"),
+            ({R: -0.5, S: 1.0, T: 0.5}, "proportions must be non-negative"),
+        ],
+    )
+    def test_bad_proportions_rejected(self, proportions, message):
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic(100, proportions, seed=0)
 
     def test_thesis_author_count_constant_one(self):
         data = generate_synthetic(5000, PROPS, seed=1)

@@ -42,6 +42,11 @@ class TestDocType:
         with pytest.raises(ValueError):
             DocType.from_label("Poster")
 
+    @pytest.mark.parametrize("label", [["x"], {"x": 1}])
+    def test_unhashable_label_named(self, label):
+        with pytest.raises(ValueError, match=r"^unknown document type: "):
+            DocType.from_label(label)
+
 
 class TestTokenize:
     def test_strips_edge_punctuation(self):

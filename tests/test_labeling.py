@@ -134,6 +134,11 @@ class TestBalancedSample:
         with pytest.raises(ValueError):
             balanced_sample(self._pool(), 10, {DocType.RESEARCH: 0.5}, seed=0)
 
+    def test_negative_proportion_rejected(self):
+        proportions = {DocType.RESEARCH: -0.5, DocType.SLIDES: 1.0, DocType.THESIS: 0.5}
+        with pytest.raises(ValueError, match="proportions must be non-negative"):
+            balanced_sample(self._pool(), 20, proportions, seed=0)
+
 
 class TestStratifiedSplit:
     def _pool(self, n_r=550, n_s=100, n_t=350):

@@ -79,6 +79,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"paths": {"records": str(tmp_path / "absent.jsonl")}})
 
+    def test_paths_no_stage_reads_are_ignored(self, tmp_path):
+        cfg = config_from_dict({"paths": {"log": str(tmp_path / "absent.jsonl"), "model": 5}})
+        assert set(cfg.to_dict()["paths"]) == {"records", "labeled", "output_dir"}
+
     def test_unknown_sweep_kind(self):
         with pytest.raises(ConfigError):
             config_from_dict({"sweep": {"kinds": ["perceptron"]}})
@@ -127,6 +131,8 @@ class TestConfig:
             ({"proportions": {"Research": 1, "Slides": 0, "Thesis": None}},
              "proportions.Thesis must be a finite number, got null"),
             ({"proportions": {"Paper": 1}}, "proportions: unknown document type: 'Paper'"),
+            ({"proportions": {"Research": -0.5, "Slides": 1.0, "Thesis": 0.5}},
+             "proportions must be non-negative, got {'Research': -0.5}"),
         ],
     )
     def test_bad_config_value_exits_one(self, payload, message, tmp_path, capsys):
