@@ -24,15 +24,14 @@ from .ioutils import atomic_write_text, canonical_json, read_json_lines_strict
 from .labeling import (
     LabeledExample,
     balanced_sample,
-    example_to_row,
     feature_row,
     read_examples,
     row_to_features,
     rule_label,
     sample_size,
-    stratified_split,
     write_examples,
 )
+from .labeling import stratified_split  # noqa: F401 -- unused; bench/tracer.py wraps this name
 from .models import dataset_matrix, load_model, predict, train
 from .engagement import engagement_report, read_log_events
 from .pipeline import run_pipeline
@@ -46,7 +45,7 @@ EXIT_DATA = 2
 #: The commands that take the shared --seed, --config and --format flags;
 #: every command but pipeline takes --out. --config supplies the seed, and
 #: the proportions (sample, synth) or quantiles (thresholds).
-SEEDED_COMMANDS = ("sample", "split", "train", "sweep", "evaluate", "ablation", "synth")
+SEEDED_COMMANDS = ("sample", "train", "sweep", "evaluate", "ablation", "synth")
 CONFIGURED_COMMANDS = SEEDED_COMMANDS + ("thresholds",)
 FORMATTED_COMMANDS = ("samplesize", "sweep", "evaluate", "ablation", "engagement")
 
@@ -114,11 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--total", type=int, required=True)
     cmd.add_argument("--proportions", type=str, default=None,
                      help='JSON map, e.g. {"Research":0.55,"Slides":0.1,"Thesis":0.35}')
-
-    cmd = add("split", cmd_split, "stratified validation + k-fold split")
-    cmd.add_argument("labeled", type=str)
-    cmd.add_argument("--k", type=int, default=10)
-    cmd.add_argument("--validation-fraction", type=float, default=0.2)
 
     cmd = add("impute", cmd_impute, "fill missing author counts")
     cmd.add_argument("labeled", type=str)
@@ -252,19 +246,6 @@ def cmd_sample(args) -> int:
     proportions = _parse_proportions(args.proportions, args.run_config)
     picked = balanced_sample(examples, args.total, proportions, args.seed)
     _write_examples(args, picked)
-    return EXIT_OK
-
-
-def cmd_split(args) -> int:
-    examples = _read_labeled(args.labeled)
-    split = stratified_split(examples, args.k, args.validation_fraction, args.seed)
-    payload = {
-        "format_version": 1,
-        "seed": split.seed,
-        "validation": [example_to_row(ex) for ex in split.validation],
-        "folds": [[example_to_row(ex) for ex in fold] for fold in split.test_folds],
-    }
-    _write_or_print(args, canonical_json(payload))
     return EXIT_OK
 
 

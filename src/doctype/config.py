@@ -176,6 +176,7 @@ def validate_config(cfg: RunConfig) -> None:
                 check_hyperparameters(kind, point)
             except ValueError as exc:
                 raise ConfigError(f"sweep grid for {kind}: {exc}") from exc
-    for path_label, path in (("records", cfg.records_path), ("labeled", cfg.labeled_path)):
-        if path is not None and not Path(path).exists():
-            raise ConfigError(f"{path_label} path does not exist: {path}")
+    # only the path run_pipeline reads: records when given, else labeled
+    path_label = "records" if cfg.records_path is not None else "labeled"
+    if (path := getattr(cfg, f"{path_label}_path")) is not None and not Path(path).exists():
+        raise ConfigError(f"{path_label} path does not exist: {path}")

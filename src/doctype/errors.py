@@ -31,7 +31,7 @@ class ThresholdError(DocTypeError):
 
 
 class ImputationError(DocTypeError):
-    """Imputation is impossible, e.g. a class with no observed values."""
+    """Imputation is impossible: no row has an observed f1."""
 
 
 class TrainingError(DocTypeError):

@@ -140,7 +140,7 @@ class CVResult:
 
 @dataclass
 class PreparedFold:
-    """One CV fold: its training rows and its imputed train and test matrices over ``features``."""
+    """One CV fold: its training rows and its filled train and test matrices over ``features``."""
 
     features: tuple[str, ...]
     train: list[LabeledExample]
@@ -153,24 +153,20 @@ class PreparedFold:
 def prepare_folds(
     folds: Sequence[Sequence[LabeledExample]], features: Sequence[str] = FEATURE_IDS
 ) -> list[PreparedFold]:
-    """Build the folds' matrix once; impute each fold from its training rows."""
+    """Build the folds' matrix over ``features`` once; fill each fold's f1
+    as a model that ``train`` fits on its training rows would fill both sides."""
     features = check_features(features)
-    X, y = dataset_matrix([ex for fold in folds for ex in fold])
+    X, y = dataset_matrix([ex for fold in folds for ex in fold], features)
     fold_of = np.repeat(np.arange(len(folds)), [len(fold) for fold in folds])
-    columns = [FEATURE_IDS.index(fid) for fid in features]
-    impute = np.isnan(X[:, 0]).any()
     prepared = []
     for i in range(len(folds)):
         test = fold_of == i
-        X_train, y_train, X_test, y_test = X[~test], y[~test], X[test], y[test]
-        if impute:
-            imputer = Imputer().fit(X_train, y_train)
-            X_train = imputer.transform(X_train, y_train)
-            X_test = imputer.transform(X_test, y_test)
+        X_train, X_test = X[~test], X[test]
+        if "f1" in features:
+            imputer = Imputer.fit(X_train)
+            X_train, X_test = imputer.apply(X_train), imputer.apply(X_test)
         train_set = [ex for j, fold in enumerate(folds) if j != i for ex in fold]
-        prepared.append(PreparedFold(
-            features, train_set, X_train[:, columns], y_train, X_test[:, columns], y_test
-        ))
+        prepared.append(PreparedFold(features, train_set, X_train, y[~test], X_test, y[test]))
     return prepared
 
 

@@ -76,10 +76,6 @@ class FeatureVector:
     f3_pages: float
     f4_words_per_page: float
 
-    @property
-    def is_complete(self) -> bool:
-        return self.f1_authors is not None
-
     def get(self, feature_id: str) -> float | None:
         return getattr(self, _FIELD_BY_ID[feature_id])
 

@@ -37,7 +37,6 @@ class DatasetSplit:
     train: list[LabeledExample]
     test_folds: list[list[LabeledExample]]
     validation: list[LabeledExample]
-    seed: int
 
 
 def rule_label(record: DocumentRecord) -> DocType:
@@ -164,7 +163,7 @@ def stratified_split(
     validation = [examples[row] for row in validation_rows]
     held_out = set(validation_rows)
     train = [ex for row, ex in enumerate(examples) if row not in held_out]
-    return DatasetSplit(train=train, test_folds=folds, validation=validation, seed=seed)
+    return DatasetSplit(train=train, test_folds=folds, validation=validation)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
@@ -15,7 +15,7 @@ from ..errors import ModelFormatError, TrainingError
 from ..ingest import DOC_TYPES, FEATURE_IDS, DocType, FeatureVector
 from ..ioutils import finite_number
 from ..labeling import LabeledExample
-from ..stats import TransformSpec
+from ..stats import Imputer, TransformSpec
 from .adaboost import AdaboostPredictor, fit_adaboost
 from .artifact import ModelArtifact
 from .baselines import (
@@ -194,9 +194,10 @@ def train(
     """Fit one model kind on the dataset and wrap it in a ModelArtifact.
 
     ``matrix`` is ``dataset_matrix(dataset, features)`` when the caller
-    has already built it; it is read, never written. A NaN in it (a
-    missing f1), or a value the transform makes not finite, raises
-    TrainingError naming the example.
+    has already built it; it is read, never written. When f1 is a feature,
+    an ``Imputer`` fitted on these rows fills their missing f1 and goes
+    into the model, which fills unseen rows the same way. A value the
+    transform makes not finite raises TrainingError naming the example.
     """
     spec = kind_spec(kind)
     if not dataset:
@@ -211,10 +212,9 @@ def train(
         raise TrainingError(f"{kind} needs every class present; missing {missing}")
 
     X, y = dataset_matrix(dataset, features) if matrix is None else matrix
-    nan_cells = np.argwhere(np.isnan(X))
-    if len(nan_cells):
-        row, col = nan_cells[0]
-        raise TrainingError(f"example {dataset[row].id} has missing {features[col]}; impute first")
+    imputer = Imputer.fit(X) if "f1" in features else None
+    if imputer is not None:
+        X = imputer.apply(X)
     transform_spec = TransformSpec.fit(X, transform)
     Xt = transform_spec.apply(X)
     if bad := _first_non_finite(X, Xt, transform_spec.kind, features):
@@ -229,6 +229,7 @@ def train(
         parameters=parameters,
         seed=seed,
         features=features,
+        imputer=imputer,
     )
 
 
@@ -242,7 +243,7 @@ def truncate(model: ModelArtifact, size: int) -> ModelArtifact:
     if not kind_spec(model.kind).ensemble:
         raise ValueError(f"{model.kind} is not an ensemble; cannot truncate it")
     parameters = {name: members[:size] for name, members in model.parameters.items()}
-    return ModelArtifact(model.kind, model.transform, parameters, model.seed, model.features)
+    return replace(model, parameters=parameters, _predictor=None)
 
 
 def _predictor(model: ModelArtifact):
@@ -290,28 +291,23 @@ def load_model(source: IO[str] | str | Path) -> ModelArtifact:
 
 def predict(model: ModelArtifact, fv: FeatureVector) -> tuple[DocType, dict[DocType, float]]:
     """Classify one vector: row 0 of predict_batch, ties to the lowest class."""
-    raw = [_require_value(fv, fid) for fid in model.features]
-    labels, scores = predict_batch(model, np.array([raw]))
+    labels, scores = predict_batch(model, np.array([fv.values(model.features)], dtype=float))
     row = scores[0].tolist()
     return DocType(int(labels[0])), {t: row[t] for t in DOC_TYPES}
-
-
-def _require_value(fv: FeatureVector, feature_id: str) -> float:
-    value = fv.get(feature_id)
-    if value is None:
-        raise ValueError(f"feature {feature_id} is missing; impute before predicting")
-    return float(value)
 
 
 def predict_batch(
     model: ModelArtifact, X_raw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transform and score a matrix: returns (labels, score matrix).
+    """Fill, transform and score a matrix: returns (labels, score matrix).
 
-    Labels are each row's argmax, so ties go to the lowest class. A value
-    that is not finite, raw or transformed, raises ValueError naming it.
+    A missing f1 (NaN) is filled by the model's imputer. Labels are each
+    row's argmax, so ties go to the lowest class. A value that is not
+    finite, raw or transformed, raises ValueError naming it.
     """
     X = np.asarray(X_raw, dtype=float)
+    if model.imputer is not None:
+        X = model.imputer.apply(X)
     Xt = model.transform.apply(X)
     if bad := _first_non_finite(X, Xt, model.transform.kind, model.features):
         row, what = bad

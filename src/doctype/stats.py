@@ -215,56 +215,67 @@ def preserves_order(kind: str, train: np.ndarray, test: np.ndarray) -> bool:
     return bool((mapped[1:] > mapped[:-1])[raw[1:] > raw[:-1]].all())
 
 
+@dataclass(frozen=True)
 class Imputer:
-    """Per-class least-squares fill-in for missing author counts.
+    """A label-free least-squares fill-in for a missing author count.
 
-    One chained-regression pass on ``(X, y)`` as ``models.dataset_matrix``
-    builds them, where a missing f1 is NaN: within each class, regress f1
-    on (f2, f3, f4) over the observed rows, predict the missing ones,
-    round, and clamp into the observed per-class [min, max]. Observed
-    values are never modified.
+    ``fit`` takes a ``models.dataset_matrix`` over features from f1 on, so
+    a missing f1 is NaN in column 0, and regresses f1 on (1, the other
+    columns) over the rows where f1 is observed, keeping their [lo, hi].
+    ``apply`` fills each missing f1 from its own row only: predict, round,
+    and clamp into the integers of [lo, hi].
     """
 
-    def __init__(self) -> None:
-        self._by_class: dict[DocType, tuple[np.ndarray, float, float]] = {}
+    coef: tuple[float, ...]
+    lo: float
+    hi: float
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "Imputer":
-        observed = ~np.isnan(X[:, 0])
-        for t in DOC_TYPES:
-            in_class = y == t
-            if not in_class.any():
-                continue
-            rows = X[in_class & observed]
-            if not len(rows):
-                raise ImputationError(f"class {t.label} has no observed f1 values")
-            design = np.column_stack([np.ones(len(rows)), rows[:, 1:]])
-            coef, *_ = np.linalg.lstsq(design, rows[:, 0], rcond=None)
-            self._by_class[t] = (coef, float(rows[:, 0].min()), float(rows[:, 0].max()))
-        return self
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "Imputer":
+        rows = X[~np.isnan(X[:, 0])]
+        if not len(rows):
+            raise ImputationError("no observed f1 values to fit the imputer on")
+        design = np.column_stack([np.ones(len(rows)), rows[:, 1:]])
+        coef, *_ = np.linalg.lstsq(design, rows[:, 0], rcond=None)
+        return cls(tuple(coef.tolist()), float(rows[:, 0].min()), float(rows[:, 0].max()))
 
-    def transform(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """A copy of ``X`` with every missing f1 filled from its class's fit."""
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """A copy of ``X`` with every missing f1 filled. A fill from a value
+        that is not finite stays NaN; a fill that overflows clamps."""
         out = np.array(X, dtype=float)
-        for i in np.flatnonzero(np.isnan(out[:, 0])):
-            label = DocType(int(y[i]))
-            if label not in self._by_class:
-                raise ImputationError(
-                    f"class {label.label} was not fitted; cannot impute row {i}"
-                )
-            coef, lo, hi = self._by_class[label]
-            # one dot per row: a matrix product may round the sum differently
-            raw = float(coef @ np.concatenate(([1.0], out[i, 1:])))
-            out[i, 0] = max(int(lo), min(int(hi), int(np.rint(raw))))
+        coef = np.array(self.coef)
+        lo, hi = np.trunc(self.lo), np.trunc(self.hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in np.flatnonzero(np.isnan(out[:, 0])):
+                # one dot per row: a matrix product may round the sum differently
+                raw = coef @ np.concatenate(([1.0], out[i, 1:]))
+                out[i, 0] = np.clip(np.rint(raw), lo, hi)
         return out
+
+    def to_dict(self) -> dict:
+        return {"coef": list(self.coef), "lo": self.lo, "hi": self.hi}
+
+    @classmethod
+    def from_dict(cls, payload: Mapping, n_features: int) -> "Imputer":
+        """Read a stored imputer: ``n_features`` finite coefficients (the
+        intercept first) and finite lo <= hi, or else ValueError."""
+        coef = number_array(payload["coef"], (n_features,), "imputer coef")
+        lo, hi = number_array([payload["lo"], payload["hi"]], (2,), "imputer lo and hi").tolist()
+        if lo > hi:
+            raise ValueError(f"imputer lo {lo!r} is above hi {hi!r}")
+        return cls(tuple(coef.tolist()), lo, hi)
 
 
 def impute_f1(dataset: Sequence[LabeledExample]) -> list[LabeledExample]:
     """``Imputer`` fitted and applied on the dataset's own rows, as objects:
-    each missing f1 becomes an int, and observed rows pass through."""
+    each missing f1 becomes an int, and observed rows pass through. A
+    dataset with no missing f1, an empty one included, needs no fit."""
     from .models import dataset_matrix
 
-    X, y = dataset_matrix(dataset)
-    filled = Imputer().fit(X, y).transform(X, y)[:, 0]
+    if all(ex.features.f1_authors is not None for ex in dataset):
+        return list(dataset)
+    X, _ = dataset_matrix(dataset)
+    filled = Imputer.fit(X).apply(X)[:, 0]
     return [
         ex
         if ex.features.f1_authors is not None

@@ -3,6 +3,8 @@ hypothesis profile."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -64,6 +66,15 @@ def toy_dataset(n_per_class: int = 30, seed: int = 0) -> list[LabeledExample]:
             out.append(make_example(label, f1, f2, f3, doc_id=f"toy-{i}"))
             i += 1
     return out
+
+
+def blank_f1(data: list[LabeledExample], share: float, seed: int) -> list[LabeledExample]:
+    """``data`` with f1 blanked on each row with probability ``share``."""
+    rng = np.random.default_rng(seed)
+    return [
+        replace(ex, features=replace(ex.features, f1_authors=None)) if rng.random() < share else ex
+        for ex in data
+    ]
 
 
 def make_event(

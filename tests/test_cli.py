@@ -3,13 +3,14 @@
 import argparse
 import dataclasses
 import json
+import math
 
 import pytest
 
 from doctype.cli import _build_parser, main
 from doctype.config import RunConfig
 from doctype.labeling import read_examples
-from doctype.models import train
+from doctype.models import load_model, train
 
 from conftest import toy_dataset
 
@@ -69,7 +70,6 @@ OPTIONS = {
         "label": "--out",
         "samplesize": "--out --format --z --p --c",
         "sample": "--config --out --seed --total --proportions",
-        "split": "--config --out --seed --k --validation-fraction",
         "impute": "--out",
         "thresholds": "--config --out --quantile-lo --quantile-hi",
         "train": "--config --out --seed --kind --hyperparameters --transform",
@@ -189,9 +189,13 @@ class TestTrainPredict:
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert lines[0]["doc_id"] == "q1"
         assert lines[0]["doc_type"] in {"Research", "Slides", "Thesis"}
-        assert "error" in lines[1]
+        # a null f1 is filled by the model's imputer, as a row holding the fill
+        fill = load_model(model_path).imputer.apply([[math.nan, 100, 1, 100.0]])[0, 0]
+        features.write_text(json.dumps({**rows[1], "f1": fill}) + "\n")
+        assert main(["predict", str(model_path), str(features), "--out", str(out)]) == 0
+        assert [json.loads(out.read_text())] == lines[1:]
         err = capsys.readouterr().err
-        assert "1 errors" in err and "ms/row" in err
+        assert "0 errors" in err and "ms/row" in err
 
     def test_non_finite_features_give_error_rows(self, labeled_file, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -318,6 +322,29 @@ class TestTrainPredict:
         # a seed that is not a JSON integer
         payload = json.loads(train("baseline-random", toy_dataset(10, seed=2), seed=7).to_json())
         payloads += [(f"seed {seed!r}", {**payload, "seed": seed}) for seed in ("7", True)]
+        # stored imputers that cannot fill a row, and a version-1 file
+        payload = json.loads(train("gnb", toy_dataset(10, seed=2)).to_json())
+        imputer, coef = payload["imputer"], payload["imputer"]["coef"]
+        payloads += [
+            (f"imputer {bad!r}", {**payload, "imputer": bad})
+            for bad in (
+                {**imputer, "coef": [math.nan, *coef[1:]]},
+                {**imputer, "coef": [*coef[:-1], math.inf]},
+                {**imputer, "coef": [True, *coef[1:]]},
+                {**imputer, "coef": coef[:-1]},
+                {**imputer, "lo": imputer["hi"] + 1},
+                None,
+            )
+        ]
+        without_f1 = train("gnb", toy_dataset(10, seed=2), features=("f2", "f3"))
+        without_f1 = json.loads(without_f1.to_json())
+        payloads += [
+            ("imputer without f1", {**without_f1, "imputer": {**imputer, "coef": coef[:2]}}),
+            ("no imputer key", {k: v for k, v in payload.items() if k != "imputer"}),
+            ("version 1", {**payload, "format_version": 1}),
+        ]
+        payload = json.loads(train("gnb", toy_dataset(10, seed=2), transform="log-scale").to_json())
+        payloads.append(("log of a fill of -1", {**payload, "imputer": {**imputer, "lo": -1}}))
         for kind, payload in payloads:
             bad.write_text(json.dumps(payload))
             assert main(["predict", str(bad), str(features), "--out", str(out)]) == 2, kind
@@ -336,14 +363,6 @@ class TestTrainPredict:
 
 
 class TestOtherCommands:
-    def test_split_counts(self, labeled_file, tmp_path):
-        out = tmp_path / "split.json"
-        assert main(["split", str(labeled_file), "--k", "3", "--validation-fraction", "0.2", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert len(payload["folds"]) == 3
-        total = len(payload["validation"]) + sum(len(f) for f in payload["folds"])
-        assert total == 90
-
     def test_impute_fills_missing(self, tmp_path):
         src = tmp_path / "labeled.jsonl"
         rows = [
@@ -512,7 +531,7 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["split", "LABELED", "--k", "1"],
+            ["evaluate", "LABELED", "--kind", "gnb", "--k", "1"],
             ["train", "LABELED", "--kind", "knn", "--hyperparameters", '{"k":"x"}'],
             ["train", "LABELED", "--kind", "gnb", "--transform", "bogus"],
             ["evaluate", "LABELED", "--kind", "gnb", "--k", "3", "--transform", "bogus"],
@@ -592,7 +611,7 @@ class TestUsage:
             if action.dest != "help"
             for option in action.option_strings
         }
-        assert got == OPTIONS and len(got) == 59
+        assert got == OPTIONS and len(got) == 54
         assert [f.name for f in dataclasses.fields(RunConfig)] == RUN_CONFIG_FIELDS
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["train", "--help"]])

@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from doctype.evaluation import (
 )
 from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
 from doctype.labeling import LabeledExample, stratified_split
-from doctype.models import dataset_matrix, predict_batch, train
+from doctype.models import KINDS, dataset_matrix, predict_batch, train
+from doctype.seeding import derive_seed
 from doctype.stats import TRANSFORM_KINDS, TransformSpec, derive_thresholds, preserves_order
 from doctype.synthetic import (
     PARAMETERIZED_FEATURES,
@@ -32,7 +34,7 @@ from doctype.synthetic import (
     generate_synthetic,
 )
 
-from conftest import make_example, toy_dataset
+from conftest import blank_f1, make_example, toy_dataset
 
 PROPS = {DocType.RESEARCH: 0.55, DocType.SLIDES: 0.10, DocType.THESIS: 0.35}
 R, S, T = DocType.RESEARCH, DocType.SLIDES, DocType.THESIS
@@ -166,6 +168,60 @@ class TestCrossValidate:
         data = toy_dataset(30, seed=4)
         result = cross_validate("gnb", data, 5, seed=3)
         assert sum(sum(row) for row in result.pooled_confusion) == len(data)
+
+
+def cv_predictions(kind, prepared, hyperparameters, seed, transform="identity"):
+    """The labels ``cross_validate_sizes`` predicts for each fold, in fold order."""
+    calls = []
+
+    def recording(model, X):
+        labels, scores = predict_batch(model, X)
+        calls.append(labels.tolist())
+        return labels, scores
+
+    with mock.patch.object(evaluation, "predict_batch", recording):
+        cross_validate_sizes(kind, prepared, hyperparameters, None, seed, transform)
+    return calls
+
+
+def incomplete_folds(seed):
+    """Three stratified folds of 60 synthetic rows, about 30% without f1."""
+    data = blank_f1(generate_synthetic(60, PROPS, seed), 0.3, seed)
+    return stratified_split(data, 3, 0.0, 0).test_folds
+
+
+class TestLabelFreeFill:
+    """No fill reads a label, so CV fills f1 as a deployed model does."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10**6), fold=st.integers(0, 2), shuffle=st.randoms())
+    def test_test_fold_labels_change_no_fill_or_prediction(self, seed, fold, shuffle):
+        folds = incomplete_folds(seed)
+        labels = [ex.label for ex in folds[fold]]
+        shuffle.shuffle(labels)
+        relabeled = [list(f) for f in folds]
+        relabeled[fold] = [replace(ex, label=label) for ex, label in zip(folds[fold], labels)]
+        before, after = prepare_folds(folds), prepare_folds(relabeled)
+        for a, b in zip(before, after):
+            assert np.array_equal(a.X_train, b.X_train) and np.array_equal(a.X_test, b.X_test)
+        hp = {"max_depth": 3}
+        predicted = [cv_predictions("decision-tree", p, hp, seed)[fold] for p in (before, after)]
+        assert predicted[0] == predicted[1]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        kind=st.sampled_from([k for k in KINDS if not k.startswith("baseline")]),
+        transform=st.sampled_from(TRANSFORM_KINDS),
+        features=st.sampled_from([FEATURE_IDS, ("f1", "f3"), ("f1",), ("f2", "f4")]),
+    )
+    def test_cv_predicts_as_a_model_trained_on_the_raw_fold(self, seed, kind, transform, features):
+        folds = incomplete_folds(seed)
+        got = cv_predictions(kind, prepare_folds(folds, features), {}, seed, transform)
+        for i, fold in enumerate(folds):
+            rows = [ex for j, other in enumerate(folds) if j != i for ex in other]
+            model = train(kind, rows, {}, derive_seed(seed, f"fold-{i}"), transform, features)
+            assert got[i] == predict_batch(model, dataset_matrix(fold, features)[0])[0].tolist()
 
 
 class TestSweep:

@@ -95,7 +95,6 @@ class TestExtractFeatures:
     def test_missing_f1_iff_no_authors(self):
         fv = extract_features(DocumentRecord("r", (), "t", (), ("x",)))
         assert fv.f1_authors is None
-        assert not fv.is_complete
 
     def test_ratio_invariant_random(self):
         rng = np.random.default_rng(7)

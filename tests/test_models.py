@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -10,12 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doctype.errors import ModelFormatError, TrainingError, UnsupportedVersionError
+from doctype.errors import (
+    ImputationError,
+    ModelFormatError,
+    TrainingError,
+    UnsupportedVersionError,
+)
 from doctype.ingest import DocType, FeatureVector
 from doctype.labeling import LabeledExample
 from doctype.models import (
     DEPLOYED_FOREST_PROFILE,
     KINDS,
+    MODEL_FORMAT_VERSION,
     SPECS,
     THRESHOLD_TEST_ORDER,
     ModelArtifact,
@@ -32,7 +39,7 @@ from doctype.models import (
 )
 from doctype.models import knn as knn_module
 from doctype.models.knn import KnnPredictor
-from doctype.stats import TRANSFORM_KINDS, ThresholdTable
+from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable
 from conftest import REFERENCE_CELLS, make_example, toy_dataset
 
 
@@ -54,7 +61,7 @@ def random_vectors(n: int, seed: int) -> list[FeatureVector]:
 
 
 feature_rows = st.tuples(
-    st.integers(1, 20),
+    st.one_of(st.none(), st.integers(1, 20)),
     st.floats(0, 3e5),
     st.integers(1, 600),
     st.floats(0, 2e4),
@@ -566,9 +573,16 @@ class TestMissingF1:
         assert dataset_matrix([])[0].shape == (0, 4)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_train_names_the_row_to_impute(self, kind):
-        with pytest.raises(TrainingError, match="^example gap has missing f1; impute first$"):
-            train(kind, self.data())
+    def test_train_fills_the_missing_f1(self, kind):
+        rows = self.data()
+        X, _ = dataset_matrix(rows)
+        imputer = Imputer.fit(X)
+        gap = rows[4]
+        fill = imputer.apply(X)[4, 0]
+        rows_filled = [*rows[:4], replace(gap, features=replace(gap.features, f1_authors=fill))]
+        model = train(kind, rows)
+        assert model.imputer == imputer
+        assert model.parameters == train(kind, rows_filled + rows[5:]).parameters
 
     def test_train_without_f1_ignores_it(self):
         model = train("gnb", self.data(), features=("f2", "f3"))
@@ -614,9 +628,10 @@ class TestPredictContract:
                         break
 
     def test_missing_feature_rejected(self):
+        # only f1 is filled; any other missing feature is refused
         model = train("gnb", toy_dataset(10, seed=15))
-        with pytest.raises(ValueError):
-            predict(model, FeatureVector(None, 10.0, 2, 5.0))
+        with pytest.raises(ValueError, match="^row 0: feature f2 = nan is not finite$"):
+            predict(model, FeatureVector(3, None, 2, 5.0))
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.lists(feature_rows, min_size=1, max_size=12))
@@ -653,7 +668,7 @@ class TestPredictContract:
 
     def test_missing_training_feature_rejected(self):
         data = [make_example(DocType.RESEARCH, f1=None, doc_id="bad")]
-        with pytest.raises(TrainingError):
+        with pytest.raises(ImputationError, match="^no observed f1 values"):
             train("gnb", data)
 
 
@@ -748,7 +763,9 @@ class TestSerialization:
 
     def test_future_version_rejected(self):
         model = train("gnb", toy_dataset(10, seed=21))
-        payload = model.to_json().replace('"format_version": 1', '"format_version": 2')
+        payload = json.loads(model.to_json())
+        payload["format_version"] = MODEL_FORMAT_VERSION + 1
+        payload = json.dumps(payload)
         with pytest.raises(UnsupportedVersionError):
             load_model(io.StringIO(payload))
 
@@ -830,12 +847,13 @@ class TestCorruptedModels:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_mutated_file_rejected_or_scored(self, data):
-        """Deleting one key or replacing one stored value under parameters or
-        transform either fails to load or leaves every score a probability."""
+        """Deleting one key or replacing one stored value under parameters,
+        transform or imputer either fails to load or leaves every score a
+        probability, rows with a missing f1 included."""
         payload = json.loads(json.dumps(data.draw(st.sampled_from(model_payloads()))))
         sites = [
             (section,) + path
-            for section in ("parameters", "transform")
+            for section in ("parameters", "transform", "imputer")
             for path in value_sites(payload[section])
         ]
         *parents, key = data.draw(st.sampled_from(sites))
@@ -855,6 +873,7 @@ class TestCorruptedModels:
         except ModelFormatError:
             return
         rows = np.array([fv.values() for fv in random_vectors(20, seed=28)], dtype=float)
+        rows[::3, 0] = math.nan
         _, scores = predict_batch(model, rows)
         assert np.isfinite(scores).all()
         assert ((scores >= 0) & (scores <= 1)).all()

@@ -1,13 +1,27 @@
 """Config validation and the end-to-end pipeline contract."""
 
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doctype.cli import main
 from doctype.config import config_from_dict, load_config
 from doctype.errors import ConfigError
+from doctype import pipeline
+from doctype.ingest import DocType
+from doctype.labeling import stratified_split, write_examples
+from doctype.models import predict_batch
 from doctype.pipeline import run_pipeline
+from doctype.seeding import derive_seed
+from doctype.synthetic import generate_synthetic
+
+from conftest import blank_f1
 
 
 def build_records(tmp_path, n_research=60, n_thesis=30, n_slides=20):
@@ -76,8 +90,15 @@ class TestConfig:
             config_from_dict({"proportions": {"Research": 0.5, "Slides": 0.4}})
 
     def test_missing_input_path(self, tmp_path):
-        with pytest.raises(ConfigError):
-            config_from_dict({"paths": {"records": str(tmp_path / "absent.jsonl")}})
+        absent, records = tmp_path / "absent.jsonl", build_records(tmp_path)
+        for paths in (
+            {"records": absent}, {"labeled": absent}, {"records": absent, "labeled": records}
+        ):
+            with pytest.raises(ConfigError, match="path does not exist"):
+                config_from_dict({"paths": {key: str(path) for key, path in paths.items()}})
+        # records win, so an unread labeled path need not exist
+        cfg = config_from_dict({"paths": {"records": str(records), "labeled": str(absent)}})
+        assert cfg.records_path == str(records)
 
     def test_paths_no_stage_reads_are_ignored(self, tmp_path):
         cfg = config_from_dict({"paths": {"log": str(tmp_path / "absent.jsonl"), "model": 5}})
@@ -210,3 +231,62 @@ class TestPipeline:
         with pytest.raises(Exception) as err:
             run_pipeline(cfg)
         assert "sample" in str(err.value)
+
+
+def split_by_position(rows, k_folds, validation_fraction, seed):
+    """``stratified_split`` as if every row had one label, so where a row
+    goes depends on its position only."""
+    one_class = [replace(ex, label=DocType.RESEARCH) for ex in rows]
+    original = {id(copy): ex for copy, ex in zip(one_class, rows)}
+    split = stratified_split(one_class, k_folds, validation_fraction, seed)
+    back = lambda part: [original[id(ex)] for ex in part]  # noqa: E731
+    return replace(
+        split,
+        train=back(split.train),
+        validation=back(split.validation),
+        test_folds=[back(fold) for fold in split.test_folds],
+    )
+
+
+class TestLabelFreeValidation:
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10**6), shuffle=st.randoms())
+    def test_validation_labels_change_no_model_or_prediction(self, seed, shuffle):
+        props = {DocType.RESEARCH: 0.55, DocType.SLIDES: 0.10, DocType.THESIS: 0.35}
+        rows = blank_f1(generate_synthetic(80, props, seed), 0.3, seed)
+        config = {
+            "seed": seed,
+            "k_folds": 3,
+            "validation_fraction": 0.25,
+            "sweep": {
+                "kinds": ["decision-tree"],
+                "transforms": ["identity"],
+                "grids": {"decision-tree": [{"max_depth": 3}]},
+            },
+        }
+        validation = split_by_position(rows, 3, 0.25, derive_seed(seed, "split")).validation
+        labels = [ex.label for ex in validation]
+        shuffle.shuffle(labels)
+        relabel = {ex.id: label for ex, label in zip(validation, labels)}
+        relabeled = [replace(ex, label=relabel.get(ex.id, ex.label)) for ex in rows]
+        outcomes = []
+        for data in (rows, relabeled):
+            predicted = []
+
+            def recording(model, X):
+                labels, scores = predict_batch(model, X)
+                predicted.append(labels.tolist())
+                return labels, scores
+
+            with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
+                pipeline,
+                stratified_split=split_by_position,
+                predict_batch=recording,
+            ):
+                labeled = Path(tmp) / "labeled.jsonl"
+                with open(labeled, "w") as handle:
+                    write_examples(handle, data)
+                paths = {"labeled": str(labeled), "output_dir": str(Path(tmp) / "out")}
+                run_pipeline(config_from_dict({**config, "paths": paths}))
+                outcomes.append((predicted, (Path(tmp) / "out" / "model.json").read_text()))
+        assert outcomes[0] == outcomes[1]
