@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, load_config, read_proportions
+from .config import RunConfig, check_seed, load_config, read_proportions
 from .errors import ConfigError, DocTypeError
 from .evaluation import ablation, cross_validate, report_from_confusion, sweep
 from .ingest import DocType, extract_features, parse_records
@@ -32,10 +32,11 @@ from .labeling import (
     write_examples,
 )
 from .labeling import stratified_split  # noqa: F401 -- unused; bench/tracer.py wraps this name
-from .models import dataset_matrix, load_model, predict, train
+from .models import dataset_matrix, load_model, predict, save_model, train
 from .engagement import engagement_report, read_log_events
 from .pipeline import run_pipeline
-from .stats import derive_thresholds, impute_f1
+from .stats import derive_thresholds
+from .stats import impute_f1  # noqa: F401 -- unused; bench/tracer.py wraps this name
 from .synthetic import generate_synthetic
 
 EXIT_OK = 0
@@ -72,8 +73,10 @@ def _resolve_config_defaults(args) -> None:
     """Fill unset flags from --config, else RunConfig's defaults; a given flag wins."""
     config = getattr(args, "config", None)
     args.run_config = load_config(config) if config else RunConfig()
-    if "seed" in vars(args) and args.seed is None:
-        args.seed = args.run_config.seed
+    if "seed" in vars(args):
+        if args.seed is None:
+            args.seed = args.run_config.seed
+        check_seed(args.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,9 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--total", type=int, required=True)
     cmd.add_argument("--proportions", type=str, default=None,
                      help='JSON map, e.g. {"Research":0.55,"Slides":0.1,"Thesis":0.35}')
-
-    cmd = add("impute", cmd_impute, "fill missing author counts")
-    cmd.add_argument("labeled", type=str)
 
     cmd = add("thresholds", cmd_thresholds, "derive per-class feature bounds")
     cmd.add_argument("labeled", type=str)
@@ -249,12 +249,6 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_impute(args) -> int:
-    examples = _read_labeled(args.labeled)
-    _write_examples(args, impute_f1(examples))
-    return EXIT_OK
-
-
 def cmd_thresholds(args) -> int:
     examples = _read_labeled(args.labeled)
     cfg = args.run_config
@@ -268,7 +262,7 @@ def cmd_thresholds(args) -> int:
 def cmd_train(args) -> int:
     examples = _read_labeled(args.labeled)
     hp = _parse_json_flag(args.hyperparameters)
-    _write_or_print(args, train(args.kind, examples, hp, args.seed, args.transform).to_json())
+    save_model(train(args.kind, examples, hp, args.seed, args.transform), args.out or sys.stdout)
     return EXIT_OK
 
 

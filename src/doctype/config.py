@@ -140,7 +140,14 @@ def config_from_dict(payload: dict) -> RunConfig:
     return cfg
 
 
+def check_seed(seed: int) -> None:
+    """A seed is a non-negative integer: the rule for ``--seed`` and a config's ``seed``."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 def validate_config(cfg: RunConfig) -> None:
+    check_seed(cfg.seed)
     try:
         check_proportions(cfg.proportions)
     except ValueError as exc:

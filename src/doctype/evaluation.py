@@ -140,7 +140,8 @@ class CVResult:
 
 @dataclass
 class PreparedFold:
-    """One CV fold: its training rows and its filled train and test matrices over ``features``."""
+    """One CV fold: its training rows and its raw train and test matrices
+    over ``features``, NaN where f1 is missing; ``train`` fits the fill."""
 
     features: tuple[str, ...]
     train: list[LabeledExample]
@@ -153,20 +154,16 @@ class PreparedFold:
 def prepare_folds(
     folds: Sequence[Sequence[LabeledExample]], features: Sequence[str] = FEATURE_IDS
 ) -> list[PreparedFold]:
-    """Build the folds' matrix over ``features`` once; fill each fold's f1
-    as a model that ``train`` fits on its training rows would fill both sides."""
+    """Build the folds' matrix over ``features`` once and cut it into
+    each fold's training and test rows."""
     features = check_features(features)
     X, y = dataset_matrix([ex for fold in folds for ex in fold], features)
     fold_of = np.repeat(np.arange(len(folds)), [len(fold) for fold in folds])
     prepared = []
     for i in range(len(folds)):
         test = fold_of == i
-        X_train, X_test = X[~test], X[test]
-        if "f1" in features:
-            imputer = Imputer.fit(X_train)
-            X_train, X_test = imputer.apply(X_train), imputer.apply(X_test)
         train_set = [ex for j, fold in enumerate(folds) if j != i for ex in fold]
-        prepared.append(PreparedFold(features, train_set, X_train, y[~test], X_test, y[test]))
+        prepared.append(PreparedFold(features, train_set, X[~test], y[~test], X[test], y[test]))
     return prepared
 
 
@@ -312,11 +309,10 @@ def sweep(
     prepared = prepare_folds(folds)
     shareable = set()
     if spec.order_invariant:
-        shareable = {
-            t
-            for t in transforms
-            if all(preserves_order(t, f.X_train, f.X_test) for f in prepared)
-        }
+        # the guard sees each fold as the trees do: f1 filled by the fold's imputer
+        imputers = [Imputer.fit(f.X_train) for f in prepared]
+        filled = [(fill.apply(f.X_train), fill.apply(f.X_test)) for fill, f in zip(imputers, prepared)]
+        shareable = {t for t in transforms if all(preserves_order(t, *f) for f in filled)}
     families: dict[str, tuple[dict, set]] = {}
     cells = []
     for point in grid:

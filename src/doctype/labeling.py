@@ -51,12 +51,22 @@ def rule_label(record: DocumentRecord) -> DocType:
 
 
 def sample_size(z: float, p_hat: float, c: float) -> int:
-    """Required sample count for confidence score z, proportion p, interval c."""
+    """Required sample count for confidence score z, proportion p, interval c.
+
+    ValueError unless z, p and c are finite, c is positive, p is in [0, 1]
+    and the count is finite (``c * c`` may underflow to 0).
+    """
+    if not all(map(math.isfinite, (z, p_hat, c))):
+        raise ValueError(f"z, p and c must be finite, got z={z}, p={p_hat}, c={c}")
     if c <= 0:
         raise ValueError(f"confidence interval must be positive, got {c}")
     if not 0.0 <= p_hat <= 1.0:
         raise ValueError(f"proportion must be in [0, 1], got {p_hat}")
-    return math.ceil(z * z * p_hat * (1.0 - p_hat) / (c * c))
+    squared = c * c
+    required = z * z * p_hat * (1.0 - p_hat) / squared if squared else math.inf
+    if not math.isfinite(required):
+        raise ValueError(f"required sample size is not finite for z={z}, p={p_hat}, c={c}")
+    return math.ceil(required)
 
 
 def check_proportions(proportions: Mapping[DocType, float]) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import ModelFormatError, TrainingError
 from ..ingest import N_CLASSES
 from ..ioutils import finite_number
-from .tree import CompiledTrees, ForestPredictor, grow_tree
+from .tree import ForestPredictor, grow_tree
 
 _ERR_FLOOR = 1e-10
 
@@ -52,29 +52,17 @@ def fit_adaboost(X, y, seed, hyperparameters) -> dict:
     return {"trees": trees, "alphas": alphas}
 
 
-class AdaboostPredictor:
-    """Weighted vote of round predictions; scores normalized by total weight.
-
-    Each leaf carries its tree's weight at the leaf's argmax class, so the
-    votes add up over trees in tree order, as the rounds were fitted.
-    """
-
-    def __init__(self, parameters: dict, n_features: int):
-        trees, alphas = parameters["trees"], parameters["alphas"]
-        if not trees:
-            raise ModelFormatError("adaboost has no trees")
-        if len(alphas) != len(trees):
-            raise ModelFormatError("adaboost weight/tree count mismatch")
-        for alpha in alphas:
-            if not finite_number(alpha):
-                raise ModelFormatError(f"non-finite boosting weight: {alpha!r}")
-            if alpha <= 0:
-                raise ModelFormatError(f"boosting weight is not positive: {alpha!r}")
-        self.compiled = CompiledTrees(trees, n_features)
-        per_node = np.repeat(np.asarray(alphas, dtype=float), self.compiled.sizes)
-        picks = self.compiled.dist.argmax(axis=1)
-        self.votes = np.where(np.arange(N_CLASSES) == picks[:, None], per_node[:, None], 0.0)
-        self._total = sum(alphas)
-
-    def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        return self.votes[self.compiled.leaves(X)].sum(axis=0) / self._total
+def adaboost_predictor(parameters: dict, n_features: int) -> ForestPredictor:
+    """The forest predictor voting each round's weight at its leaf's argmax
+    class, in round order; raises on weights it cannot vote with."""
+    trees, alphas = parameters["trees"], parameters["alphas"]
+    if not trees:
+        raise ModelFormatError("adaboost has no trees")
+    if len(alphas) != len(trees):
+        raise ModelFormatError("adaboost weight/tree count mismatch")
+    for alpha in alphas:
+        if not finite_number(alpha):
+            raise ModelFormatError(f"non-finite boosting weight: {alpha!r}")
+        if alpha <= 0:
+            raise ModelFormatError(f"boosting weight is not positive: {alpha!r}")
+    return ForestPredictor(trees, n_features, alphas)

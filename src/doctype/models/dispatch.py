@@ -13,10 +13,10 @@ import numpy as np
 
 from ..errors import ModelFormatError, TrainingError
 from ..ingest import DOC_TYPES, FEATURE_IDS, DocType, FeatureVector
-from ..ioutils import finite_number
+from ..ioutils import atomic_write_text, finite_number
 from ..labeling import LabeledExample
 from ..stats import Imputer, TransformSpec
-from .adaboost import AdaboostPredictor, fit_adaboost
+from .adaboost import adaboost_predictor, fit_adaboost
 from .artifact import ModelArtifact
 from .baselines import (
     RandomBaselinePredictor,
@@ -120,7 +120,7 @@ SPECS = {
         grid=tuple({"n_trees": t, "max_depth": d} for t, d in product((5, 10, 20), (2, 3, 4))),
     ),
     "adaboost": Kind(
-        fit_adaboost, lambda m: AdaboostPredictor(m.parameters, len(m.features)),
+        fit_adaboost, lambda m: adaboost_predictor(m.parameters, len(m.features)),
         {"rounds": _integer(1, 25), "max_depth": _integer(0, 2), "min_leaf_size": _integer(1, 1)},
         "rounds", ensemble=True, order_invariant=True, every_class=True,
         grid=tuple({"rounds": r, "max_depth": d} for r, d in product((10, 25, 50), (1, 2))),
@@ -265,13 +265,13 @@ def _predictor(model: ModelArtifact):
 
 
 def save_model(model: ModelArtifact, sink: IO[str] | str | Path) -> None:
-    """Write the model's JSON after building its predictor."""
+    """Write the model's JSON after building its predictor, so a model
+    that would not load is never written; a path is written atomically."""
     _predictor(model)
-    text = model.to_json()
     if hasattr(sink, "write"):
-        sink.write(text)
+        sink.write(model.to_json())
     else:
-        Path(sink).write_text(text)
+        atomic_write_text(sink, model.to_json())
 
 
 def load_model(source: IO[str] | str | Path) -> ModelArtifact:

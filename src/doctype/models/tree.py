@@ -17,10 +17,12 @@ hyperparameters, and ``models.truncate`` cuts one from the other.
 Trees are stored as dict nodes and compiled for prediction into flat
 arrays (feature, threshold, left, right, dist), the trees of an ensemble
 stacked end to end, after scikit-learn's array trees and QuickScorer
-(Lucchese et al., SIGIR 2015). All rows of all trees move down together,
-one level per step, for the deepest tree's depth. A leaf compiles to a
-split at threshold ``+inf`` whose children are the leaf itself, so a row
-that reaches a shallow leaf stays there without a per-row or per-tree test.
+(Lucchese et al., SIGIR 2015). ``ForestPredictor`` scores all three tree
+kinds; AdaBoost passes it the round weights. All rows of all trees move
+down together, one level per step, for the deepest tree's depth. A leaf
+compiles to a split at threshold ``+inf`` whose children are the leaf
+itself, so a row that reaches a shallow leaf stays there without a
+per-row or per-tree test.
 """
 
 from __future__ import annotations
@@ -176,39 +178,6 @@ def _best_split(X, y, sample_weight, indices, features, min_leaf_size):
     return best
 
 
-class CompiledTrees:
-    """Flat node arrays for a sequence of trees, with global node ids.
-
-    Compiling checks each tree (``_tree_depth``). ``depth`` is the deepest
-    tree's depth. Split nodes get a zero distribution: routing for
-    ``depth`` steps always ends on a leaf.
-    """
-
-    def __init__(self, trees, n_features: int):
-        self.depth = max(_tree_depth(nodes, n_features) for nodes in trees)
-        self.sizes = [len(nodes) for nodes in trees]
-        self.roots = np.cumsum([0] + self.sizes[:-1])
-        columns = []
-        for base, nodes in zip(self.roots.tolist(), trees):
-            for i, node in enumerate(nodes, base):
-                if node["feature"] < 0:
-                    columns.append((0, np.inf, i, i, node["dist"]))
-                else:
-                    left, right = base + node["left"], base + node["right"]
-                    columns.append((node["feature"], node["threshold"], left, right, _NO_DIST))
-        self.feature, self.threshold, self.left, self.right, dist = map(np.array, zip(*columns))
-        self.dist = dist.astype(float)
-
-    def leaves(self, X: np.ndarray) -> np.ndarray:
-        """Leaf id each row reaches in each tree, shape (trees, rows)."""
-        rows = np.arange(X.shape[0])
-        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
-        for _ in range(self.depth):
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
-        return node
-
-
 def _tree_depth(nodes, n_features: int) -> int:
     """Check one tree's nodes and shape; return its depth.
 
@@ -260,23 +229,12 @@ def balanced_weights(y: np.ndarray) -> np.ndarray:
     return per_class[y]
 
 
-def _sample_weights(y: np.ndarray, hyperparameters: dict) -> np.ndarray | None:
-    if hyperparameters["class_weight"] == "balanced":
-        return balanced_weights(y)
-    return None
-
-
 def fit_decision_tree(X, y, seed, hyperparameters) -> dict:
+    """Tree 0 of a one-tree forest without bootstrap that tries every
+    feature at each node, so it draws nothing and ignores its seed."""
     del seed
-    nodes = grow_tree(
-        X,
-        y,
-        sample_weight=_sample_weights(y, hyperparameters),
-        max_depth=hyperparameters["max_depth"],
-        min_leaf_size=hyperparameters["min_leaf_size"],
-        max_leaf_nodes=hyperparameters["max_leaf_nodes"],
-    )
-    return {"nodes": nodes}
+    forest = {**hyperparameters, "n_trees": 1, "bootstrap": False, "feature_subset": X.shape[1]}
+    return {"nodes": fit_random_forest(X, y, 0, forest)["trees"][0]}
 
 
 def fit_random_forest(X, y, seed, hyperparameters) -> dict:
@@ -294,7 +252,9 @@ def fit_random_forest(X, y, seed, hyperparameters) -> dict:
             grow_tree(
                 Xb,
                 yb,
-                sample_weight=_sample_weights(yb, hyperparameters),
+                sample_weight=(
+                    balanced_weights(yb) if hyperparameters["class_weight"] == "balanced" else None
+                ),
                 max_depth=hyperparameters["max_depth"],
                 min_leaf_size=hyperparameters["min_leaf_size"],
                 max_leaf_nodes=hyperparameters["max_leaf_nodes"],
@@ -306,17 +266,49 @@ def fit_random_forest(X, y, seed, hyperparameters) -> dict:
 
 
 class ForestPredictor:
-    """Soft-voting ensemble: scores are the mean of per-tree leaf distributions.
+    """A vote of trees compiled into flat node arrays with global node ids.
 
-    A decision tree is the one-tree case. Distributions are summed in tree
-    order and then divided by the tree count.
+    Without ``weights`` (random forest, decision tree) each tree votes its
+    leaf's class distribution: scores are the distributions summed in tree
+    order, then divided by the tree count. With ``weights`` (AdaBoost's
+    round weights) each tree votes its weight at its leaf's argmax class,
+    and the sum is divided by the Python ``sum`` of the weights.
+
+    Compiling checks each tree (``_tree_depth``). ``depth`` is the deepest
+    tree's depth. Split nodes get a zero distribution: routing for
+    ``depth`` steps always ends on a leaf.
     """
 
-    def __init__(self, trees, n_features: int):
+    def __init__(self, trees, n_features: int, weights=None):
         if not trees:
             raise ModelFormatError("random-forest has no trees")
-        self.compiled = CompiledTrees(trees, n_features)
-        self.n_trees = len(trees)
+        self.depth = max(_tree_depth(nodes, n_features) for nodes in trees)
+        sizes = [len(nodes) for nodes in trees]
+        self.roots = np.cumsum([0] + sizes[:-1])
+        columns = []
+        for base, nodes in zip(self.roots.tolist(), trees):
+            for i, node in enumerate(nodes, base):
+                if node["feature"] < 0:
+                    columns.append((0, np.inf, i, i, node["dist"]))
+                else:
+                    left, right = base + node["left"], base + node["right"]
+                    columns.append((node["feature"], node["threshold"], left, right, _NO_DIST))
+        self.feature, self.threshold, self.left, self.right, dist = map(np.array, zip(*columns))
+        self.votes, self.total = dist.astype(float), len(trees)
+        if weights is not None:
+            per_node = np.repeat(np.asarray(weights, dtype=float), sizes)
+            picks = self.votes.argmax(axis=1)
+            self.votes = np.where(np.arange(N_CLASSES) == picks[:, None], per_node[:, None], 0.0)
+            self.total = sum(weights)
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Leaf id each row reaches in each tree, shape (trees, rows)."""
+        rows = np.arange(X.shape[0])
+        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
+        for _ in range(self.depth):
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return node
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        return self.compiled.dist[self.compiled.leaves(X)].sum(axis=0) / self.n_trees
+        return self.votes[self.leaves(X)].sum(axis=0) / self.total

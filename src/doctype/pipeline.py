@@ -22,7 +22,7 @@ from .labeling import (
     rule_label,
     stratified_split,
 )
-from .models import ModelArtifact, dataset_matrix, predict_batch, train
+from .models import ModelArtifact, dataset_matrix, predict_batch, save_model, train
 from .seeding import derive_seed
 from .stats import derive_thresholds
 from .stats import impute_f1  # noqa: F401 -- no stage imputes; bench/tracer.py wraps this name
@@ -30,13 +30,9 @@ from .stats import impute_f1  # noqa: F401 -- no stage imputes; bench/tracer.py 
 
 @dataclass
 class PipelineResult:
-    model: ModelArtifact
     best_kind: str
-    best_hyperparameters: dict
-    best_transform: str
     cv_result: CVResult
     validation_report: EvalReport
-    manifest: dict
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
@@ -136,15 +132,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     }
 
     _write_outputs(cfg, model, thresholds, sweep_payload, best_entry.result, validation_report, manifest)
-    return PipelineResult(
-        model=model,
-        best_kind=best_kind,
-        best_hyperparameters=best_entry.hyperparameters,
-        best_transform=best_entry.transform,
-        cv_result=best_entry.result,
-        validation_report=validation_report,
-        manifest=manifest,
-    )
+    return PipelineResult(best_kind, best_entry.result, validation_report)
 
 
 def _extract_and_label(cfg: RunConfig, counts: dict) -> list[LabeledExample]:
@@ -179,7 +167,7 @@ def _evaluate_validation(model: ModelArtifact, validation: list[LabeledExample])
 
 def _write_outputs(cfg, model, thresholds, sweep_payload, cv_result, validation_report, manifest):
     out = Path(cfg.output_dir)
-    atomic_write_text(out / "model.json", model.to_json())
+    save_model(model, out / "model.json")
     atomic_write_text(out / "thresholds.json", canonical_json(thresholds.to_dict()))
     atomic_write_text(
         out / "sweep_results.json",

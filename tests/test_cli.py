@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from doctype import cli
 from doctype.cli import _build_parser, main
 from doctype.config import RunConfig
 from doctype.labeling import read_examples
@@ -70,7 +71,6 @@ OPTIONS = {
         "label": "--out",
         "samplesize": "--out --format --z --p --c",
         "sample": "--config --out --seed --total --proportions",
-        "impute": "--out",
         "thresholds": "--config --out --quantile-lo --quantile-hi",
         "train": "--config --out --seed --kind --hyperparameters --transform",
         "sweep": "--config --out --seed --format --kind --k --grid",
@@ -165,8 +165,24 @@ class TestSampleSize:
     def test_bad_interval(self, capsys):
         assert main(["samplesize", "--c", "0"]) == 1
 
+    @pytest.mark.parametrize("flags", [["--z", "inf"], ["--p", "nan"], ["--c", "1e-200"]])
+    def test_non_finite_value_exits_one(self, flags, capsys):
+        assert main(["samplesize", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestTrainPredict:
+    def test_train_writes_no_model_that_cannot_load(self, labeled_file, tmp_path, monkeypatch, capsys):
+        # a baseline-random model with a negative seed trains but cannot be scored
+        unloadable = train("baseline-random", toy_dataset(10, seed=2), seed=-1)
+        monkeypatch.setattr(cli, "train", lambda *args: unloadable)
+        out = tmp_path / "model.json"
+        argv = ["train", str(labeled_file), "--kind", "baseline-random", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: malformed baseline-random parameters")
+        assert list(tmp_path.iterdir()) == [labeled_file]  # no model file, no temp file
+
     def test_train_then_predict(self, labeled_file, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         code = main(
@@ -363,19 +379,6 @@ class TestTrainPredict:
 
 
 class TestOtherCommands:
-    def test_impute_fills_missing(self, tmp_path):
-        src = tmp_path / "labeled.jsonl"
-        rows = [
-            {"id": "a", "f1": 1, "f2": 0, "f3": 10, "f4": 0.0, "label": "Research"},
-            {"id": "b", "f1": 4, "f2": 0, "f3": 40, "f4": 0.0, "label": "Research"},
-            {"id": "c", "f1": None, "f2": 0, "f3": 30, "f4": 0.0, "label": "Research"},
-        ]
-        src.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        out = tmp_path / "imputed.jsonl"
-        assert main(["impute", str(src), "--out", str(out)]) == 0
-        filled = [json.loads(line) for line in out.read_text().splitlines()]
-        assert filled[2]["f1"] == 3
-
     def test_thresholds(self, labeled_file, tmp_path):
         out = tmp_path / "thresholds.json"
         assert main(["thresholds", str(labeled_file), "--out", str(out)]) == 0
@@ -584,23 +587,38 @@ class TestUsage:
             ["train", "LABELED"],  # missing required flag
             ["train", "LABELED", "--kind", "gnb", "--bogus"],  # unknown flag
             ["sweep", "LABELED", "--kind", "gnb", "--format", "xml"],  # bad choice
-            ["impute", "LABELED", "--seed", "3"],  # impute reads no seed
+            ["thresholds", "LABELED", "--seed", "3"],  # thresholds reads no seed
             ["extract", "LABELED", "--format", "machine"],  # extract has one format
             # only the commands that read a run config take --config
             ["extract", "LABELED", "--config", "CONFIG"],
             ["label", "LABELED", "--config", "CONFIG"],
             ["samplesize", "--config", "CONFIG"],
-            ["impute", "LABELED", "--config", "CONFIG"],
             ["predict", "LABELED", "LABELED", "--config", "CONFIG"],
             ["engagement", "LABELED", "--config", "CONFIG"],
+            # a seed is a non-negative integer, from the flag or from a config
+            ["synth", "--n", "10", "--seed", "-1"],
+            ["sample", "LABELED", "--total", "5", "--seed", "-1"],
+            ["train", "LABELED", "--kind", "random-forest", "--seed", "-1"],
+            ["train", "LABELED", "--kind", "baseline-random", "--seed", "-1"],
+            ["sweep", "LABELED", "--kind", "gnb", "--seed", "-1"],
+            ["evaluate", "LABELED", "--kind", "gnb", "--seed", "-1"],
+            ["ablation", "LABELED", "--kinds", "gnb", "--seed", "-1"],
+            ["synth", "--n", "10", "--config", "NEGSEED"],
         ],
     )
     def test_usage_error_exits_one(self, argv, labeled_file, tmp_path, capsys):
-        config = tmp_path / "config.json"
+        config, negative_seed = tmp_path / "config.json", tmp_path / "negseed.json"
         config.write_text("{}")
-        argv = [{"LABELED": str(labeled_file), "CONFIG": str(config)}.get(a, a) for a in argv]
-        assert main(argv) == 1
-        assert "error:" in capsys.readouterr().err
+        negative_seed.write_text('{"seed": -1}')
+        seed_error = "-1" in argv or "NEGSEED" in argv
+        paths = {"LABELED": labeled_file, "CONFIG": config, "NEGSEED": negative_seed}
+        argv = [str(paths.get(a, a)) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        if seed_error:
+            assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_option_inventory(self):
         sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -611,7 +629,7 @@ class TestUsage:
             if action.dest != "help"
             for option in action.option_strings
         }
-        assert got == OPTIONS and len(got) == 54
+        assert got == OPTIONS and len(got) == 53
         assert [f.name for f in dataclasses.fields(RunConfig)] == RUN_CONFIG_FIELDS
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["train", "--help"]])

@@ -170,13 +170,14 @@ class TestCrossValidate:
         assert sum(sum(row) for row in result.pooled_confusion) == len(data)
 
 
-def cv_predictions(kind, prepared, hyperparameters, seed, transform="identity"):
-    """The labels ``cross_validate_sizes`` predicts for each fold, in fold order."""
+def cv_scored(kind, prepared, hyperparameters, seed, transform="identity"):
+    """Each model ``cross_validate_sizes`` scores, with the labels it
+    predicts, in fold order."""
     calls = []
 
     def recording(model, X):
         labels, scores = predict_batch(model, X)
-        calls.append(labels.tolist())
+        calls.append((model, labels.tolist()))
         return labels, scores
 
     with mock.patch.object(evaluation, "predict_batch", recording):
@@ -202,11 +203,16 @@ class TestLabelFreeFill:
         relabeled = [list(f) for f in folds]
         relabeled[fold] = [replace(ex, label=label) for ex, label in zip(folds[fold], labels)]
         before, after = prepare_folds(folds), prepare_folds(relabeled)
-        for a, b in zip(before, after):
-            assert np.array_equal(a.X_train, b.X_train) and np.array_equal(a.X_test, b.X_test)
         hp = {"max_depth": 3}
-        predicted = [cv_predictions("decision-tree", p, hp, seed)[fold] for p in (before, after)]
-        assert predicted[0] == predicted[1]
+        scored = [cv_scored("decision-tree", p, hp, seed) for p in (before, after)]
+        for a, b, (model_a, _), (model_b, _) in zip(before, after, *scored):
+            # prepared folds stay raw; each fold model's imputer fills them
+            assert np.array_equal(a.X_train, b.X_train, equal_nan=True)
+            assert np.array_equal(a.X_test, b.X_test, equal_nan=True)
+            assert model_a.imputer == model_b.imputer
+            for X in (a.X_train, a.X_test):
+                assert np.array_equal(model_a.imputer.apply(X), model_b.imputer.apply(X))
+        assert scored[0][fold][1] == scored[1][fold][1]
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -217,11 +223,12 @@ class TestLabelFreeFill:
     )
     def test_cv_predicts_as_a_model_trained_on_the_raw_fold(self, seed, kind, transform, features):
         folds = incomplete_folds(seed)
-        got = cv_predictions(kind, prepare_folds(folds, features), {}, seed, transform)
-        for i, fold in enumerate(folds):
+        scored = cv_scored(kind, prepare_folds(folds, features), {}, seed, transform)
+        for i, (fold, (member, labels)) in enumerate(zip(folds, scored)):
             rows = [ex for j, other in enumerate(folds) if j != i for ex in other]
             model = train(kind, rows, {}, derive_seed(seed, f"fold-{i}"), transform, features)
-            assert got[i] == predict_batch(model, dataset_matrix(fold, features)[0])[0].tolist()
+            assert member.to_json() == model.to_json()
+            assert labels == predict_batch(model, dataset_matrix(fold, features)[0])[0].tolist()
 
 
 class TestSweep:

@@ -2,9 +2,12 @@
 
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from doctype.config import DEFAULT_PROPORTIONS
 from doctype.errors import ShortageError, SplitError
@@ -80,6 +83,22 @@ class TestSampleSize:
             sample_size(1.96, 0.5, 0.0)
         with pytest.raises(ValueError):
             sample_size(1.96, 0.5, -1.0)
+
+    @pytest.mark.parametrize(
+        "z, p, c",
+        [(math.inf, 0.5, 0.01), (1.96, math.nan, 0.01), (1.96, 0.5, math.inf), (1.96, 0.5, 1e-200)],
+    )
+    def test_non_finite_input_or_count_rejected(self, z, p, c):
+        with pytest.raises(ValueError, match="finite"):
+            sample_size(z, p, c)
+
+    @given(z=st.floats(), p=st.floats(), c=st.floats(allow_subnormal=True))
+    def test_returns_a_count_or_raises_value_error(self, z, p, c):
+        try:
+            n = sample_size(z, p, c)
+        except ValueError:
+            return
+        assert type(n) is int and n >= 0
 
 
 class TestLargestRemainder:

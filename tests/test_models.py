@@ -1,5 +1,6 @@
 """Baselines, the six classifiers, and the model file format."""
 
+import hashlib
 import io
 import json
 import math
@@ -40,7 +41,8 @@ from doctype.models import (
 from doctype.models import knn as knn_module
 from doctype.models.knn import KnnPredictor
 from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable
-from conftest import REFERENCE_CELLS, make_example, toy_dataset
+from doctype.synthetic import generate_synthetic
+from conftest import REFERENCE_CELLS, blank_f1, make_example, toy_dataset
 
 
 def example_1d(f2: float, label: DocType, doc_id: str) -> LabeledExample:
@@ -354,6 +356,50 @@ class TestDecisionTree:
                 a, _ = predict(plain, fv)
                 b, _ = predict(warped, remap_vector(fv))
                 assert a is b
+
+
+#: sha256 of ``to_json()`` and of the ``predict_batch`` score bytes of tree
+#: models fitted on one fixed synthetic set with 20% of f1 blank, recorded
+#: before the decision tree became a one-tree forest and AdaBoost moved onto
+#: the forest's predictor. Any change to the fitted nodes, the imputer or the
+#: rounding of a vote fails here.
+PINNED_TREE_BYTES = [
+    ("decision-tree", {"max_leaf_nodes": 6}, 0, "identity",
+     "e215286da7cf9783755967a01cc320a05fd4787826e75efd40a003aa3f183950",
+     "ca9c0ea89e4b84bff35952d34b0a473389dc74122677f6059c0109fb4bbffbb5"),
+    ("decision-tree", {"class_weight": "balanced", "max_depth": 5}, 0, "log-scale",
+     "f58016ab28b1817c65285bc49f811e3716d4b6fc7d99fe917cf2afe316284880",
+     "e40e5ebaf1df3b124fd4b489af7f01d77105e3407605ffbee2929780de5f133f"),
+    # a library call may pass any int seed: the decision tree draws nothing
+    ("decision-tree", {"max_depth": 4}, -1, "identity",
+     "b8b1536235859b81ac82a45fe1e7894616643e3b40826dab748ca972fb6590c2",
+     "b3b61db6340a0353e3cfb6c91ab6d50eddd1c488b7fd4b8f58dd486bea78ede1"),
+    ("random-forest", {"n_trees": 7, "max_depth": 4}, 3, "z-score",
+     "b88f1304b8195053fcc9f8237385e6f844fda5cf1094c1eedbaac3baf764b2fb",
+     "a32bb6ce8a0115b9ca8bd342312561dd75034bbec5ccd3ea73bfe3ba7a75e390"),
+    ("adaboost", {"rounds": 15, "max_depth": 2}, 0, "identity",
+     "cd0c1ca428fdb706f435a0cb78b4de2532c2740d217ed7aa3dd4feb88b05dd3e",
+     "4f0fae844e139e05c7c3a4d52e1fa9d973b5da32ea3ec835f81680f0fa60c524"),
+]
+
+
+@lru_cache(maxsize=1)
+def pinned_data():
+    props = {DocType.RESEARCH: 0.55, DocType.SLIDES: 0.10, DocType.THESIS: 0.35}
+    data = blank_f1(generate_synthetic(400, props, 11), 0.2, 11)
+    queries = dataset_matrix(blank_f1(generate_synthetic(300, props, 12), 0.2, 12))[0]
+    return data, queries
+
+
+@pytest.mark.parametrize(
+    "kind, hp, seed, transform, model_sha, scores_sha", PINNED_TREE_BYTES,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(PINNED_TREE_BYTES)],
+)
+def test_tree_kinds_keep_their_bytes(kind, hp, seed, transform, model_sha, scores_sha):
+    data, queries = pinned_data()
+    model = train(kind, data, hp, seed, transform)
+    assert hashlib.sha256(model.to_json().encode()).hexdigest() == model_sha
+    assert hashlib.sha256(predict_batch(model, queries)[1].tobytes()).hexdigest() == scores_sha
 
 
 class TestRandomForest:
@@ -753,6 +799,13 @@ class TestSerialization:
             loaded = load_model(io.StringIO(sink.getvalue()))
             for fv in queries:
                 assert predict(model, fv) == predict(loaded, fv), kind
+
+    def test_model_that_cannot_load_leaves_no_file(self, tmp_path):
+        # baseline-random draws from its seed when its predictor is built
+        model = train("baseline-random", toy_dataset(10, seed=20), seed=-1)
+        with pytest.raises(ModelFormatError, match="malformed baseline-random parameters"):
+            save_model(model, tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_exact_round_trip(self, tmp_path):
         model = train("random-forest", toy_dataset(20, seed=20), {"n_trees": 3}, seed=1)

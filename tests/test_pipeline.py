@@ -154,6 +154,7 @@ class TestConfig:
             ({"proportions": {"Paper": 1}}, "proportions: unknown document type: 'Paper'"),
             ({"proportions": {"Research": -0.5, "Slides": 1.0, "Thesis": 0.5}},
              "proportions must be non-negative, got {'Research': -0.5}"),
+            ({"seed": -1}, "seed must be a non-negative integer, got -1"),
         ],
     )
     def test_bad_config_value_exits_one(self, payload, message, tmp_path, capsys):
