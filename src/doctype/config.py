@@ -165,6 +165,11 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if cfg.sample_total is not None and cfg.sample_total < 0:
         raise ConfigError(f"sample_total must be nonnegative, got {cfg.sample_total}")
+    for name, values in (("kinds", cfg.sweep_kinds), ("transforms", cfg.sweep_transforms)):
+        if not values:
+            raise ConfigError(f"sweep.{name} must be non-empty")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"sweep.{name} must not repeat an entry, got {list(values)}")
     for kind in cfg.sweep_kinds:
         if kind not in KINDS:
             raise ConfigError(f"unknown sweep kind: {kind!r}")
@@ -178,11 +183,16 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"unknown sweep grid kind: {kind!r}")
         if not isinstance(grid, list) or not all(isinstance(p, dict) for p in grid):
             raise ConfigError(f"sweep grid for {kind} must be a list of objects")
+        if not grid:
+            raise ConfigError(f"sweep grid for {kind} must be non-empty")
         for point in grid:
             try:
                 check_hyperparameters(kind, point)
             except ValueError as exc:
                 raise ConfigError(f"sweep grid for {kind}: {exc}") from exc
+    for kind in cfg.sweep_grids:
+        if kind not in cfg.sweep_kinds:
+            raise ConfigError(f"sweep grid for {kind}: {kind} is not in sweep.kinds")
     # only the path run_pipeline reads: records when given, else labeled
     path_label = "records" if cfg.records_path is not None else "labeled"
     if (path := getattr(cfg, f"{path_label}_path")) is not None and not Path(path).exists():

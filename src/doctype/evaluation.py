@@ -23,7 +23,7 @@ from .models import (
     truncate,
 )
 from .seeding import derive_seed
-from .stats import TRANSFORM_KINDS, Imputer, preserves_order
+from .stats import TRANSFORM_KINDS
 
 
 @dataclass
@@ -289,30 +289,31 @@ def sweep(
     For an ensemble kind, grid points that differ only in the size
     hyperparameter form a family, cross-validated by one
     ``cross_validate_sizes`` call; every other point is its own family.
-    For an order-invariant kind, every transform that ``preserves_order``
-    on every fold gives the CV result of raw values, so each family is
-    cross-validated once for all of them; a transform that fails the
-    check on any fold is cross-validated on its own.
+    An order-invariant kind is swept on raw values only: a tree splits on
+    ``x <= v`` at training values, so a transform that keeps each
+    feature's order cannot change it. Each of its grid points is listed
+    once, as ``identity``, whatever ``transforms`` holds.
 
     Among equal mean F1 the smaller model wins (``_rank``), then the
     earlier entry.
     """
-    spec = kind_spec(kind)
     if grid is None:
         grid = default_grid(kind)
     if not grid:
         raise ValueError("sweep grid must be non-empty")
+    if not transforms:
+        raise ValueError("sweep transforms must be non-empty")
+    for transform in transforms:
+        if transform not in TRANSFORM_KINDS:
+            raise ValueError(f"unknown transform kind: {transform!r}")
     for point in grid:
         check_hyperparameters(kind, point)
+    spec = kind_spec(kind)
+    if spec.order_invariant:
+        transforms = ("identity",)
     if folds is None:
         folds = _cv_folds(dataset, k, seed)
     prepared = prepare_folds(folds)
-    shareable = set()
-    if spec.order_invariant:
-        # the guard sees each fold as the trees do: f1 filled by the fold's imputer
-        imputers = [Imputer.fit(f.X_train) for f in prepared]
-        filled = [(fill.apply(f.X_train), fill.apply(f.X_test)) for fill, f in zip(imputers, prepared)]
-        shareable = {t for t in transforms if all(preserves_order(t, *f) for f in filled)}
     families: dict[str, tuple[dict, set]] = {}
     cells = []
     for point in grid:
@@ -323,14 +324,8 @@ def sweep(
     results = {}
     for name, (rest, sizes) in families.items():
         sizes = sorted(sizes) if spec.ensemble else None
-        shared = None
         for transform in transforms:
-            if transform in shareable and shared is not None:
-                family_results = shared
-            else:
-                family_results = cross_validate_sizes(kind, prepared, rest, sizes, seed, transform)
-                if transform in shareable:
-                    shared = family_results
+            family_results = cross_validate_sizes(kind, prepared, rest, sizes, seed, transform)
             for size, result in zip(sizes or [None], family_results):
                 results[name, size, transform] = result
     entries = [

@@ -53,9 +53,9 @@ class Kind:
     the model's size. An ``ensemble`` model of size s is the first s
     members of any larger fit on the same data and seed (``truncate``).
     An ``order_invariant`` kind's fit and predictions depend on each
-    feature's value order only (see ``models.tree``), so ``sweep`` can
-    share its CV results across transforms. An ``every_class`` kind needs
-    every class in its training rows. ``grid`` is the default sweep grid.
+    feature's value order only (see ``models.tree``), so ``sweep`` runs it
+    on raw values only. An ``every_class`` kind needs every class in its
+    training rows. ``grid`` is the default sweep grid.
     """
 
     fit: Callable

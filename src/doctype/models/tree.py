@@ -2,12 +2,10 @@
 
 Trees split on ``x <= v`` where v is an observed training value, so any
 strictly increasing per-feature remapping of train and test data leaves
-predictions unchanged. ``stats.preserves_order`` checks that a fitted
-transform is such a remapping on given data, and ``evaluation.sweep``
-shares one CV result across the transforms that pass it. Growth is
-best-first by impurity decrease, which lets a ``max_leaf_nodes`` budget
-pick the most valuable splits first; without a budget the result is
-identical to exhaustive recursive growth.
+predictions unchanged, and ``evaluation.sweep`` runs the tree kinds on
+raw values only. Growth is best-first by impurity decrease, which lets a
+``max_leaf_nodes`` budget pick the most valuable splits first; without a
+budget the result is identical to exhaustive recursive growth.
 
 A random forest grows tree i from ``SeedSequence(seed).spawn(n_trees)[i]``,
 which does not depend on ``n_trees``. So an n-tree forest is the first n
@@ -61,11 +59,10 @@ def grow_tree(
         raise ValueError("feature_subset requires an rng")
 
     nodes: list[dict] = []
-    heap: list[tuple[float, int, int, tuple]] = []
-    counter = 0
+    # ties in decrease pop in node_id order: the order the splits were pushed
+    heap: list[tuple[float, int, tuple]] = []
 
     def new_node(indices: np.ndarray, depth: int) -> int:
-        nonlocal counter
         node_id = len(nodes)
         dist = _class_distribution(y[indices], sample_weight[indices])
         nodes.append(
@@ -83,16 +80,14 @@ def grow_tree(
         if split is not None:
             decrease, feature, threshold, left_idx, right_idx = split
             heapq.heappush(
-                heap,
-                (-decrease, counter, node_id, (feature, threshold, left_idx, right_idx, depth)),
+                heap, (-decrease, node_id, (feature, threshold, left_idx, right_idx, depth))
             )
-            counter += 1
         return node_id
 
     new_node(np.arange(n), 0)
     n_leaves = 1
     while heap and (max_leaf_nodes is None or n_leaves < max_leaf_nodes):
-        _, _, node_id, (feature, threshold, left_idx, right_idx, depth) = heapq.heappop(heap)
+        _, node_id, (feature, threshold, left_idx, right_idx, depth) = heapq.heappop(heap)
         left = new_node(left_idx, depth + 1)
         right = new_node(right_idx, depth + 1)
         nodes[node_id]["feature"] = int(feature)

@@ -193,28 +193,6 @@ class TransformSpec:
         )
 
 
-def preserves_order(kind: str, train: np.ndarray, test: np.ndarray) -> bool:
-    """True when the transform fitted on ``train`` keeps every column's order.
-
-    Both matrices are mapped as training and prediction map them, with
-    the spec fitted on ``train``. Per column, over the rows of both, the
-    mapped values must be finite and strictly increasing wherever the raw
-    values increase; the mapping is elementwise, so equal values stay
-    equal. Trees split on ``x <= v`` at training values, so a tree fitted
-    and scored under such a transform sends every row where the raw
-    values send it. A rounding step that merges two values fails.
-    """
-    spec = TransformSpec.fit(train, kind)
-    raw = np.vstack([train, test])
-    mapped = np.vstack([spec.apply(train), spec.apply(test)])
-    if not np.isfinite(mapped).all():
-        return False
-    order = np.argsort(raw, axis=0)
-    raw = np.take_along_axis(raw, order, axis=0)
-    mapped = np.take_along_axis(mapped, order, axis=0)
-    return bool((mapped[1:] > mapped[:-1])[raw[1:] > raw[:-1]].all())
-
-
 @dataclass(frozen=True)
 class Imputer:
     """A label-free least-squares fill-in for a missing author count.

@@ -23,11 +23,12 @@ from doctype.evaluation import (
     report_from_confusion,
     sweep,
 )
+from doctype.errors import TrainingError
 from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
 from doctype.labeling import LabeledExample, stratified_split
 from doctype.models import KINDS, dataset_matrix, predict_batch, train
 from doctype.seeding import derive_seed
-from doctype.stats import TRANSFORM_KINDS, TransformSpec, derive_thresholds, preserves_order
+from doctype.stats import TRANSFORM_KINDS, TransformSpec, derive_thresholds
 from doctype.synthetic import (
     PARAMETERIZED_FEATURES,
     REFERENCE_BOUNDS,
@@ -239,6 +240,7 @@ class TestSweep:
         assert result.best_index == 0
 
     def test_product_count(self):
+        # a tree kind lists each grid point once, on raw values
         data = toy_dataset(25, seed=6)
         grid = [
             {"n_trees": t, "max_depth": d}
@@ -252,7 +254,8 @@ class TestSweep:
             k=3,
             seed=1,
         )
-        assert len(result.entries) == 27
+        assert len(result.entries) == 9
+        assert {e.transform for e in result.entries} == {"identity"}
 
     def test_adding_worse_point_keeps_best_report(self):
         data = toy_dataset(25, seed=7)
@@ -396,7 +399,8 @@ class TestSweepSharing:
         data = noisy_dataset(seed, blank_f1)
         folds = stratified_split(data, 4, 0.0, seed).test_folds
         grid, n_families = SHARING_GRIDS[kind]
-        cells, best = brute_force_sweep(kind, data, grid, TRANSFORM_KINDS, 4, seed, folds)
+        # tree kinds are swept on raw values only, whatever the transforms
+        cells, best = brute_force_sweep(kind, data, grid, ("identity",), 4, seed, folds)
         calls = count_fold_loops(monkeypatch)
         result = sweep(kind, data, grid=grid, transforms=TRANSFORM_KINDS, k=4, seed=seed, folds=folds)
         assert len(calls) == n_families
@@ -406,7 +410,7 @@ class TestSweepSharing:
             assert (entry.hyperparameters, entry.transform) == (point, transform)
             assert entry.result.to_dict() == expected.to_dict()
 
-    def test_log1p_merge_refuses_sharing(self, monkeypatch):
+    def test_log1p_merge_changes_no_tree_entry(self, monkeypatch):
         # 1e17 and 1e17 + 16 are adjacent doubles; log1p maps both to one value
         data = [
             LabeledExample(FeatureVector(1, f2, 10, 100.0), label, f"{label.label}{i}")
@@ -414,22 +418,24 @@ class TestSweepSharing:
             for i in range(6)
         ]
         folds = stratified_split(data, 3, 0.0, 0).test_folds
-        X = np.array([[1, 1e17, 10, 100.0], [1, 1e17 + 16, 10, 100.0]])
-        assert not preserves_order("log-scale", X, X)
-        assert preserves_order("z-score", X, X)
         calls = count_fold_loops(monkeypatch)
         result = sweep(
             "decision-tree", data, grid=[{"max_depth": 2}], transforms=TRANSFORM_KINDS,
             k=3, folds=folds,
         )
-        assert len(calls) == 2
-        by_transform = {e.transform: e.result.to_dict() for e in result.entries}
-        direct = evaluation.cross_validate_sizes(
-            "decision-tree", prepare_folds(folds), {"max_depth": 2}, None, transform="log-scale",
-        )[0]
-        assert by_transform["log-scale"] == direct.to_dict()
-        assert by_transform["log-scale"] != by_transform["identity"]
-        assert by_transform["z-score"] == by_transform["identity"]
+        assert calls == ["decision-tree"]
+        assert [e.transform for e in result.entries] == ["identity"]
+        raw = evaluation.cross_validate_sizes("decision-tree", prepare_folds(folds), {"max_depth": 2}, None)[0]
+        assert result.best.result.to_dict() == raw.to_dict()
+
+    def test_tree_kind_sweeps_a_negative_count(self):
+        # log1p of a count below -1 is NaN; a tree never sees the transform
+        data = noisy_dataset(5, blank_f1=True)
+        data[::7] = [replace(ex, features=replace(ex.features, f4_words_per_page=-5.0)) for ex in data[::7]]
+        result = sweep("random-forest", data, grid=[{"n_trees": 3, "max_depth": 2}], k=3)
+        assert [e.transform for e in result.entries] == ["identity"]
+        with pytest.raises(TrainingError, match="not finite after the log-scale transform"):
+            sweep("gnb", data, grid=[{}], k=3)
 
     def test_default_pipeline_sweep_runs_one_fold_loop_per_family(self, tmp_path, monkeypatch):
         from doctype.config import RunConfig
@@ -455,6 +461,17 @@ class TestSweepSharing:
         calls = count_fold_loops(monkeypatch)
         with pytest.raises(ValueError, match="n_trees must be an integer >= 1"):
             sweep("random-forest", toy_dataset(10, seed=3), grid=[{"n_trees": 2}, {"n_trees": 2.5}], k=3)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["gnb", "random-forest"])
+    @pytest.mark.parametrize(
+        "transforms, message",
+        [((), "sweep transforms must be non-empty"), (("sqrt",), "unknown transform kind: 'sqrt'")],
+    )
+    def test_bad_transforms_fail_before_any_cross_validation(self, kind, transforms, message, monkeypatch):
+        calls = count_fold_loops(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            sweep(kind, toy_dataset(10, seed=3), grid=[{}], transforms=transforms, k=3)
         assert calls == []
 
     def test_unknown_key_fails_before_any_cross_validation(self, monkeypatch):
@@ -490,13 +507,6 @@ def pairwise_order_kept(kind, train_rows, test_rows) -> bool:
 
 
 class TestOrderGuard:
-    @settings(max_examples=150, deadline=None)
-    @given(train_rows=guard_matrix, test_rows=guard_matrix, kind=st.sampled_from(TRANSFORM_KINDS))
-    def test_matches_pairwise_check(self, train_rows, test_rows, kind):
-        with np.errstate(all="ignore"):
-            expected = pairwise_order_kept(kind, train_rows, test_rows)
-            assert preserves_order(kind, np.array(train_rows), np.array(test_rows)) == expected
-
     @settings(max_examples=60, deadline=None)
     @given(
         train_rows=guard_matrix.filter(lambda rows: len(rows) >= 2),
@@ -507,7 +517,7 @@ class TestOrderGuard:
     def test_passing_transform_keeps_tree_predictions(self, train_rows, test_rows, labels, kind):
         X, X_test = np.array(train_rows), np.array(test_rows)
         with np.errstate(all="ignore"):
-            if not preserves_order(kind, X, X_test) or not np.isfinite(X_test).all():
+            if not pairwise_order_kept(kind, train_rows, test_rows) or not np.isfinite(X_test).all():
                 return
         data = [
             LabeledExample(FeatureVector(*row), DocType(label), f"g{i}")

@@ -40,6 +40,7 @@ from doctype.models import (
 )
 from doctype.models import knn as knn_module
 from doctype.models.knn import KnnPredictor
+from doctype.models.tree import grow_tree
 from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable
 from doctype.synthetic import generate_synthetic
 from conftest import REFERENCE_CELLS, blank_f1, make_example, toy_dataset
@@ -356,6 +357,13 @@ class TestDecisionTree:
                 a, _ = predict(plain, fv)
                 b, _ = predict(warped, remap_vector(fv))
                 assert a is b
+
+    def test_tied_decreases_split_in_creation_order(self):
+        # both root children split perfectly on column 1 (decrease 0.5
+        # each); a three-leaf budget splits the one created first
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        nodes = grow_tree(X, np.array([0, 1, 2, 0]), max_leaf_nodes=3)
+        assert [node["feature"] for node in nodes] == [0, 1, -1, -1, -1]
 
 
 #: sha256 of ``to_json()`` and of the ``predict_batch`` score bytes of tree

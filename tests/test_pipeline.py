@@ -1,5 +1,6 @@
 """Config validation and the end-to-end pipeline contract."""
 
+import hashlib
 import json
 import tempfile
 from dataclasses import replace
@@ -155,6 +156,12 @@ class TestConfig:
             ({"proportions": {"Research": -0.5, "Slides": 1.0, "Thesis": 0.5}},
              "proportions must be non-negative, got {'Research': -0.5}"),
             ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+            ({"sweep": {"kinds": []}}, "sweep.kinds must be non-empty"),
+            ({"sweep": {"transforms": []}}, "sweep.transforms must be non-empty"),
+            ({"sweep": {"grids": {"adaboost": []}}}, "sweep grid for adaboost must be non-empty"),
+            ({"sweep": {"kinds": ["gnb", "gnb"]}}, "sweep.kinds must not repeat an entry, got ['gnb', 'gnb']"),
+            ({"sweep": {"transforms": ["z-score", "z-score"]}}, "sweep.transforms must not repeat an entry"),
+            ({"sweep": {"grids": {"knn": [{"k": 1}]}}}, "sweep grid for knn: knn is not in sweep.kinds"),
         ],
     )
     def test_bad_config_value_exits_one(self, payload, message, tmp_path, capsys):
@@ -232,6 +239,43 @@ class TestPipeline:
         with pytest.raises(Exception) as err:
             run_pipeline(cfg)
         assert "sample" in str(err.value)
+
+
+#: sha256 of four pipeline outputs, and of each swept kind's identity
+#: entries and best entry, for the default sweep over one fixed synthetic
+#: file; recorded when the tree kinds were still swept under every transform.
+PINNED_PIPELINE_BYTES = {
+    "model.json": "9ac6ad20b9fd47979306a392fb359f4efc10d7d2b1daa3d7bd62e89112c6aff4",
+    "thresholds.json": "7a3a6b8375c1d134cfc54f9a543854a2c48d731805e8e0a181b0b2c8a15129b8",
+    "cv_report.json": "09a3adee791a913c5de5a2aa00941549d379ba48741b71dae0483fc691151fdd",
+    "validation_report.json": "58b4f475c03041a771f414a4c9fa80e75dc90cb6fa99dfc444cd8955fa7044d7",
+    "sweep identity entries": "5ae1db3ce49b7228cdd520fff8a4519fa74c89e3701dcf3f24bf7f59764ba64a",
+}
+
+
+def test_default_pipeline_keeps_its_bytes(tmp_path, monkeypatch):
+    # relative paths keep the config hash, which the reports carry, fixed
+    monkeypatch.chdir(tmp_path)
+    props = {DocType.RESEARCH: 0.55, DocType.SLIDES: 0.10, DocType.THESIS: 0.35}
+    with open("labeled.jsonl", "w") as handle:
+        write_examples(handle, blank_f1(generate_synthetic(160, props, 21), 0.2, 21))
+    paths = {"labeled": "labeled.jsonl", "output_dir": "out"}
+    run_pipeline(config_from_dict({"seed": 5, "paths": paths, "k_folds": 4}))
+    out = tmp_path / "out"
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in list(PINNED_PIPELINE_BYTES)[:4]}
+    sweeps = json.loads((out / "sweep_results.json").read_text())["sweeps"]
+    listing = {
+        kind: {
+            "best": result["entries"][result["best_index"]],
+            "entries": [e for e in result["entries"] if e["transform"] == "identity"],
+        }
+        for kind, result in sweeps.items()
+    }
+    digests["sweep identity entries"] = hashlib.sha256(
+        json.dumps(listing, sort_keys=True).encode()
+    ).hexdigest()
+    assert digests == PINNED_PIPELINE_BYTES
 
 
 def split_by_position(rows, k_folds, validation_fraction, seed):
