@@ -146,7 +146,10 @@ def check_seed(seed: int) -> None:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
 
-def validate_config(cfg: RunConfig) -> None:
+def validate_config(cfg: RunConfig, *, needs_input: bool = False) -> None:
+    """Raise ``ConfigError`` on a bad setting; ``run_pipeline`` also needs an input path."""
+    if needs_input and cfg.records_path is None and cfg.labeled_path is None:
+        raise ConfigError("pipeline needs paths.records or paths.labeled")
     check_seed(cfg.seed)
     try:
         check_proportions(cfg.proportions)

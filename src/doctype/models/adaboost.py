@@ -27,13 +27,15 @@ def fit_adaboost(X, y, seed, hyperparameters) -> dict:
     min_leaf = hyperparameters["min_leaf_size"]
     n = len(y)
     weights = np.full(n, 1.0 / n)
+    # rounds change only the weights, so one presort serves them all
+    order = np.argsort(X.T, axis=1, kind="stable")
     trees: list[list[dict]] = []
     alphas: list[float] = []
     for _ in range(rounds):
-        nodes = grow_tree(
-            X, y, sample_weight=weights, max_depth=max_depth, min_leaf_size=min_leaf
+        nodes, leaf = grow_tree(
+            X, y, sample_weight=weights, max_depth=max_depth, min_leaf_size=min_leaf, order=order
         )
-        predicted = ForestPredictor([nodes], X.shape[1]).scores_matrix(X).argmax(axis=1)
+        predicted = np.array([node["dist"] for node in nodes]).argmax(axis=1)[leaf]
         miss = predicted != y
         err = float(weights[miss].sum())
         if err >= 1.0 - 1.0 / N_CLASSES:

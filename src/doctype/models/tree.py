@@ -7,6 +7,16 @@ raw values only. Growth is best-first by impurity decrease, which lets a
 ``max_leaf_nodes`` budget pick the most valuable splits first; without a
 budget the result is identical to exhaustive recursive growth.
 
+Split search follows SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996): each
+column is sorted once per tree (once per fit for AdaBoost), nodes keep
+their rows in every column's sorted order, and a node scores all drawn
+features in one pass over ``(features, rows)`` arrays. The trees are those
+of a per-node stable argsort scored one feature at a time
+(``tests/reference_tree.py``), to the JSON byte: a ``cumsum`` along an
+axis adds in the order of a 1-D one, ``l0*l0 + l1*l1 + l2*l2`` in that of
+a length-3 ``sum``, and a node's totals are still summed over its rows in
+ascending order (a pairwise ``sum`` depends on length, so no padding).
+
 A random forest grows tree i from ``SeedSequence(seed).spawn(n_trees)[i]``,
 which does not depend on ``n_trees``. So an n-tree forest is the first n
 trees of any larger forest fitted with the same seed, data and other
@@ -46,130 +56,114 @@ def grow_tree(
     max_leaf_nodes: int | None = None,
     feature_subset: int | None = None,
     rng: np.random.Generator | None = None,
-) -> list[dict]:
-    """Build a tree as a flat node list.
+    order: np.ndarray | None = None,
+) -> tuple[list[dict], np.ndarray]:
+    """Build a tree as a flat node list; also return the leaf id of each row.
 
     Each node is ``{"feature", "threshold", "left", "right", "dist"}``;
     leaves have feature -1 and a class distribution summing to 1.
+    ``order`` is each column's stable argsort, shape ``(d, n)`` (AdaBoost
+    passes one for all rounds). A node holds its rows ascending, to sum its
+    totals over, and in each column's order, shape ``(d, rows)``; a split
+    cuts both with a membership mask, which keeps their order.
     """
     n, d = X.shape
     if sample_weight is None:
         sample_weight = np.full(n, 1.0 / n)
     if feature_subset is not None and rng is None:
         raise ValueError("feature_subset requires an rng")
+    if order is None:
+        order = np.argsort(X.T, axis=1, kind="stable")
+    # row i's weight in the row of its class and 0 in the others
+    class_weights = np.where(y == np.arange(N_CLASSES)[:, None], sample_weight, 0.0)
 
     nodes: list[dict] = []
+    leaf = np.zeros(n, dtype=np.intp)
     # ties in decrease pop in node_id order: the order the splits were pushed
     heap: list[tuple[float, int, tuple]] = []
 
-    def new_node(indices: np.ndarray, depth: int) -> int:
+    def new_node(rows: np.ndarray, sorted_rows: np.ndarray, depth: int) -> int:
         node_id = len(nodes)
-        dist = _class_distribution(y[indices], sample_weight[indices])
+        leaf[rows] = node_id
+        weights = sample_weight[rows]
+        counts = np.bincount(y[rows], weights=weights, minlength=N_CLASSES)
+        total = counts.sum()
+        dist = np.full(N_CLASSES, 1.0 / N_CLASSES) if total <= 0 else counts / total
         nodes.append(
-            {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "dist": dist}
+            {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "dist": dist.tolist()}
         )
         if max_depth is not None and depth >= max_depth:
             return node_id
-        if len(indices) < 2 * min_leaf_size or len(indices) < 2:
+        if len(rows) < 2 * min_leaf_size or len(rows) < 2:
             return node_id
         if feature_subset is not None and feature_subset < d:
             feats = np.sort(rng.choice(d, size=feature_subset, replace=False))
         else:
             feats = np.arange(d)
-        split = _best_split(X, y, sample_weight, indices, feats, min_leaf_size)
+        split = _best_split(X, sample_weight, class_weights, sorted_rows[feats], feats,
+                            weights.sum(), counts, min_leaf_size)
         if split is not None:
-            decrease, feature, threshold, left_idx, right_idx = split
-            heapq.heappush(
-                heap, (-decrease, node_id, (feature, threshold, left_idx, right_idx, depth))
-            )
+            heapq.heappush(heap, (-split[0], node_id, (*split[1:], rows, sorted_rows, depth)))
         return node_id
 
-    new_node(np.arange(n), 0)
+    new_node(np.arange(n), order, 0)
     n_leaves = 1
     while heap and (max_leaf_nodes is None or n_leaves < max_leaf_nodes):
-        _, node_id, (feature, threshold, left_idx, right_idx, depth) = heapq.heappop(heap)
-        left = new_node(left_idx, depth + 1)
-        right = new_node(right_idx, depth + 1)
-        nodes[node_id]["feature"] = int(feature)
-        nodes[node_id]["threshold"] = float(threshold)
-        nodes[node_id]["left"] = left
-        nodes[node_id]["right"] = right
+        _, node_id, (feature, threshold, left_rows, rows, sorted_rows, depth) = heapq.heappop(heap)
+        goes_left = np.zeros(n, dtype=bool)
+        goes_left[left_rows] = True
+        in_left, sorted_in_left = goes_left[rows], goes_left[sorted_rows]
+        left = new_node(rows[in_left], sorted_rows[sorted_in_left].reshape(d, -1), depth + 1)
+        right = new_node(rows[~in_left], sorted_rows[~sorted_in_left].reshape(d, -1), depth + 1)
+        nodes[node_id].update(feature=feature, threshold=threshold, left=left, right=right)
         n_leaves += 1
-    return nodes
+    return nodes, leaf
 
 
-def _class_distribution(labels: np.ndarray, weights: np.ndarray) -> list[float]:
-    counts = np.bincount(labels, weights=weights, minlength=N_CLASSES)
-    total = counts.sum()
-    if total <= 0:
-        return [1.0 / N_CLASSES] * N_CLASSES
-    return [float(c) for c in counts / total]
+def _best_split(X, sample_weight, class_weights, ordered, features, total_w, total_counts,
+                min_leaf_size):
+    """Score every boundary of every drawn feature in one pass; return the
+    best valid split as ``(decrease, feature, threshold, left rows)``.
 
-
-def _best_split(X, y, sample_weight, indices, features, min_leaf_size):
-    """Scan candidate thresholds on each feature; return the best valid split.
-
-    Candidates are boundaries between distinct sorted values; ties in
-    impurity decrease resolve to the lowest feature id, then the lowest
-    threshold, making growth deterministic.
+    ``ordered`` holds the node's rows in each drawn feature's sorted order.
+    Candidates are boundaries between distinct sorted values that leave at
+    least ``min_leaf_size`` rows on each side; a position in that range
+    between equal values scores ``-inf``. Ties in impurity decrease resolve
+    to the lowest feature id (a strict ``>`` in ascending feature order),
+    then the lowest threshold (``argmax`` keeps the first).
     """
-    labels = y[indices]
-    weights = sample_weight[indices]
-    total_w = weights.sum()
     if total_w <= 0:
         return None
-    total_counts = np.bincount(labels, weights=weights, minlength=N_CLASSES)
     gini_parent = 1.0 - ((total_counts / total_w) ** 2).sum()
     if gini_parent <= 0.0:
         return None
 
+    values = X[ordered, features[:, None]]
+    # a boundary after position p leaves p + 1 rows on the left
+    lo, hi = min_leaf_size - 1, ordered.shape[1] - min_leaf_size
+    boundary = values[:, lo:hi] < values[:, lo + 1 : hi + 1]
+    left_w = np.cumsum(sample_weight[ordered], axis=-1)[:, lo:hi]
+    right_w = total_w - left_w
+    left_sq, right_sq = np.zeros_like(left_w), np.zeros_like(left_w)
+    for weight_c, total_c in zip(class_weights, total_counts):
+        left_c = np.cumsum(weight_c[ordered], axis=-1)[:, lo:hi]
+        left_sq += left_c * left_c
+        right_c = total_c - left_c
+        right_sq += right_c * right_c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_left = 1.0 - np.where(left_w > 0, left_sq / left_w**2, 1.0)
+        gini_right = 1.0 - np.where(right_w > 0, right_sq / right_w**2, 1.0)
+    decrease = gini_parent - (left_w * gini_left + right_w * gini_right) / total_w
+    decrease = np.where(boundary, decrease, -np.inf)
+    picks = decrease.argmax(axis=1)
+
     best = None
-    for feature in features:
-        values = X[indices, feature]
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        sorted_labels = labels[order]
-        sorted_weights = weights[order]
-
-        boundaries = np.nonzero(sorted_values[:-1] < sorted_values[1:])[0]
-        if boundaries.size == 0:
+    for i, pick in enumerate(picks.tolist()):
+        if decrease[i, pick] <= 1e-12:
             continue
-        left_sizes = boundaries + 1
-        valid = (left_sizes >= min_leaf_size) & (len(indices) - left_sizes >= min_leaf_size)
-        boundaries = boundaries[valid]
-        if boundaries.size == 0:
-            continue
-
-        onehot = np.zeros((len(indices), N_CLASSES))
-        onehot[np.arange(len(indices)), sorted_labels] = sorted_weights
-        cum_counts = np.cumsum(onehot, axis=0)
-        cum_weights = np.cumsum(sorted_weights)
-
-        left_w = cum_weights[boundaries]
-        right_w = total_w - left_w
-        left_counts = cum_counts[boundaries]
-        right_counts = total_counts - left_counts
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gini_left = 1.0 - np.where(
-                left_w > 0, (left_counts**2).sum(axis=1) / left_w**2, 1.0
-            )
-            gini_right = 1.0 - np.where(
-                right_w > 0, (right_counts**2).sum(axis=1) / right_w**2, 1.0
-            )
-        decrease = gini_parent - (left_w * gini_left + right_w * gini_right) / total_w
-        pick = int(np.argmax(decrease))
-        if decrease[pick] <= 1e-12:
-            continue
-        if best is None or decrease[pick] > best[0]:
-            threshold = float(sorted_values[boundaries[pick]])
-            mask = values <= threshold
-            best = (
-                float(decrease[pick]),
-                int(feature),
-                threshold,
-                indices[mask],
-                indices[~mask],
-            )
+        if best is None or decrease[i, pick] > best[0]:
+            threshold, left_rows = float(values[i, lo + pick]), ordered[i, : lo + pick + 1]
+            best = (float(decrease[i, pick]), int(features[i]), threshold, left_rows)
     return best
 
 
@@ -243,20 +237,19 @@ def fit_random_forest(X, y, seed, hyperparameters) -> dict:
             Xb, yb = X[sample], y[sample]
         else:
             Xb, yb = X, y
-        trees.append(
-            grow_tree(
-                Xb,
-                yb,
-                sample_weight=(
-                    balanced_weights(yb) if hyperparameters["class_weight"] == "balanced" else None
-                ),
-                max_depth=hyperparameters["max_depth"],
-                min_leaf_size=hyperparameters["min_leaf_size"],
-                max_leaf_nodes=hyperparameters["max_leaf_nodes"],
-                feature_subset=subset,
-                rng=rng,
-            )
+        nodes, _ = grow_tree(
+            Xb,
+            yb,
+            sample_weight=(
+                balanced_weights(yb) if hyperparameters["class_weight"] == "balanced" else None
+            ),
+            max_depth=hyperparameters["max_depth"],
+            min_leaf_size=hyperparameters["min_leaf_size"],
+            max_leaf_nodes=hyperparameters["max_leaf_nodes"],
+            feature_subset=subset,
+            rng=rng,
         )
+        trees.append(nodes)
     return {"trees": trees}
 
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig
-from .errors import ConfigError, DocTypeError
+from .config import RunConfig, validate_config
+from .errors import DocTypeError
 from .evaluation import CVResult, EvalReport, evaluate, sweep
 from .ingest import parse_records, extract_features
 from .ioutils import atomic_write_text, canonical_json
@@ -36,8 +36,8 @@ class PipelineResult:
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    if cfg.records_path is None and cfg.labeled_path is None:
-        raise ConfigError("pipeline needs paths.records or paths.labeled")
+    # a RunConfig built in Python has not been through config_from_dict
+    validate_config(cfg, needs_input=True)
 
     counts: dict[str, int] = {}
     if cfg.records_path is not None:

@@ -1,0 +1,120 @@
+"""Brute-force reference grower for ``doctype.models.tree.grow_tree``.
+
+Each node sorts every drawn feature of its own rows again (stable argsort)
+and scores the features one at a time; growth is best-first by impurity
+decrease, ties popping in node-creation order. The library grower must
+give the same nodes, to the JSON byte, for the same arguments and an
+equally seeded generator.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+import numpy as np
+
+from doctype.ingest import N_CLASSES
+
+
+def reference_grow_tree(
+    X, y, sample_weight=None, *, max_depth=None, min_leaf_size=1, max_leaf_nodes=None,
+    feature_subset=None, rng=None,
+) -> list[dict]:
+    n, d = X.shape
+    if sample_weight is None:
+        sample_weight = np.full(n, 1.0 / n)
+    nodes: list[dict] = []
+    heap: list[tuple[float, int, tuple]] = []
+
+    def new_node(indices, depth):
+        node_id = len(nodes)
+        dist = _class_distribution(y[indices], sample_weight[indices])
+        nodes.append({"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "dist": dist})
+        if max_depth is not None and depth >= max_depth:
+            return node_id
+        if len(indices) < 2 * min_leaf_size or len(indices) < 2:
+            return node_id
+        if feature_subset is not None and feature_subset < d:
+            feats = np.sort(rng.choice(d, size=feature_subset, replace=False))
+        else:
+            feats = np.arange(d)
+        split = _best_split(X, y, sample_weight, indices, feats, min_leaf_size)
+        if split is not None:
+            decrease, feature, threshold, left_idx, right_idx = split
+            heapq.heappush(
+                heap, (-decrease, node_id, (feature, threshold, left_idx, right_idx, depth))
+            )
+        return node_id
+
+    new_node(np.arange(n), 0)
+    n_leaves = 1
+    while heap and (max_leaf_nodes is None or n_leaves < max_leaf_nodes):
+        _, node_id, (feature, threshold, left_idx, right_idx, depth) = heapq.heappop(heap)
+        left = new_node(left_idx, depth + 1)
+        right = new_node(right_idx, depth + 1)
+        nodes[node_id].update(
+            feature=int(feature), threshold=float(threshold), left=left, right=right
+        )
+        n_leaves += 1
+    return nodes
+
+
+def _class_distribution(labels, weights) -> list[float]:
+    counts = np.bincount(labels, weights=weights, minlength=N_CLASSES)
+    total = counts.sum()
+    if total <= 0:
+        return [1.0 / N_CLASSES] * N_CLASSES
+    return [float(c) for c in counts / total]
+
+
+def _best_split(X, y, sample_weight, indices, features, min_leaf_size):
+    labels = y[indices]
+    weights = sample_weight[indices]
+    total_w = weights.sum()
+    if total_w <= 0:
+        return None
+    total_counts = np.bincount(labels, weights=weights, minlength=N_CLASSES)
+    gini_parent = 1.0 - ((total_counts / total_w) ** 2).sum()
+    if gini_parent <= 0.0:
+        return None
+
+    best = None
+    for feature in features:
+        values = X[indices, feature]
+        order = np.argsort(values, kind="stable")
+        sorted_values = values[order]
+        sorted_labels = labels[order]
+        sorted_weights = weights[order]
+
+        boundaries = np.nonzero(sorted_values[:-1] < sorted_values[1:])[0]
+        left_sizes = boundaries + 1
+        valid = (left_sizes >= min_leaf_size) & (len(indices) - left_sizes >= min_leaf_size)
+        boundaries = boundaries[valid]
+        if boundaries.size == 0:
+            continue
+
+        onehot = np.zeros((len(indices), N_CLASSES))
+        onehot[np.arange(len(indices)), sorted_labels] = sorted_weights
+        cum_counts = np.cumsum(onehot, axis=0)
+        cum_weights = np.cumsum(sorted_weights)
+
+        left_w = cum_weights[boundaries]
+        right_w = total_w - left_w
+        left_counts = cum_counts[boundaries]
+        right_counts = total_counts - left_counts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gini_left = 1.0 - np.where(
+                left_w > 0, (left_counts**2).sum(axis=1) / left_w**2, 1.0
+            )
+            gini_right = 1.0 - np.where(
+                right_w > 0, (right_counts**2).sum(axis=1) / right_w**2, 1.0
+            )
+        decrease = gini_parent - (left_w * gini_left + right_w * gini_right) / total_w
+        pick = int(np.argmax(decrease))
+        if decrease[pick] <= 1e-12:
+            continue
+        if best is None or decrease[pick] > best[0]:
+            threshold = float(sorted_values[boundaries[pick]])
+            mask = values <= threshold
+            best = (float(decrease[pick]), int(feature), threshold, indices[mask], indices[~mask])
+    return best

@@ -40,10 +40,11 @@ from doctype.models import (
 )
 from doctype.models import knn as knn_module
 from doctype.models.knn import KnnPredictor
-from doctype.models.tree import grow_tree
+from doctype.models.tree import ForestPredictor, balanced_weights, grow_tree
 from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable
 from doctype.synthetic import generate_synthetic
 from conftest import REFERENCE_CELLS, blank_f1, make_example, toy_dataset
+from reference_tree import reference_grow_tree
 
 
 def example_1d(f2: float, label: DocType, doc_id: str) -> LabeledExample:
@@ -69,6 +70,37 @@ feature_rows = st.tuples(
     st.integers(1, 600),
     st.floats(0, 2e4),
 )
+
+
+
+@st.composite
+def grower_cases(draw):
+    """A small matrix with ties and maybe a constant column, labels,
+    sample weights (uniform, balanced, or drawn with zeros) and growth
+    limits, for the grower and its brute-force reference."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    levels = draw(st.integers(1, 6))
+    cells = st.lists(st.integers(0, levels - 1), min_size=d, max_size=d)
+    X = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+    constant = draw(st.one_of(st.none(), st.integers(0, d - 1)))
+    if constant is not None:
+        X[:, constant] = 2.0
+    y = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    weighting = draw(st.sampled_from(["uniform", "balanced", "drawn"]))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+    sample_weight = {
+        "uniform": None,
+        "balanced": balanced_weights(y),
+        "drawn": np.array(draw(st.lists(weight, min_size=n, max_size=n))),
+    }[weighting]
+    limits = {
+        "min_leaf_size": draw(st.integers(1, 3)),
+        "max_depth": draw(st.one_of(st.none(), st.integers(0, 4))),
+        "max_leaf_nodes": draw(st.one_of(st.none(), st.integers(1, 8))),
+        "feature_subset": draw(st.one_of(st.none(), st.integers(1, d))),
+    }
+    return X, y, sample_weight, limits, draw(st.integers(0, 2**32 - 1))
+
 
 #: Every kind, over all three transforms.
 EVERY_KIND = [
@@ -362,8 +394,19 @@ class TestDecisionTree:
         # both root children split perfectly on column 1 (decrease 0.5
         # each); a three-leaf budget splits the one created first
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        nodes = grow_tree(X, np.array([0, 1, 2, 0]), max_leaf_nodes=3)
+        nodes, _ = grow_tree(X, np.array([0, 1, 2, 0]), max_leaf_nodes=3)
         assert [node["feature"] for node in nodes] == [0, 1, -1, -1, -1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=grower_cases())
+    def test_presorted_grower_matches_reference(self, case):
+        X, y, sample_weight, limits, seed = case
+        want = reference_grow_tree(X, y, sample_weight, **limits, rng=np.random.default_rng(seed))
+        nodes, leaf = grow_tree(X, y, sample_weight, **limits, rng=np.random.default_rng(seed))
+        assert json.dumps(nodes) == json.dumps(want)
+        # each training row's leaf id gives the compiled tree's prediction
+        routed = ForestPredictor([nodes], X.shape[1]).scores_matrix(X).argmax(axis=1)
+        assert np.array_equal(np.array([node["dist"] for node in nodes]).argmax(axis=1)[leaf], routed)
 
 
 #: sha256 of ``to_json()`` and of the ``predict_batch`` score bytes of tree
@@ -388,6 +431,16 @@ PINNED_TREE_BYTES = [
     ("adaboost", {"rounds": 15, "max_depth": 2}, 0, "identity",
      "cd0c1ca428fdb706f435a0cb78b4de2532c2740d217ed7aa3dd4feb88b05dd3e",
      "4f0fae844e139e05c7c3a4d52e1fa9d973b5da32ea3ec835f81680f0fa60c524"),
+    # recorded before the split search moved onto presorted feature lists
+    ("random-forest", DEPLOYED_FOREST_PROFILE, 5, "identity",
+     "1b4144ae74359992c48bb91eab3b3808c1e7e9c37a4d834b43d2f4a83c73c2f4",
+     "d1443d4af02ca5b14811fd64eecbbd4600c3fe310eb2e64c54d8e2093327934d"),
+    ("adaboost", {"rounds": 50, "max_depth": 1}, 0, "identity",
+     "7f9841d8bf384f54d0bb7fff543cbd73563d4c2b1397cc97af36a198e7cb6922",
+     "d766a8836652a1169a00c852bc8b45cd0a53cf2b73a0f1097ec2c81790660704"),
+    ("decision-tree", {"min_leaf_size": 3, "max_depth": 4}, 0, "identity",
+     "ed592ac1c3e8804607e2ba56f2a8064a7728d834ff51ee504dc3562f25c55881",
+     "5b698d66b97b34c0171339ad9ac5107a9d875ce5fd6dab96da2a2467e709451b"),
 ]
 
 

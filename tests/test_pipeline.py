@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doctype.cli import main
-from doctype.config import config_from_dict, load_config
+from doctype.config import RunConfig, config_from_dict, load_config
 from doctype.errors import ConfigError
 from doctype import pipeline
 from doctype.ingest import DocType
@@ -172,6 +172,24 @@ class TestConfig:
         assert message in str(err.value)
         assert main(["pipeline", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {err.value}\n"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({}, "pipeline needs paths.records or paths.labeled"),
+            ({"labeled": True, "sweep_kinds": ()}, "sweep.kinds must be non-empty"),
+            ({"labeled": True, "k_folds": 1}, "k_folds must be at least 2"),
+        ],
+    )
+    def test_run_pipeline_checks_a_config_built_in_python(self, fields, message, tmp_path):
+        # the check comes before any stage, so an empty labeled file will do
+        labeled = tmp_path / "labeled.jsonl"
+        labeled.write_text("")
+        if fields.pop("labeled", False):
+            fields["labeled_path"] = str(labeled)
+        with pytest.raises(ConfigError, match=message):
+            run_pipeline(RunConfig(output_dir=str(tmp_path / "out"), **fields))
+        assert not (tmp_path / "out").exists()
 
     def test_round_trip_hash_stable(self, tmp_path):
         records = build_records(tmp_path)
