@@ -37,7 +37,6 @@ from .stats import (
 from .models import (
     ModelArtifact,
     baseline_random_predict,
-    baseline_threshold_predict,
     load_model,
     predict,
     save_model,

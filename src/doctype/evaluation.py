@@ -19,8 +19,8 @@ from .models import (
     kind_spec,
     model_size,
     predict_batch,
+    prefix_labels,
     train,
-    truncate,
 )
 from .seeding import derive_seed
 from .stats import TRANSFORM_KINDS
@@ -196,31 +196,30 @@ def cross_validate_sizes(
 ) -> list[CVResult]:
     """Cross-validate on ``prepared`` folds: one result per size in ``sizes``.
 
-    Each fold fits ``kind`` (an ``ensemble`` kind) once at the
-    largest size and scores every size on that fit's first members
-    (``models.truncate``), which is the fit at that size. ``sizes`` replaces
-    the size in ``hyperparameters``; ``None`` gives the one result of
-    ``hyperparameters`` as they are, for any kind.
+    Each fold fits ``kind`` (an ``ensemble`` kind) once at the largest
+    size and scores every size on its first members, capped at an early
+    stop, from that fit's one predictor (``models.prefix_labels``). ``sizes``
+    replaces the size in ``hyperparameters``; ``None`` gives the one result
+    of ``hyperparameters`` as they are, for any kind.
     """
-    size_key = kind_spec(kind).size_key
     fit_hyperparameters = dict(hyperparameters or {})
     if sizes is not None:
-        fit_hyperparameters[size_key] = max(sizes)
+        fit_hyperparameters[kind_spec(kind).size_key] = max(sizes)
     reports: list[list[EvalReport]] = [[] for _ in sizes or [None]]
     for i, fold in enumerate(prepared):
-        fold_seed = derive_seed(seed, f"fold-{i}")
         model = train(
-            kind, fold.train, fit_hyperparameters, fold_seed, transform, fold.features,
-            matrix=(fold.X_train, fold.y_train),
+            kind, fold.train, fit_hyperparameters, derive_seed(seed, f"fold-{i}"), transform,
+            fold.features, matrix=(fold.X_train, fold.y_train),
         )
-        members = [model] if sizes is None else [truncate(model, size) for size in sizes]
-        for size_reports, member in zip(reports, members):
-            if kind == "baseline-random":
-                predictions = baseline_random_predict(
-                    member, len(fold.y_test), derive_seed(seed, f"fold-{i}-draw")
-                )
-            else:
-                predictions, _ = predict_batch(member, fold.X_test)
+        if sizes is not None:
+            prefixes = prefix_labels(model, fold.X_test)
+            labels = [prefixes[min(size, len(prefixes)) - 1] for size in sizes]
+        elif kind == "baseline-random":
+            draw_seed = derive_seed(seed, f"fold-{i}-draw")
+            labels = [baseline_random_predict(model, len(fold.y_test), draw_seed)]
+        else:
+            labels = [predict_batch(model, fold.X_test)[0]]
+        for size_reports, predictions in zip(reports, labels):
             size_reports.append(evaluate(predictions, fold.y_test))
     return [_cv_result(size_reports) for size_reports in reports]
 
@@ -374,7 +373,17 @@ def ablation(
     seed: int = 0,
     hyperparameters: Mapping[str, dict] | None = None,
 ) -> dict[tuple[str, tuple[str, ...]], float]:
-    """Mean weighted F1 per (kind, feature subset): each singleton and all four."""
+    """Mean weighted F1 per (kind, feature subset): each singleton and all four.
+
+    ``kinds`` must be a non-empty list of distinct known kinds; ValueError,
+    before any fit, otherwise.
+    """
+    if not kinds:
+        raise ValueError("ablation kinds must be non-empty")
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"ablation kinds must not repeat an entry, got {list(kinds)}")
+    for kind in kinds:
+        kind_spec(kind)
     hyperparameters = hyperparameters or {}
     out: dict[tuple[str, tuple[str, ...]], float] = {}
     for kind in kinds:

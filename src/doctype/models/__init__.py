@@ -5,7 +5,6 @@ from .baselines import (
     FALLBACK_CLASS,
     THRESHOLD_TEST_ORDER,
     baseline_random_predict,
-    baseline_threshold_predict,
 )
 from .dispatch import (
     DEPLOYED_FOREST_PROFILE,
@@ -19,9 +18,9 @@ from .dispatch import (
     model_size,
     predict,
     predict_batch,
+    prefix_labels,
     save_model,
     train,
-    truncate,
 )
 
 __all__ = [
@@ -36,13 +35,12 @@ __all__ = [
     "FALLBACK_CLASS",
     "THRESHOLD_TEST_ORDER",
     "baseline_random_predict",
-    "baseline_threshold_predict",
     "DEPLOYED_FOREST_PROFILE",
     "check_features",
     "check_hyperparameters",
     "dataset_matrix",
     "predict",
     "predict_batch",
+    "prefix_labels",
     "train",
-    "truncate",
 ]

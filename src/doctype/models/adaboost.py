@@ -2,8 +2,7 @@
 
 The fit ignores its seed, and a round depends only on the rounds before
 it. So an r-round model is the first r rounds of any longer run on the same
-data and other hyperparameters, an early stop included, and
-``models.truncate`` cuts one from the other.
+data and other hyperparameters, an early stop included.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelFormatError, TrainingError
-from ..ingest import FEATURE_IDS, N_CLASSES, DocType, FeatureVector
+from ..ingest import FEATURE_IDS, N_CLASSES, DocType
 from ..ioutils import number_array
 from ..stats import ThresholdTable, derive_thresholds
 
@@ -47,18 +47,10 @@ def baseline_random_predict(model, n: int, seed: int) -> list[DocType]:
     return [DocType(int(v)) for v in draws]
 
 
-def baseline_threshold_predict(table: ThresholdTable, fv: FeatureVector) -> DocType:
-    """First class whose four bounds all contain the features, else Research."""
-    for doc_type in THRESHOLD_TEST_ORDER:
-        if table.contains(doc_type, fv):
-            return doc_type
-    return FALLBACK_CLASS
-
-
 class RandomBaselinePredictor:
-    """Single-vector predictions replay the first draw of the model seed,
-    keeping predict deterministic; batch prediction goes through
-    baseline_random_predict with an explicit seed."""
+    """Every row gets the first draw of the model seed, so ``predict`` and
+    ``predict_batch`` are deterministic and agree row by row. Only
+    cross-validation draws one label per row (baseline_random_predict)."""
 
     def __init__(self, parameters: dict, seed: int):
         self.weights = number_array(parameters["weights"], (N_CLASSES,), "weights")
@@ -73,9 +65,9 @@ class RandomBaselinePredictor:
 
 
 class ThresholdBaselinePredictor:
-    """baseline_threshold_predict for a matrix: the first class in
-    THRESHOLD_TEST_ORDER whose bounds contain the row wins; the fallback
-    is tested last, as a box without bounds."""
+    """The threshold rule: a row is the first class in THRESHOLD_TEST_ORDER
+    whose bounds all contain its features; the fallback is tested last, as
+    a box without bounds."""
 
     def __init__(self, parameters: dict, features: tuple[str, ...]):
         if features != FEATURE_IDS:

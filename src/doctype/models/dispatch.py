@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
@@ -51,7 +51,7 @@ class Kind:
     ``hyperparameters`` maps each key the kind takes to ``(accepts,
     expected, default)``. ``size_key`` names the hyperparameter that sets
     the model's size. An ``ensemble`` model of size s is the first s
-    members of any larger fit on the same data and seed (``truncate``).
+    members of any larger fit on the same data and seed (``prefix_labels``).
     An ``order_invariant`` kind's fit and predictions depend on each
     feature's value order only (see ``models.tree``), so ``sweep`` runs it
     on raw values only. An ``every_class`` kind needs every class in its
@@ -233,19 +233,6 @@ def train(
     )
 
 
-def truncate(model: ModelArtifact, size: int) -> ModelArtifact:
-    """The ensemble made of ``model``'s first ``size`` members.
-
-    For a model that ``train`` fitted at a size of at least ``size``, this
-    equals, to the JSON byte, what ``train`` returns at ``size`` with the
-    same seed, transform, data and other hyperparameters.
-    """
-    if not kind_spec(model.kind).ensemble:
-        raise ValueError(f"{model.kind} is not an ensemble; cannot truncate it")
-    parameters = {name: members[:size] for name, members in model.parameters.items()}
-    return replace(model, parameters=parameters, _predictor=None)
-
-
 def _predictor(model: ModelArtifact):
     """The model's predictor, built once. Building it is the check of the
     model's kind, features and parameters: ModelFormatError if it fails."""
@@ -305,6 +292,19 @@ def predict_batch(
     row's argmax, so ties go to the lowest class. A value that is not
     finite, raw or transformed, raises ValueError naming it.
     """
+    scores = _predictor(model).scores_matrix(_model_inputs(model, X_raw))
+    return scores.argmax(axis=1), scores
+
+
+def prefix_labels(model: ModelArtifact, X_raw: np.ndarray) -> np.ndarray:
+    """Row s - 1 is the ``predict_batch`` labels of the ensemble's first s members alone."""
+    if not kind_spec(model.kind).ensemble:
+        raise ValueError(f"{model.kind} is not an ensemble")
+    return _predictor(model).prefix_scores(_model_inputs(model, X_raw)).argmax(axis=2)
+
+
+def _model_inputs(model: ModelArtifact, X_raw: np.ndarray) -> np.ndarray:
+    """``X_raw`` filled and transformed for the model's predictor."""
     X = np.asarray(X_raw, dtype=float)
     if model.imputer is not None:
         X = model.imputer.apply(X)
@@ -312,8 +312,7 @@ def predict_batch(
     if bad := _first_non_finite(X, Xt, model.transform.kind, model.features):
         row, what = bad
         raise ValueError(f"row {row}: {what}")
-    scores = _predictor(model).scores_matrix(Xt)
-    return scores.argmax(axis=1), scores
+    return Xt
 
 
 def _first_non_finite(X: np.ndarray, Xt: np.ndarray, transform: str, features):

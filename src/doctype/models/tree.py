@@ -20,7 +20,7 @@ ascending order (a pairwise ``sum`` depends on length, so no padding).
 A random forest grows tree i from ``SeedSequence(seed).spawn(n_trees)[i]``,
 which does not depend on ``n_trees``. So an n-tree forest is the first n
 trees of any larger forest fitted with the same seed, data and other
-hyperparameters, and ``models.truncate`` cuts one from the other.
+hyperparameters, and ``ForestPredictor.prefix_scores`` scores every n.
 
 Trees are stored as dict nodes and compiled for prediction into flat
 arrays (feature, threshold, left, right, dist), the trees of an ensemble
@@ -257,14 +257,13 @@ class ForestPredictor:
     """A vote of trees compiled into flat node arrays with global node ids.
 
     Without ``weights`` (random forest, decision tree) each tree votes its
-    leaf's class distribution: scores are the distributions summed in tree
-    order, then divided by the tree count. With ``weights`` (AdaBoost's
-    round weights) each tree votes its weight at its leaf's argmax class,
-    and the sum is divided by the Python ``sum`` of the weights.
+    leaf's class distribution; with ``weights`` (AdaBoost's round weights)
+    it votes its weight at its leaf's argmax class. The first s trees score
+    their votes summed in tree order, over s or the Python ``sum`` of their
+    weights: what a predictor of those s trees alone gives.
 
     Compiling checks each tree (``_tree_depth``). ``depth`` is the deepest
-    tree's depth. Split nodes get a zero distribution: routing for
-    ``depth`` steps always ends on a leaf.
+    tree's depth; split nodes get a zero distribution.
     """
 
     def __init__(self, trees, n_features: int, weights=None):
@@ -282,12 +281,12 @@ class ForestPredictor:
                     left, right = base + node["left"], base + node["right"]
                     columns.append((node["feature"], node["threshold"], left, right, _NO_DIST))
         self.feature, self.threshold, self.left, self.right, dist = map(np.array, zip(*columns))
-        self.votes, self.total = dist.astype(float), len(trees)
+        self.votes, self.totals = dist.astype(float), np.arange(1.0, len(trees) + 1)
         if weights is not None:
             per_node = np.repeat(np.asarray(weights, dtype=float), sizes)
             picks = self.votes.argmax(axis=1)
             self.votes = np.where(np.arange(N_CLASSES) == picks[:, None], per_node[:, None], 0.0)
-            self.total = sum(weights)
+            self.totals = np.array([sum(weights[:s]) for s in range(1, len(weights) + 1)])
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
         """Leaf id each row reaches in each tree, shape (trees, rows)."""
@@ -298,5 +297,9 @@ class ForestPredictor:
             node = np.where(go_left, self.left[node], self.right[node])
         return node
 
+    def prefix_scores(self, X: np.ndarray) -> np.ndarray:
+        """Each prefix's scores from running vote sums, shape (trees, rows, classes)."""
+        return np.cumsum(self.votes[self.leaves(X)], axis=0) / self.totals[:, None, None]
+
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        return self.votes[self.leaves(X)].sum(axis=0) / self.total
+        return self.prefix_scores(X)[-1]

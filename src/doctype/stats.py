@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ImputationError, ModelFormatError, ThresholdError
-from .ingest import DOC_TYPES, FEATURE_IDS, DocType, FeatureVector
+from .ingest import DOC_TYPES, FEATURE_IDS, DocType
 from .ioutils import number_array
 from .labeling import LabeledExample
 
@@ -62,17 +62,6 @@ class ThresholdTable:
                     raise ValueError(
                         f"cell ({t.label}, {fid}) has lower {lo} > upper {hi}"
                     )
-
-    def contains(self, doc_type: DocType, fv: FeatureVector) -> bool:
-        """True when all four features fall inside this class's bounds."""
-        for fid in FEATURE_IDS:
-            value = fv.get(fid)
-            if value is None:
-                return False
-            lo, hi = self.bounds[(doc_type, fid)]
-            if not lo <= value <= hi:
-                return False
-        return True
 
     def to_dict(self) -> dict:
         return {

@@ -12,7 +12,8 @@ from hypothesis import settings
 from doctype.engagement import Click, Impression, LogEvent
 from doctype.ingest import DocType, FeatureVector
 from doctype.labeling import LabeledExample
-from doctype.stats import ThresholdTable
+from doctype.models import FALLBACK_CLASS, ModelArtifact
+from doctype.stats import ThresholdTable, TransformSpec
 
 # Every run draws the same examples and keeps no example database, so a
 # tier-1 run tests the same cases on every tree and machine.
@@ -36,6 +37,13 @@ def reference_table() -> ThresholdTable:
         for fid, cell in cells.items()
     }
     return ThresholdTable(bounds)
+
+
+def threshold_model(table: ThresholdTable) -> ModelArtifact:
+    """A baseline-threshold model holding ``table``, shaped as ``train``
+    stores one but without an f1 fill: its rows must have f1."""
+    parameters = {"table": table.to_dict(), "fallback": FALLBACK_CLASS.label}
+    return ModelArtifact("baseline-threshold", TransformSpec("identity"), parameters, seed=0)
 
 
 def make_example(

