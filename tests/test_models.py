@@ -585,27 +585,51 @@ ensemble_fits = st.one_of(
 )
 
 
-class TestEnsemblePrefixes:
-    """An ensemble fitted at size s is the first s members of any larger fit
-    (an AdaBoost early stop included), so ``prefix_labels`` of the larger
-    fit labels rows as each smaller fit does."""
+class TestTruncate:
+    """The first s members of an ensemble fitted at size S are the fit at
+    size s, byte for byte."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         data=oracle_data,
         sizes=sizes_pair,
-        fit=ensemble_fits,
+        hp=st.fixed_dictionaries({
+            "bootstrap": st.booleans(),
+            "feature_subset": st.integers(1, 4),
+            "class_weight": st.sampled_from([None, "balanced"]),
+            "max_depth": st.one_of(st.none(), st.integers(0, 4)),
+            "max_leaf_nodes": st.one_of(st.none(), st.integers(1, 6)),
+        }),
         seed=st.integers(0, 2**32 - 1),
         transform=st.sampled_from(TRANSFORM_KINDS),
     )
-    def test_first_members_are_the_smaller_fit(self, data, sizes, fit, seed, transform):
-        (kind, hp), (small, large) = fit, sizes
-        size_key = SPECS[kind].size_key
-        full = fit_or_error(kind, data, {**hp, size_key: large}, seed, transform)
-        direct = fit_or_error(kind, data, {**hp, size_key: small}, seed, transform)
+    def test_forest_prefix(self, data, sizes, hp, seed, transform):
+        small, large = sizes
+        full = train("random-forest", data, {**hp, "n_trees": large}, seed, transform)
+        direct = train("random-forest", data, {**hp, "n_trees": small}, seed, transform)
+        assert first_members(full, small).to_json() == direct.to_json()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=oracle_data,
+        sizes=sizes_pair,
+        max_depth=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        transform=st.sampled_from(TRANSFORM_KINDS),
+    )
+    def test_adaboost_prefix(self, data, sizes, max_depth, seed, transform):
+        small, large = sizes
+        full = fit_or_error("adaboost", data, {"rounds": large, "max_depth": max_depth}, seed, transform)
+        direct = fit_or_error("adaboost", data, {"rounds": small, "max_depth": max_depth}, seed, transform)
         if full.startswith("{"):
             full = first_members(ModelArtifact.from_json(full), small).to_json()
         assert full == direct
+
+
+class TestEnsemblePrefixes:
+    """Since a smaller ensemble fit is the first members of a larger one (an
+    AdaBoost early stop included), ``prefix_labels`` of the larger fit labels
+    rows as each smaller fit does."""
 
     @pytest.mark.parametrize(
         "data, max_depth",
