@@ -18,6 +18,7 @@ from .models import (
     dataset_matrix,
     kind_spec,
     model_size,
+    nested_keys,
     predict_batch,
     prefix_labels,
     train,
@@ -190,38 +191,52 @@ def cross_validate_sizes(
     kind: str,
     prepared: Sequence[PreparedFold],
     hyperparameters: dict | None,
-    sizes: Sequence[int] | None,
+    nested: Sequence[dict] | None,
     seed: int = 0,
     transform: str = "identity",
 ) -> list[CVResult]:
-    """Cross-validate on ``prepared`` folds: one result per size in ``sizes``.
+    """Cross-validate on ``prepared`` folds: one result per point in ``nested``.
 
-    Each fold fits ``kind`` (an ``ensemble`` kind) once at the largest
-    size and scores every size on its first members, capped at an early
-    stop, from that fit's one predictor (``models.prefix_labels``). ``sizes``
-    replaces the size in ``hyperparameters``; ``None`` gives the one result
-    of ``hyperparameters`` as they are, for any kind.
+    A point gives values of ``kind``'s nested keys (``models.nested_keys``)
+    and replaces them in ``hyperparameters``. Each fold fits once, at each
+    key's largest value in ``nested`` (``null``, an unbounded depth, is the
+    largest), and scores every point from that fit's one predictor
+    (``models.prefix_labels``): its size as the first members, capped at an
+    early stop, and its ``max_depth`` as a depth cut. ``None`` gives the one
+    result of ``hyperparameters`` as they are, for any kind.
     """
-    fit_hyperparameters = dict(hyperparameters or {})
-    if sizes is not None:
-        fit_hyperparameters[kind_spec(kind).size_key] = max(sizes)
-    reports: list[list[EvalReport]] = [[] for _ in sizes or [None]]
+    spec, fit_hyperparameters = kind_spec(kind), dict(hyperparameters or {})
+    if nested is not None:
+        keys = {key for point in nested for key in point}
+        allowed = nested_keys(kind, fit_hyperparameters)
+        if not nested or not keys <= set(allowed) or any(point.keys() != keys for point in nested):
+            raise ValueError(f"{kind} points must all give the same keys of {list(allowed)}")
+        for key in keys:
+            values = [point[key] for point in nested]
+            fit_hyperparameters[key] = None if None in values else max(values)
+    reports: list[list[EvalReport]] = [[] for _ in nested or [None]]
     for i, fold in enumerate(prepared):
         model = train(
             kind, fold.train, fit_hyperparameters, derive_seed(seed, f"fold-{i}"), transform,
             fold.features, matrix=(fold.X_train, fold.y_train),
         )
-        if sizes is not None:
-            prefixes = prefix_labels(model, fold.X_test)
-            labels = [prefixes[min(size, len(prefixes)) - 1] for size in sizes]
+        if nested is not None:
+            cuts, labels = {}, []
+            for point in nested:
+                depth = point.get("max_depth")
+                if depth not in cuts:
+                    cuts[depth] = prefix_labels(model, fold.X_test, depth)
+                fitted = len(cuts[depth])
+                size = min(point.get(spec.size_key, fitted), fitted) if spec.ensemble else 1
+                labels.append(cuts[depth][size - 1])
         elif kind == "baseline-random":
             draw_seed = derive_seed(seed, f"fold-{i}-draw")
             labels = [baseline_random_predict(model, len(fold.y_test), draw_seed)]
         else:
             labels = [predict_batch(model, fold.X_test)[0]]
-        for size_reports, predictions in zip(reports, labels):
-            size_reports.append(evaluate(predictions, fold.y_test))
-    return [_cv_result(size_reports) for size_reports in reports]
+        for point_reports, predictions in zip(reports, labels):
+            point_reports.append(evaluate(predictions, fold.y_test))
+    return [_cv_result(point_reports) for point_reports in reports]
 
 
 def _cv_result(reports: list[EvalReport]) -> CVResult:
@@ -285,11 +300,13 @@ def sweep(
 ) -> SweepResult:
     """Cross-validate the full grid x transforms product; pick the best mean F1.
 
-    For an ensemble kind, grid points that differ only in the size
-    hyperparameter form a family, cross-validated by one
-    ``cross_validate_sizes`` call; every other point is its own family.
-    An order-invariant kind is swept on raw values only: a tree splits on
-    ``x <= v`` at training values, so a transform that keeps each
+    Grid points that differ only in their nested keys (``models.nested_keys``:
+    an ensemble's size, and a tree kind's ``max_depth`` unless a
+    ``max_leaf_nodes`` budget is set) form a family, cross-validated by one
+    ``cross_validate_sizes`` call: one fit per fold at the family's largest
+    values scores every point. A kind that nests nothing runs each point on
+    its own. An order-invariant kind is swept on raw values only: a tree
+    splits on ``x <= v`` at training values, so a transform that keeps each
     feature's order cannot change it. Each of its grid points is listed
     once, as ``identity``, whatever ``transforms`` holds.
 
@@ -307,29 +324,28 @@ def sweep(
             raise ValueError(f"unknown transform kind: {transform!r}")
     for point in grid:
         check_hyperparameters(kind, point)
-    spec = kind_spec(kind)
-    if spec.order_invariant:
+    if kind_spec(kind).order_invariant:
         transforms = ("identity",)
     if folds is None:
         folds = _cv_folds(dataset, k, seed)
     prepared = prepare_folds(folds)
-    families: dict[str, tuple[dict, set]] = {}
+    families: dict[str, tuple[dict, dict]] = {}
     cells = []
     for point in grid:
-        rest, size = _split_size(kind, point)
-        name = json.dumps(rest, sort_keys=True)
-        families.setdefault(name, (rest, set()))[1].add(size)
-        cells.append((name, size))
+        rest, values = _split_nested(kind, point)
+        name, cell = json.dumps(rest, sort_keys=True), json.dumps(values, sort_keys=True)
+        families.setdefault(name, (rest, {}))[1][cell] = values
+        cells.append((name, cell))
     results = {}
-    for name, (rest, sizes) in families.items():
-        sizes = sorted(sizes) if spec.ensemble else None
+    for name, (rest, points) in families.items():
+        nested = list(points.values()) if nested_keys(kind, rest) else None
         for transform in transforms:
-            family_results = cross_validate_sizes(kind, prepared, rest, sizes, seed, transform)
-            for size, result in zip(sizes or [None], family_results):
-                results[name, size, transform] = result
+            family_results = cross_validate_sizes(kind, prepared, rest, nested, seed, transform)
+            for cell, result in zip(points, family_results):
+                results[name, cell, transform] = result
     entries = [
-        SweepEntry(dict(point), transform, results[name, size, transform])
-        for (name, size), point in zip(cells, grid)
+        SweepEntry(dict(point), transform, results[name, cell, transform])
+        for (name, cell), point in zip(cells, grid)
         for transform in transforms
     ]
     best_index = min(
@@ -341,13 +357,15 @@ def sweep(
     return SweepResult(entries, best_index)
 
 
-def _split_size(kind: str, point: dict) -> tuple[dict, int | None]:
-    """An ensemble grid point without its size key, and its size; other
-    kinds' points whole, with size None."""
-    spec = kind_spec(kind)
-    if not spec.ensemble:
-        return point, None
-    return {k: v for k, v in point.items() if k != spec.size_key}, model_size(kind, point)
+def _split_nested(kind: str, point: dict) -> tuple[dict, dict]:
+    """A grid point without its nested keys, and their values, defaults
+    filled in."""
+    keys = nested_keys(kind, point)
+    defaults = kind_spec(kind).hyperparameters
+    return (
+        {k: v for k, v in point.items() if k not in keys},
+        {k: point.get(k, defaults[k][2]) for k in keys},
+    )
 
 
 def _rank(kind: str, hyperparameters: dict) -> float:

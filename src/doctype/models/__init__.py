@@ -16,6 +16,7 @@ from .dispatch import (
     kind_spec,
     load_model,
     model_size,
+    nested_keys,
     predict,
     predict_batch,
     prefix_labels,
@@ -39,6 +40,7 @@ __all__ = [
     "check_features",
     "check_hyperparameters",
     "dataset_matrix",
+    "nested_keys",
     "predict",
     "predict_batch",
     "prefix_labels",

@@ -52,6 +52,12 @@ class Kind:
     expected, default)``. ``size_key`` names the hyperparameter that sets
     the model's size. An ``ensemble`` model of size s is the first s
     members of any larger fit on the same data and seed (``prefix_labels``).
+    ``nested`` names the keys that nest: one fit at their largest values
+    scores every smaller value through ``prefix_labels``. They are an
+    ensemble's size and, for the kinds whose tree fitted at depth d is a
+    deeper fit cut at d, ``max_depth``. That holds only without a
+    ``max_leaf_nodes`` budget, which spends its splits in best-first order
+    across depths (``nested_keys``).
     An ``order_invariant`` kind's fit and predictions depend on each
     feature's value order only (see ``models.tree``), so ``sweep`` runs it
     on raw values only. An ``every_class`` kind needs every class in its
@@ -63,6 +69,7 @@ class Kind:
     hyperparameters: Mapping[str, tuple]
     size_key: str | None = None
     ensemble: bool = False
+    nested: tuple[str, ...] = ()
     order_invariant: bool = False
     every_class: bool = False
     grid: tuple[dict, ...] = ({},)
@@ -105,7 +112,7 @@ SPECS = {
     ),
     "decision-tree": Kind(
         fit_decision_tree, lambda m: ForestPredictor([m.parameters["nodes"]], len(m.features)),
-        _TREE_HYPERPARAMETERS, "max_depth", order_invariant=True,
+        _TREE_HYPERPARAMETERS, "max_depth", nested=("max_depth",), order_invariant=True,
         grid=tuple({"max_depth": d} for d in (2, 3, 4)),
     ),
     "random-forest": Kind(
@@ -116,13 +123,13 @@ SPECS = {
             "bootstrap": (lambda v: isinstance(v, bool), "true or false", True),
             "feature_subset": _integer(1, 2),
         },
-        "n_trees", ensemble=True, order_invariant=True,
+        "n_trees", ensemble=True, nested=("n_trees", "max_depth"), order_invariant=True,
         grid=tuple({"n_trees": t, "max_depth": d} for t, d in product((5, 10, 20), (2, 3, 4))),
     ),
     "adaboost": Kind(
         fit_adaboost, lambda m: adaboost_predictor(m.parameters, len(m.features)),
         {"rounds": _integer(1, 25), "max_depth": _integer(0, 2), "min_leaf_size": _integer(1, 1)},
-        "rounds", ensemble=True, order_invariant=True, every_class=True,
+        "rounds", ensemble=True, nested=("rounds",), order_invariant=True, every_class=True,
         grid=tuple({"rounds": r, "max_depth": d} for r, d in product((10, 25, 50), (1, 2))),
     ),
     "linear-svm": Kind(
@@ -146,6 +153,13 @@ def model_size(kind: str, hyperparameters: Mapping):
     """The value of ``kind``'s size hyperparameter, its default when omitted."""
     spec = kind_spec(kind)
     return hyperparameters.get(spec.size_key, spec.hyperparameters[spec.size_key][2])
+
+
+def nested_keys(kind: str, hyperparameters: Mapping) -> tuple[str, ...]:
+    """``kind``'s nested keys with these hyperparameters: ``Kind.nested``,
+    less ``max_depth`` under a ``max_leaf_nodes`` budget."""
+    budget = hyperparameters.get("max_leaf_nodes") is not None
+    return tuple(key for key in kind_spec(kind).nested if not (budget and key == "max_depth"))
 
 
 def check_hyperparameters(kind: str, hyperparameters: dict) -> None:
@@ -296,11 +310,17 @@ def predict_batch(
     return scores.argmax(axis=1), scores
 
 
-def prefix_labels(model: ModelArtifact, X_raw: np.ndarray) -> np.ndarray:
-    """Row s - 1 is the ``predict_batch`` labels of the ensemble's first s members alone."""
-    if not kind_spec(model.kind).ensemble:
-        raise ValueError(f"{model.kind} is not an ensemble")
-    return _predictor(model).prefix_scores(_model_inputs(model, X_raw)).argmax(axis=2)
+def prefix_labels(model: ModelArtifact, X_raw: np.ndarray, depth: int | None = None) -> np.ndarray:
+    """Row s - 1 is the ``predict_batch`` labels of the model's first s
+    members alone (one row for a decision tree), with every tree cut at
+    ``depth`` when given: the labels of the same fit at ``max_depth`` depth
+    when the kind nests ``max_depth`` and the model has no leaf budget."""
+    spec = kind_spec(model.kind)
+    if not spec.nested:
+        raise ValueError(f"{model.kind} is not an ensemble or a tree")
+    if depth is not None and "max_depth" not in spec.nested:
+        raise ValueError(f"{model.kind} does not nest max_depth")
+    return _predictor(model).prefix_scores(_model_inputs(model, X_raw), depth).argmax(axis=2)
 
 
 def _model_inputs(model: ModelArtifact, X_raw: np.ndarray) -> np.ndarray:

@@ -18,19 +18,34 @@ a length-3 ``sum``, and a node's totals are still summed over its rows in
 ascending order (a pairwise ``sum`` depends on length, so no padding).
 
 A random forest grows tree i from ``SeedSequence(seed).spawn(n_trees)[i]``,
-which does not depend on ``n_trees``. So an n-tree forest is the first n
-trees of any larger forest fitted with the same seed, data and other
-hyperparameters, and ``ForestPredictor.prefix_scores`` scores every n.
+which does not depend on ``n_trees``: its bootstrap sample comes from that
+sequence's generator, its 64-bit tree key from the sequence's own state. So
+an n-tree forest is the first n trees of any larger forest fitted with the
+same seed, data and other hyperparameters, and
+``ForestPredictor.prefix_scores`` scores every n.
+
+A node draws its ``feature_subset`` from a counter-based hash of its own
+64-bit key (Salmon et al., SC 2011), not from a generator the tree shares:
+the features j with the smallest ``splitmix64(key + j * GAMMA)``, GAMMA
+being splitmix64's increment (Steele, Lea & Flood, OOPSLA 2014). The root
+holds the tree key and a child ``splitmix64(parent ^ side)``, side 1 left
+and 2 right, so a key stays 64 bits at any depth. A draw depends on the
+node's path alone, not on the order best-first growth pops nodes in. So
+without a ``max_leaf_nodes`` budget a tree fitted at ``max_depth`` d is,
+node for node, a tree fitted deeper (or unbounded) cut at depth d, and
+``ForestPredictor.leaves`` scores every depth from the deepest fit.
 
 Trees are stored as dict nodes and compiled for prediction into flat
 arrays (feature, threshold, left, right, dist), the trees of an ensemble
 stacked end to end, after scikit-learn's array trees and QuickScorer
 (Lucchese et al., SIGIR 2015). ``ForestPredictor`` scores all three tree
 kinds; AdaBoost passes it the round weights. All rows of all trees move
-down together, one level per step, for the deepest tree's depth. A leaf
-compiles to a split at threshold ``+inf`` whose children are the leaf
-itself, so a row that reaches a shallow leaf stays there without a
-per-row or per-tree test.
+down together, one level per step, for the deepest tree's depth or a
+smaller cap. A leaf compiles to a split at threshold ``+inf`` whose
+children are the leaf itself, so a row that reaches a shallow leaf stays
+there without a per-row or per-tree test. Every node votes its own class
+distribution, so a row stopped by the cap at a split node votes what that
+node would as a leaf.
 """
 
 from __future__ import annotations
@@ -43,7 +58,23 @@ from ..errors import ModelFormatError
 from ..ingest import N_CLASSES
 from ..ioutils import finite_number
 
-_NO_DIST = (0.0,) * N_CLASSES
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z: int) -> int:
+    """The next output of a splitmix64 generator in state ``z``; a bijection on 64-bit ints."""
+    z = (z + _GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def draw_features(key: int, d: int, m: int) -> np.ndarray:
+    """The node keyed ``key``'s m of d features, ascending: those with the m
+    smallest ``splitmix64(key + j * GAMMA)``, feature j, ties to the lower j."""
+    hashes = [splitmix64((key + j * _GAMMA) & _MASK) for j in range(d)]
+    return np.array(sorted(sorted(range(d), key=hashes.__getitem__)[:m]))
 
 
 def grow_tree(
@@ -55,7 +86,7 @@ def grow_tree(
     min_leaf_size: int = 1,
     max_leaf_nodes: int | None = None,
     feature_subset: int | None = None,
-    rng: np.random.Generator | None = None,
+    key: int = 0,
     order: np.ndarray | None = None,
 ) -> tuple[list[dict], np.ndarray]:
     """Build a tree as a flat node list; also return the leaf id of each row.
@@ -66,12 +97,11 @@ def grow_tree(
     passes one for all rounds). A node holds its rows ascending, to sum its
     totals over, and in each column's order, shape ``(d, rows)``; a split
     cuts both with a membership mask, which keeps their order.
+    ``key`` is the root's 64-bit draw key (``draw_features``).
     """
     n, d = X.shape
     if sample_weight is None:
         sample_weight = np.full(n, 1.0 / n)
-    if feature_subset is not None and rng is None:
-        raise ValueError("feature_subset requires an rng")
     if order is None:
         order = np.argsort(X.T, axis=1, kind="stable")
     # row i's weight in the row of its class and 0 in the others
@@ -82,7 +112,7 @@ def grow_tree(
     # ties in decrease pop in node_id order: the order the splits were pushed
     heap: list[tuple[float, int, tuple]] = []
 
-    def new_node(rows: np.ndarray, sorted_rows: np.ndarray, depth: int) -> int:
+    def new_node(rows: np.ndarray, sorted_rows: np.ndarray, depth: int, key: int) -> int:
         node_id = len(nodes)
         leaf[rows] = node_id
         weights = sample_weight[rows]
@@ -97,24 +127,27 @@ def grow_tree(
         if len(rows) < 2 * min_leaf_size or len(rows) < 2:
             return node_id
         if feature_subset is not None and feature_subset < d:
-            feats = np.sort(rng.choice(d, size=feature_subset, replace=False))
+            feats = draw_features(key, d, feature_subset)
         else:
             feats = np.arange(d)
         split = _best_split(X, sample_weight, class_weights, sorted_rows[feats], feats,
                             weights.sum(), counts, min_leaf_size)
         if split is not None:
-            heapq.heappush(heap, (-split[0], node_id, (*split[1:], rows, sorted_rows, depth)))
+            heapq.heappush(heap, (-split[0], node_id, (*split[1:], rows, sorted_rows, depth, key)))
         return node_id
 
-    new_node(np.arange(n), order, 0)
+    new_node(np.arange(n), order, 0, key)
     n_leaves = 1
     while heap and (max_leaf_nodes is None or n_leaves < max_leaf_nodes):
-        _, node_id, (feature, threshold, left_rows, rows, sorted_rows, depth) = heapq.heappop(heap)
+        _, node_id, split = heapq.heappop(heap)
+        feature, threshold, left_rows, rows, sorted_rows, depth, key = split
         goes_left = np.zeros(n, dtype=bool)
         goes_left[left_rows] = True
         in_left, sorted_in_left = goes_left[rows], goes_left[sorted_rows]
-        left = new_node(rows[in_left], sorted_rows[sorted_in_left].reshape(d, -1), depth + 1)
-        right = new_node(rows[~in_left], sorted_rows[~sorted_in_left].reshape(d, -1), depth + 1)
+        left = new_node(rows[in_left], sorted_rows[sorted_in_left].reshape(d, -1), depth + 1,
+                        splitmix64(key ^ 1))
+        right = new_node(rows[~in_left], sorted_rows[~sorted_in_left].reshape(d, -1), depth + 1,
+                         splitmix64(key ^ 2))
         nodes[node_id].update(feature=feature, threshold=threshold, left=left, right=right)
         n_leaves += 1
     return nodes, leaf
@@ -173,8 +206,8 @@ def _tree_depth(nodes, n_features: int) -> int:
     The walk from node 0 must reach every node exactly once, so routing a
     row cannot loop or merge (a node that is its own child, a shared child)
     and the file holds one tree (no unreachable node). A split tests one of
-    ``n_features`` columns against a finite threshold; a leaf holds class
-    probabilities.
+    ``n_features`` columns against a finite threshold; every node holds
+    class probabilities, which a depth cap can make a split node's vote.
     """
     if not nodes:
         raise ModelFormatError("tree has no nodes")
@@ -183,12 +216,11 @@ def _tree_depth(nodes, n_features: int) -> int:
     while level:
         depth, below = depth + 1, []
         for parent in level:
-            node = nodes[parent]
+            node, dist = nodes[parent], nodes[parent]["dist"]
+            shaped = len(dist) == N_CLASSES and all(finite_number(p) and p >= 0 for p in dist)
+            if not shaped or abs(sum(dist) - 1.0) > 1e-9:
+                raise ModelFormatError(f"node {parent} is not {N_CLASSES} probabilities: {dist!r}")
             if node["feature"] < 0:
-                dist = node["dist"]
-                shaped = len(dist) == N_CLASSES and all(finite_number(p) and p >= 0 for p in dist)
-                if not shaped or abs(sum(dist) - 1.0) > 1e-9:
-                    raise ModelFormatError(f"leaf is not {N_CLASSES} probabilities: {dist!r}")
                 continue
             if not isinstance(node["feature"], int) or node["feature"] >= n_features:
                 raise ModelFormatError(f"split references feature {node['feature']}")
@@ -232,6 +264,7 @@ def fit_random_forest(X, y, seed, hyperparameters) -> dict:
     trees = []
     for tree_seed in seeds:
         rng = np.random.default_rng(tree_seed)
+        key = int(tree_seed.generate_state(1, np.uint64)[0])
         if hyperparameters["bootstrap"]:
             sample = rng.integers(0, len(y), len(y))
             Xb, yb = X[sample], y[sample]
@@ -247,7 +280,7 @@ def fit_random_forest(X, y, seed, hyperparameters) -> dict:
             min_leaf_size=hyperparameters["min_leaf_size"],
             max_leaf_nodes=hyperparameters["max_leaf_nodes"],
             feature_subset=subset,
-            rng=rng,
+            key=key,
         )
         trees.append(nodes)
     return {"trees": trees}
@@ -256,14 +289,21 @@ def fit_random_forest(X, y, seed, hyperparameters) -> dict:
 class ForestPredictor:
     """A vote of trees compiled into flat node arrays with global node ids.
 
-    Without ``weights`` (random forest, decision tree) each tree votes its
-    leaf's class distribution; with ``weights`` (AdaBoost's round weights)
-    it votes its weight at its leaf's argmax class. The first s trees score
-    their votes summed in tree order, over s or the Python ``sum`` of their
-    weights: what a predictor of those s trees alone gives.
+    Without ``weights`` (random forest, decision tree) each tree votes the
+    class distribution of the node a row ends at; with ``weights``
+    (AdaBoost's round weights) it votes its weight at that node's argmax
+    class. The first s trees score their votes summed in tree order, over s
+    or the Python ``sum`` of their weights: what a predictor of those s
+    trees alone gives.
+
+    A row ends at a leaf, or with a depth cap d at the node it reaches after
+    d levels, if that comes first. A split node's vote is its own ``dist``,
+    so the cap scores each tree as if every node at depth d were a leaf: for
+    trees grown without a ``max_leaf_nodes`` budget and without AdaBoost's
+    reweighting, the ``max_depth`` d fit (module docstring).
 
     Compiling checks each tree (``_tree_depth``). ``depth`` is the deepest
-    tree's depth; split nodes get a zero distribution.
+    tree's depth.
     """
 
     def __init__(self, trees, n_features: int, weights=None):
@@ -279,7 +319,7 @@ class ForestPredictor:
                     columns.append((0, np.inf, i, i, node["dist"]))
                 else:
                     left, right = base + node["left"], base + node["right"]
-                    columns.append((node["feature"], node["threshold"], left, right, _NO_DIST))
+                    columns.append((node["feature"], node["threshold"], left, right, node["dist"]))
         self.feature, self.threshold, self.left, self.right, dist = map(np.array, zip(*columns))
         self.votes, self.totals = dist.astype(float), np.arange(1.0, len(trees) + 1)
         if weights is not None:
@@ -288,18 +328,21 @@ class ForestPredictor:
             self.votes = np.where(np.arange(N_CLASSES) == picks[:, None], per_node[:, None], 0.0)
             self.totals = np.array([sum(weights[:s]) for s in range(1, len(weights) + 1)])
 
-    def leaves(self, X: np.ndarray) -> np.ndarray:
-        """Leaf id each row reaches in each tree, shape (trees, rows)."""
+    def leaves(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:
+        """Node id each row ends at in each tree, shape (trees, rows): its
+        leaf, or its node at ``depth`` when that is shallower."""
         rows = np.arange(X.shape[0])
         node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
-        for _ in range(self.depth):
+        for _ in range(self.depth if depth is None else min(depth, self.depth)):
             go_left = X[rows, self.feature[node]] <= self.threshold[node]
             node = np.where(go_left, self.left[node], self.right[node])
         return node
 
-    def prefix_scores(self, X: np.ndarray) -> np.ndarray:
-        """Each prefix's scores from running vote sums, shape (trees, rows, classes)."""
-        return np.cumsum(self.votes[self.leaves(X)], axis=0) / self.totals[:, None, None]
+    def prefix_scores(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:
+        """Each prefix's scores from running vote sums, with the trees cut at
+        ``depth`` when given, shape (trees, rows, classes)."""
+        votes = self.votes[self.leaves(X, depth)]
+        return np.cumsum(votes, axis=0) / self.totals[:, None, None]
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
         return self.prefix_scores(X)[-1]

@@ -2,9 +2,10 @@
 
 Each node sorts every drawn feature of its own rows again (stable argsort)
 and scores the features one at a time; growth is best-first by impurity
-decrease, ties popping in node-creation order. The library grower must
-give the same nodes, to the JSON byte, for the same arguments and an
-equally seeded generator.
+decrease, ties popping in node-creation order. A node draws its features
+from its path key with splitmix64 written over numpy ``uint64`` arrays,
+apart from the library's Python-int version. The library grower must give
+the same nodes, to the JSON byte, for the same arguments and key.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from doctype.ingest import N_CLASSES
 
 def reference_grow_tree(
     X, y, sample_weight=None, *, max_depth=None, min_leaf_size=1, max_leaf_nodes=None,
-    feature_subset=None, rng=None,
+    feature_subset=None, key=0,
 ) -> list[dict]:
     n, d = X.shape
     if sample_weight is None:
@@ -26,7 +27,7 @@ def reference_grow_tree(
     nodes: list[dict] = []
     heap: list[tuple[float, int, tuple]] = []
 
-    def new_node(indices, depth):
+    def new_node(indices, depth, key):
         node_id = len(nodes)
         dist = _class_distribution(y[indices], sample_weight[indices])
         nodes.append({"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "dist": dist})
@@ -35,28 +36,42 @@ def reference_grow_tree(
         if len(indices) < 2 * min_leaf_size or len(indices) < 2:
             return node_id
         if feature_subset is not None and feature_subset < d:
-            feats = np.sort(rng.choice(d, size=feature_subset, replace=False))
+            hashes = _splitmix64(np.uint64(key) + np.arange(d, dtype=np.uint64) * _GAMMA)
+            feats = np.sort(np.argsort(hashes, kind="stable")[:feature_subset])
         else:
             feats = np.arange(d)
         split = _best_split(X, y, sample_weight, indices, feats, min_leaf_size)
         if split is not None:
             decrease, feature, threshold, left_idx, right_idx = split
             heapq.heappush(
-                heap, (-decrease, node_id, (feature, threshold, left_idx, right_idx, depth))
+                heap, (-decrease, node_id, (feature, threshold, left_idx, right_idx, depth, key))
             )
         return node_id
 
-    new_node(np.arange(n), 0)
+    new_node(np.arange(n), 0, key)
     n_leaves = 1
     while heap and (max_leaf_nodes is None or n_leaves < max_leaf_nodes):
-        _, node_id, (feature, threshold, left_idx, right_idx, depth) = heapq.heappop(heap)
-        left = new_node(left_idx, depth + 1)
-        right = new_node(right_idx, depth + 1)
+        _, node_id, (feature, threshold, left_idx, right_idx, depth, key) = heapq.heappop(heap)
+        left_key, right_key = _splitmix64(np.uint64(key) ^ np.array([1, 2], dtype=np.uint64))
+        left = new_node(left_idx, depth + 1, int(left_key))
+        right = new_node(right_idx, depth + 1, int(right_key))
         nodes[node_id].update(
             feature=int(feature), threshold=float(threshold), left=left, right=right
         )
         n_leaves += 1
     return nodes
+
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 (Steele, Lea & Flood, OOPSLA 2014) over a uint64 array,
+    which wraps mod 2**64."""
+    z = z + _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _class_distribution(labels, weights) -> list[float]:

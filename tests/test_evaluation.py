@@ -352,9 +352,10 @@ def brute_force_sweep(kind, data, grid, transforms, k, seed, folds):
 
 #: Per kind, a grid and its family count. Ensemble families of three sizes
 #: are listed out of order, with an omitted size (the default) and a point
-#: that differs in another key.
+#: that differs in another key. ``max_depth`` nests for the decision tree
+#: and the random forest, so their depths share a family.
 SHARING_GRIDS = {
-    "decision-tree": ([{"max_depth": 2}, {"max_depth": None}, {"max_depth": 1}, {}], 4),
+    "decision-tree": ([{"max_depth": 2}, {"max_depth": None}, {"max_depth": 1}, {}], 1),
     "random-forest": (
         [
             {"n_trees": 3, "max_depth": 2},
@@ -364,7 +365,7 @@ SHARING_GRIDS = {
             {"n_trees": 5, "max_depth": 2},
             {"n_trees": 2, "max_depth": 2, "bootstrap": False},
         ],
-        3,
+        2,
     ),
     "adaboost": (
         [
@@ -449,12 +450,16 @@ class TestSweepSharing:
         cfg = RunConfig(labeled_path=str(labeled), output_dir=str(tmp_path / "out"), k_folds=3)
         calls = count_fold_loops(monkeypatch)
         run_pipeline(cfg)
-        # one per max_depth: three random-forest and two adaboost families
-        assert collections.Counter(calls) == {"random-forest": 3, "adaboost": 2}
+        # max_depth nests for the random forest, not for adaboost: one
+        # random-forest family and one adaboost family per max_depth
+        assert collections.Counter(calls) == {"random-forest": 1, "adaboost": 2}
 
-    @pytest.mark.parametrize("kind, n_families, largest", [("random-forest", 3, 20), ("adaboost", 2, 50)])
+    @pytest.mark.parametrize(
+        "kind, n_families, largest",
+        [("random-forest", 1, 20), ("adaboost", 2, 50), ("decision-tree", 1, 1)],
+    )
     def test_one_forest_predictor_per_family_and_fold(self, kind, n_families, largest, monkeypatch):
-        # every size of a family is scored from its largest fit's one predictor
+        # every point of a family is scored from its largest fit's one predictor
         built = []
         real = ForestPredictor.__init__
 
@@ -467,6 +472,33 @@ class TestSweepSharing:
         assert len(built) == n_families * 3
         assert max(built) == largest
         assert len(result.entries) == len(default_grid(kind))
+
+    @pytest.mark.parametrize(
+        "kind, grid",
+        [
+            ("random-forest", [{"n_trees": 3, "max_depth": 2, "max_leaf_nodes": 3},
+                               {"n_trees": 2, "max_depth": 3, "max_leaf_nodes": 3},
+                               {"n_trees": 1, "max_depth": 3, "max_leaf_nodes": 3}]),
+            ("decision-tree", [{"max_depth": 2, "max_leaf_nodes": 3},
+                               {"max_depth": 3, "max_leaf_nodes": 3}]),
+        ],
+    )
+    def test_leaf_budget_keeps_one_family_per_depth(self, kind, grid, monkeypatch):
+        # a budget spends its splits in best-first order across depths, so a
+        # budgeted tree at depth d is not a deeper budgeted tree cut at d
+        data = noisy_dataset(6, blank_f1=True)
+        folds = stratified_split(data, 3, 0.0, 6).test_folds
+        cells, best = brute_force_sweep(kind, data, grid, ("identity",), 3, 6, folds)
+        calls = count_fold_loops(monkeypatch)
+        result = sweep(kind, data, grid=grid, k=3, seed=6, folds=folds)
+        assert len(calls) == 2
+        assert result.best_index == best
+        for entry, (_, _, expected) in zip(result.entries, cells):
+            assert entry.result.to_dict() == expected.to_dict()
+        with pytest.raises(ValueError, match="points must all give the same keys of"):
+            evaluation.cross_validate_sizes(
+                kind, prepare_folds(folds), {"max_leaf_nodes": 3}, [{"max_depth": 2}]
+            )
 
     @pytest.mark.parametrize("kind, grid", [("knn", [{"k": 1}, {"k": 3}]), ("gnb", [{}])])
     def test_other_kinds_cross_validate_every_cell(self, kind, grid, monkeypatch):

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -39,7 +41,13 @@ from doctype.models import (
 )
 from doctype.models import knn as knn_module
 from doctype.models.knn import KnnPredictor
-from doctype.models.tree import ForestPredictor, balanced_weights, grow_tree
+from doctype.models.tree import (
+    ForestPredictor,
+    balanced_weights,
+    draw_features,
+    grow_tree,
+    splitmix64,
+)
 from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable
 from doctype.synthetic import generate_synthetic
 from conftest import REFERENCE_CELLS, blank_f1, make_example, threshold_model, toy_dataset
@@ -76,8 +84,8 @@ feature_rows = st.tuples(
 @st.composite
 def grower_cases(draw):
     """A small matrix with ties and maybe a constant column, labels,
-    sample weights (uniform, balanced, or drawn with zeros) and growth
-    limits, for the grower and its brute-force reference."""
+    sample weights (uniform, balanced, or drawn with zeros), growth limits
+    and a 64-bit draw key, for the grower and its brute-force reference."""
     n, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
     levels = draw(st.integers(1, 6))
     cells = st.lists(st.integers(0, levels - 1), min_size=d, max_size=d)
@@ -99,7 +107,7 @@ def grower_cases(draw):
         "max_leaf_nodes": draw(st.one_of(st.none(), st.integers(1, 8))),
         "feature_subset": draw(st.one_of(st.none(), st.integers(1, d))),
     }
-    return X, y, sample_weight, limits, draw(st.integers(0, 2**32 - 1))
+    return X, y, sample_weight, limits, draw(st.integers(0, 2**64 - 1))
 
 
 #: Every kind, over all three transforms.
@@ -417,9 +425,9 @@ class TestDecisionTree:
     @settings(max_examples=400, deadline=None)
     @given(case=grower_cases())
     def test_presorted_grower_matches_reference(self, case):
-        X, y, sample_weight, limits, seed = case
-        want = reference_grow_tree(X, y, sample_weight, **limits, rng=np.random.default_rng(seed))
-        nodes, leaf = grow_tree(X, y, sample_weight, **limits, rng=np.random.default_rng(seed))
+        X, y, sample_weight, limits, key = case
+        want = reference_grow_tree(X, y, sample_weight, **limits, key=key)
+        nodes, leaf = grow_tree(X, y, sample_weight, **limits, key=key)
         assert json.dumps(nodes) == json.dumps(want)
         # each training row's leaf id gives the compiled tree's prediction
         routed = ForestPredictor([nodes], X.shape[1]).scores_matrix(X).argmax(axis=1)
@@ -442,16 +450,17 @@ PINNED_TREE_BYTES = [
     ("decision-tree", {"max_depth": 4}, -1, "identity",
      "b8b1536235859b81ac82a45fe1e7894616643e3b40826dab748ca972fb6590c2",
      "b3b61db6340a0353e3cfb6c91ab6d50eddd1c488b7fd4b8f58dd486bea78ede1"),
+    # the two random-forest rows draw feature subsets: recorded when a node's
+    # draw became a hash of its path key
     ("random-forest", {"n_trees": 7, "max_depth": 4}, 3, "z-score",
-     "b88f1304b8195053fcc9f8237385e6f844fda5cf1094c1eedbaac3baf764b2fb",
-     "a32bb6ce8a0115b9ca8bd342312561dd75034bbec5ccd3ea73bfe3ba7a75e390"),
+     "e20c2b5bae3b201c516dadeb444ba700f7fe9314a8642e4d2b2c1d679bbf1f42",
+     "90b69410e24550d4965eb6aa9bcaf3b73be709ef19dd481c410f4ee1f9ed060b"),
     ("adaboost", {"rounds": 15, "max_depth": 2}, 0, "identity",
      "cd0c1ca428fdb706f435a0cb78b4de2532c2740d217ed7aa3dd4feb88b05dd3e",
      "4f0fae844e139e05c7c3a4d52e1fa9d973b5da32ea3ec835f81680f0fa60c524"),
-    # recorded before the split search moved onto presorted feature lists
     ("random-forest", DEPLOYED_FOREST_PROFILE, 5, "identity",
-     "1b4144ae74359992c48bb91eab3b3808c1e7e9c37a4d834b43d2f4a83c73c2f4",
-     "d1443d4af02ca5b14811fd64eecbbd4600c3fe310eb2e64c54d8e2093327934d"),
+     "3305229d9971df82172a8a68512318033fd7e6fbcb38404a1bb210b9b73b6789",
+     "5db3cb0f42e4acbe92b2f591e07a0d191ca9e48179b38157981dbb1ff6df5ab0"),
     ("adaboost", {"rounds": 50, "max_depth": 1}, 0, "identity",
      "7f9841d8bf384f54d0bb7fff543cbd73563d4c2b1397cc97af36a198e7cb6922",
      "d766a8836652a1169a00c852bc8b45cd0a53cf2b73a0f1097ec2c81790660704"),
@@ -674,9 +683,12 @@ class TestEnsemblePrefixes:
 
     def test_other_kinds_rejected(self):
         data = toy_dataset(5, seed=1)
-        model = train("decision-tree", data, {"max_depth": 1})
+        X = dataset_matrix(data)[0]
         with pytest.raises(ValueError, match="not an ensemble"):
-            prefix_labels(model, dataset_matrix(data)[0])
+            prefix_labels(train("knn", data, {"k": 1}), X)
+        # boosting rounds reweight rows by the rounds before, at their depth
+        with pytest.raises(ValueError, match="adaboost does not nest max_depth"):
+            prefix_labels(train("adaboost", data, {"rounds": 2}), X, 1)
 
     @pytest.mark.parametrize(
         "kind, hp",
@@ -704,6 +716,116 @@ class TestEnsemblePrefixes:
             for s in range(1, len(trees) + 1):
                 expected = votes[:s].sum(axis=0) / sum(alphas[:s])
                 assert np.array_equal(prefixes[s - 1], expected), s
+
+
+#: (kind, hyperparameters without max_depth) of the two kinds that nest it.
+depth_fits = st.one_of(
+    st.fixed_dictionaries({
+        "n_trees": st.integers(1, 5),
+        "bootstrap": st.booleans(),
+        "feature_subset": st.integers(1, 4),
+        "class_weight": st.sampled_from([None, "balanced"]),
+        "min_leaf_size": st.integers(1, 3),
+    }).map(lambda hp: ("random-forest", hp)),
+    st.fixed_dictionaries({
+        "class_weight": st.sampled_from([None, "balanced"]),
+        "min_leaf_size": st.integers(1, 3),
+    }).map(lambda hp: ("decision-tree", hp)),
+)
+
+
+class TestDepthCuts:
+    """A node's features are drawn from its path key, so without a leaf
+    budget a tree fitted at ``max_depth`` d is a deeper fit cut at d."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.one_of(oracle_data, st.integers(0, 20).map(lambda seed: toy_dataset(20, seed))),
+        fit=depth_fits,
+        deepest=st.one_of(st.none(), st.integers(0, 6)),
+        seed=st.integers(0, 2**32 - 1),
+        transform=st.sampled_from(TRANSFORM_KINDS),
+        rows=st.lists(feature_rows, min_size=1, max_size=12),
+    )
+    def test_cut_labels_match_direct_fits(self, data, fit, deepest, seed, transform, rows):
+        (kind, hp), X = fit, np.array(rows, dtype=float)
+        full = train(kind, data, {**hp, "max_depth": deepest}, seed, transform)
+        depths = [*range(8), None] if deepest is None else range(deepest + 1)
+        for depth in depths:
+            direct = train(kind, data, {**hp, "max_depth": depth}, seed, transform)
+            assert prefix_labels(full, X, depth).tolist() == prefix_labels(direct, X).tolist(), depth
+
+    def test_unbounded_tree_deeper_than_64_levels_fits_and_loads(self):
+        # labels alternating along four increasing features grow a chain:
+        # every split peels one row off, whichever features a node draws
+        data = [
+            LabeledExample(FeatureVector(i + 1, 1000.0 * (i + 1) ** 2, i + 1, 1000.0 * (i + 1)),
+                           DocType(i % 2), f"s{i}")
+            for i in range(100)
+        ]
+        X = dataset_matrix(data)[0]
+        for kind, hp in [
+            ("random-forest", {"n_trees": 2, "bootstrap": False, "feature_subset": 2}),
+            ("decision-tree", {}),
+        ]:
+            text = train(kind, data, {**hp, "max_depth": None}, seed=3).to_json()
+            loaded = load_model(io.StringIO(text))
+            trees = loaded.parameters.get("trees", [loaded.parameters.get("nodes")])
+            assert ForestPredictor(trees, 4).depth == 99
+            assert predict_batch(loaded, X)[0].tolist() == [i % 2 for i in range(100)]
+
+
+def node_keys(n_trees: int = 64, levels: int = 8) -> list[list[int]]:
+    """Per level, the draw keys of every node of complete trees ``levels``
+    deep under forest tree keys: 64 x 255 = 16,320 keys by default."""
+    seeds = np.random.SeedSequence(2024).spawn(n_trees)
+    level = [int(s.generate_state(1, np.uint64)[0]) for s in seeds]
+    out = []
+    for _ in range(levels):
+        out.append(level)
+        level = [splitmix64(key ^ side) for key in level for side in (1, 2)]
+    return out
+
+
+#: Upper 1e-4 tail of the chi-square distribution by degrees of freedom.
+CHI2_CRITICAL = {2: 18.421, 3: 21.108, 5: 25.745, 215: 300.795}
+
+
+def chi_square(counts: Counter, cells: list) -> float:
+    expected = sum(counts.values()) / len(cells)
+    assert set(counts) <= set(cells)
+    return sum((counts[cell] - expected) ** 2 / expected for cell in cells)
+
+
+class TestKeyedDraws:
+    """``draw_features`` over node keys behaves as a uniform draw of an
+    m-subset, independently at a node and its two children."""
+
+    @pytest.mark.parametrize("d, m", [(4, 1), (4, 2), (4, 3), (3, 1), (3, 2)])
+    def test_every_subset_equally_often(self, d, m):
+        keys = [key for level in node_keys() for key in level]
+        counts = Counter(tuple(draw_features(key, d, m).tolist()) for key in keys)
+        cells = list(combinations(range(d), m))
+        assert chi_square(counts, cells) < CHI2_CRITICAL[len(cells) - 1]
+
+    def test_children_draw_apart_from_their_parent(self):
+        # each of the 8,128 parents above the last level, with its two children
+        levels = node_keys()
+        draw = lambda key: tuple(draw_features(key, 4, 2).tolist())  # noqa: E731
+        counts = Counter(
+            (draw(key), draw(splitmix64(key ^ 1)), draw(splitmix64(key ^ 2)))
+            for level in levels[:-1]
+            for key in level
+        )
+        pairs = list(combinations(range(4), 2))
+        assert chi_square(counts, list(product(pairs, repeat=3))) < CHI2_CRITICAL[215]
+
+    def test_draw_is_sorted_and_distinct(self):
+        for key in node_keys(4, 4)[-1]:
+            for d in range(1, 6):
+                for m in range(1, d + 1):
+                    feats = draw_features(key, d, m).tolist()
+                    assert feats == sorted(set(feats)) and len(feats) == m and feats[-1] < d
 
 
 def test_models_exports_resolve():

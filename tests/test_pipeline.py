@@ -262,12 +262,15 @@ class TestPipeline:
 #: sha256 of four pipeline outputs, and of each swept kind's identity
 #: entries and best entry, for the default sweep over one fixed synthetic
 #: file; recorded when the tree kinds were still swept under every transform.
+#: The best model is a random forest, which draws feature subsets: its model,
+#: CV report and sweep entries were recorded again when a node's draw became
+#: a hash of its path key. The adaboost entries did not change.
 PINNED_PIPELINE_BYTES = {
-    "model.json": "9ac6ad20b9fd47979306a392fb359f4efc10d7d2b1daa3d7bd62e89112c6aff4",
+    "model.json": "e32ff1ee7a02c20fce7caaccf584a05cba361194bddb1e5a40a998aad52205d1",
     "thresholds.json": "7a3a6b8375c1d134cfc54f9a543854a2c48d731805e8e0a181b0b2c8a15129b8",
-    "cv_report.json": "09a3adee791a913c5de5a2aa00941549d379ba48741b71dae0483fc691151fdd",
+    "cv_report.json": "4f9a9d672e52023e49d0dc5c3c75ee226ff6ed250f080970383996912cb025d2",
     "validation_report.json": "58b4f475c03041a771f414a4c9fa80e75dc90cb6fa99dfc444cd8955fa7044d7",
-    "sweep identity entries": "5ae1db3ce49b7228cdd520fff8a4519fa74c89e3701dcf3f24bf7f59764ba64a",
+    "sweep identity entries": "fe6ac489e9c3fa2e12c2994ef60a36efa7690af18777197d2983a7a5076b868d",
 }
 
 
