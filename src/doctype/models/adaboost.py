@@ -36,7 +36,7 @@ def fit_adaboost(X, y, seed, hyperparameters) -> dict:
         )
         predicted = np.array([node["dist"] for node in nodes]).argmax(axis=1)[leaf]
         miss = predicted != y
-        err = float(weights[miss].sum())
+        err = float(np.add.reduce(weights[miss]))
         if err >= 1.0 - 1.0 / N_CLASSES:
             # weak learner no better than random guessing; stop boosting
             break
@@ -47,7 +47,7 @@ def fit_adaboost(X, y, seed, hyperparameters) -> dict:
         if err <= _ERR_FLOOR:
             break
         weights = weights * np.exp(alpha * miss)
-        weights /= weights.sum()
+        weights /= np.add.reduce(weights)
     if not trees:
         raise TrainingError("boosting found no weak learner better than random")
     return {"trees": trees, "alphas": alphas}

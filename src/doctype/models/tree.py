@@ -3,19 +3,32 @@
 Trees split on ``x <= v`` where v is an observed training value, so any
 strictly increasing per-feature remapping of train and test data leaves
 predictions unchanged, and ``evaluation.sweep`` runs the tree kinds on
-raw values only. Growth is best-first by impurity decrease, which lets a
-``max_leaf_nodes`` budget pick the most valuable splits first; without a
-budget the result is identical to exhaustive recursive growth.
+raw values only.
 
-Split search follows SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996): each
-column is sorted once per tree (once per fit for AdaBoost), nodes keep
-their rows in every column's sorted order, and a node scores all drawn
-features in one pass over ``(features, rows)`` arrays. The trees are those
-of a per-node stable argsort scored one feature at a time
-(``tests/reference_tree.py``), to the JSON byte: a ``cumsum`` along an
-axis adds in the order of a 1-D one, ``l0*l0 + l1*l1 + l2*l2`` in that of
-a length-3 ``sum``, and a node's totals are still summed over its rows in
-ascending order (a pairwise ``sum`` depends on length, so no padding).
+``grow_trees`` grows a batch of independent trees together, level by
+level, as SPRINT (Shafer, Agrawal & Mehta, VLDB 1996) and XGBoost's
+depth-wise grower (Chen & Guestrin, KDD 2016) do: one pass scores the new
+nodes of every tree in one ``_best_split`` call over right-padded
+``(nodes x drawn features, rows)`` arrays, in a few calls when they are
+many or wide. Split search follows SLIQ (Mehta, Agrawal & Rissanen, EDBT
+1996): each column is sorted once per tree (once per fit for AdaBoost),
+and nodes keep their rows in every column's sorted order. Node ids and a
+``max_leaf_nodes`` budget still follow best-first order by impurity
+decrease, ties by creation order. Without a budget every node with a split
+is expanded and the ids come from a best-first replay of the scored
+splits, so a tree is the one exhaustive recursive growth gives; with a
+budget a pass expands only each tree's best waiting node, so the budget
+buys the most valuable splits and no node is scored that best-first
+growth would not score.
+
+The trees are those of a grower that sorts each node's rows again and
+scores one feature at a time (``tests/reference_tree.py``), to the JSON
+byte: padding repeats a line's last row, and a ``cumsum`` along an axis
+adds in the order of a 1-D one, so no real position's prefix sum changes;
+``l0*l0 + l1*l1 + l2*l2`` adds in the order of a length-3 ``sum``; and a
+node's class counts (one ``bincount`` over ``node * classes + class``) and
+its total weight (a pairwise ``sum``, which depends on length, so never
+padded) are summed over its own rows in ascending order.
 
 A random forest grows tree i from ``SeedSequence(seed).spawn(n_trees)[i]``,
 which does not depend on ``n_trees``: its bootstrap sample comes from that
@@ -30,7 +43,7 @@ the features j with the smallest ``splitmix64(key + j * GAMMA)``, GAMMA
 being splitmix64's increment (Steele, Lea & Flood, OOPSLA 2014). The root
 holds the tree key and a child ``splitmix64(parent ^ side)``, side 1 left
 and 2 right, so a key stays 64 bits at any depth. A draw depends on the
-node's path alone, not on the order best-first growth pops nodes in. So
+node's path alone, not on the order its tree grows in. So
 without a ``max_leaf_nodes`` budget a tree fitted at ``max_depth`` d is,
 node for node, a tree fitted deeper (or unbounded) cut at depth d, and
 ``ForestPredictor.leaves`` scores every depth from the deepest fit.
@@ -51,6 +64,8 @@ node would as a leaf.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,146 +73,387 @@ from ..errors import ModelFormatError
 from ..ingest import N_CLASSES
 from ..ioutils import finite_number
 
-_MASK = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+#: The most cells, (nodes x drawn features) lines times the widest node's
+#: rows, that one ``_best_split`` call holds: a pass whose nodes need more
+#: is scored in several calls, widest nodes first, so padding and
+#: temporaries stay bounded. A node wider than this is scored alone.
+_PASS_CELLS = 1 << 14
+
+#: The most training rows, summed over trees, one ``grow_trees`` call of a
+#: random forest holds; a forest on more is grown in batches of trees.
+_BATCH_ROWS = 1 << 13
+
+_CLASSES = np.arange(N_CLASSES)[:, None]
 
 
-def splitmix64(z: int) -> int:
-    """The next output of a splitmix64 generator in state ``z``; a bijection on 64-bit ints."""
-    z = (z + _GAMMA) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+def splitmix64(z: np.ndarray) -> np.ndarray:
+    """The next outputs of splitmix64 generators in states ``z``, a uint64
+    array, which wraps mod 2**64; a bijection on each element."""
+    z = z + _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def draw_features(key: int, d: int, m: int) -> np.ndarray:
-    """The node keyed ``key``'s m of d features, ascending: those with the m
-    smallest ``splitmix64(key + j * GAMMA)``, feature j, ties to the lower j."""
-    hashes = [splitmix64((key + j * _GAMMA) & _MASK) for j in range(d)]
-    return np.array(sorted(sorted(range(d), key=hashes.__getitem__)[:m]))
+def draw_features(keys: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Each node's m of d features, ascending, shape ``(len(keys), m)``: for
+    the node keyed ``key``, the m features j with the smallest
+    ``splitmix64(key + j * GAMMA)``, ties to the lower j."""
+    hashes = splitmix64(keys[:, None] + np.arange(d, dtype=np.uint64) * _GAMMA)
+    return np.sort(np.argsort(hashes, axis=1, kind="stable")[:, :m], axis=1)
 
 
-def grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    sample_weight: np.ndarray | None = None,
+def grow_tree(X, y, sample_weight=None, *, key: int = 0, order=None, **limits):
+    """One tree: ``grow_trees`` on a batch of one."""
+    return grow_trees([(X, y, sample_weight, key, order)], **limits)[0]
+
+
+def grow_trees(
+    problems: Sequence[tuple],
     *,
     max_depth: int | None = None,
     min_leaf_size: int = 1,
     max_leaf_nodes: int | None = None,
     feature_subset: int | None = None,
-    key: int = 0,
-    order: np.ndarray | None = None,
-) -> tuple[list[dict], np.ndarray]:
-    """Build a tree as a flat node list; also return the leaf id of each row.
+) -> list[tuple[list[dict], np.ndarray]]:
+    """Grow one tree per problem ``(X, y, sample_weight, key, order)``, all
+    under the same limits; return each tree's flat node list and the leaf id
+    of each of its rows.
 
     Each node is ``{"feature", "threshold", "left", "right", "dist"}``;
-    leaves have feature -1 and a class distribution summing to 1.
-    ``order`` is each column's stable argsort, shape ``(d, n)`` (AdaBoost
-    passes one for all rounds). A node holds its rows ascending, to sum its
-    totals over, and in each column's order, shape ``(d, rows)``; a split
-    cuts both with a membership mask, which keeps their order.
-    ``key`` is the root's 64-bit draw key (``draw_features``).
+    leaves have feature -1 and a class distribution summing to 1. The
+    problems share d. ``sample_weight`` None weighs a problem's rows
+    equally; ``key`` is the root's 64-bit draw key (``draw_features``);
+    ``order`` is each column's stable argsort, shape ``(d, n)``, or None to
+    sort here (AdaBoost passes one for all rounds).
+
+    The trees grow together, one pass at a time. The rows of every live
+    node of every tree sit in one array, node after node, in each column's
+    sorted order and, in a last line, ascending. A pass scores the new
+    nodes (``_best_split``), picks the nodes to expand and routes their
+    rows: one ``bincount`` over the ascending line gives every child's
+    class counts, each summed over its rows in ascending order. Children
+    that may split take their rows along (``_regroup``); the others are
+    leaves for good. A node may split when depth and size allow and it
+    holds weight of two classes (a node of one class has no split that
+    decreases impurity). Without a ``max_leaf_nodes`` budget a pass expands
+    every node that has a split, one level per pass; with one it expands
+    each tree's best node, so each tree scores the nodes best-first growth
+    would. Node ids then come from a best-first replay of the splits
+    (``_number``).
     """
-    n, d = X.shape
-    if sample_weight is None:
-        sample_weight = np.full(n, 1.0 / n)
-    if order is None:
-        order = np.argsort(X.T, axis=1, kind="stable")
-    # row i's weight in the row of its class and 0 in the others
-    class_weights = np.where(y == np.arange(N_CLASSES)[:, None], sample_weight, 0.0)
+    X, y, weights, rows, sizes = _stack(problems)
+    n_trees, d = len(problems), X.shape[1]
+    m = d if feature_subset is None else min(feature_subset, d)
+    deepest = np.inf if max_depth is None else max_depth
+    smallest = max(2 * min_leaf_size, 2)
+    leaf = np.arange(n_trees).repeat(sizes)
+    every = np.arange(d)[None, :]
+    counts = np.bincount(leaf * N_CLASSES + y, weights[0], n_trees * N_CLASSES)
+    counts = counts.reshape(n_trees, N_CLASSES)
+    dist = _distributions(counts)
+    # by provisional id (creation order): (decrease, feature, threshold)
+    # and the children's ids
+    scored: list = [None] * n_trees
+    children: list = [None] * n_trees
+    heaps: list[list] = [[] for _ in range(n_trees)]
+    n_leaves = [1] * n_trees
+    # the live nodes in the order their rows sit in ``rows``: size, depth,
+    # provisional id, tree and draw key. The first ``n_kept`` wait for
+    # their turn under a budget; the others are new, with class counts
+    # ``counts``.
+    size, depth = sizes, [0] * n_trees
+    prov, tree = list(range(n_trees)), list(range(n_trees))
+    key = np.array([problem[3] for problem in problems], dtype=np.uint64)
+    n_kept = 0
+    grows = _may_split(counts, size, depth, smallest, deepest)
+    if not all(grows):
+        rows = _regroup(rows, np.array(grows, dtype=np.int8)[leaf])
+        live = [i for i, g in enumerate(grows) if g]
+        size, depth, prov, tree = ([c[i] for i in live] for c in (size, depth, prov, tree))
+        counts, key = counts[live], key[live]
 
-    nodes: list[dict] = []
-    leaf = np.zeros(n, dtype=np.intp)
-    # ties in decrease pop in node_id order: the order the splits were pushed
-    heap: list[tuple[float, int, tuple]] = []
-
-    def new_node(rows: np.ndarray, sorted_rows: np.ndarray, depth: int, key: int) -> int:
-        node_id = len(nodes)
-        leaf[rows] = node_id
-        weights = sample_weight[rows]
-        counts = np.bincount(y[rows], weights=weights, minlength=N_CLASSES)
-        total = counts.sum()
-        dist = np.full(N_CLASSES, 1.0 / N_CLASSES) if total <= 0 else counts / total
-        nodes.append(
-            {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "dist": dist.tolist()}
-        )
-        if max_depth is not None and depth >= max_depth:
-            return node_id
-        if len(rows) < 2 * min_leaf_size or len(rows) < 2:
-            return node_id
-        if feature_subset is not None and feature_subset < d:
-            feats = draw_features(key, d, feature_subset)
+    while size:
+        k = len(size)
+        ascending = rows[d]
+        w = weights[0, ascending]
+        ends = list(accumulate(size))
+        starts = [end - n for end, n in zip(ends, size)]
+        split = []
+        if k > n_kept:
+            spans = zip(starts[n_kept:], ends[n_kept:])
+            total_w = np.array([np.add.reduce(w[a:b]) for a, b in spans])
+            gini = 1.0 - np.add.reduce((counts / total_w[:, None]) ** 2, axis=1)
+            totals = np.concatenate([total_w[:, None], counts], axis=1)
+            if m < d:
+                feats = draw_features(key[n_kept:], d, m)
+            else:
+                feats = every.repeat(k - n_kept, axis=0)
+            new_starts, new_sizes = starts[n_kept:], size[n_kept:]
+            groups = _groups(new_sizes, m)
+            if len(groups) == 1:
+                decrease, feature, threshold = _best_split(
+                    X, weights, rows, new_starts, new_sizes, feats, totals, gini, min_leaf_size
+                )
+            else:
+                # a node scored in parts keeps a later part's split only if
+                # it is strictly better: ties go to the lower feature
+                decrease, feature = np.full(k - n_kept, -np.inf), feats[:, 0].copy()
+                threshold = np.zeros(k - n_kept)
+                for nodes, part in groups:
+                    found = _best_split(X, weights, rows, [new_starts[j] for j in nodes],
+                                        [new_sizes[j] for j in nodes], feats[nodes, part],
+                                        totals[nodes], gini[nodes], min_leaf_size)
+                    better = found[0] > decrease[nodes]
+                    at = np.array(nodes)[better]
+                    decrease[at], feature[at], threshold[at] = (part[better] for part in found)
+            found = zip(decrease.tolist(), feature.tolist(), threshold.tolist())
+            for i, entry in enumerate(found, n_kept):
+                if entry[0] > -np.inf:
+                    scored[prov[i]] = entry
+                    split.append(i)
+        if max_leaf_nodes is None:
+            expand, keep = split, []
         else:
-            feats = np.arange(d)
-        split = _best_split(X, sample_weight, class_weights, sorted_rows[feats], feats,
-                            weights.sum(), counts, min_leaf_size)
-        if split is not None:
-            heapq.heappush(heap, (-split[0], node_id, (*split[1:], rows, sorted_rows, depth, key)))
+            for i in split:
+                heapq.heappush(heaps[tree[i]], (-scored[prov[i]][0], prov[i]))
+            popped = set()
+            for t, heap in enumerate(heaps):
+                if heap and n_leaves[t] < max_leaf_nodes:
+                    popped.add(heapq.heappop(heap)[1])
+                    n_leaves[t] += 1
+            waiting = set(range(n_kept)).union(split)
+            expand = [i for i in range(k) if prov[i] in popped]
+            keep = [i for i in range(k) if i in waiting and prov[i] not in popped]
+        e = len(expand)
+        if not e:
+            break
+
+        # node i's rows go to slot i (its left child) or k + i (its right);
+        # the rows of a node not expanded stay in slot i
+        split_feature, split_threshold = [0] * k, [np.inf] * k
+        for i in expand:
+            _, split_feature[i], split_threshold[i] = scored[prov[i]]
+        if k == 1:
+            slot = (X[ascending, split_feature[0]] > split_threshold[0]).astype(np.intp)
+        else:
+            repeats = np.array(size)
+            slot = np.arange(k).repeat(repeats)
+            right = X[ascending, np.repeat(split_feature, repeats)]
+            np.add(slot, k, out=slot, where=right > np.repeat(split_threshold, repeats))
+        slots = expand + [k + i for i in expand]
+        counts = np.bincount(slot * N_CLASSES + y[ascending], w, 2 * k * N_CLASSES)
+        counts = counts.reshape(2 * k, N_CLASSES)
+        if e < k:
+            counts = counts[slots]
+        first = len(dist)
+        dist += _distributions(counts)
+        scored += [None] * (2 * e)
+        children += [None] * (2 * e)
+        slot_prov = prov + prov
+        for j, s in enumerate(slots):
+            slot_prov[s] = first + j
+        for j, i in enumerate(expand):
+            children[prov[i]] = (first + j, first + e + j)
+        leaf[ascending] = slot + first if e == k else np.array(slot_prov)[slot]
+
+        # the children that may split, and the nodes kept, stay live
+        child_depth = [depth[i] + 1 for i in expand] * 2
+        if not (keep or min(child_depth) < deepest):
+            break
+        child_size = np.bincount(slot, None, 2 * k)[slots].tolist()
+        grows = _may_split(counts, child_size, child_depth, smallest, deepest)
+        if not (keep or any(grows)):
+            break
+        label = [0] * (2 * k)
+        for i in keep:
+            label[i] = 1
+        for j, s in enumerate(slots):
+            if grows[j]:
+                label[s] = 2 + (j >= e)
+        by_row = np.empty(len(y), dtype=np.int8)
+        by_row[ascending] = np.array(label, dtype=np.int8)[slot]
+        rows = _regroup(rows, by_row)
+        kids = [j for j, g in enumerate(grows) if g]
+        if m < d:
+            sides = [key[expand] ^ np.uint64(side) for side in (1, 2)]
+            key = np.concatenate([key[keep], splitmix64(np.concatenate(sides))[kids]])
+        size = [size[i] for i in keep] + [child_size[j] for j in kids]
+        depth = [depth[i] for i in keep] + [child_depth[j] for j in kids]
+        tree = [tree[i] for i in keep] + [tree[expand[j % e]] for j in kids]
+        prov = [prov[i] for i in keep] + [first + j for j in kids]
+        counts, n_kept = counts[kids], len(keep)
+
+    final = np.empty(len(dist), dtype=np.intp)
+    bounds = [0, *accumulate(sizes)]
+    return [
+        (_number(t, dist, scored, children, final), final[leaf[a:b]])
+        for t, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+def _may_split(counts, sizes, depths, smallest, deepest) -> list[bool]:
+    """Whether each node may split: it is shallower than ``deepest``, holds
+    ``smallest`` rows or more, and has weight of two classes or more."""
+    return [
+        n >= smallest and depth < deepest and sum(c > 0 for c in row) >= 2
+        for n, depth, row in zip(sizes, depths, counts.tolist())
+    ]
+
+
+def _distributions(counts: np.ndarray) -> list[list[float]]:
+    """Each row of class counts as probabilities; uniform for no weight."""
+    total = np.add.reduce(counts, axis=1, keepdims=True)
+    if total.all():
+        return (counts / total).tolist()
+    uniform = np.full(counts.shape, 1.0 / N_CLASSES)
+    return np.divide(counts, total, out=uniform, where=total > 0).tolist()
+
+
+def _number(root: int, dist, scored, children, final: np.ndarray) -> list[dict]:
+    """One tree's nodes, numbered as best-first growth numbers them: it
+    pops the split of largest impurity decrease first, ties by node id, and
+    numbers the two children on creation. ``final`` gets the id of each
+    provisional one."""
+    nodes: list[dict] = []
+    heap: list[tuple[float, int, int]] = []
+
+    def add(p: int) -> int:
+        final[p] = node_id = len(nodes)
+        nodes.append({"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "dist": dist[p]})
+        if children[p] is not None:
+            heapq.heappush(heap, (-scored[p][0], node_id, p))
         return node_id
 
-    new_node(np.arange(n), order, 0, key)
-    n_leaves = 1
-    while heap and (max_leaf_nodes is None or n_leaves < max_leaf_nodes):
-        _, node_id, split = heapq.heappop(heap)
-        feature, threshold, left_rows, rows, sorted_rows, depth, key = split
-        goes_left = np.zeros(n, dtype=bool)
-        goes_left[left_rows] = True
-        in_left, sorted_in_left = goes_left[rows], goes_left[sorted_rows]
-        left = new_node(rows[in_left], sorted_rows[sorted_in_left].reshape(d, -1), depth + 1,
-                        splitmix64(key ^ 1))
-        right = new_node(rows[~in_left], sorted_rows[~sorted_in_left].reshape(d, -1), depth + 1,
-                         splitmix64(key ^ 2))
-        nodes[node_id].update(feature=feature, threshold=threshold, left=left, right=right)
-        n_leaves += 1
-    return nodes, leaf
+    add(root)
+    while heap:
+        _, node_id, p = heapq.heappop(heap)
+        (_, feature, threshold), (left, right) = scored[p], children[p]
+        nodes[node_id].update(
+            feature=feature, threshold=threshold, left=add(left), right=add(right)
+        )
+    return nodes
 
 
-def _best_split(X, sample_weight, class_weights, ordered, features, total_w, total_counts,
-                min_leaf_size):
-    """Score every boundary of every drawn feature in one pass; return the
-    best valid split as ``(decrease, feature, threshold, left rows)``.
+def _stack(problems):
+    """The problems' rows end to end: X, y, ``weights`` (the sample weights,
+    then each class's: a row's weight in the line of its class and 0 in the
+    others), ``rows`` (each column's order, then ascending, shape
+    ``(d + 1, rows)``) and each problem's row count."""
+    sizes = [len(problem[1]) for problem in problems]
+    if len(problems) == 1:
+        X, y = problems[0][:2]
+    else:
+        X = np.concatenate([problem[0] for problem in problems])
+        y = np.concatenate([problem[1] for problem in problems])
+    weights = np.empty((1 + N_CLASSES, len(y)))
+    rows = np.empty((X.shape[1] + 1, len(y)), dtype=np.intp)
+    a = 0
+    for (Xp, _, sample_weight, _, order), n in zip(problems, sizes):
+        weights[0, a : a + n] = 1.0 / n if sample_weight is None else sample_weight
+        if order is None:
+            order = np.argsort(Xp.T, axis=1, kind="stable")
+        np.add(order, a, out=rows[:-1, a : a + n])
+        a += n
+    np.multiply(y == _CLASSES, weights[0], out=weights[1:])
+    rows[-1] = np.arange(len(y))
+    return X, y, weights, rows, sizes
 
-    ``ordered`` holds the node's rows in each drawn feature's sorted order.
-    Candidates are boundaries between distinct sorted values that leave at
-    least ``min_leaf_size`` rows on each side; a position in that range
-    between equal values scores ``-inf``. Ties in impurity decrease resolve
-    to the lowest feature id (a strict ``>`` in ascending feature order),
+
+def _regroup(rows: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """``rows`` with each line stably sorted by the ``label`` of its rows
+    (a radix sort), the rows labeled 0 left out."""
+    by_line = label[rows]
+    order = by_line.argsort(axis=1, kind="stable")
+    order = order[:, by_line.shape[1] - np.count_nonzero(by_line[0]) :]
+    return rows[np.arange(len(rows))[:, None], order]
+
+
+def _groups(sizes: list[int], m: int) -> list[tuple[list[int], slice]]:
+    """The nodes to score, by index, in groups with the drawn features of
+    each to score: all at once when they fit ``_PASS_CELLS`` cells at the
+    widest node's width. Else widest first, each group as many nodes as fit
+    at its first node's width, and a node too wide for all its features in
+    parts of as many features as fit (at least one)."""
+    if len(sizes) * m * max(sizes) <= _PASS_CELLS:
+        return [(list(range(len(sizes))), slice(None))]
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    groups, i = [], 0
+    while i < len(order):
+        lines = _PASS_CELLS // sizes[order[i]]
+        if lines < m:
+            step = max(1, lines)
+            groups += [([order[i]], slice(f, f + step)) for f in range(0, m, step)]
+            i += 1
+        else:
+            groups.append((order[i : i + lines // m], slice(None)))
+            i += lines // m
+    return groups
+
+
+def _best_split(X, weights, rows, starts, sizes, features, totals, gini, min_leaf_size):
+    """Score every boundary of every drawn feature of a group of nodes in
+    one pass; return each node's best valid split as ``(decrease, feature,
+    threshold)`` arrays, decrease ``-inf`` for a node with none.
+
+    Node i holds ``rows[:, starts[i] : starts[i] + sizes[i]]``, draws
+    ``features[i]`` (ascending), has impurity ``gini[i]`` and totals
+    ``totals[i]``: its weight, then each class's. Its rows in each drawn
+    feature's order make one line of a ``(nodes x features, widest)``
+    array, right-padded by repeating the line's last row: an equal value is
+    no boundary, and a ``cumsum`` along a line adds in the order of the
+    node's own, so padding changes no candidate's score. Candidates are
+    boundaries between distinct sorted values that leave at least
+    ``min_leaf_size`` rows on each side; any other position scores
+    ``-inf``. Ties in impurity decrease resolve to the lowest feature id,
     then the lowest threshold (``argmax`` keeps the first).
     """
-    if total_w <= 0:
-        return None
-    gini_parent = 1.0 - ((total_counts / total_w) ** 2).sum()
-    if gini_parent <= 0.0:
-        return None
-
-    values = X[ordered, features[:, None]]
+    g, m = features.shape
+    if g == 1:
+        ordered = rows[features[0], starts[0] : starts[0] + sizes[0]]
+        totals, gini = totals[0][:, None, None], gini[0]
+    else:
+        starts, sizes = np.array(starts), np.array(sizes)
+        first = (features * rows.shape[1] + starts[:, None]).reshape(-1)
+        ordered = first[:, None] + np.arange(sizes.max())
+        np.minimum(ordered, (first + sizes.repeat(m) - 1)[:, None], out=ordered)
+        ordered = rows.reshape(-1)[ordered]
+        totals, gini = totals.repeat(m, axis=0).T[:, :, None], gini.repeat(m)[:, None]
+    lines = features.reshape(-1)
+    values = X[ordered, lines[:, None]]
     # a boundary after position p leaves p + 1 rows on the left
     lo, hi = min_leaf_size - 1, ordered.shape[1] - min_leaf_size
-    boundary = values[:, lo:hi] < values[:, lo + 1 : hi + 1]
-    left_w = np.cumsum(sample_weight[ordered], axis=-1)[:, lo:hi]
-    right_w = total_w - left_w
-    left_sq, right_sq = np.zeros_like(left_w), np.zeros_like(left_w)
-    for weight_c, total_c in zip(class_weights, total_counts):
-        left_c = np.cumsum(weight_c[ordered], axis=-1)[:, lo:hi]
-        left_sq += left_c * left_c
-        right_c = total_c - left_c
-        right_sq += right_c * right_c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gini_left = 1.0 - np.where(left_w > 0, left_sq / left_w**2, 1.0)
-        gini_right = 1.0 - np.where(right_w > 0, right_sq / right_w**2, 1.0)
-    decrease = gini_parent - (left_w * gini_left + right_w * gini_right) / total_w
-    decrease = np.where(boundary, decrease, -np.inf)
-    picks = decrease.argmax(axis=1)
-
-    best = None
-    for i, pick in enumerate(picks.tolist()):
-        if decrease[i, pick] <= 1e-12:
-            continue
-        if best is None or decrease[i, pick] > best[0]:
-            threshold, left_rows = float(values[i, lo + pick]), ordered[i, : lo + pick + 1]
-            best = (float(decrease[i, pick]), int(features[i]), threshold, left_rows)
-    return best
+    boundary = np.zeros(ordered.shape, dtype=bool)
+    np.less(values[:, lo:hi], values[:, lo + 1 : hi + 1], out=boundary[:, lo:hi])
+    if g > 1 and min_leaf_size > 1:
+        boundary &= np.arange(ordered.shape[1]) < (sizes - min_leaf_size).repeat(m)[:, None]
+    # the weight, then each class's, left of each boundary and right of it;
+    # the arithmetic runs in place, which keeps a call's memory small
+    sides = np.empty((2, 1 + N_CLASSES, *ordered.shape))
+    np.cumsum(np.take(weights, ordered, axis=1), axis=-1, out=sides[0])
+    np.subtract(totals, sides[0], out=sides[1])
+    side_w, side_c = sides[:, 0], sides[:, 1:]
+    sum_sq, work = side_c[:, 0] * side_c[:, 0], np.empty_like(side_w)
+    for c in range(1, N_CLASSES):
+        sum_sq += np.multiply(side_c[:, c], side_c[:, c], out=work)
+    # each side's gini weighted by its weight: w * (1 - sum_sq / w**2), 0
+    # for a side without weight
+    weighed = side_w > 0
+    np.divide(sum_sq, np.multiply(side_w, side_w, out=work), out=sum_sq, where=weighed)
+    np.copyto(sum_sq, 1.0, where=~weighed)
+    np.subtract(1.0, sum_sq, out=sum_sq)
+    sum_sq *= side_w
+    decrease = sum_sq[0] + sum_sq[1]
+    decrease /= totals[0]
+    decrease = np.where(boundary, np.subtract(gini, decrease, out=decrease), -np.inf)
+    best, picks = decrease.max(axis=1), decrease.argmax(axis=1)
+    best[best <= 1e-12] = -np.inf
+    line = best.reshape(g, m).argmax(axis=1)
+    if g > 1:
+        line += np.arange(0, g * m, m)
+    return best[line], lines[line], values[line, picks[line]]
 
 
 def _tree_depth(nodes, n_features: int) -> int:
@@ -206,8 +462,10 @@ def _tree_depth(nodes, n_features: int) -> int:
     The walk from node 0 must reach every node exactly once, so routing a
     row cannot loop or merge (a node that is its own child, a shared child)
     and the file holds one tree (no unreachable node). A split tests one of
-    ``n_features`` columns against a finite threshold; every node holds
-    class probabilities, which a depth cap can make a split node's vote.
+    ``n_features`` columns against a finite threshold, a leaf has feature
+    -1, and feature and child ids are integers, not booleans. Every node
+    holds class probabilities, which a depth cap can make a split node's
+    vote.
     """
     if not nodes:
         raise ModelFormatError("tree has no nodes")
@@ -220,15 +478,15 @@ def _tree_depth(nodes, n_features: int) -> int:
             shaped = len(dist) == N_CLASSES and all(finite_number(p) and p >= 0 for p in dist)
             if not shaped or abs(sum(dist) - 1.0) > 1e-9:
                 raise ModelFormatError(f"node {parent} is not {N_CLASSES} probabilities: {dist!r}")
-            if node["feature"] < 0:
+            if node["feature"] == -1 and _is_index(node["feature"]):
                 continue
-            if not isinstance(node["feature"], int) or node["feature"] >= n_features:
-                raise ModelFormatError(f"split references feature {node['feature']}")
+            if not _is_index(node["feature"]) or not 0 <= node["feature"] < n_features:
+                raise ModelFormatError(f"split references feature {node['feature']!r}")
             if not finite_number(node["threshold"]):
                 raise ModelFormatError(f"split threshold is not a number: {node['threshold']!r}")
             for child in (node["left"], node["right"]):
-                if not 0 <= child < len(nodes):
-                    raise ModelFormatError(f"split references node {child}")
+                if not _is_index(child) or not 0 <= child < len(nodes):
+                    raise ModelFormatError(f"split references node {child!r}")
                 if child == parent:
                     raise ModelFormatError(f"node {child} is its own child")
                 if reached[child]:
@@ -239,6 +497,11 @@ def _tree_depth(nodes, n_features: int) -> int:
     if not all(reached):
         raise ModelFormatError(f"node {reached.index(False)} is unreachable from node 0")
     return depth
+
+
+def _is_index(value) -> bool:
+    """An int that is not a bool (``True`` is an int in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def balanced_weights(y: np.ndarray) -> np.ndarray:
@@ -259,30 +522,24 @@ def fit_decision_tree(X, y, seed, hyperparameters) -> dict:
 
 
 def fit_random_forest(X, y, seed, hyperparameters) -> dict:
-    subset = min(hyperparameters["feature_subset"], X.shape[1])
+    limits = {key: hyperparameters[key] for key in ("max_depth", "min_leaf_size", "max_leaf_nodes")}
+    limits["feature_subset"] = min(hyperparameters["feature_subset"], X.shape[1])
     seeds = np.random.SeedSequence(seed).spawn(hyperparameters["n_trees"])
+    per_batch = max(1, _BATCH_ROWS // len(y))
     trees = []
-    for tree_seed in seeds:
-        rng = np.random.default_rng(tree_seed)
-        key = int(tree_seed.generate_state(1, np.uint64)[0])
-        if hyperparameters["bootstrap"]:
-            sample = rng.integers(0, len(y), len(y))
-            Xb, yb = X[sample], y[sample]
-        else:
-            Xb, yb = X, y
-        nodes, _ = grow_tree(
-            Xb,
-            yb,
-            sample_weight=(
-                balanced_weights(yb) if hyperparameters["class_weight"] == "balanced" else None
-            ),
-            max_depth=hyperparameters["max_depth"],
-            min_leaf_size=hyperparameters["min_leaf_size"],
-            max_leaf_nodes=hyperparameters["max_leaf_nodes"],
-            feature_subset=subset,
-            key=key,
-        )
-        trees.append(nodes)
+    for first in range(0, len(seeds), per_batch):
+        problems = []
+        for tree_seed in seeds[first : first + per_batch]:
+            rng = np.random.default_rng(tree_seed)
+            key = int(tree_seed.generate_state(1, np.uint64)[0])
+            if hyperparameters["bootstrap"]:
+                sample = rng.integers(0, len(y), len(y))
+                Xb, yb = X[sample], y[sample]
+            else:
+                Xb, yb = X, y
+            balanced = hyperparameters["class_weight"] == "balanced"
+            problems.append((Xb, yb, balanced_weights(yb) if balanced else None, key, None))
+        trees += [nodes for nodes, _ in grow_trees(problems, **limits)]
     return {"trees": trees}
 
 

@@ -361,6 +361,17 @@ class TestTrainPredict:
         ]
         payload = json.loads(train("gnb", toy_dataset(10, seed=2), transform="log-scale").to_json())
         payloads.append(("log of a fill of -1", {**payload, "imputer": {**imputer, "lo": -1}}))
+        # a decision tree with a boolean feature or child id, or a leaf that
+        # names a feature (True == 1 and False == 0 in Python)
+        payload = json.loads(train("decision-tree", toy_dataset(10, seed=2)).to_json())
+        nodes = payload["parameters"]["nodes"]
+        leaf = next(i for i, node in enumerate(nodes) if node["feature"] == -1)
+        for at, field, value in ((0, "feature", True), (0, "feature", False), (0, "left", True),
+                                 (leaf, "feature", -2)):
+            bad_nodes = [dict(node) for node in nodes]
+            bad_nodes[at][field] = value
+            payloads.append((f"node {at} {field} {value!r}",
+                             {**payload, "parameters": {"nodes": bad_nodes}}))
         for kind, payload in payloads:
             bad.write_text(json.dumps(payload))
             assert main(["predict", str(bad), str(features), "--out", str(out)]) == 2, kind

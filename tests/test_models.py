@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -41,11 +42,14 @@ from doctype.models import (
 )
 from doctype.models import knn as knn_module
 from doctype.models.knn import KnnPredictor
+from doctype.models import tree as tree_module
 from doctype.models.tree import (
     ForestPredictor,
     balanced_weights,
     draw_features,
+    fit_random_forest,
     grow_tree,
+    grow_trees,
     splitmix64,
 )
 from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable
@@ -108,6 +112,18 @@ def grower_cases(draw):
         "feature_subset": draw(st.one_of(st.none(), st.integers(1, d))),
     }
     return X, y, sample_weight, limits, draw(st.integers(0, 2**64 - 1))
+
+
+@st.composite
+def grower_batches(draw):
+    """1-6 grower problems cut to one column count, under the first one's
+    limits: trees of very different sizes grown in one batch."""
+    cases = draw(st.lists(grower_cases(), min_size=1, max_size=6))
+    d = min(X.shape[1] for X, *_ in cases)
+    limits = dict(cases[0][3])
+    if limits["feature_subset"] is not None:
+        limits["feature_subset"] = min(limits["feature_subset"], d)
+    return [(X[:, :d], y, sample_weight, key) for X, y, sample_weight, _, key in cases], limits
 
 
 #: Every kind, over all three transforms.
@@ -432,6 +448,39 @@ class TestDecisionTree:
         # each training row's leaf id gives the compiled tree's prediction
         routed = ForestPredictor([nodes], X.shape[1]).scores_matrix(X).argmax(axis=1)
         assert np.array_equal(np.array([node["dist"] for node in nodes]).argmax(axis=1)[leaf], routed)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=grower_batches())
+    def test_batch_grower_matches_reference(self, batch):
+        problems, limits = batch
+        batch = [(X, y, sample_weight, key, None) for X, y, sample_weight, key in problems]
+        grown = grow_trees(batch, **limits)
+        for (X, y, sample_weight, key), (nodes, leaf) in zip(problems, grown):
+            want = reference_grow_tree(X, y, sample_weight, **limits, key=key)
+            assert json.dumps(nodes) == json.dumps(want)
+            # each training row's leaf id is the node the compiled tree routes it to
+            assert np.array_equal(leaf, ForestPredictor([nodes], X.shape[1]).leaves(X)[0])
+        # one node or one feature per scoring call: the same trees
+        with patch.object(tree_module, "_PASS_CELLS", 1):
+            one_at_a_time = grow_trees(batch, **limits)
+        for (nodes, leaf), (again, again_leaf) in zip(grown, one_at_a_time):
+            assert json.dumps(again) == json.dumps(nodes)
+            assert np.array_equal(again_leaf, leaf)
+
+    def test_forest_scores_a_level_in_one_pass(self, monkeypatch):
+        # 20 bootstrapped trees of depth 4 on 185 rows: one scoring call per
+        # level across all trees, not one per node
+        props = {DocType.RESEARCH: 0.55, DocType.SLIDES: 0.10, DocType.THESIS: 0.35}
+        X, y = dataset_matrix(generate_synthetic(185, props, 3))
+        calls = []
+        best_split = tree_module._best_split
+        monkeypatch.setattr(tree_module, "_best_split", lambda *a: calls.append(1) or best_split(*a))
+        hp = {"n_trees": 20, "max_depth": 4, "min_leaf_size": 1, "max_leaf_nodes": None,
+              "feature_subset": 2, "bootstrap": True, "class_weight": None}
+        trees = fit_random_forest(X, y, 0, hp)["trees"]
+        assert len(calls) <= 4
+        assert sum(len(nodes) for nodes in trees) > 100
 
 
 #: sha256 of ``to_json()`` and of the ``predict_batch`` score bytes of tree
@@ -775,15 +824,15 @@ class TestDepthCuts:
             assert predict_batch(loaded, X)[0].tolist() == [i % 2 for i in range(100)]
 
 
-def node_keys(n_trees: int = 64, levels: int = 8) -> list[list[int]]:
+def node_keys(n_trees: int = 64, levels: int = 8) -> list[np.ndarray]:
     """Per level, the draw keys of every node of complete trees ``levels``
     deep under forest tree keys: 64 x 255 = 16,320 keys by default."""
     seeds = np.random.SeedSequence(2024).spawn(n_trees)
-    level = [int(s.generate_state(1, np.uint64)[0]) for s in seeds]
+    level = np.array([s.generate_state(1, np.uint64)[0] for s in seeds])
     out = []
     for _ in range(levels):
         out.append(level)
-        level = [splitmix64(key ^ side) for key in level for side in (1, 2)]
+        level = splitmix64(level[:, None] ^ np.array([1, 2], dtype=np.uint64)).ravel()
     return out
 
 
@@ -803,28 +852,27 @@ class TestKeyedDraws:
 
     @pytest.mark.parametrize("d, m", [(4, 1), (4, 2), (4, 3), (3, 1), (3, 2)])
     def test_every_subset_equally_often(self, d, m):
-        keys = [key for level in node_keys() for key in level]
-        counts = Counter(tuple(draw_features(key, d, m).tolist()) for key in keys)
+        keys = np.concatenate(node_keys())
+        counts = Counter(map(tuple, draw_features(keys, d, m).tolist()))
         cells = list(combinations(range(d), m))
         assert chi_square(counts, cells) < CHI2_CRITICAL[len(cells) - 1]
 
     def test_children_draw_apart_from_their_parent(self):
         # each of the 8,128 parents above the last level, with its two children
-        levels = node_keys()
-        draw = lambda key: tuple(draw_features(key, 4, 2).tolist())  # noqa: E731
-        counts = Counter(
-            (draw(key), draw(splitmix64(key ^ 1)), draw(splitmix64(key ^ 2)))
-            for level in levels[:-1]
-            for key in level
-        )
+        keys = np.concatenate(node_keys()[:-1])
+        draws = [
+            map(tuple, draw_features(level, 4, 2).tolist())
+            for level in (keys, splitmix64(keys ^ np.uint64(1)), splitmix64(keys ^ np.uint64(2)))
+        ]
+        counts = Counter(zip(*draws))
         pairs = list(combinations(range(4), 2))
         assert chi_square(counts, list(product(pairs, repeat=3))) < CHI2_CRITICAL[215]
 
     def test_draw_is_sorted_and_distinct(self):
-        for key in node_keys(4, 4)[-1]:
-            for d in range(1, 6):
-                for m in range(1, d + 1):
-                    feats = draw_features(key, d, m).tolist()
+        keys = node_keys(4, 4)[-1]
+        for d in range(1, 6):
+            for m in range(1, d + 1):
+                for feats in draw_features(keys, d, m).tolist():
                     assert feats == sorted(set(feats)) and len(feats) == m and feats[-1] < d
 
 
