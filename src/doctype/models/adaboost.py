@@ -34,7 +34,9 @@ def fit_adaboost(X, y, seed, hyperparameters) -> dict:
         nodes, leaf = grow_tree(
             X, y, sample_weight=weights, max_depth=max_depth, min_leaf_size=min_leaf, order=order
         )
-        predicted = np.array([node["dist"] for node in nodes]).argmax(axis=1)[leaf]
+        # each leaf's class: the first of its most probable ones, as argmax
+        votes = [node["dist"].index(max(node["dist"])) for node in nodes]
+        predicted = np.array(votes)[leaf]
         miss = predicted != y
         err = float(np.add.reduce(weights[miss]))
         if err >= 1.0 - 1.0 / N_CLASSES:

@@ -304,12 +304,16 @@ def _may_split(counts, sizes, depths, smallest, deepest) -> list[bool]:
 
 
 def _distributions(counts: np.ndarray) -> list[list[float]]:
-    """Each row of class counts as probabilities; uniform for no weight."""
-    total = np.add.reduce(counts, axis=1, keepdims=True)
-    if total.all():
-        return (counts / total).tolist()
-    uniform = np.full(counts.shape, 1.0 / N_CLASSES)
-    return np.divide(counts, total, out=uniform, where=total > 0).tolist()
+    """Each row of class counts as probabilities; uniform for no weight.
+    The total adds the counts in order, as a numpy ``sum`` of 3 does (not
+    ``sum``, which compensates from Python 3.12 on)."""
+    dists = []
+    for row in counts.tolist():
+        total = 0.0
+        for count in row:
+            total += count
+        dists.append([c / total for c in row] if total > 0 else [1.0 / N_CLASSES] * N_CLASSES)
+    return dists
 
 
 def _number(root: int, dist, scored, children, final: np.ndarray) -> list[dict]:
