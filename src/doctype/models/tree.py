@@ -76,10 +76,11 @@ from ..ioutils import finite_number
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 #: The most cells, (nodes x drawn features) lines times the widest node's
-#: rows, that one ``_best_split`` call holds: a pass whose nodes need more
-#: is scored in several calls, widest nodes first, so padding and
-#: temporaries stay bounded. A node wider than this is scored alone.
-_PASS_CELLS = 1 << 14
+#: rows, that one ``_best_split`` call holds, at about 80 bytes of work
+#: arrays a cell: a pass whose nodes need more is scored in several calls
+#: (``_groups``), so padding and memory stay bounded. Larger values save
+#: calls but raise the pipeline's peak memory.
+_PASS_CELLS = 1 << 11
 
 #: The most training rows, summed over trees, one ``grow_trees`` call of a
 #: random forest holds; a forest on more is grown in batches of trees.
@@ -129,20 +130,20 @@ def grow_trees(
     ``order`` is each column's stable argsort, shape ``(d, n)``, or None to
     sort here (AdaBoost passes one for all rounds).
 
-    The trees grow together, one pass at a time. The rows of every live
-    node of every tree sit in one array, node after node, in each column's
-    sorted order and, in a last line, ascending. A pass scores the new
+    The trees grow together, one pass at a time. The rows of all trees sit
+    end to end in one array, in each column's sorted order and, in a last
+    line, ascending; each node holds a span of it. A pass scores the new
     nodes (``_best_split``), picks the nodes to expand and routes their
-    rows: one ``bincount`` over the ascending line gives every child's
-    class counts, each summed over its rows in ascending order. Children
-    that may split take their rows along (``_regroup``); the others are
-    leaves for good. A node may split when depth and size allow and it
-    holds weight of two classes (a node of one class has no split that
-    decreases impurity). Without a ``max_leaf_nodes`` budget a pass expands
-    every node that has a split, one level per pass; with one it expands
-    each tree's best node, so each tree scores the nodes best-first growth
-    would. Node ids then come from a best-first replay of the splits
-    (``_number``).
+    rows: one ``bincount`` over their ascending lines gives every child's
+    class counts, each summed over its rows in ascending order, and a
+    stable sort of each expanded span by side gives the left child its
+    first part and the right child the rest, in the same orders. A node
+    may split when depth and size allow and it holds weight of two classes
+    (a node of one class has no split that decreases impurity). Without a
+    ``max_leaf_nodes`` budget a pass expands every node that has a split,
+    one level per pass; with one it expands each tree's best node, so each
+    tree scores the nodes best-first growth would. Node ids then come from
+    a best-first replay of the splits (``_number``).
     """
     X, y, weights, rows, sizes = _stack(problems)
     n_trees, d = len(problems), X.shape[1]
@@ -160,38 +161,36 @@ def grow_trees(
     children: list = [None] * n_trees
     heaps: list[list] = [[] for _ in range(n_trees)]
     n_leaves = [1] * n_trees
-    # the live nodes in the order their rows sit in ``rows``: size, depth,
+    # the live nodes: the span of ``rows`` each holds (start, size), depth,
     # provisional id, tree and draw key. The first ``n_kept`` wait for
     # their turn under a budget; the others are new, with class counts
     # ``counts``.
-    size, depth = sizes, [0] * n_trees
+    start, size, depth = [0, *accumulate(sizes)][:-1], list(sizes), [0] * n_trees
     prov, tree = list(range(n_trees)), list(range(n_trees))
     key = np.array([problem[3] for problem in problems], dtype=np.uint64)
     n_kept = 0
     grows = _may_split(counts, size, depth, smallest, deepest)
     if not all(grows):
-        rows = _regroup(rows, np.array(grows, dtype=np.int8)[leaf])
         live = [i for i, g in enumerate(grows) if g]
-        size, depth, prov, tree = ([c[i] for i in live] for c in (size, depth, prov, tree))
+        start, size, depth, prov, tree = (
+            [column[i] for i in live] for column in (start, size, depth, prov, tree)
+        )
         counts, key = counts[live], key[live]
 
     while size:
         k = len(size)
-        ascending = rows[d]
-        w = weights[0, ascending]
-        ends = list(accumulate(size))
-        starts = [end - n for end, n in zip(ends, size)]
+        w = weights[0, rows[d]]
         split = []
         if k > n_kept:
-            spans = zip(starts[n_kept:], ends[n_kept:])
-            total_w = np.array([np.add.reduce(w[a:b]) for a, b in spans])
+            new_starts, new_sizes = start[n_kept:], size[n_kept:]
+            spans = zip(new_starts, new_sizes)
+            total_w = np.array([np.add.reduce(w[a : a + n]) for a, n in spans])
             gini = 1.0 - np.add.reduce((counts / total_w[:, None]) ** 2, axis=1)
             totals = np.concatenate([total_w[:, None], counts], axis=1)
             if m < d:
                 feats = draw_features(key[n_kept:], d, m)
             else:
                 feats = every.repeat(k - n_kept, axis=0)
-            new_starts, new_sizes = starts[n_kept:], size[n_kept:]
             groups = _groups(new_sizes, m)
             if len(groups) == 1:
                 decrease, feature, threshold = _best_split(
@@ -231,55 +230,57 @@ def grow_trees(
         if not e:
             break
 
-        # node i's rows go to slot i (its left child) or k + i (its right);
-        # the rows of a node not expanded stay in slot i
-        split_feature, split_threshold = [0] * k, [np.inf] * k
-        for i in expand:
-            _, split_feature[i], split_threshold[i] = scored[prov[i]]
-        if k == 1:
-            slot = (X[ascending, split_feature[0]] > split_threshold[0]).astype(np.intp)
+        # the expanded spans end to end: position p is in expanded node
+        # part[p], whose rows go to slot part (its left child) or e + part
+        split_feature, split_threshold = zip(*(scored[prov[i]][1:] for i in expand))
+        if e == 1:
+            at, part = slice(start[expand[0]], start[expand[0]] + size[expand[0]]), 0
+            ascending = rows[d, at]
+            right = X[ascending, split_feature[0]] > split_threshold[0]
+            slot = right.astype(np.intp)
         else:
-            repeats = np.array(size)
-            slot = np.arange(k).repeat(repeats)
-            right = X[ascending, np.repeat(split_feature, repeats)]
-            np.add(slot, k, out=slot, where=right > np.repeat(split_threshold, repeats))
-        slots = expand + [k + i for i in expand]
-        counts = np.bincount(slot * N_CLASSES + y[ascending], w, 2 * k * N_CLASSES)
-        counts = counts.reshape(2 * k, N_CLASSES)
-        if e < k:
-            counts = counts[slots]
+            lengths = np.array([size[i] for i in expand])
+            # a small integer type keeps the sort by (part, side) a radix sort
+            part = np.arange(e, dtype=np.int16 if e < 1 << 14 else np.intp).repeat(lengths)
+            shift = np.array([start[i] for i in expand]) - (lengths.cumsum() - lengths)
+            at = shift.repeat(lengths) + np.arange(len(part))
+            ascending = rows[d, at]
+            right = X[ascending, np.repeat(split_feature, lengths)]
+            right = right > np.repeat(split_threshold, lengths)
+            slot = part + e * right
+        counts = np.bincount(slot * N_CLASSES + y[ascending], w[at],
+                             2 * e * N_CLASSES).reshape(2 * e, N_CLASSES)
         first = len(dist)
         dist += _distributions(counts)
         scored += [None] * (2 * e)
         children += [None] * (2 * e)
-        slot_prov = prov + prov
-        for j, s in enumerate(slots):
-            slot_prov[s] = first + j
         for j, i in enumerate(expand):
             children[prov[i]] = (first + j, first + e + j)
-        leaf[ascending] = slot + first if e == k else np.array(slot_prov)[slot]
+        leaf[ascending] = slot + first
 
         # the children that may split, and the nodes kept, stay live
         child_depth = [depth[i] + 1 for i in expand] * 2
         if not (keep or min(child_depth) < deepest):
             break
-        child_size = np.bincount(slot, None, 2 * k)[slots].tolist()
+        child_size = np.bincount(slot, None, 2 * e).tolist()
         grows = _may_split(counts, child_size, child_depth, smallest, deepest)
         if not (keep or any(grows)):
             break
-        label = [0] * (2 * k)
-        for i in keep:
-            label[i] = 1
-        for j, s in enumerate(slots):
-            if grows[j]:
-                label[s] = 2 + (j >= e)
-        by_row = np.empty(len(y), dtype=np.int8)
-        by_row[ascending] = np.array(label, dtype=np.int8)[slot]
-        rows = _regroup(rows, by_row)
+        child_start = [start[i] for i in expand]
+        child_start += [a + n for a, n in zip(child_start, child_size)]
+        if any(grows):
+            # each expanded span, in every line, stably sorted by side
+            side = np.empty(len(y), dtype=np.int8)
+            side[ascending] = right
+            block = rows[:, at]
+            keyed = side[block] if e == 1 else side[block] + 2 * part
+            line = np.arange(d + 1)[:, None]
+            rows[:, at] = block[line, keyed.argsort(axis=1, kind="stable")]
         kids = [j for j, g in enumerate(grows) if g]
         if m < d:
             sides = [key[expand] ^ np.uint64(side) for side in (1, 2)]
             key = np.concatenate([key[keep], splitmix64(np.concatenate(sides))[kids]])
+        start = [start[i] for i in keep] + [child_start[j] for j in kids]
         size = [size[i] for i in keep] + [child_size[j] for j in kids]
         depth = [depth[i] for i in keep] + [child_depth[j] for j in kids]
         tree = [tree[i] for i in keep] + [tree[expand[j % e]] for j in kids]
@@ -366,15 +367,6 @@ def _stack(problems):
     return X, y, weights, rows, sizes
 
 
-def _regroup(rows: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """``rows`` with each line stably sorted by the ``label`` of its rows
-    (a radix sort), the rows labeled 0 left out."""
-    by_line = label[rows]
-    order = by_line.argsort(axis=1, kind="stable")
-    order = order[:, by_line.shape[1] - np.count_nonzero(by_line[0]) :]
-    return rows[np.arange(len(rows))[:, None], order]
-
-
 def _groups(sizes: list[int], m: int) -> list[tuple[list[int], slice]]:
     """The nodes to score, by index, in groups with the drawn features of
     each to score: all at once when they fit ``_PASS_CELLS`` cells at the
@@ -431,33 +423,39 @@ def _best_split(X, weights, rows, starts, sizes, features, totals, gini, min_lea
     lo, hi = min_leaf_size - 1, ordered.shape[1] - min_leaf_size
     boundary = np.zeros(ordered.shape, dtype=bool)
     np.less(values[:, lo:hi], values[:, lo + 1 : hi + 1], out=boundary[:, lo:hi])
+    del values
     if g > 1 and min_leaf_size > 1:
         boundary &= np.arange(ordered.shape[1]) < (sizes - min_leaf_size).repeat(m)[:, None]
-    # the weight, then each class's, left of each boundary and right of it;
-    # the arithmetic runs in place, which keeps a call's memory small
+    # the weight, then each class's, left of each boundary and right of it.
+    # The arithmetic runs in place in these two blocks, which bounds a
+    # call's memory: the right block holds the gathered weights until it
+    # takes the right sums, and the class sums their squares.
     sides = np.empty((2, 1 + N_CLASSES, *ordered.shape))
-    np.cumsum(np.take(weights, ordered, axis=1), axis=-1, out=sides[0])
+    np.cumsum(np.take(weights, ordered, axis=1, out=sides[1]), axis=-1, out=sides[0])
     np.subtract(totals, sides[0], out=sides[1])
     side_w, side_c = sides[:, 0], sides[:, 1:]
-    sum_sq, work = side_c[:, 0] * side_c[:, 0], np.empty_like(side_w)
+    np.multiply(side_c, side_c, out=side_c)
+    sum_sq = side_c[:, 0]
     for c in range(1, N_CLASSES):
-        sum_sq += np.multiply(side_c[:, c], side_c[:, c], out=work)
+        sum_sq += side_c[:, c]
     # each side's gini weighted by its weight: w * (1 - sum_sq / w**2), 0
     # for a side without weight
     weighed = side_w > 0
-    np.divide(sum_sq, np.multiply(side_w, side_w, out=work), out=sum_sq, where=weighed)
+    square_w = np.multiply(side_w, side_w, out=side_c[:, 1])
+    np.divide(sum_sq, square_w, out=sum_sq, where=weighed)
     np.copyto(sum_sq, 1.0, where=~weighed)
     np.subtract(1.0, sum_sq, out=sum_sq)
     sum_sq *= side_w
-    decrease = sum_sq[0] + sum_sq[1]
+    decrease = np.add(sum_sq[0], sum_sq[1], out=square_w[0])
     decrease /= totals[0]
-    decrease = np.where(boundary, np.subtract(gini, decrease, out=decrease), -np.inf)
+    np.subtract(gini, decrease, out=decrease)
+    np.copyto(decrease, -np.inf, where=~boundary)
     best, picks = decrease.max(axis=1), decrease.argmax(axis=1)
     best[best <= 1e-12] = -np.inf
     line = best.reshape(g, m).argmax(axis=1)
     if g > 1:
         line += np.arange(0, g * m, m)
-    return best[line], lines[line], values[line, picks[line]]
+    return best[line], lines[line], X[ordered[line, picks[line]], lines[line]]
 
 
 def _tree_depth(nodes, n_features: int) -> int:

@@ -469,18 +469,19 @@ class TestDecisionTree:
             assert np.array_equal(again_leaf, leaf)
 
     def test_forest_scores_a_level_in_one_pass(self, monkeypatch):
-        # 20 bootstrapped trees of depth 4 on 185 rows: one scoring call per
-        # level across all trees, not one per node
+        # 20 bootstrapped trees of depth 4 on 185 rows: one scoring pass per
+        # level across all trees, in calls of many nodes, not one per node
         props = {DocType.RESEARCH: 0.55, DocType.SLIDES: 0.10, DocType.THESIS: 0.35}
         X, y = dataset_matrix(generate_synthetic(185, props, 3))
-        calls = []
-        best_split = tree_module._best_split
+        passes, calls = [], []
+        groups, best_split = tree_module._groups, tree_module._best_split
+        monkeypatch.setattr(tree_module, "_groups", lambda *a: passes.append(1) or groups(*a))
         monkeypatch.setattr(tree_module, "_best_split", lambda *a: calls.append(1) or best_split(*a))
         hp = {"n_trees": 20, "max_depth": 4, "min_leaf_size": 1, "max_leaf_nodes": None,
               "feature_subset": 2, "bootstrap": True, "class_weight": None}
         trees = fit_random_forest(X, y, 0, hp)["trees"]
-        assert len(calls) <= 4
-        assert sum(len(nodes) for nodes in trees) > 100
+        splits = sum(node["feature"] >= 0 for nodes in trees for node in nodes)
+        assert len(passes) <= 4 and 4 * len(calls) <= splits
 
 
 #: sha256 of ``to_json()`` and of the ``predict_batch`` score bytes of tree
