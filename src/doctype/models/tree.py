@@ -8,13 +8,13 @@ raw values only.
 ``grow_trees`` grows a batch of independent trees together, level by
 level, as SPRINT (Shafer, Agrawal & Mehta, VLDB 1996) and XGBoost's
 depth-wise grower (Chen & Guestrin, KDD 2016) do: one pass scores the new
-nodes of every tree in one ``_best_split`` call over right-padded
-``(nodes x drawn features, rows)`` arrays, in a few calls when they are
-many or wide. Split search follows SLIQ (Mehta, Agrawal & Rissanen, EDBT
-1996): each column is sorted once per tree (once per fit for AdaBoost),
-and nodes keep their rows in every column's sorted order. Node ids and a
-``max_leaf_nodes`` budget still follow best-first order by impurity
-decrease, ties by creation order. Without a budget every node with a split
+nodes of every tree in ``_best_split`` calls over right-padded
+``(nodes x drawn features, rows)`` arrays, each call a group of nodes of
+similar width, not one call per node. Split search follows SLIQ (Mehta,
+Agrawal & Rissanen, EDBT 1996): each column is sorted once per tree (once
+per fit for AdaBoost), and nodes keep their rows in every column's sorted
+order. Node ids and a ``max_leaf_nodes`` budget still follow best-first
+order by impurity decrease, ties by creation order. Without a budget every node with a split
 is expanded and the ids come from a best-first replay of the scored
 splits, so a tree is the one exhaustive recursive growth gives; with a
 budget a pass expands only each tree's best waiting node, so the budget
@@ -77,9 +77,10 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 #: The most cells, (nodes x drawn features) lines times the widest node's
 #: rows, that one ``_best_split`` call holds, at about 80 bytes of work
-#: arrays a cell: a pass whose nodes need more is scored in several calls
-#: (``_groups``), so padding and memory stay bounded. Larger values save
-#: calls but raise the pipeline's peak memory.
+#: arrays a cell. A pass groups its nodes widest first under this cap
+#: (``_groups``), so nodes of similar width share a call: padding stays
+#: small, and so does a call's memory. A larger cap saves calls but pads
+#: more and raises peak memory.
 _PASS_CELLS = 1 << 11
 
 #: The most training rows, summed over trees, one ``grow_trees`` call of a
@@ -480,14 +481,16 @@ def _tree_depth(nodes, n_features: int) -> int:
             shaped = len(dist) == N_CLASSES and all(finite_number(p) and p >= 0 for p in dist)
             if not shaped or abs(sum(dist) - 1.0) > 1e-9:
                 raise ModelFormatError(f"node {parent} is not {N_CLASSES} probabilities: {dist!r}")
-            if node["feature"] == -1 and _is_index(node["feature"]):
+            # ``type(...) is int``: True and False are ints to isinstance
+            feature = node["feature"]
+            if type(feature) is int and feature == -1:
                 continue
-            if not _is_index(node["feature"]) or not 0 <= node["feature"] < n_features:
-                raise ModelFormatError(f"split references feature {node['feature']!r}")
+            if type(feature) is not int or not 0 <= feature < n_features:
+                raise ModelFormatError(f"split references feature {feature!r}")
             if not finite_number(node["threshold"]):
                 raise ModelFormatError(f"split threshold is not a number: {node['threshold']!r}")
             for child in (node["left"], node["right"]):
-                if not _is_index(child) or not 0 <= child < len(nodes):
+                if type(child) is not int or not 0 <= child < len(nodes):
                     raise ModelFormatError(f"split references node {child!r}")
                 if child == parent:
                     raise ModelFormatError(f"node {child} is its own child")
@@ -499,11 +502,6 @@ def _tree_depth(nodes, n_features: int) -> int:
     if not all(reached):
         raise ModelFormatError(f"node {reached.index(False)} is unreachable from node 0")
     return depth
-
-
-def _is_index(value) -> bool:
-    """An int that is not a bool (``True`` is an int in Python)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def balanced_weights(y: np.ndarray) -> np.ndarray:
