@@ -449,7 +449,6 @@ class TestDecisionTree:
         routed = ForestPredictor([nodes], X.shape[1]).scores_matrix(X).argmax(axis=1)
         assert np.array_equal(np.array([node["dist"] for node in nodes]).argmax(axis=1)[leaf], routed)
 
-
     @settings(max_examples=300, deadline=None)
     @given(batch=grower_batches())
     def test_batch_grower_matches_reference(self, batch):
