@@ -36,7 +36,6 @@ from .stats import (
 )
 from .models import (
     ModelArtifact,
-    baseline_random_predict,
     load_model,
     predict,
     save_model,

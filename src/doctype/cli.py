@@ -193,7 +193,7 @@ def _parse_json_flag(raw: str, name: str = "hyperparameters", shape: type = dict
     """A JSON object flag, or with ``shape=list`` a JSON list of objects."""
     try:
         payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"bad {name}: {exc}") from exc
     objects = payload if isinstance(payload, list) else [payload]
     if not isinstance(payload, shape) or not all(isinstance(obj, dict) for obj in objects):
@@ -348,7 +348,7 @@ def cmd_predict(args) -> int:
             try:
                 row = json.loads(line)
                 label, scores = predict(model, row_to_features(row))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 doc_id = row.get("id") if isinstance(row, dict) else None
                 rows_out.append(json.dumps({"doc_id": doc_id, "error": str(exc)}, sort_keys=True))
                 n_err += 1

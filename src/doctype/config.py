@@ -68,10 +68,10 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(payload)
 

@@ -12,7 +12,6 @@ import numpy as np
 from .ingest import DOC_TYPES, FEATURE_IDS, N_CLASSES, DocType
 from .labeling import LabeledExample, stratified_split
 from .models import (
-    baseline_random_predict,
     check_features,
     check_hyperparameters,
     dataset_matrix,
@@ -229,9 +228,6 @@ def cross_validate_sizes(
                 fitted = len(cuts[depth])
                 size = min(point.get(spec.size_key, fitted), fitted) if spec.ensemble else 1
                 labels.append(cuts[depth][size - 1])
-        elif kind == "baseline-random":
-            draw_seed = derive_seed(seed, f"fold-{i}-draw")
-            labels = [baseline_random_predict(model, len(fold.y_test), draw_seed)]
         else:
             labels = [predict_batch(model, fold.X_test)[0]]
         for point_reports, predictions in zip(reports, labels):

@@ -1,11 +1,7 @@
 """Baselines and trainable classifiers over feature vectors."""
 
 from .artifact import MODEL_FORMAT_VERSION, ModelArtifact
-from .baselines import (
-    FALLBACK_CLASS,
-    THRESHOLD_TEST_ORDER,
-    baseline_random_predict,
-)
+from .baselines import FALLBACK_CLASS, THRESHOLD_TEST_ORDER
 from .dispatch import (
     DEPLOYED_FOREST_PROFILE,
     KINDS,
@@ -35,7 +31,6 @@ __all__ = [
     "save_model",
     "FALLBACK_CLASS",
     "THRESHOLD_TEST_ORDER",
-    "baseline_random_predict",
     "DEPLOYED_FOREST_PROFILE",
     "check_features",
     "check_hyperparameters",

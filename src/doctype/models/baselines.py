@@ -8,6 +8,7 @@ from ..errors import ModelFormatError, TrainingError
 from ..ingest import FEATURE_IDS, N_CLASSES, DocType
 from ..ioutils import number_array
 from ..stats import ThresholdTable, derive_thresholds
+from .tree import splitmix64
 
 #: Classes are tested most-restrictive-first; unmatched vectors fall back
 #: to the majority class.
@@ -37,31 +38,33 @@ def fit_baseline_threshold(X, y, seed, hyperparameters) -> dict:
     }
 
 
-def baseline_random_predict(model, n: int, seed: int) -> list[DocType]:
-    """Draw n class labels from the stored categorical distribution."""
-    if model.kind != "baseline-random":
-        raise ValueError(f"expected a baseline-random model, got {model.kind!r}")
-    weights = RandomBaselinePredictor(model.parameters, model.seed).weights
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(N_CLASSES, size=n, p=weights)
-    return [DocType(int(v)) for v in draws]
-
-
 class RandomBaselinePredictor:
-    """Every row gets the first draw of the model seed, so ``predict`` and
-    ``predict_batch`` are deterministic and agree row by row. Only
-    cross-validation draws one label per row (baseline_random_predict)."""
+    """Weighted random guessing as a pure function of the model seed and the
+    row: a counter-based draw (Salmon et al., SC 2011). The row's float64
+    bits, column by column, are folded into a key from the seed with
+    ``splitmix64``; the hash's top 53 bits give a uniform u in [0, 1), and
+    the row is the class whose cumulative weight interval holds u. So a
+    row's label does not depend on the rows beside it, ``predict`` and
+    ``predict_batch`` agree, equal rows (``-0.0`` and ``0.0`` too) get equal
+    labels, and a class of weight 0 is never drawn. Scores are one-hot."""
 
     def __init__(self, parameters: dict, seed: int):
-        self.weights = number_array(parameters["weights"], (N_CLASSES,), "weights")
-        if abs(self.weights.sum() - 1.0) > 1e-9 or (self.weights < 0).any():
+        weights = number_array(parameters["weights"], (N_CLASSES,), "weights")
+        if abs(weights.sum() - 1.0) > 1e-9 or (weights < 0).any():
             raise ModelFormatError(f"baseline weights must sum to 1: {parameters['weights']!r}")
-        self._first_draw = int(np.random.default_rng(seed).choice(N_CLASSES, p=self.weights))
+        self._key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
+        self._bounds = np.cumsum(weights)
+        # a u at or above the rounded total goes to the last class with weight
+        self._last = int(np.flatnonzero(weights)[-1])
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        scores = np.zeros((X.shape[0], N_CLASSES))
-        scores[:, self._first_draw] = 1.0
-        return scores
+        bits = (X + 0.0).view(np.uint64)
+        h = np.repeat(self._key, len(bits))
+        for column in bits.T:
+            h = splitmix64(h ^ column)
+        u = (h >> np.uint64(11)) * 2.0**-53
+        labels = np.minimum(np.searchsorted(self._bounds, u, side="right"), self._last)
+        return np.eye(N_CLASSES)[labels]
 
 
 class ThresholdBaselinePredictor:

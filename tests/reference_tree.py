@@ -3,8 +3,8 @@
 Each node sorts every drawn feature of its own rows again (stable argsort)
 and scores the features one at a time; growth is best-first by impurity
 decrease, ties popping in node-creation order. A node draws its features
-from its path key with splitmix64 written over numpy ``uint64`` arrays,
-apart from the library's Python-int version. The library grower must give
+from its path key with its own copy of splitmix64 over numpy ``uint64``
+arrays, written apart from the library's. The library grower must give
 the same nodes, to the JSON byte, for the same arguments and key.
 """
 

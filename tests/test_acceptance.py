@@ -16,9 +16,9 @@ from doctype.ingest import DocType, FeatureVector
 from doctype.labeling import sample_size
 from doctype.models import (
     DEPLOYED_FOREST_PROFILE,
-    baseline_random_predict,
     dataset_matrix,
     predict,
+    predict_batch,
     train,
 )
 from doctype.stats import derive_thresholds, quantile, tukey_filter
@@ -103,12 +103,10 @@ class TestCriterion4BaselineOneExpectation:
         ]
         model = train("baseline-random", data)
         n = 100_000
-        predictions = baseline_random_predict(model, n, seed=424242)
+        labels, _ = predict_batch(model, np.arange(4.0 * n).reshape(n, 4))
         rng = np.random.default_rng(171717)
         truths = rng.choice(3, size=n, p=[PROPS[R], PROPS[S], PROPS[T]])
-        accuracy = sum(
-            1 for p, t in zip(predictions, truths) if int(p) == int(t)
-        ) / n
+        accuracy = float((labels == truths).mean())
         expected = sum(p * p for p in PROPS.values())  # = 0.4350
         elapsed = time.perf_counter() - started
         assert abs(accuracy - expected) <= 0.02

@@ -246,17 +246,18 @@ class TestTrainPredict:
             {"id": "b", "f1": 1, "f2": 5000, "f3": True, "f4": 500.0},
             {"id": 7, "f1": 1, "f2": 5000, "f3": 10, "f4": 500.0},
         ]
-        features.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        features.write_text("".join(json.dumps(r) + "\n" for r in rows) + "[" * 20000 + "\n")
         out = tmp_path / "predictions.jsonl"
         assert main(["predict", str(model_path), str(features), "--out", str(out)]) == 0
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert lines[0]["doc_id"] == "ok" and "doc_type" in lines[0]
-        assert lines[1:] == [
+        assert lines[1:4] == [
             {"doc_id": "a", "error": "f1 must be a finite number, got '3'"},
             {"doc_id": "b", "error": "f3 must be a finite number, got True"},
             {"doc_id": 7, "error": "id must be a string, got 7"},
         ]
-        assert "1 rows, 3 errors" in capsys.readouterr().err
+        assert lines[4]["doc_id"] is None and "recursion" in lines[4]["error"]
+        assert "1 rows, 4 errors" in capsys.readouterr().err
         # Error rows are skipped when the predictions file types a log.
         log = tmp_path / "log.jsonl"
         event = {"engine": "search", "query_id": "q", "impressions": [{"doc_id": "ok", "position": 1}]}
@@ -588,6 +589,10 @@ class TestUsage:
              '{"Research": -0.5, "Slides": 1.0, "Thesis": 0.5}'],
             ["synth", "--n", "100", "--proportions", '{"Research": 0.5}'],
             ["synth", "--n", "100", "--proportions", '{"Research": 0.9, "Slides": 0.9}'],
+            # nesting too deep for the JSON decoder
+            ["train", "LABELED", "--kind", "gnb", "--hyperparameters", "[" * 20000],
+            ["sweep", "LABELED", "--kind", "knn", "--k", "3", "--grid", "[" * 20000],
+            ["sample", "LABELED", "--total", "6", "--proportions", "[" * 20000],
         ],
     )
     def test_bad_flag_value_exits_one(self, argv, labeled_file, tmp_path, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import struct
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -30,7 +31,6 @@ from doctype.models import (
     SPECS,
     THRESHOLD_TEST_ORDER,
     ModelArtifact,
-    baseline_random_predict,
     check_hyperparameters,
     dataset_matrix,
     load_model,
@@ -40,7 +40,9 @@ from doctype.models import (
     save_model,
     train,
 )
+from doctype.models import baselines as baselines_module
 from doctype.models import knn as knn_module
+from doctype.models.baselines import RandomBaselinePredictor
 from doctype.models.knn import KnnPredictor
 from doctype.models import tree as tree_module
 from doctype.models.tree import (
@@ -170,38 +172,111 @@ def adaboost_oracle(trees: list[list[dict]], alphas: list[float], row) -> list[f
     return [v / sum(alphas) for v in acc]
 
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_int(z: int) -> int:
+    """Reference splitmix64 step over Python ints."""
+    z = (z + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_random_label(weights: list[float], seed: int, row) -> int:
+    """Reference weighted guess for one model-input row: fold each value's
+    float64 bits into the seed's key, take the top 53 bits as u, and walk
+    the cumulative weights; past the rounded total, the last weighted class."""
+    h = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    for value in row:
+        h = splitmix64_int(h ^ struct.unpack("<Q", struct.pack("<d", value + 0.0))[0])
+    u = (h >> 11) / 2**53
+    total = 0.0
+    for k, weight in enumerate(weights):
+        total += weight
+        if u < total:
+            return k
+    return max(k for k, weight in enumerate(weights) if weight > 0)
+
+
+def class_counts_dataset(counts) -> list[LabeledExample]:
+    return [
+        make_example(t, doc_id=f"{t.label}{i}") for t, n in zip(DocType, counts) for i in range(n)
+    ]
+
+
 class TestBaselineRandom:
     def test_degenerate_weights(self):
-        data = [make_example(DocType.RESEARCH, doc_id=f"r{i}") for i in range(5)]
-        model = train("baseline-random", data)
-        draws = baseline_random_predict(model, 50, seed=3)
-        assert all(d is DocType.RESEARCH for d in draws)
+        model = train("baseline-random", class_counts_dataset((5, 0, 0)))
+        labels, _ = predict_batch(model, np.array([fv.values() for fv in random_vectors(50, 3)]))
+        assert labels.tolist() == [DocType.RESEARCH] * 50
 
     def test_law_of_large_numbers(self):
-        data = (
-            [make_example(DocType.RESEARCH, doc_id=f"r{i}") for i in range(55)]
-            + [make_example(DocType.SLIDES, doc_id=f"s{i}") for i in range(10)]
-            + [make_example(DocType.THESIS, doc_id=f"t{i}") for i in range(35)]
-        )
-        model = train("baseline-random", data)
-        draws = baseline_random_predict(model, 100_000, seed=11)
-        freq = {t: sum(1 for d in draws if d is t) / len(draws) for t in DocType}
+        model = train("baseline-random", class_counts_dataset((55, 10, 35)))
+        n = 100_000
+        labels, _ = predict_batch(model, np.arange(4.0 * n).reshape(n, 4))
+        freq = np.bincount(labels, minlength=3) / n
         assert abs(freq[DocType.RESEARCH] - 0.55) < 0.01
         assert abs(freq[DocType.SLIDES] - 0.10) < 0.01
         assert abs(freq[DocType.THESIS] - 0.35) < 0.01
 
     def test_same_seed_same_sequence(self):
-        model = train("baseline-random", toy_dataset())
-        assert baseline_random_predict(model, 100, 5) == baseline_random_predict(model, 100, 5)
+        X = np.array([fv.values() for fv in random_vectors(100, seed=5)])
+        first, again, other = (
+            predict_batch(train("baseline-random", toy_dataset(), seed=seed), X)[0]
+            for seed in (5, 5, 6)
+        )
+        assert first.tolist() == again.tolist()
+        assert first.tolist() != other.tolist()
 
-    def test_predict_batch_gives_every_row_the_seed_first_draw(self):
-        # only cross-validation draws per row; a model answers one label
-        model = train("baseline-random", toy_dataset(10, seed=2), seed=9)
-        first = DocType(int(np.random.default_rng(9).choice(3, p=model.parameters["weights"])))
-        queries = random_vectors(20, seed=1)
-        labels, _ = predict_batch(model, np.array([fv.values() for fv in queries], dtype=float))
-        assert labels.tolist() == [first] * len(queries)
-        assert [predict(model, fv)[0] for fv in queries] == [first] * len(queries)
+    def test_draw_matches_scalar_reference(self):
+        rows = [fv.values() for fv in random_vectors(200, seed=1)] + [
+            (0.0, -0.0, 1e300, -5e-324), (1.0, 2.0, 3.0, 4.0)
+        ]
+        for counts, seed in [((55, 10, 35), 9), ((0, 3, 1), 2**70), ((4, 4, 0), 0)]:
+            model = train("baseline-random", class_counts_dataset(counts), seed=seed)
+            labels, scores = predict_batch(model, np.array(rows))
+            weights = model.parameters["weights"]
+            assert labels.tolist() == [reference_random_label(weights, seed, r) for r in rows]
+            assert (scores == np.eye(3)[labels]).all()
+
+    def test_weight_zero_class_never_drawn_at_the_ends(self):
+        # u = 0 and u = 1 - 2**-53 are the extreme hashes; a total rounded
+        # below 1 leaves a gap at the top that goes to the last weighted class
+        X = np.zeros((1, 4))
+        for weights, hashed, expected in [
+            ([0.0, 0.5, 0.5], 0, 1),
+            ([0.5, 0.5, 0.0], MASK64, 1),
+            ([0.3, 0.3, 0.4 - 1e-10], MASK64, 2),
+            ([0.5, 0.5 - 1e-10, 0.0], MASK64, 1),
+            ([0.0, 0.0, 1.0], 0, 2),
+        ]:
+            predictor = RandomBaselinePredictor({"weights": weights}, 1)
+            with patch.object(baselines_module, "splitmix64", lambda z: np.full_like(z, hashed)):
+                assert predictor.scores_matrix(X).argmax(axis=1).tolist() == [expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counts=st.tuples(*[st.integers(0, 3)] * 3).filter(any),
+        seed=st.integers(0, 2**70),
+        rows=st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * 4), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    def test_label_is_a_function_of_the_row(self, counts, seed, rows, data):
+        """Alone, in any batch and in any order a row gets one label; equal
+        rows, -0.0 against 0.0 included, get equal labels; and no class of
+        weight 0 is drawn."""
+        model = train("baseline-random", class_counts_dataset(counts), seed=seed)
+        X = np.array(rows)
+        labels = predict_batch(model, X)[0]
+        assert all(counts[label] for label in labels)
+        for i in range(len(X)):
+            assert predict_batch(model, X[i : i + 1])[0].tolist() == [labels[i]]
+        order = data.draw(st.permutations(range(len(X))))
+        assert predict_batch(model, X[order])[0].tolist() == labels[order].tolist()
+        signs_flipped = np.where(X == 0, -X, X)
+        both = predict_batch(model, np.concatenate([X, signs_flipped]))[0]
+        assert both.tolist() == labels.tolist() * 2
 
 
 def threshold_label(table: ThresholdTable, fv: FeatureVector) -> DocType:

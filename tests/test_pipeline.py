@@ -162,14 +162,19 @@ class TestConfig:
             ({"sweep": {"kinds": ["gnb", "gnb"]}}, "sweep.kinds must not repeat an entry, got ['gnb', 'gnb']"),
             ({"sweep": {"transforms": ["z-score", "z-score"]}}, "sweep.transforms must not repeat an entry"),
             ({"sweep": {"grids": {"knn": [{"k": 1}]}}}, "sweep grid for knn: knn is not in sweep.kinds"),
+            # files that are not a JSON document; PATH is the config's path
+            pytest.param(b"[" * 20000, "config PATH is not valid JSON: maximum recursion depth",
+                         id="nested-20000-deep"),
+            pytest.param(b'{"seed": "\xff"}', "cannot read config PATH: 'utf-8' codec can't decode",
+                         id="not-utf-8"),
         ],
     )
     def test_bad_config_value_exits_one(self, payload, message, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(payload))
+        path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
         with pytest.raises(ConfigError) as err:
-            config_from_dict(payload)
-        assert message in str(err.value)
+            load_config(path)
+        assert message.replace("PATH", str(path)) in str(err.value)
         assert main(["pipeline", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {err.value}\n"
 
