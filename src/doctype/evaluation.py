@@ -16,7 +16,6 @@ from .models import (
     check_hyperparameters,
     dataset_matrix,
     kind_spec,
-    model_size,
     nested_keys,
     predict_batch,
     prefix_labels,
@@ -200,9 +199,9 @@ def cross_validate_sizes(
     and replaces them in ``hyperparameters``. Each fold fits once, at each
     key's largest value in ``nested`` (``null``, an unbounded depth, is the
     largest), and scores every point from that fit's one predictor
-    (``models.prefix_labels``): its size as the first members, capped at an
-    early stop, and its ``max_depth`` as a depth cut. ``None`` gives the one
-    result of ``hyperparameters`` as they are, for any kind.
+    (``models.prefix_labels``): its size as the first members, capped at the
+    fit's own size, and its ``max_depth`` as a depth cut. ``None`` gives the
+    one result of ``hyperparameters`` as they are, for any kind.
     """
     spec, fit_hyperparameters = kind_spec(kind), dict(hyperparameters or {})
     if nested is not None:
@@ -301,10 +300,9 @@ def sweep(
     ``max_leaf_nodes`` budget is set) form a family, cross-validated by one
     ``cross_validate_sizes`` call: one fit per fold at the family's largest
     values scores every point. A kind that nests nothing runs each point on
-    its own. An order-invariant kind is swept on raw values only: a tree
-    splits on ``x <= v`` at training values, so a transform that keeps each
-    feature's order cannot change it. Each of its grid points is listed
-    once, as ``identity``, whatever ``transforms`` holds.
+    its own. A ``raw_only`` kind (``models.Kind``: the tree kinds and
+    ``baseline-random``) is swept on raw values only. Each of its grid
+    points is listed once, as ``identity``, whatever ``transforms`` holds.
 
     Among equal mean F1 the smaller model wins (``_rank``), then the
     earlier entry.
@@ -320,7 +318,7 @@ def sweep(
             raise ValueError(f"unknown transform kind: {transform!r}")
     for point in grid:
         check_hyperparameters(kind, point)
-    if kind_spec(kind).order_invariant:
+    if kind_spec(kind).raw_only:
         transforms = ("identity",)
     if folds is None:
         folds = _cv_folds(dataset, k, seed)
@@ -367,7 +365,9 @@ def _split_nested(kind: str, point: dict) -> tuple[dict, dict]:
 def _rank(kind: str, hyperparameters: dict) -> float:
     """Tie-break size: the size hyperparameter, its default when omitted,
     ``inf`` when null (an unbounded depth); 0 for kinds without a size."""
-    size = model_size(kind, hyperparameters) if kind_spec(kind).size_key else 0
+    spec = kind_spec(kind)
+    default = spec.hyperparameters[spec.size_key][2] if spec.size_key else 0
+    size = hyperparameters.get(spec.size_key, default)
     return math.inf if size is None else size
 
 

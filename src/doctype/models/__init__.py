@@ -11,7 +11,6 @@ from .dispatch import (
     dataset_matrix,
     kind_spec,
     load_model,
-    model_size,
     nested_keys,
     predict,
     predict_batch,
@@ -27,7 +26,6 @@ __all__ = [
     "ModelArtifact",
     "kind_spec",
     "load_model",
-    "model_size",
     "save_model",
     "FALLBACK_CLASS",
     "THRESHOLD_TEST_ORDER",

@@ -19,7 +19,8 @@ class ModelArtifact:
     """A trained model: kind, fitted transform, parameters, and provenance.
 
     ``imputer`` fills a missing f1 before the transform; it is None exactly
-    when f1 is not one of ``features``.
+    when f1 is not one of ``features``. The predictor, built on first use,
+    is not copied by ``dataclasses.replace``.
     """
 
     kind: str
@@ -28,7 +29,7 @@ class ModelArtifact:
     seed: int
     features: tuple[str, ...] = FEATURE_IDS
     imputer: Imputer | None = None
-    _predictor: object = field(default=None, repr=False, compare=False)
+    _predictor: object = field(default=None, init=False, repr=False, compare=False)
 
     def to_json(self) -> str:
         payload = {

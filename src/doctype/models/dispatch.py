@@ -50,18 +50,21 @@ class Kind:
     parameters: it raises on any value it cannot score with.
     ``hyperparameters`` maps each key the kind takes to ``(accepts,
     expected, default)``. ``size_key`` names the hyperparameter that sets
-    the model's size. An ``ensemble`` model of size s is the first s
-    members of any larger fit on the same data and seed (``prefix_labels``).
+    the model's size. An ``ensemble`` model's predictor scores each size s
+    up to its own as the fit at size s does (``prefix_labels``): by its
+    first s trees or rounds, or for kNN by each row's s nearest neighbours.
     ``nested`` names the keys that nest: one fit at their largest values
     scores every smaller value through ``prefix_labels``. They are an
     ensemble's size and, for the kinds whose tree fitted at depth d is a
     deeper fit cut at d, ``max_depth``. That holds only without a
     ``max_leaf_nodes`` budget, which spends its splits in best-first order
     across depths (``nested_keys``).
-    An ``order_invariant`` kind's fit and predictions depend on each
-    feature's value order only (see ``models.tree``), so ``sweep`` runs it
-    on raw values only. An ``every_class`` kind needs every class in its
-    training rows. ``grid`` is the default sweep grid.
+    ``sweep`` runs a ``raw_only`` kind on raw values only: a tree kind
+    depends on each feature's value order only (``models.tree``), which
+    the transforms keep, and a transform only redraws ``baseline-random``'s
+    hashed labels, so a sweep would pick the luckiest draw. An
+    ``every_class`` kind needs every class in its training rows. ``grid``
+    is the default sweep grid.
     """
 
     fit: Callable
@@ -70,7 +73,7 @@ class Kind:
     size_key: str | None = None
     ensemble: bool = False
     nested: tuple[str, ...] = ()
-    order_invariant: bool = False
+    raw_only: bool = False
     every_class: bool = False
     grid: tuple[dict, ...] = ({},)
 
@@ -98,7 +101,8 @@ _TREE_HYPERPARAMETERS = {
 #: The one definition of each model kind, in the order the toolkit lists them.
 SPECS = {
     "baseline-random": Kind(
-        fit_baseline_random, lambda m: RandomBaselinePredictor(m.parameters, m.seed), {}
+        fit_baseline_random, lambda m: RandomBaselinePredictor(m.parameters, m.seed), {},
+        raw_only=True,
     ),
     "baseline-threshold": Kind(
         fit_baseline_threshold, lambda m: ThresholdBaselinePredictor(m.parameters, m.features),
@@ -107,12 +111,12 @@ SPECS = {
     "gnb": Kind(fit_gnb, lambda m: GnbPredictor(m.parameters, len(m.features)), {}),
     "knn": Kind(
         fit_knn, lambda m: KnnPredictor(m.parameters, len(m.features)),
-        {"k": _integer(1, 5)}, "k",
+        {"k": _integer(1, 5)}, "k", ensemble=True, nested=("k",),
         grid=tuple({"k": k} for k in (1, 3, 5, 7)),
     ),
     "decision-tree": Kind(
         fit_decision_tree, lambda m: ForestPredictor([m.parameters["nodes"]], len(m.features)),
-        _TREE_HYPERPARAMETERS, "max_depth", nested=("max_depth",), order_invariant=True,
+        _TREE_HYPERPARAMETERS, "max_depth", nested=("max_depth",), raw_only=True,
         grid=tuple({"max_depth": d} for d in (2, 3, 4)),
     ),
     "random-forest": Kind(
@@ -123,13 +127,13 @@ SPECS = {
             "bootstrap": (lambda v: isinstance(v, bool), "true or false", True),
             "feature_subset": _integer(1, 2),
         },
-        "n_trees", ensemble=True, nested=("n_trees", "max_depth"), order_invariant=True,
+        "n_trees", ensemble=True, nested=("n_trees", "max_depth"), raw_only=True,
         grid=tuple({"n_trees": t, "max_depth": d} for t, d in product((5, 10, 20), (2, 3, 4))),
     ),
     "adaboost": Kind(
         fit_adaboost, lambda m: adaboost_predictor(m.parameters, len(m.features)),
         {"rounds": _integer(1, 25), "max_depth": _integer(0, 2), "min_leaf_size": _integer(1, 1)},
-        "rounds", ensemble=True, nested=("rounds",), order_invariant=True, every_class=True,
+        "rounds", ensemble=True, nested=("rounds",), raw_only=True, every_class=True,
         grid=tuple({"rounds": r, "max_depth": d} for r, d in product((10, 25, 50), (1, 2))),
     ),
     "linear-svm": Kind(
@@ -147,12 +151,6 @@ def kind_spec(kind: str) -> Kind:
     if kind not in KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
     return SPECS[kind]
-
-
-def model_size(kind: str, hyperparameters: Mapping):
-    """The value of ``kind``'s size hyperparameter, its default when omitted."""
-    spec = kind_spec(kind)
-    return hyperparameters.get(spec.size_key, spec.hyperparameters[spec.size_key][2])
 
 
 def nested_keys(kind: str, hyperparameters: Mapping) -> tuple[str, ...]:
@@ -211,7 +209,8 @@ def train(
     has already built it; it is read, never written. When f1 is a feature,
     an ``Imputer`` fitted on these rows fills their missing f1 and goes
     into the model, which fills unseen rows the same way. A value the
-    transform makes not finite raises TrainingError naming the example.
+    transform makes not finite raises TrainingError naming the example, as
+    do parameters the model's predictor cannot use (an overflowed fit).
     """
     spec = kind_spec(kind)
     if not dataset:
@@ -235,16 +234,14 @@ def train(
         row, what = bad
         raise TrainingError(f"example {dataset[row].id}: {what}")
     defaults = {key: default for key, (_, _, default) in spec.hyperparameters.items()}
-    parameters = spec.fit(Xt, y, seed, {**defaults, **hyperparameters})
-
-    return ModelArtifact(
-        kind=kind,
-        transform=transform_spec,
-        parameters=parameters,
-        seed=seed,
-        features=features,
-        imputer=imputer,
-    )
+    with np.errstate(all="ignore"):  # an overflow fails in the predictor, with its reason
+        parameters = spec.fit(Xt, y, seed, {**defaults, **hyperparameters})
+    model = ModelArtifact(kind, transform_spec, parameters, seed, features, imputer)
+    try:
+        _predictor(model)
+    except ModelFormatError as exc:
+        raise TrainingError(f"{kind} fit gave unusable parameters: {exc.__cause__ or exc}") from exc
+    return model
 
 
 def _predictor(model: ModelArtifact):

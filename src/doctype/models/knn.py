@@ -1,4 +1,5 @@
-"""k-nearest-neighbours over the stored (transformed) training set."""
+"""k-nearest-neighbours over the stored (transformed) training set, scored
+as an ensemble of each row's neighbours: prefix s is the s-NN model."""
 
 from __future__ import annotations
 
@@ -32,29 +33,38 @@ class KnnPredictor:
         k, train_y = parameters["k"], parameters["train_y"]
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ModelFormatError(f"knn k must be an integer >= 1, got {k!r}")
-        self.train_x = number_array(parameters["train_x"], (None, n_features), "train_x")
-        if len(train_y) != len(self.train_x) or not all(
+        train_x = number_array(parameters["train_x"], (None, n_features), "train_x")
+        if len(train_y) != len(train_x) or not all(
             type(v) is int and 0 <= v < N_CLASSES for v in train_y
         ):
-            raise ValueError(f"train_y must be {len(self.train_x)} class codes")
+            raise ValueError(f"train_y must be {len(train_x)} class codes")
+        self.columns = train_x.T.copy()  # each feature's values contiguous
         self.train_y = np.asarray(train_y, dtype=int)
         self.k = min(k, len(self.train_y))
-        self._is_class = self.train_y == np.arange(N_CLASSES)[:, None]
 
-    def scores_matrix(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros((X.shape[0], N_CLASSES))
+    def prefix_scores(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:
+        """Prefix s holds each row's vote fractions over its first s neighbours
+        by (squared distance, training row), shape (k, rows, classes). Only
+        a tree has a ``depth``."""
+        neighbours = np.empty((X.shape[0], self.k), dtype=int)
         for start in range(0, X.shape[0], _CHUNK_ROWS):
             chunk = X[start : start + _CHUNK_ROWS]
             # squared distances added in feature order, the same rounding for any chunk
-            d2 = (chunk[:, :1] - self.train_x[:, 0]) ** 2
+            d2 = (chunk[:, :1] - self.columns[0]) ** 2
             for j in range(1, X.shape[1]):
-                d2 += (chunk[:, j : j + 1] - self.train_x[:, j]) ** 2
+                d2 += (chunk[:, j : j + 1] - self.columns[j]) ** 2
             kth = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1 : self.k]
-            # every row nearer than the k-th distance, then the earliest rows at it
-            nearer = d2 < kth
-            at_kth = d2 == kth
-            room = self.k - nearer.sum(axis=1, keepdims=True)
-            chosen = nearer | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
-            for c in range(N_CLASSES):
-                votes[start : start + len(chunk), c] = (chosen & self._is_class[c]).sum(axis=1)
-        return votes / votes.sum(axis=1, keepdims=True)
+            chosen = d2 <= kth
+            if np.count_nonzero(chosen) > chosen.shape[0] * self.k:
+                # rows tie at the k-th distance: keep the earliest that fit
+                at_kth, room = d2 == kth, self.k - (d2 < kth).sum(axis=1, keepdims=True)
+                chosen &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room)
+            rows = np.flatnonzero(chosen).reshape(-1, self.k) % len(self.train_y)
+            # a stable sort of rows in training order breaks distance ties by row
+            order = np.argsort(np.take_along_axis(d2, rows, axis=1), axis=1, kind="stable")
+            neighbours[start : start + len(chunk)] = np.take_along_axis(rows, order, axis=1)
+        votes = np.eye(N_CLASSES)[self.train_y[neighbours.T]].cumsum(axis=0)
+        return votes / np.arange(1, self.k + 1)[:, None, None]
+
+    def scores_matrix(self, X: np.ndarray) -> np.ndarray:
+        return self.prefix_scores(X)[-1]

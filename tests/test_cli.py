@@ -174,8 +174,9 @@ class TestSampleSize:
 
 class TestTrainPredict:
     def test_train_writes_no_model_that_cannot_load(self, labeled_file, tmp_path, monkeypatch, capsys):
-        # a baseline-random model with a negative seed trains but cannot be scored
-        unloadable = train("baseline-random", toy_dataset(10, seed=2), seed=-1)
+        # a baseline-random model with a negative seed cannot be scored
+        model = train("baseline-random", toy_dataset(10, seed=2))
+        unloadable = dataclasses.replace(model, seed=-1)
         monkeypatch.setattr(cli, "train", lambda *args: unloadable)
         out = tmp_path / "model.json"
         argv = ["train", str(labeled_file), "--kind", "baseline-random", "--out", str(out)]
@@ -291,21 +292,44 @@ class TestTrainPredict:
         assert "Traceback" not in err
         assert not model_path.exists()
 
-    @pytest.mark.parametrize("kind", ["knn", "gnb", "random-forest"])
-    def test_value_not_finite_after_transform_exit_two_without_model(self, kind, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "kind, flags, f2, error",
+        [
+            *(
+                pytest.param(
+                    kind, ["--transform", "log-scale"], [-5],
+                    "example synth-000003: feature f2 = -5.0 "
+                    "is not finite after the log-scale transform",
+                    id=kind,
+                )
+                for kind in ("knn", "gnb", "random-forest")
+            ),
+            # a fit that overflows gives parameters its predictor rejects
+            pytest.param(
+                "linear-svm", ["--hyperparameters", '{"step": 1e308}'], [],
+                "linear-svm fit gave unusable parameters: weights must be 3 x 4 finite numbers",
+                id="linear-svm-overflow",
+            ),
+            pytest.param(
+                "gnb", [], [1.5e308, 1.6e308],
+                "gnb fit gave unusable parameters: means must be 3 x 4 finite numbers",
+                id="gnb-overflow",
+            ),
+        ],
+    )
+    def test_value_not_finite_after_transform_exit_two_without_model(
+        self, kind, flags, f2, error, tmp_path, capsys
+    ):
         src = tmp_path / "synth.jsonl"
         assert main(["synth", "--n", "60", "--seed", "2", "--out", str(src)]) == 0
         rows = [json.loads(line) for line in src.read_text().splitlines()]
-        rows[3]["f2"] = -5
+        for row, value in zip(rows[3:], f2):
+            row["f2"] = value
         src.write_text("".join(json.dumps(row) + "\n" for row in rows))
         model_path = tmp_path / "model.json"
-        argv = ["train", str(src), "--kind", kind, "--transform", "log-scale", "--out", str(model_path)]
+        argv = ["train", str(src), "--kind", kind, *flags, "--out", str(model_path)]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err == (
-            f"error: example {rows[3]['id']}: feature f2 = -5.0 "
-            "is not finite after the log-scale transform\n"
-        )
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not model_path.exists()
 
     def test_undecodable_features_line_gives_error_row(self, labeled_file, tmp_path, capsys):

@@ -26,7 +26,7 @@ from doctype.evaluation import (
 from doctype.errors import TrainingError
 from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
 from doctype.labeling import LabeledExample, stratified_split
-from doctype.models import KINDS, dataset_matrix, predict_batch, train
+from doctype.models import KINDS, SPECS, dataset_matrix, predict_batch, train
 from doctype.models.tree import ForestPredictor
 from doctype.seeding import derive_seed
 from doctype.stats import TRANSFORM_KINDS, TransformSpec, derive_thresholds
@@ -320,7 +320,12 @@ def count_fold_loops(monkeypatch) -> list:
 
 
 #: The documented tie-break size per kind: (size key, default when omitted).
-TIE_SIZES = {"random-forest": ("n_trees", 10), "adaboost": ("rounds", 25), "decision-tree": ("max_depth", None)}
+TIE_SIZES = {
+    "random-forest": ("n_trees", 10),
+    "adaboost": ("rounds", 25),
+    "decision-tree": ("max_depth", None),
+    "knn": ("k", 5),
+}
 
 
 def tie_size(kind, point) -> float:
@@ -353,8 +358,11 @@ def brute_force_sweep(kind, data, grid, transforms, k, seed, folds):
 #: Per kind, a grid and its family count. Ensemble families of three sizes
 #: are listed out of order, with an omitted size (the default) and a point
 #: that differs in another key. ``max_depth`` nests for the decision tree
-#: and the random forest, so their depths share a family.
+#: and the random forest, so their depths share a family. A kNN family is
+#: fitted once per transform. Its folds train on 43 to 46 rows, so k = 60
+#: is clamped in every fold and k = 45 in some.
 SHARING_GRIDS = {
+    "knn": ([{"k": 3}, {"k": 60}, {"k": 1}, {}, {"k": 45}, {"k": 3}], 1),
     "decision-tree": ([{"max_depth": 2}, {"max_depth": None}, {"max_depth": 1}, {}], 1),
     "random-forest": (
         [
@@ -401,11 +409,12 @@ class TestSweepSharing:
         data = noisy_dataset(seed, blank_f1)
         folds = stratified_split(data, 4, 0.0, seed).test_folds
         grid, n_families = SHARING_GRIDS[kind]
-        # tree kinds are swept on raw values only, whatever the transforms
-        cells, best = brute_force_sweep(kind, data, grid, ("identity",), 4, seed, folds)
+        # raw-only kinds (the tree kinds) are swept on raw values only, whatever the transforms
+        transforms = ("identity",) if SPECS[kind].raw_only else TRANSFORM_KINDS
+        cells, best = brute_force_sweep(kind, data, grid, transforms, 4, seed, folds)
         calls = count_fold_loops(monkeypatch)
         result = sweep(kind, data, grid=grid, transforms=TRANSFORM_KINDS, k=4, seed=seed, folds=folds)
-        assert len(calls) == n_families
+        assert len(calls) == n_families * len(transforms)
         assert result.best_index == best
         assert len(result.entries) == len(cells)
         for entry, (point, transform, expected) in zip(result.entries, cells):
@@ -500,11 +509,26 @@ class TestSweepSharing:
                 kind, prepare_folds(folds), {"max_leaf_nodes": 3}, [{"max_depth": 2}]
             )
 
-    @pytest.mark.parametrize("kind, grid", [("knn", [{"k": 1}, {"k": 3}]), ("gnb", [{}])])
+    @pytest.mark.parametrize("kind, grid", [("linear-svm", [{"epochs": 5}, {"epochs": 9}]), ("gnb", [{}])])
     def test_other_kinds_cross_validate_every_cell(self, kind, grid, monkeypatch):
         calls = count_fold_loops(monkeypatch)
         sweep(kind, toy_dataset(10, seed=3), grid=grid, k=3)
         assert len(calls) == len(grid) * len(TRANSFORM_KINDS)
+
+    def test_default_knn_sweep_fits_once_per_transform_and_fold(self, monkeypatch):
+        calls, fitted = count_fold_loops(monkeypatch), []
+        real = evaluation.train
+
+        def counted(kind, rows, hyperparameters, *args, **kwargs):
+            fitted.append((kind, hyperparameters["k"], args[1]))
+            return real(kind, rows, hyperparameters, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train", counted)
+        result = sweep("knn", noisy_dataset(4, blank_f1=False), k=3, seed=2)
+        # every k of a transform is scored from one 7-NN fit per fold
+        assert calls == ["knn"] * len(TRANSFORM_KINDS)
+        assert sorted(fitted) == sorted(("knn", 7, t) for t in TRANSFORM_KINDS for _ in range(3))
+        assert len(result.entries) == len(default_grid("knn")) * len(TRANSFORM_KINDS)
 
     def test_bad_point_fails_before_any_cross_validation(self, monkeypatch):
         calls = count_fold_loops(monkeypatch)

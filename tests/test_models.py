@@ -463,10 +463,14 @@ class TestKnn:
         original = knn_module._CHUNK_ROWS
         knn_module._CHUNK_ROWS = chunk
         try:
-            got = predictor.scores_matrix(X)
+            got, prefixes = predictor.scores_matrix(X), predictor.prefix_scores(X)
         finally:
             knn_module._CHUNK_ROWS = original
         assert np.array_equal(got, knn_argsort_scores(train_x, train_y, k, X))
+        # prefix s is the s-NN model, up to the clamped k
+        assert len(prefixes) == min(k, len(train_rows))
+        for s, prefix in enumerate(prefixes, 1):
+            assert np.array_equal(prefix, knn_argsort_scores(train_x, train_y, s, X)), s
 
 
 class TestDecisionTree:
@@ -702,19 +706,23 @@ oracle_data = st.one_of(
 def first_members(model: ModelArtifact, size: int) -> ModelArtifact:
     """The model of ``model``'s first ``size`` ensemble members."""
     parameters = {name: members[:size] for name, members in model.parameters.items()}
-    return replace(model, parameters=parameters, _predictor=None)
+    return replace(model, parameters=parameters)
 
 
-#: (kind, hyperparameters without the size) of the two ensemble kinds.
-ensemble_fits = st.one_of(
-    st.fixed_dictionaries({
+#: Per ensemble kind, its hyperparameters without the size.
+ENSEMBLE_HYPERPARAMETERS = {
+    "random-forest": st.fixed_dictionaries({
         "bootstrap": st.booleans(),
         "feature_subset": st.integers(1, 4),
         "class_weight": st.sampled_from([None, "balanced"]),
         "max_depth": st.one_of(st.none(), st.integers(0, 4)),
         "max_leaf_nodes": st.one_of(st.none(), st.integers(1, 6)),
-    }).map(lambda hp: ("random-forest", hp)),
-    st.integers(0, 3).map(lambda depth: ("adaboost", {"max_depth": depth})),
+    }),
+    "adaboost": st.fixed_dictionaries({"max_depth": st.integers(0, 3)}),
+    "knn": st.just({}),
+}
+ensemble_fits = st.sampled_from(sorted(ENSEMBLE_HYPERPARAMETERS)).flatmap(
+    lambda kind: ENSEMBLE_HYPERPARAMETERS[kind].map(lambda hp: (kind, hp))
 )
 
 
@@ -782,7 +790,7 @@ class TestEnsemblePrefixes:
             assert first_members(full, rounds).to_json() == direct.to_json()
             assert prefixes[0].tolist() == predict_batch(direct, X)[0].tolist()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=90, deadline=None)
     @given(
         data=oracle_data,
         size=st.integers(1, 8),
@@ -799,17 +807,22 @@ class TestEnsemblePrefixes:
         except TrainingError:
             return
         prefixes = prefix_labels(full, X)
-        assert prefixes.shape == (len(full.parameters["trees"]), len(rows))
+        # an early stop or a small training set gives fewer prefixes
+        assert 1 <= len(prefixes) <= size and prefixes.shape == (len(prefixes), len(rows))
         for s in range(1, size + 1):
             direct = train(kind, data, {**hp, size_key: s}, seed, transform)
             expected, _ = predict_batch(direct, X)
             assert prefixes[min(s, len(prefixes)) - 1].tolist() == expected.tolist(), s
 
+    def test_every_ensemble_kind_is_drawn(self):
+        # a kind that claims to nest is checked by the prefix property test
+        assert set(ENSEMBLE_HYPERPARAMETERS) == {kind for kind in KINDS if SPECS[kind].ensemble}
+
     def test_other_kinds_rejected(self):
         data = toy_dataset(5, seed=1)
         X = dataset_matrix(data)[0]
         with pytest.raises(ValueError, match="not an ensemble"):
-            prefix_labels(train("knn", data, {"k": 1}), X)
+            prefix_labels(train("linear-svm", data, {"epochs": 5}), X)
         # boosting rounds reweight rows by the rounds before, at their depth
         with pytest.raises(ValueError, match="adaboost does not nest max_depth"):
             prefix_labels(train("adaboost", data, {"rounds": 2}), X, 1)
@@ -1214,7 +1227,9 @@ class TestSerialization:
 
     def test_model_that_cannot_load_leaves_no_file(self, tmp_path):
         # baseline-random draws from its seed when its predictor is built
-        model = train("baseline-random", toy_dataset(10, seed=20), seed=-1)
+        with pytest.raises(TrainingError, match="baseline-random fit gave unusable parameters"):
+            train("baseline-random", toy_dataset(10, seed=20), seed=-1)
+        model = replace(train("baseline-random", toy_dataset(10, seed=20)), seed=-1)
         with pytest.raises(ModelFormatError, match="malformed baseline-random parameters"):
             save_model(model, tmp_path / "model.json")
         assert list(tmp_path.iterdir()) == []
