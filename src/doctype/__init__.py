@@ -14,6 +14,7 @@ from .ingest import (
     DocType,
     DocumentRecord,
     FeatureVector,
+    count_words,
     extract_features,
     parse_records,
     tokenize,

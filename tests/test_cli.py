@@ -10,6 +10,7 @@ import pytest
 from doctype import cli
 from doctype.cli import _build_parser, main
 from doctype.config import RunConfig
+from doctype.ingest import tokenize
 from doctype.labeling import read_examples
 from doctype.models import load_model, train
 
@@ -108,6 +109,16 @@ class TestExtract:
         assert out.read_text() == ""
         assert "warning" in capsys.readouterr().err
 
+    def test_lone_surrogate_in_page_text(self, tmp_path, capsys):
+        page = "a\ud800b \udfff c-\udbff"
+        src = tmp_path / "records.jsonl"
+        write_records(src, [record_row("s", pages=(page, "\ud800"))])
+        assert '"a\\ud800b \\udfff c-\\udbff"' in src.read_text()
+        out = tmp_path / "features.jsonl"
+        assert main(["extract", str(src), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["f2"] == len(tokenize(page)) == 2
+        assert capsys.readouterr().err == "extract: 1 records, 0 skipped\n"
+
     def test_unreadable_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
         assert main(["extract", str(missing), "--out", str(tmp_path / "o")]) == 2
@@ -150,6 +161,54 @@ class TestLabelAndSample:
             ]
         )
         assert code == 1
+
+
+def with_byte_order_mark(path):
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return path
+
+
+class TestByteOrderMark:
+    """Every line-delimited input accepts a UTF-8 byte order mark before line 1."""
+
+    @pytest.mark.parametrize("command", ["extract", "label"])
+    def test_records(self, command, records_file, tmp_path, capsys):
+        plain = tmp_path / "plain.jsonl"
+        assert main([command, str(records_file), "--out", str(plain)]) == 0
+        marked = tmp_path / "marked.jsonl"
+        with_byte_order_mark(records_file)
+        assert main([command, str(records_file), "--out", str(marked)]) == 0
+        assert marked.read_bytes() == plain.read_bytes()
+        assert capsys.readouterr().err.count(" 3 ") == 2
+
+    def test_labeled_rows(self, labeled_file, tmp_path):
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        argv = ["sample", str(labeled_file), "--total", "30", "--out"]
+        assert main([*argv, str(plain)]) == 0
+        with_byte_order_mark(labeled_file)
+        assert main([*argv, str(marked)]) == 0
+        assert marked.read_bytes() == plain.read_bytes()
+        assert len(plain.read_text().splitlines()) == 30
+
+    @pytest.mark.parametrize("marked", [("log",), ("predictions",), ("log", "predictions")])
+    def test_click_log_and_predictions(self, marked, tmp_path, capsys):
+        line = {
+            "engine": "search",
+            "query_id": "q1",
+            "impressions": [{"doc_id": "a", "position": 1}],
+            "clicks": [{"doc_id": "a", "position": 1}],
+        }
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(line) + "\n")
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text(json.dumps({"doc_id": "a", "doc_type": "Thesis", "scores": {}}) + "\n")
+        for name in marked:
+            with_byte_order_mark(tmp_path / f"{name}.jsonl")
+        out = tmp_path / "report.json"
+        code = main(["engagement", str(log), "--predictions", str(predictions), "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["engines"]["search"]["types"]["Thesis"]["qtctr_any"] == 1.0
+        assert capsys.readouterr().err == "engagement: 1 events, 0 rejected\n"
 
 
 class TestSampleSize:

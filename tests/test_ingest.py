@@ -5,11 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from doctype import ingest
 from doctype.errors import IngestError
 from doctype.ingest import (
     DocType,
     DocumentRecord,
+    count_words,
     extract_features,
     parse_records,
     tokenize,
@@ -74,6 +78,58 @@ class TestTokenize:
         assert tokenize(text) == tokenize(text)
 
 
+#: Every code point that ``str.split()`` splits on.
+SPACES = tuple(c for c in map(chr, range(0x110000)) if c.isspace())
+#: Characters at the edges of the class table: whitespace, the underscore
+#: (a word character but not alphanumeric), lone surrogates, combining marks,
+#: non-BMP alphanumerics and format characters.
+TRICKY = SPACES + (
+    "_", "\ud800", "\udbff", "\udc00", "\udfff", "\u0301", "\u20dd", "\u0903",
+    "\U0001D7D8", "\U00010400", "\U0001F600", "\ufeff", "\u200b", "a", "7", "-", ",",
+)
+texts = st.one_of(st.text(), st.text(alphabet=st.one_of(st.sampled_from(TRICKY), st.characters())))
+
+
+class TestCountWords:
+    def test_every_space_character_is_one(self):
+        assert len(SPACES) == 29
+        assert {"\x1c", "\x1f", "\x85", "\xa0", "\u3000"} <= set(SPACES)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=texts)
+    def test_matches_tokenize(self, text):
+        assert count_words(text) == len(tokenize(text))
+
+    @pytest.mark.parametrize(
+        "text, count",
+        [
+            ("", 0), ("   ", 0), ("a", 1), (" a ", 1), ("-- a, b! --", 2), ("_ __ _a_", 1),
+            ("a\ud800b \udfff", 1), ("x\u3000y\x1cz\x85w", 4), ("\U0001D7D8\u0301 \u0301", 1),
+        ],
+    )
+    def test_hand_counted(self, text, count):
+        assert count_words(text) == len(tokenize(text)) == count
+
+    def test_independent_of_what_the_table_saw_first(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        alphabet = np.array(TRICKY + tuple("ab, (x) 12"))
+        samples = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 60)))) for _ in range(200)]
+        warm = [count_words(text) for text in samples]
+        for order in (samples, samples[::-1]):
+            monkeypatch.setattr(ingest, "_CLASSES", np.zeros(0x110000, np.uint8))
+            counts = [count_words(text) for text in order]
+            assert counts == (warm if order is samples else warm[::-1])
+        for text in samples[:20]:
+            monkeypatch.setattr(ingest, "_CLASSES", np.zeros(0x110000, np.uint8))
+            assert count_words(text) == len(tokenize(text))
+
+    def test_classifies_on_first_sight_only(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_CLASSES", np.zeros(0x110000, np.uint8))
+        assert count_words("ab \u3000-\U0001D7D8") == 2
+        seen = set(np.flatnonzero(ingest._CLASSES).tolist())
+        assert seen == {ord(c) for c in "ab \u3000-\U0001D7D8"}
+
+
 class TestExtractFeatures:
     def test_hand_counted_example(self):
         rec = DocumentRecord("r", ("a", "b"), "t", (), ("one two", "three"))
@@ -108,6 +164,17 @@ class TestExtractFeatures:
             assert abs(fv.f4_words_per_page * fv.f3_pages - fv.f2_total_words) <= 1e-9 * max(
                 1, fv.f2_total_words
             )
+
+    def test_word_count_is_a_python_int(self):
+        fv = extract_features(DocumentRecord("r", ("a",), "t", (), ("one two", "", "three")))
+        assert type(fv.f2_total_words) is int and fv.f2_total_words == 3
+        assert json.dumps(fv.f2_total_words) == "3"
+
+    def test_pages_counted_apart(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK_CHARS", 8)
+        pages = ("one", "two-", "-three", "", "  ", "a" * 20, "b", "\ud800", "c")
+        fv = extract_features(DocumentRecord("r", ("a",), "t", (), pages))
+        assert fv.f2_total_words == sum(len(tokenize(page)) for page in pages) == 6
 
     def test_only_reads_authors_and_pages(self):
         a = DocumentRecord("r", ("a",), "Some title", ("thesis",), ("x y",))
@@ -178,6 +245,15 @@ class TestReadJsonLines:
         text = '{"n": 1}\n\n   \n{"n": 2}\n'
         assert read_json_lines(io.StringIO(text), _positive) == ([1, 2], [])
         assert read_json_lines(io.BytesIO(text.encode("utf-8")), _positive) == ([1, 2], [])
+
+    def test_byte_order_mark_dropped_from_line_one_only(self):
+        text = '\ufeff{"n": 1}\n\ufeff{"n": 2}\n{"n": 3}\n'
+        for stream in (io.StringIO(text), io.BytesIO(text.encode("utf-8"))):
+            values, rejects = read_json_lines(stream, _positive)
+            assert values == [1, 3]
+            assert rejects[0].startswith("line 2: Unexpected UTF-8 BOM")
+        assert read_json_lines(["\ufeff", '{"n": 4}'], _positive) == ([4], [])
+        assert read_json_lines(['\ufeff\ufeff{"n": 4}'], _positive)[1][0].startswith("line 1: ")
 
     def test_rejects_name_the_line_and_reason(self):
         lines = ['{"n": 1}', "", "{oops", '{"n": -3}', '{"m": 4}', "[]", '{"n": 5}']
