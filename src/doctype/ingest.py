@@ -129,7 +129,7 @@ _CLASSES = np.zeros(0x110000, np.uint8)
 #: ``extract_features`` counts a record's pages joined into chunks of about
 #: this many characters: a few numpy calls per record, and small arrays
 #: however long the document.
-_CHUNK_CHARS = 1 << 15
+_CHUNK_CHARS = 1 << 14
 
 
 def count_words(text: str) -> int:
@@ -143,7 +143,7 @@ def count_words(text: str) -> int:
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
     kept = _kept_classes(codes)
     if not kept.all():
-        _classify(np.unique(codes[_CLASSES.take(codes) == _UNSEEN]))
+        _classify(set(codes[_CLASSES.take(codes) == _UNSEEN].tolist()))
         kept = _kept_classes(codes)
     # A run starts the kept text or is an _ALNUM after a _SPACE.
     return int(np.count_nonzero(kept[:1] == _ALNUM) + np.count_nonzero(kept[:-1] > kept[1:]))
@@ -155,11 +155,11 @@ def _kept_classes(codes: np.ndarray) -> np.ndarray:
     return np.frombuffer(dropped, np.uint8)
 
 
-def _classify(points: np.ndarray) -> None:
-    _CLASSES[points] = [
-        _ALNUM if c.isalnum() else _SPACE if c.isspace() else _OTHER
-        for c in map(chr, points.tolist())
-    ]
+def _classify(points: set[int]) -> None:
+    # A set, not np.unique: the first np.unique call maps about 1.4 MB more.
+    for point in points:
+        char = chr(point)
+        _CLASSES[point] = _ALNUM if char.isalnum() else _SPACE if char.isspace() else _OTHER
 
 
 def _page_chunks(pages: Iterable[str]) -> Iterator[str]:
