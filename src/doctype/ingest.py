@@ -143,7 +143,10 @@ def count_words(text: str) -> int:
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
     kept = _kept_classes(codes)
     if not kept.all():
-        _classify(set(codes[_CLASSES.take(codes) == _UNSEEN].tolist()))
+        # A set, not np.unique: the first np.unique call maps about 1.4 MB more.
+        for point in set(codes[_CLASSES.take(codes) == _UNSEEN].tolist()):
+            char = chr(point)
+            _CLASSES[point] = _ALNUM if char.isalnum() else _SPACE if char.isspace() else _OTHER
         kept = _kept_classes(codes)
     # A run starts the kept text or is an _ALNUM after a _SPACE.
     return int(np.count_nonzero(kept[:1] == _ALNUM) + np.count_nonzero(kept[:-1] > kept[1:]))
@@ -153,13 +156,6 @@ def _kept_classes(codes: np.ndarray) -> np.ndarray:
     """The classes of ``codes`` without the other characters."""
     dropped = _CLASSES.take(codes).tobytes().translate(None, bytes([_OTHER]))
     return np.frombuffer(dropped, np.uint8)
-
-
-def _classify(points: set[int]) -> None:
-    # A set, not np.unique: the first np.unique call maps about 1.4 MB more.
-    for point in points:
-        char = chr(point)
-        _CLASSES[point] = _ALNUM if char.isalnum() else _SPACE if char.isspace() else _OTHER
 
 
 def _page_chunks(pages: Iterable[str]) -> Iterator[str]:
