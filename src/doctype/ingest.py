@@ -123,6 +123,8 @@ def tokenize(text: str) -> list[str]:
 
 #: Character classes of ``count_words``, cached per code point on first
 #: sight: 0 not yet classified, then other, ``str.isalnum``, ``str.isspace``.
+#: A cache, not a setting: a code point's class never depends on the texts
+#: counted before, and filling an entry twice writes the same value.
 _UNSEEN, _OTHER, _ALNUM, _SPACE = 0, 1, 2, 3
 _CLASSES = np.zeros(0x110000, np.uint8)
 

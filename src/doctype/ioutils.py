@@ -68,7 +68,8 @@ def read_json_lines(
 ) -> tuple[list, list[str]]:
     """``parse`` each non-blank JSON line of a ``str`` or UTF-8 ``bytes`` stream.
 
-    One byte order mark (U+FEFF) at the start of line 1 is dropped. Returns the parsed values and one ``"line N: reason"`` per line that
+    One byte order mark (U+FEFF) at the start of line 1 is dropped.
+    Returns the parsed values and one ``"line N: reason"`` per line that
     the JSON decoder or ``parse`` rejected. A stream that cannot be read
     or decoded raises IngestError.
     """

@@ -91,9 +91,8 @@ texts = st.one_of(st.text(), st.text(alphabet=st.one_of(st.sampled_from(TRICKY),
 
 
 class TestCountWords:
-    def test_every_space_character_is_one(self):
-        assert len(SPACES) == 29
-        assert {"\x1c", "\x1f", "\x85", "\xa0", "\u3000"} <= set(SPACES)
+    def test_spaces_include_the_unusual_separators(self):
+        assert {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"} <= set(SPACES)
 
     @settings(max_examples=400, deadline=None)
     @given(text=texts)
