@@ -67,8 +67,9 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """Read a JSON config file, after a UTF-8 byte order mark if it has one."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:

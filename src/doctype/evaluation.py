@@ -20,6 +20,7 @@ from .models import (
     predict_batch,
     prefix_labels,
     train,
+    train_lockstep,
 )
 from .seeding import derive_seed
 from .stats import TRANSFORM_KINDS
@@ -213,11 +214,18 @@ def cross_validate_sizes(
             values = [point[key] for point in nested]
             fit_hyperparameters[key] = None if None in values else max(values)
     reports: list[list[EvalReport]] = [[] for _ in nested or [None]]
-    for i, fold in enumerate(prepared):
-        model = train(
-            kind, fold.train, fit_hyperparameters, derive_seed(seed, f"fold-{i}"), transform,
-            fold.features, matrix=(fold.X_train, fold.y_train),
+    seeds = [derive_seed(seed, f"fold-{i}") for i in range(len(prepared))]
+    if spec.lockstep:
+        folds = [(fold.train, (fold.X_train, fold.y_train)) for fold in prepared]
+        features = prepared[0].features if prepared else FEATURE_IDS
+        models = train_lockstep(kind, folds, fit_hyperparameters, seeds, transform, features)
+    else:
+        models = (
+            train(kind, fold.train, fit_hyperparameters, fold_seed, transform, fold.features,
+                  matrix=(fold.X_train, fold.y_train))
+            for fold, fold_seed in zip(prepared, seeds)
         )
+    for fold, model in zip(prepared, models):
         if nested is not None:
             cuts, labels = {}, []
             for point in nested:

@@ -17,6 +17,7 @@ from .dispatch import (
     prefix_labels,
     save_model,
     train,
+    train_lockstep,
 )
 
 __all__ = [
@@ -38,4 +39,5 @@ __all__ = [
     "predict_batch",
     "prefix_labels",
     "train",
+    "train_lockstep",
 ]

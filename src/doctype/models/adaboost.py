@@ -1,8 +1,15 @@
 """Multi-class boosting (SAMME) over depth-limited Gini trees.
 
-The fit ignores its seed, and a round depends only on the rounds before
-it. So an r-round model is the first r rounds of any longer run on the same
-data and other hyperparameters, an early stop included.
+The fit draws nothing, so it takes no seed, and a round depends only on
+the rounds before it. So an r-round model is the first r rounds of any
+longer run on the same data and other hyperparameters, an early stop
+included.
+
+``fit_adaboost`` boosts a list of independent problems in lockstep, as a
+sweep's folds are: each round grows the trees of every problem still
+boosting in one ``grow_trees`` call. Each problem keeps its own presort,
+weights, error and stopping rule, and one that stops leaves the batch, so
+its fit is the one it gets alone.
 """
 
 from __future__ import annotations
@@ -14,45 +21,47 @@ import numpy as np
 from ..errors import ModelFormatError, TrainingError
 from ..ingest import N_CLASSES
 from ..ioutils import finite_number
-from .tree import ForestPredictor, grow_tree
+from .tree import ForestPredictor, grow_trees
 
 _ERR_FLOOR = 1e-10
 
 
-def fit_adaboost(X, y, seed, hyperparameters) -> dict:
-    del seed
-    rounds = hyperparameters["rounds"]
-    max_depth = hyperparameters["max_depth"]
-    min_leaf = hyperparameters["min_leaf_size"]
-    n = len(y)
-    weights = np.full(n, 1.0 / n)
+def fit_adaboost(problems, hyperparameters) -> list:
+    """Boost each ``(X, y)`` problem; return, for each, its parameters or
+    the TrainingError it fails with."""
+    limits = {key: hyperparameters[key] for key in ("max_depth", "min_leaf_size")}
     # rounds change only the weights, so one presort serves them all
-    order = np.argsort(X.T, axis=1, kind="stable")
-    trees: list[list[dict]] = []
-    alphas: list[float] = []
-    for _ in range(rounds):
-        nodes, leaf = grow_tree(
-            X, y, sample_weight=weights, max_depth=max_depth, min_leaf_size=min_leaf, order=order
-        )
-        # each leaf's class: the first of its most probable ones, as argmax
-        votes = [node["dist"].index(max(node["dist"])) for node in nodes]
-        predicted = np.array(votes)[leaf]
-        miss = predicted != y
-        err = float(np.add.reduce(weights[miss]))
-        if err >= 1.0 - 1.0 / N_CLASSES:
-            # weak learner no better than random guessing; stop boosting
+    orders = [np.argsort(X.T, axis=1, kind="stable") for X, _ in problems]
+    weights = [np.full(len(y), 1.0 / len(y)) for _, y in problems]
+    fits = [{"trees": [], "alphas": []} for _ in problems]
+    live = list(range(len(problems)))
+    for _ in range(hyperparameters["rounds"]):
+        if not live:
             break
-        err = max(err, _ERR_FLOOR)
-        alpha = math.log((1.0 - err) / err) + math.log(N_CLASSES - 1.0)
-        trees.append(nodes)
-        alphas.append(alpha)
-        if err <= _ERR_FLOOR:
-            break
-        weights = weights * np.exp(alpha * miss)
-        weights /= np.add.reduce(weights)
-    if not trees:
-        raise TrainingError("boosting found no weak learner better than random")
-    return {"trees": trees, "alphas": alphas}
+        grown = grow_trees([(*problems[i], weights[i], 0, orders[i]) for i in live], **limits)
+        boosting = []
+        for i, (nodes, leaf) in zip(live, grown):
+            # each leaf's class: the first of its most probable ones, as argmax
+            votes = [node["dist"].index(max(node["dist"])) for node in nodes]
+            miss = np.array(votes)[leaf] != problems[i][1]
+            err = float(np.add.reduce(weights[i][miss]))
+            if err >= 1.0 - 1.0 / N_CLASSES:
+                # weak learner no better than random guessing; stop boosting
+                continue
+            err = max(err, _ERR_FLOOR)
+            alpha = math.log((1.0 - err) / err) + math.log(N_CLASSES - 1.0)
+            fits[i]["trees"].append(nodes)
+            fits[i]["alphas"].append(alpha)
+            if err <= _ERR_FLOOR:
+                continue
+            weights[i] = weights[i] * np.exp(alpha * miss)
+            weights[i] /= np.add.reduce(weights[i])
+            boosting.append(i)
+        live = boosting
+    return [
+        fit if fit["trees"] else TrainingError("boosting found no weak learner better than random")
+        for fit in fits
+    ]
 
 
 def adaboost_predictor(parameters: dict, n_features: int) -> ForestPredictor:

@@ -7,11 +7,11 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ModelFormatError, TrainingError
+from ..errors import DocTypeError, ModelFormatError, TrainingError
 from ..ingest import DOC_TYPES, FEATURE_IDS, DocType, FeatureVector
 from ..ioutils import atomic_write_text, finite_number
 from ..labeling import LabeledExample
@@ -45,7 +45,11 @@ class Kind:
     """Everything the toolkit knows about one model kind.
 
     ``fit(X, y, seed, hyperparameters)`` returns the stored parameters; it
-    gets every hyperparameter, with the defaults filled in. ``predictor``
+    gets every hyperparameter, with the defaults filled in. A ``lockstep``
+    kind's ``fit(problems, hyperparameters)`` fits a list of ``(X, y)``
+    problems together and returns, for each, its parameters or the
+    TrainingError it fails with; it draws nothing, so it takes no seed
+    (``train_lockstep``). ``predictor``
     builds a model's predictor and is the one reader of its stored
     parameters: it raises on any value it cannot score with.
     ``hyperparameters`` maps each key the kind takes to ``(accepts,
@@ -75,6 +79,7 @@ class Kind:
     nested: tuple[str, ...] = ()
     raw_only: bool = False
     every_class: bool = False
+    lockstep: bool = False
     grid: tuple[dict, ...] = ({},)
 
 
@@ -134,7 +139,7 @@ SPECS = {
         fit_adaboost, lambda m: adaboost_predictor(m.parameters, len(m.features)),
         {"rounds": _integer(1, 25), "max_depth": _integer(0, 2), "min_leaf_size": _integer(1, 1)},
         "rounds", ensemble=True, nested=("rounds",), raw_only=True, every_class=True,
-        grid=tuple({"rounds": r, "max_depth": d} for r, d in product((10, 25, 50), (1, 2))),
+        lockstep=True, grid=tuple({"rounds": r, "max_depth": d} for r, d in product((10, 25, 50), (1, 2))),
     ),
     "linear-svm": Kind(
         fit_linear_svm, lambda m: SvmPredictor(m.parameters, len(m.features)),
@@ -211,12 +216,67 @@ def train(
     into the model, which fills unseen rows the same way. A value the
     transform makes not finite raises TrainingError naming the example, as
     do parameters the model's predictor cannot use (an overflowed fit).
+    A ``lockstep`` kind fits through ``train_lockstep``, as one fold.
     """
+    spec = kind_spec(kind)
+    if spec.lockstep:
+        fold = [(dataset, matrix)]
+        (model,) = train_lockstep(kind, fold, hyperparameters, [seed], transform, features)
+        return model
+    X, y, fields = _fit_inputs(kind, dataset, matrix, hyperparameters, seed, transform, features)
+    with np.errstate(all="ignore"):  # an overflow fails in the predictor, with its reason
+        parameters = spec.fit(X, y, seed, _with_defaults(spec, hyperparameters))
+    return _checked(ModelArtifact(parameters=parameters, **fields))
+
+
+def train_lockstep(
+    kind: str,
+    folds: Sequence[tuple],
+    hyperparameters: dict | None,
+    seeds: Sequence[int],
+    transform: str = "identity",
+    features: Sequence[str] = FEATURE_IDS,
+) -> Iterator[ModelArtifact]:
+    """Yield, in order, the model ``train`` fits on each fold ``(dataset,
+    matrix)`` with its seed in ``seeds``, for a ``lockstep`` kind.
+
+    Each fold is checked, filled and transformed by ``train``'s own code,
+    and the folds are fitted together in one ``fit`` call. The first fold
+    that ``train`` would fail on raises its error, after the models of the
+    folds before it: folds are prepared up to the first that fails its
+    checks, and only the folds before it are fitted.
+    """
+    spec = kind_spec(kind)
+    if not spec.lockstep:
+        raise ValueError(f"{kind} does not fit folds in lockstep")
+    prepared, failure = [], None
+    for (dataset, matrix), seed in zip(folds, seeds):
+        try:
+            prepared.append(
+                _fit_inputs(kind, dataset, matrix, hyperparameters, seed, transform, features)
+            )
+        except (DocTypeError, ValueError) as exc:
+            failure = exc
+            break
+    if prepared:
+        problems = [(X, y) for X, y, _ in prepared]
+        with np.errstate(all="ignore"):
+            fits = spec.fit(problems, _with_defaults(spec, hyperparameters))
+        for (_, _, fields), parameters in zip(prepared, fits):
+            if isinstance(parameters, TrainingError):
+                raise parameters
+            yield _checked(ModelArtifact(parameters=parameters, **fields))
+    if failure is not None:
+        raise failure
+
+
+def _fit_inputs(kind, dataset, matrix, hyperparameters, seed, transform, features):
+    """``train``'s checks of one dataset, then its fit's inputs: the filled
+    and transformed matrix, the labels and the model's other fields."""
     spec = kind_spec(kind)
     if not dataset:
         raise TrainingError("cannot train on an empty dataset")
-    hyperparameters = hyperparameters or {}
-    check_hyperparameters(kind, hyperparameters)
+    check_hyperparameters(kind, hyperparameters or {})
     features = check_features(features)
 
     present = {ex.label for ex in dataset}
@@ -233,14 +293,25 @@ def train(
     if bad := _first_non_finite(X, Xt, transform_spec.kind, features):
         row, what = bad
         raise TrainingError(f"example {dataset[row].id}: {what}")
+    fields = {"kind": kind, "transform": transform_spec, "seed": seed, "features": features,
+              "imputer": imputer}
+    return Xt, y, fields
+
+
+def _with_defaults(spec: Kind, hyperparameters: dict | None) -> dict:
     defaults = {key: default for key, (_, _, default) in spec.hyperparameters.items()}
-    with np.errstate(all="ignore"):  # an overflow fails in the predictor, with its reason
-        parameters = spec.fit(Xt, y, seed, {**defaults, **hyperparameters})
-    model = ModelArtifact(kind, transform_spec, parameters, seed, features, imputer)
+    return {**defaults, **(hyperparameters or {})}
+
+
+def _checked(model: ModelArtifact) -> ModelArtifact:
+    """``model`` after building its predictor; TrainingError if the fit's
+    parameters cannot be used."""
     try:
         _predictor(model)
     except ModelFormatError as exc:
-        raise TrainingError(f"{kind} fit gave unusable parameters: {exc.__cause__ or exc}") from exc
+        raise TrainingError(
+            f"{model.kind} fit gave unusable parameters: {exc.__cause__ or exc}"
+        ) from exc
     return model
 
 
@@ -273,13 +344,13 @@ def save_model(model: ModelArtifact, sink: IO[str] | str | Path) -> None:
 
 
 def load_model(source: IO[str] | str | Path) -> ModelArtifact:
-    """Read a model file and build its predictor; a corrupted file raises
-    ModelFormatError."""
+    """Read a model file, after a UTF-8 byte order mark if a path's file has
+    one, and build its predictor; a corrupted file raises ModelFormatError."""
     if hasattr(source, "read"):
         text = source.read()
     else:
         try:
-            text = Path(source).read_text(encoding="utf-8")
+            text = Path(source).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ModelFormatError(f"cannot read model file: {exc}") from exc
     model = ModelArtifact.from_json(text)

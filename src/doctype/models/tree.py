@@ -12,8 +12,8 @@ nodes of every tree in ``_best_split`` calls over right-padded
 ``(nodes x drawn features, rows)`` arrays, each call a group of nodes of
 similar width, not one call per node. Split search follows SLIQ (Mehta,
 Agrawal & Rissanen, EDBT 1996): each column is sorted once per tree (once
-per fit for AdaBoost), and nodes keep their rows in every column's sorted
-order. Node ids and a ``max_leaf_nodes`` budget still follow best-first
+per boosted problem for AdaBoost, whose rounds all reuse it), and nodes
+keep their rows in every column's sorted order. Node ids and a ``max_leaf_nodes`` budget still follow best-first
 order by impurity decrease, ties by creation order. Without a budget every node with a split
 is expanded and the ids come from a best-first replay of the scored
 splits, so a tree is the one exhaustive recursive growth gives; with a
@@ -105,11 +105,6 @@ def draw_features(keys: np.ndarray, d: int, m: int) -> np.ndarray:
     ``splitmix64(key + j * GAMMA)``, ties to the lower j."""
     hashes = splitmix64(keys[:, None] + np.arange(d, dtype=np.uint64) * _GAMMA)
     return np.sort(np.argsort(hashes, axis=1, kind="stable")[:, :m], axis=1)
-
-
-def grow_tree(X, y, sample_weight=None, *, key: int = 0, order=None, **limits):
-    """One tree: ``grow_trees`` on a batch of one."""
-    return grow_trees([(X, y, sample_weight, key, order)], **limits)[0]
 
 
 def grow_trees(

@@ -1,4 +1,4 @@
-"""Brute-force reference grower for ``doctype.models.tree.grow_tree``.
+"""Brute-force reference grower for one tree of ``doctype.models.tree.grow_trees``.
 
 Each node sorts every drawn feature of its own rows again (stable argsort)
 and scores the features one at a time; growth is best-first by impurity

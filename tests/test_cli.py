@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import math
+import shutil
 
 import pytest
 
@@ -169,7 +170,36 @@ def with_byte_order_mark(path):
 
 
 class TestByteOrderMark:
-    """Every line-delimited input accepts a UTF-8 byte order mark before line 1."""
+    """Every input file accepts a UTF-8 byte order mark at its start."""
+
+    def test_pipeline_config(self, labeled_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "seed": 3, "paths": {"labeled": str(labeled_file), "output_dir": str(out)},
+            "proportions": {"Research": 0.4, "Slides": 0.3, "Thesis": 0.3},
+            "sample_total": 60, "k_folds": 3,
+            "sweep": {"kinds": ["gnb", "adaboost"], "grids": {"adaboost": [{"rounds": 5}]}},
+        }))
+        assert main(["pipeline", "--config", str(config)]) == 0
+        plain = {path.name: path.read_bytes() for path in out.iterdir()}
+        shutil.rmtree(out)
+        with_byte_order_mark(config)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == plain
+        assert len(plain) == 6
+
+    def test_model_file(self, labeled_file, tmp_path):
+        model = tmp_path / "model.json"
+        assert main(["train", str(labeled_file), "--kind", "adaboost", "--out", str(model)]) == 0
+        features = tmp_path / "features.jsonl"
+        features.write_text(json.dumps({"id": "q", "f1": 2, "f2": 900, "f3": 9, "f4": 100.0}) + "\n")
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        assert main(["predict", str(model), str(features), "--out", str(plain)]) == 0
+        with_byte_order_mark(model)
+        assert main(["predict", str(model), str(features), "--out", str(marked)]) == 0
+        assert marked.read_bytes() == plain.read_bytes()
+        assert json.loads(plain.read_text())["doc_id"] == "q"
 
     @pytest.mark.parametrize("command", ["extract", "label"])
     def test_records(self, command, records_file, tmp_path, capsys):

@@ -26,7 +26,8 @@ from doctype.evaluation import (
 from doctype.errors import TrainingError
 from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
 from doctype.labeling import LabeledExample, stratified_split
-from doctype.models import KINDS, SPECS, dataset_matrix, predict_batch, train
+from doctype.models import KINDS, SPECS, dataset_matrix, predict_batch, prefix_labels, train
+from doctype.models import adaboost as adaboost_module
 from doctype.models.tree import ForestPredictor
 from doctype.seeding import derive_seed
 from doctype.stats import TRANSFORM_KINDS, TransformSpec, derive_thresholds
@@ -563,6 +564,86 @@ guard_values = st.one_of(
 guard_matrix = st.integers(1, 8).flatmap(
     lambda n: st.lists(st.lists(guard_values, min_size=4, max_size=4), min_size=n, max_size=n)
 )
+
+
+def per_fold_models(kind, prepared, hyperparameters, seed, transform="identity"):
+    """The oracle of a lockstep family: ``train`` on each fold in turn,
+    stopping at the first fold it fails on, and that fold's error."""
+    models = []
+    for i, fold in enumerate(prepared):
+        try:
+            models.append(train(
+                kind, fold.train, hyperparameters, derive_seed(seed, f"fold-{i}"), transform,
+                fold.features, matrix=(fold.X_train, fold.y_train),
+            ))
+        except TrainingError as exc:
+            return models, exc
+    return models, None
+
+
+def same_rows(n: int, label: DocType, tag: str) -> list[LabeledExample]:
+    return [make_example(label, 2, 500, 5, doc_id=f"{tag}{i}") for i in range(n)]
+
+
+class TestLockstepFamily:
+    """An AdaBoost family's folds are boosted together, and each fold's
+    model, scores and errors are what fitting it through ``train`` gives."""
+
+    @pytest.mark.parametrize(
+        "seed, max_depth, transform", [(1, 1, "identity"), (2, 2, "log-scale"), (3, 0, "z-score")]
+    )
+    def test_family_matches_per_fold_train(self, seed, max_depth, transform, monkeypatch):
+        data = blank_f1(generate_synthetic(150, PROPS, seed), 0.3, seed)
+        prepared = prepare_folds(stratified_split(data, 10, 0.0, seed).test_folds)
+        nested = [{"rounds": rounds} for rounds in (12, 1, 5, 40)]
+        grown = []
+        real = adaboost_module.grow_trees
+        monkeypatch.setattr(
+            adaboost_module, "grow_trees", lambda problems, **kw: grown.append(1) or real(problems, **kw)
+        )
+        results = cross_validate_sizes(
+            "adaboost", prepared, {"max_depth": max_depth}, nested, seed, transform
+        )
+        # one grower call per round for all ten folds, not one per fold and round
+        assert 0 < len(grown) <= 40
+        monkeypatch.undo()
+        models, error = per_fold_models(
+            "adaboost", prepared, {"max_depth": max_depth, "rounds": 40}, seed, transform
+        )
+        assert error is None
+        for result, point in zip(results, nested):
+            expected = []
+            for fold, model in zip(prepared, models):
+                labels = prefix_labels(model, fold.X_test)
+                expected.append(evaluate(labels[min(point["rounds"], len(labels)) - 1], fold.y_test))
+            assert [r.to_dict() for r in result.fold_reports] == [r.to_dict() for r in expected]
+
+    @pytest.mark.parametrize(
+        "folds, transform, message",
+        [
+            # fold 2's training rows lack Thesis
+            ([same_rows(2, R, "a") + same_rows(1, S, "b"), same_rows(2, S, "c") + same_rows(1, R, "d"),
+              same_rows(3, T, "e") + same_rows(1, R, "f")],
+             "identity", r"needs every class present; missing \['Thesis'\]"),
+            # fold 0 trains on a count below -1, which log1p makes NaN
+            ([toy_dataset(3, seed=1), toy_dataset(3, seed=2),
+              same_rows(2, R, "a") + [make_example(S, 2, -500, 5, doc_id="neg")]],
+             "log-scale", "example neg: feature f2 = -500.0 is not finite after the log-scale transform"),
+            # fold 0 trains on three equal classes no split separates, so it
+            # finds no weak learner before fold 1, which lacks Thesis
+            ([same_rows(1, R, "a") + same_rows(1, S, "b"), same_rows(3, T, "c"),
+              same_rows(3, R, "d") + same_rows(3, S, "e")],
+             "identity", "boosting found no weak learner better than random"),
+        ],
+    )
+    def test_first_failing_fold_raises_its_error(self, folds, transform, message):
+        prepared = prepare_folds(folds)
+        hp = {"rounds": 5, "max_depth": 1}
+        models, error = per_fold_models("adaboost", prepared, hp, 4, transform)
+        assert error is not None
+        with pytest.raises(TrainingError, match=message) as raised:
+            cross_validate_sizes("adaboost", prepared, hp, None, 4, transform)
+        assert str(raised.value) == str(error)
 
 
 def pairwise_order_kept(kind, train_rows, test_rows) -> bool:

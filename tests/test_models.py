@@ -42,6 +42,7 @@ from doctype.models import (
 )
 from doctype.models import baselines as baselines_module
 from doctype.models import knn as knn_module
+from doctype.models.adaboost import fit_adaboost
 from doctype.models.baselines import RandomBaselinePredictor
 from doctype.models.knn import KnnPredictor
 from doctype.models import tree as tree_module
@@ -50,7 +51,6 @@ from doctype.models.tree import (
     balanced_weights,
     draw_features,
     fit_random_forest,
-    grow_tree,
     grow_trees,
     splitmix64,
 )
@@ -514,7 +514,7 @@ class TestDecisionTree:
         # both root children split perfectly on column 1 (decrease 0.5
         # each); a three-leaf budget splits the one created first
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        nodes, _ = grow_tree(X, np.array([0, 1, 2, 0]), max_leaf_nodes=3)
+        nodes, _ = grow_trees([(X, np.array([0, 1, 2, 0]), None, 0, None)], max_leaf_nodes=3)[0]
         assert [node["feature"] for node in nodes] == [0, 1, -1, -1, -1]
 
     @settings(max_examples=400, deadline=None)
@@ -522,7 +522,7 @@ class TestDecisionTree:
     def test_presorted_grower_matches_reference(self, case):
         X, y, sample_weight, limits, key = case
         want = reference_grow_tree(X, y, sample_weight, **limits, key=key)
-        nodes, leaf = grow_tree(X, y, sample_weight, **limits, key=key)
+        nodes, leaf = grow_trees([(X, y, sample_weight, key, None)], **limits)[0]
         assert json.dumps(nodes) == json.dumps(want)
         # each training row's leaf id gives the compiled tree's prediction
         routed = ForestPredictor([nodes], X.shape[1]).scores_matrix(X).argmax(axis=1)
@@ -653,7 +653,67 @@ class TestRandomForest:
         assert a.to_json() == b.to_json()
 
 
+#: Two columns that no split separates, three equal classes: the first
+#: learner's weighted error rounds to 2/3 or above (it does at 9 rows, not
+#: at 3 or 6), so the fit finds no weak learner.
+UNSPLITTABLE = (np.zeros((9, 2)), np.arange(9) % 3)
+#: One class: a tree of any depth, a lone root included, makes no error,
+#: so boosting stops at the error floor in round 1.
+ONE_CLASS = (np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]), np.array([2, 2, 2]))
+#: Three classes a depth-2 tree separates.
+SEPARABLE = (np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]]), np.array([0, 1, 2, 2]))
+
+
+@st.composite
+def boosting_problems(draw):
+    """1-6 ``(X, y)`` problems over two columns with ties: drawn ones of
+    1-40 rows with every class or not, and the fixed problems above."""
+    problems = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            problems.append(draw(st.sampled_from([UNSPLITTABLE, ONE_CLASS, SEPARABLE])))
+            continue
+        n = draw(st.integers(1, 40))
+        cells = st.lists(st.integers(0, draw(st.integers(0, 5))), min_size=2, max_size=2)
+        X = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+        problems.append((X, np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))))
+    return problems
+
+
+def boosted(fit) -> str:
+    """A ``fit_adaboost`` result as text: its JSON, or its error."""
+    return json.dumps(fit) if isinstance(fit, dict) else f"{type(fit).__name__}: {fit}"
+
+
 class TestAdaboost:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        problems=boosting_problems(),
+        rounds=st.integers(1, 12),
+        max_depth=st.integers(0, 2),
+        min_leaf_size=st.integers(1, 2),
+    )
+    def test_lockstep_fit_is_each_problem_fitted_alone(self, problems, rounds, max_depth, min_leaf_size):
+        hp = {"rounds": rounds, "max_depth": max_depth, "min_leaf_size": min_leaf_size}
+        together = fit_adaboost(problems, hp)
+        assert len(together) == len(problems)
+        for problem, fit in zip(problems, together):
+            assert boosted(fit) == boosted(fit_adaboost([problem], hp)[0])
+
+    @pytest.mark.parametrize("max_depth", [0, 1, 2])
+    def test_stopped_problems_leave_the_batch(self, max_depth):
+        hp = {"rounds": 10, "max_depth": max_depth, "min_leaf_size": 1}
+        data = toy_dataset(15, seed=3)[:40]  # unequal classes: a lone root boosts
+        X, y = dataset_matrix(data, ("f2", "f3"))
+        fits = fit_adaboost([UNSPLITTABLE, (X, y), ONE_CLASS, SEPARABLE], hp)
+        assert boosted(fits[0]) == "TrainingError: boosting found no weak learner better than random"
+        # a problem a tree separates stops at the error floor in round 1
+        assert len(fits[2]["trees"]) == 1
+        assert len(fits[3]["trees"]) == 1 or max_depth < 2
+        # the failed and stopped problems change nothing for the one boosting on
+        assert boosted(fits[1]) == boosted(fit_adaboost([(X, y)], hp)[0])
+        assert fits[1] == train("adaboost", data, hp, features=("f2", "f3")).parameters
+
     def test_round_one_equals_weak_learner(self):
         data = toy_dataset(25, seed=8)
         boosted = train("adaboost", data, {"rounds": 1, "max_depth": 2}, seed=0)
