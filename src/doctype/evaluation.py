@@ -203,6 +203,12 @@ def cross_validate_sizes(
     (``models.prefix_labels``): its size as the first members, capped at the
     fit's own size, and its ``max_depth`` as a depth cut. ``None`` gives the
     one result of ``hyperparameters`` as they are, for any kind.
+
+    A ``lockstep`` kind (AdaBoost) fits all its folds together
+    (``models.train_lockstep``); the others fit each fold through
+    ``train``. Either way each fold's model is the one ``train`` gives, the
+    first fold ``train`` fails on raises its error, and each fold builds
+    its own predictor and is scored in turn.
     """
     spec, fit_hyperparameters = kind_spec(kind), dict(hyperparameters or {})
     if nested is not None:

@@ -15,6 +15,7 @@ its fit is the one it gets alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -26,9 +27,14 @@ from .tree import ForestPredictor, grow_trees
 _ERR_FLOOR = 1e-10
 
 
-def fit_adaboost(problems, hyperparameters) -> list:
-    """Boost each ``(X, y)`` problem; return, for each, its parameters or
-    the TrainingError it fails with."""
+def fit_adaboost(problems, hyperparameters) -> Iterator[dict | TrainingError]:
+    """Boost each ``(X, y)`` problem; return an iterator of each one's
+    parameters or the TrainingError it fails with, in order.
+
+    The boosting is done when this returns. Until a problem's parameters
+    are taken, its trees are kept as one tuple per node, which holds all
+    problems' trees in about half the memory of their dict nodes.
+    """
     limits = {key: hyperparameters[key] for key in ("max_depth", "min_leaf_size")}
     # rounds change only the weights, so one presort serves them all
     orders = [np.argsort(X.T, axis=1, kind="stable") for X, _ in problems]
@@ -50,7 +56,9 @@ def fit_adaboost(problems, hyperparameters) -> list:
                 continue
             err = max(err, _ERR_FLOOR)
             alpha = math.log((1.0 - err) / err) + math.log(N_CLASSES - 1.0)
-            fits[i]["trees"].append(nodes)
+            fits[i]["trees"].append(
+                [(n["feature"], n["threshold"], n["left"], n["right"], *n["dist"]) for n in nodes]
+            )
             fits[i]["alphas"].append(alpha)
             if err <= _ERR_FLOOR:
                 continue
@@ -58,10 +66,17 @@ def fit_adaboost(problems, hyperparameters) -> list:
             weights[i] /= np.add.reduce(weights[i])
             boosting.append(i)
         live = boosting
-    return [
-        fit if fit["trees"] else TrainingError("boosting found no weak learner better than random")
+    return (
+        {"trees": [[_node(*row) for row in tree] for tree in fit["trees"]], "alphas": fit["alphas"]}
+        if fit["trees"] else TrainingError("boosting found no weak learner better than random")
         for fit in fits
-    ]
+    )
+
+
+def _node(feature, threshold, left, right, *dist) -> dict:
+    """A tree node as ``grow_trees`` gives it, from its tuple."""
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right,
+            "dist": list(dist)}
 
 
 def adaboost_predictor(parameters: dict, n_features: int) -> ForestPredictor:

@@ -47,8 +47,8 @@ class Kind:
     ``fit(X, y, seed, hyperparameters)`` returns the stored parameters; it
     gets every hyperparameter, with the defaults filled in. A ``lockstep``
     kind's ``fit(problems, hyperparameters)`` fits a list of ``(X, y)``
-    problems together and returns, for each, its parameters or the
-    TrainingError it fails with; it draws nothing, so it takes no seed
+    problems together and returns an iterator of each one's parameters or
+    the TrainingError it fails with; it draws nothing, so it takes no seed
     (``train_lockstep``). ``predictor``
     builds a model's predictor and is the one reader of its stored
     parameters: it raises on any value it cannot score with.
@@ -139,7 +139,8 @@ SPECS = {
         fit_adaboost, lambda m: adaboost_predictor(m.parameters, len(m.features)),
         {"rounds": _integer(1, 25), "max_depth": _integer(0, 2), "min_leaf_size": _integer(1, 1)},
         "rounds", ensemble=True, nested=("rounds",), raw_only=True, every_class=True,
-        lockstep=True, grid=tuple({"rounds": r, "max_depth": d} for r, d in product((10, 25, 50), (1, 2))),
+        lockstep=True,
+        grid=tuple({"rounds": r, "max_depth": d} for r, d in product((10, 25, 50), (1, 2))),
     ),
     "linear-svm": Kind(
         fit_linear_svm, lambda m: SvmPredictor(m.parameters, len(m.features)),
@@ -299,6 +300,7 @@ def _fit_inputs(kind, dataset, matrix, hyperparameters, seed, transform, feature
 
 
 def _with_defaults(spec: Kind, hyperparameters: dict | None) -> dict:
+    """``hyperparameters`` with the kind's defaults filled in."""
     defaults = {key: default for key, (_, _, default) in spec.hyperparameters.items()}
     return {**defaults, **(hyperparameters or {})}
 

@@ -13,8 +13,9 @@ nodes of every tree in ``_best_split`` calls over right-padded
 similar width, not one call per node. Split search follows SLIQ (Mehta,
 Agrawal & Rissanen, EDBT 1996): each column is sorted once per tree (once
 per boosted problem for AdaBoost, whose rounds all reuse it), and nodes
-keep their rows in every column's sorted order. Node ids and a ``max_leaf_nodes`` budget still follow best-first
-order by impurity decrease, ties by creation order. Without a budget every node with a split
+keep their rows in every column's sorted order. Node ids and a
+``max_leaf_nodes`` budget still follow best-first order by impurity
+decrease, ties by creation order. Without a budget every node with a split
 is expanded and the ids come from a best-first replay of the scored
 splits, so a tree is the one exhaustive recursive growth gives; with a
 budget a pass expands only each tree's best waiting node, so the budget

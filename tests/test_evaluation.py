@@ -596,16 +596,18 @@ class TestLockstepFamily:
         data = blank_f1(generate_synthetic(150, PROPS, seed), 0.3, seed)
         prepared = prepare_folds(stratified_split(data, 10, 0.0, seed).test_folds)
         nested = [{"rounds": rounds} for rounds in (12, 1, 5, 40)]
-        grown = []
-        real = adaboost_module.grow_trees
-        monkeypatch.setattr(
-            adaboost_module, "grow_trees", lambda problems, **kw: grown.append(1) or real(problems, **kw)
-        )
+        grown, grow = [], adaboost_module.grow_trees
+
+        def counted(problems, **limits):
+            grown.append(len(problems))
+            return grow(problems, **limits)
+
+        monkeypatch.setattr(adaboost_module, "grow_trees", counted)
         results = cross_validate_sizes(
             "adaboost", prepared, {"max_depth": max_depth}, nested, seed, transform
         )
-        # one grower call per round for all ten folds, not one per fold and round
-        assert 0 < len(grown) <= 40
+        # one grower call a round for all ten folds, not one per fold and round
+        assert 0 < len(grown) <= 40 and grown[0] == 10
         monkeypatch.undo()
         models, error = per_fold_models(
             "adaboost", prepared, {"max_depth": max_depth, "rounds": 40}, seed, transform

@@ -42,6 +42,7 @@ from doctype.models import (
 )
 from doctype.models import baselines as baselines_module
 from doctype.models import knn as knn_module
+from doctype.models import adaboost as adaboost_module
 from doctype.models.adaboost import fit_adaboost
 from doctype.models.baselines import RandomBaselinePredictor
 from doctype.models.knn import KnnPredictor
@@ -695,23 +696,33 @@ class TestAdaboost:
     )
     def test_lockstep_fit_is_each_problem_fitted_alone(self, problems, rounds, max_depth, min_leaf_size):
         hp = {"rounds": rounds, "max_depth": max_depth, "min_leaf_size": min_leaf_size}
-        together = fit_adaboost(problems, hp)
+        together = list(fit_adaboost(problems, hp))
         assert len(together) == len(problems)
         for problem, fit in zip(problems, together):
-            assert boosted(fit) == boosted(fit_adaboost([problem], hp)[0])
+            [alone] = fit_adaboost([problem], hp)
+            assert boosted(fit) == boosted(alone)
 
     @pytest.mark.parametrize("max_depth", [0, 1, 2])
-    def test_stopped_problems_leave_the_batch(self, max_depth):
+    def test_stopped_problems_leave_the_batch(self, max_depth, monkeypatch):
         hp = {"rounds": 10, "max_depth": max_depth, "min_leaf_size": 1}
         data = toy_dataset(15, seed=3)[:40]  # unequal classes: a lone root boosts
         X, y = dataset_matrix(data, ("f2", "f3"))
-        fits = fit_adaboost([UNSPLITTABLE, (X, y), ONE_CLASS, SEPARABLE], hp)
+        batches, grow = [], adaboost_module.grow_trees
+
+        def counted(problems, **limits):
+            batches.append(len(problems))
+            return grow(problems, **limits)
+
+        monkeypatch.setattr(adaboost_module, "grow_trees", counted)
+        fits = list(fit_adaboost([UNSPLITTABLE, (X, y), ONE_CLASS, SEPARABLE], hp))
+        # one grower call a round; after round 1 only two problems can be boosting
+        assert batches[0] == 4 and max(batches[1:], default=0) <= 2
         assert boosted(fits[0]) == "TrainingError: boosting found no weak learner better than random"
         # a problem a tree separates stops at the error floor in round 1
         assert len(fits[2]["trees"]) == 1
         assert len(fits[3]["trees"]) == 1 or max_depth < 2
         # the failed and stopped problems change nothing for the one boosting on
-        assert boosted(fits[1]) == boosted(fit_adaboost([(X, y)], hp)[0])
+        assert [boosted(fits[1])] == [boosted(fit) for fit in fit_adaboost([(X, y)], hp)]
         assert fits[1] == train("adaboost", data, hp, features=("f2", "f3")).parameters
 
     def test_round_one_equals_weak_learner(self):
