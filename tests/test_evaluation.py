@@ -641,7 +641,7 @@ class TestLockstepFamily:
     def test_first_failing_fold_raises_its_error(self, folds, transform, message):
         prepared = prepare_folds(folds)
         hp = {"rounds": 5, "max_depth": 1}
-        models, error = per_fold_models("adaboost", prepared, hp, 4, transform)
+        _, error = per_fold_models("adaboost", prepared, hp, 4, transform)
         assert error is not None
         with pytest.raises(TrainingError, match=message) as raised:
             cross_validate_sizes("adaboost", prepared, hp, None, 4, transform)
