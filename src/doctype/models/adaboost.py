@@ -15,6 +15,7 @@ its fit is the one it gets alone.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 
 import numpy as np
@@ -26,14 +27,17 @@ from .tree import ForestPredictor, grow_trees
 
 _ERR_FLOOR = 1e-10
 
+#: Random guessing's error, 1 - 1/N_CLASSES, less 16 ulps. A learner's
+#: error is a rounded sum of weights, so one no better than random may land
+#: a few ulps either side of it; below it, it would boost a round of alpha
+#: about 1e-16, which carries no information.
+_RANDOM_ERR = 1.0 - 1.0 / N_CLASSES - 8 * sys.float_info.epsilon
+
 
 def fit_adaboost(problems, hyperparameters) -> Iterator[dict | TrainingError]:
     """Boost each ``(X, y)`` problem; return an iterator of each one's
-    parameters or the TrainingError it fails with, in order.
-
-    The boosting is done when this returns. Until a problem's parameters
-    are taken, its trees are kept as one tuple per node, which holds all
-    problems' trees in about half the memory of their dict nodes.
+    parameters, its trees as ``grow_trees`` columns, or the TrainingError it
+    fails with, in order. The boosting is done when this returns.
     """
     limits = {key: hyperparameters[key] for key in ("max_depth", "min_leaf_size")}
     # rounds change only the weights, so one presort serves them all
@@ -46,19 +50,16 @@ def fit_adaboost(problems, hyperparameters) -> Iterator[dict | TrainingError]:
             break
         grown = grow_trees([(*problems[i], weights[i], 0, orders[i]) for i in live], **limits)
         boosting = []
-        for i, (nodes, leaf) in zip(live, grown):
-            # each leaf's class: the first of its most probable ones, as argmax
-            votes = [node["dist"].index(max(node["dist"])) for node in nodes]
-            miss = np.array(votes)[leaf] != problems[i][1]
+        for i, (tree, leaf) in zip(live, grown):
+            # each leaf's class: the first of its most probable ones
+            miss = tree.dist.argmax(axis=1)[leaf] != problems[i][1]
             err = float(np.add.reduce(weights[i][miss]))
-            if err >= 1.0 - 1.0 / N_CLASSES:
+            if err >= _RANDOM_ERR:
                 # weak learner no better than random guessing; stop boosting
                 continue
             err = max(err, _ERR_FLOOR)
             alpha = math.log((1.0 - err) / err) + math.log(N_CLASSES - 1.0)
-            fits[i]["trees"].append(
-                [(n["feature"], n["threshold"], n["left"], n["right"], *n["dist"]) for n in nodes]
-            )
+            fits[i]["trees"].append(tree)
             fits[i]["alphas"].append(alpha)
             if err <= _ERR_FLOOR:
                 continue
@@ -67,16 +68,9 @@ def fit_adaboost(problems, hyperparameters) -> Iterator[dict | TrainingError]:
             boosting.append(i)
         live = boosting
     return (
-        {"trees": [[_node(*row) for row in tree] for tree in fit["trees"]], "alphas": fit["alphas"]}
-        if fit["trees"] else TrainingError("boosting found no weak learner better than random")
+        fit if fit["trees"] else TrainingError("boosting found no weak learner better than random")
         for fit in fits
     )
-
-
-def _node(feature, threshold, left, right, *dist) -> dict:
-    """A tree node as ``grow_trees`` gives it, from its tuple."""
-    return {"feature": feature, "threshold": threshold, "left": left, "right": right,
-            "dist": list(dist)}
 
 
 def adaboost_predictor(parameters: dict, n_features: int) -> ForestPredictor:

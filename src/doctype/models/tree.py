@@ -49,22 +49,21 @@ without a ``max_leaf_nodes`` budget a tree fitted at ``max_depth`` d is,
 node for node, a tree fitted deeper (or unbounded) cut at depth d, and
 ``ForestPredictor.leaves`` scores every depth from the deepest fit.
 
-Trees are stored as dict nodes and compiled for prediction into flat
-arrays (feature, threshold, left, right, dist), the trees of an ensemble
-stacked end to end, after scikit-learn's array trees and QuickScorer
-(Lucchese et al., SIGIR 2015). ``ForestPredictor`` scores all three tree
-kinds; AdaBoost passes it the round weights. All rows of all trees move
-down together, one level per step, for the deepest tree's depth or a
-smaller cap. A leaf compiles to a split at threshold ``+inf`` whose
-children are the leaf itself, so a row that reaches a shallow leaf stays
-there without a per-row or per-tree test. Every node votes its own class
-distribution, so a row stopped by the cap at a split node votes what that
-node would as a leaf.
+A tree is columns (``Tree``) from the grower to the predictor, after
+scikit-learn's array trees and QuickScorer (Lucchese et al., SIGIR 2015);
+dict nodes exist only in model files. ``ForestPredictor`` stacks an
+ensemble's trees end to end, checks them in array operations and scores
+all three tree kinds; AdaBoost passes it the round weights. All rows of
+all trees move down together, a level per step, for the deepest tree's
+depth or a smaller cap. A leaf becomes a split at threshold ``+inf`` whose
+children are itself, so a row at a shallow leaf stays there, and a row
+stopped by the cap at a split node votes that node's own distribution.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from collections.abc import Sequence
 from itertools import accumulate
 
@@ -72,7 +71,6 @@ import numpy as np
 
 from ..errors import ModelFormatError
 from ..ingest import N_CLASSES
-from ..ioutils import finite_number
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -82,7 +80,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 #: (``_groups``), so nodes of similar width share a call: padding stays
 #: small, and so does a call's memory. A larger cap saves calls but pads
 #: more and raises peak memory.
-_PASS_CELLS = 1 << 11
+_PASS_CELLS = 1 << 12
 
 #: The most training rows, summed over trees, one ``grow_trees`` call of a
 #: random forest holds; a forest on more is grown in batches of trees.
@@ -115,17 +113,13 @@ def grow_trees(
     min_leaf_size: int = 1,
     max_leaf_nodes: int | None = None,
     feature_subset: int | None = None,
-) -> list[tuple[list[dict], np.ndarray]]:
+) -> list[tuple[Tree, np.ndarray]]:
     """Grow one tree per problem ``(X, y, sample_weight, key, order)``, all
-    under the same limits; return each tree's flat node list and the leaf id
-    of each of its rows.
-
-    Each node is ``{"feature", "threshold", "left", "right", "dist"}``;
-    leaves have feature -1 and a class distribution summing to 1. The
-    problems share d. ``sample_weight`` None weighs a problem's rows
-    equally; ``key`` is the root's 64-bit draw key (``draw_features``);
-    ``order`` is each column's stable argsort, shape ``(d, n)``, or None to
-    sort here (AdaBoost passes one for all rounds).
+    under the same limits; return each ``Tree`` and the leaf id of each of
+    its rows. The problems share d. ``sample_weight`` None weighs a
+    problem's rows equally; ``key`` is the root's 64-bit draw key
+    (``draw_features``); ``order`` is each column's stable argsort, shape
+    ``(d, n)``, or None to sort here (AdaBoost passes one for all rounds).
 
     The trees grow together, one pass at a time. The rows of all trees sit
     end to end in one array, in each column's sorted order and, in a last
@@ -151,7 +145,7 @@ def grow_trees(
     every = np.arange(d)[None, :]
     counts = np.bincount(leaf * N_CLASSES + y, weights[0], n_trees * N_CLASSES)
     counts = counts.reshape(n_trees, N_CLASSES)
-    dist = _distributions(counts)
+    tallies = [counts]
     # by provisional id (creation order): (decrease, feature, threshold)
     # and the children's ids
     scored: list = [None] * n_trees
@@ -247,8 +241,8 @@ def grow_trees(
             slot = part + e * right
         counts = np.bincount(slot * N_CLASSES + y[ascending], w[at],
                              2 * e * N_CLASSES).reshape(2 * e, N_CLASSES)
-        first = len(dist)
-        dist += _distributions(counts)
+        first = len(scored)
+        tallies.append(counts)
         scored += [None] * (2 * e)
         children += [None] * (2 * e)
         for j, i in enumerate(expand):
@@ -284,11 +278,27 @@ def grow_trees(
         prov = [prov[i] for i in keep] + [first + j for j in kids]
         counts, n_kept = counts[kids], len(keep)
 
-    final = np.empty(len(dist), dtype=np.intp)
-    bounds = [0, *accumulate(sizes)]
+    # every tree's provisional ids in best-first order, trees end to end; a
+    # node's final id is its place in its tree's
+    order, starts = [], []
+    for t in range(n_trees):
+        starts.append(len(order))
+        _number(t, scored, children, order)
+    ends = [*starts[1:], len(order)]
+    final = np.empty(len(order), dtype=np.intp)
+    final[order] = np.arange(len(order)) - np.repeat(starts, np.subtract(ends, starts))
+    # the columns by provisional id, then in that order
+    feature, left, right = np.full((3, len(order)), -1, dtype=np.intp)
+    threshold = np.zeros(len(order))
+    if split := [p for p, pair in enumerate(children) if pair is not None]:
+        feature[split], threshold[split] = zip(*(scored[p][1:] for p in split))
+        left[split], right[split] = final[np.array([children[p] for p in split])].T
+    columns = (feature, threshold, left, right, _distributions(np.concatenate(tallies)))
+    columns = [column[order] for column in columns]
+    rows = [0, *accumulate(sizes)]
     return [
-        (_number(t, dist, scored, children, final), final[leaf[a:b]])
-        for t, (a, b) in enumerate(zip(bounds, bounds[1:]))
+        (Tree(*(column[a:b] for column in columns)), final[leaf[r:r_end]])
+        for a, b, r, r_end in zip(starts, ends, rows, rows[1:])
     ]
 
 
@@ -301,42 +311,31 @@ def _may_split(counts, sizes, depths, smallest, deepest) -> list[bool]:
     ]
 
 
-def _distributions(counts: np.ndarray) -> list[list[float]]:
+def _distributions(counts: np.ndarray) -> np.ndarray:
     """Each row of class counts as probabilities; uniform for no weight.
-    The total adds the counts in order, as a numpy ``sum`` of 3 does (not
-    ``sum``, which compensates from Python 3.12 on)."""
-    dists = []
-    for row in counts.tolist():
-        total = 0.0
-        for count in row:
-            total += count
-        dists.append([c / total for c in row] if total > 0 else [1.0 / N_CLASSES] * N_CLASSES)
-    return dists
+    ``sum`` over the columns adds each row's counts in order, as a numpy
+    ``sum`` of 3 does (a ``sum`` of floats compensates from Python 3.12)."""
+    total = sum(counts.T)[:, None]
+    out = np.full(counts.shape, 1.0 / N_CLASSES)
+    return np.divide(counts, total, out=out, where=total > 0)
 
 
-def _number(root: int, dist, scored, children, final: np.ndarray) -> list[dict]:
-    """One tree's nodes, numbered as best-first growth numbers them: it
-    pops the split of largest impurity decrease first, ties by node id, and
-    numbers the two children on creation. ``final`` gets the id of each
-    provisional one."""
-    nodes: list[dict] = []
+def _number(root: int, scored, children, order: list[int]) -> None:
+    """Append one tree's provisional node ids to ``order`` in the order
+    best-first growth numbers them: it pops the split of largest impurity
+    decrease first, ties by node id, and numbers the two children on
+    creation."""
     heap: list[tuple[float, int, int]] = []
 
-    def add(p: int) -> int:
-        final[p] = node_id = len(nodes)
-        nodes.append({"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "dist": dist[p]})
+    def add(p: int) -> None:
         if children[p] is not None:
-            heapq.heappush(heap, (-scored[p][0], node_id, p))
-        return node_id
+            heapq.heappush(heap, (-scored[p][0], len(order), p))
+        order.append(p)
 
     add(root)
     while heap:
-        _, node_id, p = heapq.heappop(heap)
-        (_, feature, threshold), (left, right) = scored[p], children[p]
-        nodes[node_id].update(
-            feature=feature, threshold=threshold, left=add(left), right=add(right)
-        )
-    return nodes
+        for p in children[heapq.heappop(heap)[2]]:
+            add(p)
 
 
 def _stack(problems):
@@ -455,51 +454,6 @@ def _best_split(X, weights, rows, starts, sizes, features, totals, gini, min_lea
     return best[line], lines[line], X[ordered[line, picks[line]], lines[line]]
 
 
-def _tree_depth(nodes, n_features: int) -> int:
-    """Check one tree's nodes and shape; return its depth.
-
-    The walk from node 0 must reach every node exactly once, so routing a
-    row cannot loop or merge (a node that is its own child, a shared child)
-    and the file holds one tree (no unreachable node). A split tests one of
-    ``n_features`` columns against a finite threshold, a leaf has feature
-    -1, and feature and child ids are integers, not booleans. Every node
-    holds class probabilities, which a depth cap can make a split node's
-    vote.
-    """
-    if not nodes:
-        raise ModelFormatError("tree has no nodes")
-    reached = [True] + [False] * (len(nodes) - 1)
-    level, depth = [0], -1
-    while level:
-        depth, below = depth + 1, []
-        for parent in level:
-            node, dist = nodes[parent], nodes[parent]["dist"]
-            shaped = len(dist) == N_CLASSES and all(finite_number(p) and p >= 0 for p in dist)
-            if not shaped or abs(sum(dist) - 1.0) > 1e-9:
-                raise ModelFormatError(f"node {parent} is not {N_CLASSES} probabilities: {dist!r}")
-            # ``type(...) is int``: True and False are ints to isinstance
-            feature = node["feature"]
-            if type(feature) is int and feature == -1:
-                continue
-            if type(feature) is not int or not 0 <= feature < n_features:
-                raise ModelFormatError(f"split references feature {feature!r}")
-            if not finite_number(node["threshold"]):
-                raise ModelFormatError(f"split threshold is not a number: {node['threshold']!r}")
-            for child in (node["left"], node["right"]):
-                if type(child) is not int or not 0 <= child < len(nodes):
-                    raise ModelFormatError(f"split references node {child!r}")
-                if child == parent:
-                    raise ModelFormatError(f"node {child} is its own child")
-                if reached[child]:
-                    raise ModelFormatError(f"node {child} has more than one parent")
-                reached[child] = True
-                below.append(child)
-        level = below
-    if not all(reached):
-        raise ModelFormatError(f"node {reached.index(False)} is unreachable from node 0")
-    return depth
-
-
 def balanced_weights(y: np.ndarray) -> np.ndarray:
     """Sample weights that give each observed class equal total mass."""
     counts = np.bincount(y, minlength=N_CLASSES)
@@ -535,12 +489,143 @@ def fit_random_forest(X, y, seed, hyperparameters) -> dict:
                 Xb, yb = X, y
             balanced = hyperparameters["class_weight"] == "balanced"
             problems.append((Xb, yb, balanced_weights(yb) if balanced else None, key, None))
-        trees += [nodes for nodes, _ in grow_trees(problems, **limits)]
+        trees += [tree for tree, _ in grow_trees(problems, **limits)]
     return {"trees": trees}
 
 
+_FIELDS = ("feature", "threshold", "left", "right", "dist")
+
+
+class Tree:
+    """Trees as columns over their nodes, each tree's in best-first ids and
+    trees end to end: ``feature``, ``threshold``, ``left`` and ``right``
+    (-1, 0.0, -1 and -1 at a leaf) and ``dist``, shape (nodes, classes). A
+    model file holds a tree as a list of dict nodes with these keys:
+    ``nodes`` and ``from_nodes`` are the one conversion each way."""
+
+    __slots__ = _FIELDS
+
+    def __init__(self, feature, threshold, left, right, dist):
+        self.feature, self.threshold, self.left, self.right = feature, threshold, left, right
+        self.dist = dist
+
+    def nodes(self) -> list[dict]:
+        """One tree as a model file holds it."""
+        rows = zip(*(getattr(self, field).tolist() for field in _FIELDS))
+        return [dict(zip(_FIELDS, row)) for row in rows]
+
+    @classmethod
+    def from_nodes(cls, trees: list) -> Tree:
+        """A file's trees, lists of nodes, stacked. A value of the wrong
+        type becomes one that fails the check that reads it (``_check``):
+        -2 for an id that is not an integer (a boolean is not), NaN for a
+        number that is not finite, and all of these for a ``dist`` that is
+        not a list of ``N_CLASSES`` or a node that is not a dict or lacks
+        the field."""
+        nodes = [node if type(node) is dict else {} for tree in trees for node in tree]
+        feature, threshold, left, right, dist = ([n.get(f) for n in nodes] for f in _FIELDS)
+        if not (set(map(type, dist)) <= {list} and set(map(len, dist)) <= {N_CLASSES}):
+            dist = [r if type(r) is list and len(r) == N_CLASSES else [None] * N_CLASSES
+                    for r in dist]
+        ids = _numbers(feature + left + right, {int}, np.intp, -2).reshape(3, -1)
+        numbers = _numbers(threshold + [p for row in dist for p in row], {int, float}, float, np.nan)
+        dist = numbers[len(nodes):].reshape(-1, N_CLASSES)
+        return cls(ids[0], numbers[: len(nodes)], ids[1], ids[2], dist)
+
+
+def _numbers(values: list, types: set, dtype, bad) -> np.ndarray:
+    """``values`` as a ``dtype`` array, ``bad`` for each one that is not of
+    ``types`` (a boolean is not an int) or does not fit ``dtype``."""
+    if set(map(type, values)) <= types:
+        try:
+            return np.array(values, dtype)
+        except OverflowError:
+            pass
+    limit = np.iinfo(dtype).max if dtype is np.intp else sys.float_info.max
+    return np.array([v if type(v) in types and abs(v) <= limit else bad for v in values], dtype)
+
+
+#: A split node's checks in the order the walk runs them, each the field it
+#: reads and its message; a leaf runs the first only.
+_CHECKS = [
+    ("dist", f"node {{node}} is not {N_CLASSES} probabilities: {{value!r}}"),
+    ("feature", "split references feature {value!r}"),
+    ("threshold", "split threshold is not a number: {value!r}"),
+] + [(side, message) for side in ("left", "right") for message in (
+    "split references node {value!r}", "node {value} is its own child",
+    "node {value} has more than one parent",
+)]
+
+
+def _check(forest: Tree, sizes: np.ndarray, n_features: int, source=None) -> int:
+    """Check trees of ``sizes`` nodes stacked in ``forest``, read from the
+    file trees ``source`` if given; return the deepest one's depth.
+
+    A walk from each tree's node 0 must reach each of its nodes once, so
+    routing a row cannot loop or merge and a tree holds one tree. A split
+    tests one of ``n_features`` columns against a finite threshold, a leaf
+    has feature -1, and every node holds class probabilities, which a depth
+    cap can make a split node's vote. The walk goes a level at a time over
+    every tree at once; the error raised is the one walking the trees one
+    at a time raises first, at the first failing tree's first failing node
+    in walk order.
+    """
+    n, n_trees, roots = len(forest.feature), len(sizes), np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(n_trees), sizes)
+    base, split, dist = roots[owner], forest.feature != -1, forest.dist
+    failed = np.zeros((n, len(_CHECKS)), dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        failed[:, 0] = ~(np.isfinite(dist) & (dist >= 0)).all(axis=1)
+        failed[:, 0] |= np.abs(sum(dist.T) - 1.0) > 1e-9
+    failed[:, 1] = split & ((forest.feature < 0) | (forest.feature >= n_features))
+    failed[:, 2] = split & ~np.isfinite(forest.threshold)
+    below = np.full((n, 2), n)  # each split's children by stacked id, else n
+    for s, child in enumerate((forest.left, forest.right)):
+        valid = split & (0 <= child) & (child < sizes[owner])
+        failed[:, 3 + 3 * s] = split & ~valid
+        failed[:, 4 + 3 * s] = valid & (child == np.arange(n) - base)
+        np.add(base, child, out=below[:, s], where=valid)
+    reached, levels = np.zeros(n + 1, dtype=bool), [roots[sizes > 0]]
+    reached[levels[0]] = True
+    while levels[-1].size:
+        children = below[levels[-1]].reshape(-1)
+        # a child reached before: at a level above, or earlier in this one
+        order = np.argsort(children, kind="stable")
+        again = np.zeros(len(children), dtype=bool)
+        again[order[1:]] = children[order[1:]] == children[order[:-1]]
+        again = (again | reached[children]) & (children < n)
+        failed[levels[-1], 5::3] = again.reshape(-1, 2)
+        levels.append(children[(children < n) & ~again])
+        reached[levels[-1]] = True
+    walk = np.concatenate(levels)
+    bad = walk[failed[walk].any(axis=1)]
+    trouble = sizes == 0
+    trouble[owner[bad]] = trouble[owner[~reached[:n]]] = True
+    if not trouble.any():
+        return len(levels) - 2
+    t = int(trouble.argmax())
+    if not sizes[t]:
+        raise ModelFormatError("tree has no nodes")
+    if not (bad := bad[owner[bad] == t]).size:
+        node = np.flatnonzero(~reached[:n] & (owner == t))[0] - roots[t]
+        raise ModelFormatError(f"node {node} is unreachable from node 0")
+    node, check = int(bad[0] - roots[t]), int(failed[bad[0]].argmax())
+    field, message = _CHECKS[check]
+    if source is None:
+        value = getattr(forest, field)[bad[0]].tolist()
+    else:
+        # a node that is not a dict, or lacks a field the walk has read by
+        # this check, raises as the walk does
+        value = source[t][node][field]
+        if check >= 3:
+            source[t][node]["right"]
+    if check == 0:
+        len(value)
+    raise ModelFormatError(message.format(node=node, value=value))
+
+
 class ForestPredictor:
-    """A vote of trees compiled into flat node arrays with global node ids.
+    """A vote of trees stacked into one set of columns with global node ids.
 
     Without ``weights`` (random forest, decision tree) each tree votes the
     class distribution of the node a row ends at; with ``weights``
@@ -555,26 +640,32 @@ class ForestPredictor:
     trees grown without a ``max_leaf_nodes`` budget and without AdaBoost's
     reweighting, the ``max_depth`` d fit (module docstring).
 
-    Compiling checks each tree (``_tree_depth``). ``depth`` is the deepest
-    tree's depth.
+    ``trees`` are fitted ``Tree`` columns or a model file's node lists,
+    converted together (``Tree.from_nodes``). Stacking checks every tree
+    (``_check``); ``depth`` is the deepest tree's depth.
     """
 
     def __init__(self, trees, n_features: int, weights=None):
         if not trees:
             raise ModelFormatError("random-forest has no trees")
-        self.depth = max(_tree_depth(nodes, n_features) for nodes in trees)
-        sizes = [len(nodes) for nodes in trees]
-        self.roots = np.cumsum([0] + sizes[:-1])
-        columns = []
-        for base, nodes in zip(self.roots.tolist(), trees):
-            for i, node in enumerate(nodes, base):
-                if node["feature"] < 0:
-                    columns.append((0, np.inf, i, i, node["dist"]))
-                else:
-                    left, right = base + node["left"], base + node["right"]
-                    columns.append((node["feature"], node["threshold"], left, right, node["dist"]))
-        self.feature, self.threshold, self.left, self.right, dist = map(np.array, zip(*columns))
-        self.votes, self.totals = dist.astype(float), np.arange(1.0, len(trees) + 1)
+        if all(isinstance(tree, Tree) for tree in trees):
+            forest = Tree(*(np.concatenate([getattr(t, f) for t in trees]) for f in _FIELDS))
+            source, sizes = None, np.array([len(tree.feature) for tree in trees])
+        else:
+            source = [nodes or [] for nodes in trees]  # a null tree has no nodes
+            sizes = np.array([len(nodes) for nodes in source], dtype=np.intp)
+            forest = Tree.from_nodes(source)
+        self.depth = _check(forest, sizes, n_features, source)
+        # a leaf becomes a split at threshold +inf whose children are itself
+        self.roots = np.cumsum(sizes) - sizes
+        leaf, ids = forest.feature == -1, np.arange(len(forest.feature))
+        base = np.repeat(self.roots, sizes)
+        self.feature = np.where(leaf, 0, forest.feature)
+        self.threshold = np.where(leaf, np.inf, forest.threshold)
+        self.left, self.right = (
+            np.where(leaf, ids, base + child) for child in (forest.left, forest.right)
+        )
+        self.votes, self.totals = forest.dist, np.arange(1.0, len(sizes) + 1)
         if weights is not None:
             per_node = np.repeat(np.asarray(weights, dtype=float), sizes)
             picks = self.votes.argmax(axis=1)

@@ -1,11 +1,19 @@
-"""Brute-force reference grower for one tree of ``doctype.models.tree.grow_trees``.
+"""Brute-force references for ``doctype.models.tree``: a grower for one
+tree of ``grow_trees`` and a walk that checks a model file's trees.
 
-Each node sorts every drawn feature of its own rows again (stable argsort)
-and scores the features one at a time; growth is best-first by impurity
-decrease, ties popping in node-creation order. A node draws its features
-from its path key with its own copy of splitmix64 over numpy ``uint64``
-arrays, written apart from the library's. The library grower must give
-the same nodes, to the JSON byte, for the same arguments and key.
+The grower sorts every drawn feature of each node's own rows again (stable
+argsort) and scores the features one at a time; growth is best-first by
+impurity decrease, ties popping in node-creation order. A node draws its
+features from its path key with its own copy of splitmix64 over numpy
+``uint64`` arrays, written apart from the library's. The library grower
+must give the same nodes, to the JSON byte, for the same arguments and key.
+
+``reference_distributions`` turns class counts into probabilities one
+Python float at a time, as the library did before it took whole arrays.
+
+The walk (``reference_forest_depth``) checks one tree's dict nodes at a
+time, node by node from node 0; ``ForestPredictor``'s array check must
+accept the same trees and raise the same first error.
 """
 
 from __future__ import annotations
@@ -14,7 +22,9 @@ import heapq
 
 import numpy as np
 
+from doctype.errors import ModelFormatError
 from doctype.ingest import N_CLASSES
+from doctype.ioutils import finite_number
 
 
 def reference_grow_tree(
@@ -133,3 +143,66 @@ def _best_split(X, y, sample_weight, indices, features, min_leaf_size):
             mask = values <= threshold
             best = (float(decrease[pick]), int(feature), threshold, indices[mask], indices[~mask])
     return best
+
+
+def reference_forest_depth(trees, n_features: int) -> int:
+    """Check each tree in order (``reference_tree_depth``); return the
+    deepest one's depth."""
+    return max(reference_tree_depth(nodes, n_features) for nodes in trees)
+
+
+def reference_tree_depth(nodes, n_features: int) -> int:
+    """Check one tree's nodes and shape; return its depth.
+
+    The walk from node 0 must reach every node exactly once, so routing a
+    row cannot loop or merge (a node that is its own child, a shared child)
+    and the file holds one tree (no unreachable node). A split tests one of
+    ``n_features`` columns against a finite threshold, a leaf has feature
+    -1, and feature and child ids are integers, not booleans. Every node
+    holds class probabilities, which a depth cap can make a split node's
+    vote.
+    """
+    if not nodes:
+        raise ModelFormatError("tree has no nodes")
+    reached = [True] + [False] * (len(nodes) - 1)
+    level, depth = [0], -1
+    while level:
+        depth, below = depth + 1, []
+        for parent in level:
+            node, dist = nodes[parent], nodes[parent]["dist"]
+            shaped = len(dist) == N_CLASSES and all(finite_number(p) and p >= 0 for p in dist)
+            if not shaped or abs(sum(dist) - 1.0) > 1e-9:
+                raise ModelFormatError(f"node {parent} is not {N_CLASSES} probabilities: {dist!r}")
+            # ``type(...) is int``: True and False are ints to isinstance
+            feature = node["feature"]
+            if type(feature) is int and feature == -1:
+                continue
+            if type(feature) is not int or not 0 <= feature < n_features:
+                raise ModelFormatError(f"split references feature {feature!r}")
+            if not finite_number(node["threshold"]):
+                raise ModelFormatError(f"split threshold is not a number: {node['threshold']!r}")
+            for child in (node["left"], node["right"]):
+                if type(child) is not int or not 0 <= child < len(nodes):
+                    raise ModelFormatError(f"split references node {child!r}")
+                if child == parent:
+                    raise ModelFormatError(f"node {child} is its own child")
+                if reached[child]:
+                    raise ModelFormatError(f"node {child} has more than one parent")
+                reached[child] = True
+                below.append(child)
+        level = below
+    if not all(reached):
+        raise ModelFormatError(f"node {reached.index(False)} is unreachable from node 0")
+    return depth
+
+
+def reference_distributions(counts: np.ndarray) -> list[list[float]]:
+    """Each row of class counts as probabilities, its total added in order;
+    uniform for no weight."""
+    dists = []
+    for row in counts.tolist():
+        total = 0.0
+        for count in row:
+            total += count
+        dists.append([c / total for c in row] if total > 0 else [1.0 / N_CLASSES] * N_CLASSES)
+    return dists

@@ -57,9 +57,16 @@ from doctype.models.tree import (
 )
 from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable
 from doctype.synthetic import generate_synthetic
-from conftest import REFERENCE_CELLS, blank_f1, make_example, threshold_model, toy_dataset
+from conftest import (
+    REFERENCE_CELLS,
+    blank_f1,
+    file_form,
+    make_example,
+    threshold_model,
+    toy_dataset,
+)
 from reference_threshold import reference_threshold_predict
-from reference_tree import reference_grow_tree
+from reference_tree import reference_distributions, reference_forest_depth, reference_grow_tree
 
 
 def example_1d(f2: float, label: DocType, doc_id: str) -> LabeledExample:
@@ -515,15 +522,16 @@ class TestDecisionTree:
         # both root children split perfectly on column 1 (decrease 0.5
         # each); a three-leaf budget splits the one created first
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        nodes, _ = grow_trees([(X, np.array([0, 1, 2, 0]), None, 0, None)], max_leaf_nodes=3)[0]
-        assert [node["feature"] for node in nodes] == [0, 1, -1, -1, -1]
+        tree, _ = grow_trees([(X, np.array([0, 1, 2, 0]), None, 0, None)], max_leaf_nodes=3)[0]
+        assert [node["feature"] for node in file_form(tree)] == [0, 1, -1, -1, -1]
 
     @settings(max_examples=400, deadline=None)
     @given(case=grower_cases())
     def test_presorted_grower_matches_reference(self, case):
         X, y, sample_weight, limits, key = case
         want = reference_grow_tree(X, y, sample_weight, **limits, key=key)
-        nodes, leaf = grow_trees([(X, y, sample_weight, key, None)], **limits)[0]
+        tree, leaf = grow_trees([(X, y, sample_weight, key, None)], **limits)[0]
+        nodes = file_form(tree)
         assert json.dumps(nodes) == json.dumps(want)
         # each training row's leaf id gives the compiled tree's prediction
         routed = ForestPredictor([nodes], X.shape[1]).scores_matrix(X).argmax(axis=1)
@@ -535,17 +543,38 @@ class TestDecisionTree:
         problems, limits = batch
         batch = [(X, y, sample_weight, key, None) for X, y, sample_weight, key in problems]
         grown = grow_trees(batch, **limits)
-        for (X, y, sample_weight, key), (nodes, leaf) in zip(problems, grown):
+        for (X, y, sample_weight, key), (tree, leaf) in zip(problems, grown):
             want = reference_grow_tree(X, y, sample_weight, **limits, key=key)
+            nodes = file_form(tree)
             assert json.dumps(nodes) == json.dumps(want)
             # each training row's leaf id is the node the compiled tree routes it to
             assert np.array_equal(leaf, ForestPredictor([nodes], X.shape[1]).leaves(X)[0])
         # one node or one feature per scoring call: the same trees
         with patch.object(tree_module, "_PASS_CELLS", 1):
             one_at_a_time = grow_trees(batch, **limits)
-        for (nodes, leaf), (again, again_leaf) in zip(grown, one_at_a_time):
-            assert json.dumps(again) == json.dumps(nodes)
+        for (tree, leaf), (again, again_leaf) in zip(grown, one_at_a_time):
+            assert json.dumps(file_form(again)) == json.dumps(file_form(tree))
             assert np.array_equal(again_leaf, leaf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.sampled_from([0.0, 5e-324, 2.5e-320, 1e-300, 1.0, 1e300, 1.7e308])
+                | st.floats(0, 1e308),
+                min_size=3, max_size=3,
+            ),
+            min_size=1, max_size=20,
+        )
+    )
+    def test_distributions_match_the_python_loop(self, rows):
+        # zero, sub-normal and 1e300-apart weights, bit for bit; a total
+        # may overflow to inf, as the fit allows
+        counts = np.array(rows)
+        want = np.array(reference_distributions(counts))
+        with np.errstate(over="ignore"):
+            got = tree_module._distributions(counts)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_forest_scores_a_level_in_one_pass(self, monkeypatch):
         # 20 bootstrapped trees of depth 4 on 185 rows: one scoring pass per
@@ -558,7 +587,7 @@ class TestDecisionTree:
         monkeypatch.setattr(tree_module, "_best_split", lambda *a: calls.append(1) or best_split(*a))
         hp = {"n_trees": 20, "max_depth": 4, "min_leaf_size": 1, "max_leaf_nodes": None,
               "feature_subset": 2, "bootstrap": True, "class_weight": None}
-        trees = fit_random_forest(X, y, 0, hp)["trees"]
+        trees = file_form(fit_random_forest(X, y, 0, hp)["trees"])
         splits = sum(node["feature"] >= 0 for nodes in trees for node in nodes)
         assert len(passes) <= 4 and 4 * len(calls) <= splits
 
@@ -643,7 +672,7 @@ class TestRandomForest:
         data = toy_dataset(50, seed=6)
         model = train("random-forest", data, DEPLOYED_FOREST_PROFILE, seed=2)
         assert len(model.parameters["trees"]) <= 10
-        for nodes in model.parameters["trees"]:
+        for nodes in file_form(model.parameters["trees"]):
             leaves = sum(1 for node in nodes if node["feature"] < 0)
             assert leaves <= 5
 
@@ -655,8 +684,8 @@ class TestRandomForest:
 
 
 #: Two columns that no split separates, three equal classes: the first
-#: learner's weighted error rounds to 2/3 or above (it does at 9 rows, not
-#: at 3 or 6), so the fit finds no weak learner.
+#: learner's weighted error is 2/3 up to rounding, so the fit finds no weak
+#: learner.
 UNSPLITTABLE = (np.zeros((9, 2)), np.arange(9) % 3)
 #: One class: a tree of any depth, a lone root included, makes no error,
 #: so boosting stops at the error floor in round 1.
@@ -683,7 +712,7 @@ def boosting_problems(draw):
 
 def boosted(fit) -> str:
     """A ``fit_adaboost`` result as text: its JSON, or its error."""
-    return json.dumps(fit) if isinstance(fit, dict) else f"{type(fit).__name__}: {fit}"
+    return json.dumps(file_form(fit)) if isinstance(fit, dict) else f"{type(fit).__name__}: {fit}"
 
 
 class TestAdaboost:
@@ -723,7 +752,17 @@ class TestAdaboost:
         assert len(fits[3]["trees"]) == 1 or max_depth < 2
         # the failed and stopped problems change nothing for the one boosting on
         assert [boosted(fits[1])] == [boosted(fit) for fit in fit_adaboost([(X, y)], hp)]
-        assert fits[1] == train("adaboost", data, hp, features=("f2", "f3")).parameters
+        alone = train("adaboost", data, hp, features=("f2", "f3"))
+        assert file_form(fits[1]) == file_form(alone.parameters)
+
+    @pytest.mark.parametrize("n", range(3, 40, 3))
+    @pytest.mark.parametrize("max_depth", [0, 2])
+    def test_no_better_than_random_at_any_row_count(self, n, max_depth):
+        # the first learner's error is 2/3 rounded up or down by a few ulps,
+        # as n sets the order of its sum: at no n does it boost a round
+        hp = {"rounds": 5, "max_depth": max_depth, "min_leaf_size": 1}
+        [fit] = fit_adaboost([(np.zeros((n, 2)), np.arange(n) % 3)], hp)
+        assert boosted(fit) == "TrainingError: boosting found no weak learner better than random"
 
     def test_round_one_equals_weak_learner(self):
         data = toy_dataset(25, seed=8)
@@ -847,7 +886,9 @@ class TestEnsemblePrefixes:
         "data, max_depth",
         [
             (toy_dataset(10, seed=1), 2),  # separable: round 1 hits the error floor
-            (noisy_examples(0), 0),  # round 2 is no better than random guessing
+            # 11, 10 and 10 rows a class: a lone root boosts once, and round 2
+            # is no better than random guessing
+            (noisy_examples(0, 31), 0),
         ],
     )
     def test_first_members_through_early_stop(self, data, max_depth):
@@ -911,7 +952,8 @@ class TestEnsemblePrefixes:
         and prefix s is divided by the tree count s or the Python ``sum``
         of its s weights (compensated on Python 3.12+), as the s-member
         model's own predictor divides."""
-        data = noisy_examples(3, 60) + toy_dataset(10, seed=3)
+        # unequal classes, so a lone root (max_depth 0) boosts a round
+        data = noisy_examples(3, 61) + toy_dataset(10, seed=3)
         model = train(kind, data, hp, seed=4)
         trees = model.parameters["trees"]
         alphas = model.parameters.get("alphas", [1] * len(trees))
@@ -1124,7 +1166,8 @@ class TestMissingF1:
         rows_filled = [*rows[:4], replace(gap, features=replace(gap.features, f1_authors=fill))]
         model = train(kind, rows)
         assert model.imputer == imputer
-        assert model.parameters == train(kind, rows_filled + rows[5:]).parameters
+        filled = train(kind, rows_filled + rows[5:])
+        assert file_form(model.parameters) == file_form(filled.parameters)
 
     def test_train_without_f1_ignores_it(self):
         model = train("gnb", self.data(), features=("f2", "f3"))
@@ -1237,7 +1280,7 @@ class TestScoringOracles:
             ("adaboost", {"rounds": 40, "max_depth": 3}, "log-scale"),
         ]:
             model = train(kind, data, hp, seed=5, transform=transform)
-            params = model.parameters
+            params = file_form(model.parameters)
             raw, rows = self.queries(model)
             _, scores = predict_batch(model, raw)
             for row, got in zip(rows, scores.tolist()):
@@ -1369,6 +1412,104 @@ class TestSerialization:
         label, scores = predict(loaded, FeatureVector(5, 5.0, 9, 1.0))
         assert label is DocType.THESIS
         assert scores == {DocType.RESEARCH: 0.0, DocType.SLIDES: 0.0, DocType.THESIS: 1.0}
+
+
+@st.composite
+def valid_trees(draw) -> list[dict]:
+    """A tree of 1-15 dict nodes over 4 features: splits until none is
+    left to split, numbered from the root by a drawn order."""
+    nodes, waiting = [dict(LEAF)], [0]
+    while waiting and len(nodes) < 15:
+        parent = waiting.pop(draw(st.integers(0, len(waiting) - 1)))
+        if not draw(st.booleans()):
+            continue
+        left, right = len(nodes), len(nodes) + 1
+        nodes[parent] = {
+            **split(draw(st.integers(0, 3)), left, right),
+            "threshold": draw(st.floats(-1e6, 1e6)),
+        }
+        nodes += [{**LEAF, "dist": draw(st.sampled_from(DISTS))} for _ in range(2)]
+        waiting += [left, right]
+    return nodes
+
+
+#: Class probabilities a node may hold: rows whose sum is 1 within 1e-9.
+DISTS = [[1.0, 0.0, 0.0], [0.25, 0.25, 0.5], [0.1, 0.2, 0.7], [0, 1, 0], [1 / 3] * 3]
+
+#: Values a corruption may write in a node's field.
+BAD_IDS = [True, False, 1.0, -1, -2, 4, 2**70, None, "1"]
+BAD_THRESHOLDS = [math.nan, math.inf, -math.inf, None, "2", True, 2**1030]
+BAD_DISTS = [
+    [0.5, 0.5], [0.5, 0.25, 0.25, 0.0], [0.5, 0.5, 0.1], [1.0, -0.0, 0.0], [1.5, -0.5, 0.0],
+    [math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0], [True, 0.0, 0.0], [1, 0, 0], [1.0, 0.0, 1e-10],
+    [1.0, 0.0, 1e-8], None, 1, "abc", {}, [],
+]
+
+
+@st.composite
+def corrupted_forests(draw) -> list[list]:
+    """1-3 valid trees, then 0-4 corruptions: a field set to a bad value,
+    to a node id of its own tree or of no node (the next tree's, once
+    stacked), a key deleted, a node made a split to any two nodes (a self
+    loop, a shared child, a cycle), or nodes appended (a lone leaf or a
+    two-node cycle no walk from node 0 reaches)."""
+    trees = draw(st.lists(valid_trees(), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 4))):
+        nodes = draw(st.sampled_from(trees))
+        if draw(st.integers(0, 5)) == 0:
+            n = len(nodes)
+            nodes += draw(st.sampled_from([[dict(LEAF)], [split(0, n + 1, n + 1), split(1, n, n)]]))
+            continue
+        node = draw(st.sampled_from(nodes))
+        field = draw(st.sampled_from(["feature", "threshold", "left", "right", "dist", "split"]))
+        if field == "split":
+            # a node, a leaf or not, splits to any two nodes of its tree, one
+            # often a child another node has
+            taken = [v for other in nodes for v in (other.get("left"), other.get("right"))
+                     if type(v) is int and 0 <= v < len(nodes)]
+            children = st.integers(0, len(nodes) - 1) | st.sampled_from(taken or [0])
+            left = draw(children)
+            node.update(split(0, left, draw(st.just(left) | children)))
+        elif draw(st.integers(0, 9)) == 0:
+            node.pop(field, None)
+        elif field == "threshold":
+            node[field] = draw(st.sampled_from(BAD_THRESHOLDS))
+        elif field == "dist":
+            node[field] = draw(st.sampled_from(BAD_DISTS))
+        else:
+            ids = st.integers(-1, len(nodes) - 1) | st.sampled_from(BAD_IDS)
+            ids |= st.sampled_from([len(nodes), len(nodes) + 1])
+            node[field] = draw(ids)
+    return trees
+
+
+def check_outcome(check, *args) -> str:
+    """What a tree check gives: the depth, or the error it raises."""
+    try:
+        return f"depth {check(*args)}"
+    except (ModelFormatError, KeyError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestTreeCheck:
+    """``ForestPredictor`` checks stacked trees with array operations; it
+    must take and refuse what a walk of each tree's dict nodes does
+    (``tests/reference_tree.py``), with the same first error."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(trees=corrupted_forests())
+    def test_array_check_matches_the_walk(self, trees):
+        want = check_outcome(reference_forest_depth, trees, 4)
+        got = check_outcome(lambda: ForestPredictor(trees, 4).depth)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "trees",
+        [[[]], [[LEAF], []], [[LEAF], None], [[LEAF], [None]], [[LEAF], "ab"], [{"a": 1}], [[LEAF], 5]],
+    )
+    def test_tree_that_is_not_a_node_list(self, trees):
+        want = check_outcome(reference_forest_depth, trees, 4)
+        assert check_outcome(lambda: ForestPredictor(trees, 4).depth) == want
 
 
 @lru_cache(maxsize=1)
