@@ -595,6 +595,7 @@ def _check(forest: Tree, sizes: np.ndarray, n_features: int, source=None) -> int
         again[order[1:]] = children[order[1:]] == children[order[:-1]]
         again = (again | reached[children]) & (children < n)
         failed[levels[-1], 5::3] = again.reshape(-1, 2)
+        # a failing node's children walk on: its tree's first failure is set
         levels.append(children[(children < n) & ~again])
         reached[levels[-1]] = True
     walk = np.concatenate(levels)
