@@ -10,6 +10,7 @@ rqtctr = qtctr * impression-share holds exactly by construction.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import IO, Iterable, Mapping
@@ -176,11 +177,12 @@ class EngineReport:
         self.n_events += 1
         self.n_sets += len(sets)
         self.set_impressions_total += len(event.impressions) * len(sets)
-        click_positions = [click.position for click in event.clicks]
         for imp in event.impressions:
             self.event_impressions[imp.doc_type] += 1
             self.set_impressions[imp.doc_type] += len(sets)
-            self.event_clicks[imp.doc_type] += click_positions.count(imp.position)
+        types = {imp.position: imp.doc_type for imp in event.impressions}
+        for click in event.clicks:  # names an impression: event_sets checked it
+            self.event_clicks[types[click.position]] += 1
         for derived in sets:
             if derived.assigned_type is not None:
                 self.sets_any[derived.assigned_type] += 1
@@ -292,18 +294,18 @@ class EngagementReport:
 
 def engagement_report(events: Iterable[LogEvent]) -> EngagementReport:
     """Fold events into per-engine counts; division happens only at read time."""
-    engines: dict[str, EngineReport] = {}
+    engines: defaultdict[str, EngineReport] = defaultdict(EngineReport)
     unknown_engine = 0
     for event in events:
         if event.engine not in ENGINES:
             unknown_engine += 1
             continue
-        report = engines.setdefault(event.engine, EngineReport())
+        report = engines[event.engine]
         try:
             report.add(event, event_sets(event))
         except EventValidationError:
             report.n_rejected += 1
-    return EngagementReport(engines, n_rejected_unknown_engine=unknown_engine)
+    return EngagementReport(dict(engines), n_rejected_unknown_engine=unknown_engine)
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +326,17 @@ def read_log_events(
     predictions: Mapping[str, DocType] | None = None,
 ) -> LogParseResult:
     """Parse a log stream; lines that cannot be resolved are counted."""
-    events, errors = read_json_lines(source, partial(_parse_event, predictions))
+    events, errors = read_json_lines(source, partial(_parse_event, predictions or {}))
     return LogParseResult(events, len(errors), errors)
 
 
-def _parse_event(predictions: Mapping[str, DocType] | None, obj) -> LogEvent:
+def _parse_event(predictions: Mapping[str, DocType], obj) -> LogEvent:
     impressions = []
     for imp in obj["impressions"]:
         doc_id, position = _reference(imp)
         if "doc_type" in imp:
             doc_type = DocType.from_label(imp["doc_type"])
-        elif predictions is not None and doc_id in predictions:
-            doc_type = predictions[doc_id]
-        else:
+        elif (doc_type := predictions.get(doc_id)) is None:
             raise ValueError(f"impression {doc_id!r} has no resolvable doc_type")
         impressions.append(Impression(doc_id, position, doc_type))
     clicks = [Click(*_reference(c)) for c in obj.get("clicks", [])]
@@ -345,10 +345,11 @@ def _parse_event(predictions: Mapping[str, DocType] | None, obj) -> LogEvent:
 
 def _reference(item) -> tuple[str, int]:
     """An impression's or click's (doc_id, position): a string and a JSON
-    integer; anything else raises ValueError."""
+    integer; anything else raises ValueError. The tests are on exact types,
+    which JSON values always have, so a bool is no integer here."""
     doc_id, position = item["doc_id"], item["position"]
-    if not isinstance(doc_id, str):
+    if type(doc_id) is not str:
         raise ValueError(f"doc_id must be a string, got {json.dumps(doc_id)}")
-    if not isinstance(position, int) or isinstance(position, bool):
+    if type(position) is not int:
         raise ValueError(f"position must be an integer, got {json.dumps(position)}")
     return doc_id, position

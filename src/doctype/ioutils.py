@@ -4,6 +4,7 @@ JSON and atomic writes."""
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -72,8 +73,15 @@ def read_json_lines(
     Returns the parsed values and one ``"line N: reason"`` per line that
     the JSON decoder or ``parse`` rejected. A stream that cannot be read
     or decoded raises IngestError.
+
+    The cyclic garbage collector is paused during the read, and resumed
+    only if it was running: decoded values and kept reject messages hold no
+    cycles, yet each full pass walks every value kept. On a 30,000-line
+    click log, three such passes took 0.56-0.78 s of a 1.6 s engagement job.
     """
     values, rejects = [], []
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         for number, line in enumerate(source, 1):
             if isinstance(line, bytes):
@@ -84,10 +92,13 @@ def read_json_lines(
                 try:
                     values.append(parse(json.loads(line)))
                 except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                    reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                    reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
                     rejects.append(f"line {number}: {reason}")
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {getattr(source, 'name', 'input')}: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     return values, rejects
 
 

@@ -1,5 +1,6 @@
 """Impression sets, CTR/QTCTR/RQTCTR, and the engagement report."""
 
+import gc
 import io
 import json
 
@@ -210,6 +211,15 @@ class TestEngagementReport:
         assert report.engines["search"].n_rejected == 1
         assert report.engines["search"].n_sets == 1
 
+    def test_each_click_counted_once(self):
+        # Two clicks on position 2 give its type two clicks; clicks at
+        # positions 1 and 3 of one type give that type one top set.
+        event = make_event("search", "q", [R, S, R], clicked_positions=[2, 1, 2, 3])
+        engine = engagement_report([event]).engines["search"]
+        assert (engine.event_clicks[S], engine.event_clicks[R], engine.event_clicks[T]) == (2, 2, 0)
+        assert (engine.sets_any[R], engine.sets_top[R]) == (1, 1)
+        assert (engine.sets_any[S], engine.sets_top[S]) == (1, 0)
+
     def test_impression_order_of_magnitude_story(self):
         # impression shares ~ {R: .667, T: .272, S: .061}; users click
         # research/thesis an order of magnitude more than slides
@@ -297,6 +307,53 @@ class TestLogParsing:
             parsed = read_log_events(io.StringIO(text))
             assert parsed.n_rejected == 1
             assert parsed.events == [] and parsed.errors[0].startswith(error)
+
+    def test_own_type_wins_and_mistyped_fields_counted(self):
+        line = event_line({"doc_id": "a", "position": 1, "doc_type": "Thesis"})
+        own = read_log_events(io.StringIO(line), predictions={"a": R})
+        assert own.errors == [] and own.events[0].impressions[0].doc_type is T
+        for text, error in [
+            (event_line({"doc_id": "a", "position": 1, "doc_type": ["Research"]}),
+             "line 1: unknown document type: ['Research']"),
+            (event_line({"doc_id": "a", "position": True}), "line 1: position must be an integer, got true"),
+            (event_line({"doc_id": "a", "position": 1, "doc_type": "Research"},
+                        {"doc_id": "a", "position": "1"}),
+             'line 1: position must be an integer, got "1"'),
+        ]:
+            parsed = read_log_events(io.StringIO(text), predictions={"a": R})
+            assert parsed.events == [] and parsed.errors == [error]
+
+    def test_read_runs_no_full_collection(self):
+        # A count, not a timing: the reader pauses the cyclic collector, so
+        # holding 20,000 events' objects triggers no generation-2 pass.
+        lines = [
+            json.dumps({
+                "engine": ENGINES[i % 2],
+                "query_id": f"q{i}",
+                "impressions": [
+                    {"doc_id": f"d{i}-{p}", "position": p, "doc_type": DocType(p % 3).label}
+                    for p in range(1, 2 + i % 10)
+                ],
+                "clicks": [{"doc_id": f"d{i}-1", "position": 1}] if i % 3 == 0 else [],
+            })
+            for i in range(20_000)
+        ]
+        full = []
+
+        def record(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full.append(info)
+
+        enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            parsed = read_log_events(lines)
+        finally:
+            gc.callbacks.remove(record)
+            if not enabled:
+                gc.disable()
+        assert len(parsed.events) == 20_000 and full == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Record parsing, tokenization, and feature extraction."""
 
+import gc
 import io
 import json
 
@@ -281,6 +282,45 @@ class TestReadJsonLines:
 
         with pytest.raises(IngestError, match="cannot read input: disk gone"):
             read_json_lines(lines(), _positive)
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_rejects_leave_no_cycles(self, n):
+        # The reader pauses the collector because what it reads and keeps
+        # is acyclic; with the collector off, a collection after the read
+        # must find nothing, whatever the reject kinds and their number.
+        kinds = ["{oops", '{"n": -1}', '{"m": 1}', "[]", "[" * 5000, '{"n": 1}']
+        lines = [kinds[i % len(kinds)] for i in range(n)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            values, rejects = read_json_lines(lines, _positive)
+            found = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(values) + len(rejects) == n and all(isinstance(r, str) for r in rejects)
+        assert found == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled):
+        def failing():
+            yield '{"n": 1}'
+            raise OSError("disk gone")
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            read_json_lines(['{"n": 1}'], _positive)
+            states = [gc.isenabled()]
+            read_json_lines(['{"n": 1}', "{oops", '{"n": 0}'], _positive)
+            states.append(gc.isenabled())
+            with pytest.raises(IngestError):
+                read_json_lines(failing(), _positive)
+            states.append(gc.isenabled())
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert states == [enabled] * 3
 
     def test_strict_raises_on_first_reject_naming_the_source(self, tmp_path):
         path = tmp_path / "rows.jsonl"
