@@ -80,13 +80,14 @@ class FeatureVector:
     f4_words_per_page: float
 
     def get(self, feature_id: str) -> float | None:
-        return getattr(self, _FIELD_BY_ID[feature_id])
+        return getattr(self, FIELD_BY_ID[feature_id])
 
     def values(self, feature_ids: Iterable[str] = FEATURE_IDS) -> list[float | None]:
-        return [self.get(fid) for fid in feature_ids]
+        return [getattr(self, FIELD_BY_ID[fid]) for fid in feature_ids]
 
 
-_FIELD_BY_ID = {
+#: The FeatureVector attribute that holds each feature id's value.
+FIELD_BY_ID = {
     "f1": "f1_authors",
     "f2": "f2_total_words",
     "f3": "f3_pages",

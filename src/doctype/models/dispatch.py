@@ -6,13 +6,14 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import DocTypeError, ModelFormatError, TrainingError
-from ..ingest import DOC_TYPES, FEATURE_IDS, DocType, FeatureVector
+from ..ingest import DOC_TYPES, FEATURE_IDS, FIELD_BY_ID, N_CLASSES, DocType, FeatureVector
 from ..ioutils import atomic_write_text, finite_number
 from ..labeling import LabeledExample
 from ..stats import Imputer, TransformSpec
@@ -194,7 +195,9 @@ def dataset_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project labeled rows onto (X, y) arrays for the selected features,
     with NaN for a missing f1: the one place labeled rows become arrays."""
-    X = np.array([ex.features.values(features) for ex in dataset], dtype=float)
+    # one getter for every selected field; with one field it gives a value, not a tuple
+    row = attrgetter(*(FIELD_BY_ID[fid] for fid in features))
+    X = np.array([row(ex.features) for ex in dataset], dtype=float)
     y = np.array([int(ex.label) for ex in dataset], dtype=int)
     return X.reshape(len(y), len(features)), y
 
@@ -280,12 +283,10 @@ def _fit_inputs(kind, dataset, matrix, hyperparameters, seed, transform, feature
     check_hyperparameters(kind, hyperparameters or {})
     features = check_features(features)
 
-    present = {ex.label for ex in dataset}
-    if spec.every_class and present != set(DOC_TYPES):
-        missing = [t.label for t in DOC_TYPES if t not in present]
-        raise TrainingError(f"{kind} needs every class present; missing {missing}")
-
     X, y = dataset_matrix(dataset, features) if matrix is None else matrix
+    if spec.every_class and not (counts := np.bincount(y, minlength=N_CLASSES)).all():
+        missing = [t.label for t in DOC_TYPES if not counts[t]]
+        raise TrainingError(f"{kind} needs every class present; missing {missing}")
     imputer = Imputer.fit(X) if "f1" in features else None
     if imputer is not None:
         X = imputer.apply(X)

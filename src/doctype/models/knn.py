@@ -17,8 +17,8 @@ def fit_knn(X, y, seed, hyperparameters) -> dict:
     del seed
     return {
         "k": hyperparameters["k"],
-        "train_x": [[float(v) for v in row] for row in X],
-        "train_y": [int(v) for v in y],
+        "train_x": X.tolist(),
+        "train_y": y.tolist(),
     }
 
 

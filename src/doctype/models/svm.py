@@ -13,6 +13,15 @@ def fit_linear_svm(X, y, seed, hyperparameters) -> dict:
 
     The descent is full-batch and zero-initialized, hence deterministic;
     the seed is recorded on the artifact but does not affect training.
+
+    Each epoch's hinge term is the sum of the violating rows of ``signed``
+    (each row times its ±1 target, an exact product), gathered into an
+    ``(m, d)`` C-order array. numpy reduces that along axis 0 row after
+    row when d >= 2 but pairwise when d == 1, and a stored model depends
+    on every rounding of the sum, so the gather and the reduction must
+    stay as they are: a BLAS product (``violating @ signed``) or a running
+    ``cumsum`` sums in another order and changes the weights. The bias
+    term is a sum of ±1.0, an exact integer, so it is counted.
     """
     del seed
     epochs = hyperparameters["epochs"]
@@ -22,14 +31,18 @@ def fit_linear_svm(X, y, seed, hyperparameters) -> dict:
     weights = []
     biases = []
     for c in range(N_CLASSES):
-        target = np.where(y == c, 1.0, -1.0)
+        positive = y == c
+        target = np.where(positive, 1.0, -1.0)
+        signed = target[:, None] * X
         w = np.zeros(d)
         b = 0.0
         for _ in range(epochs):
             margins = target * (X @ w + b)
             violating = margins < 1.0
-            grad_w = reg * w - (target[violating, None] * X[violating]).sum(axis=0) / n
-            grad_b = -target[violating].sum() / n
+            grad_w = reg * w - np.compress(violating, signed, axis=0).sum(axis=0) / n
+            # (positive - negative) violators; -0.0 when they cancel, as a float sum gives
+            hinge_b = 2 * np.count_nonzero(violating & positive) - np.count_nonzero(violating)
+            grad_b = -np.float64(hinge_b) / n
             w = w - step * grad_w
             b = b - step * grad_b
         weights.append([float(v) for v in w])

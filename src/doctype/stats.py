@@ -125,8 +125,8 @@ def derive_thresholds(
 class TransformSpec:
     """A fitted per-feature transform, reusable on unseen data.
 
-    z-score features with zero spread fall back to identity (mean 0,
-    scale 1) so the transform stays invertible.
+    z-score features whose values are all equal fall back to identity
+    (mean 0, scale 1) so the transform stays invertible.
     """
 
     kind: str
@@ -141,7 +141,9 @@ class TransformSpec:
             return cls(kind)
         mean = matrix.mean(axis=0)
         scale = matrix.std(axis=0)
-        degenerate = scale <= 0.0
+        # a constant column's mean can round off its value, leaving a
+        # rounding-level std; a spread as small as 1e-200 squares to a zero std
+        degenerate = (matrix.max(axis=0) == matrix.min(axis=0)) | (scale <= 0.0)
         mean = np.where(degenerate, 0.0, mean)
         scale = np.where(degenerate, 1.0, scale)
         return cls(kind, tuple(float(m) for m in mean), tuple(float(s) for s in scale))

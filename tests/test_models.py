@@ -13,7 +13,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doctype.errors import (
@@ -46,6 +46,7 @@ from doctype.models import adaboost as adaboost_module
 from doctype.models.adaboost import fit_adaboost
 from doctype.models.baselines import RandomBaselinePredictor
 from doctype.models.knn import KnnPredictor
+from doctype.models.svm import fit_linear_svm
 from doctype.models import tree as tree_module
 from doctype.models.tree import (
     ForestPredictor,
@@ -65,6 +66,7 @@ from conftest import (
     threshold_model,
     toy_dataset,
 )
+from reference_svm import reference_fit_linear_svm
 from reference_threshold import reference_threshold_predict
 from reference_tree import reference_distributions, reference_forest_depth, reference_grow_tree
 
@@ -1143,6 +1145,42 @@ class TestLinearSvm:
         b = train("linear-svm", data, {"epochs": 50}, seed=4)
         assert a.to_json() == b.to_json()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        problem=st.integers(1, 4).flatmap(
+            lambda d: st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0, 3.0, 1e-3, 7e5]),
+                                 min_size=d, max_size=d),
+                        st.integers(0, 2),
+                    ),
+                    min_size=1, max_size=25,
+                ),
+                st.sets(st.integers(0, d - 1)),
+            )
+        ),
+        epochs=st.integers(0, 60),
+        step=st.sampled_from([1e-3, 1e-2, 0.3, 10.0, 1e300]),
+        reg=st.sampled_from([0.0, 1e-4, 0.5, 1e300]),
+    )
+    # no row violates after the first epoch: a step of 10 puts every margin at 10
+    @example(problem=([([1.0], 0), ([-1.0], 1)], set()), epochs=5, step=10.0, reg=0.0)
+    # the weights overflow to inf and then to nan
+    @example(problem=([([7e5, 3.0], 0), ([-1.0, 0.5], 2)], set()), epochs=9, step=1e300, reg=1e300)
+    def test_descent_matches_reference(self, problem, epochs, step, reg):
+        # every row violates in epoch 1 (w and b start at 0); zeroed columns carry signed zeros
+        rows, zeroed = problem
+        X = np.array([x for x, _ in rows])
+        X[:, sorted(zeroed)] *= 0.0
+        y = np.array([label for _, label in rows])
+        hp = {"epochs": epochs, "step": step, "reg": reg}
+        with np.errstate(all="ignore"):
+            fitted = fit_linear_svm(X, y, 0, hp)
+            expected = reference_fit_linear_svm(X, y, 0, hp)
+        hexed = lambda p: ([[v.hex() for v in w] for w in p["weights"]], [v.hex() for v in p["biases"]])
+        assert hexed(fitted) == hexed(expected)
+
 
 class TestMissingF1:
     def data(self):
@@ -1172,6 +1210,32 @@ class TestMissingF1:
     def test_train_without_f1_ignores_it(self):
         model = train("gnb", self.data(), features=("f2", "f3"))
         assert model.features == ("f2", "f3")
+
+    @pytest.mark.parametrize(
+        "features", [c for r in range(1, 5) for c in combinations(("f1", "f2", "f3", "f4"), r)]
+    )
+    def test_dataset_matrix_matches_per_row_values(self, features):
+        rows = self.data()
+        X, y = dataset_matrix(rows, features)
+        expected = np.array([ex.features.values(features) for ex in rows], dtype=float)
+        assert (X.dtype, X.shape, X.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+        assert y.dtype == np.array([0]).dtype and y.tolist() == [int(ex.label) for ex in rows]
+        X, y = dataset_matrix([], features)
+        assert (X.dtype, X.shape) == (np.float64, (0, len(features)))
+        assert (y.dtype, y.shape) == (np.array([0]).dtype, (0,))
+
+    def test_knn_stores_python_floats_and_ints(self):
+        model = train("knn", self.data(), {"k": 3}, transform="z-score")
+        assert {type(v) for row in model.parameters["train_x"] for v in row} == {float}
+        assert {type(v) for v in model.parameters["train_y"]} == {int}
+
+    @pytest.mark.parametrize("kind", ["adaboost", "linear-svm"])
+    def test_missing_classes_named_before_any_fill(self, kind):
+        # no row has an f1 to fit the imputer on, but the class check comes first
+        data = [make_example(DocType.SLIDES, f1=None, doc_id=f"s{i}") for i in range(3)]
+        with pytest.raises(TrainingError, match=rf"^{kind} needs every class present; "
+                                                r"missing \['Research', 'Thesis'\]$"):
+            train(kind, data)
 
 
 class TestFeatureList:
@@ -1255,6 +1319,19 @@ class TestPredictContract:
         data = [make_example(DocType.RESEARCH, f1=None, doc_id="bad")]
         with pytest.raises(ImputationError, match="^no observed f1 values"):
             train("gnb", data)
+
+    @pytest.mark.parametrize("kind", ["linear-svm", "gnb", "knn"])
+    def test_constant_column_with_inexact_mean(self, kind):
+        # f4 = 5400/14 on all 300 rows: z-score leaves the column as it is,
+        # not divided by a rounding-level std, so an f4 of 386.0 moves no label
+        data = [replace(ex, features=replace(ex.features, f4_words_per_page=5400 / 14))
+                for ex in toy_dataset(100, seed=0)]
+        model = train(kind, data, transform="z-score")
+        assert (model.transform.mean[3], model.transform.scale[3]) == (0.0, 1.0)
+        X = dataset_matrix(data)[0]
+        labels = predict_batch(model, X)[0]
+        X[:, 3] = 386.0
+        assert predict_batch(model, X)[0].tolist() == labels.tolist()
 
 
 class TestScoringOracles:
