@@ -57,7 +57,6 @@ from .engagement import (
     ImpressionSet,
     LogEvent,
     build_impression_sets,
-    ctr,
     engagement_report,
     qtctr,
     rqtctr,

@@ -115,13 +115,6 @@ def build_impression_sets(events: Iterable[LogEvent]) -> BuildResult:
     return BuildResult(sets, rejected, errors)
 
 
-def ctr(clicks: int, impressions: int) -> float:
-    """Plain click-through rate; undefined without impressions."""
-    if impressions <= 0:
-        raise UndefinedRateError("CTR is undefined for zero impressions")
-    return clicks / impressions
-
-
 def qtctr(sets: list[ImpressionSet], t: DocType, variant: str = "any") -> float:
     """Fraction of all sets assigned type t (optionally top-position only)."""
     _check_variant(variant)

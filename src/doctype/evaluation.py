@@ -19,9 +19,9 @@ from .models import (
     nested_keys,
     predict_batch,
     prefix_labels,
-    train,
-    train_lockstep,
+    train_folds,
 )
+from .models import train  # noqa: F401 -- unused; bench/tracer.py wraps this name
 from .seeding import derive_seed
 from .stats import TRANSFORM_KINDS
 
@@ -140,11 +140,12 @@ class CVResult:
 
 @dataclass
 class PreparedFold:
-    """One CV fold: its training rows and its raw train and test matrices
-    over ``features``, NaN where f1 is missing; ``train`` fits the fill."""
+    """One CV fold: the ids of its training rows and its raw train and test
+    matrices over ``features``, NaN where f1 is missing; ``train_folds``
+    fits the fill and names a bad training row by its id."""
 
     features: tuple[str, ...]
-    train: list[LabeledExample]
+    train_ids: np.ndarray
     X_train: np.ndarray
     y_train: np.ndarray
     X_test: np.ndarray
@@ -157,13 +158,14 @@ def prepare_folds(
     """Build the folds' matrix over ``features`` once and cut it into
     each fold's training and test rows."""
     features = check_features(features)
-    X, y = dataset_matrix([ex for fold in folds for ex in fold], features)
+    rows = [ex for fold in folds for ex in fold]
+    X, y = dataset_matrix(rows, features)
+    ids = np.array([ex.id for ex in rows], dtype=object)
     fold_of = np.repeat(np.arange(len(folds)), [len(fold) for fold in folds])
     prepared = []
     for i in range(len(folds)):
         test = fold_of == i
-        train_set = [ex for j, fold in enumerate(folds) if j != i for ex in fold]
-        prepared.append(PreparedFold(features, train_set, X[~test], y[~test], X[test], y[test]))
+        prepared.append(PreparedFold(features, ids[~test], X[~test], y[~test], X[test], y[test]))
     return prepared
 
 
@@ -204,11 +206,10 @@ def cross_validate_sizes(
     fit's own size, and its ``max_depth`` as a depth cut. ``None`` gives the
     one result of ``hyperparameters`` as they are, for any kind.
 
-    A ``lockstep`` kind (AdaBoost) fits all its folds together
-    (``models.train_lockstep``); the others fit each fold through
-    ``train``. Either way each fold's model is the one ``train`` gives, the
-    first fold ``train`` fails on raises its error, and each fold builds
-    its own predictor and is scored in turn.
+    The folds are fitted by one ``models.train_folds`` call: each fold's
+    model is the one ``train`` gives on its training rows, the first fold
+    ``train`` fails on raises its error, and each fold builds its own
+    predictor and is scored in turn.
     """
     spec, fit_hyperparameters = kind_spec(kind), dict(hyperparameters or {})
     if nested is not None:
@@ -221,16 +222,9 @@ def cross_validate_sizes(
             fit_hyperparameters[key] = None if None in values else max(values)
     reports: list[list[EvalReport]] = [[] for _ in nested or [None]]
     seeds = [derive_seed(seed, f"fold-{i}") for i in range(len(prepared))]
-    if spec.lockstep:
-        folds = [(fold.train, (fold.X_train, fold.y_train)) for fold in prepared]
-        features = prepared[0].features if prepared else FEATURE_IDS
-        models = train_lockstep(kind, folds, fit_hyperparameters, seeds, transform, features)
-    else:
-        models = (
-            train(kind, fold.train, fit_hyperparameters, fold_seed, transform, fold.features,
-                  matrix=(fold.X_train, fold.y_train))
-            for fold, fold_seed in zip(prepared, seeds)
-        )
+    folds = [(fold.train_ids, (fold.X_train, fold.y_train)) for fold in prepared]
+    features = prepared[0].features if prepared else FEATURE_IDS
+    models = train_folds(kind, folds, fit_hyperparameters, seeds, transform, features)
     for fold, model in zip(prepared, models):
         if nested is not None:
             cuts, labels = {}, []

@@ -17,7 +17,7 @@ from .dispatch import (
     prefix_labels,
     save_model,
     train,
-    train_lockstep,
+    train_folds,
 )
 
 __all__ = [
@@ -39,5 +39,5 @@ __all__ = [
     "predict_batch",
     "prefix_labels",
     "train",
-    "train_lockstep",
+    "train_folds",
 ]

@@ -45,12 +45,12 @@ DEPLOYED_FOREST_PROFILE = {
 class Kind:
     """Everything the toolkit knows about one model kind.
 
-    ``fit(X, y, seed, hyperparameters)`` returns the stored parameters; it
-    gets every hyperparameter, with the defaults filled in. A ``lockstep``
-    kind's ``fit(problems, hyperparameters)`` fits a list of ``(X, y)``
-    problems together and returns an iterator of each one's parameters or
-    the TrainingError it fails with; it draws nothing, so it takes no seed
-    (``train_lockstep``). ``predictor``
+    ``fit(problems, seeds, hyperparameters)`` fits each ``(X, y)`` problem
+    with its seed in ``seeds`` and returns an iterator of each one's stored
+    parameters, or the TrainingError it fails with, in order; it gets every
+    hyperparameter, with the defaults filled in. The kinds that fit one
+    problem at a time fit each when the iterator reaches it (``_each``);
+    AdaBoost boosts them all at once and draws nothing. ``predictor``
     builds a model's predictor and is the one reader of its stored
     parameters: it raises on any value it cannot score with.
     ``hyperparameters`` maps each key the kind takes to ``(accepts,
@@ -80,8 +80,22 @@ class Kind:
     nested: tuple[str, ...] = ()
     raw_only: bool = False
     every_class: bool = False
-    lockstep: bool = False
     grid: tuple[dict, ...] = ({},)
+
+
+def _each(fit_one: Callable) -> Callable:
+    """``Kind.fit`` from ``fit_one(X, y, seed, hyperparameters)``, which
+    fits one problem: each problem is fitted when the iterator reaches it."""
+
+    def fit(problems, seeds, hyperparameters):
+        for (X, y), seed in zip(problems, seeds):
+            try:
+                parameters = fit_one(X, y, seed, hyperparameters)
+            except TrainingError as exc:
+                parameters = exc
+            yield parameters
+
+    return fit
 
 
 def _integer(least: int, default, nullable: bool = False):
@@ -107,26 +121,28 @@ _TREE_HYPERPARAMETERS = {
 #: The one definition of each model kind, in the order the toolkit lists them.
 SPECS = {
     "baseline-random": Kind(
-        fit_baseline_random, lambda m: RandomBaselinePredictor(m.parameters, m.seed), {},
+        _each(fit_baseline_random), lambda m: RandomBaselinePredictor(m.parameters, m.seed), {},
         raw_only=True,
     ),
     "baseline-threshold": Kind(
-        fit_baseline_threshold, lambda m: ThresholdBaselinePredictor(m.parameters, m.features),
+        _each(fit_baseline_threshold),
+        lambda m: ThresholdBaselinePredictor(m.parameters, m.features),
         {"quantile_lo": _finite(0.025), "quantile_hi": _finite(0.975)},
     ),
-    "gnb": Kind(fit_gnb, lambda m: GnbPredictor(m.parameters, len(m.features)), {}),
+    "gnb": Kind(_each(fit_gnb), lambda m: GnbPredictor(m.parameters, len(m.features)), {}),
     "knn": Kind(
-        fit_knn, lambda m: KnnPredictor(m.parameters, len(m.features)),
+        _each(fit_knn), lambda m: KnnPredictor(m.parameters, len(m.features)),
         {"k": _integer(1, 5)}, "k", ensemble=True, nested=("k",),
         grid=tuple({"k": k} for k in (1, 3, 5, 7)),
     ),
     "decision-tree": Kind(
-        fit_decision_tree, lambda m: ForestPredictor([m.parameters["nodes"]], len(m.features)),
+        _each(fit_decision_tree),
+        lambda m: ForestPredictor([m.parameters["nodes"]], len(m.features)),
         _TREE_HYPERPARAMETERS, "max_depth", nested=("max_depth",), raw_only=True,
         grid=tuple({"max_depth": d} for d in (2, 3, 4)),
     ),
     "random-forest": Kind(
-        fit_random_forest, lambda m: ForestPredictor(m.parameters["trees"], len(m.features)),
+        _each(fit_random_forest), lambda m: ForestPredictor(m.parameters["trees"], len(m.features)),
         {
             **_TREE_HYPERPARAMETERS,
             "n_trees": _integer(1, 10),
@@ -137,14 +153,14 @@ SPECS = {
         grid=tuple({"n_trees": t, "max_depth": d} for t, d in product((5, 10, 20), (2, 3, 4))),
     ),
     "adaboost": Kind(
-        fit_adaboost, lambda m: adaboost_predictor(m.parameters, len(m.features)),
+        lambda problems, seeds, hp: fit_adaboost(problems, hp),
+        lambda m: adaboost_predictor(m.parameters, len(m.features)),
         {"rounds": _integer(1, 25), "max_depth": _integer(0, 2), "min_leaf_size": _integer(1, 1)},
         "rounds", ensemble=True, nested=("rounds",), raw_only=True, every_class=True,
-        lockstep=True,
         grid=tuple({"rounds": r, "max_depth": d} for r, d in product((10, 25, 50), (1, 2))),
     ),
     "linear-svm": Kind(
-        fit_linear_svm, lambda m: SvmPredictor(m.parameters, len(m.features)),
+        _each(fit_linear_svm), lambda m: SvmPredictor(m.parameters, len(m.features)),
         {"epochs": _integer(0, 200), "step": _finite(1e-2), "reg": _finite(1e-4)},
         "epochs", every_class=True,
         grid=tuple({"epochs": e, "step": s} for e, s in product((50, 200), (1e-2, 1e-3))),
@@ -209,31 +225,27 @@ def train(
     seed: int = 0,
     transform: str = "identity",
     features: Sequence[str] = FEATURE_IDS,
-    *,
-    matrix: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ModelArtifact:
-    """Fit one model kind on the dataset and wrap it in a ModelArtifact.
+    """Fit one model kind on the dataset and wrap it in a ModelArtifact:
+    ``train_folds`` on one fold of these rows.
 
-    ``matrix`` is ``dataset_matrix(dataset, features)`` when the caller
-    has already built it; it is read, never written. When f1 is a feature,
-    an ``Imputer`` fitted on these rows fills their missing f1 and goes
-    into the model, which fills unseen rows the same way. A value the
-    transform makes not finite raises TrainingError naming the example, as
-    do parameters the model's predictor cannot use (an overflowed fit).
-    A ``lockstep`` kind fits through ``train_lockstep``, as one fold.
+    When f1 is a feature, an ``Imputer`` fitted on these rows fills their
+    missing f1 and goes into the model, which fills unseen rows the same
+    way. A value the transform makes not finite raises TrainingError naming
+    the example, as do parameters the model's predictor cannot use (an
+    overflowed fit).
     """
-    spec = kind_spec(kind)
-    if spec.lockstep:
-        fold = [(dataset, matrix)]
-        (model,) = train_lockstep(kind, fold, hyperparameters, [seed], transform, features)
-        return model
-    X, y, fields = _fit_inputs(kind, dataset, matrix, hyperparameters, seed, transform, features)
-    with np.errstate(all="ignore"):  # an overflow fails in the predictor, with its reason
-        parameters = spec.fit(X, y, seed, _with_defaults(spec, hyperparameters))
-    return _checked(ModelArtifact(parameters=parameters, **fields))
+    kind_spec(kind)
+    if not dataset:
+        raise TrainingError("cannot train on an empty dataset")
+    # _fit_inputs repeats these checks; here they keep bad features from the matrix
+    check_hyperparameters(kind, hyperparameters or {})
+    fold = ([ex.id for ex in dataset], dataset_matrix(dataset, check_features(features)))
+    (model,) = train_folds(kind, [fold], hyperparameters, [seed], transform, features)
+    return model
 
 
-def train_lockstep(
+def train_folds(
     kind: str,
     folds: Sequence[tuple],
     hyperparameters: dict | None,
@@ -241,32 +253,32 @@ def train_lockstep(
     transform: str = "identity",
     features: Sequence[str] = FEATURE_IDS,
 ) -> Iterator[ModelArtifact]:
-    """Yield, in order, the model ``train`` fits on each fold ``(dataset,
-    matrix)`` with its seed in ``seeds``, for a ``lockstep`` kind.
+    """Yield, in order, the model fitted on each fold ``(ids, (X, y))``
+    with its seed in ``seeds``: the ids of its training rows and their raw
+    ``dataset_matrix`` over ``features``, which is read, never written.
 
-    Each fold is checked, filled and transformed by ``train``'s own code,
-    and the folds are fitted together in one ``fit`` call. The first fold
-    that ``train`` would fail on raises its error, after the models of the
-    folds before it: folds are prepared up to the first that fails its
-    checks, and only the folds before it are fitted.
+    Each fold is checked, filled and transformed, up to the first that
+    fails its checks, and the folds before it are fitted by one
+    ``Kind.fit`` call. The first fold that fails raises its error, after
+    the models of the folds before it.
     """
     spec = kind_spec(kind)
-    if not spec.lockstep:
-        raise ValueError(f"{kind} does not fit folds in lockstep")
     prepared, failure = [], None
-    for (dataset, matrix), seed in zip(folds, seeds):
+    for (ids, (X, y)), seed in zip(folds, seeds):
         try:
-            prepared.append(
-                _fit_inputs(kind, dataset, matrix, hyperparameters, seed, transform, features)
-            )
+            prepared.append(_fit_inputs(kind, ids, X, y, hyperparameters, seed, transform, features))
         except (DocTypeError, ValueError) as exc:
             failure = exc
             break
     if prepared:
         problems = [(X, y) for X, y, _ in prepared]
+        # an overflow fails in the predictor, with its reason; the state is
+        # set around each fit, never across a yield to the caller
         with np.errstate(all="ignore"):
-            fits = spec.fit(problems, _with_defaults(spec, hyperparameters))
-        for (_, _, fields), parameters in zip(prepared, fits):
+            fits = spec.fit(problems, seeds, _with_defaults(spec, hyperparameters))
+        for _, _, fields in prepared:
+            with np.errstate(all="ignore"):
+                parameters = next(fits)
             if isinstance(parameters, TrainingError):
                 raise parameters
             yield _checked(ModelArtifact(parameters=parameters, **fields))
@@ -274,16 +286,15 @@ def train_lockstep(
         raise failure
 
 
-def _fit_inputs(kind, dataset, matrix, hyperparameters, seed, transform, features):
-    """``train``'s checks of one dataset, then its fit's inputs: the filled
-    and transformed matrix, the labels and the model's other fields."""
+def _fit_inputs(kind, ids, X, y, hyperparameters, seed, transform, features):
+    """One fold's checks, then its fit's inputs: the filled and transformed
+    matrix, the labels and the model's other fields."""
     spec = kind_spec(kind)
-    if not dataset:
+    if not len(y):
         raise TrainingError("cannot train on an empty dataset")
     check_hyperparameters(kind, hyperparameters or {})
     features = check_features(features)
 
-    X, y = dataset_matrix(dataset, features) if matrix is None else matrix
     if spec.every_class and not (counts := np.bincount(y, minlength=N_CLASSES)).all():
         missing = [t.label for t in DOC_TYPES if not counts[t]]
         raise TrainingError(f"{kind} needs every class present; missing {missing}")
@@ -294,7 +305,7 @@ def _fit_inputs(kind, dataset, matrix, hyperparameters, seed, transform, feature
     Xt = transform_spec.apply(X)
     if bad := _first_non_finite(X, Xt, transform_spec.kind, features):
         row, what = bad
-        raise TrainingError(f"example {dataset[row].id}: {what}")
+        raise TrainingError(f"example {ids[row]}: {what}")
     fields = {"kind": kind, "transform": transform_spec, "seed": seed, "features": features,
               "imputer": imputer}
     return Xt, y, fields

@@ -125,8 +125,8 @@ def derive_thresholds(
 class TransformSpec:
     """A fitted per-feature transform, reusable on unseen data.
 
-    z-score features whose values are all equal fall back to identity
-    (mean 0, scale 1) so the transform stays invertible.
+    A z-score feature whose values are all equal gets that value as its
+    mean and scale 1, so its training rows map to exactly 0.
     """
 
     kind: str
@@ -143,8 +143,9 @@ class TransformSpec:
         scale = matrix.std(axis=0)
         # a constant column's mean can round off its value, leaving a
         # rounding-level std; a spread as small as 1e-200 squares to a zero std
-        degenerate = (matrix.max(axis=0) == matrix.min(axis=0)) | (scale <= 0.0)
-        mean = np.where(degenerate, 0.0, mean)
+        top = matrix.max(axis=0)
+        degenerate = (top == matrix.min(axis=0)) | (scale <= 0.0)
+        mean = np.where(degenerate, top, mean)
         scale = np.where(degenerate, 1.0, scale)
         return cls(kind, tuple(float(m) for m in mean), tuple(float(s) for s in scale))
 

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import shutil
@@ -13,7 +14,8 @@ from doctype.cli import _build_parser, main
 from doctype.config import RunConfig
 from doctype.ingest import tokenize
 from doctype.labeling import read_examples
-from doctype.models import load_model, train
+from doctype.models import load_model, train, train_folds
+from doctype.models.dispatch import Kind
 
 from conftest import toy_dataset
 
@@ -90,6 +92,14 @@ RUN_CONFIG_FIELDS = [
     "k_folds", "validation_fraction", "quantile_lo", "quantile_hi", "sweep_kinds",
     "sweep_transforms", "sweep_grids",
 ]
+
+#: A new kind flag or fitting keyword edits these on purpose.
+KIND_FIELDS = [
+    "fit", "predictor", "hyperparameters", "size_key", "ensemble", "nested", "raw_only",
+    "every_class", "grid",
+]
+TRAIN_PARAMETERS = ["kind", "dataset", "hyperparameters", "seed", "transform", "features"]
+TRAIN_FOLDS_PARAMETERS = ["kind", "folds", "hyperparameters", "seeds", "transform", "features"]
 
 
 class TestExtract:
@@ -772,6 +782,9 @@ class TestUsage:
         }
         assert got == OPTIONS and len(got) == 53
         assert [f.name for f in dataclasses.fields(RunConfig)] == RUN_CONFIG_FIELDS
+        assert [f.name for f in dataclasses.fields(Kind)] == KIND_FIELDS
+        assert list(inspect.signature(train).parameters) == TRAIN_PARAMETERS
+        assert list(inspect.signature(train_folds).parameters) == TRAIN_FOLDS_PARAMETERS
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["train", "--help"]])
     def test_help_and_version_exit_zero(self, argv, capsys):

@@ -15,7 +15,6 @@ from doctype.engagement import (
     Impression,
     LogEvent,
     build_impression_sets,
-    ctr,
     engagement_report,
     event_sets,
     qtctr,
@@ -98,15 +97,6 @@ class TestBuildImpressionSets:
 
 
 class TestRates:
-    def test_ctr_basic(self):
-        assert ctr(5, 100) == 0.05
-        assert ctr(0, 10) == 0.0
-        assert ctr(10, 10) == 1.0
-
-    def test_ctr_zero_impressions(self):
-        with pytest.raises(UndefinedRateError):
-            ctr(1, 0)
-
     def _sets(self):
         events = [make_event("search", f"q{i}", [T, R], clicked_positions=[1]) for i in range(2)]
         events += [make_event("search", f"n{i}", [R, S]) for i in range(8)]

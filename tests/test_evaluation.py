@@ -518,13 +518,14 @@ class TestSweepSharing:
 
     def test_default_knn_sweep_fits_once_per_transform_and_fold(self, monkeypatch):
         calls, fitted = count_fold_loops(monkeypatch), []
-        real = evaluation.train
+        real = evaluation.train_folds
 
-        def counted(kind, rows, hyperparameters, *args, **kwargs):
-            fitted.append((kind, hyperparameters["k"], args[1]))
-            return real(kind, rows, hyperparameters, *args, **kwargs)
+        def counted(kind, folds, hyperparameters, *args):
+            for model in real(kind, folds, hyperparameters, *args):
+                fitted.append((kind, hyperparameters["k"], model.transform.kind))
+                yield model
 
-        monkeypatch.setattr(evaluation, "train", counted)
+        monkeypatch.setattr(evaluation, "train_folds", counted)
         result = sweep("knn", noisy_dataset(4, blank_f1=False), k=3, seed=2)
         # every k of a transform is scored from one 7-NN fit per fold
         assert calls == ["knn"] * len(TRANSFORM_KINDS)
@@ -566,16 +567,17 @@ guard_matrix = st.integers(1, 8).flatmap(
 )
 
 
-def per_fold_models(kind, prepared, hyperparameters, seed, transform="identity"):
-    """The oracle of a lockstep family: ``train`` on each fold in turn,
-    stopping at the first fold it fails on, and that fold's error."""
+def per_fold_models(kind, folds, hyperparameters, seed, transform="identity"):
+    """The oracle of a cross-validated family: ``train`` on each fold's
+    training rows in turn, stopping at the first fold it fails on, and that
+    fold's error."""
     models = []
-    for i, fold in enumerate(prepared):
+    for i in range(len(folds)):
+        rows = [ex for j, fold in enumerate(folds) if j != i for ex in fold]
         try:
-            models.append(train(
-                kind, fold.train, hyperparameters, derive_seed(seed, f"fold-{i}"), transform,
-                fold.features, matrix=(fold.X_train, fold.y_train),
-            ))
+            models.append(
+                train(kind, rows, hyperparameters, derive_seed(seed, f"fold-{i}"), transform)
+            )
         except TrainingError as exc:
             return models, exc
     return models, None
@@ -594,7 +596,8 @@ class TestLockstepFamily:
     )
     def test_family_matches_per_fold_train(self, seed, max_depth, transform, monkeypatch):
         data = blank_f1(generate_synthetic(150, PROPS, seed), 0.3, seed)
-        prepared = prepare_folds(stratified_split(data, 10, 0.0, seed).test_folds)
+        folds = stratified_split(data, 10, 0.0, seed).test_folds
+        prepared = prepare_folds(folds)
         nested = [{"rounds": rounds} for rounds in (12, 1, 5, 40)]
         grown, grow = [], adaboost_module.grow_trees
 
@@ -610,7 +613,7 @@ class TestLockstepFamily:
         assert 0 < len(grown) <= 40 and grown[0] == 10
         monkeypatch.undo()
         models, error = per_fold_models(
-            "adaboost", prepared, {"max_depth": max_depth, "rounds": 40}, seed, transform
+            "adaboost", folds, {"max_depth": max_depth, "rounds": 40}, seed, transform
         )
         assert error is None
         for result, point in zip(results, nested):
@@ -639,12 +642,11 @@ class TestLockstepFamily:
         ],
     )
     def test_first_failing_fold_raises_its_error(self, folds, transform, message):
-        prepared = prepare_folds(folds)
         hp = {"rounds": 5, "max_depth": 1}
-        _, error = per_fold_models("adaboost", prepared, hp, 4, transform)
+        _, error = per_fold_models("adaboost", folds, hp, 4, transform)
         assert error is not None
         with pytest.raises(TrainingError, match=message) as raised:
-            cross_validate_sizes("adaboost", prepared, hp, None, 4, transform)
+            cross_validate_sizes("adaboost", prepare_folds(folds), hp, None, 4, transform)
         assert str(raised.value) == str(error)
 
 
@@ -671,7 +673,7 @@ class TestOrderGuard:
         kind=st.sampled_from(TRANSFORM_KINDS),
     )
     def test_passing_transform_keeps_tree_predictions(self, train_rows, test_rows, labels, kind):
-        X, X_test = np.array(train_rows), np.array(test_rows)
+        X_test = np.array(test_rows)
         with np.errstate(all="ignore"):
             if not pairwise_order_kept(kind, train_rows, test_rows) or not np.isfinite(X_test).all():
                 return
@@ -679,9 +681,8 @@ class TestOrderGuard:
             LabeledExample(FeatureVector(*row), DocType(label), f"g{i}")
             for i, (row, label) in enumerate(zip(train_rows, labels))
         ]
-        y = np.array(labels[: len(data)])
-        plain = train("decision-tree", data, {}, matrix=(X, y))
-        mapped = train("decision-tree", data, {}, transform=kind, matrix=(X, y))
+        plain = train("decision-tree", data, {})
+        mapped = train("decision-tree", data, {}, transform=kind)
         assert predict_batch(plain, X_test)[0].tolist() == predict_batch(mapped, X_test)[0].tolist()
 
 

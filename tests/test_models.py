@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import struct
 from collections import Counter
 from dataclasses import replace
@@ -17,13 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doctype.errors import (
+    DocTypeError,
     ImputationError,
     ModelFormatError,
     TrainingError,
     UnsupportedVersionError,
 )
-from doctype.ingest import DocType, FeatureVector
-from doctype.labeling import LabeledExample
+from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
+from doctype.labeling import LabeledExample, stratified_split
 from doctype.models import (
     DEPLOYED_FOREST_PROFILE,
     KINDS,
@@ -39,6 +41,7 @@ from doctype.models import (
     prefix_labels,
     save_model,
     train,
+    train_folds,
 )
 from doctype.models import baselines as baselines_module
 from doctype.models import knn as knn_module
@@ -1122,6 +1125,103 @@ class TestSpecs:
         assert spec.size_key is not None or not spec.ensemble
 
 
+#: Small fits of every kind, for tests that fit many folds.
+FOLD_HYPERPARAMETERS = {
+    "knn": {"k": 3}, "random-forest": {"n_trees": 4}, "adaboost": {"rounds": 6},
+    "linear-svm": {"epochs": 30},
+}
+
+
+def fold_rows(k: int, seed: int) -> list[list[LabeledExample]]:
+    """``k`` disjoint stratified training sets, with some f1 missing."""
+    data = blank_f1(noisy_examples(seed, 12 * k), 0.15, seed)
+    return [list(fold) for fold in stratified_split(data, k, 0.0, seed).test_folds]
+
+
+def per_fold(kind, folds, hp, seeds, transform, features) -> list[str]:
+    """One ``train`` call per fold: each model's JSON, up to the first
+    error, as its type and message."""
+    out = []
+    for rows, seed in zip(folds, seeds):
+        try:
+            out.append(train(kind, rows, hp, seed, transform, features).to_json())
+        except (DocTypeError, ValueError) as exc:
+            return [*out, f"{type(exc).__name__}: {exc}"]
+    return out
+
+
+def one_call(kind, folds, hp, seeds, transform, features) -> list[str]:
+    """``per_fold``'s list from one ``train_folds`` call."""
+    out = []
+    matrices = [([ex.id for ex in rows], dataset_matrix(rows, features)) for rows in folds]
+    try:
+        for model in train_folds(kind, matrices, hp, seeds, transform, features):
+            out.append(model.to_json())
+    except (DocTypeError, ValueError) as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+class TestTrainFolds:
+    """One ``train_folds`` call gives, byte for byte, the models of one
+    ``train`` call per fold, and raises the first error ``train`` does
+    after the models of the folds before it."""
+
+    @pytest.mark.parametrize(
+        "k, transform, features",
+        [(3, "identity", FEATURE_IDS), (10, "z-score", ("f1", "f3")), (5, "log-scale", ("f2", "f4"))],
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_one_train_per_fold(self, kind, k, transform, features):
+        folds, hp = fold_rows(k, k), FOLD_HYPERPARAMETERS.get(kind, {})
+        seeds = [7 * i + k for i in range(k)]
+        expected = per_fold(kind, folds, hp, seeds, transform, features)
+        assert one_call(kind, folds, hp, seeds, transform, features) == expected
+        if kind != "baseline-threshold" or features == FEATURE_IDS:
+            assert len(expected) == k and all(out.startswith("{") for out in expected)
+
+    @pytest.mark.parametrize(
+        "kind, folds, transform, features, message",
+        [
+            *[(kind, [toy_dataset(2, seed=1), [], toy_dataset(2, seed=2)], "identity", FEATURE_IDS,
+               "cannot train on an empty dataset") for kind in KINDS],
+            *[(kind, [toy_dataset(2, seed=1), toy_dataset(2, seed=2)[:4], toy_dataset(2, seed=3)],
+               "identity", FEATURE_IDS, r"needs every class present; missing \['Thesis'\]")
+              for kind in KINDS if SPECS[kind].every_class],
+            *[(kind, [toy_dataset(2, seed=1),
+                      toy_dataset(2, seed=2) + [make_example(DocType.SLIDES, 2, -500, 5, "neg")]],
+               "log-scale", FEATURE_IDS,
+               "example neg: feature f2 = -500.0 is not finite after the log-scale transform")
+              for kind in KINDS],
+            ("baseline-threshold", [toy_dataset(2, seed=1)], "identity", ("f2", "f3"),
+             "baseline-threshold requires the full feature set"),
+            # fold 1's three classes share one row, so no split separates
+            # them, before fold 2, which lacks Thesis
+            ("adaboost",
+             [toy_dataset(2, seed=1), [make_example(t, doc_id=f"same{t}") for t in DocType],
+              toy_dataset(2, seed=2)[:4]],
+             "identity", FEATURE_IDS, "boosting found no weak learner better than random"),
+        ],
+    )
+    def test_first_error_matches(self, kind, folds, transform, features, message):
+        seeds = list(range(3, 3 + len(folds)))
+        hp = FOLD_HYPERPARAMETERS.get(kind, {})
+        expected = per_fold(kind, folds, hp, seeds, transform, features)
+        assert expected[-1].startswith("TrainingError: ") and re.search(message, expected[-1])
+        assert one_call(kind, folds, hp, seeds, transform, features) == expected
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_partly_consumed_iterator_keeps_the_callers_error_state(self, kind):
+        folds = [([ex.id for ex in rows], dataset_matrix(rows)) for rows in fold_rows(3, 4)]
+        with np.errstate(over="raise", invalid="warn", divide="print", under="ignore"):
+            caller = np.geterr()
+            models = train_folds(kind, folds, FOLD_HYPERPARAMETERS.get(kind), [1, 2, 3])
+            next(models)
+            assert np.geterr() == caller
+            next(models)
+            assert np.geterr() == caller
+
+
 class TestLinearSvm:
     def test_separable_problem(self):
         data = toy_dataset(40, seed=11)
@@ -1322,16 +1422,29 @@ class TestPredictContract:
 
     @pytest.mark.parametrize("kind", ["linear-svm", "gnb", "knn"])
     def test_constant_column_with_inexact_mean(self, kind):
-        # f4 = 5400/14 on all 300 rows: z-score leaves the column as it is,
-        # not divided by a rounding-level std, so an f4 of 386.0 moves no label
+        # f4 = 5400/14 on all 300 rows: z-score shifts the column to 0, not
+        # dividing it by a rounding-level std, so an f4 of 386.0 moves no label
         data = [replace(ex, features=replace(ex.features, f4_words_per_page=5400 / 14))
                 for ex in toy_dataset(100, seed=0)]
         model = train(kind, data, transform="z-score")
-        assert (model.transform.mean[3], model.transform.scale[3]) == (0.0, 1.0)
+        assert (model.transform.mean[3], model.transform.scale[3]) == (5400 / 14, 1.0)
         X = dataset_matrix(data)[0]
         labels = predict_batch(model, X)[0]
         X[:, 3] = 386.0
         assert predict_batch(model, X)[0].tolist() == labels.tolist()
+
+    @pytest.mark.parametrize("value", [5400 / 14, 386.0])
+    @pytest.mark.parametrize("kind", ["linear-svm", "gnb", "knn"])
+    def test_constant_column_maps_to_zero(self, kind, value):
+        # a constant f4 adds nothing under z-score: the model labels its
+        # training rows as the one fitted without f4 does
+        data = [replace(ex, features=replace(ex.features, f4_words_per_page=value))
+                for ex in toy_dataset(100, seed=0)]
+        model = train(kind, data, transform="z-score")
+        without = train(kind, data, transform="z-score", features=("f1", "f2", "f3"))
+        X = dataset_matrix(data)[0]
+        assert (model.transform.apply(X)[:, 3] == 0.0).all()
+        assert predict_batch(model, X)[0].tolist() == predict_batch(without, X[:, :3])[0].tolist()
 
 
 class TestScoringOracles:

@@ -241,15 +241,16 @@ class TestFitTransform:
         data = [make_example(DocType.RESEARCH, f1=4, doc_id=f"d{i}") for i in range(10)]
         X, _ = dataset_matrix(data)
         spec = TransformSpec.fit(X, "z-score")
-        assert spec.apply(X)[0, 0] == 4.0
-        assert spec.scale[0] == 1.0 and spec.mean[0] == 0.0
+        assert spec.apply(X)[0, 0] == 0.0
+        assert spec.scale[0] == 1.0 and spec.mean[0] == 4.0
 
     def test_zscore_constant_column_with_inexact_mean_falls_back(self):
         # 300 copies of 5400/14 have a mean one ulp-scale off, so a std of 1e-12
         X = np.column_stack([np.arange(300.0), np.full(300, 5400 / 14)])
         assert X.std(axis=0)[1] > 0.0
         spec = TransformSpec.fit(X, "z-score")
-        assert spec.mean[1] == 0.0 and spec.scale[1] == 1.0
+        assert spec.mean[1] == 5400 / 14 and spec.scale[1] == 1.0
+        assert (spec.apply(X)[:, 1] == 0.0).all()
         assert spec.scale[0] == X.std(axis=0)[0]
 
     def test_log_scale_zero(self):
