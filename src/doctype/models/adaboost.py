@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ModelFormatError, TrainingError
 from ..ingest import N_CLASSES
 from ..ioutils import finite_number
-from .tree import ForestPredictor, grow_trees
+from .tree import ForestPredictor, Tree, grow_trees, stored
 
 _ERR_FLOOR = 1e-10
 
@@ -36,8 +36,9 @@ _RANDOM_ERR = 1.0 - 1.0 / N_CLASSES - 8 * sys.float_info.epsilon
 
 def fit_adaboost(problems, hyperparameters) -> Iterator[dict | TrainingError]:
     """Boost each ``(X, y)`` problem; return an iterator of each one's
-    parameters, its trees as ``grow_trees`` columns, or the TrainingError it
-    fails with, in order. The boosting is done when this returns.
+    parameters, its trees as ``tree.stored`` gives them and its round
+    weights ``"alphas"``, or the TrainingError it fails with, in order. The
+    boosting is done when this returns.
     """
     limits = {key: hyperparameters[key] for key in ("max_depth", "min_leaf_size")}
     # rounds change only the weights, so one presort serves them all
@@ -68,7 +69,8 @@ def fit_adaboost(problems, hyperparameters) -> Iterator[dict | TrainingError]:
             boosting.append(i)
         live = boosting
     return (
-        fit if fit["trees"] else TrainingError("boosting found no weak learner better than random")
+        {**stored(fit["trees"]), "alphas": fit["alphas"]} if fit["trees"]
+        else TrainingError("boosting found no weak learner better than random")
         for fit in fits
     )
 
@@ -76,14 +78,13 @@ def fit_adaboost(problems, hyperparameters) -> Iterator[dict | TrainingError]:
 def adaboost_predictor(parameters: dict, n_features: int) -> ForestPredictor:
     """The forest predictor voting each round's weight at its leaf's argmax
     class, in round order; raises on weights it cannot vote with."""
-    trees, alphas = parameters["trees"], parameters["alphas"]
-    if not trees:
-        raise ModelFormatError("adaboost has no trees")
-    if len(alphas) != len(trees):
+    forest, sizes = Tree.read(parameters)
+    alphas = parameters["alphas"]
+    if len(alphas) != len(sizes):
         raise ModelFormatError("adaboost weight/tree count mismatch")
     for alpha in alphas:
         if not finite_number(alpha):
             raise ModelFormatError(f"non-finite boosting weight: {alpha!r}")
         if alpha <= 0:
             raise ModelFormatError(f"boosting weight is not positive: {alpha!r}")
-    return ForestPredictor(trees, n_features, alphas)
+    return ForestPredictor(forest, sizes, n_features, alphas)

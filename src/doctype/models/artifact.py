@@ -10,9 +10,8 @@ import numpy as np
 from ..errors import ModelFormatError, UnsupportedVersionError
 from ..ingest import FEATURE_IDS
 from ..stats import Imputer, TransformSpec
-from .tree import Tree
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -42,8 +41,7 @@ class ModelArtifact:
             "features": list(self.features),
             "imputer": None if self.imputer is None else self.imputer.to_dict(),
         }
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=Tree.nodes)
-        return text + "\n"
+        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ModelArtifact":

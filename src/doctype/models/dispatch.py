@@ -28,7 +28,7 @@ from .baselines import (
 from .gnb import GnbPredictor, fit_gnb
 from .knn import KnnPredictor, fit_knn
 from .svm import SvmPredictor, fit_linear_svm
-from .tree import ForestPredictor, fit_decision_tree, fit_random_forest
+from .tree import ForestPredictor, Tree, fit_decision_tree, fit_random_forest
 
 #: Production profile: a small forest kept within the deployment budget of
 #: at most 10 trees and 5 leaf nodes per tree.
@@ -118,6 +118,11 @@ _TREE_HYPERPARAMETERS = {
     "class_weight": (lambda v: v is None or v == "balanced", 'null or "balanced"', None),
 }
 
+
+def _forest_predictor(model: ModelArtifact) -> ForestPredictor:
+    return ForestPredictor(*Tree.read(model.parameters), len(model.features))
+
+
 #: The one definition of each model kind, in the order the toolkit lists them.
 SPECS = {
     "baseline-random": Kind(
@@ -136,13 +141,11 @@ SPECS = {
         grid=tuple({"k": k} for k in (1, 3, 5, 7)),
     ),
     "decision-tree": Kind(
-        _each(fit_decision_tree),
-        lambda m: ForestPredictor([m.parameters["nodes"]], len(m.features)),
-        _TREE_HYPERPARAMETERS, "max_depth", nested=("max_depth",), raw_only=True,
-        grid=tuple({"max_depth": d} for d in (2, 3, 4)),
+        _each(fit_decision_tree), _forest_predictor, _TREE_HYPERPARAMETERS, "max_depth",
+        nested=("max_depth",), raw_only=True, grid=tuple({"max_depth": d} for d in (2, 3, 4)),
     ),
     "random-forest": Kind(
-        _each(fit_random_forest), lambda m: ForestPredictor(m.parameters["trees"], len(m.features)),
+        _each(fit_random_forest), _forest_predictor,
         {
             **_TREE_HYPERPARAMETERS,
             "n_trees": _integer(1, 10),

@@ -49,28 +49,30 @@ without a ``max_leaf_nodes`` budget a tree fitted at ``max_depth`` d is,
 node for node, a tree fitted deeper (or unbounded) cut at depth d, and
 ``ForestPredictor.leaves`` scores every depth from the deepest fit.
 
-A tree is columns (``Tree``) from the grower to the predictor, after
-scikit-learn's array trees and QuickScorer (Lucchese et al., SIGIR 2015);
-dict nodes exist only in model files. ``ForestPredictor`` stacks an
-ensemble's trees end to end, checks them in array operations and scores
-all three tree kinds; AdaBoost passes it the round weights. All rows of
-all trees move down together, a level per step, for the deepest tree's
-depth or a smaller cap. A leaf becomes a split at threshold ``+inf`` whose
-children are itself, so a row at a shallow leaf stays there, and a row
-stopped by the cap at a split node votes that node's own distribution.
+A tree is columns (``Tree``) from the grower through the model file to
+the predictor, after scikit-learn's array trees and QuickScorer (Lucchese
+et al., SIGIR 2015): a model stores an ensemble's trees end to end
+(``stored``), ``Tree.read`` reads them back, and ``ForestPredictor`` checks
+them in array operations and scores all three tree kinds; AdaBoost passes
+it the round weights. All rows of all trees move down together, a level
+per step, for the deepest tree's depth or a smaller cap. A leaf becomes a
+split at threshold ``+inf`` whose children are itself, so a row at a
+shallow leaf stays there, and a row stopped by the cap at a split node
+votes that node's own distribution.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
-import sys
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from itertools import accumulate
 
 import numpy as np
 
 from ..errors import ModelFormatError
 from ..ingest import N_CLASSES
+from ..ioutils import number_array
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -464,11 +466,11 @@ def balanced_weights(y: np.ndarray) -> np.ndarray:
 
 
 def fit_decision_tree(X, y, seed, hyperparameters) -> dict:
-    """Tree 0 of a one-tree forest without bootstrap that tries every
-    feature at each node, so it draws nothing and ignores its seed."""
+    """A one-tree forest without bootstrap that tries every feature at each
+    node, so it draws nothing and ignores its seed."""
     del seed
     forest = {**hyperparameters, "n_trees": 1, "bootstrap": False, "feature_subset": X.shape[1]}
-    return {"nodes": fit_random_forest(X, y, 0, forest)["trees"][0]}
+    return fit_random_forest(X, y, 0, forest)
 
 
 def fit_random_forest(X, y, seed, hyperparameters) -> dict:
@@ -490,7 +492,14 @@ def fit_random_forest(X, y, seed, hyperparameters) -> dict:
             balanced = hyperparameters["class_weight"] == "balanced"
             problems.append((Xb, yb, balanced_weights(yb) if balanced else None, key, None))
         trees += [tree for tree, _ in grow_trees(problems, **limits)]
-    return {"trees": trees}
+    return stored(trees)
+
+
+def stored(trees: Sequence[Tree]) -> dict:
+    """Fitted trees as a model stores them: ``"trees"``, their columns end
+    to end as lists, and ``"sizes"``, each tree's node count."""
+    columns = {f: np.concatenate([getattr(tree, f) for tree in trees]).tolist() for f in _FIELDS}
+    return {"trees": columns, "sizes": [len(tree.feature) for tree in trees]}
 
 
 _FIELDS = ("feature", "threshold", "left", "right", "dist")
@@ -500,8 +509,8 @@ class Tree:
     """Trees as columns over their nodes, each tree's in best-first ids and
     trees end to end: ``feature``, ``threshold``, ``left`` and ``right``
     (-1, 0.0, -1 and -1 at a leaf) and ``dist``, shape (nodes, classes). A
-    model file holds a tree as a list of dict nodes with these keys:
-    ``nodes`` and ``from_nodes`` are the one conversion each way."""
+    model file holds the same columns as lists (``stored``), and ``read``
+    is their one reader."""
 
     __slots__ = _FIELDS
 
@@ -509,81 +518,75 @@ class Tree:
         self.feature, self.threshold, self.left, self.right = feature, threshold, left, right
         self.dist = dist
 
-    def nodes(self) -> list[dict]:
-        """One tree as a model file holds it."""
-        rows = zip(*(getattr(self, field).tolist() for field in _FIELDS))
-        return [dict(zip(_FIELDS, row)) for row in rows]
-
     @classmethod
-    def from_nodes(cls, trees: list) -> Tree:
-        """A file's trees, lists of nodes, stacked. A value of the wrong
-        type becomes one that fails the check that reads it (``_check``):
-        -2 for an id that is not an integer (a boolean is not), NaN for a
-        number that is not finite, and all of these for a ``dist`` that is
-        not a list of ``N_CLASSES`` or a node that is not a dict or lacks
-        the field."""
-        nodes = [node if type(node) is dict else {} for tree in trees for node in tree]
-        feature, threshold, left, right, dist = ([n.get(f) for n in nodes] for f in _FIELDS)
-        if not (set(map(type, dist)) <= {list} and set(map(len, dist)) <= {N_CLASSES}):
-            dist = [r if type(r) is list and len(r) == N_CLASSES else [None] * N_CLASSES
-                    for r in dist]
-        ids = _numbers(feature + left + right, {int}, np.intp, -2).reshape(3, -1)
-        numbers = _numbers(threshold + [p for row in dist for p in row], {int, float}, float, np.nan)
-        dist = numbers[len(nodes):].reshape(-1, N_CLASSES)
-        return cls(ids[0], numbers[: len(nodes)], ids[1], ids[2], dist)
+    def read(cls, parameters: Mapping) -> tuple[Tree, np.ndarray]:
+        """A model's stored trees and each one's node count: the
+        ``"trees"`` columns, one value per node, and ``"sizes"``, at least
+        one count, none negative, summing to the node count. Ids are
+        integers (a boolean is not one) and numbers finite; anything else
+        raises ValueError naming its column. What the columns build is
+        checked when a ``ForestPredictor`` is built from them."""
+        columns = parameters["trees"]
+        if not isinstance(columns, Mapping):
+            raise ValueError("trees must be an object of columns")
+        feature = _integers(columns["feature"], None, "feature")
+        n, sizes = len(feature), _integers(parameters["sizes"], None, "sizes")
+        if not len(sizes) or not ((0 <= sizes) & (sizes <= n)).all() or sizes.sum() != n:
+            raise ValueError(f"sizes must be 1 or more non-negative integers summing to {n}")
+        threshold = number_array(columns["threshold"], (n,), "threshold")
+        left, right = (_integers(columns[side], n, side) for side in ("left", "right"))
+        # empty trees have no dist rows to read, and fail their check
+        empty = np.empty((0, N_CLASSES))
+        dist = number_array(columns["dist"], (n, N_CLASSES), "dist") if n else empty
+        return cls(feature, threshold, left, right, dist), sizes
 
 
-def _numbers(values: list, types: set, dtype, bad) -> np.ndarray:
-    """``values`` as a ``dtype`` array, ``bad`` for each one that is not of
-    ``types`` (a boolean is not an int) or does not fit ``dtype``."""
-    if set(map(type, values)) <= types:
-        try:
-            return np.array(values, dtype)
-        except OverflowError:
-            pass
-    limit = np.iinfo(dtype).max if dtype is np.intp else sys.float_info.max
-    return np.array([v if type(v) in types and abs(v) <= limit else bad for v in values], dtype)
+def _integers(values, n: int | None, name: str) -> np.ndarray:
+    """A list of ``n`` integers (None: any number) as an intp array; anything
+    else, a boolean or an integer out of range included, raises ValueError
+    naming ``name``."""
+    if isinstance(values, list) and n in (None, len(values)) and set(map(type, values)) <= {int}:
+        with contextlib.suppress(OverflowError):
+            return np.array(values, dtype=np.intp)
+    raise ValueError(f"{name} must be {'n' if n is None else n} integers")
 
 
 #: A split node's checks in the order the walk runs them, each the field it
-#: reads and its message; a leaf runs the first only.
+#: reads and its message; a leaf runs the first only. ``Tree.read`` has
+#: refused a threshold that is not finite.
 _CHECKS = [
     ("dist", f"node {{node}} is not {N_CLASSES} probabilities: {{value!r}}"),
     ("feature", "split references feature {value!r}"),
-    ("threshold", "split threshold is not a number: {value!r}"),
 ] + [(side, message) for side in ("left", "right") for message in (
     "split references node {value!r}", "node {value} is its own child",
     "node {value} has more than one parent",
 )]
 
 
-def _check(forest: Tree, sizes: np.ndarray, n_features: int, source=None) -> int:
-    """Check trees of ``sizes`` nodes stacked in ``forest``, read from the
-    file trees ``source`` if given; return the deepest one's depth.
+def _check(forest: Tree, sizes: np.ndarray, n_features: int) -> int:
+    """Check trees of ``sizes`` nodes stacked in ``forest`` (``Tree.read``
+    columns); return the deepest one's depth.
 
     A walk from each tree's node 0 must reach each of its nodes once, so
     routing a row cannot loop or merge and a tree holds one tree. A split
-    tests one of ``n_features`` columns against a finite threshold, a leaf
-    has feature -1, and every node holds class probabilities, which a depth
-    cap can make a split node's vote. The walk goes a level at a time over
-    every tree at once; the error raised is the one walking the trees one
-    at a time raises first, at the first failing tree's first failing node
-    in walk order.
+    tests one of ``n_features`` columns, a leaf has feature -1, and every
+    node holds class probabilities, which a depth cap can make a split
+    node's vote. The walk goes a level at a time over every tree at once;
+    the error raised is the one walking the trees one at a time raises
+    first, at the first failing tree's first failing node in walk order.
     """
     n, n_trees, roots = len(forest.feature), len(sizes), np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(n_trees), sizes)
     base, split, dist = roots[owner], forest.feature != -1, forest.dist
     failed = np.zeros((n, len(_CHECKS)), dtype=bool)
-    with np.errstate(invalid="ignore", over="ignore"):
-        failed[:, 0] = ~(np.isfinite(dist) & (dist >= 0)).all(axis=1)
-        failed[:, 0] |= np.abs(sum(dist.T) - 1.0) > 1e-9
+    with np.errstate(over="ignore"):
+        failed[:, 0] = (dist < 0).any(axis=1) | (np.abs(sum(dist.T) - 1.0) > 1e-9)
     failed[:, 1] = split & ((forest.feature < 0) | (forest.feature >= n_features))
-    failed[:, 2] = split & ~np.isfinite(forest.threshold)
     below = np.full((n, 2), n)  # each split's children by stacked id, else n
     for s, child in enumerate((forest.left, forest.right)):
         valid = split & (0 <= child) & (child < sizes[owner])
-        failed[:, 3 + 3 * s] = split & ~valid
-        failed[:, 4 + 3 * s] = valid & (child == np.arange(n) - base)
+        failed[:, 2 + 3 * s] = split & ~valid
+        failed[:, 3 + 3 * s] = valid & (child == np.arange(n) - base)
         np.add(base, child, out=below[:, s], where=valid)
     reached, levels = np.zeros(n + 1, dtype=bool), [roots[sizes > 0]]
     reached[levels[0]] = True
@@ -594,7 +597,7 @@ def _check(forest: Tree, sizes: np.ndarray, n_features: int, source=None) -> int
         again = np.zeros(len(children), dtype=bool)
         again[order[1:]] = children[order[1:]] == children[order[:-1]]
         again = (again | reached[children]) & (children < n)
-        failed[levels[-1], 5::3] = again.reshape(-1, 2)
+        failed[levels[-1], 4::3] = again.reshape(-1, 2)
         # a failing node's children walk on: its tree's first failure is set
         levels.append(children[(children < n) & ~again])
         reached[levels[-1]] = True
@@ -612,16 +615,7 @@ def _check(forest: Tree, sizes: np.ndarray, n_features: int, source=None) -> int
         raise ModelFormatError(f"node {node} is unreachable from node 0")
     node, check = int(bad[0] - roots[t]), int(failed[bad[0]].argmax())
     field, message = _CHECKS[check]
-    if source is None:
-        value = getattr(forest, field)[bad[0]].tolist()
-    else:
-        # a node that is not a dict, or lacks a field the walk has read by
-        # this check, raises as the walk does
-        value = source[t][node][field]
-        if check >= 3:
-            source[t][node]["right"]
-    if check == 0:
-        len(value)
+    value = getattr(forest, field)[bad[0]].tolist()
     raise ModelFormatError(message.format(node=node, value=value))
 
 
@@ -632,8 +626,8 @@ class ForestPredictor:
     class distribution of the node a row ends at; with ``weights``
     (AdaBoost's round weights) it votes its weight at that node's argmax
     class. The first s trees score their votes summed in tree order, over s
-    or the Python ``sum`` of their weights: what a predictor of those s
-    trees alone gives.
+    or the running sum of the weights in round order at s: what a
+    predictor of those s trees alone gives.
 
     A row ends at a leaf, or with a depth cap d at the node it reaches after
     d levels, if that comes first. A split node's vote is its own ``dist``,
@@ -641,37 +635,26 @@ class ForestPredictor:
     trees grown without a ``max_leaf_nodes`` budget and without AdaBoost's
     reweighting, the ``max_depth`` d fit (module docstring).
 
-    ``trees`` are fitted ``Tree`` columns or a model file's node lists,
-    converted together (``Tree.from_nodes``). Stacking checks every tree
-    (``_check``); ``depth`` is the deepest tree's depth.
+    ``forest`` and ``sizes`` are what ``Tree.read`` gives for a model's
+    stored trees. Building checks every tree (``_check``); ``depth`` is the
+    deepest tree's depth.
     """
 
-    def __init__(self, trees, n_features: int, weights=None):
-        if not trees:
-            raise ModelFormatError("random-forest has no trees")
-        if all(isinstance(tree, Tree) for tree in trees):
-            forest = Tree(*(np.concatenate([getattr(t, f) for t in trees]) for f in _FIELDS))
-            source, sizes = None, np.array([len(tree.feature) for tree in trees])
-        else:
-            source = [nodes or [] for nodes in trees]  # a null tree has no nodes
-            sizes = np.array([len(nodes) for nodes in source], dtype=np.intp)
-            forest = Tree.from_nodes(source)
-        self.depth = _check(forest, sizes, n_features, source)
+    def __init__(self, forest: Tree, sizes: np.ndarray, n_features: int, weights=None):
+        self.depth = _check(forest, sizes, n_features)
         # a leaf becomes a split at threshold +inf whose children are itself
         self.roots = np.cumsum(sizes) - sizes
         leaf, ids = forest.feature == -1, np.arange(len(forest.feature))
         base = np.repeat(self.roots, sizes)
         self.feature = np.where(leaf, 0, forest.feature)
         self.threshold = np.where(leaf, np.inf, forest.threshold)
-        self.left, self.right = (
-            np.where(leaf, ids, base + child) for child in (forest.left, forest.right)
-        )
+        self.left, self.right = (np.where(leaf, ids, base + c) for c in (forest.left, forest.right))
         self.votes, self.totals = forest.dist, np.arange(1.0, len(sizes) + 1)
         if weights is not None:
             per_node = np.repeat(np.asarray(weights, dtype=float), sizes)
             picks = self.votes.argmax(axis=1)
             self.votes = np.where(np.arange(N_CLASSES) == picks[:, None], per_node[:, None], 0.0)
-            self.totals = np.array([sum(weights[:s]) for s in range(1, len(weights) + 1)])
+            self.totals = np.fromiter(accumulate(map(float, weights)), float)
 
     def leaves(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:
         """Node id each row ends at in each tree, shape (trees, rows): its

@@ -3,7 +3,6 @@ hypothesis profile."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +13,6 @@ from doctype.engagement import Click, Impression, LogEvent
 from doctype.ingest import DocType, FeatureVector
 from doctype.labeling import LabeledExample
 from doctype.models import FALLBACK_CLASS, ModelArtifact
-from doctype.models.tree import Tree
 from doctype.stats import ThresholdTable, TransformSpec
 
 # Every run draws the same examples and keeps no example database, so a
@@ -29,12 +27,6 @@ REFERENCE_CELLS = {
     "Slides": {"f1": (1.0, 8.0), "f2": (93.6, 7339.8), "f3": (1.0, 74.575), "f4": (8.0625, 722.9375)},
     "Thesis": {"f1": (1.0, 1.0), "f2": (15184.0, 210720.0), "f3": (47.0, 478.0), "f4": (197.7846, 529.9571)},
 }
-
-
-def file_form(value):
-    """``value`` with every tree in it as a model file holds it: a list of
-    dict nodes. Fitted trees are ``Tree`` columns until they are written."""
-    return json.loads(json.dumps(value, default=Tree.nodes))
 
 
 @pytest.fixture

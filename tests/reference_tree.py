@@ -13,18 +13,40 @@ Python float at a time, as the library did before it took whole arrays.
 
 The walk (``reference_forest_depth``) checks one tree's dict nodes at a
 time, node by node from node 0; ``ForestPredictor``'s array check must
-accept the same trees and raise the same first error.
+accept the same trees and raise the same first error. A model stores its
+trees as columns end to end; ``tree_nodes`` and ``stored_trees`` convert
+between that layout and the dict nodes used here.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate
 
 import numpy as np
 
 from doctype.errors import ModelFormatError
 from doctype.ingest import N_CLASSES
 from doctype.ioutils import finite_number
+
+
+FIELDS = ("feature", "threshold", "left", "right", "dist")
+
+
+def tree_nodes(parameters) -> list[list[dict]]:
+    """A tree kind's stored ``trees`` columns and ``sizes`` as each tree's
+    list of dict nodes."""
+    columns, sizes = parameters["trees"], parameters["sizes"]
+    nodes = [dict(zip(FIELDS, row)) for row in zip(*(columns[f] for f in FIELDS))]
+    return [nodes[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+
+
+def stored_trees(trees) -> dict:
+    """Lists of dict nodes as a model stores them: ``trees``, the columns
+    end to end, and ``sizes``, each tree's node count."""
+    nodes = [node for tree in trees for node in tree]
+    columns = {field: [node[field] for node in nodes] for field in FIELDS}
+    return {"trees": columns, "sizes": [len(tree) for tree in trees]}
 
 
 def reference_grow_tree(

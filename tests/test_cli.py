@@ -61,7 +61,8 @@ CORRUPTED_MODELS = [
     ("linear-svm", "identity", lambda p, t: p.update(biases=[None, *p["biases"][1:]])),
     ("random-forest", "z-score", lambda p, t: t.update(mean=t["mean"][:2])),
     ("baseline-random", "identity", lambda p, t: p.update(weights=[0.5, 0.5])),
-    ("decision-tree", "identity", lambda p, t: p["nodes"][0].update(threshold=None)),
+    ("decision-tree", "identity",
+     lambda p, t: p["trees"].update(threshold=[None, *p["trees"]["threshold"][1:]])),
     ("adaboost", "identity", lambda p, t: p.update(alphas=[0.0] * len(p["alphas"]))),
 ]
 
@@ -488,20 +489,44 @@ class TestTrainPredict:
         # a decision tree with a boolean feature or child id, or a leaf that
         # names a feature (True == 1 and False == 0 in Python)
         payload = json.loads(train("decision-tree", toy_dataset(10, seed=2)).to_json())
-        nodes = payload["parameters"]["nodes"]
-        leaf = next(i for i, node in enumerate(nodes) if node["feature"] == -1)
+        columns = payload["parameters"]["trees"]
+        leaf = columns["feature"].index(-1)
         for at, field, value in ((0, "feature", True), (0, "feature", False), (0, "left", True),
                                  (leaf, "feature", -2)):
-            bad_nodes = [dict(node) for node in nodes]
-            bad_nodes[at][field] = value
+            wrong = {**columns, field: [*columns[field][:at], value, *columns[field][at + 1 :]]}
             payloads.append((f"node {at} {field} {value!r}",
-                             {**payload, "parameters": {"nodes": bad_nodes}}))
+                             {**payload, "parameters": {**payload["parameters"], "trees": wrong}}))
+        # columns and sizes that do not describe the same nodes
+        sizes = payload["parameters"]["sizes"]
+        payloads += [
+            (f"sizes {wrong!r}", {**payload, "parameters": {**payload["parameters"], "sizes": wrong}})
+            for wrong in ([], [-1, sizes[0] + 1], [sizes[0] - 1], [sizes[0] + 1])
+        ]
+        payloads += [
+            (f"short {field}", {**payload, "parameters": {
+                **payload["parameters"], "trees": {**columns, field: columns[field][:-1]}}})
+            for field in columns
+        ]
+        payloads.append(("trees not an object", {**payload, "parameters": {"trees": [], "sizes": sizes}}))
         for kind, payload in payloads:
             bad.write_text(json.dumps(payload))
             assert main(["predict", str(bad), str(features), "--out", str(out)]) == 2, kind
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not out.exists()
+
+    def test_version_two_model_exit_two(self, tmp_path, capsys):
+        # a model file of the format before trees were stored as columns
+        payload = json.loads(train("decision-tree", toy_dataset(10, seed=2)).to_json())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**payload, "format_version": 2}))
+        features = tmp_path / "f.jsonl"
+        features.write_text(json.dumps({"id": "a", "f1": 2, "f2": 5000, "f3": 10, "f4": 500.0}) + "\n")
+        out = tmp_path / "predictions.jsonl"
+        assert main(["predict", str(bad), str(features), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: model format version 2 is not supported (this build reads version 3)\n"
+        assert not out.exists()
 
     def test_repeated_feature_model_exit_two(self, tmp_path, capsys):
         payload = json.loads(train("gnb", toy_dataset(10, seed=2), features=("f2", "f3")).to_json())

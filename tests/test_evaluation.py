@@ -473,9 +473,9 @@ class TestSweepSharing:
         built = []
         real = ForestPredictor.__init__
 
-        def counted(self, trees, *args, **kwargs):
-            built.append(len(trees))
-            real(self, trees, *args, **kwargs)
+        def counted(self, forest, sizes, *args, **kwargs):
+            built.append(len(sizes))
+            real(self, forest, sizes, *args, **kwargs)
 
         monkeypatch.setattr(ForestPredictor, "__init__", counted)
         result = sweep(kind, noisy_dataset(4, blank_f1=False), k=3, seed=2)

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import struct
+import time
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -25,6 +26,7 @@ from doctype.errors import (
     UnsupportedVersionError,
 )
 from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
+from doctype.ioutils import finite_number
 from doctype.labeling import LabeledExample, stratified_split
 from doctype.models import (
     DEPLOYED_FOREST_PROFILE,
@@ -53,25 +55,33 @@ from doctype.models.svm import fit_linear_svm
 from doctype.models import tree as tree_module
 from doctype.models.tree import (
     ForestPredictor,
+    Tree,
     balanced_weights,
     draw_features,
     fit_random_forest,
     grow_trees,
     splitmix64,
+    stored,
 )
 from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable
 from doctype.synthetic import generate_synthetic
 from conftest import (
     REFERENCE_CELLS,
     blank_f1,
-    file_form,
     make_example,
     threshold_model,
     toy_dataset,
 )
 from reference_svm import reference_fit_linear_svm
 from reference_threshold import reference_threshold_predict
-from reference_tree import reference_distributions, reference_forest_depth, reference_grow_tree
+from reference_tree import (
+    reference_distributions,
+    reference_forest_depth,
+    FIELDS,
+    reference_grow_tree,
+    stored_trees,
+    tree_nodes,
+)
 
 
 def example_1d(f2: float, label: DocType, doc_id: str) -> LabeledExample:
@@ -528,7 +538,7 @@ class TestDecisionTree:
         # each); a three-leaf budget splits the one created first
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         tree, _ = grow_trees([(X, np.array([0, 1, 2, 0]), None, 0, None)], max_leaf_nodes=3)[0]
-        assert [node["feature"] for node in file_form(tree)] == [0, 1, -1, -1, -1]
+        assert tree.feature.tolist() == [0, 1, -1, -1, -1]
 
     @settings(max_examples=400, deadline=None)
     @given(case=grower_cases())
@@ -536,10 +546,10 @@ class TestDecisionTree:
         X, y, sample_weight, limits, key = case
         want = reference_grow_tree(X, y, sample_weight, **limits, key=key)
         tree, leaf = grow_trees([(X, y, sample_weight, key, None)], **limits)[0]
-        nodes = file_form(tree)
+        [nodes] = tree_nodes(stored([tree]))
         assert json.dumps(nodes) == json.dumps(want)
         # each training row's leaf id gives the compiled tree's prediction
-        routed = ForestPredictor([nodes], X.shape[1]).scores_matrix(X).argmax(axis=1)
+        routed = ForestPredictor(*Tree.read(stored([tree])), X.shape[1]).scores_matrix(X).argmax(axis=1)
         assert np.array_equal(np.array([node["dist"] for node in nodes]).argmax(axis=1)[leaf], routed)
 
     @settings(max_examples=300, deadline=None)
@@ -550,15 +560,16 @@ class TestDecisionTree:
         grown = grow_trees(batch, **limits)
         for (X, y, sample_weight, key), (tree, leaf) in zip(problems, grown):
             want = reference_grow_tree(X, y, sample_weight, **limits, key=key)
-            nodes = file_form(tree)
+            [nodes] = tree_nodes(stored([tree]))
             assert json.dumps(nodes) == json.dumps(want)
             # each training row's leaf id is the node the compiled tree routes it to
-            assert np.array_equal(leaf, ForestPredictor([nodes], X.shape[1]).leaves(X)[0])
+            predictor = ForestPredictor(*Tree.read(stored([tree])), X.shape[1])
+            assert np.array_equal(leaf, predictor.leaves(X)[0])
         # one node or one feature per scoring call: the same trees
         with patch.object(tree_module, "_PASS_CELLS", 1):
             one_at_a_time = grow_trees(batch, **limits)
         for (tree, leaf), (again, again_leaf) in zip(grown, one_at_a_time):
-            assert json.dumps(file_form(again)) == json.dumps(file_form(tree))
+            assert json.dumps(stored([again])) == json.dumps(stored([tree]))
             assert np.array_equal(again_leaf, leaf)
 
     @settings(max_examples=300, deadline=None)
@@ -592,43 +603,43 @@ class TestDecisionTree:
         monkeypatch.setattr(tree_module, "_best_split", lambda *a: calls.append(1) or best_split(*a))
         hp = {"n_trees": 20, "max_depth": 4, "min_leaf_size": 1, "max_leaf_nodes": None,
               "feature_subset": 2, "bootstrap": True, "class_weight": None}
-        trees = file_form(fit_random_forest(X, y, 0, hp)["trees"])
-        splits = sum(node["feature"] >= 0 for nodes in trees for node in nodes)
+        splits = sum(f >= 0 for f in fit_random_forest(X, y, 0, hp)["trees"]["feature"])
         assert len(passes) <= 4 and 4 * len(calls) <= splits
 
 
 #: sha256 of ``to_json()`` and of the ``predict_batch`` score bytes of tree
-#: models fitted on one fixed synthetic set with 20% of f1 blank, recorded
-#: before the decision tree became a one-tree forest and AdaBoost moved onto
-#: the forest's predictor. Any change to the fitted nodes, the imputer or the
-#: rounding of a vote fails here.
+#: models fitted on one fixed synthetic set with 20% of f1 blank. The scores
+#: were recorded before the decision tree became a one-tree forest and
+#: AdaBoost moved onto the forest's predictor, the files when model files
+#: took format version 3 (tree columns on one line). Any change to the fitted
+#: nodes, the imputer or the rounding of a vote fails here.
 PINNED_TREE_BYTES = [
     ("decision-tree", {"max_leaf_nodes": 6}, 0, "identity",
-     "e215286da7cf9783755967a01cc320a05fd4787826e75efd40a003aa3f183950",
+     "7de795bff7bb483e512e7324d70cba1b7c86cd0aa955ad2debf402652aedec42",
      "ca9c0ea89e4b84bff35952d34b0a473389dc74122677f6059c0109fb4bbffbb5"),
     ("decision-tree", {"class_weight": "balanced", "max_depth": 5}, 0, "log-scale",
-     "f58016ab28b1817c65285bc49f811e3716d4b6fc7d99fe917cf2afe316284880",
+     "974263a4b40e3dc5e5999f02dc51fd64ebb649d3133bd51bbf501eb7ab200988",
      "e40e5ebaf1df3b124fd4b489af7f01d77105e3407605ffbee2929780de5f133f"),
     # a library call may pass any int seed: the decision tree draws nothing
     ("decision-tree", {"max_depth": 4}, -1, "identity",
-     "b8b1536235859b81ac82a45fe1e7894616643e3b40826dab748ca972fb6590c2",
+     "13a6de877cc245f98b64bbf0d95db01c008193164711db5edf1fea641d55b871",
      "b3b61db6340a0353e3cfb6c91ab6d50eddd1c488b7fd4b8f58dd486bea78ede1"),
     # the two random-forest rows draw feature subsets: recorded when a node's
     # draw became a hash of its path key
     ("random-forest", {"n_trees": 7, "max_depth": 4}, 3, "z-score",
-     "e20c2b5bae3b201c516dadeb444ba700f7fe9314a8642e4d2b2c1d679bbf1f42",
+     "b7254cde4e3d178724864c1a268f638c84e6da5da01126b190e87c203905aa65",
      "90b69410e24550d4965eb6aa9bcaf3b73be709ef19dd481c410f4ee1f9ed060b"),
     ("adaboost", {"rounds": 15, "max_depth": 2}, 0, "identity",
-     "cd0c1ca428fdb706f435a0cb78b4de2532c2740d217ed7aa3dd4feb88b05dd3e",
+     "c727ff628775d1ebe19b30fd7475aad6dc74c5ab45027aa24017c5cb918c665c",
      "4f0fae844e139e05c7c3a4d52e1fa9d973b5da32ea3ec835f81680f0fa60c524"),
     ("random-forest", DEPLOYED_FOREST_PROFILE, 5, "identity",
-     "3305229d9971df82172a8a68512318033fd7e6fbcb38404a1bb210b9b73b6789",
+     "6984db76527044ffa0b76f940ed9628575f1eac8d5caa886cda6b135f6c4c769",
      "5db3cb0f42e4acbe92b2f591e07a0d191ca9e48179b38157981dbb1ff6df5ab0"),
     ("adaboost", {"rounds": 50, "max_depth": 1}, 0, "identity",
-     "7f9841d8bf384f54d0bb7fff543cbd73563d4c2b1397cc97af36a198e7cb6922",
+     "1c7094e574b67bd9da944cc45da051cedebf60c360de8f58c631820af8ca15e6",
      "d766a8836652a1169a00c852bc8b45cd0a53cf2b73a0f1097ec2c81790660704"),
     ("decision-tree", {"min_leaf_size": 3, "max_depth": 4}, 0, "identity",
-     "ed592ac1c3e8804607e2ba56f2a8064a7728d834ff51ee504dc3562f25c55881",
+     "2fd17380fd6fbe0ad1bc31fcd635de08d7e22a6194f1ec27917f27b7665c3432",
      "5b698d66b97b34c0171339ad9ac5107a9d875ce5fd6dab96da2a2467e709451b"),
 ]
 
@@ -649,6 +660,43 @@ def test_tree_kinds_keep_their_bytes(kind, hp, seed, transform, model_sha, score
     data, queries = pinned_data()
     model = train(kind, data, hp, seed, transform)
     assert hashlib.sha256(model.to_json().encode()).hexdigest() == model_sha
+    assert hashlib.sha256(predict_batch(model, queries)[1].tobytes()).hexdigest() == scores_sha
+
+
+#: The other kinds on the same data: sha256 of the model file as parsed JSON
+#: without its ``format_version`` (``json.dumps`` with sorted keys), and of
+#: the ``predict_batch`` score bytes. Recorded at format version 2, so they
+#: show that version 3 changed neither these files' values nor any score.
+PINNED_OTHER_KINDS = [
+    ("baseline-random", {}, 0, "identity",
+     "660bfc4cb133e9d5f786a9cbe21cb0e5123525acc8443971321adba3e8cce1b4",
+     "88d09a04b88d20528a1b90ff154f00feedc94774f94c87852b4429c078730376"),
+    ("baseline-threshold", {}, 0, "identity",
+     "7251a44d0eec6ef08d21afb2182e9c53f0e8a7d8b84e183be7b637402ca97311",
+     "daf3bfa34da7c3b39d2287bc0dd6c7cd62928099d254fce7a50409c5ed67ecce"),
+    ("gnb", {}, 0, "log-scale",
+     "3ad71e346793913b558e1d274196ec68c13bd9cfb3f24399acb3f69eb10f88b1",
+     "b23ae337fff0b50d060fbcd7417f5c4e5da86a3762f3f826f832db65ed3f5774"),
+    ("knn", {"k": 5}, 0, "z-score",
+     "ed31760c7696b3dcf0f24571724a6ee9365018bcb3cb5066d7e55f77e3a31289",
+     "4269f8beaa196782af5e68a3f720cec5425e875511cba5f8674b2080746eccfe"),
+    ("linear-svm", {"epochs": 50}, 0, "z-score",
+     "a9747d628560ff604b04cb4aaefb6a5870e250adc94178919cebe813e75e9a17",
+     "6fbba1387dd3ff901dd8aabdd3b79050d85344efc33a2b2aa56a4d0939e08b68"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, hp, seed, transform, content_sha, scores_sha", PINNED_OTHER_KINDS,
+    ids=[case[0] for case in PINNED_OTHER_KINDS],
+)
+def test_other_kinds_keep_their_bytes(kind, hp, seed, transform, content_sha, scores_sha):
+    data, queries = pinned_data()
+    model = train(kind, data, hp, seed, transform)
+    payload = json.loads(model.to_json())
+    assert payload.pop("format_version") == MODEL_FORMAT_VERSION
+    content = json.dumps(payload, sort_keys=True).encode()
+    assert hashlib.sha256(content).hexdigest() == content_sha
     assert hashlib.sha256(predict_batch(model, queries)[1].tobytes()).hexdigest() == scores_sha
 
 
@@ -676,8 +724,8 @@ class TestRandomForest:
     def test_deployed_profile_leaf_budget(self):
         data = toy_dataset(50, seed=6)
         model = train("random-forest", data, DEPLOYED_FOREST_PROFILE, seed=2)
-        assert len(model.parameters["trees"]) <= 10
-        for nodes in file_form(model.parameters["trees"]):
+        assert len(model.parameters["sizes"]) <= 10
+        for nodes in tree_nodes(model.parameters):
             leaves = sum(1 for node in nodes if node["feature"] < 0)
             assert leaves <= 5
 
@@ -717,7 +765,7 @@ def boosting_problems(draw):
 
 def boosted(fit) -> str:
     """A ``fit_adaboost`` result as text: its JSON, or its error."""
-    return json.dumps(file_form(fit)) if isinstance(fit, dict) else f"{type(fit).__name__}: {fit}"
+    return json.dumps(fit) if isinstance(fit, dict) else f"{type(fit).__name__}: {fit}"
 
 
 class TestAdaboost:
@@ -753,12 +801,12 @@ class TestAdaboost:
         assert batches[0] == 4 and max(batches[1:], default=0) <= 2
         assert boosted(fits[0]) == "TrainingError: boosting found no weak learner better than random"
         # a problem a tree separates stops at the error floor in round 1
-        assert len(fits[2]["trees"]) == 1
-        assert len(fits[3]["trees"]) == 1 or max_depth < 2
+        assert len(fits[2]["sizes"]) == 1
+        assert len(fits[3]["sizes"]) == 1 or max_depth < 2
         # the failed and stopped problems change nothing for the one boosting on
         assert [boosted(fits[1])] == [boosted(fit) for fit in fit_adaboost([(X, y)], hp)]
         alone = train("adaboost", data, hp, features=("f2", "f3"))
-        assert file_form(fits[1]) == file_form(alone.parameters)
+        assert boosted(fits[1]) == boosted(alone.parameters)
 
     @pytest.mark.parametrize("n", range(3, 40, 3))
     @pytest.mark.parametrize("max_depth", [0, 2])
@@ -819,8 +867,13 @@ oracle_data = st.one_of(
 
 
 def first_members(model: ModelArtifact, size: int) -> ModelArtifact:
-    """The model of ``model``'s first ``size`` ensemble members."""
-    parameters = {name: members[:size] for name, members in model.parameters.items()}
+    """The model of ``model``'s first ``size`` trees, and their round
+    weights for AdaBoost."""
+    sizes = model.parameters["sizes"][:size]
+    columns = {name: column[: sum(sizes)] for name, column in model.parameters["trees"].items()}
+    parameters = {**model.parameters, "trees": columns, "sizes": sizes}
+    if "alphas" in parameters:
+        parameters["alphas"] = parameters["alphas"][:size]
     return replace(model, parameters=parameters)
 
 
@@ -898,7 +951,7 @@ class TestEnsemblePrefixes:
     )
     def test_first_members_through_early_stop(self, data, max_depth):
         full = train("adaboost", data, {"rounds": 6, "max_depth": max_depth})
-        assert len(full.parameters["trees"]) == 1
+        assert len(full.parameters["sizes"]) == 1
         X, _ = dataset_matrix(data)
         prefixes = prefix_labels(full, X)
         assert prefixes.shape == (1, len(data))
@@ -954,22 +1007,25 @@ class TestEnsemblePrefixes:
     )
     def test_scores_are_vote_sums_over_python_sum_totals(self, kind, hp):
         """The last prefix is the one scoring formula ``predict_batch`` uses,
-        and prefix s is divided by the tree count s or the Python ``sum``
-        of its s weights (compensated on Python 3.12+), as the s-member
-        model's own predictor divides."""
+        and prefix s is divided by the tree count s or the running sum of
+        the weights in round order at s, as the s-member model's own
+        predictor divides."""
         # unequal classes, so a lone root (max_depth 0) boosts a round
         data = noisy_examples(3, 61) + toy_dataset(10, seed=3)
         model = train(kind, data, hp, seed=4)
-        trees = model.parameters["trees"]
-        alphas = model.parameters.get("alphas", [1] * len(trees))
-        predictor = ForestPredictor(trees, 4, model.parameters.get("alphas"))
+        n_trees = len(model.parameters["sizes"])
+        alphas = model.parameters.get("alphas", [1] * n_trees)
+        totals = [alphas[0]]  # running sums in round order
+        for alpha in alphas[1:]:
+            totals.append(totals[-1] + alpha)
+        predictor = ForestPredictor(*Tree.read(model.parameters), 4, model.parameters.get("alphas"))
         for X in (dataset_matrix(data)[0], dataset_matrix(data[:1])[0]):
             votes = predictor.votes[predictor.leaves(X)]
             prefixes = predictor.prefix_scores(X)
-            assert np.array_equal(predictor.scores_matrix(X), votes.sum(axis=0) / sum(alphas))
+            assert np.array_equal(predictor.scores_matrix(X), votes.sum(axis=0) / totals[-1])
             assert np.array_equal(predict_batch(model, X)[1], prefixes[-1])
-            for s in range(1, len(trees) + 1):
-                expected = votes[:s].sum(axis=0) / sum(alphas[:s])
+            for s in range(1, n_trees + 1):
+                expected = votes[:s].sum(axis=0) / totals[s - 1]
                 assert np.array_equal(prefixes[s - 1], expected), s
 
 
@@ -1025,8 +1081,7 @@ class TestDepthCuts:
         ]:
             text = train(kind, data, {**hp, "max_depth": None}, seed=3).to_json()
             loaded = load_model(io.StringIO(text))
-            trees = loaded.parameters.get("trees", [loaded.parameters.get("nodes")])
-            assert ForestPredictor(trees, 4).depth == 99
+            assert ForestPredictor(*Tree.read(loaded.parameters), 4).depth == 99
             assert predict_batch(loaded, X)[0].tolist() == [i % 2 for i in range(100)]
 
 
@@ -1305,7 +1360,7 @@ class TestMissingF1:
         model = train(kind, rows)
         assert model.imputer == imputer
         filled = train(kind, rows_filled + rows[5:])
-        assert file_form(model.parameters) == file_form(filled.parameters)
+        assert json.dumps(model.parameters) == json.dumps(filled.parameters)
 
     def test_train_without_f1_ignores_it(self):
         model = train("gnb", self.data(), features=("f2", "f3"))
@@ -1470,16 +1525,16 @@ class TestScoringOracles:
             ("adaboost", {"rounds": 40, "max_depth": 3}, "log-scale"),
         ]:
             model = train(kind, data, hp, seed=5, transform=transform)
-            params = file_form(model.parameters)
+            trees = tree_nodes(model.parameters)
             raw, rows = self.queries(model)
             _, scores = predict_batch(model, raw)
             for row, got in zip(rows, scores.tolist()):
                 if kind == "decision-tree":
-                    expected = walk_tree(params["nodes"], row)
+                    expected = walk_tree(trees[0], row)
                 elif kind == "random-forest":
-                    expected = forest_oracle(params["trees"], row)
+                    expected = forest_oracle(trees, row)
                 else:
-                    expected = adaboost_oracle(params["trees"], params["alphas"], row)
+                    expected = adaboost_oracle(trees, model.parameters["alphas"], row)
                 assert got == expected, (kind, hp, transform)
 
     def test_threshold_matrix_matches_rule(self):
@@ -1544,6 +1599,17 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.to_json() == path.read_text()
+        # every kind under every transform, one line each
+        queries = np.array([fv.values() for fv in random_vectors(50, seed=20)], dtype=float)
+        for kind, hp, _ in EVERY_KIND:
+            for transform in TRANSFORM_KINDS:
+                model = train(kind, toy_dataset(20, seed=20), hp, seed=1, transform=transform)
+                save_model(model, path)
+                text = path.read_text()
+                loaded = load_model(path)
+                assert loaded.to_json() == text and text.count("\n") == 1, (kind, transform)
+                for got, want in zip(predict_batch(loaded, queries), predict_batch(model, queries)):
+                    assert got.tobytes() == want.tobytes(), (kind, transform)
 
     def test_future_version_rejected(self):
         model = train("gnb", toy_dataset(10, seed=21))
@@ -1561,9 +1627,11 @@ class TestSerialization:
 
     def test_corrupted_parameters_rejected(self):
         model = train("decision-tree", toy_dataset(10, seed=23), {"max_depth": 2})
-        bad = model.to_json().replace('"feature": 0', '"feature": 99')
-        with pytest.raises(ModelFormatError):
-            load_model(io.StringIO(bad))
+        payload = json.loads(model.to_json())
+        assert payload["parameters"]["trees"]["feature"][0] >= 0
+        payload["parameters"]["trees"]["feature"][0] = 99
+        with pytest.raises(ModelFormatError, match="^split references feature 99$"):
+            load_model(io.StringIO(json.dumps(payload)))
 
     @pytest.mark.parametrize(
         "nodes, message",
@@ -1573,13 +1641,13 @@ class TestSerialization:
             ([split(0, 1, 2), split(1, 2, 3), LEAF, LEAF], "node 2 has more than one parent"),
             ([split(0, 1, 1), LEAF], "node 1 has more than one parent"),
             ([split(0, 1, 2), LEAF, LEAF, LEAF], "node 3 is unreachable"),
-            ([split(0, 1, 2), LEAF, {**LEAF, "dist": [0.5, 0.5]}], "not 3 probabilities"),
+            ([split(0, 1, 2), LEAF, {**LEAF, "dist": [0.5, 0.5, 0.5]}], "not 3 probabilities"),
         ],
     )
     def test_malformed_tree_shape_rejected(self, nodes, message):
         model = train("decision-tree", toy_dataset(10, seed=24), {"max_depth": 2})
         payload = json.loads(model.to_json())
-        payload["parameters"]["nodes"] = nodes
+        payload["parameters"] = stored_trees([nodes])
         with pytest.raises(ModelFormatError, match=message):
             load_model(io.StringIO(json.dumps(payload)))
 
@@ -1590,14 +1658,28 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="knn k must be an integer >= 1"):
             load_model(io.StringIO(json.dumps(payload)))
 
+    def test_many_round_adaboost_loads_in_linear_time(self):
+        # 50,000 one-leaf rounds: the running weight sums take one pass over
+        # the rounds, not one sum of the rounds so far per round
+        rounds = 50_000
+        payload = json.loads(train("adaboost", toy_dataset(10, seed=21), {"rounds": 1}).to_json())
+        alphas = [0.5 + (i % 7) / 8 for i in range(rounds)]
+        payload["parameters"] = {**stored_trees([[LEAF]] * rounds), "alphas": alphas}
+        text = json.dumps(payload)
+        start = time.perf_counter()
+        model = load_model(io.StringIO(text))
+        assert time.perf_counter() - start < 5.0
+        label, scores = predict(model, FeatureVector(5, 5.0, 9, 1.0))
+        assert label is DocType.RESEARCH and scores[DocType.RESEARCH] == 1.0
+
     def test_forest_depth_is_deepest_tree(self):
         model = train("random-forest", toy_dataset(10, seed=25), {"n_trees": 2, "max_depth": 1})
         payload = json.loads(model.to_json())
         thesis = {**LEAF, "dist": [0.0, 0.0, 1.0]}
-        payload["parameters"]["trees"] = [
+        payload["parameters"] = stored_trees([
             [thesis],
             [split(0, 1, 2), LEAF, split(1, 3, 4), LEAF, thesis],
-        ]
+        ])
         loaded = load_model(io.StringIO(json.dumps(payload)))
         label, scores = predict(loaded, FeatureVector(5, 5.0, 9, 1.0))
         assert label is DocType.THESIS
@@ -1626,7 +1708,9 @@ def valid_trees(draw) -> list[dict]:
 #: Class probabilities a node may hold: rows whose sum is 1 within 1e-9.
 DISTS = [[1.0, 0.0, 0.0], [0.25, 0.25, 0.5], [0.1, 0.2, 0.7], [0, 1, 0], [1 / 3] * 3]
 
-#: Values a corruption may write in a node's field.
+#: Values a corruption may write in a node's field. ``Tree.read`` refuses
+#: those of a wrong type or shape (``TestTreeRead``); the array check sees
+#: the rest (``TestTreeCheck``).
 BAD_IDS = [True, False, 1.0, -1, -2, 4, 2**70, None, "1"]
 BAD_THRESHOLDS = [math.nan, math.inf, -math.inf, None, "2", True, 2**1030]
 BAD_DISTS = [
@@ -1636,13 +1720,24 @@ BAD_DISTS = [
 ]
 
 
+def readable(field: str, value) -> bool:
+    """Whether a model file may hold ``value`` in a node's ``field`` as far
+    as types go: an id is an integer of 64 bits (a boolean is not), a
+    threshold a finite number, and a dist 3 finite numbers."""
+    if field == "dist":
+        return type(value) is list and len(value) == 3 and all(map(finite_number, value))
+    if field == "threshold":
+        return finite_number(value)
+    return type(value) is int and -(2**63) <= value < 2**63
+
+
 @st.composite
 def corrupted_forests(draw) -> list[list]:
-    """1-3 valid trees, then 0-4 corruptions: a field set to a bad value,
-    to a node id of its own tree or of no node (the next tree's, once
-    stacked), a key deleted, a node made a split to any two nodes (a self
-    loop, a shared child, a cycle), or nodes appended (a lone leaf or a
-    two-node cycle no walk from node 0 reaches)."""
+    """1-3 valid trees, then 0-4 corruptions: an id or dist set to a bad
+    value of the right type, an id to a node of its own tree or of no node
+    (the next tree's, once stacked), a node made a split to any two nodes
+    (a self loop, a shared child, a cycle), or nodes appended (a lone leaf
+    or a two-node cycle no walk from node 0 reaches)."""
     trees = draw(st.lists(valid_trees(), min_size=1, max_size=3))
     for _ in range(draw(st.integers(0, 4))):
         nodes = draw(st.sampled_from(trees))
@@ -1651,24 +1746,21 @@ def corrupted_forests(draw) -> list[list]:
             nodes += draw(st.sampled_from([[dict(LEAF)], [split(0, n + 1, n + 1), split(1, n, n)]]))
             continue
         node = draw(st.sampled_from(nodes))
-        field = draw(st.sampled_from(["feature", "threshold", "left", "right", "dist", "split"]))
+        field = draw(st.sampled_from(["feature", "left", "right", "dist", "split"]))
         if field == "split":
             # a node, a leaf or not, splits to any two nodes of its tree, one
             # often a child another node has
-            taken = [v for other in nodes for v in (other.get("left"), other.get("right"))
-                     if type(v) is int and 0 <= v < len(nodes)]
+            taken = [v for other in nodes for v in (other["left"], other["right"])
+                     if 0 <= v < len(nodes)]
             children = st.integers(0, len(nodes) - 1) | st.sampled_from(taken or [0])
             left = draw(children)
             node.update(split(0, left, draw(st.just(left) | children)))
-        elif draw(st.integers(0, 9)) == 0:
-            node.pop(field, None)
-        elif field == "threshold":
-            node[field] = draw(st.sampled_from(BAD_THRESHOLDS))
         elif field == "dist":
-            node[field] = draw(st.sampled_from(BAD_DISTS))
+            node[field] = draw(st.sampled_from([v for v in BAD_DISTS if readable(field, v)]))
         else:
-            ids = st.integers(-1, len(nodes) - 1) | st.sampled_from(BAD_IDS)
-            ids |= st.sampled_from([len(nodes), len(nodes) + 1])
+            ids = st.integers(-1, len(nodes) - 1) | st.sampled_from(
+                [v for v in BAD_IDS if readable(field, v)] + [len(nodes), len(nodes) + 1]
+            )
             node[field] = draw(ids)
     return trees
 
@@ -1677,8 +1769,12 @@ def check_outcome(check, *args) -> str:
     """What a tree check gives: the depth, or the error it raises."""
     try:
         return f"depth {check(*args)}"
-    except (ModelFormatError, KeyError, TypeError) as exc:
+    except (ModelFormatError, KeyError, TypeError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def forest_depth(parameters) -> int:
+    return ForestPredictor(*Tree.read(parameters), 4).depth
 
 
 class TestTreeCheck:
@@ -1690,16 +1786,124 @@ class TestTreeCheck:
     @given(trees=corrupted_forests())
     def test_array_check_matches_the_walk(self, trees):
         want = check_outcome(reference_forest_depth, trees, 4)
-        got = check_outcome(lambda: ForestPredictor(trees, 4).depth)
-        assert got == want
+        assert check_outcome(forest_depth, stored_trees(trees)) == want
 
     @pytest.mark.parametrize(
         "trees",
-        [[[]], [[LEAF], []], [[LEAF], None], [[LEAF], [None]], [[LEAF], "ab"], [{"a": 1}], [[LEAF], 5]],
+        # each forest of a tree that is not a list of nodes, as stored
+        # columns: a tree of no nodes, which the walk refuses as well, a
+        # null tree, a node that is not a dict, a string, a dict and a number
+        [
+            ([[]], "ModelFormatError: tree has no nodes"),
+            ([[LEAF], []], "ModelFormatError: tree has no nodes"),
+            ({**stored_trees([[LEAF]]), "sizes": [1, None]}, "ValueError: sizes must be n integers"),
+            (stored_trees([[LEAF, {f: None for f in LEAF}]]), "ValueError: feature must be n integers"),
+            ({"trees": "ab", "sizes": [1]}, "ValueError: trees must be an object of columns"),
+            ({"trees": {"a": 1}, "sizes": [1]}, "KeyError: 'feature'"),
+            ({**stored_trees([[LEAF]]), "sizes": 5}, "ValueError: sizes must be n integers"),
+        ],
     )
     def test_tree_that_is_not_a_node_list(self, trees):
-        want = check_outcome(reference_forest_depth, trees, 4)
-        assert check_outcome(lambda: ForestPredictor(trees, 4).depth) == want
+        trees, want = trees
+        if isinstance(trees, list):
+            assert check_outcome(reference_forest_depth, trees, 4) == want
+            trees = stored_trees(trees)
+        assert check_outcome(forest_depth, trees) == want
+
+
+def tree_payload() -> dict:
+    """A decision-tree model file, parsed, whose node 0 is a split."""
+    payload = json.loads(train("decision-tree", toy_dataset(10, seed=24), {"max_depth": 2}).to_json())
+    assert payload["parameters"]["trees"]["feature"][0] >= 0
+    return payload
+
+
+def load_payload(payload: dict) -> ModelArtifact:
+    return load_model(io.StringIO(json.dumps(payload)))
+
+
+#: (column, value) for each bad value ``Tree.read`` refuses by its type or
+#: shape, at node 0.
+WRONG_TYPES = [
+    (field, value)
+    for field, values in [("feature", BAD_IDS), ("left", BAD_IDS), ("right", BAD_IDS),
+                          ("threshold", BAD_THRESHOLDS), ("dist", BAD_DISTS)]
+    for value in values
+    if not readable(field, value)
+]
+
+
+class TestTreeRead:
+    """``Tree.read`` refuses a column or ``sizes`` of a wrong type or shape
+    with a message naming it; what it reads, ``_check`` checks."""
+
+    def test_every_type_case_is_a_wrong_type(self):
+        # 6 of BAD_IDS in each of 3 id columns, every threshold, 10 dists
+        assert len(WRONG_TYPES) == 6 * 3 + 7 + 10
+
+    @pytest.mark.parametrize("field, value", WRONG_TYPES)
+    def test_value_of_a_wrong_type_names_its_column(self, field, value):
+        payload = tree_payload()
+        payload["parameters"]["trees"][field][0] = value
+        message = rf"{field} must be (n|\d+)( x 3)? (finite numbers|integers)"
+        with pytest.raises(ModelFormatError, match=rf"^malformed decision-tree parameters: {message}$"):
+            load_payload(payload)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            # the feature column sets the node count, which sizes then miss
+            ("feature", "sizes must be 1 or more non-negative integers summing to {short}"),
+            ("threshold", "threshold must be {n} finite numbers"),
+            ("left", "left must be {n} integers"),
+            ("right", "right must be {n} integers"),
+            ("dist", "dist must be {n} x 3 finite numbers"),
+        ],
+    )
+    def test_column_shorter_than_the_others(self, field, message):
+        payload = tree_payload()
+        columns = payload["parameters"]["trees"]
+        n = len(columns["feature"])
+        del columns[field][-1]
+        message = re.escape(message.format(n=n, short=n - 1))
+        with pytest.raises(ModelFormatError, match=rf"^malformed decision-tree parameters: {message}$"):
+            load_payload(payload)
+
+    @pytest.mark.parametrize(
+        "resize",
+        [
+            lambda sizes: [],  # no tree
+            lambda sizes: [*sizes[:-1], sizes[-1] - 1],  # one node too few
+            lambda sizes: [*sizes[:-1], sizes[-1] + 1],  # one node too many
+            lambda sizes: [sizes[0] + 1, -1, *sizes[1:]],  # a negative size, the right sum
+            lambda sizes: [True] * len(sizes),
+            lambda sizes: [float(size) for size in sizes],
+        ],
+    )
+    def test_sizes_that_do_not_count_the_nodes(self, resize):
+        hp = {"rounds": 3, "max_depth": 1}
+        payload = json.loads(train("adaboost", toy_dataset(10, seed=24), hp).to_json())
+        payload["parameters"]["sizes"] = resize(payload["parameters"]["sizes"])
+        with pytest.raises(ModelFormatError, match=r"^malformed adaboost parameters: sizes must be "):
+            load_payload(payload)
+
+    @pytest.mark.parametrize("trees", [[], None, "abc", 7, [[LEAF]]])
+    def test_trees_that_is_not_an_object(self, trees):
+        payload = tree_payload()
+        payload["parameters"]["trees"] = trees
+        message = "^malformed decision-tree parameters: trees must be an object of columns$"
+        with pytest.raises(ModelFormatError, match=message):
+            load_payload(payload)
+
+    def test_tree_kinds_store_columns(self):
+        models = every_kind_models()
+        for kind in ("decision-tree", "random-forest", "adaboost"):
+            parameters = models[kind].parameters
+            boosted_keys = {"alphas"} if kind == "adaboost" else set()
+            assert set(parameters) == {"trees", "sizes"} | boosted_keys
+            assert set(parameters["trees"]) == set(FIELDS)
+        assert len(models["decision-tree"].parameters["sizes"]) == 1
+        assert SPECS["decision-tree"].predictor is SPECS["random-forest"].predictor
 
 
 @lru_cache(maxsize=1)
