@@ -49,6 +49,16 @@ def number_array(values, shape: tuple, name: str) -> np.ndarray:
     raise ValueError(f"{name} must be {wanted} finite numbers")
 
 
+def integer_array(values, n: int | None, name: str) -> np.ndarray:
+    """A list of ``n`` integers (None: any number) as an intp array; anything
+    else, a boolean or an integer out of range included, raises ValueError
+    naming ``name``."""
+    if isinstance(values, list) and n in (None, len(values)) and set(map(type, values)) <= {int}:
+        with contextlib.suppress(OverflowError):
+            return np.array(values, dtype=np.intp)
+    raise ValueError(f"{name} must be {'n' if n is None else n} integers")
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file in the same directory, then rename."""
     path = Path(path)

@@ -20,9 +20,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ..errors import ModelFormatError, TrainingError
+from ..errors import TrainingError
 from ..ingest import N_CLASSES
-from ..ioutils import finite_number
+from ..ioutils import number_array
 from .tree import ForestPredictor, Tree, grow_trees, stored
 
 _ERR_FLOOR = 1e-10
@@ -79,12 +79,7 @@ def adaboost_predictor(parameters: dict, n_features: int) -> ForestPredictor:
     """The forest predictor voting each round's weight at its leaf's argmax
     class, in round order; raises on weights it cannot vote with."""
     forest, sizes = Tree.read(parameters)
-    alphas = parameters["alphas"]
-    if len(alphas) != len(sizes):
-        raise ModelFormatError("adaboost weight/tree count mismatch")
-    for alpha in alphas:
-        if not finite_number(alpha):
-            raise ModelFormatError(f"non-finite boosting weight: {alpha!r}")
-        if alpha <= 0:
-            raise ModelFormatError(f"boosting weight is not positive: {alpha!r}")
+    alphas = number_array(parameters["alphas"], (len(sizes),), "alphas")
+    if (alphas <= 0).any():
+        raise ValueError("boosting weights must be positive")
     return ForestPredictor(forest, sizes, n_features, alphas)

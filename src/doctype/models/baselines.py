@@ -7,7 +7,7 @@ import numpy as np
 from ..errors import ModelFormatError, TrainingError
 from ..ingest import FEATURE_IDS, N_CLASSES, DocType
 from ..ioutils import number_array
-from ..stats import ThresholdTable, derive_thresholds
+from ..stats import THRESHOLD_FORMAT_VERSION, derive_thresholds
 from .tree import splitmix64
 
 #: Classes are tested most-restrictive-first; unmatched vectors fall back
@@ -70,16 +70,25 @@ class RandomBaselinePredictor:
 class ThresholdBaselinePredictor:
     """The threshold rule: a row is the first class in THRESHOLD_TEST_ORDER
     whose bounds all contain its features; the fallback is tested last, as
-    a box without bounds."""
+    a box without bounds. Stored bounds are finite, each lower <= upper."""
 
     def __init__(self, parameters: dict, features: tuple[str, ...]):
         if features != FEATURE_IDS:
             raise ModelFormatError("baseline-threshold requires the full feature set")
-        table = ThresholdTable.from_dict(parameters["table"])
+        table = parameters["table"]
+        version = table["format_version"]
+        if type(version) is not int or version != THRESHOLD_FORMAT_VERSION:
+            raise ModelFormatError(f"unsupported threshold format version {version!r}")
+        number_array([table["quantile_lo"], table["quantile_hi"]], (2,), "quantile levels")
+        if len(table["bounds"]) != N_CLASSES:
+            raise ValueError(f"bounds must hold {N_CLASSES} classes")
+        cells = [[table["bounds"][t.label][fid] for fid in FEATURE_IDS] for t in THRESHOLD_TEST_ORDER]
+        bounds = number_array(cells, (N_CLASSES, len(FEATURE_IDS), 2), "threshold bounds")
+        if (bounds[..., 0] > bounds[..., 1]).any():
+            raise ValueError("threshold bounds must have lower <= upper")
         fallback = DocType.from_label(parameters["fallback"])
-        bounds = [[table.bounds[(t, fid)] for fid in FEATURE_IDS] for t in THRESHOLD_TEST_ORDER]
-        bounds.append([(-np.inf, np.inf)] * len(FEATURE_IDS))
-        self.lower, self.upper = np.array(bounds).transpose(2, 0, 1)
+        unbounded = np.full((1, len(FEATURE_IDS), 2), [-np.inf, np.inf])
+        self.lower, self.upper = np.concatenate([bounds, unbounded]).transpose(2, 0, 1)
         self.scores = np.eye(N_CLASSES)[[*THRESHOLD_TEST_ORDER, fallback]]
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:

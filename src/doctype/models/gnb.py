@@ -33,7 +33,7 @@ def fit_gnb(X, y, seed, hyperparameters) -> dict:
 
 class GnbPredictor:
     """A class with a positive prior has a mean and a positive variance per
-    feature; any other class stores none and scores 0."""
+    feature; any other class stores null ones and scores 0."""
 
     def __init__(self, parameters: dict, n_features: int):
         self.priors = number_array(parameters["priors"], (N_CLASSES,), "priors").tolist()
@@ -47,6 +47,9 @@ class GnbPredictor:
         )
         if (self.variances <= 0.0).any():
             raise ValueError("variances must be positive")
+        unused = set(range(N_CLASSES)) - set(self.classes)
+        if any(parameters[key][c] is not None for key in ("means", "variances") for c in unused):
+            raise ValueError("a class without a positive prior stores null means and variances")
 
     def scores_matrix(self, X: np.ndarray) -> np.ndarray:
         log_joint = np.full((X.shape[0], N_CLASSES), -np.inf)

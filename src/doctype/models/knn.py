@@ -7,7 +7,7 @@ import numpy as np
 
 from ..errors import ModelFormatError
 from ..ingest import N_CLASSES
-from ..ioutils import number_array
+from ..ioutils import integer_array, number_array
 
 # query rows per step, to bound the (rows, train) distance matrix
 _CHUNK_ROWS = 128
@@ -30,16 +30,14 @@ class KnnPredictor:
     """
 
     def __init__(self, parameters: dict, n_features: int):
-        k, train_y = parameters["k"], parameters["train_y"]
+        k = parameters["k"]
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ModelFormatError(f"knn k must be an integer >= 1, got {k!r}")
         train_x = number_array(parameters["train_x"], (None, n_features), "train_x")
-        if len(train_y) != len(train_x) or not all(
-            type(v) is int and 0 <= v < N_CLASSES for v in train_y
-        ):
+        self.train_y = integer_array(parameters["train_y"], len(train_x), "train_y")
+        if ((self.train_y < 0) | (self.train_y >= N_CLASSES)).any():
             raise ValueError(f"train_y must be {len(train_x)} class codes")
         self.columns = train_x.T.copy()  # each feature's values contiguous
-        self.train_y = np.asarray(train_y, dtype=int)
         self.k = min(k, len(self.train_y))
 
     def prefix_scores(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:

@@ -63,7 +63,6 @@ votes that node's own distribution.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 from collections.abc import Mapping, Sequence
 from itertools import accumulate
@@ -72,7 +71,7 @@ import numpy as np
 
 from ..errors import ModelFormatError
 from ..ingest import N_CLASSES
-from ..ioutils import number_array
+from ..ioutils import integer_array, number_array
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -529,26 +528,16 @@ class Tree:
         columns = parameters["trees"]
         if not isinstance(columns, Mapping):
             raise ValueError("trees must be an object of columns")
-        feature = _integers(columns["feature"], None, "feature")
-        n, sizes = len(feature), _integers(parameters["sizes"], None, "sizes")
+        feature = integer_array(columns["feature"], None, "feature")
+        n, sizes = len(feature), integer_array(parameters["sizes"], None, "sizes")
         if not len(sizes) or not ((0 <= sizes) & (sizes <= n)).all() or sizes.sum() != n:
             raise ValueError(f"sizes must be 1 or more non-negative integers summing to {n}")
         threshold = number_array(columns["threshold"], (n,), "threshold")
-        left, right = (_integers(columns[side], n, side) for side in ("left", "right"))
+        left, right = (integer_array(columns[side], n, side) for side in ("left", "right"))
         # empty trees have no dist rows to read, and fail their check
         empty = np.empty((0, N_CLASSES))
         dist = number_array(columns["dist"], (n, N_CLASSES), "dist") if n else empty
         return cls(feature, threshold, left, right, dist), sizes
-
-
-def _integers(values, n: int | None, name: str) -> np.ndarray:
-    """A list of ``n`` integers (None: any number) as an intp array; anything
-    else, a boolean or an integer out of range included, raises ValueError
-    naming ``name``."""
-    if isinstance(values, list) and n in (None, len(values)) and set(map(type, values)) <= {int}:
-        with contextlib.suppress(OverflowError):
-            return np.array(values, dtype=np.intp)
-    raise ValueError(f"{name} must be {'n' if n is None else n} integers")
 
 
 #: A split node's checks in the order the walk runs them, each the field it
@@ -637,7 +626,8 @@ class ForestPredictor:
 
     ``forest`` and ``sizes`` are what ``Tree.read`` gives for a model's
     stored trees. Building checks every tree (``_check``); ``depth`` is the
-    deepest tree's depth.
+    deepest tree's depth. Positive ``weights`` whose sum overflows raise
+    ValueError, so every running sum is finite.
     """
 
     def __init__(self, forest: Tree, sizes: np.ndarray, n_features: int, weights=None):
@@ -655,6 +645,8 @@ class ForestPredictor:
             picks = self.votes.argmax(axis=1)
             self.votes = np.where(np.arange(N_CLASSES) == picks[:, None], per_node[:, None], 0.0)
             self.totals = np.fromiter(accumulate(map(float, weights)), float)
+            if not np.isfinite(self.totals[-1]):
+                raise ValueError("boosting weights must sum to a finite total")
 
     def leaves(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:
         """Node id each row ends at in each tree, shape (trees, rows): its

@@ -154,9 +154,7 @@ def _extract_and_label(cfg: RunConfig, counts: dict) -> list[LabeledExample]:
 def _stage(name: str, thunk):
     try:
         return thunk()
-    except DocTypeError as exc:
-        raise DocTypeError(f"stage {name}: {exc}") from exc
-    except ValueError as exc:
+    except (DocTypeError, ValueError) as exc:
         raise DocTypeError(f"stage {name}: {exc}") from exc
 
 

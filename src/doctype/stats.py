@@ -45,7 +45,8 @@ def tukey_filter(values: Sequence[float]) -> list[float]:
 
 @dataclass
 class ThresholdTable:
-    """Per-(class, feature) [lower, upper] bounds plus the quantile levels."""
+    """Per-(class, feature) [lower, upper] bounds plus the quantile levels;
+    ``ThresholdBaselinePredictor`` reads the ``to_dict`` form."""
 
     bounds: dict[tuple[DocType, str], tuple[float, float]]
     quantile_lo: float = 0.025
@@ -75,23 +76,6 @@ class ThresholdTable:
                 for t in DOC_TYPES
             },
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ThresholdTable":
-        try:
-            version = payload["format_version"]
-            if version != THRESHOLD_FORMAT_VERSION:
-                raise ModelFormatError(f"unsupported threshold format version {version}")
-            bounds = {
-                (DocType.from_label(label), fid): (float(cell[0]), float(cell[1]))
-                for label, cells in payload["bounds"].items()
-                for fid, cell in cells.items()
-            }
-            return cls(bounds, float(payload["quantile_lo"]), float(payload["quantile_hi"]))
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-            if isinstance(exc, ModelFormatError):
-                raise
-            raise ModelFormatError(f"malformed threshold table: {exc}") from exc
 
 
 def derive_thresholds(
@@ -168,21 +152,21 @@ class TransformSpec:
     @classmethod
     def from_dict(cls, payload: Mapping, n_features: int) -> "TransformSpec":
         """Read a stored transform. A z-score needs ``n_features`` finite
-        means and positive scales, or else ValueError."""
+        means and positive scales, and any other kind null ones, or else
+        ValueError."""
         kind = payload["kind"]
         if kind not in TRANSFORM_KINDS:
             raise ModelFormatError(f"unknown transform kind: {kind!r}")
-        mean = payload.get("mean")
-        scale = payload.get("scale")
-        if kind == "z-score":
-            number_array(mean, (n_features,), "z-score mean")
-            if (number_array(scale, (n_features,), "z-score scale") <= 0.0).any():
-                raise ValueError(f"z-score scale must be positive, got {scale!r}")
-        return cls(
-            kind,
-            tuple(mean) if mean is not None else None,
-            tuple(scale) if scale is not None else None,
-        )
+        mean, scale = payload.get("mean"), payload.get("scale")
+        if kind != "z-score":
+            if mean is not None or scale is not None:
+                raise ValueError(f"{kind} transform mean and scale must be null")
+            return cls(kind)
+        mean = number_array(mean, (n_features,), "z-score mean")
+        scale = number_array(scale, (n_features,), "z-score scale")
+        if (scale <= 0.0).any():
+            raise ValueError(f"z-score scale must be positive, got {scale.tolist()!r}")
+        return cls(kind, tuple(mean.tolist()), tuple(scale.tolist()))
 
 
 @dataclass(frozen=True)

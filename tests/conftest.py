@@ -10,9 +10,10 @@ import pytest
 from hypothesis import settings
 
 from doctype.engagement import Click, Impression, LogEvent
-from doctype.ingest import DocType, FeatureVector
+from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
 from doctype.labeling import LabeledExample
-from doctype.models import FALLBACK_CLASS, ModelArtifact
+from doctype.models import FALLBACK_CLASS, THRESHOLD_TEST_ORDER, ModelArtifact
+from doctype.models.baselines import ThresholdBaselinePredictor
 from doctype.stats import ThresholdTable, TransformSpec
 
 # Every run draws the same examples and keeps no example database, so a
@@ -44,6 +45,19 @@ def threshold_model(table: ThresholdTable) -> ModelArtifact:
     stores one but without an f1 fill: its rows must have f1."""
     parameters = {"table": table.to_dict(), "fallback": FALLBACK_CLASS.label}
     return ModelArtifact("baseline-threshold", TransformSpec("identity"), parameters, seed=0)
+
+
+def threshold_table(model: ModelArtifact) -> ThresholdTable:
+    """The bounds a baseline-threshold model's predictor tests, as a table
+    with the quantile levels its parameters store."""
+    predictor = ThresholdBaselinePredictor(model.parameters, model.features)
+    bounds = {
+        (t, fid): (lo, hi)
+        for t, lows, highs in zip(THRESHOLD_TEST_ORDER, predictor.lower.tolist(), predictor.upper.tolist())
+        for fid, lo, hi in zip(FEATURE_IDS, lows, highs)
+    }
+    stored = model.parameters["table"]
+    return ThresholdTable(bounds, stored["quantile_lo"], stored["quantile_hi"])
 
 
 def make_example(

@@ -14,7 +14,7 @@ from doctype.cli import _build_parser, main
 from doctype.config import RunConfig
 from doctype.ingest import tokenize
 from doctype.labeling import read_examples
-from doctype.models import load_model, train, train_folds
+from doctype.models import KINDS, load_model, train, train_folds
 from doctype.models.dispatch import Kind
 
 from conftest import toy_dataset
@@ -52,6 +52,15 @@ def labeled_file(tmp_path):
     return path
 
 
+def research_f1(cell):
+    """A corrupt(parameters, transform) storing ``cell(old)`` as the
+    baseline-threshold table's (Research, f1) cell."""
+    def corrupt(p, t):
+        cells = p["table"]["bounds"]["Research"]
+        cells["f1"] = cell(cells["f1"])
+    return corrupt
+
+
 #: (kind, transform, corrupt(parameters, transform)): model files that parse
 #: but hold parameters no predictor can score with.
 CORRUPTED_MODELS = [
@@ -64,6 +73,20 @@ CORRUPTED_MODELS = [
     ("decision-tree", "identity",
      lambda p, t: p["trees"].update(threshold=[None, *p["trees"]["threshold"][1:]])),
     ("adaboost", "identity", lambda p, t: p.update(alphas=[0.0] * len(p["alphas"]))),
+    ("baseline-threshold", "identity", research_f1(lambda cell: ["1.5", cell[1]])),
+    ("baseline-threshold", "identity", research_f1(lambda cell: [True, cell[1]])),
+    ("baseline-threshold", "identity", research_f1(lambda cell: [math.nan, cell[1]])),
+    ("baseline-threshold", "identity", research_f1(lambda cell: [*cell, cell[1]])),
+    ("baseline-threshold", "identity", lambda p, t: p["table"].update(format_version=True)),
+    # two rounds whose weights sum past the largest float
+    ("adaboost", "identity", lambda p, t: p.update(
+        trees={field: column * 2 for field, column in p["trees"].items()},
+        sizes=p["sizes"] * 2, alphas=[1e308] * 2 * len(p["alphas"]))),
+    ("gnb", "identity", lambda p, t: t.update(mean="abc")),
+    ("gnb", "identity", lambda p, t: p.update(
+        priors=[0.5, 0.5, 0.0], means=[*p["means"][:2], "abc"],
+        variances=[*p["variances"][:2], None])),
+    ("knn", "identity", lambda p, t: p.update(train_y=[True, *p["train_y"][1:]])),
 ]
 
 
@@ -514,6 +537,22 @@ class TestTrainPredict:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not out.exists()
+
+
+    def test_corrupted_models_cover_every_kind(self):
+        assert {kind for kind, _, _ in CORRUPTED_MODELS} == set(KINDS)
+
+    def test_boolean_class_code_names_column(self, tmp_path, capsys):
+        # kNN class codes are read as trees' integer columns are
+        payload = json.loads(train("knn", toy_dataset(10, seed=2)).to_json())
+        train_y = payload["parameters"]["train_y"]
+        train_y[0] = True
+        bad, features = tmp_path / "bad.json", tmp_path / "f.jsonl"
+        bad.write_text(json.dumps(payload))
+        features.write_text("")
+        assert main(["predict", str(bad), str(features)]) == 2
+        expected = f"error: malformed knn parameters: train_y must be {len(train_y)} integers\n"
+        assert capsys.readouterr().err == expected
 
     def test_version_two_model_exit_two(self, tmp_path, capsys):
         # a model file of the format before trees were stored as columns

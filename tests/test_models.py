@@ -70,6 +70,7 @@ from conftest import (
     blank_f1,
     make_example,
     threshold_model,
+    threshold_table,
     toy_dataset,
 )
 from reference_svm import reference_fit_linear_svm
@@ -1538,8 +1539,9 @@ class TestScoringOracles:
                 assert got == expected, (kind, hp, transform)
 
     def test_threshold_matrix_matches_rule(self):
-        model = train("baseline-threshold", toy_dataset(40, seed=42))
-        table = ThresholdTable.from_dict(model.parameters["table"])
+        trained = train("baseline-threshold", toy_dataset(40, seed=42))
+        model = load_model(io.StringIO(trained.to_json()))
+        table = threshold_table(model)
         raw, _ = self.queries(model, n=300, seed=43)
         # rows on every bound of every class, where <= must be inclusive
         edges = [
@@ -1925,8 +1927,10 @@ def value_sites(node, path=()):
         yield from value_sites(child, path + (key,))
 
 
-#: The replacement values a corrupted file may hold instead of a stored one.
-CORRUPT_VALUES = [None, True, "x", [], math.nan, 0, -1]
+#: The replacement values a corrupted file may hold instead of a stored
+#: one; a stored finite number replaced by one of the first five fails to load.
+NOT_NUMBERS = [None, True, "x", [], math.nan]
+CORRUPT_VALUES = NOT_NUMBERS + [0, -1]
 
 
 class TestCorruptedModels:
@@ -1935,7 +1939,8 @@ class TestCorruptedModels:
     def test_mutated_file_rejected_or_scored(self, data):
         """Deleting one key or replacing one stored value under parameters,
         transform or imputer either fails to load or leaves every score a
-        probability, rows with a missing f1 included."""
+        probability, rows with a missing f1 included. A stored finite number
+        replaced by something that is not a number always fails to load."""
         payload = json.loads(json.dumps(data.draw(st.sampled_from(model_payloads()))))
         sites = [
             (section,) + path
@@ -1958,6 +1963,7 @@ class TestCorruptedModels:
             model = load_model(io.StringIO(json.dumps(payload)))
         except ModelFormatError:
             return
+        assert not (finite_number(old) and choice in NOT_NUMBERS), (parents, key, choice)
         rows = np.array([fv.values() for fv in random_vectors(20, seed=28)], dtype=float)
         rows[::3, 0] = math.nan
         _, scores = predict_batch(model, rows)

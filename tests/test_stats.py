@@ -1,5 +1,6 @@
 """Quantiles, Tukey fences, thresholds, transforms, imputation."""
 
+import io
 import json
 
 import numpy as np
@@ -11,10 +12,9 @@ from doctype.errors import ImputationError, ModelFormatError, ThresholdError
 from doctype.ingest import DocType, FeatureVector
 from doctype.ioutils import canonical_json
 from doctype.labeling import LabeledExample
-from doctype.models import dataset_matrix
+from doctype.models import dataset_matrix, load_model, train
 from doctype.stats import (
     Imputer,
-    ThresholdTable,
     TransformSpec,
     derive_thresholds,
     impute_f1,
@@ -22,7 +22,7 @@ from doctype.stats import (
     tukey_filter,
 )
 
-from conftest import make_example
+from conftest import make_example, threshold_table
 
 # ---------------------------------------------------------------------------
 # 20-point fixture: per class, f2 = f3 * words-per-page with planted outliers.
@@ -197,18 +197,26 @@ class TestDeriveThresholds:
             derive_thresholds(*dataset_matrix(data))
         assert "Slides" in str(err.value)
 
+    @staticmethod
+    def stored(table: dict):
+        """A baseline-threshold model file holding ``table``, loaded."""
+        payload = json.loads(train("baseline-threshold", fixture_dataset()).to_json())
+        payload["parameters"]["table"] = table
+        return load_model(io.StringIO(canonical_json(payload)))
+
     def test_table_round_trip(self):
         table = derive_thresholds(*dataset_matrix(fixture_dataset()))
-        loaded = ThresholdTable.from_dict(json.loads(canonical_json(table.to_dict())))
+        loaded = threshold_table(self.stored(table.to_dict()))
         assert loaded.bounds == table.bounds
         assert loaded.quantile_lo == table.quantile_lo
 
-    def test_table_rejects_future_version(self, tmp_path):
+    def test_table_rejects_future_version(self):
         table = derive_thresholds(*dataset_matrix(fixture_dataset()))
-        payload = table.to_dict()
-        payload["format_version"] = 99
-        with pytest.raises(ModelFormatError):
-            ThresholdTable.from_dict(payload)
+        for version in (2, 99):
+            payload = table.to_dict()
+            payload["format_version"] = version
+            with pytest.raises(ModelFormatError):
+                self.stored(payload)
 
 
 class TestFitTransform:
