@@ -12,7 +12,7 @@ from .ingest import DocType
 from .ioutils import finite_number
 from .labeling import check_proportions
 from .models import KINDS, check_hyperparameters
-from .stats import TRANSFORM_KINDS
+from .stats import TRANSFORM_KINDS, check_quantile_levels
 
 DEFAULT_PROPORTIONS = {
     DocType.RESEARCH: 0.55,
@@ -162,11 +162,10 @@ def validate_config(cfg: RunConfig, *, needs_input: bool = False) -> None:
         raise ConfigError(
             f"validation_fraction must be in [0, 1), got {cfg.validation_fraction}"
         )
-    if not 0.0 <= cfg.quantile_lo < cfg.quantile_hi <= 1.0:
-        raise ConfigError(
-            f"quantile levels must satisfy 0 <= lo < hi <= 1, "
-            f"got ({cfg.quantile_lo}, {cfg.quantile_hi})"
-        )
+    try:
+        check_quantile_levels(cfg.quantile_lo, cfg.quantile_hi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.sample_total is not None and cfg.sample_total < 0:
         raise ConfigError(f"sample_total must be nonnegative, got {cfg.sample_total}")
     for name, values in (("kinds", cfg.sweep_kinds), ("transforms", cfg.sweep_transforms)):

@@ -1,5 +1,5 @@
-"""Small file helpers: canonical JSON, JSON number checks, line-delimited
-JSON and atomic writes."""
+"""Small file helpers: canonical JSON, JSON number and key checks,
+line-delimited JSON and atomic writes."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -57,6 +57,17 @@ def integer_array(values, n: int | None, name: str) -> np.ndarray:
         with contextlib.suppress(OverflowError):
             return np.array(values, dtype=np.intp)
     raise ValueError(f"{name} must be {'n' if n is None else n} integers")
+
+
+def known_keys(value, keys, name: str) -> Mapping:
+    """``value`` if it is a JSON object holding no key outside ``keys``;
+    anything else raises ValueError naming ``name`` (a missing key is left
+    to the reader that needs it)."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be an object")
+    if unknown := sorted(set(value) - set(keys)):
+        raise ValueError(f"{name} holds unknown key {unknown[0]!r}")
+    return value
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

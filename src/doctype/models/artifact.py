@@ -11,7 +11,7 @@ from ..errors import ModelFormatError, UnsupportedVersionError
 from ..ingest import FEATURE_IDS
 from ..stats import Imputer, TransformSpec
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 
 @dataclass

@@ -5,15 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelFormatError, TrainingError
-from ..ingest import FEATURE_IDS, N_CLASSES, DocType
-from ..ioutils import number_array
-from ..stats import THRESHOLD_FORMAT_VERSION, derive_thresholds
+from ..ingest import DOC_TYPES, FEATURE_IDS, N_CLASSES, DocType
+from ..ioutils import known_keys, number_array
+from ..stats import THRESHOLD_FORMAT_VERSION, check_quantile_levels, derive_thresholds
 from .tree import splitmix64
 
 #: Classes are tested most-restrictive-first; unmatched vectors fall back
 #: to the majority class.
 THRESHOLD_TEST_ORDER = (DocType.THESIS, DocType.SLIDES, DocType.RESEARCH)
 FALLBACK_CLASS = DocType.RESEARCH
+
+#: the keys of a stored threshold table (``ThresholdTable.to_dict``)
+_TABLE_KEYS = ("format_version", "quantile_lo", "quantile_hi", "bounds")
 
 
 def fit_baseline_random(X, y, seed, hyperparameters) -> dict:
@@ -75,14 +78,16 @@ class ThresholdBaselinePredictor:
     def __init__(self, parameters: dict, features: tuple[str, ...]):
         if features != FEATURE_IDS:
             raise ModelFormatError("baseline-threshold requires the full feature set")
-        table = parameters["table"]
+        table = known_keys(parameters["table"], _TABLE_KEYS, "the threshold table")
         version = table["format_version"]
         if type(version) is not int or version != THRESHOLD_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported threshold format version {version!r}")
-        number_array([table["quantile_lo"], table["quantile_hi"]], (2,), "quantile levels")
-        if len(table["bounds"]) != N_CLASSES:
-            raise ValueError(f"bounds must hold {N_CLASSES} classes")
-        cells = [[table["bounds"][t.label][fid] for fid in FEATURE_IDS] for t in THRESHOLD_TEST_ORDER]
+        levels = number_array([table["quantile_lo"], table["quantile_hi"]], (2,), "quantile levels")
+        check_quantile_levels(*levels.tolist())
+        by_class = known_keys(table["bounds"], [t.label for t in DOC_TYPES], "bounds")
+        rows = [known_keys(by_class[t.label], FEATURE_IDS, f"{t.label} bounds")
+                for t in THRESHOLD_TEST_ORDER]
+        cells = [[row[fid] for fid in FEATURE_IDS] for row in rows]
         bounds = number_array(cells, (N_CLASSES, len(FEATURE_IDS), 2), "threshold bounds")
         if (bounds[..., 0] > bounds[..., 1]).any():
             raise ValueError("threshold bounds must have lower <= upper")

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import DocTypeError, ModelFormatError, TrainingError
 from ..ingest import DOC_TYPES, FEATURE_IDS, FIELD_BY_ID, N_CLASSES, DocType, FeatureVector
-from ..ioutils import atomic_write_text, finite_number
+from ..ioutils import atomic_write_text, finite_number, known_keys
 from ..labeling import LabeledExample
 from ..stats import Imputer, TransformSpec
 from .adaboost import adaboost_predictor, fit_adaboost
@@ -52,7 +52,9 @@ class Kind:
     problem at a time fit each when the iterator reaches it (``_each``);
     AdaBoost boosts them all at once and draws nothing. ``predictor``
     builds a model's predictor and is the one reader of its stored
-    parameters: it raises on any value it cannot score with.
+    parameters: it raises on any value it cannot score with. ``stored``
+    lists the keys of those parameters; a model holding any other key is
+    refused, since nothing would read it and saving would write it back.
     ``hyperparameters`` maps each key the kind takes to ``(accepts,
     expected, default)``. ``size_key`` names the hyperparameter that sets
     the model's size. An ``ensemble`` model's predictor scores each size s
@@ -74,6 +76,7 @@ class Kind:
 
     fit: Callable
     predictor: Callable
+    stored: tuple[str, ...]
     hyperparameters: Mapping[str, tuple]
     size_key: str | None = None
     ensemble: bool = False
@@ -119,6 +122,10 @@ _TREE_HYPERPARAMETERS = {
 }
 
 
+#: the keys of stored trees (``tree.stored``)
+_TREE_KEYS = ("trees", "sizes")
+
+
 def _forest_predictor(model: ModelArtifact) -> ForestPredictor:
     return ForestPredictor(*Tree.read(model.parameters), len(model.features))
 
@@ -126,26 +133,30 @@ def _forest_predictor(model: ModelArtifact) -> ForestPredictor:
 #: The one definition of each model kind, in the order the toolkit lists them.
 SPECS = {
     "baseline-random": Kind(
-        _each(fit_baseline_random), lambda m: RandomBaselinePredictor(m.parameters, m.seed), {},
-        raw_only=True,
+        _each(fit_baseline_random), lambda m: RandomBaselinePredictor(m.parameters, m.seed),
+        ("weights",), {}, raw_only=True,
     ),
     "baseline-threshold": Kind(
         _each(fit_baseline_threshold),
-        lambda m: ThresholdBaselinePredictor(m.parameters, m.features),
+        lambda m: ThresholdBaselinePredictor(m.parameters, m.features), ("table", "fallback"),
         {"quantile_lo": _finite(0.025), "quantile_hi": _finite(0.975)},
     ),
-    "gnb": Kind(_each(fit_gnb), lambda m: GnbPredictor(m.parameters, len(m.features)), {}),
+    "gnb": Kind(
+        _each(fit_gnb), lambda m: GnbPredictor(m.parameters, len(m.features)),
+        ("priors", "means", "variances"), {},
+    ),
     "knn": Kind(
         _each(fit_knn), lambda m: KnnPredictor(m.parameters, len(m.features)),
-        {"k": _integer(1, 5)}, "k", ensemble=True, nested=("k",),
-        grid=tuple({"k": k} for k in (1, 3, 5, 7)),
+        ("k", "train_x", "train_y"), {"k": _integer(1, 5)}, "k", ensemble=True,
+        nested=("k",), grid=tuple({"k": k} for k in (1, 3, 5, 7)),
     ),
     "decision-tree": Kind(
-        _each(fit_decision_tree), _forest_predictor, _TREE_HYPERPARAMETERS, "max_depth",
-        nested=("max_depth",), raw_only=True, grid=tuple({"max_depth": d} for d in (2, 3, 4)),
+        _each(fit_decision_tree), _forest_predictor, _TREE_KEYS, _TREE_HYPERPARAMETERS,
+        "max_depth", nested=("max_depth",), raw_only=True,
+        grid=tuple({"max_depth": d} for d in (2, 3, 4)),
     ),
     "random-forest": Kind(
-        _each(fit_random_forest), _forest_predictor,
+        _each(fit_random_forest), _forest_predictor, _TREE_KEYS,
         {
             **_TREE_HYPERPARAMETERS,
             "n_trees": _integer(1, 10),
@@ -158,12 +169,14 @@ SPECS = {
     "adaboost": Kind(
         lambda problems, seeds, hp: fit_adaboost(problems, hp),
         lambda m: adaboost_predictor(m.parameters, len(m.features)),
+        (*_TREE_KEYS, "alphas"),
         {"rounds": _integer(1, 25), "max_depth": _integer(0, 2), "min_leaf_size": _integer(1, 1)},
         "rounds", ensemble=True, nested=("rounds",), raw_only=True, every_class=True,
         grid=tuple({"rounds": r, "max_depth": d} for r, d in product((10, 25, 50), (1, 2))),
     ),
     "linear-svm": Kind(
         _each(fit_linear_svm), lambda m: SvmPredictor(m.parameters, len(m.features)),
+        ("weights", "biases"),
         {"epochs": _integer(0, 200), "step": _finite(1e-2), "reg": _finite(1e-4)},
         "epochs", every_class=True,
         grid=tuple({"epochs": e, "step": s} for e, s in product((50, 200), (1e-2, 1e-3))),
@@ -341,9 +354,8 @@ def _predictor(model: ModelArtifact):
             check_features(model.features)
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from exc
-        if not isinstance(model.parameters, Mapping):
-            raise ModelFormatError("model parameters must be an object")
         try:
+            known_keys(model.parameters, spec.stored, "parameters")
             model._predictor = spec.predictor(model)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ModelFormatError(f"malformed {model.kind} parameters: {exc}") from exc

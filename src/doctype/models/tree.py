@@ -71,7 +71,7 @@ import numpy as np
 
 from ..errors import ModelFormatError
 from ..ingest import N_CLASSES
-from ..ioutils import integer_array, number_array
+from ..ioutils import integer_array, known_keys, number_array
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -523,8 +523,9 @@ class Tree:
         ``"trees"`` columns, one value per node, and ``"sizes"``, at least
         one count, none negative, summing to the node count. Ids are
         integers (a boolean is not one) and numbers finite; anything else
-        raises ValueError naming its column. What the columns build is
-        checked when a ``ForestPredictor`` is built from them."""
+        raises ValueError naming its column, as does a column it does not
+        know. What the columns build is checked when a ``ForestPredictor``
+        is built from them."""
         columns = parameters["trees"]
         if not isinstance(columns, Mapping):
             raise ValueError("trees must be an object of columns")
@@ -537,6 +538,7 @@ class Tree:
         # empty trees have no dist rows to read, and fail their check
         empty = np.empty((0, N_CLASSES))
         dist = number_array(columns["dist"], (n, N_CLASSES), "dist") if n else empty
+        known_keys(columns, _FIELDS, "trees")
         return cls(feature, threshold, left, right, dist), sizes
 
 

@@ -78,6 +78,14 @@ class ThresholdTable:
         }
 
 
+def check_quantile_levels(quantile_lo: float, quantile_hi: float) -> None:
+    """ValueError unless 0 <= quantile_lo < quantile_hi <= 1."""
+    if not 0.0 <= quantile_lo < quantile_hi <= 1.0:
+        raise ValueError(
+            f"quantile levels must satisfy 0 <= lo < hi <= 1, got ({quantile_lo}, {quantile_hi})"
+        )
+
+
 def derive_thresholds(
     X: np.ndarray,
     y: np.ndarray,
@@ -89,10 +97,7 @@ def derive_thresholds(
     ``X`` and ``y`` are as ``models.dataset_matrix`` builds them; a NaN
     (a missing f1) is left out of its cell.
     """
-    if not 0.0 <= quantile_lo < quantile_hi <= 1.0:
-        raise ValueError(
-            f"quantile levels must satisfy 0 <= lo < hi <= 1, got ({quantile_lo}, {quantile_hi})"
-        )
+    check_quantile_levels(quantile_lo, quantile_hi)
     bounds: dict[tuple[DocType, str], tuple[float, float]] = {}
     for t in DOC_TYPES:
         members = X[y == t]

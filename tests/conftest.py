@@ -3,6 +3,9 @@ hypothesis profile."""
 
 from __future__ import annotations
 
+import base64
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +61,35 @@ def threshold_table(model: ModelArtifact) -> ThresholdTable:
     }
     stored = model.parameters["table"]
     return ThresholdTable(bounds, stored["quantile_lo"], stored["quantile_hi"])
+
+
+def _rewritten(change):
+    """A kNN ``train_x`` corruption: the base64 of ``change(raw bytes)``."""
+    return lambda text: base64.b64encode(change(base64.b64decode(text))).decode("ascii")
+
+
+#: (name, corrupt(train_x)): kNN ``train_x`` values that must not load. A
+#: character changed to another one of the base64 alphabet gives other
+#: bytes, which load when their values are finite, as a changed digit in a
+#: JSON number did.
+KNN_TRAIN_X_CORRUPTIONS = [
+    ("character outside the alphabet", lambda text: text[:5] + "*" + text[6:]),
+    ("url-safe character", lambda text: text[:5] + "-" + text[6:]),
+    ("dropped character", lambda text: text[:5] + text[6:]),
+    ("padding added", lambda text: text + "="),
+    ("padding before data", lambda text: "AA==" + text),
+    ("non-ASCII character", lambda text: text[:5] + "\u00e9" + text[6:]),
+    ("list", lambda text: [[0.0] * 4]),
+    ("number", lambda text: 1.0),
+    ("null", lambda text: None),
+    ("NaN", _rewritten(lambda raw: raw[:-8] + struct.pack("<d", math.nan))),
+    ("+inf", _rewritten(lambda raw: struct.pack("<d", math.inf) + raw[8:])),
+    ("-inf", _rewritten(lambda raw: raw[:8] + struct.pack("<d", -math.inf) + raw[16:])),
+    ("one value more", _rewritten(lambda raw: raw + raw[:8])),
+    ("one value fewer", _rewritten(lambda raw: raw[:-8])),
+    ("one row fewer", _rewritten(lambda raw: raw[: len(raw) // 2])),
+    ("no bytes", lambda text: ""),
+]
 
 
 def make_example(

@@ -14,10 +14,10 @@ from doctype.cli import _build_parser, main
 from doctype.config import RunConfig
 from doctype.ingest import tokenize
 from doctype.labeling import read_examples
-from doctype.models import KINDS, load_model, train, train_folds
+from doctype.models import KINDS, dataset_matrix, load_model, train, train_folds
 from doctype.models.dispatch import Kind
 
-from conftest import toy_dataset
+from conftest import KNN_TRAIN_X_CORRUPTIONS, toy_dataset
 
 
 def write_records(path, rows):
@@ -87,6 +87,18 @@ CORRUPTED_MODELS = [
         priors=[0.5, 0.5, 0.0], means=[*p["means"][:2], "abc"],
         variances=[*p["variances"][:2], None])),
     ("knn", "identity", lambda p, t: p.update(train_y=[True, *p["train_y"][1:]])),
+    # keys no reader reads, and quantile levels the fit refuses
+    ("knn", "identity", lambda p, t: p.update(shape=[len(p["train_y"]), 4])),
+    ("gnb", "identity", lambda p, t: p.update(junk="y")),
+    ("decision-tree", "identity", lambda p, t: p["trees"].update(junk=[])),
+    ("baseline-threshold", "identity", lambda p, t: p["table"].update(junk="y")),
+    ("baseline-threshold", "identity", lambda p, t: p["table"]["bounds"].update(junk={})),
+    ("baseline-threshold", "identity", lambda p, t: p["table"]["bounds"]["Research"].update(f9=["x"])),
+    ("baseline-threshold", "identity", lambda p, t: p["table"].update(quantile_lo=5.0)),
+    ("baseline-threshold", "identity", lambda p, t: p["table"].update(quantile_lo=0.5, quantile_hi=0.5)),
+] + [
+    ("knn", "identity", lambda p, t, corrupt=corrupt: p.update(train_x=corrupt(p["train_x"])))
+    for _, corrupt in KNN_TRAIN_X_CORRUPTIONS
 ]
 
 
@@ -119,7 +131,7 @@ RUN_CONFIG_FIELDS = [
 
 #: A new kind flag or fitting keyword edits these on purpose.
 KIND_FIELDS = [
-    "fit", "predictor", "hyperparameters", "size_key", "ensemble", "nested", "raw_only",
+    "fit", "predictor", "stored", "hyperparameters", "size_key", "ensemble", "nested", "raw_only",
     "every_class", "grid",
 ]
 TRAIN_PARAMETERS = ["kind", "dataset", "hyperparameters", "seed", "transform", "features"]
@@ -551,7 +563,7 @@ class TestTrainPredict:
         bad.write_text(json.dumps(payload))
         features.write_text("")
         assert main(["predict", str(bad), str(features)]) == 2
-        expected = f"error: malformed knn parameters: train_y must be {len(train_y)} integers\n"
+        expected = "error: malformed knn parameters: train_y must be n integers\n"
         assert capsys.readouterr().err == expected
 
     def test_version_two_model_exit_two(self, tmp_path, capsys):
@@ -564,8 +576,22 @@ class TestTrainPredict:
         out = tmp_path / "predictions.jsonl"
         assert main(["predict", str(bad), str(features), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == "error: model format version 2 is not supported (this build reads version 3)\n"
+        assert err == "error: model format version 2 is not supported (this build reads version 4)\n"
         assert not out.exists()
+
+    def test_version_three_model_exit_two(self, tmp_path, capsys):
+        # a kNN file of the format before its rows were stored as base64 bytes
+        model = train("knn", toy_dataset(10, seed=2))
+        payload = json.loads(model.to_json())
+        rows = model.transform.apply(model.imputer.apply(dataset_matrix(toy_dataset(10, seed=2))[0]))
+        payload["parameters"]["train_x"] = rows.tolist()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**payload, "format_version": 3}))
+        features = tmp_path / "f.jsonl"
+        features.write_text(json.dumps({"id": "a", "f1": 2, "f2": 5000, "f3": 10, "f4": 500.0}) + "\n")
+        assert main(["predict", str(bad), str(features)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: model format version 3 is not supported (this build reads version 4)\n"
 
     def test_repeated_feature_model_exit_two(self, tmp_path, capsys):
         payload = json.loads(train("gnb", toy_dataset(10, seed=2), features=("f2", "f3")).to_json())

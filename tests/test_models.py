@@ -1,5 +1,6 @@
 """Baselines, the six classifiers, and the model file format."""
 
+import base64
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import re
 import struct
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -50,7 +52,7 @@ from doctype.models import knn as knn_module
 from doctype.models import adaboost as adaboost_module
 from doctype.models.adaboost import fit_adaboost
 from doctype.models.baselines import RandomBaselinePredictor
-from doctype.models.knn import KnnPredictor
+from doctype.models.knn import KnnPredictor, fit_knn
 from doctype.models.svm import fit_linear_svm
 from doctype.models import tree as tree_module
 from doctype.models.tree import (
@@ -63,9 +65,10 @@ from doctype.models.tree import (
     splitmix64,
     stored,
 )
-from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable
+from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable, TransformSpec
 from doctype.synthetic import generate_synthetic
 from conftest import (
+    KNN_TRAIN_X_CORRUPTIONS,
     REFERENCE_CELLS,
     blank_f1,
     make_example,
@@ -477,24 +480,40 @@ class TestKnn:
         labels=st.lists(st.integers(0, 2), min_size=25, max_size=25),
         queries=st.lists(st.lists(knn_coordinate, min_size=3, max_size=3), min_size=1, max_size=9),
         k_extra=st.integers(0, 30),
-        chunk=st.integers(1, 4),
+        block=st.integers(0, 4),
     )
-    def test_partition_matches_argsort_oracle(self, train_rows, labels, queries, k_extra, chunk):
+    def test_partition_matches_argsort_oracle(self, train_rows, labels, queries, k_extra, block):
         train_x, X = np.array(train_rows), np.array(queries)
         train_y = np.array(labels[: len(train_rows)])
         k = 1 + k_extra  # reaches past the training size
-        predictor = KnnPredictor({"k": k, "train_x": train_rows, "train_y": train_y.tolist()}, 3)
-        original = knn_module._CHUNK_ROWS
-        knn_module._CHUNK_ROWS = chunk
+        predictor = KnnPredictor(fit_knn(train_x, train_y, 0, {"k": k}), 3)
+        # a cap of ``block`` rows of distances; 0: a cap below one row, so
+        # a block still holds one row
+        original = knn_module._CHUNK_CELLS
+        knn_module._CHUNK_CELLS = block * len(train_rows) or len(train_rows) - 1
         try:
             got, prefixes = predictor.scores_matrix(X), predictor.prefix_scores(X)
         finally:
-            knn_module._CHUNK_ROWS = original
+            knn_module._CHUNK_CELLS = original
         assert np.array_equal(got, knn_argsort_scores(train_x, train_y, k, X))
         # prefix s is the s-NN model, up to the clamped k
         assert len(prefixes) == min(k, len(train_rows))
         for s, prefix in enumerate(prefixes, 1):
             assert np.array_equal(prefix, knn_argsort_scores(train_x, train_y, s, X)), s
+
+    def test_batch_working_memory_stays_in_blocks(self):
+        # 400 queries against 11,500 training rows, the size of the
+        # benchmark's model-kinds job: 128-row blocks peaked at 35 MB
+        props = {DocType.RESEARCH: 0.55, DocType.SLIDES: 0.10, DocType.THESIS: 0.35}
+        model = train("knn", generate_synthetic(11_500, props, 7), {"k": 5}, transform="z-score")
+        queries = dataset_matrix(generate_synthetic(400, props, 8))[0]
+        tracemalloc.start()
+        try:
+            predict_batch(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 class TestDecisionTree:
@@ -612,35 +631,37 @@ class TestDecisionTree:
 #: models fitted on one fixed synthetic set with 20% of f1 blank. The scores
 #: were recorded before the decision tree became a one-tree forest and
 #: AdaBoost moved onto the forest's predictor, the files when model files
-#: took format version 3 (tree columns on one line). Any change to the fitted
-#: nodes, the imputer or the rounding of a vote fails here.
+#: took format version 3 (tree columns on one line) and again at version 4,
+#: where each file is the version-3 file with only its ``format_version``
+#: changed. Any change to the fitted nodes, the imputer or the rounding of a
+#: vote fails here.
 PINNED_TREE_BYTES = [
     ("decision-tree", {"max_leaf_nodes": 6}, 0, "identity",
-     "7de795bff7bb483e512e7324d70cba1b7c86cd0aa955ad2debf402652aedec42",
+     "507c3e0bf9796e9a2d287b1345c7e670a74f96812c8a739b2c99e3ad2d198574",
      "ca9c0ea89e4b84bff35952d34b0a473389dc74122677f6059c0109fb4bbffbb5"),
     ("decision-tree", {"class_weight": "balanced", "max_depth": 5}, 0, "log-scale",
-     "974263a4b40e3dc5e5999f02dc51fd64ebb649d3133bd51bbf501eb7ab200988",
+     "f86502b2b4cee95c35429fdc41b4384052c0636391fa7a8f3f3a9452e658d252",
      "e40e5ebaf1df3b124fd4b489af7f01d77105e3407605ffbee2929780de5f133f"),
     # a library call may pass any int seed: the decision tree draws nothing
     ("decision-tree", {"max_depth": 4}, -1, "identity",
-     "13a6de877cc245f98b64bbf0d95db01c008193164711db5edf1fea641d55b871",
+     "097e2ce9364146ad07246a29857c016d12aae6ec268ba6af71f5220303b59183",
      "b3b61db6340a0353e3cfb6c91ab6d50eddd1c488b7fd4b8f58dd486bea78ede1"),
     # the two random-forest rows draw feature subsets: recorded when a node's
     # draw became a hash of its path key
     ("random-forest", {"n_trees": 7, "max_depth": 4}, 3, "z-score",
-     "b7254cde4e3d178724864c1a268f638c84e6da5da01126b190e87c203905aa65",
+     "fd561c3a88afa7c6ed7e99943f14d8b49255968851269646db7d6ea369e1e5b5",
      "90b69410e24550d4965eb6aa9bcaf3b73be709ef19dd481c410f4ee1f9ed060b"),
     ("adaboost", {"rounds": 15, "max_depth": 2}, 0, "identity",
-     "c727ff628775d1ebe19b30fd7475aad6dc74c5ab45027aa24017c5cb918c665c",
+     "1e2f95435eee35e66efdcf5413fef308db20940a3ab0eec42bc18f511d613d9e",
      "4f0fae844e139e05c7c3a4d52e1fa9d973b5da32ea3ec835f81680f0fa60c524"),
     ("random-forest", DEPLOYED_FOREST_PROFILE, 5, "identity",
-     "6984db76527044ffa0b76f940ed9628575f1eac8d5caa886cda6b135f6c4c769",
+     "3b38b54fd165db32f6d6cd7ec5bf2b06a111b30d0bd9ddd510ac81b3f40b876e",
      "5db3cb0f42e4acbe92b2f591e07a0d191ca9e48179b38157981dbb1ff6df5ab0"),
     ("adaboost", {"rounds": 50, "max_depth": 1}, 0, "identity",
-     "1c7094e574b67bd9da944cc45da051cedebf60c360de8f58c631820af8ca15e6",
+     "1896fe79ae6a69cbaf0d0249d7afb53a5cb409225dba7b95008925555f0d3d3c",
      "d766a8836652a1169a00c852bc8b45cd0a53cf2b73a0f1097ec2c81790660704"),
     ("decision-tree", {"min_leaf_size": 3, "max_depth": 4}, 0, "identity",
-     "2fd17380fd6fbe0ad1bc31fcd635de08d7e22a6194f1ec27917f27b7665c3432",
+     "c792f47e231c0d79796fc6945f4a837df43b155d465eaa229fea19bc89506e28",
      "5b698d66b97b34c0171339ad9ac5107a9d875ce5fd6dab96da2a2467e709451b"),
 ]
 
@@ -667,7 +688,9 @@ def test_tree_kinds_keep_their_bytes(kind, hp, seed, transform, model_sha, score
 #: The other kinds on the same data: sha256 of the model file as parsed JSON
 #: without its ``format_version`` (``json.dumps`` with sorted keys), and of
 #: the ``predict_batch`` score bytes. Recorded at format version 2, so they
-#: show that version 3 changed neither these files' values nor any score.
+#: show that versions 3 and 4 changed no score and, but for kNN, no stored
+#: value. kNN's file was recorded again at version 4, which stores its
+#: training rows as base64 float64 bytes; its scores did not change.
 PINNED_OTHER_KINDS = [
     ("baseline-random", {}, 0, "identity",
      "660bfc4cb133e9d5f786a9cbe21cb0e5123525acc8443971321adba3e8cce1b4",
@@ -679,7 +702,7 @@ PINNED_OTHER_KINDS = [
      "3ad71e346793913b558e1d274196ec68c13bd9cfb3f24399acb3f69eb10f88b1",
      "b23ae337fff0b50d060fbcd7417f5c4e5da86a3762f3f826f832db65ed3f5774"),
     ("knn", {"k": 5}, 0, "z-score",
-     "ed31760c7696b3dcf0f24571724a6ee9365018bcb3cb5066d7e55f77e3a31289",
+     "6af5dc641200ed803dae67cf8e166dea8f1a8fc219cefba57a76cb1eda43b277",
      "4269f8beaa196782af5e68a3f720cec5425e875511cba5f8674b2080746eccfe"),
     ("linear-svm", {"epochs": 50}, 0, "z-score",
      "a9747d628560ff604b04cb4aaefb6a5870e250adc94178919cebe813e75e9a17",
@@ -1380,10 +1403,22 @@ class TestMissingF1:
         assert (X.dtype, X.shape) == (np.float64, (0, len(features)))
         assert (y.dtype, y.shape) == (np.array([0]).dtype, (0,))
 
-    def test_knn_stores_python_floats_and_ints(self):
-        model = train("knn", self.data(), {"k": 3}, transform="z-score")
-        assert {type(v) for row in model.parameters["train_x"] for v in row} == {float}
+    def test_knn_stores_rows_bit_for_bit(self):
+        # train_x is base64 of the filled, transformed rows the fit saw
+        rows = self.data()
+        model = train("knn", rows, {"k": 3}, transform="z-score")
+        fitted = model.transform.apply(model.imputer.apply(dataset_matrix(rows)[0]))
+        assert base64.b64decode(model.parameters["train_x"], validate=True) == fitted.tobytes()
         assert {type(v) for v in model.parameters["train_y"]} == {int}
+        # signed zeros, subnormals and the ends of the float range survive a file
+        X = np.array([[-0.0, 5e-324, 1.7e308], [0.0, -5e-324, -1.7e308], [1.5, -0.0, 2.0**-1074]])
+        parameters = fit_knn(X, np.array([2, 0, 1]), 0, {"k": 2})
+        assert base64.b64decode(parameters["train_x"], validate=True) == X.astype("<f8").tobytes()
+        assert parameters["train_y"] == [2, 0, 1]
+        model = ModelArtifact("knn", TransformSpec("identity"), parameters, 0, ("f2", "f3", "f4"))
+        loaded = load_model(io.StringIO(model.to_json()))
+        assert loaded.parameters == parameters
+        assert KnnPredictor(loaded.parameters, 3).columns.T.tobytes() == X.tobytes()
 
     @pytest.mark.parametrize("kind", ["adaboost", "linear-svm"])
     def test_missing_classes_named_before_any_fill(self, kind):
@@ -1970,3 +2005,42 @@ class TestCorruptedModels:
         assert np.isfinite(scores).all()
         assert ((scores >= 0) & (scores <= 1)).all()
         assert np.abs(scores.sum(axis=1) - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "corrupt", [c for _, c in KNN_TRAIN_X_CORRUPTIONS], ids=[n for n, _ in KNN_TRAIN_X_CORRUPTIONS]
+    )
+    def test_knn_rows_corruption_rejected(self, corrupt):
+        payload = json.loads(train("knn", toy_dataset(10, seed=29), {"k": 3}).to_json())
+        payload["parameters"]["train_x"] = corrupt(payload["parameters"]["train_x"])
+        with pytest.raises(ModelFormatError, match=r"^malformed knn parameters: train_x "):
+            load_model(io.StringIO(json.dumps(payload)))
+
+    def test_knn_needs_a_stored_row(self):
+        payload = json.loads(train("knn", toy_dataset(10, seed=29), {"k": 3}).to_json())
+        payload["parameters"].update(train_x="", train_y=[])
+        with pytest.raises(ModelFormatError, match="train_x must store at least one row"):
+            load_model(io.StringIO(json.dumps(payload)))
+
+    def test_unknown_key_rejected(self):
+        """A key no reader reads, added to any object under parameters (a
+        tree's columns, a threshold table and its bounds included), fails
+        to load: saving would write it back unread."""
+        for payload in model_payloads():
+            for path in [(), *value_sites(payload["parameters"])]:
+                corrupted = json.loads(json.dumps(payload))
+                container = corrupted["parameters"]
+                for step in path:
+                    container = container[step]
+                if not isinstance(container, dict):
+                    continue
+                container["junk"] = "y"
+                with pytest.raises(ModelFormatError, match="holds unknown key 'junk'"):
+                    load_model(io.StringIO(json.dumps(corrupted)))
+
+    @pytest.mark.parametrize("lo, hi", [(5.0, 6.0), (-0.1, 0.5), (0.5, 0.5), (0.9, 0.1), (0.0, 1.5)])
+    def test_threshold_quantile_levels_out_of_range_rejected(self, lo, hi):
+        payload = json.loads(train("baseline-threshold", toy_dataset(10, seed=29)).to_json())
+        payload["parameters"]["table"].update(quantile_lo=lo, quantile_hi=hi)
+        message = re.escape(f"quantile levels must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})")
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(io.StringIO(json.dumps(payload)))

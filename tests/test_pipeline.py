@@ -270,9 +270,10 @@ class TestPipeline:
 #: The best model is a random forest, which draws feature subsets: its model,
 #: CV report and sweep entries were recorded again when a node's draw became
 #: a hash of its path key. The adaboost entries did not change. The model
-#: was recorded again when model files took format version 3.
+#: was recorded again when model files took format versions 3 and 4 (at 4,
+#: the version-3 file with only its ``format_version`` changed).
 PINNED_PIPELINE_BYTES = {
-    "model.json": "0a34f7c3842ff22cec12e6687b9aced9e3b8d71f08cc92708801f77f21904f1d",
+    "model.json": "5cda6d8361c24030bfacaf9069980aebfea9a0c8f7157f1564999d9cf6b1fb52",
     "thresholds.json": "7a3a6b8375c1d134cfc54f9a543854a2c48d731805e8e0a181b0b2c8a15129b8",
     "cv_report.json": "4f9a9d672e52023e49d0dc5c3c75ee226ff6ed250f080970383996912cb025d2",
     "validation_report.json": "58b4f475c03041a771f414a4c9fa80e75dc90cb6fa99dfc444cd8955fa7044d7",
