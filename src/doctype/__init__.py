@@ -28,7 +28,6 @@ from .labeling import (
     stratified_split,
 )
 from .stats import (
-    ThresholdTable,
     TransformSpec,
     derive_thresholds,
     impute_f1,

@@ -254,8 +254,7 @@ def cmd_thresholds(args) -> int:
     cfg = args.run_config
     lo = cfg.quantile_lo if args.quantile_lo is None else args.quantile_lo
     hi = cfg.quantile_hi if args.quantile_hi is None else args.quantile_hi
-    table = derive_thresholds(*dataset_matrix(examples), lo, hi)
-    _write_or_print(args, canonical_json(table.to_dict()))
+    _write_or_print(args, canonical_json(derive_thresholds(*dataset_matrix(examples), lo, hi)))
     return EXIT_OK
 
 
@@ -376,6 +375,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_engagement(args) -> int:
+    if args.out and Path(args.out).with_suffix(".txt") == Path(args.out):
+        raise ConfigError(f"--out {args.out}: the .txt file beside it holds the human report")
     predictions = None
     if args.predictions:
         with open(args.predictions, "r", encoding="utf-8") as handle:
@@ -387,8 +388,7 @@ def cmd_engagement(args) -> int:
     total_engine_events = sum(r.n_events for r in report.engines.values())
     if args.out:
         atomic_write_text(args.out, canonical_json(report.to_dict()))
-        human_path = Path(args.out).with_suffix(".txt")
-        atomic_write_text(human_path, report.human())
+        atomic_write_text(Path(args.out).with_suffix(".txt"), report.human())
     elif args.format == "machine":
         sys.stdout.write(canonical_json(report.to_dict()))
     else:

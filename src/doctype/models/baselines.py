@@ -15,7 +15,7 @@ from .tree import splitmix64
 THRESHOLD_TEST_ORDER = (DocType.THESIS, DocType.SLIDES, DocType.RESEARCH)
 FALLBACK_CLASS = DocType.RESEARCH
 
-#: the keys of a stored threshold table (``ThresholdTable.to_dict``)
+#: the keys of a stored threshold table (``stats.derive_thresholds``)
 _TABLE_KEYS = ("format_version", "quantile_lo", "quantile_hi", "bounds")
 
 
@@ -29,16 +29,8 @@ def fit_baseline_threshold(X, y, seed, hyperparameters) -> dict:
     del seed
     if X.shape[1] != len(FEATURE_IDS):
         raise TrainingError("baseline-threshold requires the full feature set")
-    table = derive_thresholds(
-        X,
-        y,
-        quantile_lo=hyperparameters["quantile_lo"],
-        quantile_hi=hyperparameters["quantile_hi"],
-    )
-    return {
-        "table": table.to_dict(),
-        "fallback": FALLBACK_CLASS.label,
-    }
+    table = derive_thresholds(X, y, hyperparameters["quantile_lo"], hyperparameters["quantile_hi"])
+    return {"table": table, "fallback": FALLBACK_CLASS.label}
 
 
 class RandomBaselinePredictor:

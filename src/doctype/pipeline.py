@@ -66,6 +66,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             sampled, cfg.k_folds, cfg.validation_fraction, derive_seed(cfg.seed, "split")
         ),
     )
+    if not split.validation:
+        raise DocTypeError(f"stage split: validation_fraction {cfg.validation_fraction} "
+                           f"of {len(sampled)} rows leaves no validation rows")
     counts["train_pool"] = len(split.train)
     counts["validation"] = len(split.validation)
 
@@ -166,7 +169,7 @@ def _evaluate_validation(model: ModelArtifact, validation: list[LabeledExample])
 def _write_outputs(cfg, model, thresholds, sweep_payload, cv_result, validation_report, manifest):
     out = Path(cfg.output_dir)
     save_model(model, out / "model.json")
-    atomic_write_text(out / "thresholds.json", canonical_json(thresholds.to_dict()))
+    atomic_write_text(out / "thresholds.json", canonical_json(thresholds))
     atomic_write_text(
         out / "sweep_results.json",
         canonical_json({"config_hash": cfg.hash(), "format_version": 1, "sweeps": sweep_payload}),

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ImputationError, ModelFormatError, ThresholdError
-from .ingest import DOC_TYPES, FEATURE_IDS, DocType
+from .ingest import DOC_TYPES, FEATURE_IDS
 from .ioutils import number_array
 from .labeling import LabeledExample
 
@@ -43,41 +43,6 @@ def tukey_filter(values: Sequence[float]) -> list[float]:
     return [v for v in values if lo <= v <= hi]
 
 
-@dataclass
-class ThresholdTable:
-    """Per-(class, feature) [lower, upper] bounds plus the quantile levels;
-    ``ThresholdBaselinePredictor`` reads the ``to_dict`` form."""
-
-    bounds: dict[tuple[DocType, str], tuple[float, float]]
-    quantile_lo: float = 0.025
-    quantile_hi: float = 0.975
-
-    def __post_init__(self) -> None:
-        for t in DOC_TYPES:
-            for fid in FEATURE_IDS:
-                cell = self.bounds.get((t, fid))
-                if cell is None:
-                    raise ValueError(f"missing threshold cell ({t.label}, {fid})")
-                lo, hi = cell
-                if lo > hi:
-                    raise ValueError(
-                        f"cell ({t.label}, {fid}) has lower {lo} > upper {hi}"
-                    )
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": THRESHOLD_FORMAT_VERSION,
-            "quantile_lo": self.quantile_lo,
-            "quantile_hi": self.quantile_hi,
-            "bounds": {
-                t.label: {
-                    fid: list(self.bounds[(t, fid)]) for fid in FEATURE_IDS
-                }
-                for t in DOC_TYPES
-            },
-        }
-
-
 def check_quantile_levels(quantile_lo: float, quantile_hi: float) -> None:
     """ValueError unless 0 <= quantile_lo < quantile_hi <= 1."""
     if not 0.0 <= quantile_lo < quantile_hi <= 1.0:
@@ -91,23 +56,37 @@ def derive_thresholds(
     y: np.ndarray,
     quantile_lo: float = 0.025,
     quantile_hi: float = 0.975,
-) -> ThresholdTable:
+) -> dict:
     """Tukey-filter each (class, feature) sample, then take the outer quantiles.
 
     ``X`` and ``y`` are as ``models.dataset_matrix`` builds them; a NaN
-    (a missing f1) is left out of its cell.
+    (a missing f1) is left out of its cell. The result is the stored table
+    that ``doctype thresholds`` prints and a ``baseline-threshold`` model
+    holds, with ``bounds[label][fid] = [lower, upper]``. ThresholdError
+    names a cell with no values left, or whose bounds (overflowed near the
+    float limit) are not finite with lower <= upper.
     """
     check_quantile_levels(quantile_lo, quantile_hi)
-    bounds: dict[tuple[DocType, str], tuple[float, float]] = {}
+    bounds: dict[str, dict[str, list[float]]] = {}
     for t in DOC_TYPES:
         members = X[y == t]
+        cells = bounds[t.label] = {}
         for column, fid in zip(members.T, FEATURE_IDS):
             values = column[~np.isnan(column)].tolist()
-            if not values:
+            kept = tukey_filter(values) if values else []
+            if not kept:
                 raise ThresholdError(f"no usable values for cell ({t.label}, {fid})")
-            kept = tukey_filter(values)
-            bounds[(t, fid)] = (quantile(kept, quantile_lo), quantile(kept, quantile_hi))
-    return ThresholdTable(bounds, quantile_lo, quantile_hi)
+            lower, upper = quantile(kept, quantile_lo), quantile(kept, quantile_hi)
+            if not -math.inf < lower <= upper < math.inf:
+                raise ThresholdError(f"cell ({t.label}, {fid}) bounds [{lower!r}, {upper!r}] "
+                                     "must be finite with lower <= upper")
+            cells[fid] = [lower, upper]
+    return {
+        "format_version": THRESHOLD_FORMAT_VERSION,
+        "quantile_lo": quantile_lo,
+        "quantile_hi": quantile_hi,
+        "bounds": bounds,
+    }
 
 
 @dataclass

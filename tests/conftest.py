@@ -17,7 +17,7 @@ from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
 from doctype.labeling import LabeledExample
 from doctype.models import FALLBACK_CLASS, THRESHOLD_TEST_ORDER, ModelArtifact
 from doctype.models.baselines import ThresholdBaselinePredictor
-from doctype.stats import ThresholdTable, TransformSpec
+from doctype.stats import TransformSpec
 
 # Every run draws the same examples and keeps no example database, so a
 # tier-1 run tests the same cases on every tree and machine.
@@ -34,33 +34,52 @@ REFERENCE_CELLS = {
 
 
 @pytest.fixture
-def reference_table() -> ThresholdTable:
-    bounds = {
-        (DocType.from_label(label), fid): cell
-        for label, cells in REFERENCE_CELLS.items()
-        for fid, cell in cells.items()
-    }
-    return ThresholdTable(bounds)
+def reference_table() -> dict:
+    """``REFERENCE_CELLS`` as a stored threshold table."""
+    bounds = {label: {fid: list(cell) for fid, cell in cells.items()}
+              for label, cells in REFERENCE_CELLS.items()}
+    return {"format_version": 1, "quantile_lo": 0.025, "quantile_hi": 0.975, "bounds": bounds}
 
 
-def threshold_model(table: ThresholdTable) -> ModelArtifact:
-    """A baseline-threshold model holding ``table``, shaped as ``train``
-    stores one but without an f1 fill: its rows must have f1."""
-    parameters = {"table": table.to_dict(), "fallback": FALLBACK_CLASS.label}
+def cell(table: dict, doc_type: DocType, fid: str) -> tuple[float, float]:
+    """The (lower, upper) bounds of one cell of a stored threshold table."""
+    return tuple(table["bounds"][doc_type.label][fid])
+
+
+def threshold_model(table: dict) -> ModelArtifact:
+    """A baseline-threshold model holding the stored ``table``, shaped as
+    ``train`` stores one but without an f1 fill: its rows must have f1."""
+    parameters = {"table": table, "fallback": FALLBACK_CLASS.label}
     return ModelArtifact("baseline-threshold", TransformSpec("identity"), parameters, seed=0)
 
 
-def threshold_table(model: ModelArtifact) -> ThresholdTable:
-    """The bounds a baseline-threshold model's predictor tests, as a table
-    with the quantile levels its parameters store."""
+def threshold_table(model: ModelArtifact) -> dict:
+    """The bounds a baseline-threshold model's predictor tests, rebuilt from
+    its ``lower`` and ``upper`` arrays as a stored table with the version
+    and quantile levels its parameters store."""
     predictor = ThresholdBaselinePredictor(model.parameters, model.features)
     bounds = {
-        (t, fid): (lo, hi)
+        t.label: {fid: [lo, hi] for fid, lo, hi in zip(FEATURE_IDS, lows, highs)}
         for t, lows, highs in zip(THRESHOLD_TEST_ORDER, predictor.lower.tolist(), predictor.upper.tolist())
-        for fid, lo, hi in zip(FEATURE_IDS, lows, highs)
     }
-    stored = model.parameters["table"]
-    return ThresholdTable(bounds, stored["quantile_lo"], stored["quantile_hi"])
+    return {**model.parameters["table"], "bounds": bounds}
+
+
+#: (Research f2 values, quantile levels, error): cells whose finite values
+#: overflow near the float limit, in the Tukey fences (which then keep
+#: nothing) or in an interpolated bound
+OVERFLOWING_CELLS = [
+    ([-1.7e308, 1.7e308, 1.7e308], (0.025, 0.975), "no usable values for cell (Research, f2)"),
+    ([-1e308, -1e308, 1e308, 1e308], (0.025, 0.5),
+     "cell (Research, f2) bounds [-1e+308, inf] must be finite with lower <= upper"),
+]
+
+
+def overflow_rows(research_f2: list[float]) -> list[LabeledExample]:
+    """Research rows with the given f2 values, and three plain rows per other class."""
+    return [make_example(DocType.RESEARCH, f2=v, doc_id=f"r{i}") for i, v in enumerate(research_f2)] + [
+        make_example(t, doc_id=f"{t.label}{i}") for t in (DocType.SLIDES, DocType.THESIS) for i in range(3)
+    ]
 
 
 def _rewritten(change):

@@ -24,7 +24,7 @@ from doctype.models import (
 from doctype.stats import derive_thresholds, quantile, tukey_filter
 from doctype.synthetic import generate_synthetic
 
-from conftest import make_example, threshold_model
+from conftest import cell, make_example, threshold_model
 from reference_threshold import reference_threshold_predict
 from test_evaluation import f2_signal_dataset
 from test_pipeline import build_config, build_records
@@ -196,7 +196,7 @@ class TestCriterion6TukeyQuantileSuite:
         for label, cells in EXPECTED_CELLS.items():
             t = DocType.from_label(label)
             for fid, (lo, hi) in cells.items():
-                got_lo, got_hi = table.bounds[(t, fid)]
+                got_lo, got_hi = cell(table, t, fid)
                 assert got_lo == pytest.approx(lo, rel=0, abs=1e-9)
                 assert got_hi == pytest.approx(hi, rel=0, abs=1e-9)
         report(6, "tukey fences and 20-point threshold fixture match frozen bounds")

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -13,11 +14,19 @@ from doctype import cli
 from doctype.cli import _build_parser, main
 from doctype.config import RunConfig
 from doctype.ingest import tokenize
-from doctype.labeling import read_examples
+from doctype.labeling import read_examples, write_examples
 from doctype.models import KINDS, dataset_matrix, load_model, train, train_folds
+from doctype.models.baselines import _TABLE_KEYS
 from doctype.models.dispatch import Kind
+from doctype.synthetic import generate_synthetic
 
-from conftest import KNN_TRAIN_X_CORRUPTIONS, toy_dataset
+from conftest import (
+    KNN_TRAIN_X_CORRUPTIONS,
+    OVERFLOWING_CELLS,
+    blank_f1,
+    overflow_rows,
+    toy_dataset,
+)
 
 
 def write_records(path, rows):
@@ -610,6 +619,17 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert set(payload["bounds"]) == {"Research", "Slides", "Thesis"}
 
+    @pytest.mark.parametrize("f2, levels, message", OVERFLOWING_CELLS, ids=["fences", "bound"])
+    def test_thresholds_overflowing_cell_exit_two(self, f2, levels, message, tmp_path, capsys):
+        labeled = tmp_path / "labeled.jsonl"
+        with open(labeled, "w") as handle:
+            write_examples(handle, overflow_rows(f2))
+        out = tmp_path / "thresholds.json"
+        flags = ["--quantile-lo", str(levels[0]), "--quantile-hi", str(levels[1])]
+        assert main(["thresholds", str(labeled), *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_evaluate_human(self, labeled_file, capsys):
         code = main(
             ["evaluate", str(labeled_file), "--kind", "knn", "--k", "3",
@@ -652,6 +672,42 @@ class TestOtherCommands:
         assert capsys.readouterr() == ("", error)
 
 
+def synthetic_file(tmp_path, blank_share: float):
+    """A fixed 400-row synthetic labeled file, f1 blanked on about ``blank_share`` of rows."""
+    path = tmp_path / "synthetic.jsonl"
+    with open(path, "w") as handle:
+        write_examples(handle, blank_f1(generate_synthetic(400, RunConfig().proportions, 7), blank_share, 7))
+    return path
+
+
+#: (flags, sha256 of ``doctype thresholds`` stdout) over ``synthetic_file``
+#: with a fifth of f1 blanked, recorded when the command printed
+#: ``ThresholdTable.to_dict()``
+PINNED_THRESHOLDS_BYTES = [
+    ([], "2f76118b6d1eaceab5fc7a37d2e54116365a1e24c5ab227efa4b756637cfcf25"),
+    (["--quantile-lo", "0.1", "--quantile-hi", "0.8"],
+     "1c7273af5952865379ad357270afa33e51ac37209ee349dc4c1804de5d621200"),
+]
+
+
+class TestThresholdTable:
+    @pytest.mark.parametrize("flags, digest", PINNED_THRESHOLDS_BYTES, ids=["default", "0.1-0.8"])
+    def test_stdout_keeps_its_bytes(self, flags, digest, tmp_path, capsys):
+        assert main(["thresholds", str(synthetic_file(tmp_path, 0.2)), *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_printed_table_is_the_stored_table(self, tmp_path, capsys):
+        # no f1 is missing, so train's f1 fill changes no row
+        path = synthetic_file(tmp_path, 0.0)
+        assert main(["thresholds", str(path), "--quantile-lo", "0.1", "--quantile-hi", "0.8"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        with open(path) as handle:
+            rows = read_examples(handle)
+        model = train("baseline-threshold", rows, {"quantile_lo": 0.1, "quantile_hi": 0.8})
+        assert printed == json.loads(model.to_json())["parameters"]["table"]
+        assert sorted(printed) == sorted(_TABLE_KEYS)
+
+
 class TestEngagementCommand:
     def _log(self, tmp_path, with_types=True):
         imp = {"doc_id": "a", "position": 1}
@@ -674,6 +730,15 @@ class TestEngagementCommand:
         payload = json.loads(out.read_text())
         assert payload["engines"]["search"]["types"]["Research"]["qtctr_any"] == 1.0
         assert (tmp_path / "report.txt").exists()
+
+    def test_out_that_is_its_own_human_report_exit_one(self, tmp_path, capsys):
+        log = self._log(tmp_path)
+        out = tmp_path / "report.txt"
+        assert main(["engagement", str(log), "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --out {out}: the .txt file beside it holds the human report\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
 
     def test_join_with_predictions(self, tmp_path):
         log = self._log(tmp_path, with_types=False)

@@ -37,7 +37,7 @@ from doctype.synthetic import (
     generate_synthetic,
 )
 
-from conftest import blank_f1, make_example, toy_dataset
+from conftest import blank_f1, cell, make_example, toy_dataset
 
 PROPS = {DocType.RESEARCH: 0.55, DocType.SLIDES: 0.10, DocType.THESIS: 0.35}
 R, S, T = DocType.RESEARCH, DocType.SLIDES, DocType.THESIS
@@ -781,7 +781,7 @@ class TestGenerateSynthetic:
         for t in DocType:
             for fid in PARAMETERIZED_FEATURES:
                 target_lo, target_hi = REFERENCE_BOUNDS[t][fid]
-                got_lo, got_hi = table.bounds[(t, fid)]
+                got_lo, got_hi = cell(table, t, fid)
                 assert abs(got_lo - target_lo) <= 0.10 * max(target_lo, 1.0), (t, fid)
                 assert abs(got_hi - target_hi) <= 0.10 * max(target_hi, 1.0), (t, fid)
 

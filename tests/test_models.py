@@ -65,12 +65,13 @@ from doctype.models.tree import (
     splitmix64,
     stored,
 )
-from doctype.stats import TRANSFORM_KINDS, Imputer, ThresholdTable, TransformSpec
+from doctype.stats import TRANSFORM_KINDS, Imputer, TransformSpec
 from doctype.synthetic import generate_synthetic
 from conftest import (
     KNN_TRAIN_X_CORRUPTIONS,
     REFERENCE_CELLS,
     blank_f1,
+    cell,
     make_example,
     threshold_model,
     threshold_table,
@@ -306,7 +307,7 @@ class TestBaselineRandom:
         assert both.tolist() == labels.tolist() * 2
 
 
-def threshold_label(table: ThresholdTable, fv: FeatureVector) -> DocType:
+def threshold_label(table: dict, fv: FeatureVector) -> DocType:
     """The label ``predict`` gives ``fv`` under a model holding ``table``,
     after checking that the scalar reference rule gives the same."""
     label, _ = predict(threshold_model(table), fv)
@@ -1580,7 +1581,7 @@ class TestScoringOracles:
         raw, _ = self.queries(model, n=300, seed=43)
         # rows on every bound of every class, where <= must be inclusive
         edges = [
-            [table.bounds[(t, fid)][side] for fid in ("f1", "f2", "f3", "f4")]
+            [cell(table, t, fid)[side] for fid in ("f1", "f2", "f3", "f4")]
             for t in THRESHOLD_TEST_ORDER
             for side in (0, 1)
         ]

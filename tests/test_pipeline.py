@@ -255,6 +255,19 @@ class TestPipeline:
         assert capsys.readouterr().err.startswith("error: sweep grid for knn: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.001], ids=["zero", "rounds-to-zero-rows"])
+    def test_empty_validation_set_fails_before_the_sweep(self, fraction, tmp_path, capsys):
+        cfg_path = build_config(tmp_path, build_records(tmp_path))
+        payload = json.loads(cfg_path.read_text())
+        payload["validation_fraction"] = fraction
+        cfg_path.write_text(json.dumps(payload))
+        with mock.patch.object(pipeline, "sweep", side_effect=AssertionError("swept")):
+            assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage split: validation_fraction {fraction} of 80 rows leaves no validation rows\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_stage_error_names_stage(self, tmp_path):
         records = build_records(tmp_path, n_slides=4)  # not enough slides to sample
         cfg_path = build_config(tmp_path, records)

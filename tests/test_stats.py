@@ -22,7 +22,7 @@ from doctype.stats import (
     tukey_filter,
 )
 
-from conftest import make_example, threshold_table
+from conftest import OVERFLOWING_CELLS, cell, make_example, overflow_rows, threshold_table
 
 # ---------------------------------------------------------------------------
 # 20-point fixture: per class, f2 = f3 * words-per-page with planted outliers.
@@ -145,7 +145,7 @@ class TestDeriveThresholds:
         for label, cells in EXPECTED_CELLS.items():
             t = DocType.from_label(label)
             for fid, (lo, hi) in cells.items():
-                got_lo, got_hi = table.bounds[(t, fid)]
+                got_lo, got_hi = cell(table, t, fid)
                 assert got_lo == pytest.approx(lo, rel=0, abs=1e-9), (label, fid)
                 assert got_hi == pytest.approx(hi, rel=0, abs=1e-9), (label, fid)
 
@@ -153,7 +153,7 @@ class TestDeriveThresholds:
         data = [make_example(t, f1=7, doc_id=f"{t}-{i}") for t in DocType for i in range(5)]
         table = derive_thresholds(*dataset_matrix(data))
         for t in DocType:
-            assert table.bounds[(t, "f1")] == (7.0, 7.0)
+            assert cell(table, t, "f1") == (7.0, 7.0)
 
     def test_outlier_excluded(self):
         # clustered sample with one enormous value; bounds must ignore it
@@ -163,7 +163,7 @@ class TestDeriveThresholds:
             for i, v in enumerate(values)
         ] + [make_example(t, doc_id=f"{t}-pad-{i}") for t in (DocType.SLIDES, DocType.THESIS) for i in range(3)]
         table = derive_thresholds(*dataset_matrix(data))
-        lo, hi = table.bounds[(DocType.RESEARCH, "f2")]
+        lo, hi = cell(table, DocType.RESEARCH, "f2")
         assert hi < 10**6
         assert lo >= 4800
 
@@ -179,7 +179,7 @@ class TestDeriveThresholds:
         for t in DocType:
             values = [ex.features.f2_total_words for ex in data if ex.label == t]
             kept = tukey_filter(values)
-            lo, hi = table.bounds[(t, "f2")]
+            lo, hi = cell(table, t, "f2")
             inside = sum(1 for v in kept if lo <= v <= hi)
             # interpolated quantiles can exclude at most one extra point
             # per side, so the guaranteed coverage is 95% - 2/n
@@ -189,13 +189,19 @@ class TestDeriveThresholds:
         data = [make_example(t, doc_id=f"{t}-{i}") for t in DocType for i in range(4)]
         data.append(make_example(DocType.RESEARCH, f1=None, doc_id="nof1"))
         table = derive_thresholds(*dataset_matrix(data))
-        assert table.bounds[(DocType.RESEARCH, "f1")] == (1.0, 1.0)
+        assert cell(table, DocType.RESEARCH, "f1") == (1.0, 1.0)
 
     def test_empty_cell_error_names_cell(self):
         data = [make_example(DocType.RESEARCH, doc_id="r0")]
         with pytest.raises(ThresholdError) as err:
             derive_thresholds(*dataset_matrix(data))
         assert "Slides" in str(err.value)
+
+    @pytest.mark.parametrize("f2, levels, message", OVERFLOWING_CELLS, ids=["fences", "bound"])
+    def test_overflowing_cell_error_names_cell(self, f2, levels, message):
+        with pytest.raises(ThresholdError) as err:
+            derive_thresholds(*dataset_matrix(overflow_rows(f2)), *levels)
+        assert str(err.value) == message
 
     @staticmethod
     def stored(table: dict):
@@ -206,15 +212,12 @@ class TestDeriveThresholds:
 
     def test_table_round_trip(self):
         table = derive_thresholds(*dataset_matrix(fixture_dataset()))
-        loaded = threshold_table(self.stored(table.to_dict()))
-        assert loaded.bounds == table.bounds
-        assert loaded.quantile_lo == table.quantile_lo
+        assert threshold_table(self.stored(table)) == table
 
     def test_table_rejects_future_version(self):
         table = derive_thresholds(*dataset_matrix(fixture_dataset()))
         for version in (2, 99):
-            payload = table.to_dict()
-            payload["format_version"] = version
+            payload = {**table, "format_version": version}
             with pytest.raises(ModelFormatError):
                 self.stored(payload)
 
@@ -454,10 +457,14 @@ class TestArrayOracles:
                 values = [
                     v for ex in rows if ex.label == t if (v := ex.features.get(fid)) is not None
                 ]
-                if not values:
+                if values:
+                    kept = tukey_filter(values)
+                    bounds = [quantile(kept, lo), quantile(kept, hi)]
+                # a cell with lower > upper is refused too
+                if not values or bounds[0] > bounds[1]:
                     with pytest.raises(ThresholdError):
                         derive_thresholds(*dataset_matrix(rows), lo, hi)
                     return
-                kept = tukey_filter(values)
-                expected[(t, fid)] = (quantile(kept, lo), quantile(kept, hi))
-        assert derive_thresholds(*dataset_matrix(rows), lo, hi).bounds == expected
+                expected.setdefault(t.label, {})[fid] = bounds
+        table = derive_thresholds(*dataset_matrix(rows), lo, hi)
+        assert table == {"format_version": 1, "quantile_lo": lo, "quantile_hi": hi, "bounds": expected}
