@@ -42,9 +42,6 @@ from .models import (
     train,
 )
 from .evaluation import (
-    CVResult,
-    EvalReport,
-    SweepResult,
     ablation,
     cross_validate,
     evaluate,

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, check_seed, load_config, read_proportions
 from .errors import ConfigError, DocTypeError
-from .evaluation import ablation, cross_validate, report_from_confusion, sweep
+from .evaluation import ablation, cross_validate, human_report, report_from_confusion, sweep
 from .ingest import DocType, extract_features, parse_records
 from .ioutils import atomic_write_text, canonical_json, read_json_lines_strict
 from .labeling import (
@@ -268,19 +268,19 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     examples = _read_labeled(args.labeled)
     grid = None if args.grid is None else _parse_json_flag(args.grid, "grid", list)
-    result = sweep(args.kind, examples, grid=grid, k=args.k, seed=args.seed)
+    table, _ = sweep(args.kind, examples, grid=grid, k=args.k, seed=args.seed)
     if args.format == "machine":
-        _write_or_print(args, canonical_json({"format_version": 1, **result.to_dict()}))
+        _write_or_print(args, canonical_json({"format_version": 1, **table}))
     else:
-        best = result.best
+        best = table["entries"][table["best_index"]]
         lines = [
-            f"{i:>3} {json.dumps(e.hyperparameters, sort_keys=True)} "
-            f"{e.transform:<10} F1={e.result.mean_weighted_f1:.4f}"
-            for i, e in enumerate(result.entries)
+            f"{i:>3} {json.dumps(e['hyperparameters'], sort_keys=True)} "
+            f"{e['transform']:<10} F1={e['mean_weighted_f1']:.4f}"
+            for i, e in enumerate(table["entries"])
         ]
         lines.append(
-            f"best: #{result.best_index} {json.dumps(best.hyperparameters, sort_keys=True)} "
-            f"{best.transform} F1={best.result.mean_weighted_f1:.4f}"
+            f"best: #{table['best_index']} {json.dumps(best['hyperparameters'], sort_keys=True)} "
+            f"{best['transform']} F1={best['mean_weighted_f1']:.4f}"
         )
         _write_or_print(args, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -289,23 +289,23 @@ def cmd_sweep(args) -> int:
 def cmd_evaluate(args) -> int:
     examples = _read_labeled(args.labeled)
     hp = _parse_json_flag(args.hyperparameters)
-    result = cross_validate(
+    report = cross_validate(
         args.kind, examples, args.k, hp, args.seed, args.transform
     )
     if args.format == "machine":
-        _write_or_print(args, canonical_json({"format_version": 1, **result.to_dict()}))
+        _write_or_print(args, canonical_json({"format_version": 1, **report}))
     else:
-        pooled = report_from_confusion(result.pooled_confusion)
+        pooled = report["pooled_confusion"]
         lines = [
-            f"mean weighted precision: {result.mean_weighted_precision:.4f}",
-            f"mean weighted recall:    {result.mean_weighted_recall:.4f}",
-            f"mean weighted F1:        {result.mean_weighted_f1:.4f}",
+            f"mean weighted precision: {report['mean_weighted_precision']:.4f}",
+            f"mean weighted recall:    {report['mean_weighted_recall']:.4f}",
+            f"mean weighted F1:        {report['mean_weighted_f1']:.4f}",
             "",
             "pooled over folds:",
-            pooled.human(),
+            human_report(report_from_confusion(pooled)),
             "confusion (rows true, cols predicted):",
         ]
-        lines += ["  " + " ".join(f"{v:>7d}" for v in row) for row in result.pooled_confusion]
+        lines += ["  " + " ".join(f"{v:>7d}" for v in row) for row in pooled]
         _write_or_print(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -420,11 +420,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    result = run_pipeline(args.run_config)
+    manifest = run_pipeline(args.run_config)
+    best = manifest["best"]
     print(
-        f"pipeline: best={result.best_kind} "
-        f"cv_f1={result.cv_result.mean_weighted_f1:.4f} "
-        f"validation_f1={result.validation_report.weighted_f1:.4f}",
+        f"pipeline: best={best['kind']} "
+        f"cv_f1={best['mean_weighted_f1']:.4f} "
+        f"validation_f1={manifest['validation_weighted_f1']:.4f}",
         file=sys.stderr,
     )
     return EXIT_OK

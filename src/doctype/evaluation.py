@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import DOC_TYPES, FEATURE_IDS, N_CLASSES, DocType
+from .ingest import DOC_TYPES, FEATURE_IDS, N_CLASSES
 from .labeling import LabeledExample, stratified_split
 from .models import (
     check_features,
@@ -25,117 +25,85 @@ from .models import train  # noqa: F401 -- unused; bench/tracer.py wraps this na
 from .seeding import derive_seed
 from .stats import TRANSFORM_KINDS
 
-
-@dataclass
-class EvalReport:
-    """Per-class and support-weighted precision/recall/F1 plus the confusion matrix.
-
-    Confusion rows are true classes, columns predicted, both in DocType order.
-    """
-
-    confusion: list[list[int]]
-    per_class_precision: dict[DocType, float]
-    per_class_recall: dict[DocType, float]
-    per_class_f1: dict[DocType, float]
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    n_examples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "confusion": self.confusion,
-            "per_class": {
-                t.label: {
-                    "precision": self.per_class_precision[t],
-                    "recall": self.per_class_recall[t],
-                    "f1": self.per_class_f1[t],
-                }
-                for t in DOC_TYPES
-            },
-            "weighted_precision": self.weighted_precision,
-            "weighted_recall": self.weighted_recall,
-            "weighted_f1": self.weighted_f1,
-            "n_examples": self.n_examples,
-        }
-
-    def human(self) -> str:
-        lines = [
-            f"{'class':<10}{'precision':>11}{'recall':>11}{'f1':>11}{'support':>9}"
-        ]
-        for t in DOC_TYPES:
-            support = sum(self.confusion[int(t)])
-            lines.append(
-                f"{t.label:<10}{self.per_class_precision[t]:>11.4f}"
-                f"{self.per_class_recall[t]:>11.4f}{self.per_class_f1[t]:>11.4f}"
-                f"{support:>9}"
-            )
-        lines.append(
-            f"{'weighted':<10}{self.weighted_precision:>11.4f}"
-            f"{self.weighted_recall:>11.4f}{self.weighted_f1:>11.4f}"
-            f"{self.n_examples:>9}"
-        )
-        return "\n".join(lines)
+METRICS = ("precision", "recall", "f1")
 
 
-def evaluate(predictions: Sequence[int], truths: Sequence[int]) -> EvalReport:
-    """Standard multi-class metrics from class codes (DocTypes or ints);
-    empty denominators score 0."""
-    predictions = np.asarray(predictions, dtype=int)
-    truths = np.asarray(truths, dtype=int)
+def evaluate(predictions: Sequence[int], truths: Sequence[int]) -> dict:
+    """The report (``report_from_confusion``) of class codes, DocTypes or
+    ints, against the true codes. A value that is not an integer class code
+    raises ValueError."""
     if len(predictions) != len(truths):
         raise ValueError(
             f"length mismatch: {len(predictions)} predictions vs {len(truths)} truths"
         )
     if not len(truths):
         raise ValueError("cannot evaluate an empty prediction list")
+    predictions, truths = _class_codes(predictions, "prediction"), _class_codes(truths, "truth")
     cells = np.bincount(truths * N_CLASSES + predictions, minlength=N_CLASSES * N_CLASSES)
     return report_from_confusion(cells.reshape(N_CLASSES, N_CLASSES).tolist())
 
 
-def report_from_confusion(confusion: Sequence[Sequence[int]]) -> EvalReport:
-    precision, recall, f1 = {}, {}, {}
-    n = sum(sum(row) for row in confusion)
-    for t in DOC_TYPES:
-        i = int(t)
+def _class_codes(values: Sequence[int], name: str) -> np.ndarray:
+    """``values`` as an int array; ValueError naming the first value that
+    is not an integer from 0 to ``N_CLASSES - 1`` (a boolean is none)."""
+    codes = np.asarray(values)
+    if codes.dtype.kind in "iu":
+        listed = codes.tolist()
+        if 0 <= min(listed) and max(listed) < N_CLASSES:
+            return codes
+    for value in values:
+        value = value.item() if isinstance(value, np.generic) else value
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < N_CLASSES:
+            raise ValueError(f"{name} {value!r} is not a class code from 0 to {N_CLASSES - 1}")
+    return codes.astype(int)
+
+
+def report_from_confusion(confusion: Sequence[Sequence[int]]) -> dict:
+    """Per-class and support-weighted precision, recall and F1 of a
+    confusion table, whose rows are true classes and columns predicted, both
+    in DocType order; an empty denominator scores 0. The report is the
+    object ``validation_report.json`` and each CV fold hold: ``{"confusion",
+    "per_class": {label: {"precision", "recall", "f1"}}, "weighted_precision",
+    "weighted_recall", "weighted_f1", "n_examples"}``."""
+    confusion = [list(map(int, row)) for row in confusion]
+    supports = [sum(row) for row in confusion]
+    predicted = [sum(column) for column in zip(*confusion)]
+    per_class = {}
+    for i, t in enumerate(DOC_TYPES):
         tp = confusion[i][i]
-        predicted = sum(confusion[r][i] for r in range(N_CLASSES))
-        actual = sum(confusion[i])
-        precision[t] = tp / predicted if predicted else 0.0
-        recall[t] = tp / actual if actual else 0.0
-        denom = precision[t] + recall[t]
-        f1[t] = 2 * precision[t] * recall[t] / denom if denom else 0.0
-    supports = {t: sum(confusion[int(t)]) for t in DOC_TYPES}
-    return EvalReport(
-        confusion=[list(map(int, row)) for row in confusion],
-        per_class_precision=precision,
-        per_class_recall=recall,
-        per_class_f1=f1,
-        weighted_precision=sum(supports[t] * precision[t] for t in DOC_TYPES) / n,
-        weighted_recall=sum(supports[t] * recall[t] for t in DOC_TYPES) / n,
-        weighted_f1=sum(supports[t] * f1[t] for t in DOC_TYPES) / n,
-        n_examples=n,
+        precision = tp / predicted[i] if predicted[i] else 0.0
+        recall = tp / supports[i] if supports[i] else 0.0
+        denom = precision + recall
+        f1 = 2 * precision * recall / denom if denom else 0.0
+        per_class[t.label] = {"precision": precision, "recall": recall, "f1": f1}
+    n = sum(supports)
+    report = {"confusion": confusion, "per_class": per_class}
+    for metric in METRICS:
+        weighted = (support * scores[metric] for support, scores in zip(supports, per_class.values()))
+        report[f"weighted_{metric}"] = sum(weighted) / n
+    report["n_examples"] = n
+    return report
+
+
+def human_report(report: dict) -> str:
+    """A report's per-class and weighted rows as a table."""
+    lines = [
+        f"{'class':<10}{'precision':>11}{'recall':>11}{'f1':>11}{'support':>9}"
+    ]
+    for t in DOC_TYPES:
+        scores = report["per_class"][t.label]
+        support = sum(report["confusion"][int(t)])
+        lines.append(
+            f"{t.label:<10}{scores['precision']:>11.4f}"
+            f"{scores['recall']:>11.4f}{scores['f1']:>11.4f}"
+            f"{support:>9}"
+        )
+    lines.append(
+        f"{'weighted':<10}{report['weighted_precision']:>11.4f}"
+        f"{report['weighted_recall']:>11.4f}{report['weighted_f1']:>11.4f}"
+        f"{report['n_examples']:>9}"
     )
-
-
-@dataclass
-class CVResult:
-    """Per-fold reports plus their across-fold metric means."""
-
-    fold_reports: list[EvalReport]
-    mean_weighted_precision: float
-    mean_weighted_recall: float
-    mean_weighted_f1: float
-    pooled_confusion: list[list[int]]
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_weighted_precision": self.mean_weighted_precision,
-            "mean_weighted_recall": self.mean_weighted_recall,
-            "mean_weighted_f1": self.mean_weighted_f1,
-            "pooled_confusion": self.pooled_confusion,
-            "folds": [r.to_dict() for r in self.fold_reports],
-        }
+    return "\n".join(lines)
 
 
 @dataclass
@@ -182,8 +150,9 @@ def cross_validate(
     seed: int = 0,
     transform: str = "identity",
     features: Sequence[str] = FEATURE_IDS,
-) -> CVResult:
-    """k-fold CV; imputation and transform fitting see training folds only."""
+) -> dict:
+    """k-fold CV; imputation and transform fitting see training folds only.
+    Returns the CV report (``cross_validate_sizes``)."""
     prepared = prepare_folds(_cv_folds(dataset, k, seed), features)
     return cross_validate_sizes(kind, prepared, hyperparameters, None, seed, transform)[0]
 
@@ -195,8 +164,8 @@ def cross_validate_sizes(
     nested: Sequence[dict] | None,
     seed: int = 0,
     transform: str = "identity",
-) -> list[CVResult]:
-    """Cross-validate on ``prepared`` folds: one result per point in ``nested``.
+) -> list[dict]:
+    """Cross-validate on ``prepared`` folds: one CV report per point in ``nested``.
 
     A point gives values of ``kind``'s nested keys (``models.nested_keys``)
     and replaces them in ``hyperparameters``. Each fold fits once, at each
@@ -204,7 +173,13 @@ def cross_validate_sizes(
     largest), and scores every point from that fit's one predictor
     (``models.prefix_labels``): its size as the first members, capped at the
     fit's own size, and its ``max_depth`` as a depth cut. ``None`` gives the
-    one result of ``hyperparameters`` as they are, for any kind.
+    one report of ``hyperparameters`` as they are, for any kind.
+
+    A CV report is the object ``cv_report.json`` holds: ``{"folds"}``, each
+    fold's ``evaluate`` report, the across-fold means
+    ``"mean_weighted_precision"``, ``"mean_weighted_recall"`` and
+    ``"mean_weighted_f1"``, and ``"pooled_confusion"``, the folds' summed
+    confusion tables.
 
     The folds are fitted by one ``models.train_folds`` call: each fold's
     model is the one ``train`` gives on its training rows, the first fold
@@ -220,7 +195,7 @@ def cross_validate_sizes(
         for key in keys:
             values = [point[key] for point in nested]
             fit_hyperparameters[key] = None if None in values else max(values)
-    reports: list[list[EvalReport]] = [[] for _ in nested or [None]]
+    reports: list[list[dict]] = [[] for _ in nested or [None]]
     seeds = [derive_seed(seed, f"fold-{i}") for i in range(len(prepared))]
     folds = [(fold.train_ids, (fold.X_train, fold.y_train)) for fold in prepared]
     features = prepared[0].features if prepared else FEATURE_IDS
@@ -239,57 +214,23 @@ def cross_validate_sizes(
             labels = [predict_batch(model, fold.X_test)[0]]
         for point_reports, predictions in zip(reports, labels):
             point_reports.append(evaluate(predictions, fold.y_test))
-    return [_cv_result(point_reports) for point_reports in reports]
+    return [_cv_report(point_reports) for point_reports in reports]
 
 
-def _cv_result(reports: list[EvalReport]) -> CVResult:
+def _cv_report(reports: list[dict]) -> dict:
     pooled = [
-        [sum(r.confusion[i][j] for r in reports) for j in range(N_CLASSES)]
+        [sum(r["confusion"][i][j] for r in reports) for j in range(N_CLASSES)]
         for i in range(N_CLASSES)
     ]
-    return CVResult(
-        fold_reports=reports,
-        mean_weighted_precision=float(np.mean([r.weighted_precision for r in reports])),
-        mean_weighted_recall=float(np.mean([r.weighted_recall for r in reports])),
-        mean_weighted_f1=float(np.mean([r.weighted_f1 for r in reports])),
-        pooled_confusion=pooled,
-    )
+    means = {
+        f"mean_weighted_{metric}": float(np.mean([r[f"weighted_{metric}"] for r in reports]))
+        for metric in METRICS
+    }
+    return {**means, "pooled_confusion": pooled, "folds": reports}
 
 
 def default_grid(kind: str) -> list[dict]:
     return [dict(point) for point in kind_spec(kind).grid]
-
-
-@dataclass
-class SweepEntry:
-    hyperparameters: dict
-    transform: str
-    result: CVResult
-
-
-@dataclass
-class SweepResult:
-    entries: list[SweepEntry]
-    best_index: int
-
-    @property
-    def best(self) -> SweepEntry:
-        return self.entries[self.best_index]
-
-    def to_dict(self) -> dict:
-        return {
-            "best_index": self.best_index,
-            "entries": [
-                {
-                    "hyperparameters": e.hyperparameters,
-                    "transform": e.transform,
-                    "mean_weighted_f1": e.result.mean_weighted_f1,
-                    "mean_weighted_precision": e.result.mean_weighted_precision,
-                    "mean_weighted_recall": e.result.mean_weighted_recall,
-                }
-                for e in self.entries
-            ],
-        }
 
 
 def sweep(
@@ -300,8 +241,15 @@ def sweep(
     k: int = 10,
     seed: int = 0,
     folds: Sequence[Sequence[LabeledExample]] | None = None,
-) -> SweepResult:
+) -> tuple[dict, list[dict]]:
     """Cross-validate the full grid x transforms product; pick the best mean F1.
+
+    Returns ``(table, reports)``. ``table`` is the object ``sweep --format
+    machine`` prints and ``sweep_results.json`` holds for the kind:
+    ``{"best_index", "entries"}``, each entry ``{"hyperparameters",
+    "transform", "mean_weighted_f1", "mean_weighted_precision",
+    "mean_weighted_recall"}``, grid points in order, each under every
+    transform in turn. ``reports[i]`` is entry ``i``'s CV report.
 
     Grid points that differ only in their nested keys (``models.nested_keys``:
     an ensemble's size, and a tree kind's ``max_depth`` unless a
@@ -342,21 +290,23 @@ def sweep(
     for name, (rest, points) in families.items():
         nested = list(points.values()) if nested_keys(kind, rest) else None
         for transform in transforms:
-            family_results = cross_validate_sizes(kind, prepared, rest, nested, seed, transform)
-            for cell, result in zip(points, family_results):
-                results[name, cell, transform] = result
-    entries = [
-        SweepEntry(dict(point), transform, results[name, cell, transform])
-        for (name, cell), point in zip(cells, grid)
-        for transform in transforms
-    ]
+            family_reports = cross_validate_sizes(kind, prepared, rest, nested, seed, transform)
+            for cell, report in zip(points, family_reports):
+                results[name, cell, transform] = report
+    entries, reports = [], []
+    for (name, cell), point in zip(cells, grid):
+        for transform in transforms:
+            report = results[name, cell, transform]
+            means = {f"mean_weighted_{m}": report[f"mean_weighted_{m}"] for m in METRICS}
+            entries.append({"hyperparameters": dict(point), "transform": transform, **means})
+            reports.append(report)
     best_index = min(
         range(len(entries)),
         key=lambda i: (
-            -entries[i].result.mean_weighted_f1, _rank(kind, entries[i].hyperparameters), i
+            -entries[i]["mean_weighted_f1"], _rank(kind, entries[i]["hyperparameters"]), i
         ),
     )
-    return SweepResult(entries, best_index)
+    return {"best_index": best_index, "entries": entries}, reports
 
 
 def _split_nested(kind: str, point: dict) -> tuple[dict, dict]:
@@ -418,5 +368,5 @@ def ablation(
                 seed,
                 features=subset,
             )
-            out[(kind, subset)] = result.mean_weighted_f1
+            out[(kind, subset)] = result["mean_weighted_f1"]
     return out

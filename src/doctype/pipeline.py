@@ -7,13 +7,12 @@ output files byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, validate_config
 from .errors import DocTypeError
-from .evaluation import CVResult, EvalReport, evaluate, sweep
+from .evaluation import evaluate, sweep
 from .ingest import parse_records, extract_features
 from .ioutils import atomic_write_text, canonical_json
 from .labeling import (
@@ -28,14 +27,8 @@ from .stats import derive_thresholds
 from .stats import impute_f1  # noqa: F401 -- no stage imputes; bench/tracer.py wraps this name
 
 
-@dataclass
-class PipelineResult:
-    best_kind: str
-    cv_result: CVResult
-    validation_report: EvalReport
-
-
-def run_pipeline(cfg: RunConfig) -> PipelineResult:
+def run_pipeline(cfg: RunConfig) -> dict:
+    """Run every stage of ``cfg``, write its outputs and return the manifest."""
     # a RunConfig built in Python has not been through config_from_dict
     validate_config(cfg, needs_input=True)
 
@@ -79,10 +72,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         ),
     )
 
-    best = None
-    sweep_payload = {}
+    best, cv_report = None, None
+    sweeps = {}
     for kind in cfg.sweep_kinds:
-        result = _stage(
+        table, reports = _stage(
             f"sweep[{kind}]",
             lambda kind=kind: sweep(
                 kind,
@@ -94,20 +87,21 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 folds=split.test_folds,
             ),
         )
-        sweep_payload[kind] = result.to_dict()
-        entry = result.best
-        if best is None or entry.result.mean_weighted_f1 > best[1].result.mean_weighted_f1:
-            best = (kind, entry, result)
-    best_kind, best_entry, _ = best
+        sweeps[kind] = table
+        entry = table["entries"][table["best_index"]]
+        if best is None or entry["mean_weighted_f1"] > best["mean_weighted_f1"]:
+            best = {"kind": kind, "hyperparameters": entry["hyperparameters"],
+                    "transform": entry["transform"], "mean_weighted_f1": entry["mean_weighted_f1"]}
+            cv_report = reports[table["best_index"]]
 
     model = _stage(
         "train",
         lambda: train(
-            best_kind,
+            best["kind"],
             split.train,
-            best_entry.hyperparameters,
+            best["hyperparameters"],
             derive_seed(cfg.seed, "train"),
-            best_entry.transform,
+            best["transform"],
         ),
     )
 
@@ -125,17 +119,12 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             for name in ("sample", "split", "train")
         },
         "counts": counts,
-        "best": {
-            "kind": best_kind,
-            "hyperparameters": best_entry.hyperparameters,
-            "transform": best_entry.transform,
-            "mean_weighted_f1": best_entry.result.mean_weighted_f1,
-        },
-        "validation_weighted_f1": validation_report.weighted_f1,
+        "best": best,
+        "validation_weighted_f1": validation_report["weighted_f1"],
     }
 
-    _write_outputs(cfg, model, thresholds, sweep_payload, best_entry.result, validation_report, manifest)
-    return PipelineResult(best_kind, best_entry.result, validation_report)
+    _write_outputs(cfg, model, thresholds, sweeps, cv_report, validation_report, manifest)
+    return manifest
 
 
 def _extract_and_label(cfg: RunConfig, counts: dict) -> list[LabeledExample]:
@@ -161,29 +150,22 @@ def _stage(name: str, thunk):
         raise DocTypeError(f"stage {name}: {exc}") from exc
 
 
-def _evaluate_validation(model: ModelArtifact, validation: list[LabeledExample]) -> EvalReport:
+def _evaluate_validation(model: ModelArtifact, validation: list[LabeledExample]) -> dict:
     X, y = dataset_matrix(validation, model.features)
     return evaluate(predict_batch(model, X)[0], y)
 
 
-def _write_outputs(cfg, model, thresholds, sweep_payload, cv_result, validation_report, manifest):
+def _write_outputs(cfg, model, thresholds, sweeps, cv_report, validation_report, manifest):
     out = Path(cfg.output_dir)
     save_model(model, out / "model.json")
     atomic_write_text(out / "thresholds.json", canonical_json(thresholds))
-    atomic_write_text(
-        out / "sweep_results.json",
-        canonical_json({"config_hash": cfg.hash(), "format_version": 1, "sweeps": sweep_payload}),
-    )
-    atomic_write_text(
-        out / "cv_report.json",
-        canonical_json(
-            {"config_hash": cfg.hash(), "format_version": 1, **cv_result.to_dict()}
-        ),
-    )
-    atomic_write_text(
-        out / "validation_report.json",
-        canonical_json(
-            {"config_hash": cfg.hash(), "format_version": 1, **validation_report.to_dict()}
-        ),
-    )
+    for name, report in [
+        ("sweep_results.json", {"sweeps": sweeps}),
+        ("cv_report.json", cv_report),
+        ("validation_report.json", validation_report),
+    ]:
+        atomic_write_text(
+            out / name,
+            canonical_json({"config_hash": cfg.hash(), "format_version": 1, **report}),
+        )
     atomic_write_text(out / "manifest.json", canonical_json(manifest))

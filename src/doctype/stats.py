@@ -18,7 +18,12 @@ TRANSFORM_KINDS = ("identity", "z-score", "log-scale")
 
 
 def quantile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation quantile between closest ranks of the sorted sample."""
+    """Linear-interpolation quantile between closest ranks of the sorted sample.
+
+    Between ranks ``a`` and ``b`` it is ``a + (b - a) * frac``, or
+    ``a * (1 - frac) + b * frac`` when ``b - a`` overflows (finite values of
+    opposite sign near the float limit), so finite values give a finite
+    quantile."""
     if len(values) == 0:
         raise ValueError("quantile of an empty sample is undefined")
     if not 0.0 <= q <= 1.0:
@@ -28,7 +33,10 @@ def quantile(values: Sequence[float], q: float) -> float:
     lower = math.floor(position)
     upper = math.ceil(position)
     frac = position - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * frac
+    a, b = ordered[lower], ordered[upper]
+    if not math.isfinite(b - a):
+        return a * (1 - frac) + b * frac
+    return a + (b - a) * frac
 
 
 def tukey_filter(values: Sequence[float]) -> list[float]:
@@ -63,8 +71,8 @@ def derive_thresholds(
     (a missing f1) is left out of its cell. The result is the stored table
     that ``doctype thresholds`` prints and a ``baseline-threshold`` model
     holds, with ``bounds[label][fid] = [lower, upper]``. ThresholdError
-    names a cell with no values left, or whose bounds (overflowed near the
-    float limit) are not finite with lower <= upper.
+    names a cell with no values left, or whose bounds are not finite with
+    lower <= upper.
     """
     check_quantile_levels(quantile_lo, quantile_hi)
     bounds: dict[str, dict[str, list[float]]] = {}

@@ -65,13 +65,13 @@ def threshold_table(model: ModelArtifact) -> dict:
     return {**model.parameters["table"], "bounds": bounds}
 
 
-#: (Research f2 values, quantile levels, error): cells whose finite values
-#: overflow near the float limit, in the Tukey fences (which then keep
-#: nothing) or in an interpolated bound
+#: (Research f2 values, quantile levels, Research f2 bounds): cells whose
+#: finite values of opposite sign near the float limit have a difference
+#: that overflows, in the Tukey fences' Q1 (the fences are then infinite
+#: and keep every value) or in an interpolated bound
 OVERFLOWING_CELLS = [
-    ([-1.7e308, 1.7e308, 1.7e308], (0.025, 0.975), "no usable values for cell (Research, f2)"),
-    ([-1e308, -1e308, 1e308, 1e308], (0.025, 0.5),
-     "cell (Research, f2) bounds [-1e+308, inf] must be finite with lower <= upper"),
+    ([-1.7e308, 1.7e308, 1.7e308], (0.025, 0.975), (-1.5299999999999998e308, 1.7e308)),
+    ([-1e308, -1e308, 1e308, 1e308], (0.025, 0.5), (-1e308, 0.0)),
 ]
 
 

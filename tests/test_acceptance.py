@@ -78,7 +78,7 @@ class TestCriterion3DeskScaleClassification:
             ("baseline-random", {}),
             ("baseline-threshold", {}),
         ]:
-            scores[kind] = cross_validate(kind, data, 10, hp, seed=7).mean_weighted_f1
+            scores[kind] = cross_validate(kind, data, 10, hp, seed=7)["mean_weighted_f1"]
         elapsed = time.perf_counter() - started
         assert scores["random-forest"] >= 0.90
         for strong in ("random-forest", "adaboost"):

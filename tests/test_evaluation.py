@@ -47,30 +47,30 @@ class TestEvaluate:
     def test_perfect_predictions(self):
         truths = [R] * 5 + [S] * 3 + [T] * 4
         report = evaluate(truths, truths)
-        assert report.weighted_f1 == 1.0
-        assert report.weighted_precision == 1.0
-        assert report.weighted_recall == 1.0
+        assert report["weighted_f1"] == 1.0
+        assert report["weighted_precision"] == 1.0
+        assert report["weighted_recall"] == 1.0
         for t in DocType:
-            assert report.per_class_f1[t] == 1.0
+            assert report["per_class"][t.label]["f1"] == 1.0
 
     def test_all_research_frozen_values(self):
         truths = [R] * 55 + [S] * 10 + [T] * 35
         preds = [R] * 100
         report = evaluate(preds, truths)
-        assert report.confusion == [[55, 0, 0], [10, 0, 0], [35, 0, 0]]
-        assert report.per_class_precision[R] == pytest.approx(0.55)
-        assert report.per_class_precision[S] == 0.0
-        assert report.weighted_precision == pytest.approx(0.30250000000000005)
-        assert report.weighted_recall == pytest.approx(0.55)
-        assert report.weighted_f1 == pytest.approx(0.39032258064516134)
+        assert report["confusion"] == [[55, 0, 0], [10, 0, 0], [35, 0, 0]]
+        assert report["per_class"]["Research"]["precision"] == pytest.approx(0.55)
+        assert report["per_class"]["Slides"]["precision"] == 0.0
+        assert report["weighted_precision"] == pytest.approx(0.30250000000000005)
+        assert report["weighted_recall"] == pytest.approx(0.55)
+        assert report["weighted_f1"] == pytest.approx(0.39032258064516134)
 
     def test_symmetric_matrix(self):
         report = report_from_confusion([[8, 1, 1], [1, 8, 1], [1, 1, 8]])
         for t in DocType:
-            assert report.per_class_precision[t] == pytest.approx(0.8)
-            assert report.per_class_recall[t] == pytest.approx(0.8)
-            assert report.per_class_f1[t] == pytest.approx(0.8)
-        assert report.weighted_f1 == pytest.approx(0.8)
+            assert report["per_class"][t.label] == pytest.approx(
+                {"precision": 0.8, "recall": 0.8, "f1": 0.8}
+            )
+        assert report["weighted_f1"] == pytest.approx(0.8)
 
     def test_weighted_identity_from_confusion(self):
         rng = np.random.default_rng(2)
@@ -79,7 +79,7 @@ class TestEvaluate:
             truths = [DocType(int(v)) for v in rng.integers(0, 3, 60)]
             report = evaluate(preds, truths)
             # independent recomputation from the matrix alone
-            conf = np.array(report.confusion, dtype=float)
+            conf = np.array(report["confusion"], dtype=float)
             n = conf.sum()
             weighted_f1 = 0.0
             for c in range(3):
@@ -90,7 +90,7 @@ class TestEvaluate:
                 r = tp / row if row else 0.0
                 f1 = 2 * p * r / (p + r) if p + r else 0.0
                 weighted_f1 += (row / n) * f1
-            assert report.weighted_f1 == pytest.approx(weighted_f1, abs=1e-9)
+            assert report["weighted_f1"] == pytest.approx(weighted_f1, abs=1e-9)
             assert [int(v) for v in conf.sum(axis=1)] == [
                 sum(1 for t in truths if t is DocType(c)) for c in range(3)
             ]
@@ -111,7 +111,7 @@ class TestEvaluate:
         for pred, truth in zip(preds, truths):
             confusion[truth][pred] += 1
         report = evaluate(preds, truths)
-        assert report.confusion == confusion
+        assert report["confusion"] == confusion
         assert evaluate([DocType(int(v)) for v in preds], [DocType(int(v)) for v in truths]) == report
 
     def test_errors(self):
@@ -119,6 +119,23 @@ class TestEvaluate:
             evaluate([R], [R, S])
         with pytest.raises(ValueError):
             evaluate([], [])
+
+    @pytest.mark.parametrize(
+        "predictions, truths, message",
+        [
+            ([3], [0], "prediction 3"),
+            ([-1], [1], "prediction -1"),
+            ([0.7], [0], "prediction 0.7"),
+            ([0], [3], "truth 3"),
+            ([True], [0], "prediction True"),
+            (np.array([0, 5, 4]), np.zeros(3, dtype=int), "prediction 5"),
+            ([1, 2.0], [0, 1], "prediction 2.0"),
+        ],
+        ids=["above", "negative", "fraction", "truth-above", "boolean", "first-of-array", "float"],
+    )
+    def test_refuses_a_value_that_is_no_class_code(self, predictions, truths, message):
+        with pytest.raises(ValueError, match=f"^{message} is not a class code from 0 to 2$"):
+            evaluate(predictions, truths)
 
 
 class TestCrossValidate:
@@ -130,20 +147,20 @@ class TestCrossValidate:
             make_example(S, f2=910.0, doc_id="s1"),
         ]
         result = cross_validate("knn", data, 2, {"k": 1}, seed=0)
-        assert len(result.fold_reports) == 2
-        for report in result.fold_reports:
-            assert report.n_examples == 2
+        assert len(result["folds"]) == 2
+        for report in result["folds"]:
+            assert report["n_examples"] == 2
 
     def test_deterministic(self):
         data = toy_dataset(30, seed=1)
         a = cross_validate("decision-tree", data, 5, {"max_depth": 3}, seed=9)
         b = cross_validate("decision-tree", data, 5, {"max_depth": 3}, seed=9)
-        assert a.fold_reports == b.fold_reports
+        assert a["folds"] == b["folds"]
 
     def test_memorizer_scores_high_on_separable_data(self):
         data = toy_dataset(40, seed=2)
         result = cross_validate("knn", data, 5, {"k": 1}, seed=1)
-        assert result.mean_weighted_f1 > 0.9
+        assert result["mean_weighted_f1"] > 0.9
 
     def test_imputation_restricted_to_training_folds(self):
         data = toy_dataset(40, seed=3)
@@ -155,7 +172,7 @@ class TestCrossValidate:
             for i, ex in enumerate(data)
         ]
         result = cross_validate("decision-tree", incomplete, 5, {"max_depth": 3}, seed=2)
-        assert result.mean_weighted_f1 > 0.8
+        assert result["mean_weighted_f1"] > 0.8
 
     def test_bad_feature_list_named(self):
         with pytest.raises(ValueError, match=r"^invalid feature list: \('f9',\)"):
@@ -170,7 +187,7 @@ class TestCrossValidate:
     def test_pooled_confusion_counts_everything(self):
         data = toy_dataset(30, seed=4)
         result = cross_validate("gnb", data, 5, seed=3)
-        assert sum(sum(row) for row in result.pooled_confusion) == len(data)
+        assert sum(sum(row) for row in result["pooled_confusion"]) == len(data)
 
 
 def cv_scored(kind, prepared, hyperparameters, seed, transform="identity"):
@@ -234,12 +251,17 @@ class TestLabelFreeFill:
             assert labels == predict_batch(model, dataset_matrix(fold, features)[0])[0].tolist()
 
 
+def best(table: dict) -> dict:
+    """A sweep table's best entry."""
+    return table["entries"][table["best_index"]]
+
+
 class TestSweep:
     def test_singleton_grid(self):
         data = toy_dataset(25, seed=5)
-        result = sweep("gnb", data, grid=[{}], transforms=("identity",), k=3, seed=1)
-        assert len(result.entries) == 1
-        assert result.best_index == 0
+        result, _ = sweep("gnb", data, grid=[{}], transforms=("identity",), k=3, seed=1)
+        assert len(result["entries"]) == 1
+        assert result["best_index"] == 0
 
     def test_product_count(self):
         # a tree kind lists each grid point once, on raw values
@@ -248,7 +270,7 @@ class TestSweep:
             {"n_trees": t, "max_depth": d}
             for t, d in itertools.product((5, 10, 20), (2, 3, 4))
         ]
-        result = sweep(
+        result, _ = sweep(
             "random-forest",
             data,
             grid=grid,
@@ -256,27 +278,27 @@ class TestSweep:
             k=3,
             seed=1,
         )
-        assert len(result.entries) == 9
-        assert {e.transform for e in result.entries} == {"identity"}
+        assert len(result["entries"]) == 9
+        assert {e["transform"] for e in result["entries"]} == {"identity"}
 
     def test_adding_worse_point_keeps_best_report(self):
         data = toy_dataset(25, seed=7)
-        base = sweep("knn", data, grid=[{"k": 1}], transforms=("identity",), k=3, seed=1)
+        base, _ = sweep("knn", data, grid=[{"k": 1}], transforms=("identity",), k=3, seed=1)
         # a 1-NN memorizer on separable data dominates huge-k majority voting
-        extended = sweep(
+        extended, _ = sweep(
             "knn", data, grid=[{"k": 1}, {"k": 75}], transforms=("identity",), k=3, seed=1
         )
-        assert extended.best.result.mean_weighted_f1 == base.best.result.mean_weighted_f1
-        assert extended.best.hyperparameters == {"k": 1}
+        assert best(extended)["mean_weighted_f1"] == best(base)["mean_weighted_f1"]
+        assert best(extended)["hyperparameters"] == {"k": 1}
 
     def test_tie_prefers_smaller_model(self):
         data = toy_dataset(25, seed=8)
-        result = sweep(
+        result, _ = sweep(
             "knn", data, grid=[{"k": 3}, {"k": 1}], transforms=("identity",), k=3, seed=1
         )
-        f1s = [e.result.mean_weighted_f1 for e in result.entries]
+        f1s = [e["mean_weighted_f1"] for e in result["entries"]]
         if f1s[0] == f1s[1]:
-            assert result.best.hyperparameters == {"k": 1}
+            assert best(result)["hyperparameters"] == {"k": 1}
 
     @pytest.mark.parametrize(
         "kind, grid, best",
@@ -290,10 +312,10 @@ class TestSweep:
         ],
     )
     def test_tie_ranks_unset_sizes(self, kind, grid, best):
-        result = sweep(kind, toy_dataset(20, seed=1), grid=grid, transforms=("identity",), k=3)
-        f1s = [e.result.mean_weighted_f1 for e in result.entries]
+        result, _ = sweep(kind, toy_dataset(20, seed=1), grid=grid, transforms=("identity",), k=3)
+        f1s = [e["mean_weighted_f1"] for e in result["entries"]]
         assert f1s[0] == f1s[1]
-        assert result.best.hyperparameters == best
+        assert result["entries"][result["best_index"]]["hyperparameters"] == best
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -347,9 +369,9 @@ def brute_force_sweep(kind, data, grid, transforms, k, seed, folds):
     ]
     best = 0
     for i, (point, _, result) in enumerate(cells):
-        top = cells[best][2].mean_weighted_f1
-        if result.mean_weighted_f1 > top or (
-            result.mean_weighted_f1 == top
+        top = cells[best][2]["mean_weighted_f1"]
+        if result["mean_weighted_f1"] > top or (
+            result["mean_weighted_f1"] == top
             and tie_size(kind, point) < tie_size(kind, cells[best][0])
         ):
             best = i
@@ -414,13 +436,15 @@ class TestSweepSharing:
         transforms = ("identity",) if SPECS[kind].raw_only else TRANSFORM_KINDS
         cells, best = brute_force_sweep(kind, data, grid, transforms, 4, seed, folds)
         calls = count_fold_loops(monkeypatch)
-        result = sweep(kind, data, grid=grid, transforms=TRANSFORM_KINDS, k=4, seed=seed, folds=folds)
+        result, reports = sweep(
+            kind, data, grid=grid, transforms=TRANSFORM_KINDS, k=4, seed=seed, folds=folds
+        )
         assert len(calls) == n_families * len(transforms)
-        assert result.best_index == best
-        assert len(result.entries) == len(cells)
-        for entry, (point, transform, expected) in zip(result.entries, cells):
-            assert (entry.hyperparameters, entry.transform) == (point, transform)
-            assert entry.result.to_dict() == expected.to_dict()
+        assert result["best_index"] == best
+        assert len(result["entries"]) == len(reports) == len(cells)
+        for entry, report, (point, transform, expected) in zip(result["entries"], reports, cells):
+            assert (entry["hyperparameters"], entry["transform"]) == (point, transform)
+            assert report == expected
 
     def test_log1p_merge_changes_no_tree_entry(self, monkeypatch):
         # 1e17 and 1e17 + 16 are adjacent doubles; log1p maps both to one value
@@ -431,21 +455,21 @@ class TestSweepSharing:
         ]
         folds = stratified_split(data, 3, 0.0, 0).test_folds
         calls = count_fold_loops(monkeypatch)
-        result = sweep(
+        result, reports = sweep(
             "decision-tree", data, grid=[{"max_depth": 2}], transforms=TRANSFORM_KINDS,
             k=3, folds=folds,
         )
         assert calls == ["decision-tree"]
-        assert [e.transform for e in result.entries] == ["identity"]
+        assert [e["transform"] for e in result["entries"]] == ["identity"]
         raw = evaluation.cross_validate_sizes("decision-tree", prepare_folds(folds), {"max_depth": 2}, None)[0]
-        assert result.best.result.to_dict() == raw.to_dict()
+        assert reports[result["best_index"]] == raw
 
     def test_tree_kind_sweeps_a_negative_count(self):
         # log1p of a count below -1 is NaN; a tree never sees the transform
         data = noisy_dataset(5, blank_f1=True)
         data[::7] = [replace(ex, features=replace(ex.features, f4_words_per_page=-5.0)) for ex in data[::7]]
-        result = sweep("random-forest", data, grid=[{"n_trees": 3, "max_depth": 2}], k=3)
-        assert [e.transform for e in result.entries] == ["identity"]
+        result, _ = sweep("random-forest", data, grid=[{"n_trees": 3, "max_depth": 2}], k=3)
+        assert [e["transform"] for e in result["entries"]] == ["identity"]
         with pytest.raises(TrainingError, match="not finite after the log-scale transform"):
             sweep("gnb", data, grid=[{}], k=3)
 
@@ -478,10 +502,10 @@ class TestSweepSharing:
             real(self, forest, sizes, *args, **kwargs)
 
         monkeypatch.setattr(ForestPredictor, "__init__", counted)
-        result = sweep(kind, noisy_dataset(4, blank_f1=False), k=3, seed=2)
+        result, _ = sweep(kind, noisy_dataset(4, blank_f1=False), k=3, seed=2)
         assert len(built) == n_families * 3
         assert max(built) == largest
-        assert len(result.entries) == len(default_grid(kind))
+        assert len(result["entries"]) == len(default_grid(kind))
 
     @pytest.mark.parametrize(
         "kind, grid",
@@ -500,11 +524,11 @@ class TestSweepSharing:
         folds = stratified_split(data, 3, 0.0, 6).test_folds
         cells, best = brute_force_sweep(kind, data, grid, ("identity",), 3, 6, folds)
         calls = count_fold_loops(monkeypatch)
-        result = sweep(kind, data, grid=grid, k=3, seed=6, folds=folds)
+        result, reports = sweep(kind, data, grid=grid, k=3, seed=6, folds=folds)
         assert len(calls) == 2
-        assert result.best_index == best
-        for entry, (_, _, expected) in zip(result.entries, cells):
-            assert entry.result.to_dict() == expected.to_dict()
+        assert result["best_index"] == best
+        for report, (_, _, expected) in zip(reports, cells):
+            assert report == expected
         with pytest.raises(ValueError, match="points must all give the same keys of"):
             evaluation.cross_validate_sizes(
                 kind, prepare_folds(folds), {"max_leaf_nodes": 3}, [{"max_depth": 2}]
@@ -526,11 +550,11 @@ class TestSweepSharing:
                 yield model
 
         monkeypatch.setattr(evaluation, "train_folds", counted)
-        result = sweep("knn", noisy_dataset(4, blank_f1=False), k=3, seed=2)
+        result, _ = sweep("knn", noisy_dataset(4, blank_f1=False), k=3, seed=2)
         # every k of a transform is scored from one 7-NN fit per fold
         assert calls == ["knn"] * len(TRANSFORM_KINDS)
         assert sorted(fitted) == sorted(("knn", 7, t) for t in TRANSFORM_KINDS for _ in range(3))
-        assert len(result.entries) == len(default_grid("knn")) * len(TRANSFORM_KINDS)
+        assert len(result["entries"]) == len(default_grid("knn")) * len(TRANSFORM_KINDS)
 
     def test_bad_point_fails_before_any_cross_validation(self, monkeypatch):
         calls = count_fold_loops(monkeypatch)
@@ -621,7 +645,7 @@ class TestLockstepFamily:
             for fold, model in zip(prepared, models):
                 labels = prefix_labels(model, fold.X_test)
                 expected.append(evaluate(labels[min(point["rounds"], len(labels)) - 1], fold.y_test))
-            assert [r.to_dict() for r in result.fold_reports] == [r.to_dict() for r in expected]
+            assert result["folds"] == expected
 
     @pytest.mark.parametrize(
         "folds, transform, message",
@@ -803,7 +827,7 @@ class TestGenerateSynthetic:
             ("linear-svm", {"epochs": 200, "step": 1e-2}, "z-score"),
         ]:
             result = cross_validate(kind, data, 5, hp, seed=6, transform=transform)
-            assert result.mean_weighted_f1 > expectation, kind
+            assert result["mean_weighted_f1"] > expectation, kind
 
 
 class TestSplitFoldsDisjoint:

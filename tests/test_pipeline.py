@@ -208,7 +208,7 @@ class TestPipeline:
     def test_end_to_end_outputs(self, tmp_path):
         records = build_records(tmp_path)
         cfg = load_config(build_config(tmp_path, records))
-        result = run_pipeline(cfg)
+        returned = run_pipeline(cfg)
         out = tmp_path / "out"
         for name in (
             "model.json",
@@ -224,7 +224,8 @@ class TestPipeline:
         assert manifest["counts"]["records"] == 110
         assert manifest["counts"]["sampled"] == 80
         assert manifest["best"]["kind"] in {"decision-tree", "gnb"}
-        assert 0.0 <= result.validation_report.weighted_f1 <= 1.0
+        assert 0.0 <= manifest["validation_weighted_f1"] <= 1.0
+        assert returned == manifest
 
     def test_rerun_byte_identical(self, tmp_path):
         records = build_records(tmp_path)

@@ -2,12 +2,14 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doctype import stats
 from doctype.errors import ImputationError, ModelFormatError, ThresholdError
 from doctype.ingest import DocType, FeatureVector
 from doctype.ioutils import canonical_json
@@ -111,6 +113,14 @@ class TestQuantile:
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
 
+    @pytest.mark.parametrize("values, q, expected", [
+        ([-1e308, 1e308], 0.5, 0.0),
+        ([-1.7976931348623157e308, 1.7976931348623157e308], 0.25, -8.988465674311579e307),
+        ([1.0, 2.0, 4.0], 0.75, 3.0),
+    ])
+    def test_interpolates_without_overflow(self, values, q, expected):
+        assert quantile(values, q) == pytest.approx(expected, rel=1e-15)
+
 
 class TestTukeyFilter:
     def test_reference_example(self):
@@ -197,11 +207,26 @@ class TestDeriveThresholds:
             derive_thresholds(*dataset_matrix(data))
         assert "Slides" in str(err.value)
 
-    @pytest.mark.parametrize("f2, levels, message", OVERFLOWING_CELLS, ids=["fences", "bound"])
-    def test_overflowing_cell_error_names_cell(self, f2, levels, message):
+    @pytest.mark.parametrize("f2, levels, bounds", OVERFLOWING_CELLS, ids=["fences", "bound"])
+    def test_overflowing_cell_derives_finite_bounds(self, f2, levels, bounds):
+        table = derive_thresholds(*dataset_matrix(overflow_rows(f2)), *levels)
+        assert cell(table, DocType.RESEARCH, "f2") == bounds
+
+    @pytest.mark.parametrize(
+        "bounds, shown", [((1.0, math.inf), "[1.0, inf]"), ((2.0, 1.0), "[2.0, 1.0]")],
+        ids=["infinite", "reversed"],
+    )
+    def test_unusable_bounds_error_names_cell(self, bounds, shown, monkeypatch):
+        # finite values give finite, ordered quantiles, so the outer ones are replaced
+        real, outer = stats.quantile, dict(zip((0.025, 0.975), bounds))
+        monkeypatch.setattr(
+            stats, "quantile", lambda values, q: outer[q] if q in outer else real(values, q)
+        )
         with pytest.raises(ThresholdError) as err:
-            derive_thresholds(*dataset_matrix(overflow_rows(f2)), *levels)
-        assert str(err.value) == message
+            derive_thresholds(*dataset_matrix(fixture_dataset()))
+        assert str(err.value) == (
+            f"cell (Research, f1) bounds {shown} must be finite with lower <= upper"
+        )
 
     @staticmethod
     def stored(table: dict):
