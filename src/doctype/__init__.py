@@ -17,7 +17,6 @@ from .ingest import (
     count_words,
     extract_features,
     parse_records,
-    tokenize,
 )
 from .labeling import (
     DatasetSplit,

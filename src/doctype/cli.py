@@ -314,19 +314,11 @@ def cmd_ablation(args) -> int:
     examples = _read_labeled(args.labeled)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     scores = ablation(examples, kinds, args.k, args.seed)
-    payload = {
-        kind: {
-            "+".join(subset): scores[(kind, subset)]
-            for (entry_kind, subset) in scores
-            if entry_kind == kind
-        }
-        for kind in kinds
-    }
     if args.format == "machine":
-        _write_or_print(args, canonical_json(payload))
+        _write_or_print(args, canonical_json(scores))
     else:
         lines = []
-        for kind, cells in payload.items():
+        for kind, cells in scores.items():
             for subset, f1 in cells.items():
                 lines.append(f"{kind:<15} {subset:<12} F1={f1:.4f}")
         _write_or_print(args, "\n".join(lines) + "\n")

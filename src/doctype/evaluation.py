@@ -344,8 +344,11 @@ def ablation(
     k: int = 10,
     seed: int = 0,
     hyperparameters: Mapping[str, dict] | None = None,
-) -> dict[tuple[str, tuple[str, ...]], float]:
-    """Mean weighted F1 per (kind, feature subset): each singleton and all four.
+) -> dict[str, dict[str, float]]:
+    """Mean weighted F1 per kind and feature subset, each singleton and all
+    four: ``{kind: {"f1": f1, ..., "f1+f2+f3+f4": f1}}``, kinds in the order
+    given and subsets in ``FEATURE_SUBSETS`` order, as ``ablation --format
+    machine`` prints it.
 
     ``kinds`` must be a non-empty list of distinct known kinds; ValueError,
     before any fit, otherwise.
@@ -357,16 +360,12 @@ def ablation(
     for kind in kinds:
         kind_spec(kind)
     hyperparameters = hyperparameters or {}
-    out: dict[tuple[str, tuple[str, ...]], float] = {}
-    for kind in kinds:
-        for subset in FEATURE_SUBSETS:
-            result = cross_validate(
-                kind,
-                dataset,
-                k,
-                hyperparameters.get(kind),
-                seed,
-                features=subset,
-            )
-            out[(kind, subset)] = result["mean_weighted_f1"]
-    return out
+    return {
+        kind: {
+            "+".join(subset): cross_validate(
+                kind, dataset, k, hyperparameters.get(kind), seed, features=subset
+            )["mean_weighted_f1"]
+            for subset in FEATURE_SUBSETS
+        }
+        for kind in kinds
+    }

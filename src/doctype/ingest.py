@@ -5,8 +5,8 @@ Input records arrive as line-delimited JSON objects with keys ``id``,
 text). From each record we compute:
 
 * f1: number of authors (missing when the author list is empty),
-* f2: total word count over all pages: the number of ``tokenize`` tokens,
-  counted by ``count_words`` without building them,
+* f2: total word count over all pages (``count_words``): a word is a
+  whitespace-separated chunk holding at least one alphanumeric character,
 * f3: number of pages,
 * f4: average words per page (0 for zero-page documents).
 """
@@ -103,25 +103,6 @@ class ParseResult:
     skipped: int
 
 
-def tokenize(text: str) -> list[str]:
-    """Split on whitespace, strip edge punctuation, drop non-word tokens.
-
-    A token survives only if at least one alphanumeric character remains
-    after stripping non-alphanumeric characters from both ends. This is the
-    definition of f2; ``count_words`` counts these tokens without building them.
-    """
-    tokens = []
-    for raw in text.split():
-        start, end = 0, len(raw)
-        while start < end and not raw[start].isalnum():
-            start += 1
-        while end > start and not raw[end - 1].isalnum():
-            end -= 1
-        if end > start:
-            tokens.append(raw[start:end])
-    return tokens
-
-
 #: Character classes of ``count_words``, cached per code point on first
 #: sight: 0 not yet classified, then other, ``str.isalnum``, ``str.isspace``.
 #: A cache, not a setting: a code point's class never depends on the texts
@@ -136,12 +117,13 @@ _CHUNK_CHARS = 1 << 14
 
 
 def count_words(text: str) -> int:
-    """``len(tokenize(text))`` without building the tokens.
+    """The number of words in ``text``, without building them.
 
-    A token is a whitespace-separated chunk holding at least one
-    alphanumeric character. With the other characters dropped, the text is
-    runs of alphanumerics between whitespace, and each run is one token:
-    the count is the alphanumerics that start the text or follow a space.
+    A word is a chunk between whitespace (``str.isspace``, so the chunks of
+    ``str.split``) holding at least one alphanumeric character
+    (``str.isalnum``). With the other characters dropped, the text is runs
+    of alphanumerics between whitespace, and each run is one word: the
+    count is the alphanumerics that start the text or follow a space.
     """
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
     kept = _kept_classes(codes)

@@ -147,42 +147,32 @@ def grow_trees(
     counts = np.bincount(leaf * N_CLASSES + y, weights[0], n_trees * N_CLASSES)
     counts = counts.reshape(n_trees, N_CLASSES)
     tallies = [counts]
-    # by provisional id (creation order): (decrease, feature, threshold)
-    # and the children's ids
+    # each node by provisional id (creation order): the span of ``rows`` it
+    # holds (start, size), its depth, tree and draw key; (decrease,
+    # feature, threshold) once scored with a split, and its children's ids
+    # once expanded. Under a budget a scored node waits in its tree's heap.
+    start, size, depth = [0, *accumulate(sizes)][:-1], list(sizes), [0] * n_trees
+    tree = list(range(n_trees))
+    key = np.array([problem[3] for problem in problems], dtype=np.uint64)
     scored: list = [None] * n_trees
     children: list = [None] * n_trees
     heaps: list[list] = [[] for _ in range(n_trees)]
     n_leaves = [1] * n_trees
-    # the live nodes: the span of ``rows`` each holds (start, size), depth,
-    # provisional id, tree and draw key. The first ``n_kept`` wait for
-    # their turn under a budget; the others are new, with class counts
-    # ``counts``.
-    start, size, depth = [0, *accumulate(sizes)][:-1], list(sizes), [0] * n_trees
-    prov, tree = list(range(n_trees)), list(range(n_trees))
-    key = np.array([problem[3] for problem in problems], dtype=np.uint64)
-    n_kept = 0
+    # the new nodes that may split, and their class counts
     grows = _may_split(counts, size, depth, smallest, deepest)
-    if not all(grows):
-        live = [i for i, g in enumerate(grows) if g]
-        start, size, depth, prov, tree = (
-            [column[i] for i in live] for column in (start, size, depth, prov, tree)
-        )
-        counts, key = counts[live], key[live]
+    live = [p for p, g in enumerate(grows) if g]
+    counts = counts[live]
 
-    while size:
-        k = len(size)
-        w = weights[0, rows[d]]
+    while True:
         split = []
-        if k > n_kept:
-            new_starts, new_sizes = start[n_kept:], size[n_kept:]
+        if live:
+            w = weights[0, rows[d]]
+            new_starts, new_sizes = [start[p] for p in live], [size[p] for p in live]
             spans = zip(new_starts, new_sizes)
             total_w = np.array([np.add.reduce(w[a : a + n]) for a, n in spans])
             gini = 1.0 - np.add.reduce((counts / total_w[:, None]) ** 2, axis=1)
             totals = np.concatenate([total_w[:, None], counts], axis=1)
-            if m < d:
-                feats = draw_features(key[n_kept:], d, m)
-            else:
-                feats = every.repeat(k - n_kept, axis=0)
+            feats = draw_features(key[live], d, m) if m < d else every.repeat(len(live), axis=0)
             groups = _groups(new_sizes, m)
             if len(groups) == 1:
                 decrease, feature, threshold = _best_split(
@@ -191,8 +181,8 @@ def grow_trees(
             else:
                 # a node scored in parts keeps a later part's split only if
                 # it is strictly better: ties go to the lower feature
-                decrease, feature = np.full(k - n_kept, -np.inf), feats[:, 0].copy()
-                threshold = np.zeros(k - n_kept)
+                decrease, feature = np.full(len(live), -np.inf), feats[:, 0].copy()
+                threshold = np.zeros(len(live))
                 for nodes, part in groups:
                     found = _best_split(X, weights, rows, [new_starts[j] for j in nodes],
                                         [new_sizes[j] for j in nodes], feats[nodes, part],
@@ -201,64 +191,64 @@ def grow_trees(
                     at = np.array(nodes)[better]
                     decrease[at], feature[at], threshold[at] = (part[better] for part in found)
             found = zip(decrease.tolist(), feature.tolist(), threshold.tolist())
-            for i, entry in enumerate(found, n_kept):
+            for p, entry in zip(live, found):
                 if entry[0] > -np.inf:
-                    scored[prov[i]] = entry
-                    split.append(i)
+                    scored[p] = entry
+                    split.append(p)
         if max_leaf_nodes is None:
-            expand, keep = split, []
+            expand = split
         else:
-            for i in split:
-                heapq.heappush(heaps[tree[i]], (-scored[prov[i]][0], prov[i]))
-            popped = set()
+            for p in split:
+                heapq.heappush(heaps[tree[p]], (-scored[p][0], p))
+            # each tree under budget expands its best node, in ascending id
+            # order: that order numbers the children
+            expand = []
             for t, heap in enumerate(heaps):
                 if heap and n_leaves[t] < max_leaf_nodes:
-                    popped.add(heapq.heappop(heap)[1])
+                    expand.append(heapq.heappop(heap)[1])
                     n_leaves[t] += 1
-            waiting = set(range(n_kept)).union(split)
-            expand = [i for i in range(k) if prov[i] in popped]
-            keep = [i for i in range(k) if i in waiting and prov[i] not in popped]
+            expand.sort()
         e = len(expand)
         if not e:
             break
 
         # the expanded spans end to end: position p is in expanded node
         # part[p], whose rows go to slot part (its left child) or e + part
-        split_feature, split_threshold = zip(*(scored[prov[i]][1:] for i in expand))
+        split_feature, split_threshold = zip(*(scored[p][1:] for p in expand))
         if e == 1:
             at, part = slice(start[expand[0]], start[expand[0]] + size[expand[0]]), 0
             ascending = rows[d, at]
             right = X[ascending, split_feature[0]] > split_threshold[0]
             slot = right.astype(np.intp)
         else:
-            lengths = np.array([size[i] for i in expand])
+            lengths = np.array([size[p] for p in expand])
             # a small integer type keeps the sort by (part, side) a radix sort
             part = np.arange(e, dtype=np.int16 if e < 1 << 14 else np.intp).repeat(lengths)
-            shift = np.array([start[i] for i in expand]) - (lengths.cumsum() - lengths)
+            shift = np.array([start[p] for p in expand]) - (lengths.cumsum() - lengths)
             at = shift.repeat(lengths) + np.arange(len(part))
             ascending = rows[d, at]
             right = X[ascending, np.repeat(split_feature, lengths)]
             right = right > np.repeat(split_threshold, lengths)
             slot = part + e * right
-        counts = np.bincount(slot * N_CLASSES + y[ascending], w[at],
+        counts = np.bincount(slot * N_CLASSES + y[ascending], weights[0, ascending],
                              2 * e * N_CLASSES).reshape(2 * e, N_CLASSES)
         first = len(scored)
         tallies.append(counts)
         scored += [None] * (2 * e)
         children += [None] * (2 * e)
-        for j, i in enumerate(expand):
-            children[prov[i]] = (first + j, first + e + j)
+        for j, p in enumerate(expand):
+            children[p] = (first + j, first + e + j)
         leaf[ascending] = slot + first
 
-        # the children that may split, and the nodes kept, stay live
-        child_depth = [depth[i] + 1 for i in expand] * 2
-        if not (keep or min(child_depth) < deepest):
+        # the children that may split are the next pass's new nodes
+        child_depth = [depth[p] + 1 for p in expand] * 2
+        if not (any(heaps) or min(child_depth) < deepest):
             break
         child_size = np.bincount(slot, None, 2 * e).tolist()
         grows = _may_split(counts, child_size, child_depth, smallest, deepest)
-        if not (keep or any(grows)):
+        if not (any(heaps) or any(grows)):
             break
-        child_start = [start[i] for i in expand]
+        child_start = [start[p] for p in expand]
         child_start += [a + n for a, n in zip(child_start, child_size)]
         if any(grows):
             # each expanded span, in every line, stably sorted by side
@@ -268,16 +258,15 @@ def grow_trees(
             keyed = side[block] if e == 1 else side[block] + 2 * part
             line = np.arange(d + 1)[:, None]
             rows[:, at] = block[line, keyed.argsort(axis=1, kind="stable")]
-        kids = [j for j, g in enumerate(grows) if g]
+        start += child_start
+        size += child_size
+        depth += child_depth
+        tree += [tree[p] for p in expand] * 2
         if m < d:
             sides = [key[expand] ^ np.uint64(side) for side in (1, 2)]
-            key = np.concatenate([key[keep], splitmix64(np.concatenate(sides))[kids]])
-        start = [start[i] for i in keep] + [child_start[j] for j in kids]
-        size = [size[i] for i in keep] + [child_size[j] for j in kids]
-        depth = [depth[i] for i in keep] + [child_depth[j] for j in kids]
-        tree = [tree[i] for i in keep] + [tree[expand[j % e]] for j in kids]
-        prov = [prov[i] for i in keep] + [first + j for j in kids]
-        counts, n_kept = counts[kids], len(keep)
+            key = np.concatenate([key, splitmix64(np.concatenate(sides))])
+        kids = [j for j, g in enumerate(grows) if g]
+        live, counts = [first + j for j in kids], counts[kids]
 
     # every tree's provisional ids in best-first order, trees end to end; a
     # node's final id is its place in its tree's
@@ -473,8 +462,8 @@ def fit_decision_tree(X, y, seed, hyperparameters) -> dict:
 
 
 def fit_random_forest(X, y, seed, hyperparameters) -> dict:
-    limits = {key: hyperparameters[key] for key in ("max_depth", "min_leaf_size", "max_leaf_nodes")}
-    limits["feature_subset"] = min(hyperparameters["feature_subset"], X.shape[1])
+    names = ("max_depth", "min_leaf_size", "max_leaf_nodes", "feature_subset")
+    limits = {key: hyperparameters[key] for key in names}
     seeds = np.random.SeedSequence(seed).spawn(hyperparameters["n_trees"])
     per_batch = max(1, _BATCH_ROWS // len(y))
     trees = []

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from doctype.engagement import Click, Impression, LogEvent, build_impression_sets, qtctr
-from doctype.evaluation import ablation, cross_validate, FEATURE_SUBSETS
+from doctype.evaluation import ablation, cross_validate
 from doctype.ingest import DocType, FeatureVector
 from doctype.labeling import sample_size
 from doctype.models import (
@@ -290,10 +290,10 @@ class TestCriterion11AblationDirection:
         data = f2_signal_dataset(150, seed=10)
         hp = {"random-forest": {"n_trees": 10, "max_depth": 4, "feature_subset": 4}}
         scores = ablation(data, ["random-forest"], k=5, seed=3, hyperparameters=hp)
-        f2_only = scores[("random-forest", ("f2",))]
-        all_features = scores[("random-forest", FEATURE_SUBSETS[-1])]
+        f2_only = scores["random-forest"]["f2"]
+        all_features = scores["random-forest"]["f1+f2+f3+f4"]
         for fid in ("f1", "f3", "f4"):
-            assert f2_only >= scores[("random-forest", (fid,))] + 0.2, fid
+            assert f2_only >= scores["random-forest"][fid] + 0.2, fid
         assert all_features >= f2_only
         report(
             11,

@@ -13,7 +13,6 @@ import pytest
 from doctype import cli
 from doctype.cli import _build_parser, main
 from doctype.config import RunConfig
-from doctype.ingest import tokenize
 from doctype.labeling import read_examples, write_examples
 from doctype.models import KINDS, dataset_matrix, load_model, train, train_folds
 from doctype.models.baselines import _TABLE_KEYS
@@ -27,6 +26,7 @@ from conftest import (
     overflow_rows,
     toy_dataset,
 )
+from reference_words import tokenize
 
 
 def write_records(path, rows):

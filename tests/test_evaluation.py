@@ -731,16 +731,17 @@ class TestAblation:
         data = f2_signal_dataset(150, seed=10)
         hp = {"random-forest": {"n_trees": 10, "max_depth": 4, "feature_subset": 4}}
         scores = ablation(data, ["random-forest"], k=5, seed=3, hyperparameters=hp)
-        f2_only = scores[("random-forest", ("f2",))]
-        all_feats = scores[("random-forest", FEATURE_SUBSETS[-1])]
+        f2_only = scores["random-forest"]["f2"]
+        all_feats = scores["random-forest"]["f1+f2+f3+f4"]
         for fid in ("f1", "f3", "f4"):
-            assert f2_only >= scores[("random-forest", (fid,))] + 0.2
+            assert f2_only >= scores["random-forest"][fid] + 0.2
         assert all_feats >= f2_only
 
     def test_report_shape(self):
         data = toy_dataset(30, seed=11)
         scores = ablation(data, ["gnb"], k=3, seed=1)
-        assert set(scores) == {("gnb", subset) for subset in FEATURE_SUBSETS}
+        assert list(scores) == ["gnb"]
+        assert list(scores["gnb"]) == ["+".join(subset) for subset in FEATURE_SUBSETS]
 
     @pytest.mark.parametrize(
         "kinds, message",

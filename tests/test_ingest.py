@@ -17,9 +17,9 @@ from doctype.ingest import (
     count_words,
     extract_features,
     parse_records,
-    tokenize,
 )
 from doctype.ioutils import read_json_lines, read_json_lines_strict
+from reference_words import tokenize
 
 
 def record_line(doc_id="d1", authors=("a",), title="t", subjects=(), pages=("one two",)):

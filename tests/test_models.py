@@ -627,6 +627,27 @@ class TestDecisionTree:
         splits = sum(f >= 0 for f in fit_random_forest(X, y, 0, hp)["trees"]["feature"])
         assert len(passes) <= 4 and 4 * len(calls) <= splits
 
+    @pytest.mark.parametrize("kind, n, hp, seed, pinned", [
+        ("random-forest", 2000, DEPLOYED_FOREST_PROFILE, 7, (15, 164)),
+        ("decision-tree", 2000, {"max_leaf_nodes": 6}, 0, (6, 44)),
+        ("random-forest", 185, {"n_trees": 20, "max_depth": 4, "feature_subset": 2}, 0,
+         (4, 328)),
+    ])
+    def test_grower_scoring_work_is_pinned(self, kind, n, hp, seed, pinned, monkeypatch):
+        # the passes a fit makes and the (node, drawn feature) lines it
+        # scores, recorded before the grower kept its nodes by provisional
+        # id: a change to which nodes are scored, or when, fails here,
+        # including the nodes that wait under a leaf budget
+        props = {DocType.RESEARCH: 0.55, DocType.SLIDES: 0.10, DocType.THESIS: 0.35}
+        data = generate_synthetic(n, props, 3)
+        passes, lines = [], []
+        groups, best_split = tree_module._groups, tree_module._best_split
+        monkeypatch.setattr(tree_module, "_groups", lambda *a: passes.append(1) or groups(*a))
+        monkeypatch.setattr(tree_module, "_best_split",
+                            lambda *a: lines.append(a[5].size) or best_split(*a))
+        train(kind, data, hp, seed)
+        assert (len(passes), sum(lines)) == pinned
+
 
 #: sha256 of ``to_json()`` and of the ``predict_batch`` score bytes of tree
 #: models fitted on one fixed synthetic set with 20% of f1 blank. The scores
