@@ -48,7 +48,6 @@ from .evaluation import (
 )
 from .synthetic import REFERENCE_BOUNDS, generate_synthetic
 from .engagement import (
-    EngagementReport,
     ImpressionSet,
     LogEvent,
     build_impression_sets,

@@ -33,7 +33,7 @@ from .labeling import (
 )
 from .labeling import stratified_split  # noqa: F401 -- unused; bench/tracer.py wraps this name
 from .models import dataset_matrix, load_model, predict, save_model, train
-from .engagement import engagement_report, read_log_events
+from .engagement import engagement_report, human_engagement, read_log_events
 from .pipeline import run_pipeline
 from .stats import derive_thresholds
 from .stats import impute_f1  # noqa: F401 -- unused; bench/tracer.py wraps this name
@@ -376,19 +376,18 @@ def cmd_engagement(args) -> int:
     with open(args.log, "r", encoding="utf-8") as handle:
         parsed = read_log_events(handle, predictions)
     report = engagement_report(parsed.events)
-    n_rejected = parsed.n_rejected + report.n_rejected
-    total_engine_events = sum(r.n_events for r in report.engines.values())
+    n_events = sum(engine["n_events"] for engine in report["engines"].values())
+    n_rejected = parsed.n_rejected + report["rejected_unknown_engine"] + sum(report["rejected"].values())
+    print(f"engagement: {n_events} events, {n_rejected} rejected", file=sys.stderr)
+    if n_events == 0:
+        raise DocTypeError("no valid events")
     if args.out:
-        atomic_write_text(args.out, canonical_json(report.to_dict()))
-        atomic_write_text(Path(args.out).with_suffix(".txt"), report.human())
+        atomic_write_text(args.out, canonical_json(report))
+        atomic_write_text(Path(args.out).with_suffix(".txt"), human_engagement(report))
     elif args.format == "machine":
-        sys.stdout.write(canonical_json(report.to_dict()))
+        sys.stdout.write(canonical_json(report))
     else:
-        sys.stdout.write(report.human())
-    print(f"engagement: {total_engine_events} events, {n_rejected} rejected", file=sys.stderr)
-    if total_engine_events == 0:
-        print("error: no valid events", file=sys.stderr)
-        return EXIT_DATA
+        sys.stdout.write(human_engagement(report))
     return EXIT_OK
 
 

@@ -151,7 +151,7 @@ def _per_type() -> dict[DocType, int]:
 
 @dataclass
 class EngineReport:
-    """Counts and rates for one engine; rates are None when undefined."""
+    """One engine's counts, summed by ``add``; ``to_dict`` gives its rates."""
 
     n_events: int = 0
     n_rejected: int = 0
@@ -181,48 +181,32 @@ class EngineReport:
                 self.sets_any[derived.assigned_type] += 1
                 self.sets_top[derived.assigned_type] += derived.clicked_top
 
-    def qtctr(self, t: DocType, variant: str = "any") -> float:
-        _check_variant(variant)
+    def to_dict(self) -> dict:
+        """The counts and, per type, the rates of an engine with sets: QTCTR
+        is the share of sets assigned the type, RQTCTR is QTCTR times the
+        type's share of set impressions, and CTR is clicks per impression
+        of the type. CTR without impressions of the type, and RQTCTR
+        without any impressions, are None."""
         if self.n_sets == 0:
             raise UndefinedRateError("QTCTR is undefined for an empty engine")
-        hits = self.sets_any[t] if variant == "any" else self.sets_top[t]
-        return hits / self.n_sets
-
-    def impression_share(self, t: DocType) -> float:
-        if self.set_impressions_total == 0:
-            raise UndefinedRateError("impression share undefined without impressions")
-        return self.set_impressions[t] / self.set_impressions_total
-
-    def rqtctr(self, t: DocType, variant: str = "any") -> float:
-        return self.qtctr(t, variant) * self.impression_share(t)
-
-    def ctr(self, t: DocType) -> float | None:
-        if self.event_impressions[t] == 0:
-            return None
-        return self.event_clicks[t] / self.event_impressions[t]
-
-    def rates(self, t: DocType) -> dict[str, float | None]:
-        """The rates of one type for a report with sets; None where undefined:
-        CTR without impressions of the type, RQTCTR without any impressions."""
         shown = self.set_impressions_total > 0
-        return {
-            "ctr": self.ctr(t),
-            "qtctr_any": self.qtctr(t, "any"),
-            "qtctr_top": self.qtctr(t, "top"),
-            "rqtctr_any": self.rqtctr(t, "any") if shown else None,
-            "rqtctr_top": self.rqtctr(t, "top") if shown else None,
-        }
-
-    def to_dict(self) -> dict:
         by_type = {}
         for t in DOC_TYPES:
+            clicked, impressed = self.event_clicks[t], self.event_impressions[t]
+            qtctr_any = self.sets_any[t] / self.n_sets
+            qtctr_top = self.sets_top[t] / self.n_sets
+            share = self.set_impressions[t] / self.set_impressions_total if shown else None
             by_type[t.label] = {
                 "sets_any": self.sets_any[t],
                 "sets_top": self.sets_top[t],
                 "set_impressions": self.set_impressions[t],
-                "event_impressions": self.event_impressions[t],
-                "event_clicks": self.event_clicks[t],
-                **self.rates(t),
+                "event_impressions": impressed,
+                "event_clicks": clicked,
+                "ctr": clicked / impressed if impressed else None,
+                "qtctr_any": qtctr_any,
+                "qtctr_top": qtctr_top,
+                "rqtctr_any": qtctr_any * share if shown else None,
+                "rqtctr_top": qtctr_top * share if shown else None,
             }
         return {
             "n_events": self.n_events,
@@ -233,60 +217,11 @@ class EngineReport:
         }
 
 
-@dataclass
-class EngagementReport:
-    engines: dict[str, EngineReport]
-    n_rejected_unknown_engine: int = 0
-
-    @property
-    def n_rejected(self) -> int:
-        return self.n_rejected_unknown_engine + sum(
-            r.n_rejected for r in self.engines.values()
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "engines": {
-                name: report.to_dict()
-                for name, report in sorted(self.engines.items())
-                if report.n_sets > 0
-            },
-            "rejected": {
-                name: report.n_rejected for name, report in sorted(self.engines.items())
-            },
-            "rejected_unknown_engine": self.n_rejected_unknown_engine,
-        }
-
-    def human(self) -> str:
-        lines = []
-        header = (
-            f"{'engine':<12}{'type':<10}{'ctr':>10}{'qtctr/any':>12}"
-            f"{'qtctr/top':>12}{'rqtctr/any':>13}{'rqtctr/top':>13}"
-        )
-        for name in sorted(self.engines):
-            report = self.engines[name]
-            if report.n_sets == 0:
-                continue
-            lines.append(
-                f"{name}: {report.n_events} events, {report.n_sets} sets, "
-                f"{report.set_impressions_total} impressions, "
-                f"{report.n_rejected} rejected"
-            )
-            lines.append(header)
-            for t in DOC_TYPES:
-                r = {k: float("nan") if v is None else v for k, v in report.rates(t).items()}
-                lines.append(
-                    f"{'':<12}{t.label:<10}{r['ctr']:>10.5f}"
-                    f"{r['qtctr_any']:>12.5f}{r['qtctr_top']:>12.5f}"
-                    f"{r['rqtctr_any']:>13.6f}{r['rqtctr_top']:>13.6f}"
-                )
-            lines.append("")
-        return "\n".join(lines).rstrip() + "\n"
-
-
-def engagement_report(events: Iterable[LogEvent]) -> EngagementReport:
-    """Fold events into per-engine counts; division happens only at read time."""
+def engagement_report(events: Iterable[LogEvent]) -> dict:
+    """The report ``doctype engagement`` writes: each engine with sets as
+    ``EngineReport.to_dict`` gives it, every engine's rejected events, and
+    the events of an unknown engine. Events are folded into counts, and
+    rates are divided out once at the end."""
     engines: defaultdict[str, EngineReport] = defaultdict(EngineReport)
     unknown_engine = 0
     for event in events:
@@ -298,7 +233,40 @@ def engagement_report(events: Iterable[LogEvent]) -> EngagementReport:
             report.add(event, event_sets(event))
         except EventValidationError:
             report.n_rejected += 1
-    return EngagementReport(dict(engines), n_rejected_unknown_engine=unknown_engine)
+    return {
+        "format_version": REPORT_FORMAT_VERSION,
+        "engines": {
+            name: report.to_dict() for name, report in sorted(engines.items()) if report.n_sets > 0
+        },
+        "rejected": {name: report.n_rejected for name, report in sorted(engines.items())},
+        "rejected_unknown_engine": unknown_engine,
+    }
+
+
+def human_engagement(report: dict) -> str:
+    """The human table of an ``engagement_report``: each engine's counts,
+    then its rates by type; an undefined rate reads nan."""
+    lines = []
+    header = (
+        f"{'engine':<12}{'type':<10}{'ctr':>10}{'qtctr/any':>12}"
+        f"{'qtctr/top':>12}{'rqtctr/any':>13}{'rqtctr/top':>13}"
+    )
+    for name, engine in report["engines"].items():
+        lines.append(
+            f"{name}: {engine['n_events']} events, {engine['n_sets']} sets, "
+            f"{engine['set_impressions_total']} impressions, "
+            f"{engine['n_rejected']} rejected"
+        )
+        lines.append(header)
+        for label, rates in engine["types"].items():
+            r = {k: float("nan") if v is None else v for k, v in rates.items()}
+            lines.append(
+                f"{'':<12}{label:<10}{r['ctr']:>10.5f}"
+                f"{r['qtctr_any']:>12.5f}{r['qtctr_top']:>12.5f}"
+                f"{r['rqtctr_any']:>13.6f}{r['rqtctr_top']:>13.6f}"
+            )
+        lines.append("")
+    return "\n".join(lines).rstrip() + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ hypothesis profile."""
 from __future__ import annotations
 
 import base64
+import json
 import math
 import struct
 from dataclasses import replace
@@ -173,3 +174,36 @@ def random_events(n: int, seed: int) -> list[LogEvent]:
         clicked = [p + 1 for p in range(size) if rng.random() < 0.15]
         events.append(make_event(engine, f"q{i}", types, clicked))
     return events
+
+
+def write_click_log(directory, n: int = 60, seed: int = 7):
+    """Write ``random_events(n, seed)`` as a click log and the predictions
+    file that types it; return both paths. Every third event's impressions
+    carry no doc_type and resolve through the predictions file. Four lines
+    among the events are rejected, one each: a malformed line, an unknown
+    engine, a duplicate position and a click on an unimpressed doc."""
+    lines, predictions = [], []
+    for i, event in enumerate(random_events(n, seed)):
+        impressions = []
+        for imp in event.impressions:
+            impressions.append({"doc_id": imp.doc_id, "position": imp.position})
+            if i % 3:
+                impressions[-1]["doc_type"] = imp.doc_type.label
+            else:
+                predictions.append({"doc_id": imp.doc_id, "doc_type": imp.doc_type.label, "scores": {}})
+        clicks = [{"doc_id": c.doc_id, "position": c.position} for c in event.clicks]
+        lines.append(json.dumps({"engine": event.engine, "query_id": event.query_id,
+                                 "impressions": impressions, "clicks": clicks}))
+    good = {"engine": "search", "query_id": "bad",
+            "impressions": [{"doc_id": "a", "position": 1, "doc_type": "Slides"},
+                            {"doc_id": "b", "position": 2, "doc_type": "Thesis"}],
+            "clicks": [{"doc_id": "a", "position": 1}]}
+    lines.insert(n // 5, '{"engine": "search", "query_id": "cut", "impressions": [')
+    lines.insert(2 * n // 5, json.dumps(dict(good, engine="web")))
+    duplicate = [good["impressions"][0], dict(good["impressions"][1], position=1)]
+    lines.insert(3 * n // 5, json.dumps(dict(good, impressions=duplicate)))
+    lines.insert(4 * n // 5, json.dumps(dict(good, clicks=[{"doc_id": "c", "position": 2}])))
+    log, typed = directory / "log.jsonl", directory / "predictions.jsonl"
+    log.write_text("".join(line + "\n" for line in lines))
+    typed.write_text("".join(json.dumps(p) + "\n" for p in predictions))
+    return log, typed

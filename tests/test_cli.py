@@ -13,6 +13,8 @@ import pytest
 from doctype import cli
 from doctype.cli import _build_parser, main
 from doctype.config import RunConfig
+from doctype.engagement import engagement_report, human_engagement, read_log_events
+from doctype.ingest import DocType
 from doctype.labeling import read_examples, write_examples
 from doctype.models import KINDS, dataset_matrix, load_model, train, train_folds
 from doctype.models.baselines import _TABLE_KEYS
@@ -25,8 +27,13 @@ from conftest import (
     blank_f1,
     overflow_rows,
     toy_dataset,
+    write_click_log,
 )
 from reference_words import tokenize
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_records(path, rows):
@@ -764,6 +771,21 @@ class TestReportBytes:
         assert digests == PINNED_PIPELINE_REPORT_BYTES
 
 
+#: sha256 of ``engagement`` stdout in ``--format human`` and ``machine``,
+#: of the ``--out`` JSON report and its ``.txt`` (the same bytes as the two
+#: forms of stdout), and of the stderr line every run prints, and the exit
+#: code, over ``write_click_log``'s log and predictions file; recorded when
+#: the report was a dataclass with a ``to_dict`` and a ``human``
+PINNED_ENGAGEMENT_BYTES = {
+    "human": "64a4d8e8b9bd07736a7f291f991c9a4092859b63d2ccc19d224c1726a11896e0",
+    "machine": "de320cdbc52946e25b381065034dce414a37580ee9747e2756fc4b0d293dc016",
+    "json": "de320cdbc52946e25b381065034dce414a37580ee9747e2756fc4b0d293dc016",
+    "txt": "64a4d8e8b9bd07736a7f291f991c9a4092859b63d2ccc19d224c1726a11896e0",
+    "stderr": "ecec5f89b7942964deaf574e7cfc675e588d34cf29b4bf0e7b0de1ba0280b035",
+    "exit": 0,
+}
+
+
 class TestEngagementCommand:
     def _log(self, tmp_path, with_types=True):
         imp = {"doc_id": "a", "position": 1}
@@ -787,6 +809,21 @@ class TestEngagementCommand:
         assert payload["engines"]["search"]["types"]["Research"]["qtctr_any"] == 1.0
         assert (tmp_path / "report.txt").exists()
 
+    def test_report_keeps_its_bytes(self, tmp_path, capsys):
+        log, predictions = write_click_log(tmp_path)
+        out = tmp_path / "report.json"
+        digests, runs = {}, []
+        for form, flags in (("human", ["--format", "human"]), ("machine", ["--format", "machine"]),
+                            ("out", ["--out", str(out)])):
+            code = main(["engagement", str(log), "--predictions", str(predictions), *flags])
+            captured = capsys.readouterr()
+            digests[form] = sha256(captured.out.encode())
+            runs.append((code, sha256(captured.err.encode())))
+        assert digests.pop("out") == sha256(b"") and len(set(runs)) == 1
+        digests.update(json=sha256(out.read_bytes()), txt=sha256(out.with_suffix(".txt").read_bytes()))
+        digests.update(exit=runs[0][0], stderr=runs[0][1])
+        assert digests == PINNED_ENGAGEMENT_BYTES
+
     def test_out_that_is_its_own_human_report_exit_one(self, tmp_path, capsys):
         log = self._log(tmp_path)
         out = tmp_path / "report.txt"
@@ -795,6 +832,29 @@ class TestEngagementCommand:
             "", f"error: --out {out}: the .txt file beside it holds the human report\n"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
+
+    @pytest.mark.parametrize("flags", [[], ["--format", "machine"], ["--out", "report.json"]],
+                             ids=["human", "machine", "out"])
+    def test_no_valid_events_exit_two_and_write_nothing(self, flags, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        lines = [{"engine": "web", "query_id": "q1", "impressions": []},
+                 {"engine": "search", "query_id": "q2", "impressions": [], "clicks": [{"doc_id": "a", "position": 1}]}]
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(json.dumps(line) + "\n" for line in lines) + "{not json\n")
+        assert main(["engagement", str(log), *flags]) == 2
+        assert capsys.readouterr() == ("", "engagement: 0 events, 3 rejected\nerror: no valid events\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
+
+    def test_report_is_what_out_writes(self, tmp_path):
+        log, predictions = write_click_log(tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["engagement", str(log), "--predictions", str(predictions), "--out", str(out)]) == 0
+        with open(predictions) as handle:
+            typed = {row["doc_id"]: DocType.from_label(row["doc_type"]) for row in map(json.loads, handle)}
+        with open(log) as handle:
+            report = engagement_report(read_log_events(handle, typed).events)
+        assert json.loads(out.read_text()) == report
+        assert (tmp_path / "report.txt").read_text() == human_engagement(report)
 
     def test_join_with_predictions(self, tmp_path):
         log = self._log(tmp_path, with_types=False)

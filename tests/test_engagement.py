@@ -144,39 +144,40 @@ class TestRates:
 class TestEngagementReport:
     def test_single_clickless_event(self):
         report = engagement_report([make_event("search", "q", [R, T])])
-        engine = report.engines["search"]
-        assert engine.n_sets == 1
+        engine = report["engines"]["search"]
+        assert engine["n_sets"] == 1
         for t in DocType:
-            assert engine.qtctr(t, "any") == 0.0
-            assert engine.ctr(t) in (0.0, None)
+            assert engine["types"][t.label]["qtctr_any"] == 0.0
+            assert engine["types"][t.label]["ctr"] in (0.0, None)
 
     def test_identities_on_random_events(self):
         events = random_events(1000, seed=13)
         report = engagement_report(events)
-        for engine in report.engines.values():
+        for engine in report["engines"].values():
             total_any = 0.0
             for t in DocType:
-                share = engine.impression_share(t)
+                row = engine["types"][t.label]
+                share = row["set_impressions"] / engine["set_impressions_total"]
                 for variant in ("any", "top"):
-                    got = engine.rqtctr(t, variant)
-                    recomputed = engine.qtctr(t, variant) * share
+                    got = row[f"rqtctr_{variant}"]
+                    recomputed = row[f"qtctr_{variant}"] * share
                     assert got == pytest.approx(recomputed, abs=1e-12)
-                assert engine.qtctr(t, "top") <= engine.qtctr(t, "any") + 1e-15
-                total_any += engine.qtctr(t, "any")
+                assert row["qtctr_top"] <= row["qtctr_any"] + 1e-15
+                total_any += row["qtctr_any"]
             assert total_any <= 1.0 + 1e-12
 
     def test_sum_of_typed_sets_bounded(self):
         events = random_events(400, seed=14)
         report = engagement_report(events)
-        for engine in report.engines.values():
-            assert sum(engine.sets_any[t] for t in DocType) <= engine.n_sets
+        for engine in report["engines"].values():
+            assert sum(engine["types"][t.label]["sets_any"] for t in DocType) <= engine["n_sets"]
 
     def test_permutation_invariance(self):
         events = random_events(300, seed=15)
-        base = engagement_report(events).to_dict()
+        base = engagement_report(events)
         rng = np.random.default_rng(0)
         shuffled = [events[i] for i in rng.permutation(len(events))]
-        assert engagement_report(shuffled).to_dict() == base
+        assert engagement_report(shuffled) == base
 
     def test_matches_direct_ops(self):
         events = random_events(500, seed=16)
@@ -184,13 +185,13 @@ class TestEngagementReport:
         for name in ("search", "recommender"):
             subset = [e for e in events if e.engine == name]
             sets = build_impression_sets(subset).sets
-            engine = report.engines[name]
+            engine = report["engines"][name]
             for t in DocType:
                 for variant in ("any", "top"):
-                    assert engine.qtctr(t, variant) == pytest.approx(
+                    assert engine["types"][t.label][f"qtctr_{variant}"] == pytest.approx(
                         qtctr(sets, t, variant), abs=1e-15
                     )
-                    assert engine.rqtctr(t, variant) == pytest.approx(
+                    assert engine["types"][t.label][f"rqtctr_{variant}"] == pytest.approx(
                         rqtctr(sets, t, variant), abs=1e-15
                     )
 
@@ -198,17 +199,17 @@ class TestEngagementReport:
         bad = LogEvent("search", "bad", [Impression("d", 1, R)], [Click("x", 9)])
         good = make_event("search", "good", [R], clicked_positions=[1])
         report = engagement_report([bad, good])
-        assert report.engines["search"].n_rejected == 1
-        assert report.engines["search"].n_sets == 1
+        assert report["engines"]["search"]["n_rejected"] == 1
+        assert report["engines"]["search"]["n_sets"] == 1
 
     def test_each_click_counted_once(self):
         # Two clicks on position 2 give its type two clicks; clicks at
         # positions 1 and 3 of one type give that type one top set.
         event = make_event("search", "q", [R, S, R], clicked_positions=[2, 1, 2, 3])
-        engine = engagement_report([event]).engines["search"]
-        assert (engine.event_clicks[S], engine.event_clicks[R], engine.event_clicks[T]) == (2, 2, 0)
-        assert (engine.sets_any[R], engine.sets_top[R]) == (1, 1)
-        assert (engine.sets_any[S], engine.sets_top[S]) == (1, 0)
+        types = engagement_report([event])["engines"]["search"]["types"]
+        assert [types[t.label]["event_clicks"] for t in (S, R, T)] == [2, 2, 0]
+        assert (types["Research"]["sets_any"], types["Research"]["sets_top"]) == (1, 1)
+        assert (types["Slides"]["sets_any"], types["Slides"]["sets_top"]) == (1, 0)
 
     def test_impression_order_of_magnitude_story(self):
         # impression shares ~ {R: .667, T: .272, S: .061}; users click
@@ -229,9 +230,9 @@ class TestEngagementReport:
                     clicks = [pos]
             events.append(make_event("search", f"q{i}", types, clicks))
         report = engagement_report(events)
-        engine = report.engines["search"]
-        assert engine.rqtctr(R) > 8 * engine.rqtctr(S)
-        assert engine.rqtctr(T) > 8 * engine.rqtctr(S)
+        types = report["engines"]["search"]["types"]
+        assert types["Research"]["rqtctr_any"] > 8 * types["Slides"]["rqtctr_any"]
+        assert types["Thesis"]["rqtctr_any"] > 8 * types["Slides"]["rqtctr_any"]
 
 
 class TestLogParsing:
@@ -488,7 +489,7 @@ class TestFaultInjection:
     @settings(max_examples=150, deadline=None)
     @given(events=faulty_events())
     def test_report_counts_match_rules(self, events):
-        got = engagement_report(events).to_dict()
+        got = engagement_report(events)
         engines, unknown = expected_counts(events)
         assert got["rejected_unknown_engine"] == unknown
         assert got["rejected"] == {name: c["n_rejected"] for name, c in sorted(engines.items())}
