@@ -204,15 +204,9 @@ def _parse_json_flag(raw: str, name: str = "hyperparameters", shape: type = dict
 
 def cmd_extract(args) -> int:
     with open(args.records, "rb") as handle:
-        parsed = parse_records(handle)
-    lines = []
-    for rec in parsed.records:
-        lines.append(json.dumps(feature_row(rec.id, extract_features(rec)), sort_keys=True))
-    _write_or_print(args, "".join(line + "\n" for line in lines))
-    print(
-        f"extract: {len(parsed.records)} records, {parsed.skipped} skipped",
-        file=sys.stderr,
-    )
+        parsed = parse_records(handle, lambda rec: feature_row(rec.id, extract_features(rec)))
+    _write_or_print(args, "".join(json.dumps(row, sort_keys=True) + "\n" for row in parsed.records))
+    print(f"extract: {len(parsed.records)} records, {parsed.skipped} skipped", file=sys.stderr)
     if not parsed.records:
         print("warning: no records parsed", file=sys.stderr)
     return EXIT_OK
@@ -220,15 +214,11 @@ def cmd_extract(args) -> int:
 
 def cmd_label(args) -> int:
     with open(args.records, "rb") as handle:
-        parsed = parse_records(handle)
-    examples = [
-        LabeledExample(extract_features(rec), rule_label(rec), rec.id)
-        for rec in parsed.records
-    ]
-    _write_examples(args, examples)
-    print(
-        f"label: {len(examples)} examples, {parsed.skipped} skipped", file=sys.stderr
-    )
+        parsed = parse_records(
+            handle, lambda rec: LabeledExample(extract_features(rec), rule_label(rec), rec.id)
+        )
+    _write_examples(args, parsed.records)
+    print(f"label: {len(parsed.records)} examples, {parsed.skipped} skipped", file=sys.stderr)
     return EXIT_OK
 
 

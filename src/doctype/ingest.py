@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import IO, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -97,9 +97,10 @@ FIELD_BY_ID = {
 
 @dataclass
 class ParseResult:
-    """Outcome of parsing a record stream."""
+    """Outcome of parsing a record stream: what was kept for each record
+    (the record itself by default), in file order, and the lines skipped."""
 
-    records: list[DocumentRecord]
+    records: list
     skipped: int
 
 
@@ -166,17 +167,29 @@ def extract_features(record: DocumentRecord) -> FeatureVector:
     return FeatureVector(f1, f2, f3, f4)
 
 
-def parse_records(source: IO[bytes] | IO[str] | Iterable[str]) -> ParseResult:
+def parse_records(
+    source: IO[bytes] | IO[str] | Iterable[str],
+    keep: Callable[[DocumentRecord], Any] = lambda record: record,
+) -> ParseResult:
     """Parse line-delimited records; malformed and duplicate-id lines are counted, not raised.
 
-    The first line with a given id wins. Raises IngestError when the
-    stream itself cannot be read or decoded.
+    The first line with a given id wins. Each record is reduced to
+    ``keep(record)`` as soon as its line is read, so a caller that keeps
+    its features holds no page text beyond the line being read; an error
+    ``keep`` raises would skip the line as a malformed one. Raises
+    IngestError when the stream itself cannot be read or decoded.
     """
-    parsed, rejects = read_json_lines(source, _parse_record)
-    first_by_id: dict[str, DocumentRecord] = {}
-    for record in parsed:
-        first_by_id.setdefault(record.id, record)
-    return ParseResult(list(first_by_id.values()), len(rejects) + len(parsed) - len(first_by_id))
+    seen: set[str] = set()
+
+    def parse(obj):
+        record = _parse_record(obj)
+        if record.id in seen:
+            raise ValueError(f"duplicate id {record.id!r}")
+        seen.add(record.id)
+        return keep(record)
+
+    kept, rejects = read_json_lines(source, parse)
+    return ParseResult(kept, len(rejects))
 
 
 def _parse_record(obj) -> DocumentRecord:

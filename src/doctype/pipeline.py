@@ -128,19 +128,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
 
 def _extract_and_label(cfg: RunConfig, counts: dict) -> list[LabeledExample]:
+    # Each record is labeled as its line is read, so no page text outlives its line.
     with open(cfg.records_path, "rb") as handle:
-        parsed = _stage("extract", lambda: parse_records(handle))
-    counts["records"] = len(parsed.records)
+        parsed = _stage("extract", lambda: parse_records(
+            handle, lambda rec: LabeledExample(extract_features(rec), rule_label(rec), rec.id)
+        ))
+    counts["records"] = counts["labeled"] = len(parsed.records)
     counts["records_skipped"] = parsed.skipped
-    labeled = _stage(
-        "label",
-        lambda: [
-            LabeledExample(extract_features(rec), rule_label(rec), rec.id)
-            for rec in parsed.records
-        ],
-    )
-    counts["labeled"] = len(labeled)
-    return labeled
+    return parsed.records
 
 
 def _stage(name: str, thunk):

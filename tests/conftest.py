@@ -176,6 +176,50 @@ def random_events(n: int, seed: int) -> list[LogEvent]:
     return events
 
 
+#: what the pages of ``write_seeded_records`` are drawn from: words, a
+#: hyphenated word, a number and chunks that are no word
+RECORD_WORDS = ("alpha", "beta", "gamma-ray", "delta.", "42", "x", "--", "(", "...")
+#: a page of non-ASCII text: accented and CJK letters, a vulgar fraction
+#: (alphanumeric), an em dash (no word) and an ideographic space
+NON_ASCII_PAGE = "Über die Größe — naïve\u3000café 数据 ½ ¿?"
+
+
+def write_seeded_records(directory, n: int = 40, seed: int = 7, words: int = 60):
+    """Write ``n`` seeded records to ``directory / "records.jsonl"`` as UTF-8
+    and return its path. Records are Research, Slides (a "presentation"
+    title) and Thesis (a doctoral-thesis subject) in turn; a Slides record
+    has twice the pages of a Research one and a quarter of the words a
+    page, a Thesis four times the pages. Beside them the file holds, one
+    each: a byte order mark on line 1, a malformed line (after the first
+    ``n // 2`` records), a last line repeating the first id with other pages,
+    an authorless record (the second), a zero-page record (the third) and
+    a non-ASCII page (the fourth record's first)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        kind = i % 3
+        pages = [
+            " ".join(rng.choice(RECORD_WORDS, int(rng.integers(0, words + 1)) // (1, 4, 1)[kind]))
+            for _ in range(int(rng.integers(1, 7)) * (1, 2, 4)[kind])
+        ]
+        rows.append({
+            "id": f"doc-{i}",
+            "authors": [f"author {j}" for j in range(int(rng.integers(1, 5)))],
+            "title": ("A study", "Slides of a presentation", "On a theory")[kind] + f" {i}",
+            "subjects": (["article"], [], ["info:eu-repo/semantics/doctoralThesis"])[kind],
+            "pages": pages,
+        })
+    rows[1]["authors"] = []
+    rows[2]["pages"] = []
+    rows[3]["pages"][0] = NON_ASCII_PAGE
+    lines = [json.dumps(row, ensure_ascii=False) for row in rows]
+    lines.insert(n // 2, '{"id": "cut", "authors": ["a", ')
+    lines.append(json.dumps(dict(rows[0], pages=["other pages", "than the first copy"])))
+    path = directory / "records.jsonl"
+    path.write_bytes(("\ufeff" + "".join(line + "\n" for line in lines)).encode("utf-8"))
+    return path
+
+
 def write_click_log(directory, n: int = 60, seed: int = 7):
     """Write ``random_events(n, seed)`` as a click log and the predictions
     file that types it; return both paths. Every third event's impressions

@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,7 @@ from conftest import (
     overflow_rows,
     toy_dataset,
     write_click_log,
+    write_seeded_records,
 )
 from reference_words import tokenize
 
@@ -181,6 +183,24 @@ class TestExtract:
         assert main(["extract", str(src), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["f2"] == len(tokenize(page)) == 2
         assert capsys.readouterr().err == "extract: 1 records, 0 skipped\n"
+
+    def test_memory_is_bounded_by_the_largest_line(self, tmp_path, capsys):
+        # 32 records of 21 pages of 11 kB each: 229 kB a line, 7.3 MB in all
+        page = " ".join(f"w{j}" for j in range(2000))
+        src, out = tmp_path / "records.jsonl", tmp_path / "features.jsonl"
+        write_records(src, [record_row(f"r{i}", pages=[f"{i} {page}"] * 21) for i in range(32)])
+        largest = max(map(len, src.read_bytes().splitlines()))
+        tracemalloc.start()
+        try:
+            assert main(["extract", str(src), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == "extract: 32 records, 0 skipped\n"
+        assert [json.loads(line)["f2"] for line in out.read_text().splitlines()] == [42021] * 32
+        # About 4.9 lines when each line is reduced to its features as it is
+        # read; 36 when every record's pages are held until the file ends.
+        assert peak < 8 * largest, f"peak {peak} bytes for a largest line of {largest}"
 
     def test_unreadable_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
@@ -769,6 +789,61 @@ class TestReportBytes:
                    for name in ("sweep_results.json", "manifest.json")}
         digests["stderr"] = hashlib.sha256(capsys.readouterr().err.encode()).hexdigest()
         assert digests == PINNED_PIPELINE_REPORT_BYTES
+
+
+#: sha256 of ``extract`` and ``label`` stdout (the same bytes as the file
+#: each writes with ``--out``) and of the stderr lines each prints, and the
+#: exit code, over ``write_seeded_records``' file of 40 records; and of the
+#: ``model.json`` of a pipeline run from that file, with its manifest's
+#: counts. Recorded when ``parse_records`` still held every record's pages
+#: before any feature was computed.
+PINNED_INGEST_BYTES = {
+    "extract": {"stdout": "b8942d2a76a935777ab30ddc00d3dd69506a51df016b0d6fa8351a0d697b3e8b",
+                "stderr": "de27c8585112600ecca64bec9bd4d3d99966fbbedf8d6785feaa8bcbdea1c907", "exit": 0},
+    "label": {"stdout": "db816b3e6c78ef347994c9a6ecbef24ed42412a9bb1b6f4413d5146661011b44",
+              "stderr": "74e426bf78b5f5fbfb016cc710997c0a2f5c0223fb75dd6a631adc54d37d1e78", "exit": 0},
+    "pipeline": {"model.json": "d20345fbb97ecaf63280f081144d0b3cdb180df8b8dec5ea26b25857ab373287",
+                 "counts": {"records": 40, "records_skipped": 2, "labeled": 40,
+                            "sampled": 40, "train_pool": 32, "validation": 8}},
+}
+
+
+class TestIngestBytes:
+    @pytest.mark.parametrize("command", ["extract", "label"])
+    def test_records_commands_keep_their_bytes(self, command, tmp_path, capsys):
+        records, out = write_seeded_records(tmp_path), tmp_path / "out.jsonl"
+        code = main([command, str(records)])
+        printed = capsys.readouterr()
+        assert main([command, str(records), "--out", str(out)]) == code
+        assert capsys.readouterr() == ("", printed.err)
+        assert out.read_bytes() == printed.out.encode()
+        digests = {"stdout": sha256(printed.out.encode()), "stderr": sha256(printed.err.encode()), "exit": code}
+        assert digests == PINNED_INGEST_BYTES[command]
+
+    def _records_pipeline(self, tmp_path, monkeypatch):
+        # relative paths keep the config hash, and the error's file name, fixed
+        monkeypatch.chdir(tmp_path)
+        config = {"seed": 11, "k_folds": 3, "paths": {"records": "records.jsonl", "output_dir": "out"},
+                  "sweep": {"kinds": ["decision-tree", "gnb"], "transforms": ["identity"],
+                            "grids": {"decision-tree": [{"max_depth": 2}, {"max_depth": 3}]}}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        return write_seeded_records(tmp_path)
+
+    def test_records_pipeline_keeps_its_bytes(self, tmp_path, monkeypatch, capsys):
+        self._records_pipeline(tmp_path, monkeypatch)
+        assert main(["pipeline", "--config", "config.json"]) == 0
+        pinned = PINNED_INGEST_BYTES["pipeline"]
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["counts"] == pinned["counts"]
+        assert sha256((tmp_path / "out" / "model.json").read_bytes()) == pinned["model.json"]
+
+    def test_undecodable_records_pipeline_exit_two(self, tmp_path, monkeypatch, capsys):
+        records = self._records_pipeline(tmp_path, monkeypatch)
+        raw = records.read_bytes()
+        records.write_bytes(raw[:1000] + b"\xff" + raw[1000:])
+        assert main(["pipeline", "--config", "config.json"]) == 2
+        assert capsys.readouterr() == ("", "error: stage extract: cannot read records.jsonl: 'utf-8' "
+                                           "codec can't decode byte 0xff in position 129: invalid start byte\n")
+        assert not (tmp_path / "out").exists()
 
 
 #: sha256 of ``engagement`` stdout in ``--format human`` and ``machine``,

@@ -1,18 +1,22 @@
 """Bad input never ends in a traceback: seeded byte mutations and line
 splices of small valid inputs, run through ``cli.main`` in process. Every
 run exits 0, 1 or 2, and a failing run prints one ``error:`` line and
-writes nothing."""
+writes nothing. A records run that exits 0 writes what its lines give one
+at a time."""
 
 import contextlib
 import io
+import json
+import re
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doctype.cli import main
 
-from conftest import write_click_log
+from conftest import write_click_log, write_seeded_records
 
 #: bytes that JSON gives meaning to; an edit draws one of them about as
 #: often as it draws any byte at all
@@ -42,6 +46,62 @@ def edited(data: bytes, edit: tuple) -> bytes:
     return data[:at] + bytes(rest) + data[at + (kind == "set"):]
 
 
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)`` in process: its exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def check_failure(code: int, err: str) -> bool:
+    """Whether a run failed; asserts that it ended in an exit code, not a
+    traceback, and that a failure printed one ``error:`` line, last."""
+    assert code in (0, 1, 2) and "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (code != 0) and (not errors or err.endswith(errors[0] + "\n"))
+    return code != 0
+
+
+@pytest.mark.parametrize("command", ["extract", "label"])
+def test_mutated_records_fail_cleanly_or_match_each_line_alone(command, tmp_path):
+    records = write_seeded_records(tmp_path, n=6, words=12)
+    raw, alone, out = records.read_bytes(), tmp_path / "alone.jsonl", tmp_path / "out.jsonl"
+
+    @settings(max_examples=100, deadline=timedelta(seconds=2))
+    @given(edits=st.lists(EDITS, min_size=1, max_size=4), to_file=st.booleans())
+    def run(edits, to_file):
+        data = raw
+        for edit in edits:
+            data = edited(data, edit)
+        records.write_bytes(data)
+        out.unlink(missing_ok=True)
+        code, stdout, err = run_main([command, str(records), *(["--out", str(out)] * to_file)])
+        if check_failure(code, err):
+            assert stdout == "" and not out.exists()
+            return
+        # Each line alone: line 1 first in its file, any other after a blank
+        # line, so that a byte order mark is dropped from line 1 only.
+        rows, seen, skipped = [], set(), 0
+        for number, line in enumerate(data.split(b"\n")):
+            alone.write_bytes(b"\n" * (number > 0) + line + b"\n")
+            code, lines, counts = run_main([command, str(alone)])
+            assert code == 0
+            skipped += int(re.match(r"\w+: \d+ \w+, (\d+) skipped\n", counts).group(1))
+            for row in lines.splitlines(keepends=True):
+                doc_id = json.loads(row)["id"]
+                if doc_id in seen:
+                    skipped += 1
+                else:
+                    seen.add(doc_id)
+                    rows.append(row)
+        assert (out.read_text() if to_file else stdout) == "".join(rows)
+        noun = "records" if command == "extract" else "examples"
+        assert err.startswith(f"{command}: {len(rows)} {noun}, {skipped} skipped\n")
+
+    run()
+
+
 def test_mutated_click_log_and_predictions_fail_cleanly(tmp_path):
     log, predictions = write_click_log(tmp_path, n=10, seed=3)
     files = {log: log.read_bytes(), predictions: predictions.read_bytes()}
@@ -59,16 +119,10 @@ def test_mutated_click_log_and_predictions_fail_cleanly(tmp_path):
             path.write_bytes(raw)
         for written in (out, out.with_suffix(".txt")):
             written.unlink(missing_ok=True)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["engagement", str(log), "--predictions", str(predictions), *forms[form]])
-        err = stderr.getvalue()
-        assert code in (0, 1, 2) and "Traceback" not in err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        if code:
-            assert len(errors) == 1 and err.endswith(errors[0] + "\n")
-            assert stdout.getvalue() == "" and not out.exists() and not out.with_suffix(".txt").exists()
+        code, stdout, err = run_main(["engagement", str(log), "--predictions", str(predictions), *forms[form]])
+        if check_failure(code, err):
+            assert stdout == "" and not out.exists() and not out.with_suffix(".txt").exists()
         else:
-            assert errors == [] and out.exists() == (form == "out")
+            assert out.exists() == (form == "out")
 
     run()

@@ -233,6 +233,25 @@ class TestParseRecords:
         result = parse_records(io.StringIO(text))
         assert [r.id for r in result.records] == ids
 
+    def test_keep_sees_each_first_record_once(self):
+        text = "\n".join([record_line("a"), "{oops", record_line("b", pages=()), record_line("a")])
+        kept = []
+        result = parse_records(io.StringIO(text), lambda rec: kept.append(rec) or rec.id.upper())
+        assert [rec.id for rec in kept] == ["a", "b"] and kept[1].pages == ()
+        assert result.records == ["A", "B"] and result.skipped == 2
+
+    def test_keep_runs_as_each_line_is_read(self):
+        read = []
+
+        def lines():
+            for i in range(3):
+                read.append(i)
+                yield record_line(f"d{i}")
+
+        calls = []
+        parse_records(lines(), lambda rec: calls.append((rec.id, len(read))))
+        assert calls == [("d0", 1), ("d1", 2), ("d2", 3)]
+
 
 def _positive(obj):
     if obj["n"] <= 0:
