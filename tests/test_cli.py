@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import shutil
 import tracemalloc
 
@@ -790,6 +791,68 @@ class TestReportBytes:
         digests["stderr"] = hashlib.sha256(capsys.readouterr().err.encode()).hexdigest()
         assert digests == PINNED_PIPELINE_REPORT_BYTES
 
+
+
+#: (argv, sha256 of stdout) of each command that reads a value from
+#: ``--config``, once from ``CONFIGURED`` alone and once with each flag
+#: that overrides one of its values, over ``synthetic_file`` with a fifth
+#: of f1 blanked; recorded when the config was a dataclass
+CONFIGURED = {"seed": 13, "proportions": {"Research": 0.5, "Slides": 0.2, "Thesis": 0.3},
+              "quantiles": {"lo": 0.05, "hi": 0.9}}
+PROPORTIONS_FLAG = ["--proportions", '{"Research": 0.6, "Slides": 0.1, "Thesis": 0.3}']
+PINNED_CONFIGURED_BYTES = [
+    (["sample", "LABELED", "--total", "60"],
+     "b2efe274cd308323fc8d1708cf3dbff59220a55faf816d4ceff759cffc13cb8c"),
+    (["sample", "LABELED", "--total", "60", "--seed", "2"],
+     "c1061672493d31dfdd5f49b5b0d461db80410305d5408759b33c37b1c78b8dc4"),
+    (["sample", "LABELED", "--total", "60", *PROPORTIONS_FLAG],
+     "d3486d9c15f479c36c754a4996172ce4007fc9b6aadc23f5ef11352af94132b2"),
+    (["synth", "--n", "30"],
+     "1431ca46e9c8e8902053a238a62743c16169dc44706a9dc410ac52645bed284d"),
+    (["synth", "--n", "30", "--seed", "2"],
+     "5725703617e6e43cd87ca2ac12672c8ac952469d2dc9573d153300f6f0941ae4"),
+    (["synth", "--n", "30", *PROPORTIONS_FLAG],
+     "91dfc86294677d225568c94c852f47f689cb6157cca4d8d4664515fb6c671358"),
+    (["thresholds", "LABELED"],
+     "f535ffbdc315f4b41f8f1c439bf7f942dc0ad5e7840176769c8024f7c9e8789a"),
+    (["thresholds", "LABELED", "--quantile-lo", "0.1"],
+     "4db47e1f89be412ba5e7a1de04534dd5f57ac0efe62a8f00424c79ec439163ba"),
+    (["thresholds", "LABELED", "--quantile-hi", "0.8"],
+     "2bc8020af1fb07b0e0378572d290dd2665810a063149a04ce53671c3c28fdf1f"),
+]
+
+#: sha256 of ``predict`` stdout and of its stderr with the ms/row figure
+#: masked, and the exit code, for a seeded forest over feature rows that
+#: include a null f1, bad values and a line that is not JSON
+PINNED_PREDICT_BYTES = {"stdout": "5d1a8330f45f53953fa6a0bd092fe7734298e215c50dc9bb1a1b76c7865e0bfd",
+                        "stderr": "a6716f2babd46fe577318bb00634e64d733f5fcdb7117fd15ce13792ec1385f3", "exit": 0}
+
+
+class TestConfiguredBytes:
+    @pytest.mark.parametrize("argv, digest", PINNED_CONFIGURED_BYTES, ids=[
+        f"{command}{flag}" for command in ("sample", "synth") for flag in ("", "-seed", "-proportions")
+    ] + ["thresholds", "thresholds-lo", "thresholds-hi"])
+    def test_stdout_keeps_its_bytes(self, argv, digest, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CONFIGURED))
+        labeled = str(synthetic_file(tmp_path, 0.2))
+        assert main([labeled if a == "LABELED" else a for a in argv] + ["--config", str(config)]) == 0
+        out, err = capsys.readouterr()
+        assert (sha256(out.encode()), err) == (digest, "")
+
+    def test_predict_keeps_its_bytes(self, tmp_path, capsys):
+        labeled, model = synthetic_file(tmp_path, 0.2), tmp_path / "model.json"
+        assert main(["train", str(labeled), "--kind", "random-forest", "--seed", "3",
+                     "--hyperparameters", '{"n_trees": 5, "max_depth": 3}', "--out", str(model)]) == 0
+        rows = labeled.read_text().splitlines()[:12]
+        bad = [{"id": "x1", "f1": 1, "f2": "many", "f3": 2, "f4": 3.0}, {"id": 7, "f1": 1, "f2": 1, "f3": 1, "f4": 1},
+               {"id": "x3", "f1": None, "f2": 900, "f3": 3}]
+        features = tmp_path / "features.jsonl"
+        features.write_text("\n".join([*rows, *map(json.dumps, bad), "{", "", "[1]"]) + "\n")
+        code = main(["predict", str(model), str(features)])
+        out, err = capsys.readouterr()
+        err = re.sub(r"\d+\.\d{3} ms/row", "X ms/row", err)
+        assert {"stdout": sha256(out.encode()), "stderr": sha256(err.encode()), "exit": code} == PINNED_PREDICT_BYTES
 
 #: sha256 of ``extract`` and ``label`` stdout (the same bytes as the file
 #: each writes with ``--out``) and of the stderr lines each prints, and the

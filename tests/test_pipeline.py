@@ -131,17 +131,21 @@ class TestConfig:
         [
             ({"sweep": []}, "sweep must be an object, got []"),
             ({"paths": "x"}, 'paths must be an object, got "x"'),
-            ({"quantiles": [0.1]}, "quantiles must be an object"),
-            ({"proportions": [1]}, "proportions must be an object"),
-            ({"sweep": {"kinds": "random-forest"}}, "sweep.kinds must be a list of strings"),
-            ({"sweep": {"transforms": "identity"}}, "sweep.transforms must be a list of strings"),
-            ({"sample_total": "5"}, "sample_total must be an integer or null"),
-            ({"sample_total": 2.5}, "sample_total must be an integer or null"),
+            ({"quantiles": [0.1]}, "quantiles must be an object, got [0.1]"),
+            ({"proportions": [1]}, "proportions must be an object, got [1]"),
+            ({"sweep": {"kinds": "random-forest"}},
+             'sweep.kinds must be a list of strings, got "random-forest"'),
+            ({"sweep": {"transforms": "identity"}},
+             'sweep.transforms must be a list of strings, got "identity"'),
+            ({"sample_total": "5"}, 'sample_total must be an integer or null, got "5"'),
+            ({"sample_total": 2.5}, "sample_total must be an integer or null, got 2.5"),
             ({"sample_total": True}, "sample_total must be an integer or null, got true"),
             ({"seed": True}, "seed must be an integer, got true"),
-            ({"seed": "5"}, "seed must be an integer"),
-            ({"k_folds": 3.0}, "k_folds must be an integer"),
-            ({"paths": {"records": 5}}, "paths.records must be a string or null"),
+            # the id keeps the name the case had when it matched a prefix of the message
+            pytest.param({"seed": "5"}, 'seed must be an integer, got "5"',
+                         id="payload10-seed must be an integer"),
+            ({"k_folds": 3.0}, "k_folds must be an integer, got 3.0"),
+            ({"paths": {"records": 5}}, "paths.records must be a string or null, got 5"),
             ({"validation_fraction": "0.1"}, 'validation_fraction must be a finite number, got "0.1"'),
             ({"validation_fraction": True}, "validation_fraction must be a finite number, got true"),
             ({"quantiles": {"lo": "0.1"}}, 'quantiles.lo must be a finite number, got "0.1"'),
@@ -160,23 +164,27 @@ class TestConfig:
             ({"sweep": {"transforms": []}}, "sweep.transforms must be non-empty"),
             ({"sweep": {"grids": {"adaboost": []}}}, "sweep grid for adaboost must be non-empty"),
             ({"sweep": {"kinds": ["gnb", "gnb"]}}, "sweep.kinds must not repeat an entry, got ['gnb', 'gnb']"),
-            ({"sweep": {"transforms": ["z-score", "z-score"]}}, "sweep.transforms must not repeat an entry"),
+            ({"sweep": {"transforms": ["z-score", "z-score"]}},
+             "sweep.transforms must not repeat an entry, got ['z-score', 'z-score']"),
             ({"sweep": {"grids": {"knn": [{"k": 1}]}}}, "sweep grid for knn: knn is not in sweep.kinds"),
             # files that are not a JSON document; PATH is the config's path
-            pytest.param(b"[" * 20000, "config PATH is not valid JSON: maximum recursion depth",
+            pytest.param(b"[" * 20000, "config PATH is not valid JSON: maximum recursion depth exceeded "
+                         "while decoding a JSON array from a unicode string",
                          id="nested-20000-deep"),
-            pytest.param(b'{"seed": "\xff"}', "cannot read config PATH: 'utf-8' codec can't decode",
+            pytest.param(b'{"seed": "\xff"}', "cannot read config PATH: 'utf-8' codec can't decode byte 0xff "
+                         "in position 10: invalid start byte",
                          id="not-utf-8"),
         ],
     )
     def test_bad_config_value_exits_one(self, payload, message, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
+        message = message.replace("PATH", str(path))
         with pytest.raises(ConfigError) as err:
             load_config(path)
-        assert message.replace("PATH", str(path)) in str(err.value)
+        assert str(err.value) == message
         assert main(["pipeline", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {err.value}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -377,3 +385,41 @@ class TestLabelFreeValidation:
                 run_pipeline(config_from_dict({**config, "paths": paths}))
                 outcomes.append((predicted, (Path(tmp) / "out" / "model.json").read_text()))
         assert outcomes[0] == outcomes[1]
+
+
+#: A config that sets every key the reader reads, some keys it drops, and
+#: integer quantile levels, which the reader stores as floats.
+EVERY_KEY_CONFIG = {
+    "seed": 4,
+    "note": "no stage reads this",
+    "paths": {"records": None, "labeled": "labeled.jsonl", "output_dir": "out", "log": "clicks.jsonl"},
+    "proportions": {"Thesis": 0.3, "Research": 0.5, "Slides": 0.2},
+    "sample_total": 60,
+    "k_folds": 3,
+    "validation_fraction": 0.25,
+    "quantiles": {"lo": 0, "hi": 1},
+    "sweep": {"kinds": ["gnb", "decision-tree"], "transforms": ["log-scale", "identity"],
+              "grids": {"decision-tree": [{"max_depth": 1}, {"max_depth": 2}]}},
+}
+
+#: sha256 of the manifest's ``config`` as ``manifest.json`` stores it, and
+#: the manifest's ``config_hash``, for ``EVERY_KEY_CONFIG``; recorded when
+#: the config was a dataclass with a ``to_dict`` and a ``hash``
+PINNED_CONFIG_BYTES = {
+    "config": "33f85534b6b1794a667677624075017f96e321f7deaa50bab92ae3fc6e07eb64",
+    "config_hash": "2ab4885d127946d8dde360b935bd59c1928ca57d75147c6c483bfbc889e18dd5",
+}
+
+
+def test_every_key_config_keeps_its_bytes(tmp_path, monkeypatch):
+    # relative paths keep the config hash fixed
+    monkeypatch.chdir(tmp_path)
+    props = {DocType.RESEARCH: 0.55, DocType.SLIDES: 0.10, DocType.THESIS: 0.35}
+    with open("labeled.jsonl", "w") as handle:
+        write_examples(handle, generate_synthetic(120, props, 9))
+    (tmp_path / "config.json").write_text(json.dumps(EVERY_KEY_CONFIG))
+    assert main(["pipeline", "--config", "config.json"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    stored = json.dumps(manifest["config"], sort_keys=True, indent=2)
+    digests = {"config": hashlib.sha256(stored.encode()).hexdigest(), "config_hash": manifest["config_hash"]}
+    assert digests == PINNED_CONFIG_BYTES
