@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, check_seed, load_config, read_proportions
+from .config import check_seed, config_from_dict, load_config, read_proportions
 from .errors import ConfigError, DocTypeError
 from .evaluation import ablation, cross_validate, human_report, report_from_confusion, sweep
 from .ingest import DocType, extract_features, parse_records
@@ -70,12 +70,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _resolve_config_defaults(args) -> None:
-    """Fill unset flags from --config, else RunConfig's defaults; a given flag wins."""
+    """Fill unset flags from --config, else the default config; a given flag wins."""
     config = getattr(args, "config", None)
-    args.run_config = load_config(config) if config else RunConfig()
+    args.run_config = load_config(config) if config else config_from_dict({})
     if "seed" in vars(args):
         if args.seed is None:
-            args.seed = args.run_config.seed
+            args.seed = args.run_config["seed"]
         check_seed(args.seed)
 
 
@@ -183,10 +183,9 @@ def _read_labeled(path: str) -> list[LabeledExample]:
         return read_examples(handle)
 
 
-def _parse_proportions(raw: str | None, run_config: RunConfig) -> dict[DocType, float]:
-    if raw is None:
-        return dict(run_config.proportions)
-    return read_proportions(_parse_json_flag(raw, "proportions"))
+def _parse_proportions(raw: str | None, run_config: dict) -> dict[DocType, float]:
+    payload = run_config["proportions"] if raw is None else _parse_json_flag(raw, "proportions")
+    return read_proportions(payload)
 
 
 def _parse_json_flag(raw: str, name: str = "hyperparameters", shape: type = dict):
@@ -241,9 +240,9 @@ def cmd_sample(args) -> int:
 
 def cmd_thresholds(args) -> int:
     examples = _read_labeled(args.labeled)
-    cfg = args.run_config
-    lo = cfg.quantile_lo if args.quantile_lo is None else args.quantile_lo
-    hi = cfg.quantile_hi if args.quantile_hi is None else args.quantile_hi
+    quantiles = args.run_config["quantiles"]
+    lo = quantiles["lo"] if args.quantile_lo is None else args.quantile_lo
+    hi = quantiles["hi"] if args.quantile_hi is None else args.quantile_hi
     _write_or_print(args, canonical_json(derive_thresholds(*dataset_matrix(examples), lo, hi)))
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from ..errors import DocTypeError, ModelFormatError, TrainingError
 from ..ingest import DOC_TYPES, FEATURE_IDS, FIELD_BY_ID, N_CLASSES, DocType, FeatureVector
 from ..ioutils import atomic_write_text, finite_number, known_keys
 from ..labeling import LabeledExample
-from ..stats import Imputer, TransformSpec
+from ..stats import Imputer, TransformSpec, check_quantile_levels
 from .adaboost import adaboost_predictor, fit_adaboost
 from .artifact import ModelArtifact
 from .baselines import (
@@ -201,7 +201,8 @@ def nested_keys(kind: str, hyperparameters: Mapping) -> tuple[str, ...]:
 
 def check_hyperparameters(kind: str, hyperparameters: dict) -> None:
     """Raise ValueError for an unknown kind, the first key ``kind`` does
-    not take, or else the first hyperparameter of a wrong type."""
+    not take, the first hyperparameter of a wrong type, or else threshold
+    quantile levels, defaults filled in, that the fit would refuse."""
     listed = kind_spec(kind).hyperparameters
     for key in hyperparameters:
         if key not in listed:
@@ -211,6 +212,9 @@ def check_hyperparameters(kind: str, hyperparameters: dict) -> None:
         if key in hyperparameters and not accepts(value := hyperparameters[key]):
             shown = json.dumps(value, default=repr)
             raise ValueError(f"{kind} hyperparameter {key} must be {expected}, got {shown}")
+    if kind == "baseline-threshold":
+        levels = {key: default for key, (_, _, default) in listed.items()} | hyperparameters
+        check_quantile_levels(levels["quantile_lo"], levels["quantile_hi"])
 
 
 def check_features(features: Sequence[str]) -> tuple[str, ...]:

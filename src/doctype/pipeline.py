@@ -10,8 +10,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, validate_config
-from .errors import DocTypeError
+from .config import config_from_dict, config_hash, read_proportions
+from .errors import ConfigError, DocTypeError
 from .evaluation import evaluate, sweep
 from .ingest import parse_records, extract_features
 from .ioutils import atomic_write_text, canonical_json
@@ -27,26 +27,35 @@ from .stats import derive_thresholds
 from .stats import impute_f1  # noqa: F401 -- no stage imputes; bench/tracer.py wraps this name
 
 
-def run_pipeline(cfg: RunConfig) -> dict:
-    """Run every stage of ``cfg``, write its outputs and return the manifest."""
-    # a RunConfig built in Python has not been through config_from_dict
-    validate_config(cfg, needs_input=True)
+def run_pipeline(config: dict) -> dict:
+    """Run every stage of ``config``, write its outputs and return the
+    manifest. A config built in Python is read by ``config_from_dict`` as a
+    config file is; then it needs an input path that exists."""
+    cfg = config_from_dict(config)
+    paths, seed = cfg["paths"], cfg["seed"]
+    # only the path the pipeline reads: records when given, else labeled
+    source = "records" if paths["records"] is not None else "labeled"
+    if paths[source] is None:
+        raise ConfigError("pipeline needs paths.records or paths.labeled")
+    if not Path(paths[source]).exists():
+        raise ConfigError(f"{source} path does not exist: {paths[source]}")
 
     counts: dict[str, int] = {}
-    if cfg.records_path is not None:
-        labeled = _extract_and_label(cfg, counts)
+    if source == "records":
+        labeled = _extract_and_label(paths["records"], counts)
     else:
         from .labeling import read_examples
 
-        with open(cfg.labeled_path, "r", encoding="utf-8") as handle:
+        with open(paths["labeled"], "r", encoding="utf-8") as handle:
             labeled = read_examples(handle)
         counts["labeled"] = len(labeled)
 
-    if cfg.sample_total is not None:
+    if cfg["sample_total"] is not None:
+        proportions = read_proportions(cfg["proportions"])
         sampled = _stage(
             "sample",
             lambda: balanced_sample(
-                labeled, cfg.sample_total, cfg.proportions, derive_seed(cfg.seed, "sample")
+                labeled, cfg["sample_total"], proportions, derive_seed(seed, "sample")
             ),
         )
     else:
@@ -56,11 +65,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
     split = _stage(
         "split",
         lambda: stratified_split(
-            sampled, cfg.k_folds, cfg.validation_fraction, derive_seed(cfg.seed, "split")
+            sampled, cfg["k_folds"], cfg["validation_fraction"], derive_seed(seed, "split")
         ),
     )
     if not split.validation:
-        raise DocTypeError(f"stage split: validation_fraction {cfg.validation_fraction} "
+        raise DocTypeError(f"stage split: validation_fraction {cfg['validation_fraction']} "
                            f"of {len(sampled)} rows leaves no validation rows")
     counts["train_pool"] = len(split.train)
     counts["validation"] = len(split.validation)
@@ -68,22 +77,22 @@ def run_pipeline(cfg: RunConfig) -> dict:
     thresholds = _stage(
         "thresholds",
         lambda: derive_thresholds(
-            *dataset_matrix(split.train), cfg.quantile_lo, cfg.quantile_hi
+            *dataset_matrix(split.train), cfg["quantiles"]["lo"], cfg["quantiles"]["hi"]
         ),
     )
 
     best, cv_report = None, None
     sweeps = {}
-    for kind in cfg.sweep_kinds:
+    for kind in cfg["sweep"]["kinds"]:
         table, reports = _stage(
             f"sweep[{kind}]",
             lambda kind=kind: sweep(
                 kind,
                 split.train,
-                grid=cfg.sweep_grids.get(kind),
-                transforms=cfg.sweep_transforms,
-                k=cfg.k_folds,
-                seed=derive_seed(cfg.seed, f"sweep-{kind}"),
+                grid=cfg["sweep"]["grids"].get(kind),
+                transforms=cfg["sweep"]["transforms"],
+                k=cfg["k_folds"],
+                seed=derive_seed(seed, f"sweep-{kind}"),
                 folds=split.test_folds,
             ),
         )
@@ -100,7 +109,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             best["kind"],
             split.train,
             best["hyperparameters"],
-            derive_seed(cfg.seed, "train"),
+            derive_seed(seed, "train"),
             best["transform"],
         ),
     )
@@ -109,13 +118,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "validate", lambda: _evaluate_validation(model, split.validation)
     )
 
+    digest = config_hash(cfg)
     manifest = {
         "format_version": 1,
         "package_version": __version__,
-        "config": cfg.to_dict(),
-        "config_hash": cfg.hash(),
+        "config": cfg,
+        "config_hash": digest,
         "stage_seeds": {
-            name: derive_seed(cfg.seed, name)
+            name: derive_seed(seed, name)
             for name in ("sample", "split", "train")
         },
         "counts": counts,
@@ -123,13 +133,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "validation_weighted_f1": validation_report["weighted_f1"],
     }
 
-    _write_outputs(cfg, model, thresholds, sweeps, cv_report, validation_report, manifest)
+    _write_outputs(Path(paths["output_dir"]), digest, model, thresholds, sweeps, cv_report,
+                   validation_report, manifest)
     return manifest
 
 
-def _extract_and_label(cfg: RunConfig, counts: dict) -> list[LabeledExample]:
+def _extract_and_label(records_path: str, counts: dict) -> list[LabeledExample]:
     # Each record is labeled as its line is read, so no page text outlives its line.
-    with open(cfg.records_path, "rb") as handle:
+    with open(records_path, "rb") as handle:
         parsed = _stage("extract", lambda: parse_records(
             handle, lambda rec: LabeledExample(extract_features(rec), rule_label(rec), rec.id)
         ))
@@ -150,8 +161,7 @@ def _evaluate_validation(model: ModelArtifact, validation: list[LabeledExample])
     return evaluate(predict_batch(model, X)[0], y)
 
 
-def _write_outputs(cfg, model, thresholds, sweeps, cv_report, validation_report, manifest):
-    out = Path(cfg.output_dir)
+def _write_outputs(out, digest, model, thresholds, sweeps, cv_report, validation_report, manifest):
     save_model(model, out / "model.json")
     atomic_write_text(out / "thresholds.json", canonical_json(thresholds))
     for name, report in [
@@ -161,6 +171,6 @@ def _write_outputs(cfg, model, thresholds, sweeps, cv_report, validation_report,
     ]:
         atomic_write_text(
             out / name,
-            canonical_json({"config_hash": cfg.hash(), "format_version": 1, **report}),
+            canonical_json({"config_hash": digest, "format_version": 1, **report}),
         )
     atomic_write_text(out / "manifest.json", canonical_json(manifest))

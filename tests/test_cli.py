@@ -14,7 +14,7 @@ import pytest
 
 from doctype import cli
 from doctype.cli import _build_parser, main
-from doctype.config import RunConfig
+from doctype.config import DEFAULT_PROPORTIONS, config_from_dict
 from doctype.engagement import engagement_report, human_engagement, read_log_events
 from doctype.ingest import DocType
 from doctype.labeling import read_examples, write_examples
@@ -121,8 +121,8 @@ CORRUPTED_MODELS = [
 ]
 
 
-#: Every (command, option) pair the parser accepts, and every RunConfig
-#: field: a new setting changes these on purpose.
+#: Every (command, option) pair the parser accepts, and every key path of
+#: the run config: a new setting changes these on purpose.
 OPTIONS = {
     (command, option)
     for command, options in {
@@ -142,10 +142,10 @@ OPTIONS = {
     }.items()
     for option in options.split()
 }
-RUN_CONFIG_FIELDS = [
-    "seed", "records_path", "labeled_path", "output_dir", "proportions", "sample_total",
-    "k_folds", "validation_fraction", "quantile_lo", "quantile_hi", "sweep_kinds",
-    "sweep_transforms", "sweep_grids",
+RUN_CONFIG_KEYS = [
+    "seed", "paths.records", "paths.labeled", "paths.output_dir", "proportions", "sample_total",
+    "k_folds", "validation_fraction", "quantiles.lo", "quantiles.hi", "sweep.kinds",
+    "sweep.transforms", "sweep.grids",
 ]
 
 #: A new kind flag or fitting keyword edits these on purpose.
@@ -704,7 +704,7 @@ def synthetic_file(tmp_path, blank_share: float):
     """A fixed 400-row synthetic labeled file, f1 blanked on about ``blank_share`` of rows."""
     path = tmp_path / "synthetic.jsonl"
     with open(path, "w") as handle:
-        write_examples(handle, blank_f1(generate_synthetic(400, RunConfig().proportions, 7), blank_share, 7))
+        write_examples(handle, blank_f1(generate_synthetic(400, DEFAULT_PROPORTIONS, 7), blank_share, 7))
     return path
 
 
@@ -1190,7 +1190,11 @@ class TestUsage:
             for option in action.option_strings
         }
         assert got == OPTIONS and len(got) == 53
-        assert [f.name for f in dataclasses.fields(RunConfig)] == RUN_CONFIG_FIELDS
+        keys = []
+        for key, value in config_from_dict({}).items():
+            nested = key in ("paths", "quantiles", "sweep")
+            keys += [f"{key}.{inner}" for inner in value] if nested else [key]
+        assert keys == RUN_CONFIG_KEYS
         assert [f.name for f in dataclasses.fields(Kind)] == KIND_FIELDS
         assert list(inspect.signature(train).parameters) == TRAIN_PARAMETERS
         assert list(inspect.signature(train_folds).parameters) == TRAIN_FOLDS_PARAMETERS

@@ -474,16 +474,14 @@ class TestSweepSharing:
             sweep("gnb", data, grid=[{}], k=3)
 
     def test_default_pipeline_sweep_runs_one_fold_loop_per_family(self, tmp_path, monkeypatch):
-        from doctype.config import RunConfig
         from doctype.labeling import write_examples
         from doctype.pipeline import run_pipeline
 
         labeled = tmp_path / "labeled.jsonl"
         with open(labeled, "w") as handle:
             write_examples(handle, noisy_dataset(4, blank_f1=False))
-        cfg = RunConfig(labeled_path=str(labeled), output_dir=str(tmp_path / "out"), k_folds=3)
         calls = count_fold_loops(monkeypatch)
-        run_pipeline(cfg)
+        run_pipeline({"paths": {"labeled": str(labeled), "output_dir": str(tmp_path / "out")}, "k_folds": 3})
         # max_depth nests for the random forest, not for adaboost: one
         # random-forest family and one adaboost family per max_depth
         assert collections.Counter(calls) == {"random-forest": 1, "adaboost": 2}

@@ -2,7 +2,7 @@
 splices of small valid inputs, run through ``cli.main`` in process. Every
 run exits 0, 1 or 2, and a failing run prints one ``error:`` line and
 writes nothing. A records run that exits 0 writes what its lines give one
-at a time."""
+at a time, and a configured run what the config's values give as flags."""
 
 import contextlib
 import io
@@ -124,5 +124,36 @@ def test_mutated_click_log_and_predictions_fail_cleanly(tmp_path):
             assert stdout == "" and not out.exists() and not out.with_suffix(".txt").exists()
         else:
             assert out.exists() == (form == "out")
+
+    run()
+
+
+def test_mutated_config_fails_cleanly_or_gives_its_values(tmp_path):
+    config, out = tmp_path / "config.json", tmp_path / "out.jsonl"
+    raw = json.dumps({
+        "seed": 5, "paths": {"labeled": "labeled.jsonl"}, "k_folds": 4, "quantiles": {"lo": 0.05, "hi": 0.95},
+        "proportions": {"Research": 0.5, "Slides": 0.25, "Thesis": 0.25},
+        "sweep": {"kinds": ["gnb", "knn"], "grids": {"knn": [{"k": 3}]}},
+    }, indent=1).encode()
+
+    @settings(max_examples=200, deadline=timedelta(seconds=2))
+    @given(edits=st.lists(EDITS, min_size=1, max_size=4), to_file=st.booleans())
+    def run(edits, to_file):
+        data = raw
+        for edit in edits:
+            data = edited(data, edit)
+        config.write_bytes(data)
+        out.unlink(missing_ok=True)
+        code, stdout, err = run_main(["synth", "--n", "30", "--config", str(config),
+                                      *(["--out", str(out)] * to_file)])
+        if check_failure(code, err):
+            assert stdout == "" and not out.exists()
+            return
+        assert err == ""
+        # the same run with the seed and proportions the file holds given as flags
+        payload = json.loads(data.decode("utf-8-sig"))
+        flags = ["--proportions", json.dumps(payload["proportions"])] if "proportions" in payload else []
+        assert run_main(["synth", "--n", "30", "--seed", str(payload.get("seed", 0)), *flags]) == (
+            0, out.read_text() if to_file else stdout, "")
 
     run()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doctype.cli import main
-from doctype.config import RunConfig, config_from_dict, load_config
+from doctype.config import config_from_dict, config_hash, load_config
 from doctype.errors import ConfigError
 from doctype import pipeline
 from doctype.ingest import DocType
@@ -92,18 +92,35 @@ class TestConfig:
 
     def test_missing_input_path(self, tmp_path):
         absent, records = tmp_path / "absent.jsonl", build_records(tmp_path)
-        for paths in (
-            {"records": absent}, {"labeled": absent}, {"records": absent, "labeled": records}
+        out = str(tmp_path / "out")
+        for paths, message in (
+            ({"records": absent}, f"records path does not exist: {absent}"),
+            ({"labeled": absent}, f"labeled path does not exist: {absent}"),
+            ({"records": absent, "labeled": records}, f"records path does not exist: {absent}"),
         ):
-            with pytest.raises(ConfigError, match="path does not exist"):
-                config_from_dict({"paths": {key: str(path) for key, path in paths.items()}})
+            config = {"paths": {"output_dir": out, **{key: str(path) for key, path in paths.items()}}}
+            # only the pipeline reads paths, so the config reader takes them
+            assert config_from_dict(config)["paths"]["output_dir"] == out
+            with pytest.raises(ConfigError) as err:
+                run_pipeline(config)
+            assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
         # records win, so an unread labeled path need not exist
-        cfg = config_from_dict({"paths": {"records": str(records), "labeled": str(absent)}})
-        assert cfg.records_path == str(records)
+        paths = {"records": str(records), "labeled": str(absent), "output_dir": out}
+        manifest = run_pipeline({"paths": paths, "k_folds": 3, "sweep": {"kinds": ["gnb"]}})
+        assert manifest["counts"]["records"] == 110
+
+    def test_synth_may_write_the_labeled_path_a_config_names(self, tmp_path, capsys):
+        labeled, config = tmp_path / "labeled.jsonl", tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3, "paths": {"labeled": str(labeled)}}))
+        assert main(["synth", "--n", "30", "--config", str(config), "--out", str(labeled)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert main(["synth", "--n", "30", "--seed", "3"]) == 0
+        assert labeled.read_text() == capsys.readouterr().out
 
     def test_paths_no_stage_reads_are_ignored(self, tmp_path):
         cfg = config_from_dict({"paths": {"log": str(tmp_path / "absent.jsonl"), "model": 5}})
-        assert set(cfg.to_dict()["paths"]) == {"records", "labeled", "output_dir"}
+        assert set(cfg["paths"]) == {"records", "labeled", "output_dir"}
 
     def test_unknown_sweep_kind(self):
         with pytest.raises(ConfigError):
@@ -119,6 +136,10 @@ class TestConfig:
             ({"knn": {"k": 1}}, "must be a list of objects"),
             ({"knn": [5]}, "must be a list of objects"),
             ({"knn": [["k", 1]]}, "must be a list of objects"),
+            # quantile levels the fit refuses, with the defaults filled in
+            ({"baseline-threshold": [{"quantile_lo": 0.9, "quantile_hi": 0.1}]},
+             r"sweep grid for baseline-threshold: quantile levels must satisfy 0 <= lo < hi <= 1, got \(0.9, 0.1\)"),
+            ({"baseline-threshold": [{"quantile_hi": 0.01}]}, r"got \(0.025, 0.01\)"),
             ([{"k": 1}], "sweep.grids must be an object"),
         ],
     )
@@ -190,18 +211,21 @@ class TestConfig:
         "fields, message",
         [
             ({}, "pipeline needs paths.records or paths.labeled"),
-            ({"labeled": True, "sweep_kinds": ()}, "sweep.kinds must be non-empty"),
-            ({"labeled": True, "k_folds": 1}, "k_folds must be at least 2"),
+            ({"labeled": True, "sweep": {"kinds": []}}, "sweep.kinds must be non-empty"),
+            ({"labeled": True, "k_folds": 1}, "k_folds must be at least 2, got 1"),
+            ({"labeled": True, "sweep": {"kinds": ("gnb",)}}, 'sweep.kinds must be a list of strings, got ["gnb"]'),
         ],
     )
     def test_run_pipeline_checks_a_config_built_in_python(self, fields, message, tmp_path):
         # the check comes before any stage, so an empty labeled file will do
         labeled = tmp_path / "labeled.jsonl"
         labeled.write_text("")
+        paths = {"output_dir": str(tmp_path / "out")}
         if fields.pop("labeled", False):
-            fields["labeled_path"] = str(labeled)
-        with pytest.raises(ConfigError, match=message):
-            run_pipeline(RunConfig(output_dir=str(tmp_path / "out"), **fields))
+            paths["labeled"] = str(labeled)
+        with pytest.raises(ConfigError) as err:
+            run_pipeline({**fields, "paths": paths})
+        assert str(err.value) == message
         assert not (tmp_path / "out").exists()
 
     def test_round_trip_hash_stable(self, tmp_path):
@@ -209,7 +233,7 @@ class TestConfig:
         cfg_path = build_config(tmp_path, records)
         a = load_config(cfg_path)
         b = load_config(cfg_path)
-        assert a.hash() == b.hash()
+        assert config_hash(a) == config_hash(b)
 
 
 class TestPipeline:
@@ -228,7 +252,7 @@ class TestPipeline:
         ):
             assert (out / name).exists(), name
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config_hash"] == cfg.hash()
+        assert manifest["config_hash"] == config_hash(cfg)
         assert manifest["counts"]["records"] == 110
         assert manifest["counts"]["sampled"] == 80
         assert manifest["best"]["kind"] in {"decision-tree", "gnb"}
@@ -262,6 +286,18 @@ class TestPipeline:
         cfg_path.write_text(json.dumps(payload))
         assert main(["pipeline", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("error: sweep grid for knn: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_refused_quantile_levels_fail_before_work(self, tmp_path, capsys):
+        cfg_path = build_config(tmp_path, build_records(tmp_path))
+        payload = json.loads(cfg_path.read_text())
+        payload["sweep"] = {"kinds": ["baseline-threshold"], "grids": {"baseline-threshold": [
+            {"quantile_lo": 0.1}, {"quantile_lo": 0.9, "quantile_hi": 0.1}]}}
+        cfg_path.write_text(json.dumps(payload))
+        with mock.patch.object(pipeline, "parse_records", side_effect=AssertionError("read")):
+            assert main(["pipeline", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr() == ("", "error: sweep grid for baseline-threshold: quantile levels "
+                                           "must satisfy 0 <= lo < hi <= 1, got (0.9, 0.1)\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fraction", [0.0, 0.001], ids=["zero", "rounds-to-zero-rows"])
@@ -420,6 +456,15 @@ def test_every_key_config_keeps_its_bytes(tmp_path, monkeypatch):
     (tmp_path / "config.json").write_text(json.dumps(EVERY_KEY_CONFIG))
     assert main(["pipeline", "--config", "config.json"]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"] == config_from_dict(EVERY_KEY_CONFIG)
     stored = json.dumps(manifest["config"], sort_keys=True, indent=2)
     digests = {"config": hashlib.sha256(stored.encode()).hexdigest(), "config_hash": manifest["config_hash"]}
     assert digests == PINNED_CONFIG_BYTES
+
+
+@pytest.mark.parametrize("payload", [{}, EVERY_KEY_CONFIG, {"proportions": {"Slides": 1}, "quantiles": {"hi": 1}}],
+                         ids=["empty", "every-key", "integer-values"])
+def test_config_reader_returns_its_own_output_unchanged(payload):
+    config = config_from_dict(payload)
+    # JSON, unlike ==, tells 1 from 1.0
+    assert json.dumps(config_from_dict(config), sort_keys=True) == json.dumps(config, sort_keys=True)
