@@ -136,11 +136,11 @@ class TestConfig:
             ({"knn": {"k": 1}}, "must be a list of objects"),
             ({"knn": [5]}, "must be a list of objects"),
             ({"knn": [["k", 1]]}, "must be a list of objects"),
+            ([{"k": 1}], "sweep.grids must be an object"),
             # quantile levels the fit refuses, with the defaults filled in
             ({"baseline-threshold": [{"quantile_lo": 0.9, "quantile_hi": 0.1}]},
              r"sweep grid for baseline-threshold: quantile levels must satisfy 0 <= lo < hi <= 1, got \(0.9, 0.1\)"),
             ({"baseline-threshold": [{"quantile_hi": 0.01}]}, r"got \(0.025, 0.01\)"),
-            ([{"k": 1}], "sweep.grids must be an object"),
         ],
     )
     def test_bad_sweep_grid(self, grids, message):
