@@ -27,7 +27,6 @@ from .labeling import (
     stratified_split,
 )
 from .stats import (
-    TransformSpec,
     derive_thresholds,
     impute_f1,
     quantile,

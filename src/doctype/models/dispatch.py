@@ -16,7 +16,7 @@ from ..errors import DocTypeError, ModelFormatError, TrainingError
 from ..ingest import DOC_TYPES, FEATURE_IDS, FIELD_BY_ID, N_CLASSES, DocType, FeatureVector
 from ..ioutils import atomic_write_text, finite_number, known_keys
 from ..labeling import LabeledExample
-from ..stats import Imputer, TransformSpec, check_quantile_levels
+from .. import stats
 from .adaboost import adaboost_predictor, fit_adaboost
 from .artifact import ModelArtifact
 from .baselines import (
@@ -214,7 +214,7 @@ def check_hyperparameters(kind: str, hyperparameters: dict) -> None:
             raise ValueError(f"{kind} hyperparameter {key} must be {expected}, got {shown}")
     if kind == "baseline-threshold":
         levels = {key: default for key, (_, _, default) in listed.items()} | hyperparameters
-        check_quantile_levels(levels["quantile_lo"], levels["quantile_hi"])
+        stats.check_quantile_levels(levels["quantile_lo"], levels["quantile_hi"])
 
 
 def check_features(features: Sequence[str]) -> tuple[str, ...]:
@@ -249,11 +249,11 @@ def train(
     """Fit one model kind on the dataset and wrap it in a ModelArtifact:
     ``train_folds`` on one fold of these rows.
 
-    When f1 is a feature, an ``Imputer`` fitted on these rows fills their
-    missing f1 and goes into the model, which fills unseen rows the same
-    way. A value the transform makes not finite raises TrainingError naming
-    the example, as do parameters the model's predictor cannot use (an
-    overflowed fit).
+    The model stores the transform fitted on these rows and, when f1 is a
+    feature, the ``stats.fit_imputer`` object that fills their missing f1
+    and fills unseen rows the same way. A value the transform makes not
+    finite raises TrainingError naming the example, as does a model that
+    would not load (an overflowed fit).
     """
     kind_spec(kind)
     if not dataset:
@@ -318,15 +318,15 @@ def _fit_inputs(kind, ids, X, y, hyperparameters, seed, transform, features):
     if spec.every_class and not (counts := np.bincount(y, minlength=N_CLASSES)).all():
         missing = [t.label for t in DOC_TYPES if not counts[t]]
         raise TrainingError(f"{kind} needs every class present; missing {missing}")
-    imputer = Imputer.fit(X) if "f1" in features else None
+    imputer = stats.fit_imputer(X) if "f1" in features else None
     if imputer is not None:
-        X = imputer.apply(X)
-    transform_spec = TransformSpec.fit(X, transform)
-    Xt = transform_spec.apply(X)
-    if bad := _first_non_finite(X, Xt, transform_spec.kind, features):
+        X = stats.apply_imputer(imputer, X)
+    fitted = stats.fit_transform(X, transform)
+    Xt = stats.apply_transform(fitted, X)
+    if bad := _first_non_finite(X, Xt, transform, features):
         row, what = bad
         raise TrainingError(f"example {ids[row]}: {what}")
-    fields = {"kind": kind, "transform": transform_spec, "seed": seed, "features": features,
+    fields = {"kind": kind, "transform": fitted, "seed": seed, "features": features,
               "imputer": imputer}
     return Xt, y, fields
 
@@ -351,8 +351,13 @@ def _checked(model: ModelArtifact) -> ModelArtifact:
 
 def _predictor(model: ModelArtifact):
     """The model's predictor, built once. Building it is the check of the
-    model's kind, features and parameters: ModelFormatError if it fails."""
+    model's seed, transform, imputer, kind, features and parameters, in
+    that order: ModelFormatError if one fails."""
     if model._predictor is None:
+        try:
+            _read_fields(model)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"malformed model payload: {exc}") from exc
         try:
             spec = kind_spec(model.kind)
             check_features(model.features)
@@ -364,6 +369,23 @@ def _predictor(model: ModelArtifact):
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ModelFormatError(f"malformed {model.kind} parameters: {exc}") from exc
     return model._predictor
+
+
+def _read_fields(model: ModelArtifact) -> None:
+    """ValueError unless the seed is an integer, the stored transform and
+    imputer pass their readers, the imputer is there exactly when f1 is a
+    feature, and the transform maps both ends of the imputer's fill range."""
+    if not isinstance(model.seed, int) or isinstance(model.seed, bool):
+        raise ValueError(f"seed must be an integer, got {model.seed!r}")
+    n_features = len(model.features)
+    transform = stats.read_transform(model.transform, n_features)
+    if (model.imputer is None) == ("f1" in model.features):
+        raise ValueError("an imputer is stored exactly when f1 is a feature")
+    if model.imputer is not None:
+        imputer = stats.read_imputer(model.imputer, n_features)
+        ends = np.trunc(np.repeat([[imputer["lo"]], [imputer["hi"]]], n_features, axis=1))
+        if not np.isfinite(stats.apply_transform(transform, ends)[:, 0]).all():
+            raise ValueError(f"the {transform['kind']} transform cannot map every fill")
 
 
 def save_model(model: ModelArtifact, sink: IO[str] | str | Path) -> None:
@@ -428,9 +450,9 @@ def _model_inputs(model: ModelArtifact, X_raw: np.ndarray) -> np.ndarray:
     """``X_raw`` filled and transformed for the model's predictor."""
     X = np.asarray(X_raw, dtype=float)
     if model.imputer is not None:
-        X = model.imputer.apply(X)
-    Xt = model.transform.apply(X)
-    if bad := _first_non_finite(X, Xt, model.transform.kind, model.features):
+        X = stats.apply_imputer(model.imputer, X)
+    Xt = stats.apply_transform(model.transform, X)
+    if bad := _first_non_finite(X, Xt, model.transform["kind"], model.features):
         row, what = bad
         raise ValueError(f"row {row}: {what}")
     return Xt

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ImputationError, ModelFormatError, ThresholdError
 from .ingest import DOC_TYPES, FEATURE_IDS
-from .ioutils import number_array
+from .ioutils import known_keys, number_array
 from .labeling import LabeledExample
 
 THRESHOLD_FORMAT_VERSION = 1
@@ -97,123 +97,102 @@ def derive_thresholds(
     }
 
 
-@dataclass
-class TransformSpec:
-    """A fitted per-feature transform, reusable on unseen data.
+def fit_transform(X: np.ndarray, kind: str) -> dict:
+    """The stored transform of ``kind`` fitted on ``X``: ``{"kind", "mean",
+    "scale"}``, where only a z-score has a per-feature mean and scale. A
+    z-score feature whose values are all equal gets that value as its mean
+    and scale 1, so its training rows map to exactly 0."""
+    if kind not in TRANSFORM_KINDS:
+        raise ValueError(f"unknown transform kind: {kind!r}")
+    if kind != "z-score":
+        return {"kind": kind, "mean": None, "scale": None}
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    # a constant column's mean can round off its value, leaving a
+    # rounding-level std; a spread as small as 1e-200 squares to a zero std
+    top = X.max(axis=0)
+    degenerate = (top == X.min(axis=0)) | (scale <= 0.0)
+    mean = np.where(degenerate, top, mean)
+    scale = np.where(degenerate, 1.0, scale)
+    return {"kind": kind, "mean": mean.tolist(), "scale": scale.tolist()}
 
-    A z-score feature whose values are all equal gets that value as its
-    mean and scale 1, so its training rows map to exactly 0.
+
+def apply_transform(transform: Mapping, X: np.ndarray) -> np.ndarray:
+    """``X`` under a transform that ``read_transform`` accepts."""
+    X = np.asarray(X, dtype=float)
+    if transform["kind"] == "identity":
+        return X
+    if transform["kind"] == "log-scale":
+        # values below -1 map to NaN or -inf; predict_batch reports them
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.log1p(X)
+    mean, scale = (np.asarray(transform[key], dtype=float) for key in ("mean", "scale"))
+    return (X - mean) / scale
+
+
+def read_transform(transform, n_features: int) -> dict:
+    """A stored transform, checked: a z-score needs ``n_features`` finite
+    means and positive scales, and any other kind null ones, or else
+    ValueError; an unknown kind is a ModelFormatError."""
+    known_keys(transform, ("kind", "mean", "scale"), "transform")
+    kind, mean, scale = transform["kind"], transform.get("mean"), transform.get("scale")
+    if kind not in TRANSFORM_KINDS:
+        raise ModelFormatError(f"unknown transform kind: {kind!r}")
+    if kind != "z-score":
+        if mean is not None or scale is not None:
+            raise ValueError(f"{kind} transform mean and scale must be null")
+        return {"kind": kind, "mean": None, "scale": None}
+    mean = number_array(mean, (n_features,), "z-score mean")
+    scale = number_array(scale, (n_features,), "z-score scale")
+    if (scale <= 0.0).any():
+        raise ValueError(f"z-score scale must be positive, got {scale.tolist()!r}")
+    return {"kind": kind, "mean": mean.tolist(), "scale": scale.tolist()}
+
+
+def fit_imputer(X: np.ndarray) -> dict:
+    """The stored label-free least-squares fill for a missing author count.
+
+    ``X`` is a ``models.dataset_matrix`` over features from f1 on, so a
+    missing f1 is NaN in column 0. Over the rows where f1 is observed, f1
+    is regressed on (1, the other columns): ``coef`` holds the intercept
+    first, and ``[lo, hi]`` the range of the observed f1.
     """
-
-    kind: str
-    mean: tuple[float, ...] | None = None
-    scale: tuple[float, ...] | None = None
-
-    @classmethod
-    def fit(cls, matrix: np.ndarray, kind: str) -> "TransformSpec":
-        if kind not in TRANSFORM_KINDS:
-            raise ValueError(f"unknown transform kind: {kind!r}")
-        if kind != "z-score":
-            return cls(kind)
-        mean = matrix.mean(axis=0)
-        scale = matrix.std(axis=0)
-        # a constant column's mean can round off its value, leaving a
-        # rounding-level std; a spread as small as 1e-200 squares to a zero std
-        top = matrix.max(axis=0)
-        degenerate = (top == matrix.min(axis=0)) | (scale <= 0.0)
-        mean = np.where(degenerate, top, mean)
-        scale = np.where(degenerate, 1.0, scale)
-        return cls(kind, tuple(float(m) for m in mean), tuple(float(s) for s in scale))
-
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return np.asarray(matrix, dtype=float)
-        if self.kind == "log-scale":
-            # values below -1 map to NaN or -inf; predict_batch reports them
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return np.log1p(np.asarray(matrix, dtype=float))
-        return (np.asarray(matrix, dtype=float) - np.asarray(self.mean)) / np.asarray(self.scale)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mean": list(self.mean) if self.mean is not None else None,
-            "scale": list(self.scale) if self.scale is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping, n_features: int) -> "TransformSpec":
-        """Read a stored transform. A z-score needs ``n_features`` finite
-        means and positive scales, and any other kind null ones, or else
-        ValueError."""
-        kind = payload["kind"]
-        if kind not in TRANSFORM_KINDS:
-            raise ModelFormatError(f"unknown transform kind: {kind!r}")
-        mean, scale = payload.get("mean"), payload.get("scale")
-        if kind != "z-score":
-            if mean is not None or scale is not None:
-                raise ValueError(f"{kind} transform mean and scale must be null")
-            return cls(kind)
-        mean = number_array(mean, (n_features,), "z-score mean")
-        scale = number_array(scale, (n_features,), "z-score scale")
-        if (scale <= 0.0).any():
-            raise ValueError(f"z-score scale must be positive, got {scale.tolist()!r}")
-        return cls(kind, tuple(mean.tolist()), tuple(scale.tolist()))
+    rows = X[~np.isnan(X[:, 0])]
+    if not len(rows):
+        raise ImputationError("no observed f1 values to fit the imputer on")
+    design = np.column_stack([np.ones(len(rows)), rows[:, 1:]])
+    coef, *_ = np.linalg.lstsq(design, rows[:, 0], rcond=None)
+    return {"coef": coef.tolist(), "lo": float(rows[:, 0].min()), "hi": float(rows[:, 0].max())}
 
 
-@dataclass(frozen=True)
-class Imputer:
-    """A label-free least-squares fill-in for a missing author count.
+def apply_imputer(imputer: Mapping, X: np.ndarray) -> np.ndarray:
+    """A copy of ``X`` with every missing f1 filled from its own row only:
+    predict, round, and clamp into the integers of [lo, hi]. A fill from a
+    value that is not finite stays NaN; a fill that overflows clamps."""
+    out = np.array(X, dtype=float)
+    coef = np.asarray(imputer["coef"], dtype=float)
+    lo, hi = np.trunc(float(imputer["lo"])), np.trunc(float(imputer["hi"]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in np.flatnonzero(np.isnan(out[:, 0])):
+            # one dot per row: a matrix product may round the sum differently
+            raw = coef @ np.concatenate(([1.0], out[i, 1:]))
+            out[i, 0] = np.clip(np.rint(raw), lo, hi)
+    return out
 
-    ``fit`` takes a ``models.dataset_matrix`` over features from f1 on, so
-    a missing f1 is NaN in column 0, and regresses f1 on (1, the other
-    columns) over the rows where f1 is observed, keeping their [lo, hi].
-    ``apply`` fills each missing f1 from its own row only: predict, round,
-    and clamp into the integers of [lo, hi].
-    """
 
-    coef: tuple[float, ...]
-    lo: float
-    hi: float
-
-    @classmethod
-    def fit(cls, X: np.ndarray) -> "Imputer":
-        rows = X[~np.isnan(X[:, 0])]
-        if not len(rows):
-            raise ImputationError("no observed f1 values to fit the imputer on")
-        design = np.column_stack([np.ones(len(rows)), rows[:, 1:]])
-        coef, *_ = np.linalg.lstsq(design, rows[:, 0], rcond=None)
-        return cls(tuple(coef.tolist()), float(rows[:, 0].min()), float(rows[:, 0].max()))
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """A copy of ``X`` with every missing f1 filled. A fill from a value
-        that is not finite stays NaN; a fill that overflows clamps."""
-        out = np.array(X, dtype=float)
-        coef = np.array(self.coef)
-        lo, hi = np.trunc(self.lo), np.trunc(self.hi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in np.flatnonzero(np.isnan(out[:, 0])):
-                # one dot per row: a matrix product may round the sum differently
-                raw = coef @ np.concatenate(([1.0], out[i, 1:]))
-                out[i, 0] = np.clip(np.rint(raw), lo, hi)
-        return out
-
-    def to_dict(self) -> dict:
-        return {"coef": list(self.coef), "lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping, n_features: int) -> "Imputer":
-        """Read a stored imputer: ``n_features`` finite coefficients (the
-        intercept first) and finite lo <= hi, or else ValueError."""
-        coef = number_array(payload["coef"], (n_features,), "imputer coef")
-        lo, hi = number_array([payload["lo"], payload["hi"]], (2,), "imputer lo and hi").tolist()
-        if lo > hi:
-            raise ValueError(f"imputer lo {lo!r} is above hi {hi!r}")
-        return cls(tuple(coef.tolist()), lo, hi)
+def read_imputer(imputer, n_features: int) -> dict:
+    """A stored imputer, checked: ``n_features`` finite coefficients (the
+    intercept first) and finite lo <= hi, or else ValueError."""
+    known_keys(imputer, ("coef", "lo", "hi"), "imputer")
+    coef = number_array(imputer["coef"], (n_features,), "imputer coef")
+    lo, hi = number_array([imputer["lo"], imputer["hi"]], (2,), "imputer lo and hi").tolist()
+    if lo > hi:
+        raise ValueError(f"imputer lo {lo!r} is above hi {hi!r}")
+    return {"coef": coef.tolist(), "lo": lo, "hi": hi}
 
 
 def impute_f1(dataset: Sequence[LabeledExample]) -> list[LabeledExample]:
-    """``Imputer`` fitted and applied on the dataset's own rows, as objects:
+    """``fit_imputer`` fitted and applied on the dataset's own rows, as objects:
     each missing f1 becomes an int, and observed rows pass through. A
     dataset with no missing f1, an empty one included, needs no fit."""
     from .models import dataset_matrix
@@ -221,7 +200,7 @@ def impute_f1(dataset: Sequence[LabeledExample]) -> list[LabeledExample]:
     if all(ex.features.f1_authors is not None for ex in dataset):
         return list(dataset)
     X, _ = dataset_matrix(dataset)
-    filled = Imputer.fit(X).apply(X)[:, 0]
+    filled = apply_imputer(fit_imputer(X), X)[:, 0]
     return [
         ex
         if ex.features.f1_authors is not None

@@ -18,7 +18,6 @@ from doctype.ingest import FEATURE_IDS, DocType, FeatureVector
 from doctype.labeling import LabeledExample
 from doctype.models import FALLBACK_CLASS, THRESHOLD_TEST_ORDER, ModelArtifact
 from doctype.models.baselines import ThresholdBaselinePredictor
-from doctype.stats import TransformSpec
 
 # Every run draws the same examples and keeps no example database, so a
 # tier-1 run tests the same cases on every tree and machine.
@@ -49,9 +48,11 @@ def cell(table: dict, doc_type: DocType, fid: str) -> tuple[float, float]:
 
 def threshold_model(table: dict) -> ModelArtifact:
     """A baseline-threshold model holding the stored ``table``, shaped as
-    ``train`` stores one but without an f1 fill: its rows must have f1."""
+    ``train`` stores one; its f1 fill (always 1) is for rows without f1."""
     parameters = {"table": table, "fallback": FALLBACK_CLASS.label}
-    return ModelArtifact("baseline-threshold", TransformSpec("identity"), parameters, seed=0)
+    identity = {"kind": "identity", "mean": None, "scale": None}
+    fill = {"coef": [1.0, 0.0, 0.0, 0.0], "lo": 1.0, "hi": 1.0}
+    return ModelArtifact("baseline-threshold", identity, parameters, seed=0, imputer=fill)
 
 
 def threshold_table(model: ModelArtifact) -> dict:

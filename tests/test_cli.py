@@ -21,6 +21,7 @@ from doctype.labeling import read_examples, write_examples
 from doctype.models import KINDS, dataset_matrix, load_model, train, train_folds
 from doctype.models.baselines import _TABLE_KEYS
 from doctype.models.dispatch import Kind
+from doctype.stats import apply_imputer, apply_transform
 from doctype.synthetic import generate_synthetic
 
 from conftest import (
@@ -379,7 +380,7 @@ class TestTrainPredict:
         assert lines[0]["doc_id"] == "q1"
         assert lines[0]["doc_type"] in {"Research", "Slides", "Thesis"}
         # a null f1 is filled by the model's imputer, as a row holding the fill
-        fill = load_model(model_path).imputer.apply([[math.nan, 100, 1, 100.0]])[0, 0]
+        fill = apply_imputer(load_model(model_path).imputer, [[math.nan, 100, 1, 100.0]])[0, 0]
         features.write_text(json.dumps({**rows[1], "f1": fill}) + "\n")
         assert main(["predict", str(model_path), str(features), "--out", str(out)]) == 0
         assert [json.loads(out.read_text())] == lines[1:]
@@ -620,7 +621,8 @@ class TestTrainPredict:
         # a kNN file of the format before its rows were stored as base64 bytes
         model = train("knn", toy_dataset(10, seed=2))
         payload = json.loads(model.to_json())
-        rows = model.transform.apply(model.imputer.apply(dataset_matrix(toy_dataset(10, seed=2))[0]))
+        X = dataset_matrix(toy_dataset(10, seed=2))[0]
+        rows = apply_transform(model.transform, apply_imputer(model.imputer, X))
         payload["parameters"]["train_x"] = rows.tolist()
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**payload, "format_version": 3}))

@@ -30,7 +30,7 @@ from doctype.models import KINDS, SPECS, dataset_matrix, predict_batch, prefix_l
 from doctype.models import adaboost as adaboost_module
 from doctype.models.tree import ForestPredictor
 from doctype.seeding import derive_seed
-from doctype.stats import TRANSFORM_KINDS, TransformSpec, derive_thresholds
+from doctype.stats import TRANSFORM_KINDS, apply_imputer, apply_transform, derive_thresholds, fit_transform
 from doctype.synthetic import (
     PARAMETERIZED_FEATURES,
     REFERENCE_BOUNDS,
@@ -231,7 +231,7 @@ class TestLabelFreeFill:
             assert np.array_equal(a.X_test, b.X_test, equal_nan=True)
             assert model_a.imputer == model_b.imputer
             for X in (a.X_train, a.X_test):
-                assert np.array_equal(model_a.imputer.apply(X), model_b.imputer.apply(X))
+                assert np.array_equal(apply_imputer(model_a.imputer, X), apply_imputer(model_b.imputer, X))
         assert scored[0][fold][1] == scored[1][fold][1]
 
     @settings(max_examples=20, deadline=None)
@@ -544,7 +544,7 @@ class TestSweepSharing:
 
         def counted(kind, folds, hyperparameters, *args):
             for model in real(kind, folds, hyperparameters, *args):
-                fitted.append((kind, hyperparameters["k"], model.transform.kind))
+                fitted.append((kind, hyperparameters["k"], model.transform["kind"]))
                 yield model
 
         monkeypatch.setattr(evaluation, "train_folds", counted)
@@ -673,9 +673,9 @@ class TestLockstepFamily:
 
 
 def pairwise_order_kept(kind, train_rows, test_rows) -> bool:
-    spec = TransformSpec.fit(np.array(train_rows), kind)
+    fitted = fit_transform(np.array(train_rows), kind)
     raw = np.vstack([train_rows, test_rows])
-    mapped = np.vstack([spec.apply(np.array(train_rows)), spec.apply(np.array(test_rows))])
+    mapped = np.vstack([apply_transform(fitted, np.array(rows)) for rows in (train_rows, test_rows)])
     for col in range(raw.shape[1]):
         for a in range(len(raw)):
             if not np.isfinite(mapped[a, col]):

@@ -65,7 +65,7 @@ from doctype.models.tree import (
     splitmix64,
     stored,
 )
-from doctype.stats import TRANSFORM_KINDS, Imputer, TransformSpec
+from doctype.stats import TRANSFORM_KINDS, apply_imputer, apply_transform, fit_imputer
 from doctype.synthetic import generate_synthetic
 from conftest import (
     KNN_TRAIN_X_CORRUPTIONS,
@@ -1399,9 +1399,9 @@ class TestMissingF1:
     def test_train_fills_the_missing_f1(self, kind):
         rows = self.data()
         X, _ = dataset_matrix(rows)
-        imputer = Imputer.fit(X)
+        imputer = fit_imputer(X)
         gap = rows[4]
-        fill = imputer.apply(X)[4, 0]
+        fill = apply_imputer(imputer, X)[4, 0]
         rows_filled = [*rows[:4], replace(gap, features=replace(gap.features, f1_authors=fill))]
         model = train(kind, rows)
         assert model.imputer == imputer
@@ -1429,7 +1429,7 @@ class TestMissingF1:
         # train_x is base64 of the filled, transformed rows the fit saw
         rows = self.data()
         model = train("knn", rows, {"k": 3}, transform="z-score")
-        fitted = model.transform.apply(model.imputer.apply(dataset_matrix(rows)[0]))
+        fitted = apply_transform(model.transform, apply_imputer(model.imputer, dataset_matrix(rows)[0]))
         assert base64.b64decode(model.parameters["train_x"], validate=True) == fitted.tobytes()
         assert {type(v) for v in model.parameters["train_y"]} == {int}
         # signed zeros, subnormals and the ends of the float range survive a file
@@ -1437,7 +1437,8 @@ class TestMissingF1:
         parameters = fit_knn(X, np.array([2, 0, 1]), 0, {"k": 2})
         assert base64.b64decode(parameters["train_x"], validate=True) == X.astype("<f8").tobytes()
         assert parameters["train_y"] == [2, 0, 1]
-        model = ModelArtifact("knn", TransformSpec("identity"), parameters, 0, ("f2", "f3", "f4"))
+        identity = {"kind": "identity", "mean": None, "scale": None}
+        model = ModelArtifact("knn", identity, parameters, 0, ("f2", "f3", "f4"))
         loaded = load_model(io.StringIO(model.to_json()))
         assert loaded.parameters == parameters
         assert KnnPredictor(loaded.parameters, 3).columns.T.tobytes() == X.tobytes()
@@ -1518,7 +1519,7 @@ class TestPredictContract:
 
     def test_negative_value_under_log_scale_rejected(self):
         model = every_kind_models()["gnb"]
-        assert model.transform.kind == "log-scale"
+        assert model.transform["kind"] == "log-scale"
         with pytest.raises(ValueError, match="feature f2 = -5.0 is not finite after the log-scale"):
             predict(model, FeatureVector(3, -5, 10, 50.0))
         with pytest.raises(ValueError, match="row 0: feature f2 = -5.0"):
@@ -1540,7 +1541,7 @@ class TestPredictContract:
         data = [replace(ex, features=replace(ex.features, f4_words_per_page=5400 / 14))
                 for ex in toy_dataset(100, seed=0)]
         model = train(kind, data, transform="z-score")
-        assert (model.transform.mean[3], model.transform.scale[3]) == (5400 / 14, 1.0)
+        assert (model.transform["mean"][3], model.transform["scale"][3]) == (5400 / 14, 1.0)
         X = dataset_matrix(data)[0]
         labels = predict_batch(model, X)[0]
         X[:, 3] = 386.0
@@ -1556,7 +1557,7 @@ class TestPredictContract:
         model = train(kind, data, transform="z-score")
         without = train(kind, data, transform="z-score", features=("f1", "f2", "f3"))
         X = dataset_matrix(data)[0]
-        assert (model.transform.apply(X)[:, 3] == 0.0).all()
+        assert (apply_transform(model.transform, X)[:, 3] == 0.0).all()
         assert predict_batch(model, X)[0].tolist() == predict_batch(without, X[:, :3])[0].tolist()
 
 
@@ -1565,7 +1566,7 @@ class TestScoringOracles:
 
     def queries(self, model, n=400, seed=40):
         raw = np.array([fv.values() for fv in random_vectors(n, seed)], dtype=float)
-        return raw, model.transform.apply(raw)
+        return raw, apply_transform(model.transform, raw)
 
     def test_tree_kinds_match_dict_walk(self):
         data = toy_dataset(60, seed=41)
@@ -1651,6 +1652,34 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="malformed baseline-random parameters"):
             save_model(model, tmp_path / "model.json")
         assert list(tmp_path.iterdir()) == []
+
+    def test_model_that_would_not_load_is_never_written(self, tmp_path):
+        # save_model runs the seed, transform and imputer readers load_model runs
+        model = train("gnb", toy_dataset(10, seed=20), transform="z-score")
+        short = {**model.imputer, "coef": model.imputer["coef"][:2]}
+        for changed, message in [
+            ({"transform": {**model.transform, "mean": None}}, "z-score mean must be 4 finite numbers"),
+            ({"imputer": None}, "an imputer is stored exactly when f1 is a feature"),
+            ({"imputer": short}, "imputer coef must be 4 finite numbers"),
+        ]:
+            bad, sink = replace(model, **changed), io.StringIO()
+            for target in (tmp_path / "model.json", sink):
+                with pytest.raises(ModelFormatError, match=f"^malformed model payload: {message}$"):
+                    save_model(bad, target)
+            with pytest.raises(ModelFormatError, match=f"^malformed model payload: {message}$"):
+                load_model(io.StringIO(bad.to_json()))
+            assert sink.getvalue() == "" and list(tmp_path.iterdir()) == []
+
+    def test_transform_and_imputer_are_the_stored_objects(self):
+        data = toy_dataset(10, seed=20)
+        for kind, hp, _ in EVERY_KIND:
+            # the threshold baseline needs every feature
+            subsets = [FEATURE_IDS] + [("f2", "f3")] * (kind != "baseline-threshold")
+            for transform, features in product(TRANSFORM_KINDS, subsets):
+                model = train(kind, data, hp, seed=1, transform=transform, features=features)
+                stored = json.loads(model.to_json())
+                assert (model.transform, model.imputer) == (stored["transform"], stored["imputer"])
+                assert (model.imputer is None) == (features != FEATURE_IDS)
 
     def test_byte_exact_round_trip(self, tmp_path):
         model = train("random-forest", toy_dataset(20, seed=20), {"n_trees": 3}, seed=1)
@@ -2058,6 +2087,16 @@ class TestCorruptedModels:
                 container["junk"] = "y"
                 with pytest.raises(ModelFormatError, match="holds unknown key 'junk'"):
                     load_model(io.StringIO(json.dumps(corrupted)))
+
+    @pytest.mark.parametrize("place", ["model", "transform", "imputer"])
+    def test_unknown_key_outside_parameters_rejected(self, place):
+        """The model's top-level object, its transform and its imputer hold
+        only the keys their readers read, as every object under parameters."""
+        payload = json.loads(train("gnb", toy_dataset(10, seed=29), transform="z-score").to_json())
+        (payload if place == "model" else payload[place])["junk"] = 1
+        message = f"^malformed model payload: {place} holds unknown key 'junk'$"
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(io.StringIO(json.dumps(payload)))
 
     @pytest.mark.parametrize("lo, hi", [(5.0, 6.0), (-0.1, 0.5), (0.5, 0.5), (0.9, 0.1), (0.0, 1.5)])
     def test_threshold_quantile_levels_out_of_range_rejected(self, lo, hi):

@@ -16,11 +16,14 @@ from doctype.ioutils import canonical_json
 from doctype.labeling import LabeledExample
 from doctype.models import dataset_matrix, load_model, train
 from doctype.stats import (
-    Imputer,
-    TransformSpec,
+    apply_imputer,
+    apply_transform,
     derive_thresholds,
+    fit_imputer,
+    fit_transform,
     impute_f1,
     quantile,
+    read_transform,
     tukey_filter,
 )
 
@@ -263,31 +266,31 @@ class TestFitTransform:
 
     def test_identity_round_trip(self):
         X, _ = dataset_matrix(self._data())
-        spec = TransformSpec.fit(X, "identity")
-        assert spec.kind == "identity"
-        assert np.array_equal(spec.apply(X), X)
+        fitted = fit_transform(X, "identity")
+        assert fitted == {"kind": "identity", "mean": None, "scale": None}
+        assert np.array_equal(apply_transform(fitted, X), X)
 
     def test_zscore_moments(self):
         X, _ = dataset_matrix(self._data())
-        matrix = TransformSpec.fit(X, "z-score").apply(X)
+        matrix = apply_transform(fit_transform(X, "z-score"), X)
         assert np.allclose(matrix.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(matrix.std(axis=0), 1.0, atol=1e-9)
 
     def test_zscore_constant_feature_falls_back(self):
         data = [make_example(DocType.RESEARCH, f1=4, doc_id=f"d{i}") for i in range(10)]
         X, _ = dataset_matrix(data)
-        spec = TransformSpec.fit(X, "z-score")
-        assert spec.apply(X)[0, 0] == 0.0
-        assert spec.scale[0] == 1.0 and spec.mean[0] == 4.0
+        fitted = fit_transform(X, "z-score")
+        assert apply_transform(fitted, X)[0, 0] == 0.0
+        assert fitted["scale"][0] == 1.0 and fitted["mean"][0] == 4.0
 
     def test_zscore_constant_column_with_inexact_mean_falls_back(self):
         # 300 copies of 5400/14 have a mean one ulp-scale off, so a std of 1e-12
         X = np.column_stack([np.arange(300.0), np.full(300, 5400 / 14)])
         assert X.std(axis=0)[1] > 0.0
-        spec = TransformSpec.fit(X, "z-score")
-        assert spec.mean[1] == 5400 / 14 and spec.scale[1] == 1.0
-        assert (spec.apply(X)[:, 1] == 0.0).all()
-        assert spec.scale[0] == X.std(axis=0)[0]
+        fitted = fit_transform(X, "z-score")
+        assert fitted["mean"][1] == 5400 / 14 and fitted["scale"][1] == 1.0
+        assert (apply_transform(fitted, X)[:, 1] == 0.0).all()
+        assert fitted["scale"][0] == X.std(axis=0)[0]
 
     def test_log_scale_zero(self):
         data = [
@@ -295,17 +298,18 @@ class TestFitTransform:
             make_example(DocType.RESEARCH, doc_id="other"),
         ]
         X, _ = dataset_matrix(data)
-        assert TransformSpec.fit(X, "log-scale").apply(X)[0, 1] == 0.0
+        assert apply_transform(fit_transform(X, "log-scale"), X)[0, 1] == 0.0
 
     def test_spec_reapplication_matches(self):
         X, _ = dataset_matrix(self._data())
-        spec = TransformSpec.fit(X, "z-score")
-        restored = TransformSpec.from_dict(spec.to_dict(), X.shape[1])
-        assert np.allclose(restored.apply(X.copy()), spec.apply(X), atol=0)
+        fitted = fit_transform(X, "z-score")
+        restored = read_transform(json.loads(json.dumps(fitted)), X.shape[1])
+        assert restored == fitted
+        assert np.allclose(apply_transform(restored, X.copy()), apply_transform(fitted, X), atol=0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            TransformSpec.fit(dataset_matrix(self._data())[0], "box-cox")
+            fit_transform(dataset_matrix(self._data())[0], "box-cox")
 
 
 class TestImputeF1:
@@ -369,7 +373,7 @@ class TestImputeF1:
             LabeledExample(FeatureVector(4, 0, 40, 0.0), DocType.RESEARCH, "b"),
         ]
         test = [LabeledExample(FeatureVector(None, 0, 20, 0.0), DocType.RESEARCH, "c")]
-        out = Imputer.fit(dataset_matrix(train)[0]).apply(dataset_matrix(test)[0])
+        out = apply_imputer(fit_imputer(dataset_matrix(train)[0]), dataset_matrix(test)[0])
         assert out[0, 0] == 2
 
 
@@ -406,10 +410,10 @@ def object_imputation(train, test):
 
 def array_imputation(train, test):
     try:
-        imputer = Imputer.fit(dataset_matrix(train)[0])
+        imputer = fit_imputer(dataset_matrix(train)[0])
     except ImputationError as exc:
         return ImputationError, str(exc)
-    return imputer.apply(dataset_matrix(test)[0])[:, 0].tolist()
+    return apply_imputer(imputer, dataset_matrix(test)[0])[:, 0].tolist()
 
 
 @st.composite
