@@ -20,7 +20,7 @@ from .config import check_seed, config_from_dict, load_config, read_proportions
 from .errors import ConfigError, DocTypeError
 from .evaluation import ablation, cross_validate, human_report, report_from_confusion, sweep
 from .ingest import DocType, extract_features, parse_records
-from .ioutils import atomic_write_text, canonical_json, read_json_lines_strict
+from .ioutils import atomic_write_text, canonical_json, read_json_lines_strict, reject_reason
 from .labeling import (
     LabeledExample,
     balanced_sample,
@@ -316,9 +316,7 @@ def cmd_ablation(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    rows_out = []
-    n_ok = 0
-    n_err = 0
+    rows_out, n_ok = [], 0
     started = time.perf_counter()
     with open(args.features, "rb") as handle:
         for line in handle:
@@ -328,30 +326,18 @@ def cmd_predict(args) -> int:
             try:
                 row = json.loads(line)
                 label, scores = predict(model, row_to_features(row))
+                result = {"doc_id": row["id"], "doc_type": label.label,
+                          "scores": {t.label: scores[t] for t in scores}}
+                n_ok += 1
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                doc_id = row.get("id") if isinstance(row, dict) else None
-                rows_out.append(json.dumps({"doc_id": doc_id, "error": str(exc)}, sort_keys=True))
-                n_err += 1
-                continue
-            rows_out.append(
-                json.dumps(
-                    {
-                        "doc_id": row["id"],
-                        "doc_type": label.label,
-                        "scores": {t.label: scores[t] for t in scores},
-                    },
-                    sort_keys=True,
-                )
-            )
-            n_ok += 1
+                result = {"doc_id": row.get("id") if isinstance(row, dict) else None,
+                          "error": reject_reason(exc)}
+            rows_out.append(json.dumps(result, sort_keys=True) + "\n")
     elapsed = time.perf_counter() - started
-    _write_or_print(args, "".join(r + "\n" for r in rows_out))
+    _write_or_print(args, "".join(rows_out))
     per_row_ms = (elapsed / n_ok * 1000.0) if n_ok else 0.0
-    print(
-        f"predict: {n_ok} rows, {n_err} errors, "
-        f"{per_row_ms:.3f} ms/row mean",
-        file=sys.stderr,
-    )
+    print(f"predict: {n_ok} rows, {len(rows_out) - n_ok} errors, {per_row_ms:.3f} ms/row mean",
+          file=sys.stderr)
     return EXIT_OK
 
 

@@ -70,6 +70,11 @@ def known_keys(value, keys, name: str) -> Mapping:
     return value
 
 
+def reject_reason(exc: Exception) -> str:
+    """Why a line or row was rejected: a missing key as a missing field."""
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file in the same directory, then rename."""
     path = Path(path)
@@ -113,8 +118,7 @@ def read_json_lines(
                 try:
                     values.append(parse(json.loads(line)))
                 except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                    reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-                    rejects.append(f"line {number}: {reason}")
+                    rejects.append(f"line {number}: {reject_reason(exc)}")
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {getattr(source, 'name', 'input')}: {exc}") from exc
     finally:

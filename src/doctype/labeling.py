@@ -200,7 +200,10 @@ def feature_row(doc_id: str, fv: FeatureVector) -> dict:
 
 def row_to_features(row: Mapping) -> FeatureVector:
     """Check and convert a feature row: a string id and finite numbers for
-    f1-f4 (f1 may be null); anything else raises ValueError."""
+    f1-f4 (f1 may be null); anything else raises ValueError, or KeyError
+    for a missing key."""
+    if not isinstance(row, Mapping):
+        raise ValueError("a feature row must be a JSON object")
     if not isinstance(row["id"], str):
         raise ValueError(f"id must be a string, got {row['id']!r}")
     for fid in FEATURE_IDS:

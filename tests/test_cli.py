@@ -410,6 +410,24 @@ class TestTrainPredict:
         assert "f2 = -5.0 is not finite after the log-scale transform" in lines[3]["error"]
         assert "1 rows, 3 errors" in capsys.readouterr().err
 
+    def test_malformed_rows_give_error_rows_that_say_why(self, labeled_file, tmp_path, capsys):
+        # a missing key is named as read_json_lines names it in a labeled file
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(labeled_file), "--kind", "gnb", "--out", str(model_path)]) == 0
+        features, out = tmp_path / "features.jsonl", tmp_path / "predictions.jsonl"
+        features.write_text('{"id": "a", "f1": 1, "f2": 5000, "f3": 10}\n[1]\n"row"\n')
+        assert main(["predict", str(model_path), str(features), "--out", str(out)]) == 0
+        assert [json.loads(line) for line in out.read_text().splitlines()] == [
+            {"doc_id": "a", "error": "missing field 'f4'"},
+            {"doc_id": None, "error": "a feature row must be a JSON object"},
+            {"doc_id": None, "error": "a feature row must be a JSON object"},
+        ]
+        assert "0 rows, 3 errors" in capsys.readouterr().err
+        labeled = tmp_path / "labeled.jsonl"
+        labeled.write_text('{"id": "a", "f1": 1, "f2": 5000, "f3": 10, "f4": 500.0}\n')
+        assert main(["train", str(labeled), "--kind", "gnb"]) == 2
+        assert capsys.readouterr().err == f"error: {labeled} line 1: missing field 'label'\n"
+
     def test_mistyped_feature_rows_give_error_rows(self, labeled_file, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(["train", str(labeled_file), "--kind", "gnb", "--out", str(model_path)]) == 0
@@ -825,8 +843,10 @@ PINNED_CONFIGURED_BYTES = [
 
 #: sha256 of ``predict`` stdout and of its stderr with the ms/row figure
 #: masked, and the exit code, for a seeded forest over feature rows that
-#: include a null f1, bad values and a line that is not JSON
-PINNED_PREDICT_BYTES = {"stdout": "5d1a8330f45f53953fa6a0bd092fe7734298e215c50dc9bb1a1b76c7865e0bfd",
+#: include a null f1, bad values and a line that is not JSON; stdout
+#: re-recorded when a missing key became "missing field 'f4'" and a
+#: non-object row "a feature row must be a JSON object"
+PINNED_PREDICT_BYTES = {"stdout": "a7c4caef808608c5750c649bebcc8846f273f0c9b63346b1abb03f9fa8027383",
                         "stderr": "a6716f2babd46fe577318bb00634e64d733f5fcdb7117fd15ce13792ec1385f3", "exit": 0}
 
 
