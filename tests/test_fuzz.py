@@ -2,7 +2,8 @@
 splices of small valid inputs, run through ``cli.main`` in process. Every
 run exits 0, 1 or 2, and a failing run prints one ``error:`` line and
 writes nothing. A records run that exits 0 writes what its lines give one
-at a time, and a configured run what the config's values give as flags."""
+at a time, a configured run what the config's values give as flags, and a
+model file that loads saves to a file that loads and predicts the same."""
 
 import contextlib
 import io
@@ -15,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doctype.cli import main
+from doctype.ioutils import canonical_json
+from doctype.models import load_model, save_model, train
 
-from conftest import write_click_log, write_seeded_records
+from conftest import toy_dataset, write_click_log, write_seeded_records
 
 #: bytes that JSON gives meaning to; an edit draws one of them about as
 #: often as it draws any byte at all
@@ -155,5 +158,42 @@ def test_mutated_config_fails_cleanly_or_gives_its_values(tmp_path):
         flags = ["--proportions", json.dumps(payload["proportions"])] if "proportions" in payload else []
         assert run_main(["synth", "--n", "30", "--seed", str(payload.get("seed", 0)), *flags]) == (
             0, out.read_text() if to_file else stdout, "")
+
+    run()
+
+
+@pytest.mark.parametrize("kind, hyperparameters, transform", [
+    ("gnb", {}, "z-score"), ("random-forest", {"n_trees": 2, "max_depth": 2}, "identity"),
+])
+def test_mutated_model_file_fails_cleanly_or_saves_as_it_loads(kind, hyperparameters, transform, tmp_path):
+    # a z-score gnb with f1 stores a mean, a scale and an imputer; the file
+    # is indented so that a line splice mixes its values
+    model = train(kind, toy_dataset(10, seed=2), hyperparameters, seed=5, transform=transform)
+    raw = canonical_json(json.loads(model.to_json())).encode()
+    features, path, resaved = tmp_path / "features.jsonl", tmp_path / "model.json", tmp_path / "resaved.json"
+    features.write_text("".join(json.dumps(row) + "\n" for row in [
+        {"id": "a", "f1": 2, "f2": 5000, "f3": 12, "f4": 416.7},
+        {"id": "b", "f1": None, "f2": 600, "f3": 20, "f4": 30.0},
+        {"id": "c", "f1": 1, "f2": 70000, "f3": 210, "f4": 333.3},
+    ]))
+    out, again = tmp_path / "predictions.jsonl", tmp_path / "again.jsonl"
+
+    @settings(max_examples=150, deadline=timedelta(seconds=2))
+    @given(edits=st.lists(EDITS, min_size=1, max_size=4))
+    def run(edits):
+        data = raw
+        for edit in edits:
+            data = edited(data, edit)
+        path.write_bytes(data)
+        out.unlink(missing_ok=True)
+        code, stdout, err = run_main(["predict", str(path), str(features), "--out", str(out)])
+        if check_failure(code, err):
+            assert stdout == "" and not out.exists()
+            return
+        loaded = load_model(path)
+        save_model(loaded, resaved)
+        assert load_model(resaved).to_json() == loaded.to_json()
+        assert run_main(["predict", str(resaved), str(features), "--out", str(again)])[0] == 0
+        assert again.read_bytes() == out.read_bytes()
 
     run()
