@@ -22,7 +22,7 @@ class ModelArtifact:
     ``imputer`` fills a missing f1 before the transform; it is None exactly
     when f1 is not one of ``features``. The predictor, built on first use,
     is not copied by ``dataclasses.replace``; building it checks every
-    field but the kind's name.
+    field (``models.save_model`` and ``load_model`` both build it).
     """
 
     kind: str
@@ -47,8 +47,8 @@ class ModelArtifact:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelArtifact":
-        """Parse a model file into its fields, unchecked: ``load_model``
-        checks them when it builds the predictor."""
+        """Parse a model file into its fields, checking only its version and
+        keys: ``load_model`` checks the values when it builds the predictor."""
         try:
             payload = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:

@@ -12,11 +12,11 @@ from typing import IO, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .. import stats
 from ..errors import DocTypeError, ModelFormatError, TrainingError
 from ..ingest import DOC_TYPES, FEATURE_IDS, FIELD_BY_ID, N_CLASSES, DocType, FeatureVector
 from ..ioutils import atomic_write_text, finite_number, known_keys
 from ..labeling import LabeledExample
-from .. import stats
 from .adaboost import adaboost_predictor, fit_adaboost
 from .artifact import ModelArtifact
 from .baselines import (
