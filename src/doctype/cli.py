@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import check_seed, config_from_dict, load_config, read_proportions
 from .errors import ConfigError, DocTypeError
@@ -33,7 +35,8 @@ from .labeling import (
 )
 from .labeling import stratified_split  # noqa: F401 -- unused; bench/tracer.py wraps this name
 from .models import dataset_matrix, load_model, predict, save_model, train
-from .engagement import engagement_report, human_engagement, read_log_events
+from .engagement import engagement_report, human_engagement, log_events
+from .engagement import read_log_events  # noqa: F401 -- unused; bench/tracer.py wraps this name
 from .pipeline import run_pipeline
 from .stats import derive_thresholds
 from .stats import impute_f1  # noqa: F401 -- unused; bench/tracer.py wraps this name
@@ -318,7 +321,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     rows_out, n_ok = [], 0
     started = time.perf_counter()
-    with open(args.features, "rb") as handle:
+    with open(args.features, "rb") as handle, np.errstate(all="ignore"):
         for line in handle:
             if not line.strip():
                 continue
@@ -328,11 +331,12 @@ def cmd_predict(args) -> int:
                 label, scores = predict(model, row_to_features(row))
                 result = {"doc_id": row["id"], "doc_type": label.label,
                           "scores": {t.label: scores[t] for t in scores}}
+                text = json.dumps(result, sort_keys=True, allow_nan=False)  # a NaN score fails
                 n_ok += 1
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                result = {"doc_id": row.get("id") if isinstance(row, dict) else None,
-                          "error": reject_reason(exc)}
-            rows_out.append(json.dumps(result, sort_keys=True) + "\n")
+                text = json.dumps({"doc_id": row.get("id") if isinstance(row, dict) else None,
+                                   "error": reject_reason(exc)}, sort_keys=True)
+            rows_out.append(text + "\n")
     elapsed = time.perf_counter() - started
     _write_or_print(args, "".join(rows_out))
     per_row_ms = (elapsed / n_ok * 1000.0) if n_ok else 0.0
@@ -348,11 +352,11 @@ def cmd_engagement(args) -> int:
     if args.predictions:
         with open(args.predictions, "r", encoding="utf-8") as handle:
             predictions = dict(p for p in read_json_lines_strict(handle, _prediction) if p)
+    rejects: list[str] = []
     with open(args.log, "r", encoding="utf-8") as handle:
-        parsed = read_log_events(handle, predictions)
-    report = engagement_report(parsed.events)
+        report = engagement_report(log_events(handle, predictions, rejects))
     n_events = sum(engine["n_events"] for engine in report["engines"].values())
-    n_rejected = parsed.n_rejected + report["rejected_unknown_engine"] + sum(report["rejected"].values())
+    n_rejected = len(rejects) + report["rejected_unknown_engine"] + sum(report["rejected"].values())
     print(f"engagement: {n_events} events, {n_rejected} rejected", file=sys.stderr)
     if n_events == 0:
         raise DocTypeError("no valid events")

@@ -13,11 +13,11 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import EventValidationError, UndefinedRateError
 from .ingest import DOC_TYPES, DocType
-from .ioutils import read_json_lines
+from .ioutils import iter_json_lines, read_json_lines
 
 ENGINES = ("search", "recommender")
 VARIANTS = ("any", "top")
@@ -282,11 +282,18 @@ class LogParseResult:
     errors: list[str] = field(default_factory=list)
 
 
+def log_events(
+    source: IO[str] | Iterable[str], predictions: Mapping[str, DocType] | None, rejects: list[str]
+) -> Iterator[LogEvent]:
+    """Each event of a log stream as it is read; rejected lines go to ``rejects``."""
+    return iter_json_lines(source, partial(_parse_event, predictions or {}), rejects)
+
+
 def read_log_events(
     source: IO[str] | Iterable[str],
     predictions: Mapping[str, DocType] | None = None,
 ) -> LogParseResult:
-    """Parse a log stream; lines that cannot be resolved are counted."""
+    """``log_events`` as a list; lines that cannot be resolved are counted."""
     events, errors = read_json_lines(source, partial(_parse_event, predictions or {}))
     return LogParseResult(events, len(errors), errors)
 

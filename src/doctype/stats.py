@@ -106,8 +106,8 @@ def fit_transform(X: np.ndarray, kind: str) -> dict:
         raise ValueError(f"unknown transform kind: {kind!r}")
     if kind != "z-score":
         return {"kind": kind, "mean": None, "scale": None}
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
+    with np.errstate(all="ignore"):  # an overflowing mean or std is refused after the fit
+        mean, scale = X.mean(axis=0), X.std(axis=0)
     # a constant column's mean can round off its value, leaving a
     # rounding-level std; a spread as small as 1e-200 squares to a zero std
     top = X.max(axis=0)
@@ -127,7 +127,8 @@ def apply_transform(transform: Mapping, X: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.log1p(X)
     mean, scale = (np.asarray(transform[key], dtype=float) for key in ("mean", "scale"))
-    return (X - mean) / scale
+    with np.errstate(all="ignore"):  # what overflows, its caller names as not finite
+        return (X - mean) / scale
 
 
 def read_transform(transform, n_features: int) -> dict:

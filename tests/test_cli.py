@@ -29,6 +29,7 @@ from conftest import (
     OVERFLOWING_CELLS,
     blank_f1,
     overflow_rows,
+    random_events,
     toy_dataset,
     write_click_log,
     write_seeded_records,
@@ -203,6 +204,28 @@ class TestExtract:
         # About 4.9 lines when each line is reduced to its features as it is
         # read; 36 when every record's pages are held until the file ends.
         assert peak < 8 * largest, f"peak {peak} bytes for a largest line of {largest}"
+
+    def test_engagement_memory_does_not_grow_with_the_log(self, tmp_path, capsys):
+        # fully typed logs of 2,000 and 8,000 events and no predictions file
+        peaks = []
+        for n in (2000, 8000):
+            log, out = tmp_path / f"log-{n}.jsonl", tmp_path / f"report-{n}.json"
+            log.write_text("".join(json.dumps({
+                "engine": event.engine, "query_id": event.query_id,
+                "impressions": [{"doc_id": imp.doc_id, "position": imp.position,
+                                 "doc_type": imp.doc_type.label} for imp in event.impressions],
+                "clicks": [{"doc_id": click.doc_id, "position": click.position} for click in event.clicks],
+            }) + "\n" for event in random_events(n, 7)))
+            tracemalloc.start()
+            try:
+                assert main(["engagement", str(log), "--out", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert capsys.readouterr().err == f"engagement: {n} events, 0 rejected\n"
+        # 100-150 kB for either log when each event is counted and dropped as
+        # it is read; 1.9 and 7.2 MB when every event is kept until the file ends.
+        assert peaks[1] < 1.5 * peaks[0], f"peaks {peaks} bytes for 2,000 and 8,000 events"
 
     def test_unreadable_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
@@ -410,6 +433,37 @@ class TestTrainPredict:
         assert "f2 = -5.0 is not finite after the log-scale transform" in lines[3]["error"]
         assert "1 rows, 3 errors" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, errors", [("gnb", ["huge", "limit"]), ("linear-svm", ["limit"])])
+    def test_scores_that_are_not_finite_give_error_rows(self, kind, errors, tmp_path, capsys):
+        # finite features whose scores overflow to NaN: JSON has no NaN, so
+        # such a row is an error row and no numpy warning reaches stderr
+        src, model_path = tmp_path / "synth.jsonl", tmp_path / "model.json"
+        assert main(["synth", "--n", "200", "--seed", "3", "--out", str(src)]) == 0
+        assert main(["train", str(src), "--kind", kind, "--out", str(model_path)]) == 0
+        features, out = tmp_path / "features.jsonl", tmp_path / "predictions.jsonl"
+        rows = [
+            {"id": "huge", "f1": 2, "f2": 1e200, "f3": 10, "f4": 1e199},
+            {"id": "limit", "f1": 2, "f2": 1.7e308, "f3": 1e-300, "f4": 1.7e308},
+            {"id": "ok", "f1": 2, "f2": 5000, "f3": 10, "f4": 500.0},
+        ]
+        features.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(features), "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} written")
+
+        lines = [json.loads(line, parse_constant=refuse) for line in out.read_text().splitlines()]
+        assert [line["doc_id"] for line in lines] == ["huge", "limit", "ok"]
+        for line in lines:
+            if line["doc_id"] in errors:
+                assert set(line) == {"doc_id", "error"}
+                assert line["error"].startswith("Out of range float values are not JSON compliant")
+            else:
+                assert set(line) == {"doc_id", "doc_type", "scores"}
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"predict: {3 - len(errors)} rows, {len(errors)} errors, [0-9.]+ ms/row mean\n", err)
+
     def test_malformed_rows_give_error_rows_that_say_why(self, labeled_file, tmp_path, capsys):
         # a missing key is named as read_json_lines names it in a labeled file
         model_path = tmp_path / "model.json"
@@ -522,6 +576,22 @@ class TestTrainPredict:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not model_path.exists()
+
+    def test_z_score_fit_that_overflows_says_only_its_error(self, tmp_path, capsys):
+        # ±1.7e308 in turn: the z-score mean and std overflow, and so do the
+        # transformed values, which the fit refuses by name
+        src, model_path = tmp_path / "huge.jsonl", tmp_path / "model.json"
+        with open(src, "w", encoding="utf-8") as handle:
+            write_examples(handle, [
+                dataclasses.replace(ex, features=dataclasses.replace(
+                    ex.features, f2_total_words=1.7e308 if i % 2 else -1.7e308))
+                for i, ex in enumerate(toy_dataset(5))
+            ])
+        assert main(["train", str(src), "--kind", "gnb", "--transform", "z-score", "--out", str(model_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: example toy-1: feature f2 = 1.7e+308 is not finite after the z-score transform\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.jsonl"]
 
     def test_undecodable_features_line_gives_error_row(self, labeled_file, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -1003,6 +1073,19 @@ class TestEngagementCommand:
         log.write_text("".join(json.dumps(line) + "\n" for line in lines) + "{not json\n")
         assert main(["engagement", str(log), *flags]) == 2
         assert capsys.readouterr() == ("", "engagement: 0 events, 3 rejected\nerror: no valid events\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
+
+    @pytest.mark.parametrize("flags", [[], ["--out", "report.json"]], ids=["human", "out"])
+    def test_undecodable_log_exit_two_and_write_nothing(self, flags, tmp_path, monkeypatch, capsys):
+        # the decode error surfaces while the report is being folded
+        monkeypatch.chdir(tmp_path)
+        log = self._log(tmp_path)
+        log.write_bytes(log.read_bytes() * 3 + b'{"engine": "\xff"}\n')
+        assert main(["engagement", str(log), *flags]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: cannot read {log}: 'utf-8' codec can't decode byte 0xff in position "
+            f"{len(log.read_bytes()) - 4}: invalid start byte\n"
+        ))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
 
     def test_report_is_what_out_writes(self, tmp_path):

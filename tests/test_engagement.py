@@ -14,9 +14,11 @@ from doctype.engagement import (
     Click,
     Impression,
     LogEvent,
+    LogParseResult,
     build_impression_sets,
     engagement_report,
     event_sets,
+    log_events,
     qtctr,
     read_log_events,
     rqtctr,
@@ -24,7 +26,7 @@ from doctype.engagement import (
 from doctype.errors import EventValidationError, UndefinedRateError
 from doctype.ingest import DocType
 
-from conftest import make_event, random_events
+from conftest import make_event, random_events, write_click_log
 
 R, S, T = DocType.RESEARCH, DocType.SLIDES, DocType.THESIS
 
@@ -313,6 +315,23 @@ class TestLogParsing:
         ]:
             parsed = read_log_events(io.StringIO(text), predictions={"a": R})
             assert parsed.events == [] and parsed.errors == [error]
+
+    def test_list_form_is_the_streamed_events(self, tmp_path):
+        # write_click_log types a third of the events through the predictions
+        # file and adds one malformed line and three lines that parse but
+        # that event_sets rejects (unknown engine, duplicate position,
+        # unimpressed click)
+        log, typed = write_click_log(tmp_path)
+        predictions = {row["doc_id"]: DocType.from_label(row["doc_type"])
+                       for row in map(json.loads, typed.read_text().splitlines())}
+        lines = log.read_text().splitlines()
+        rejects = []
+        streamed = log_events(lines, predictions, rejects)
+        parsed = read_log_events(lines, predictions)
+        assert parsed == LogParseResult(list(streamed), len(rejects), rejects)
+        assert parsed.n_rejected == 1 and parsed.errors[0].startswith("line 13: ")
+        kept = [e for e in parsed.events if e.query_id != "bad"]
+        assert kept == random_events(60, 7) and len(parsed.events) == 63
 
     def test_read_runs_no_full_collection(self):
         # A count, not a timing: the reader pauses the cyclic collector, so

@@ -18,7 +18,7 @@ from doctype.ingest import (
     extract_features,
     parse_records,
 )
-from doctype.ioutils import read_json_lines, read_json_lines_strict
+from doctype.ioutils import iter_json_lines, read_json_lines, read_json_lines_strict
 from reference_words import tokenize
 
 
@@ -340,6 +340,48 @@ class TestReadJsonLines:
         finally:
             (gc.enable if was else gc.disable)()
         assert states == [enabled] * 3
+
+    #: lines the reader keeps, skips or rejects: values parse keeps or
+    #: refuses, blanks, malformed JSON, a non-object and nesting past the
+    #: recursion limit
+    LINE_KINDS = ['{"n": 2}', '{"n": 0}', '{"m": 1}', "", "   ", "{oops", "[]", "[" * 5000]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(st.sampled_from(LINE_KINDS), max_size=12),
+        marked=st.booleans(),
+        as_bytes=st.booleans(),
+        undecodable=st.none() | st.integers(0, 12),
+    )
+    def test_generator_and_list_forms_agree(self, lines, marked, as_bytes, undecodable):
+        if marked and lines:
+            lines[0] = "\ufeff" + lines[0]
+        if as_bytes:
+            lines = [line.encode("utf-8") for line in lines]
+            if undecodable is not None:
+                lines.insert(min(undecodable, len(lines)), b'{"n": "\xff"}')
+        rejects = []
+        if as_bytes and undecodable is not None:
+            with pytest.raises(IngestError) as streamed:
+                list(iter_json_lines(lines, _positive, rejects))
+            with pytest.raises(IngestError) as listed:
+                read_json_lines(lines, _positive)
+            assert str(streamed.value) == str(listed.value)
+            assert str(listed.value).startswith("cannot read input: 'utf-8' codec")
+        else:
+            assert (list(iter_json_lines(lines, _positive, rejects)), rejects) == read_json_lines(
+                lines, _positive
+            )
+
+    def test_generator_leaves_the_collector_running(self):
+        enabled = gc.isenabled()
+        gc.enable()
+        try:
+            states = [gc.isenabled() for _ in iter_json_lines(['{"n": 1}', '{"n": 2}'], _positive, [])]
+        finally:
+            if not enabled:
+                gc.disable()
+        assert states == [True, True]
 
     def test_strict_raises_on_first_reject_naming_the_source(self, tmp_path):
         path = tmp_path / "rows.jsonl"
